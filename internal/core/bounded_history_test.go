@@ -1,0 +1,141 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/netem"
+	"repro/internal/overlay"
+)
+
+// typeMany types n position-dependent keystrokes 10 ms apart into a
+// session whose host application records every byte and echoes it, and
+// instruments every server Receive: how many user events the server's
+// remote object retains afterwards, what the call cost, and what it
+// allocated.
+type typedRun struct {
+	hostGot     []byte
+	maxRetained int             // most events RemoteState() held after any Receive
+	cost        []time.Duration // wall time of each Receive that delivered input
+	allocated   []uint64        // heap bytes allocated by the run, sampled per 1000 keystrokes
+}
+
+func typeMany(t *testing.T, params netem.LinkParams, n int) (*session, *typedRun) {
+	t.Helper()
+	ss := newSession(t, params, overlay.Never)
+	run := &typedRun{}
+	ss.hostScript = func(data []byte) {
+		run.hostGot = append(run.hostGot, data...)
+		out := bytes.Clone(data)
+		ss.sched.AfterFunc(time.Millisecond, func() {
+			ss.server.HostOutput(out)
+			ss.wakeServer()
+		})
+	}
+	ss.net.Attach(ss.serverAddr, func(p netem.Packet) {
+		before := len(run.hostGot)
+		start := time.Now()
+		ss.server.Receive(p.Payload, p.Src)
+		if d := time.Since(start); len(run.hostGot) > before {
+			run.cost = append(run.cost, d)
+		}
+		run.maxRetained = max(run.maxRetained, len(ss.server.Transport().RemoteState().EventsSince(0)))
+	})
+	ss.run(time.Second)
+	var ms runtime.MemStats
+	for i := 0; i < n; i++ {
+		if i%1000 == 0 {
+			runtime.ReadMemStats(&ms)
+			run.allocated = append(run.allocated, ms.TotalAlloc)
+		}
+		ss.client.TypeRune(rune('a' + i%26))
+		ss.wakeClient()
+		ss.run(10 * time.Millisecond)
+	}
+	runtime.ReadMemStats(&ms)
+	run.allocated = append(run.allocated, ms.TotalAlloc)
+	ss.run(30 * time.Second)
+	return ss, run
+}
+
+func wantKeys(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + i%26)
+	}
+	return b
+}
+
+func historyKeystrokes() int {
+	if testing.Short() || raceEnabled {
+		return 20_000
+	}
+	return 100_000
+}
+
+// TestServerHistoryBoundedOverLongSession: a session's cost must not grow
+// with its age. Over 10⁵ keystrokes the server's view of the user stream
+// never holds more than the unacknowledged window, the last thousand
+// keystrokes cost what the first thousand did, and the host application
+// receives every byte exactly once, in order.
+func TestServerHistoryBoundedOverLongSession(t *testing.T) {
+	n := historyKeystrokes()
+	ss, run := typeMany(t, netem.LinkParams{Delay: 20 * time.Millisecond}, n)
+	if !bytes.Equal(run.hostGot, wantKeys(n)) {
+		t.Fatalf("host received %d bytes, want %d exactly once in order", len(run.hostGot), n)
+	}
+	// 10 ms keystrokes against a 40 ms RTT and piggybacked acks: a handful
+	// of events in flight, however long the session.
+	if run.maxRetained > 16 {
+		t.Fatalf("server's RemoteState() retained up to %d events over %d keystrokes, want <= 16", run.maxRetained, n)
+	}
+	if held := len(ss.client.tr.CurrentState().EventsSince(0)); held != 0 {
+		t.Fatalf("client still holds %d acknowledged events", held)
+	}
+
+	// Cost: the Receive of the last thousand input-bearing datagrams
+	// against the first thousand — at the lower decile, which a GC pause or
+	// a co-tenant stall cannot move but work that grows with history must —
+	// and, exactly repeatable, the bytes the whole session allocated over
+	// the last thousand keystrokes against the first.
+	if len(run.cost) < 4000 {
+		t.Fatalf("only %d input-bearing datagrams; the comparison needs two disjoint thousands", len(run.cost))
+	}
+	decile := func(d []time.Duration) time.Duration {
+		d = slices.Clone(d)
+		slices.Sort(d)
+		return d[len(d)/10]
+	}
+	first, last := decile(run.cost[:1000]), decile(run.cost[len(run.cost)-1000:])
+	if last > 2*first {
+		t.Fatalf("Server.Receive cost (p10) grew from %v (first 1000) to %v (last 1000)", first, last)
+	}
+	k := len(run.allocated) - 1
+	firstB, lastB := run.allocated[1]-run.allocated[0], run.allocated[k]-run.allocated[k-1]
+	if lastB > 2*firstB {
+		t.Fatalf("the last 1000 keystrokes allocated %d bytes, the first 1000 %d", lastB, firstB)
+	}
+	t.Logf("%d keystrokes: max retained %d events; Receive p10 %v → %v; bytes/1000 keystrokes %d → %d",
+		n, run.maxRetained, first, last, firstB, lastB)
+}
+
+// TestServerHistoryBoundedUnderLossAndReordering: with 30 % loss each way
+// and reordering, what the server retains is bounded by the unacknowledged
+// window (a few round trips of typing), not by the session's age — and
+// delivery is still exactly once, in order.
+func TestServerHistoryBoundedUnderLossAndReordering(t *testing.T) {
+	n := historyKeystrokes()
+	_, run := typeMany(t, netem.LinkParams{
+		Delay: 20 * time.Millisecond, Jitter: 30 * time.Millisecond, AllowReorder: true, LossProb: 0.3,
+	}, n)
+	if !bytes.Equal(run.hostGot, wantKeys(n)) {
+		t.Fatalf("host received %d bytes, want %d exactly once in order", len(run.hostGot), n)
+	}
+	if run.maxRetained > 1024 {
+		t.Fatalf("server's RemoteState() retained up to %d events over %d keystrokes, want <= 1024", run.maxRetained, n)
+	}
+	t.Logf("%d keystrokes at 30%% loss: max retained %d events", n, run.maxRetained)
+}

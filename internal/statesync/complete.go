@@ -23,20 +23,40 @@ type Complete struct {
 	// clone derived from it (lazily created on first Clone). The transport
 	// sender recycles retired snapshots (transport.Recycler), Clone reuses
 	// their storage via Framebuffer.CloneInto, and the steady-state
-	// snapshot churn of a session allocates nothing. Like the rest of the
-	// state machinery it is single-owner: a Complete family lives on one
-	// goroutine.
-	pool *snapshotPool
+	// snapshot churn of a session allocates nothing.
+	pool *freeList[Complete]
 }
 
-// snapshotPool recycles retired snapshot Completes within one session.
-type snapshotPool struct {
-	free []*Complete
+// freeList recycles retired clones of one state object within one session.
+// Like the rest of the state machinery it is single-owner: an object and
+// its clones live on one goroutine.
+type freeList[T any] struct {
+	free []*T
 }
 
-// maxPooledSnapshots bounds the free list; the sender's steady state
+// maxPooledSnapshots bounds a free list; the transport's steady state
 // retires about as many snapshots per tick as it takes.
 const maxPooledSnapshots = 4
+
+// take pops a retired clone, or returns nil.
+func (p *freeList[T]) take() *T {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	x := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return x
+}
+
+// put keeps x for a later take unless the list is full (or was never
+// created: x is not a clone and has none).
+func (p *freeList[T]) put(x *T) {
+	if p != nil && len(p.free) < maxPooledSnapshots {
+		p.free = append(p.free, x)
+	}
+}
 
 // NewComplete returns a blank terminal state of the given size.
 func NewComplete(w, h int) *Complete {
@@ -83,12 +103,9 @@ func (c *Complete) EchoAck() uint64 { return c.emu.Framebuffer().EchoAck }
 // equivalent.
 func (c *Complete) Clone() *Complete {
 	if c.pool == nil {
-		c.pool = &snapshotPool{}
+		c.pool = &freeList[Complete]{}
 	}
-	if n := len(c.pool.free); n > 0 {
-		d := c.pool.free[n-1]
-		c.pool.free[n-1] = nil
-		c.pool.free = c.pool.free[:n-1]
+	if d := c.pool.take(); d != nil {
 		d.emu.SetFramebuffer(c.emu.Framebuffer().CloneInto(d.emu.Framebuffer()))
 		return d
 	}
@@ -100,12 +117,7 @@ func (c *Complete) Clone() *Complete {
 
 // Recycle implements transport.Recycler: the sender hands back snapshots
 // it has dropped from its history, and Clone reuses their storage.
-func (c *Complete) Recycle() {
-	if c.pool == nil || len(c.pool.free) >= maxPooledSnapshots {
-		return
-	}
-	c.pool.free = append(c.pool.free, c)
-}
+func (c *Complete) Recycle() { c.pool.put(c) }
 
 // Equal implements transport.State.
 func (c *Complete) Equal(o *Complete) bool {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // EventType distinguishes user-stream events.
@@ -23,17 +24,13 @@ const (
 	EventResize EventType = 2
 )
 
-// Event is one element of the user input history.
+// Event is one element of the user input history. Data is immutable once
+// the event is in a stream (PushBytes and Apply copy what they are given),
+// so clones share it.
 type Event struct {
 	Type EventType
 	Data []byte // EventBytes
 	W, H int    // EventResize
-}
-
-func (e Event) clone() Event {
-	ne := e
-	ne.Data = append([]byte(nil), e.Data...)
-	return ne
 }
 
 func (e Event) equal(o Event) bool {
@@ -50,11 +47,22 @@ func (e Event) equal(o Event) bool {
 
 // UserStream is the client→server SSP object: an append-only event log.
 // Acknowledged prefixes are garbage-collected by Subtract; base tracks how
-// many events have been subtracted so global indices stay stable.
+// many events have been subtracted so global indices stay stable. Both
+// ends subtract (the sender on every ack, the receiver whenever the
+// sender's ThrowawayNum retires history), so a stream holds only the
+// unacknowledged window however old the session is.
 type UserStream struct {
 	base   uint64
 	events []Event
+	// pool is the free list shared by this stream and every clone derived
+	// from it (lazily created on first Clone): the transport recycles the
+	// states it drops (transport.Recycler) and Clone reuses their storage.
+	pool *freeList[UserStream]
 }
+
+// cloneHeadroom is the spare capacity a freshly allocated clone gets, so
+// the receiver's clone-then-Apply does not regrow it at once.
+const cloneHeadroom = 4
 
 // NewUserStream returns an empty stream.
 func NewUserStream() *UserStream { return &UserStream{} }
@@ -92,13 +100,31 @@ func (u *UserStream) EventsSince(from uint64) []Event {
 	return u.events[idx:]
 }
 
-// Clone implements transport.State.
+// Clone implements transport.State. Event payloads are shared, and a
+// recycled clone's storage is reused when one is available, so the steady
+// state allocates nothing.
 func (u *UserStream) Clone() *UserStream {
-	n := &UserStream{base: u.base, events: make([]Event, len(u.events))}
-	for i := range u.events {
-		n.events[i] = u.events[i].clone()
+	if u.pool == nil {
+		u.pool = &freeList[UserStream]{}
 	}
+	n := u.pool.take()
+	if n == nil {
+		n = &UserStream{pool: u.pool}
+	}
+	if cap(n.events) < len(u.events) {
+		n.events = make([]Event, 0, len(u.events)+cloneHeadroom)
+	}
+	n.base = u.base
+	n.events = append(n.events[:0], u.events...)
 	return n
+}
+
+// Recycle implements transport.Recycler: the transport hands back states
+// it has dropped from its history, and Clone reuses their storage.
+func (u *UserStream) Recycle() {
+	clear(u.events) // do not pin payloads from the free list
+	u.events = u.events[:0]
+	u.pool.put(u)
 }
 
 // Equal implements transport.State.
@@ -261,15 +287,13 @@ func (u *UserStream) applyEvents(start uint64, diff []byte) error {
 }
 
 // Subtract implements transport.State: drops the shared prefix with other,
-// advancing base so global indices remain stable.
+// advancing base so global indices remain stable. It compacts in place
+// (other may be u itself), so a slice from EventsSince does not survive it.
 func (u *UserStream) Subtract(other *UserStream) {
 	if other.Size() <= u.base {
 		return
 	}
-	drop := other.Size() - u.base
-	if drop > uint64(len(u.events)) {
-		drop = uint64(len(u.events))
-	}
-	u.events = append([]Event(nil), u.events[drop:]...)
+	drop := min(other.Size()-u.base, uint64(len(u.events)))
+	u.events = slices.Delete(u.events, 0, int(drop)) // clears the vacated tail
 	u.base += drop
 }

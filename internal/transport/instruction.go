@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // protocolVersion identifies this wire format. Version 3 added the
@@ -98,38 +99,71 @@ func encodeInstruction(inst *Instruction) []byte {
 	return fr.encode(inst)
 }
 
-// appendWriter adapts an append-grown byte slice to io.Writer so the
-// fragmenter's pooled zlib writer can deflate straight into reusable
-// scratch without a bytes.Buffer per instruction.
-type appendWriter struct{ buf *[]byte }
+// Deflate and inflate state belongs to the process, not to a session: a
+// zlib.Writer is ≈ 1.2 MB, an endpoint needs one only while it encodes one
+// instruction, and Reset makes a borrowed one indistinguishable from a
+// fresh one — the bytes on the wire do not depend on who used it last.
 
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
+// deflater is a pooled zlib.Writer that deflates into out, which encode
+// lends it for one instruction (the writer never points into a session).
+type deflater struct {
+	zw  *zlib.Writer
+	out []byte
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.out = append(d.out, p...)
 	return len(p), nil
 }
 
-// decodeInstruction reverses encodeInstruction.
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	d.zw = zlib.NewWriter(d)
+	return d
+}}
+
+// inflater is a pooled zlib reader together with the source and limit
+// readers it is stacked between.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // nil until the first stream: NewReader wants a header
+	lim io.LimitedReader
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses z into dst (reset first). A stream that inflates
+// past maxDecompressed is an error, never a truncated instruction.
+func inflate(dst *bytes.Buffer, z []byte) error {
+	in := inflaters.Get().(*inflater)
+	defer inflaters.Put(in)
+	in.src.Reset(z)
+	defer in.src.Reset(nil)
+	var err error
+	if in.zr == nil {
+		in.zr, err = zlib.NewReader(&in.src)
+	} else {
+		err = in.zr.(zlib.Resetter).Reset(&in.src, nil)
+	}
+	if err != nil {
+		return err
+	}
+	dst.Reset()
+	in.lim = io.LimitedReader{R: in.zr, N: maxDecompressed + 1}
+	if _, err := dst.ReadFrom(&in.lim); err != nil {
+		return err
+	}
+	if dst.Len() > maxDecompressed {
+		return errors.New("inflates past the limit")
+	}
+	return nil
+}
+
+// decodeInstruction reverses encodeInstruction into fresh buffers. The
+// receive path goes through assembly.decode, which reuses its own.
 func decodeInstruction(buf []byte) (*Instruction, error) {
-	if len(buf) < 1 {
-		return nil, ErrBadInstruction
-	}
-	switch buf[0] {
-	case encodingRaw:
-		return unmarshalInstruction(buf[1:])
-	case encodingZlib:
-		r, err := zlib.NewReader(bytes.NewReader(buf[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
-		}
-		defer r.Close()
-		raw, err := io.ReadAll(io.LimitReader(r, maxDecompressed))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
-		}
-		return unmarshalInstruction(raw)
-	default:
-		return nil, ErrBadInstruction
-	}
+	var a assembly
+	return a.decode(buf)
 }
 
 // Fragmentation. An instruction larger than the MTU is split into numbered
@@ -195,7 +229,6 @@ type fragmenter struct {
 	encBuf    []byte     // encoded (flag + raw/deflate) payload scratch
 	fragStore []fragment // fragment structs, reused
 	fragPtrs  []*fragment
-	zw        *zlib.Writer
 }
 
 // encode marshals and, when profitable, compresses the instruction into
@@ -204,15 +237,13 @@ func (fr *fragmenter) encode(inst *Instruction) []byte {
 	fr.rawBuf = inst.appendMarshal(fr.rawBuf[:0])
 	raw := fr.rawBuf
 	if len(raw) >= compressThreshold {
-		fr.encBuf = append(fr.encBuf[:0], encodingZlib)
-		aw := appendWriter{&fr.encBuf}
-		if fr.zw == nil {
-			fr.zw = zlib.NewWriter(aw)
-		} else {
-			fr.zw.Reset(aw)
-		}
-		fr.zw.Write(raw)
-		fr.zw.Close()
+		d := deflaters.Get().(*deflater)
+		d.out = append(fr.encBuf[:0], encodingZlib)
+		d.zw.Reset(d)
+		d.zw.Write(raw) // deflater.Write cannot fail
+		d.zw.Close()
+		fr.encBuf, d.out = d.out, nil
+		deflaters.Put(d)
 		if len(fr.encBuf) < len(raw)+1 {
 			return fr.encBuf
 		}
@@ -256,13 +287,23 @@ func (fr *fragmenter) makeFragments(inst *Instruction, mtu int) []*fragment {
 }
 
 // assembly reassembles fragments into instructions. It holds at most one
-// instruction in progress; fragments from a newer id reset it.
+// instruction in progress; fragments from a newer id reset it. Its buffers
+// are reused, so a returned instruction's Diff is valid only until the next
+// add — processInstruction applies it first, and Apply copies what it keeps.
 type assembly struct {
-	id        uint64
-	active    bool
-	fragments map[uint16][]byte
-	total     int // fragment count once the final fragment is seen, else -1
+	id     uint64
+	active bool
+	parts  [][]byte // by fragment number; nil = not yet seen
+	held   int      // non-nil entries of parts
+	total  int      // fragment count once the final fragment is seen, else -1
+
+	joined   []byte       // concatenation scratch
+	inflated bytes.Buffer // decompression scratch
 }
+
+// maxRetainedScratch is the most reassembly or decompression scratch an
+// assembly keeps between instructions; screen frames are far smaller.
+const maxRetainedScratch = 1 << 20
 
 // add consumes one fragment; when it completes an instruction, the decoded
 // instruction is returned.
@@ -274,27 +315,67 @@ func (a *assembly) add(f *fragment) (*Instruction, error) {
 		if a.active && f.id < a.id {
 			return nil, nil // stale fragment of an abandoned instruction
 		}
+		if f.num == 0 && f.final {
+			// Almost every instruction is a lone fragment: decode it where it
+			// lies. It still abandons an older partial instruction.
+			if a.active {
+				clear(a.parts)
+			}
+			a.id, a.active = f.id, false
+			return a.decode(f.contents)
+		}
 		a.id = f.id
 		a.active = true
-		a.fragments = make(map[uint16][]byte)
+		clear(a.parts)
+		a.parts = a.parts[:0]
+		a.held = 0
 		a.total = -1
 	}
-	a.fragments[f.num] = f.contents
+	for int(f.num) >= len(a.parts) {
+		a.parts = append(a.parts, nil)
+	}
+	if a.parts[f.num] == nil {
+		a.held++
+	}
+	a.parts[f.num] = f.contents
 	if f.final {
 		a.total = int(f.num) + 1
 	}
-	if a.total < 0 || len(a.fragments) < a.total {
+	if a.total < 0 || a.held < a.total {
 		return nil, nil
 	}
-	var buf []byte
-	for i := 0; i < a.total; i++ {
-		part, ok := a.fragments[uint16(i)]
-		if !ok {
+	if cap(a.joined) > maxRetainedScratch {
+		a.joined = nil
+	}
+	a.joined = a.joined[:0]
+	for _, part := range a.parts[:a.total] {
+		if part == nil {
 			return nil, nil
 		}
-		buf = append(buf, part...)
+		a.joined = append(a.joined, part...)
 	}
 	a.active = false
-	a.fragments = nil
-	return decodeInstruction(buf)
+	clear(a.parts)
+	return a.decode(a.joined)
+}
+
+// decode reverses fragmenter.encode.
+func (a *assembly) decode(buf []byte) (*Instruction, error) {
+	if len(buf) < 1 {
+		return nil, ErrBadInstruction
+	}
+	switch buf[0] {
+	case encodingRaw:
+		return unmarshalInstruction(buf[1:])
+	case encodingZlib:
+		if a.inflated.Cap() > maxRetainedScratch {
+			a.inflated = bytes.Buffer{}
+		}
+		if err := inflate(&a.inflated, buf[1:]); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
+		}
+		return unmarshalInstruction(a.inflated.Bytes())
+	default:
+		return nil, ErrBadInstruction
+	}
 }

@@ -1,6 +1,9 @@
 package transport
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // maxReceivedStates bounds the receiver's history. ThrowawayNum prunes it
 // in normal operation; the cap is a defensive backstop.
@@ -22,6 +25,15 @@ type recvState[T State[T]] struct {
 // contract of Latest(): its result is valid only until the next call to
 // processInstruction — every in-repo caller reads it transiently within
 // one event-loop turn, and external callers must Clone before retaining.
+//
+// History is also rationalized, as in the reference implementation's
+// get_remote_diff: on every instruction the oldest retained state is
+// subtracted from all of them, so an append-only object (the user-input
+// stream) holds only what the sender has not yet promised to forget, and a
+// session's per-instruction cost does not grow with its age. Latest() is
+// therefore the remote object less the prefix every retained state shares;
+// consumers read it by global index (UserStream.EventsSince / Size) before
+// the next instruction arrives.
 type Receiver[T State[T]] struct {
 	states []recvState[T]
 
@@ -64,10 +76,11 @@ func newResumedReceiver[T State[T]](initial T, num uint64) *Receiver[T] {
 	}
 }
 
-// Latest returns the newest reconstructed remote state. Callers must treat
-// it as read-only and must not retain it across the next received
-// instruction: retired history is recycled, so a stale reference may
-// observe its storage being reused (Clone before retaining).
+// Latest returns the newest reconstructed remote state, less the prefix
+// all retained states share (see Receiver). Callers must treat it as
+// read-only and must not retain it across the next received instruction,
+// which may subtract what was just read and recycles retired history
+// (Clone before retaining).
 func (r *Receiver[T]) Latest() T { return r.states[len(r.states)-1].state }
 
 // LatestNum returns the newest remote state number.
@@ -83,10 +96,20 @@ func (r *Receiver[T]) StateCount() int { return len(r.states) }
 func (r *Receiver[T]) processInstruction(inst *Instruction) (bool, error) {
 	// Retire history the sender promises never to reference again, but
 	// always keep the newest state. Retired snapshots are recycled: their
-	// storage feeds the next reconstruction's Clone.
-	for len(r.states) > 1 && r.states[0].num < inst.ThrowawayNum {
-		recycle(r.states[0].state)
-		r.states = r.states[1:]
+	// storage feeds the next reconstruction's Clone. Compacting in place
+	// keeps the capacity, so appending the next state never reallocates.
+	retired := 0
+	for retired < len(r.states)-1 && r.states[retired].num < inst.ThrowawayNum {
+		recycle(r.states[retired].state)
+		retired++
+	}
+	r.states = slices.Delete(r.states, 0, retired)
+
+	// Rationalize: drop the prefix every retained state shares. Newest
+	// first, so the oldest is whole until it subtracts itself, last.
+	oldest := r.states[0].state
+	for i := len(r.states) - 1; i >= 0; i-- {
+		r.states[i].state.Subtract(oldest)
 	}
 
 	if inst.NewNum <= r.LatestNum() {
@@ -160,6 +183,6 @@ func (r *Receiver[T]) addState(num uint64, st T) {
 	r.states = append(r.states, recvState[T]{num: num, state: st})
 	if len(r.states) > maxReceivedStates {
 		recycle(r.states[1].state)
-		r.states = append(r.states[:1], r.states[2:]...)
+		r.states = slices.Delete(r.states, 1, 2)
 	}
 }

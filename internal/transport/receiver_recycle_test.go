@@ -23,21 +23,28 @@ func mkInst(old, new, throwaway uint64, diff []byte) *Instruction {
 
 func TestReceiverRecyclesRetiredStates(t *testing.T) {
 	recycled := 0
-	initial := &recycleState{textState: &textState{}, recycled: &recycled}
+	initial := &recycleState{logState: &logState{}, recycled: &recycled}
 	r := newReceiver[*recycleState](initial)
 
+	var got []byte
 	if isNew, err := r.processInstruction(mkInst(0, 1, 0, []byte("a"))); err != nil || !isNew {
 		t.Fatalf("state 1: isNew=%v err=%v", isNew, err)
 	}
+	got = consume(t, got, r.Latest().logState)
 	if isNew, err := r.processInstruction(mkInst(1, 2, 1, []byte("b"))); err != nil || !isNew {
 		t.Fatalf("state 2: isNew=%v err=%v", isNew, err)
 	}
+	got = consume(t, got, r.Latest().logState)
 	// ThrowawayNum 1 retired state 0 — exactly one recycle.
 	if recycled != 1 {
 		t.Fatalf("recycled = %d after retiring state 0, want 1", recycled)
 	}
-	if got := string(r.Latest().data); got != "ab" {
-		t.Fatalf("latest = %q, want ab", got)
+	if string(got) != "ab" || r.Latest().Size() != 2 {
+		t.Fatalf("consumed %q from a latest of size %d, want ab and 2", got, r.Latest().Size())
+	}
+	// Rationalized: state 1 (the oldest retained) was subtracted from both.
+	if held := string(r.Latest().data); held != "b" {
+		t.Fatalf("latest retains %q, want only the unshared suffix b", held)
 	}
 
 	// Replay is idempotent by number and recycles nothing further.
@@ -69,7 +76,7 @@ func TestReceiverRecyclesRetiredStates(t *testing.T) {
 // pristine initial even though the numbered state 0 was retired long ago.
 func TestReceiverPristineStateZeroFallback(t *testing.T) {
 	recycled := 0
-	initial := &recycleState{textState: &textState{}, recycled: &recycled}
+	initial := &recycleState{logState: &logState{}, recycled: &recycled}
 	r := newReceiver[*recycleState](initial)
 
 	// Normal history: 0→1→2→3, with state 0 retired by ThrowawayNum.
@@ -103,8 +110,11 @@ func TestReceiverPristineStateZeroFallback(t *testing.T) {
 // scratch clone is recycled, not leaked.
 func TestResumedReceiverRequiresResumableState(t *testing.T) {
 	recycled := 0
-	initial := &recycleState{textState: &textState{data: []byte("xyz")}, recycled: &recycled}
+	initial := &recycleState{logState: &logState{data: []byte("xyz")}, recycled: &recycled}
 	r := newResumedReceiver[*recycleState](initial, 41)
+	// The restored object was delivered by the dead incarnation: a consumer
+	// resumes after it, as core.Server does from the journaled stream size.
+	got := consume(t, nil, r.Latest().logState)
 
 	if r.LatestNum() != 41 {
 		t.Fatalf("restored latest num = %d, want 41", r.LatestNum())
@@ -116,7 +126,7 @@ func TestResumedReceiverRequiresResumableState(t *testing.T) {
 	if recycled != 1 {
 		t.Fatalf("scratch clone recycles = %d, want 1", recycled)
 	}
-	if got := string(r.Latest().data); got != "xyz" {
-		t.Fatalf("latest mutated to %q by unusable instruction", got)
+	if got = consume(t, got, r.Latest().logState); string(got) != "xyz" || r.Latest().Size() != 3 {
+		t.Fatalf("latest mutated to %q (size %d) by unusable instruction", got, r.Latest().Size())
 	}
 }

@@ -8,23 +8,23 @@ import (
 	"repro/internal/simclock"
 )
 
-// recycleState wraps textState and counts Recycle calls, so the tests can
+// recycleState wraps logState and counts Recycle calls, so the tests can
 // pin exactly when the sender releases snapshot ownership.
 type recycleState struct {
-	*textState
+	*logState
 	recycled *int
 	dead     bool
 }
 
 func (s *recycleState) Clone() *recycleState {
-	return &recycleState{textState: s.textState.Clone(), recycled: s.recycled}
+	return &recycleState{logState: s.logState.Clone(), recycled: s.recycled}
 }
-func (s *recycleState) Equal(o *recycleState) bool      { return s.textState.Equal(o.textState) }
-func (s *recycleState) DiffFrom(o *recycleState) []byte { return s.textState.DiffFrom(o.textState) }
-func (s *recycleState) Subtract(o *recycleState)        { s.textState.Subtract(o.textState) }
-func (s *recycleState) Apply(diff []byte) error         { return s.textState.Apply(diff) }
+func (s *recycleState) Equal(o *recycleState) bool      { return s.logState.Equal(o.logState) }
+func (s *recycleState) DiffFrom(o *recycleState) []byte { return s.logState.DiffFrom(o.logState) }
+func (s *recycleState) Subtract(o *recycleState)        { s.logState.Subtract(o.logState) }
+func (s *recycleState) Apply(diff []byte) error         { return s.logState.Apply(diff) }
 func (s *recycleState) AppendDiff(buf []byte, o *recycleState) []byte {
-	return s.textState.AppendDiff(buf, o.textState)
+	return s.logState.AppendDiff(buf, o.logState)
 }
 func (s *recycleState) Recycle() {
 	if s.dead {
@@ -41,7 +41,7 @@ func (s *recycleState) Recycle() {
 func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	recycled := 0
-	live := &recycleState{textState: &textState{}, recycled: &recycled}
+	live := &recycleState{logState: &logState{}, recycled: &recycled}
 	s := newSender[*recycleState](nil, clk, DefaultTiming(), live)
 
 	// Build history: states 1..5.
@@ -107,7 +107,7 @@ func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 func TestCullNeverDropsAssumedReceiverState(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	recycled := 0
-	live := &recycleState{textState: &textState{}, recycled: &recycled}
+	live := &recycleState{logState: &logState{}, recycled: &recycled}
 	s := newSender[*recycleState](nil, clk, DefaultTiming(), live)
 
 	num := uint64(1)

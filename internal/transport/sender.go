@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/network"
@@ -281,7 +282,9 @@ func (s *Sender[T]) processAcknowledgmentThrough(ack uint64) {
 	for i := 0; i < idx; i++ {
 		recycle(s.sentStates[i].state)
 	}
-	s.sentStates = s.sentStates[idx:]
+	// Compact in place: sliding the slice start would shed capacity and
+	// make addSentState reallocate every few instructions.
+	s.sentStates = slices.Delete(s.sentStates, 0, idx)
 	base := s.front().state.Clone()
 	s.currentState.Subtract(base)
 	for i := range s.sentStates {
@@ -445,7 +448,7 @@ func (s *Sender[T]) addSentState(now time.Time, num uint64) {
 			mid++
 		}
 		recycle(s.sentStates[mid].state)
-		s.sentStates = append(s.sentStates[:mid], s.sentStates[mid+1:]...)
+		s.sentStates = slices.Delete(s.sentStates, mid, mid+1)
 		if s.assumedIdx > mid {
 			s.assumedIdx--
 		}

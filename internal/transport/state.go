@@ -50,10 +50,14 @@ type State[T any] interface {
 	// Apply mutates the state by applying a diff produced by DiffFrom.
 	Apply(diff []byte) error
 
-	// Subtract removes the shared prefix with other. It exists so the
-	// sender can garbage-collect history common to all outstanding
-	// states (meaningful for append-only objects like the user-input
-	// stream; screen states implement it as a no-op).
+	// Subtract removes the shared prefix with other. It exists so both
+	// ends can garbage-collect history common to all the states they
+	// retain (meaningful for append-only objects like the user-input
+	// stream; screen states implement it as a no-op): the sender subtracts
+	// the acknowledged baseline from every sent state and the live object,
+	// the receiver its oldest retained state from every received one —
+	// itself included, so other may be the receiver of the call. Global
+	// positions a state reports (a size, an index) must not change.
 	Subtract(other T)
 }
 

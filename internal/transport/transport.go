@@ -163,10 +163,14 @@ func (t *Transport[L, R]) Sender() *Sender[L] { return t.sender }
 // CurrentState returns the live local object.
 func (t *Transport[L, R]) CurrentState() L { return t.sender.currentState }
 
-// RemoteState returns the newest reconstructed remote state. Treat it as
-// read-only and do not retain it across the next Receive: the receiver
-// recycles retired history, so a stale reference may observe its storage
-// being reused (Clone before retaining).
+// RemoteState returns the newest reconstructed remote state, less the
+// prefix every state the receiver still retains has in common (nothing for
+// a screen; for the user-input stream, every event the peer has promised
+// never to diff from again). Consume what is new by global index
+// (UserStream.EventsSince / Size) after the Receive that reported it; treat
+// it as read-only and do not retain it across the next Receive, which may
+// subtract what was just read and recycles retired history (Clone before
+// retaining).
 func (t *Transport[L, R]) RemoteState() R { return t.receiver.Latest() }
 
 // RemoteStateNum returns the newest remote state number.
@@ -234,7 +238,7 @@ func (t *Transport[L, R]) FragmentsHeld() int {
 	if !t.assembly.active {
 		return 0
 	}
-	return len(t.assembly.fragments)
+	return t.assembly.held
 }
 
 // WaitTime reports how long the event loop may sleep before the next Tick

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,46 +13,61 @@ import (
 
 var t0 = time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC)
 
-// textState is an append-only byte-stream state with the same diff algebra
-// as the real user-input stream: a diff is the suffix of bytes the source
-// lacks, and Subtract drops a shared prefix.
-type textState struct {
+// logState is the toy transport.State (ROADMAP 3(b)): an append-only byte
+// log held as base + suffix, with the user-input stream's diff algebra — a
+// diff is the bytes the source lacks, Subtract drops a shared prefix and
+// advances base, and Size is global.
+type logState struct {
+	base int // bytes subtracted so far
 	data []byte
 }
 
-func newText() *textState { return &textState{} }
+func newLog() *logState { return &logState{} }
 
-func (s *textState) Append(b []byte) { s.data = append(s.data, b...) }
+func (s *logState) Append(b []byte) { s.data = append(s.data, b...) }
+func (s *logState) Size() int       { return s.base + len(s.data) }
 
-func (s *textState) Clone() *textState { return &textState{data: bytes.Clone(s.data)} }
-
-func (s *textState) Equal(o *textState) bool { return bytes.Equal(s.data, o.data) }
-
-func (s *textState) DiffFrom(src *textState) []byte {
-	return s.AppendDiff(nil, src)
+// Since returns the retained bytes at global offsets >= from.
+func (s *logState) Since(from int) []byte {
+	return s.data[min(max(from, s.base), s.Size())-s.base:]
 }
 
-func (s *textState) AppendDiff(buf []byte, src *textState) []byte {
-	if len(src.data) > len(s.data) || !bytes.Equal(s.data[:len(src.data)], src.data) {
-		// Source is not a prefix (cannot happen in SSP's usage); resend all.
-		return append(buf, s.data...)
-	}
-	return append(buf, s.data[len(src.data):]...)
+func (s *logState) Clone() *logState {
+	return &logState{base: s.base, data: bytes.Clone(s.data)}
+}
+func (s *logState) Equal(o *logState) bool {
+	return s.base == o.base && bytes.Equal(s.data, o.data)
+}
+func (s *logState) DiffFrom(src *logState) []byte { return s.AppendDiff(nil, src) }
+func (s *logState) AppendDiff(buf []byte, src *logState) []byte {
+	return append(buf, s.Since(src.Size())...)
+}
+func (s *logState) Apply(diff []byte) error { s.Append(diff); return nil }
+func (s *logState) Subtract(o *logState) {
+	drop := len(s.data) - len(s.Since(o.Size()))
+	s.data, s.base = s.data[drop:], s.base+drop
 }
 
-func (s *textState) Apply(diff []byte) error {
-	s.data = append(s.data, diff...)
-	return nil
+// consume is how a reader takes a rationalized remote object: by global
+// offset, after every Receive. It appends to got whatever st holds beyond
+// len(got); a state that starts past what was consumed lost bytes, and one
+// that ends before it went backwards.
+func consume(t testing.TB, got []byte, st *logState) []byte {
+	t.Helper()
+	if st.base > len(got) || st.Size() < len(got) {
+		t.Fatalf("remote state spans [%d,%d) with %d bytes consumed", st.base, st.Size(), len(got))
+	}
+	return append(got, st.Since(len(got))...)
 }
 
-func (s *textState) Subtract(o *textState) {
-	n := len(o.data)
-	if n > len(s.data) {
-		n = len(s.data)
+// seq returns n position-dependent bytes starting at offset from, so a
+// duplicated, dropped or reordered byte changes the received string.
+func seq(from, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('a' + (from+i)%26)
 	}
-	if bytes.Equal(s.data[:n], o.data[:n]) {
-		s.data = append([]byte(nil), s.data[n:]...)
-	}
+	return b
 }
 
 // harness wires a client and server Transport over an emulated path and
@@ -62,11 +76,14 @@ type harness struct {
 	sched          *simclock.Scheduler
 	net            *netem.Network
 	path           *netem.Path
-	client, server *Transport[*textState, *textState]
+	client, server *Transport[*logState, *logState]
 	clientAddr     netem.Addr
 	serverAddr     netem.Addr
 	clientDrops    bool // when true, stop delivering to client (disconnection)
 	wirePackets    int
+	// serverGot/clientGot accumulate what each endpoint consumed from its
+	// remote object after every Receive (see consume).
+	serverGot, clientGot []byte
 	// wakeClient/wakeServer tick an endpoint and reschedule its pump
 	// timer, as a real event loop does after local activity.
 	wakeClient, wakeServer func()
@@ -84,13 +101,13 @@ func newHarness(t *testing.T, params netem.LinkParams, timing *Timing) *harness 
 	key := sspcrypto.Key{1, 2, 3}
 
 	var err error
-	h.client, err = New(Config[*textState, *textState]{
+	h.client, err = New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
 		Key:           key,
 		Clock:         h.sched,
 		Timing:        timing,
-		LocalInitial:  newText(),
-		RemoteInitial: newText(),
+		LocalInitial:  newLog(),
+		RemoteInitial: newLog(),
 		Emit: func(wire []byte) {
 			h.wirePackets++
 			h.path.Up.Send(netem.Packet{Src: h.clientAddr, Dst: h.serverAddr, Payload: wire})
@@ -99,13 +116,13 @@ func newHarness(t *testing.T, params netem.LinkParams, timing *Timing) *harness 
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.server, err = New(Config[*textState, *textState]{
+	h.server, err = New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToClient,
 		Key:           key,
 		Clock:         h.sched,
 		Timing:        timing,
-		LocalInitial:  newText(),
-		RemoteInitial: newText(),
+		LocalInitial:  newLog(),
+		RemoteInitial: newLog(),
 		Emit: func(wire []byte) {
 			h.wirePackets++
 			if dst, ok := h.server.Connection().RemoteAddr(); ok {
@@ -119,12 +136,9 @@ func newHarness(t *testing.T, params netem.LinkParams, timing *Timing) *harness 
 
 	h.net.Attach(h.serverAddr, func(p netem.Packet) {
 		h.server.Receive(p.Payload, p.Src)
+		h.serverGot = consume(t, h.serverGot, h.server.RemoteState())
 	})
-	h.net.Attach(h.clientAddr, func(p netem.Packet) {
-		if !h.clientDrops {
-			h.client.Receive(p.Payload, p.Src)
-		}
-	})
+	h.net.Attach(h.clientAddr, h.clientReceive(t))
 
 	// Self-rescheduling pumps, mimicking each endpoint's event loop.
 	var pumpClient, pumpServer func()
@@ -148,6 +162,16 @@ func newHarness(t *testing.T, params netem.LinkParams, timing *Timing) *harness 
 	return h
 }
 
+// clientReceive is the client's datagram handler (re-attached on a roam).
+func (h *harness) clientReceive(t *testing.T) func(netem.Packet) {
+	return func(p netem.Packet) {
+		if !h.clientDrops {
+			h.client.Receive(p.Payload, p.Src)
+			h.clientGot = consume(t, h.clientGot, h.client.RemoteState())
+		}
+	}
+}
+
 // clampWait keeps the pump from busy-looping while still being responsive.
 func clampWait(d time.Duration) time.Duration {
 	const floor = time.Millisecond
@@ -165,7 +189,7 @@ func TestBasicSynchronizationClientToServer(t *testing.T) {
 	h.client.CurrentState().Append([]byte("hello"))
 	h.wakeClient()
 	h.run(2 * time.Second)
-	if got := string(h.server.RemoteState().data); got != "hello" {
+	if got := string(h.serverGot); got != "hello" {
 		t.Fatalf("server sees %q, want %q", got, "hello")
 	}
 }
@@ -176,7 +200,7 @@ func TestBasicSynchronizationServerToClient(t *testing.T) {
 	h.server.CurrentState().Append([]byte("screen-update"))
 	h.wakeServer()
 	h.run(2 * time.Second)
-	if got := string(h.client.RemoteState().data); got != "screen-update" {
+	if got := string(h.clientGot); got != "screen-update" {
 		t.Fatalf("client sees %q", got)
 	}
 }
@@ -185,33 +209,36 @@ func TestBidirectionalConcurrentSync(t *testing.T) {
 	h := newHarness(t, netem.LinkParams{Delay: 30 * time.Millisecond}, nil)
 	h.run(500 * time.Millisecond)
 	for i := 0; i < 20; i++ {
-		h.client.CurrentState().Append([]byte("k"))
+		h.client.CurrentState().Append(seq(i, 1))
 		h.wakeClient()
-		h.server.CurrentState().Append([]byte("echo!"))
+		h.server.CurrentState().Append(seq(5*i, 5))
 		h.wakeServer()
 		h.run(57 * time.Millisecond)
 	}
 	h.run(3 * time.Second)
-	if got := len(h.server.RemoteState().data); got != 20 {
+	if got := len(h.serverGot); got != 20 {
 		t.Fatalf("server received %d keystroke bytes, want 20", got)
 	}
-	if got := len(h.client.RemoteState().data); got != 100 {
+	if got := len(h.clientGot); got != 100 {
 		t.Fatalf("client received %d echo bytes, want 100", got)
+	}
+	if !bytes.Equal(h.serverGot, seq(0, 20)) || !bytes.Equal(h.clientGot, seq(0, 100)) {
+		t.Fatalf("bytes not delivered exactly once in order: server %q client %q", h.serverGot, h.clientGot)
 	}
 }
 
 func TestConvergenceUnderHeavyLoss(t *testing.T) {
 	h := newHarness(t, netem.LinkParams{Delay: 50 * time.Millisecond, LossProb: 0.29}, nil)
 	h.run(time.Second)
-	want := strings.Repeat("x", 50)
+	want := string(seq(0, 50))
 	for i := 0; i < 50; i++ {
-		h.client.CurrentState().Append([]byte("x"))
+		h.client.CurrentState().Append(seq(i, 1))
 		h.wakeClient()
 		h.run(40 * time.Millisecond)
 	}
 	h.run(20 * time.Second)
-	if got := string(h.server.RemoteState().data); got != want {
-		t.Fatalf("server converged to %d bytes, want %d", len(got), len(want))
+	if got := string(h.serverGot); got != want {
+		t.Fatalf("server converged to %q (%d bytes), want %q", got, len(got), want)
 	}
 }
 
@@ -222,13 +249,16 @@ func TestSkipsIntermediateStates(t *testing.T) {
 	h := newHarness(t, netem.LinkParams{Delay: 250 * time.Millisecond}, nil)
 	h.run(time.Second)
 	for i := 0; i < 100; i++ {
-		h.server.CurrentState().Append([]byte("frame"))
+		h.server.CurrentState().Append(seq(5*i, 5))
 		h.wakeServer()
 		h.run(5 * time.Millisecond)
 	}
 	h.run(5 * time.Second)
-	if got := len(h.client.RemoteState().data); got != 500 {
+	if got := len(h.clientGot); got != 500 {
 		t.Fatalf("client state has %d bytes, want 500", got)
+	}
+	if !bytes.Equal(h.clientGot, seq(0, 500)) {
+		t.Fatalf("bytes not delivered exactly once in order: %q", h.clientGot)
 	}
 	// 100 changes over 500ms on a 500ms-RTT path: at ~2 frames in flight
 	// per RTT the receiver should have seen a small number of jumps.
@@ -244,7 +274,7 @@ func TestFrameRateRespectsRTT(t *testing.T) {
 	h.run(2 * time.Second) // settle RTT estimate via heartbeats
 	base := h.server.Sender().Stats().Instructions
 	for i := 0; i < 25; i++ {
-		h.server.CurrentState().Append([]byte("y"))
+		h.server.CurrentState().Append(seq(i, 1))
 		h.wakeServer()
 		h.run(100 * time.Millisecond)
 	}
@@ -253,8 +283,11 @@ func TestFrameRateRespectsRTT(t *testing.T) {
 	if sent > 14 {
 		t.Fatalf("sent %d instructions in 2.5s on a 500ms-RTT path; frame rate not limited", sent)
 	}
-	if got := len(h.client.RemoteState().data); got != 25 {
+	if got := len(h.clientGot); got != 25 {
 		t.Fatalf("client has %d bytes, want 25", got)
+	}
+	if !bytes.Equal(h.clientGot, seq(0, 25)) {
+		t.Fatalf("bytes not delivered exactly once in order: %q", h.clientGot)
 	}
 }
 
@@ -272,8 +305,8 @@ func TestCollectionIntervalCoalescesClumpedWrites(t *testing.T) {
 	if sent := h.server.Sender().Stats().Instructions - base; sent != 1 {
 		t.Fatalf("clumped writes produced %d instructions, want 1", sent)
 	}
-	if got := len(h.client.RemoteState().data); got != 3 {
-		t.Fatalf("client has %d bytes, want 3", got)
+	if got := string(h.clientGot); got != "www" {
+		t.Fatalf("client has %q, want www", got)
 	}
 }
 
@@ -314,8 +347,8 @@ func TestLargeDiffFragmentsAndReassembles(t *testing.T) {
 	h.server.CurrentState().Append(big)
 	h.wakeServer()
 	h.run(3 * time.Second)
-	if !bytes.Equal(h.client.RemoteState().data, big) {
-		t.Fatalf("client has %d bytes, want %d", len(h.client.RemoteState().data), len(big))
+	if !bytes.Equal(h.clientGot, big) {
+		t.Fatalf("client has %d bytes, want %d", len(h.clientGot), len(big))
 	}
 }
 
@@ -333,7 +366,7 @@ func TestReconnectAfterSilence(t *testing.T) {
 	h.server.CurrentState().Append([]byte("+back"))
 	h.wakeServer()
 	h.run(10 * time.Second)
-	if got := string(h.client.RemoteState().data); got != "missed-while-away+back" {
+	if got := string(h.clientGot); got != "missed-while-away+back" {
 		t.Fatalf("client state after reconnect = %q", got)
 	}
 }
@@ -349,16 +382,12 @@ func TestRoamingMidSession(t *testing.T) {
 	newAddr := netem.Addr{Host: 77, Port: 7777}
 	h.net.Detach(h.clientAddr)
 	h.clientAddr = newAddr
-	h.net.Attach(newAddr, func(p netem.Packet) {
-		if !h.clientDrops {
-			h.client.Receive(p.Payload, p.Src)
-		}
-	})
+	h.net.Attach(newAddr, h.clientReceive(t))
 
 	h.client.CurrentState().Append([]byte("+after"))
 	h.wakeClient()
 	h.run(2 * time.Second)
-	if got := string(h.server.RemoteState().data); got != "before+after" {
+	if got := string(h.serverGot); got != "before+after" {
 		t.Fatalf("server state after roam = %q", got)
 	}
 	if h.server.Connection().RemoteAddrChanges() != 1 {
@@ -368,7 +397,7 @@ func TestRoamingMidSession(t *testing.T) {
 	h.server.CurrentState().Append([]byte("reply"))
 	h.wakeServer()
 	h.run(2 * time.Second)
-	if got := string(h.client.RemoteState().data); got != "reply" {
+	if got := string(h.clientGot); got != "reply" {
 		t.Fatalf("client did not hear server after roam: %q", got)
 	}
 }
@@ -419,12 +448,12 @@ func TestSendPathAllocationFreeWhenRecycled(t *testing.T) {
 	// heartbeat path — marshal, encode, fragment, seal — must not allocate:
 	// every buffer is pooled through the fragmenter and AppendPacket.
 	clk := simclock.NewManual(t0)
-	tr, err := New(Config[*textState, *textState]{
+	tr, err := New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
 		Key:           sspcrypto.Key{1},
 		Clock:         clk,
-		LocalInitial:  newText(),
-		RemoteInitial: newText(),
+		LocalInitial:  newLog(),
+		RemoteInitial: newLog(),
 		Emit:          func([]byte) {},
 		RecycleWire:   true,
 	})
@@ -455,12 +484,12 @@ func TestDataSendPathAllocationsBounded(t *testing.T) {
 	// history (inherent to SSP); everything else is pooled, so the per-send
 	// allocation count must stay small and flat.
 	clk := simclock.NewManual(t0)
-	tr, err := New(Config[*textState, *textState]{
+	tr, err := New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
 		Key:           sspcrypto.Key{1},
 		Clock:         clk,
-		LocalInitial:  newText(),
-		RemoteInitial: newText(),
+		LocalInitial:  newLog(),
+		RemoteInitial: newLog(),
 		Emit:          func([]byte) {},
 		RecycleWire:   true,
 	})
