@@ -76,7 +76,7 @@ func main() {
 	stateDir := flag.String("state-dir", "", "journal sessions here and restore them on start (crash-safe resumption)")
 	journal := flag.Duration("journal", sessiond.DefaultJournalInterval, "journal flush cadence with -state-dir")
 	batchio := flag.Bool("batchio", true, "vectorized socket I/O (recvmmsg/sendmmsg) when the platform supports it; false forces the one-datagram-per-syscall loop")
-	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|uring|gso|mmsg|loop; auto probes the kernel and walks the ladder io_uring → GSO/GRO → mmsg → loop, an explicit name fails at startup if unsupported rather than silently falling back")
+	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|gso|uring|loop; auto takes the best-measured provider the platform has (mmsg, else loop); gso and uring run only when named, and an explicit name fails at startup if unsupported rather than silently falling back")
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
 	fullRewrite := flag.Bool("journal-full-rewrite", false, "with -state-dir, rewrite the whole checkpoint on every flush instead of appending incremental segments (the pre-log-structured baseline; diagnostic)")

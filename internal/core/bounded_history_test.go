@@ -21,6 +21,19 @@ type typedRun struct {
 	maxRetained int             // most events RemoteState() held after any Receive
 	cost        []time.Duration // wall time of each Receive that delivered input
 	allocated   []uint64        // heap bytes allocated by the run, sampled per 1000 keystrokes
+	echoBase    []*echoEntry    // the server echo queue's backing array at the same samples
+}
+
+// sample records the run's allocation counters at a thousand-keystroke mark.
+func (run *typedRun) sample(srv *Server) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	run.allocated = append(run.allocated, ms.TotalAlloc)
+	var base *echoEntry
+	if cap(srv.echoQueue) > 0 {
+		base = &srv.echoQueue[:1][0]
+	}
+	run.echoBase = append(run.echoBase, base)
 }
 
 func typeMany(t *testing.T, params netem.LinkParams, n int) (*session, *typedRun) {
@@ -45,18 +58,15 @@ func typeMany(t *testing.T, params netem.LinkParams, n int) (*session, *typedRun
 		run.maxRetained = max(run.maxRetained, len(ss.server.Transport().RemoteState().EventsSince(0)))
 	})
 	ss.run(time.Second)
-	var ms runtime.MemStats
 	for i := 0; i < n; i++ {
 		if i%1000 == 0 {
-			runtime.ReadMemStats(&ms)
-			run.allocated = append(run.allocated, ms.TotalAlloc)
+			run.sample(ss.server)
 		}
 		ss.client.TypeRune(rune('a' + i%26))
 		ss.wakeClient()
 		ss.run(10 * time.Millisecond)
 	}
-	runtime.ReadMemStats(&ms)
-	run.allocated = append(run.allocated, ms.TotalAlloc)
+	run.sample(ss.server)
 	ss.run(30 * time.Second)
 	return ss, run
 }
@@ -117,6 +127,11 @@ func TestServerHistoryBoundedOverLongSession(t *testing.T) {
 	firstB, lastB := run.allocated[1]-run.allocated[0], run.allocated[k]-run.allocated[k-1]
 	if lastB > 2*firstB {
 		t.Fatalf("the last 1000 keystrokes allocated %d bytes, the first 1000 %d", lastB, firstB)
+	}
+	// The echo queue holds EchoAckTimeout's worth of keystrokes (five here)
+	// and is compacted in place: once warm it never reallocates.
+	if run.echoBase[1] == nil || run.echoBase[1] != run.echoBase[k] {
+		t.Fatalf("server echo queue reallocated between keystroke 1000 and keystroke %d", n)
 	}
 	t.Logf("%d keystrokes: max retained %d events; Receive p10 %v → %v; bytes/1000 keystrokes %d → %d",
 		n, run.maxRetained, first, last, firstB, lastB)

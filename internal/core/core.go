@@ -13,6 +13,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/netem"
@@ -219,11 +220,15 @@ func (s *Server) Answerback() []byte { return s.Terminal().TakeAnswerback() }
 // Tick advances the echo-ack clock and the transport.
 func (s *Server) Tick() {
 	now := s.cfg.Clock.Now()
-	for len(s.echoQueue) > 0 && now.Sub(s.echoQueue[0].at) >= s.cfg.EchoAckTimeout {
-		s.pendingEchoAck = s.echoQueue[0].num
+	due := 0
+	for due < len(s.echoQueue) && now.Sub(s.echoQueue[due].at) >= s.cfg.EchoAckTimeout {
+		s.pendingEchoAck = s.echoQueue[due].num
 		s.haveEchoUpdate = true
-		s.echoQueue = s.echoQueue[1:]
+		due++
 	}
+	// Compact in place: a sliding s.echoQueue[1:] walks off its backing
+	// array and makes every later append reallocate.
+	s.echoQueue = slices.Delete(s.echoQueue, 0, due)
 	if s.haveEchoUpdate {
 		// Dirtying the state triggers the "extra datagram ~50 ms after a
 		// keystroke" the paper describes.
@@ -256,7 +261,8 @@ type ClientConfig struct {
 	Clock simclock.Clock
 	// Width, Height must match the server's initial terminal size.
 	Width, Height int
-	// Timing overrides SSP transport timing (nil = paper defaults).
+	// Timing overrides SSP transport timing (nil = transport.ClientTiming:
+	// the paper defaults with the reference client's 1 ms send delay).
 	Timing *transport.Timing
 	// MinRTO/MaxRTO pass through to the datagram layer.
 	MinRTO, MaxRTO time.Duration

@@ -6,26 +6,33 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/network"
 	"repro/internal/telemetry"
 	"repro/internal/udpbatch"
 )
 
-// This file is the daemon's batched packet pipeline — the refactor that
-// removes the one-syscall-per-datagram cost from both directions of the
-// serve loop.
+// This file is the daemon's packet pipeline. It is run to completion: the
+// goroutine that has a batch of datagrams (the socket reader under
+// ServeBatch, the simulation driver under HandleBatch) demultiplexes it,
+// handles each session's datagrams in arrival order under that session's
+// lock, and writes out whatever the sweep made the sessions emit before it
+// returns. No datagram is handed to another goroutine on the way, so the
+// only waits on a keystroke's path are the protocol's own timers.
 //
-// Ingress: the reader drains whole batches from the socket (one recvmmsg
-// on Linux), demultiplexes each batch once, and delivers each session's
-// datagrams as one run over a single channel send — one worker wakeup and
-// one set of registry lookups per session per batch instead of per packet.
+// Ingress: one read moves a whole batch (one recvmmsg on Linux), one
+// demultiplex groups it by session, and one lock acquisition per session
+// present covers all of that session's datagrams. Config.InboxDepth bounds
+// how many datagrams one session may have handled in one sweep; the excess
+// is dropped unopened (SSP retransmits), so a flooding session cannot buy
+// more than its share of a sweep.
 //
 // Egress: sessions never write to the socket themselves. emit enqueues
-// sealed wire onto a daemon-wide ring; a flusher drains the ring through
-// WriteBatch (one sendmmsg for a whole sweep of sessions), with explicit
-// backpressure (ring full → drop, SSP retransmits) and partial-write
-// handling. In simulation the same ring is flushed synchronously at the
-// end of every HandlePacket/HandleBatch/TickDue, so virtual-time runs
-// exercise the identical code path deterministically.
+// sealed wire onto a daemon-wide ring, and the sweep that caused the
+// emission — ingest, TickDue or Session.Do — drains the ring through
+// WriteBatch (one sendmmsg for a whole sweep of sessions) before it
+// returns, with explicit backpressure (ring full → drop, SSP retransmits)
+// and partial-write handling. Served sockets and virtual-time simulation
+// run this same code; only the source of batches and of time differs.
 
 // IOModel selects which provider geometry the simulation's syscall and
 // stack-traversal accounting mirrors. The packet path is identical in
@@ -89,222 +96,140 @@ func ParseIOModel(name string) (IOModel, error) {
 // depth: one modeled enter drains up to this many completions.
 const uringCQSweep = 256
 
-// inRun is one session's slice of a read batch: consecutive (in arrival
-// order) datagrams for the same session, delivered to the worker as one
-// channel message. Runs and their packet slices are pooled.
-type inRun struct {
-	pkts []inPacket
-	// at is when the run was enqueued to the worker; the dequeue side
-	// turns it into a queue_wait stage observation.
-	at time.Time
-	// pooled marks wire buffers drawn from the daemon's read pool (the
-	// ServeBatch path); the worker recycles them after handling. Runs from
-	// Dispatch/HandleBatch carry caller-owned buffers instead.
-	pooled bool
-}
-
-var runPool = sync.Pool{New: func() any { return &inRun{} }}
-
-func getRun(pooled bool) *inRun {
-	r := runPool.Get().(*inRun)
-	r.pooled = pooled
-	return r
-}
-
-// freeRun recycles a run and, for reader-owned buffers, its wire storage.
-func (d *Daemon) freeRun(r *inRun) {
-	if r.pooled {
-		for i := range r.pkts {
-			d.readPool.Put(r.pkts[i].wire)
-		}
+// route accounts an arriving datagram and resolves its session.
+func (d *Daemon) route(wire []byte) *Session {
+	d.metrics.PacketsIn.Add(1)
+	d.metrics.BytesIn.Add(int64(len(wire)))
+	id, _, err := network.ParseEnvelope(wire)
+	if err != nil {
+		d.metrics.DropsBadEnvelope.Add(1)
+		return nil
 	}
-	for i := range r.pkts {
-		r.pkts[i] = inPacket{}
+	s := d.reg.lookup(id)
+	if s == nil {
+		d.metrics.DropsUnknownSession.Add(1)
+		return nil
 	}
-	r.pkts = r.pkts[:0]
-	r.at = time.Time{}
-	r.pooled = false
-	runPool.Put(r)
+	return s
 }
 
-// sessGroup pairs a session with its run while a batch is being
-// demultiplexed.
+// sessGroup is one session's share of a batch being demultiplexed: n
+// datagrams, stored from off in the daemon's arrival-ordered scratch.
 type sessGroup struct {
-	s   *Session
-	run *inRun
+	s      *Session
+	n, off int
 }
 
-// groupBatch demultiplexes one read batch into per-session runs,
-// preserving arrival order within each session (SSP is order-sensitive
-// per session and indifferent across sessions). The returned slice is
-// daemon-owned scratch, valid until the next call; the caller consumes
-// every run. Only the single reader (or the single simulation driver)
-// may call it.
-func (d *Daemon) groupBatch(msgs []udpbatch.Message, pooled bool) []sessGroup {
-	demuxStart := d.cfg.Clock.Now()
-	defer func() {
-		d.pipe.Observe(telemetry.StageDemux, d.cfg.Clock.Now().Sub(demuxStart))
-	}()
-	// Clear the previous batch's entries first: retained *Session
-	// pointers in the scratch backing would otherwise pin evicted
-	// sessions (and their screen state) until a later batch happened to
-	// overwrite the slot.
-	stale := d.groupScratch[:cap(d.groupScratch)]
-	for i := range stale {
-		stale[i] = sessGroup{}
-	}
+// groupBatch demultiplexes one batch by session, preserving arrival order
+// within each session (SSP is order-sensitive per session and indifferent
+// across sessions). Group g's datagrams are runs[g.off : g.off+g.n]. Both
+// slices are daemon-owned scratch, valid until the next call; only the
+// single reader (or the single simulation driver) may call it.
+func (d *Daemon) groupBatch(msgs []udpbatch.Message) (groups []sessGroup, runs []udpbatch.Message) {
 	// Epoch-stamped O(1) group lookup: a session whose groupEpoch matches
 	// this batch already has a slot; anything else starts one. Keeps the
 	// demultiplex O(batch) even when a simulation hands over a very large
 	// same-instant batch spanning hundreds of sessions.
 	d.groupEpoch++
 	epoch := d.groupEpoch
-	groups := d.groupScratch[:0]
+	groups = d.groupScratch[:0]
+	slot := d.slotScratch[:0]
 	for i := range msgs {
 		s := d.route(msgs[i].Buf)
 		if s == nil {
-			if pooled {
-				d.readPool.Put(msgs[i].Buf)
-			}
+			slot = append(slot, -1)
 			continue
 		}
 		if s.groupEpoch != epoch {
 			s.groupEpoch = epoch
 			s.groupIdx = len(groups)
-			groups = append(groups, sessGroup{s: s, run: getRun(pooled)})
+			groups = append(groups, sessGroup{s: s})
 		}
-		g := &groups[s.groupIdx]
-		g.run.pkts = append(g.run.pkts, inPacket{wire: msgs[i].Buf, src: msgs[i].Addr})
+		groups[s.groupIdx].n++
+		slot = append(slot, s.groupIdx)
 	}
-	d.groupScratch = groups[:0]
-	return groups
-}
-
-// DispatchBatch routes one read batch to the session workers: one channel
-// send per session present in the batch. The reader loop calls it; wire
-// buffers are pool-owned and recycled by the workers after handling.
-func (d *Daemon) DispatchBatch(msgs []udpbatch.Message) {
-	d.dispatchGrouped(msgs, true)
-}
-
-func (d *Daemon) dispatchGrouped(msgs []udpbatch.Message, pooled bool) {
-	groups := d.groupBatch(msgs, pooled)
-	for _, g := range groups {
-		d.deliverRun(g.s, g.run)
+	routed := 0
+	for g := range groups {
+		groups[g].off = routed
+		routed += groups[g].n
+		groups[g].n = 0
 	}
-	clearGroups(groups)
-}
-
-// clearGroups zeroes consumed scratch entries immediately so the *Session
-// pointers cannot pin evicted sessions' screen state through an idle gap
-// until the next batch arrives.
-func clearGroups(groups []sessGroup) {
-	for i := range groups {
-		groups[i] = sessGroup{}
+	if cap(d.runScratch) < routed {
+		d.runScratch = make([]udpbatch.Message, routed)
 	}
+	runs = d.runScratch[:routed]
+	for i, g := range slot {
+		if g >= 0 {
+			runs[groups[g].off+groups[g].n] = msgs[i]
+			groups[g].n++
+		}
+	}
+	d.groupScratch, d.slotScratch = groups[:0], slot[:0]
+	return groups, runs
 }
 
-// deliverRun enqueues one run to a session's worker, dropping it (SSP
-// retransmission recovers) when the session's datagram budget
-// (Config.InboxDepth packets, not runs) is exhausted.
-func (d *Daemon) deliverRun(s *Session, r *inRun) {
-	s.workerOnce.Do(func() { go s.worker() })
-	n := int64(len(r.pkts))
-	// Reserve the session's datagram budget atomically (Dispatch is
-	// documented safe for concurrent use, so a check-then-act pair could
-	// overshoot the bound): CAS in the reservation, give it back on any
-	// failure path. A run larger than the remaining budget is admitted
-	// PARTIALLY — its prefix fits, its tail drops — so an InboxDepth
-	// smaller than one read batch bounds the session without starving it
-	// (whole-run drops would also condemn every coalesced retransmission).
+// ingest is the daemon's one packet path: demultiplex the batch, handle
+// each session's run in order under its lock, write out what the sweep
+// emitted. start is the caller's clock reading for the sweep (the end of
+// the read that produced msgs); every stage downstream takes its time from
+// it instead of reading the clock per datagram. Wire buffers stay the
+// caller's: nothing below retains them past the return.
+func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
+	d.recordEv(telemetry.EvBatchIn, 0, uint64(len(msgs)), start)
+	groups, runs := d.groupBatch(msgs)
+	d.pipe.Observe(telemetry.StageDemux, d.cfg.Clock.Now().Sub(start))
 	// Under the shed policy every session's budget halves: sustained
-	// pressure means offered load exceeds drain rate, and short queues
-	// shed it where it arises (the flooded sessions) instead of letting
-	// deep queues convert the overload into memory and latency.
-	depth := int64(d.inboxDepth())
-	if d.shedding() {
-		if depth /= 2; depth < 1 {
-			depth = 1
+	// pressure means offered load exceeds what the daemon can move, and a
+	// short budget sheds it where it arises (the flooding sessions).
+	budget := d.cfg.InboxDepth
+	if d.shedding(start) {
+		budget = max(budget/2, 1)
+	}
+	for _, g := range groups {
+		run := runs[g.off : g.off+g.n]
+		if over := int64(len(run) - budget); over > 0 {
+			// The prefix is admitted and the tail dropped, never the whole
+			// run: a budget below the batch size bounds a session without
+			// starving it (its coalesced retransmissions ride the prefix).
+			d.metrics.DropsQueueFull.Add(over)
+			d.recordEv(telemetry.EvDropQueue, g.s.ID, uint64(over), start)
+			d.notePressureDrop(over, start)
+			run = run[:budget]
+		}
+		g.s.handleRun(run, start)
+		// Keep ring occupancy bounded however large the batch: flushing at
+		// the high-water mark mid-batch sends the same datagrams at the
+		// same instant, it only splits the sweep — so a giant batch can
+		// never overflow the ring into drops that one-packet-at-a-time
+		// handling would not have suffered.
+		if d.metrics.EgressQueueDepth.Value() >= int64(d.cfg.EgressDepth/2) {
+			d.flushEgress()
 		}
 	}
-	var admit int64
-	for {
-		cur := s.queuedPkts.Load()
-		avail := depth - cur
-		if avail <= 0 {
-			// Backpressure: a slow session must not stall the shared
-			// reader nor pin more wire memory than the pre-batching
-			// one-packet-per-slot bound allowed.
-			d.metrics.DropsQueueFull.Add(n)
-			d.recordEv(telemetry.EvDropQueue, s.ID, uint64(n))
-			d.notePressureDrop(n)
-			d.freeRun(r)
-			return
-		}
-		admit = n
-		if admit > avail {
-			admit = avail
-		}
-		if s.queuedPkts.CompareAndSwap(cur, cur+admit) {
-			break
-		}
-		// CAS contention: budget moved under us — recompute before
-		// committing, so packets are never dropped against a stale limit.
-	}
-	if admit < n {
-		tail := r.pkts[admit:]
-		d.metrics.DropsQueueFull.Add(n - admit)
-		d.recordEv(telemetry.EvDropQueue, s.ID, uint64(n-admit))
-		d.notePressureDrop(n - admit)
-		if r.pooled {
-			for i := range tail {
-				d.readPool.Put(tail[i].wire)
-			}
-		}
-		for i := range tail {
-			tail[i] = inPacket{}
-		}
-		r.pkts = r.pkts[:admit]
-		n = admit
-	}
-	r.at = d.cfg.Clock.Now()
-	select {
-	case s.inbox <- r:
-		d.metrics.DispatchQueueDepth.Add(n)
-		// If the session was removed while we enqueued, its worker may
-		// already have done its final drain; compensate so the queue-depth
-		// gauge cannot leak a phantom entry.
-		if s.closedFlag.Load() {
-			select {
-			case r2 := <-s.inbox:
-				s.queuedPkts.Add(-int64(len(r2.pkts)))
-				d.metrics.DispatchQueueDepth.Add(-int64(len(r2.pkts)))
-				d.freeRun(r2)
-			default:
-			}
-		}
-	default:
-		// The run channel itself filled (only possible under a flood of
-		// single-packet runs): same backpressure, same recovery — and the
-		// reservation goes back.
-		s.queuedPkts.Add(-n)
-		d.metrics.DropsQueueFull.Add(n)
-		d.recordEv(telemetry.EvDropQueue, s.ID, uint64(n))
-		d.notePressureDrop(n)
-		d.freeRun(r)
-	}
+	// Zero the scratch so its *Session and wire pointers cannot pin evicted
+	// sessions' screen state, or a caller's buffers, through an idle gap.
+	clear(groups)
+	clear(runs)
+	d.flushEgress()
 }
 
-// HandleBatch is the synchronous batch entry point (virtual-time
-// simulation): it demultiplexes the batch, processes each session's run
-// in order, and flushes the egress ring before returning, so replies are
-// emitted deterministically within the same scheduler instant. Read-side
-// syscall accounting models a vectorized reader draining this batch.
+// HandlePacket is HandleBatch for one datagram (the unbatched baseline:
+// one modeled read syscall per datagram).
+func (d *Daemon) HandlePacket(wire []byte, src netem.Addr) {
+	msgs := [1]udpbatch.Message{{Buf: wire, Addr: src}}
+	d.HandleBatch(msgs[:])
+}
+
+// HandleBatch is the synchronous entry point (virtual-time simulation,
+// tests, and the benchmark's sync-mode ladder): one ingest sweep, with the
+// read side's syscall accounting modeled as a vectorized reader draining
+// this batch. Replies are emitted via Send before it returns, within the
+// same scheduler instant. Like ServeBatch's reader it is single-driver:
+// calls must not overlap.
 func (d *Daemon) HandleBatch(msgs []udpbatch.Message) {
 	if len(msgs) == 0 {
 		return
 	}
-	d.recordEv(telemetry.EvBatchIn, 0, uint64(len(msgs)))
 	// Model the read side per I/O geometry: how many syscalls would have
 	// drained this batch, and how many times the UDP stack would have run.
 	// GSO charges both per coalesced same-peer run (the GRO splitter hands
@@ -338,24 +263,7 @@ func (d *Daemon) HandleBatch(msgs []udpbatch.Message) {
 		// 0-duration marker keeps StageRead's count == read_batch_calls.
 		d.pipe.Observe(telemetry.StageRead, 0)
 	}
-	groups := d.groupBatch(msgs, false)
-	for _, g := range groups {
-		for i := range g.run.pkts {
-			g.s.handle(g.run.pkts[i].wire, g.run.pkts[i].src)
-		}
-		d.freeRun(g.run)
-		// Keep ring occupancy bounded however large the batch: flushing
-		// at the high-water mark mid-batch sends the same datagrams at
-		// the same instant (no behavioral divergence from the unbatched
-		// baseline, which flushes per packet), it only splits the sweep —
-		// so a giant batch can never overflow the ring into drops that
-		// the one-packet-at-a-time path would not have suffered.
-		if d.egress.nearFull() {
-			d.flushEgress()
-		}
-	}
-	clearGroups(groups)
-	d.flushEgress()
+	d.ingest(msgs, d.cfg.Clock.Now())
 }
 
 // readBatchCap reports how many datagrams one modeled read syscall moves.
@@ -401,31 +309,28 @@ func segmentRuns(msgs []udpbatch.Message) int {
 type egressEntry struct {
 	dst  netem.Addr
 	wire []byte
-	// at is when the datagram entered the ring; the flusher turns it into
-	// an egress_wait stage observation.
+	// at is the clock reading of the sweep that emitted the datagram; the
+	// flush turns it into an egress_wait stage observation.
 	at time.Time
 	// pooled marks wire copied into a daemon pool buffer (RecycleWire
 	// mode: the sender reuses its buffer as soon as emit returns, so the
-	// ring must own a copy); the flusher recycles it after the write.
+	// ring must own a copy); the flush recycles it after the write.
 	pooled bool
 }
 
-// egressRing is a bounded MPSC queue between session workers and the
-// egress flusher. Enqueue is called under session locks and must never
-// block; overflow is reported to the caller, which drops the datagram
-// (backpressure — SSP treats it as loss and retransmits).
+// egressRing is the bounded queue between emitting sessions and the flush
+// that ends their sweep. The reader, the tick loop and Session.Do callers
+// all enqueue, under session locks, so enqueue must never block; overflow
+// is reported to the caller, which drops the datagram (backpressure — SSP
+// treats it as loss and retransmits).
 type egressRing struct {
 	mu      sync.Mutex
 	entries []egressEntry
 	head, n int
-	wake    chan struct{}
 }
 
 func newEgressRing(capacity int) *egressRing {
-	return &egressRing{
-		entries: make([]egressEntry, capacity),
-		wake:    make(chan struct{}, 1),
-	}
+	return &egressRing{entries: make([]egressEntry, capacity)}
 }
 
 func (r *egressRing) enqueue(e egressEntry) bool {
@@ -437,21 +342,7 @@ func (r *egressRing) enqueue(e egressEntry) bool {
 	r.entries[(r.head+r.n)%len(r.entries)] = e
 	r.n++
 	r.mu.Unlock()
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 	return true
-}
-
-// nearFull reports occupancy at or beyond half capacity — the point at
-// which a synchronous driver should flush mid-batch rather than risk
-// overflow drops a per-packet driver would never produce.
-func (r *egressRing) nearFull() bool {
-	r.mu.Lock()
-	full := r.n >= len(r.entries)/2
-	r.mu.Unlock()
-	return full
 }
 
 // drainInto pops up to len(dst) entries in FIFO order.
@@ -473,18 +364,19 @@ func (r *egressRing) drainInto(dst []egressEntry) int {
 }
 
 // enqueueEgress queues one sealed datagram for batched transmission,
-// copying it into a pool buffer when the sender recycles its own.
-// Called with the emitting session's lock held; never blocks. Reports
-// whether the datagram was admitted (the caller attributes the drop).
-func (d *Daemon) enqueueEgress(dst netem.Addr, wire []byte) bool {
-	e := egressEntry{dst: dst, wire: wire, at: d.cfg.Clock.Now()}
+// copying it into a pool buffer when the sender recycles its own. at is
+// the emitting sweep's clock reading. Called with the emitting session's
+// lock held; never blocks. Reports whether the datagram was admitted (the
+// caller attributes the drop).
+func (d *Daemon) enqueueEgress(dst netem.Addr, wire []byte, at time.Time) bool {
+	e := egressEntry{dst: dst, wire: wire, at: at}
 	if d.cfg.RecycleWire {
 		e.wire = append(d.wirePool.Get(), wire...)
 		e.pooled = true
 	}
 	if !d.egress.enqueue(e) {
 		d.metrics.DropsEgressFull.Add(1)
-		d.notePressureDrop(1)
+		d.notePressureDrop(1, at)
 		if e.pooled {
 			d.wirePool.Put(e.wire)
 		}
@@ -498,12 +390,15 @@ func (d *Daemon) enqueueEgress(dst netem.Addr, wire []byte) bool {
 }
 
 // flushEgress drains the ring completely, transmitting in batches of the
-// write cap. It is safe from both the simulation driver and the async
-// flusher (egressMu serializes whole sweeps); it must not be called with
-// any session lock held.
+// write cap. Every sweep that can make sessions emit ends with it (ingest,
+// TickDue, Session.Do, Close); egressMu serializes whole sweeps across the
+// goroutines that run them. It must not be called with any session lock
+// held. The clock is read once per write, and not at all when nothing was
+// emitted.
 func (d *Daemon) flushEgress() {
 	d.egressMu.Lock()
 	defer d.egressMu.Unlock()
+	var writeStart time.Time
 	for {
 		// The write cap can change after the first flush (a connection
 		// attached by Serve/ServeBatch supersedes the pre-serve default);
@@ -517,12 +412,16 @@ func (d *Daemon) flushEgress() {
 			return
 		}
 		d.metrics.EgressQueueDepth.Add(-int64(n))
-		writeStart := d.cfg.Clock.Now()
+		if writeStart.IsZero() {
+			writeStart = d.cfg.Clock.Now()
+		}
 		for i := 0; i < n; i++ {
 			d.pipe.Observe(telemetry.StageEgressWait, writeStart.Sub(d.egressScratch[i].at))
 		}
 		d.writeOut(d.egressScratch[:n])
-		d.pipe.Observe(telemetry.StageWrite, d.cfg.Clock.Now().Sub(writeStart))
+		writeEnd := d.cfg.Clock.Now()
+		d.pipe.Observe(telemetry.StageWrite, writeEnd.Sub(writeStart))
+		writeStart = writeEnd
 		for i := 0; i < n; i++ {
 			if d.egressScratch[i].pooled {
 				d.wirePool.Put(d.egressScratch[i].wire)
@@ -624,25 +523,20 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 	}
 }
 
-// egressLoop is the async flusher: it wakes when sessions enqueue and
-// drains the ring through the socket in batches.
-func (d *Daemon) egressLoop() {
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-d.egress.wake:
-			d.flushEgress()
-		}
-	}
+// ServeBatch runs the daemon over a batched connection until the
+// connection read fails (socket closed) or the daemon is closed. The
+// calling goroutine is the reader, and the reader is the packet path: it
+// drains a batch from the socket, runs one ingest sweep over it — demux,
+// every session's handling, the egress write — and reads again. The only
+// other goroutines are the tick loop and, with persistence, the journal
+// loop, however many sessions are live.
+func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
+	return d.serve(bc, d.wirePool.BufSize())
 }
 
-// ServeBatch runs the daemon over a batched connection: the reader loop
-// drains whole batches, demultiplexes them once, and feeds per-session
-// runs to the workers, while the egress flusher writes replies out in
-// batches. It returns when the connection read fails (socket closed) or
-// the daemon is closed.
-func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
+// serve is ServeBatch with the read-slot floor spelled out (Serve's legacy
+// contract is a 64 KiB buffer whatever the source).
+func (d *Daemon) serve(bc udpbatch.Conn, slotSize int) error {
 	d.serveConn.Store(&bc)
 	d.Start()
 	slots := bc.BatchCap()
@@ -652,26 +546,19 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 	if slots > udpbatch.DefaultBatch {
 		slots = udpbatch.DefaultBatch
 	}
-	// Per-provider read-slot sizing: a provider whose reads can exceed
-	// the MTU-derived pool class (a UDP_GRO super-datagram split, an
-	// io_uring provided buffer) declares it via SlotSizer, and the pool
-	// grows a matching super-buffer size class. Without this, an
-	// oversized-but-legitimate datagram would truncate, fail the AEAD,
-	// and — because SSP retransmits the identical datagram — fail on
-	// every retry forever (a livelock, not a loss).
-	slotSize := udpbatch.ReadSlotSize(bc, d.readPool.BufSize())
-	if slotSize > d.readPool.BufSize() {
-		d.readPool.EnableSuper(slotSize, 4*udpbatch.DefaultBatch)
-	}
-	// A one-datagram loop adapter (legacy Serve: 64 KiB scratch slots)
-	// reuses its read buffer and enqueues an exact-size copy per datagram
-	// — the pre-batching memory profile. The vectorized path hands its
-	// right-sized pooled buffers to the workers zero-copy instead.
-	copyOut := slots == 1
+	// Per-provider read-slot sizing: a provider whose reads can exceed the
+	// MTU-derived size (a UDP_GRO super-datagram split, an io_uring
+	// provided buffer) declares it via SlotSizer. Without this, an
+	// oversized-but-legitimate datagram would truncate, fail the AEAD, and
+	// — because SSP retransmits the identical datagram — fail on every
+	// retry forever (a livelock, not a loss).
+	slotSize = udpbatch.ReadSlotSize(bc, slotSize)
+	// The reader owns its slots for life: a sweep handles every datagram
+	// before the next read, and nothing downstream retains wire bytes, so
+	// the same buffers go back to the kernel each time.
 	msgs := make([]udpbatch.Message, slots)
-	var copyScratch []udpbatch.Message
-	if copyOut {
-		copyScratch = make([]udpbatch.Message, slots)
+	for i := range msgs {
+		msgs[i].Buf = make([]byte, 0, slotSize)
 	}
 	// Read-side stack traversals: metered by the provider when it counts
 	// super-datagrams (GSO), otherwise one per datagram.
@@ -681,11 +568,6 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 		travIn, _ = rtc.Traversals()
 	}
 	for {
-		for i := range msgs {
-			if msgs[i].Buf == nil {
-				msgs[i].Buf = d.readPool.GetSized(slotSize)
-			}
-		}
 		readStart := d.cfg.Clock.Now()
 		n, err := bc.ReadBatch(msgs)
 		if err != nil {
@@ -729,22 +611,8 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 		// StageRead on the real socket includes the blocking wait for the
 		// first datagram — it is "time from wanting data to having it",
 		// not pure syscall cost (an idle daemon shows large reads).
-		d.pipe.Observe(telemetry.StageRead, d.cfg.Clock.Now().Sub(readStart))
-		d.recordEv(telemetry.EvBatchIn, 0, uint64(n))
-		if copyOut {
-			for i := 0; i < n; i++ {
-				copyScratch[i] = udpbatch.Message{
-					Buf:  append([]byte(nil), msgs[i].Buf...),
-					Addr: msgs[i].Addr,
-				}
-			}
-			d.dispatchGrouped(copyScratch[:n], false)
-			// The oversized read buffers stay here for reuse.
-		} else {
-			d.dispatchGrouped(msgs[:n], true)
-			for i := 0; i < n; i++ {
-				msgs[i].Buf = nil // ownership moved to the runs
-			}
-		}
+		now := d.cfg.Clock.Now()
+		d.pipe.Observe(telemetry.StageRead, now.Sub(readStart))
+		d.ingest(msgs[:n], now)
 	}
 }

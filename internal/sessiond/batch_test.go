@@ -3,6 +3,7 @@ package sessiond
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -44,31 +45,28 @@ func TestGroupBatchGroupsPerSessionInOrder(t *testing.T) {
 		{Buf: envPkt(s1.ID, 'c'), Addr: netem.Addr{Host: 1}},
 		{Buf: envPkt(s2.ID, 'y'), Addr: netem.Addr{Host: 2}},
 	}
-	groups := d.groupBatch(msgs, false)
+	groups, runs := d.groupBatch(msgs)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
-	tags := func(r *inRun) string {
+	tags := func(g sessGroup) string {
 		var b []byte
-		for _, p := range r.pkts {
-			b = append(b, p.wire[len(p.wire)-1])
+		for _, m := range runs[g.off : g.off+g.n] {
+			b = append(b, m.Buf[len(m.Buf)-1])
 		}
 		return string(b)
 	}
-	if groups[0].s != s1 || tags(groups[0].run) != "abc" {
-		t.Fatalf("group 0: session %d run %q, want session %d run \"abc\"", groups[0].s.ID, tags(groups[0].run), s1.ID)
+	if groups[0].s != s1 || tags(groups[0]) != "abc" {
+		t.Fatalf("group 0: session %d run %q, want session %d run \"abc\"", groups[0].s.ID, tags(groups[0]), s1.ID)
 	}
-	if groups[1].s != s2 || tags(groups[1].run) != "xy" {
-		t.Fatalf("group 1: session %d run %q, want session %d run \"xy\"", groups[1].s.ID, tags(groups[1].run), s2.ID)
+	if groups[1].s != s2 || tags(groups[1]) != "xy" {
+		t.Fatalf("group 1: session %d run %q, want session %d run \"xy\"", groups[1].s.ID, tags(groups[1]), s2.ID)
 	}
 	if got := d.metrics.DropsUnknownSession.Value(); got != 1 {
 		t.Fatalf("DropsUnknownSession = %d, want 1", got)
 	}
 	if got := d.metrics.PacketsIn.Value(); got != 6 {
 		t.Fatalf("PacketsIn = %d, want 6", got)
-	}
-	for _, g := range groups {
-		d.freeRun(g.run)
 	}
 }
 
@@ -88,7 +86,7 @@ func TestEgressRingBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := byte(0); i < 7; i++ {
-		d.enqueueEgress(netem.Addr{Host: 1}, []byte{i})
+		d.enqueueEgress(netem.Addr{Host: 1}, []byte{i}, batchT0)
 	}
 	if got := d.metrics.DropsEgressFull.Value(); got != 3 {
 		t.Fatalf("DropsEgressFull = %d, want 3", got)
@@ -164,7 +162,7 @@ func TestWriteOutPartialAndErrorSemantics(t *testing.T) {
 	var bc udpbatch.Conn = conn
 	d.serveConn.Store(&bc)
 	for i := byte(10); i < 17; i++ {
-		d.enqueueEgress(netem.Addr{Host: 1}, []byte{i})
+		d.enqueueEgress(netem.Addr{Host: 1}, []byte{i}, batchT0)
 	}
 	d.flushEgress()
 	// 7 enqueued in batches of 4 (conn.BatchCap) → sweep 1 is [10 11 12 13]:
@@ -241,10 +239,10 @@ func (p *pipeConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
 }
 
 // TestServeBatchEndToEnd drives a real client through ServeBatch over an
-// in-memory batch conn: the full async pipeline — vectorized reader,
-// per-session runs, worker, egress ring, batched flusher — must converge
-// the client to the server screen, with RecycleWire on (pooled egress
-// copies) to exercise buffer recycling under -race.
+// in-memory batch conn: the served pipeline — vectorized reader, inline
+// per-session runs, egress ring flushed by the sweep that filled it, tick
+// loop — must converge the client to the server screen, with RecycleWire
+// on (pooled egress copies) to exercise buffer recycling under -race.
 func TestServeBatchEndToEnd(t *testing.T) {
 	d, err := New(Config{
 		Clock:       simclock.Real{},
@@ -299,95 +297,125 @@ func TestServeBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInboxBoundCountsDatagrams pins the per-session backpressure
-// contract: Config.InboxDepth bounds queued DATAGRAMS, not runs — a read
-// batch must not multiply a slow session's memory budget by the batch
-// size. The session's worker is wedged by holding the session lock, so
-// deliveries accumulate deterministically.
+// floodBatch is n spoofed datagrams for session id from one source.
+func floodBatch(id uint64, n int) []udpbatch.Message {
+	msgs := make([]udpbatch.Message, n)
+	for i := range msgs {
+		msgs[i] = udpbatch.Message{Buf: envPkt(id, byte(i)), Addr: netem.Addr{Host: 66, Port: 666}}
+	}
+	return msgs
+}
+
+// TestInboxBoundCountsDatagrams pins the per-session admission contract:
+// Config.InboxDepth bounds the DATAGRAMS of one session that one ingest
+// sweep handles, however they are interleaved with other sessions' in the
+// batch, and the budget is per sweep — the next sweep starts afresh.
 func TestInboxBoundCountsDatagrams(t *testing.T) {
+	sched := simclock.NewScheduler(batchT0)
 	d, err := New(Config{
-		Clock:       simclock.Real{},
-		IdleTimeout: -1,
-		InboxDepth:  8,
-		Send:        func(netem.Addr, []byte) {},
+		Clock:            sched,
+		IdleTimeout:      -1,
+		InboxDepth:       8,
+		UnauthQuotaBurst: -1, // every admitted datagram reaches the AEAD and is counted there
+		Send:             func(netem.Addr, []byte) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s, err := d.OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wedge the worker: it will dequeue at most one run and then block in
-	// handle() on the session lock we hold.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	const runSize = 4
-	deliver := func() {
-		r := getRun(false)
-		for i := 0; i < runSize; i++ {
-			r.pkts = append(r.pkts, inPacket{wire: envPkt(s.ID, byte(i)), src: netem.Addr{Host: 1}})
+	loud, _ := d.OpenSession()
+	quiet, _ := d.OpenSession()
+	// 20 datagrams for loud with 5 for quiet interleaved among them.
+	var msgs []udpbatch.Message
+	for i, m := range floodBatch(loud.ID, 20) {
+		msgs = append(msgs, m)
+		if i%4 == 0 {
+			msgs = append(msgs, udpbatch.Message{Buf: envPkt(quiet.ID, byte(i)), Addr: netem.Addr{Host: 7, Port: 7}})
 		}
-		d.deliverRun(s, r)
 	}
-	deliver()
-	// Give the worker a moment to take the first run (it subtracts from
-	// the budget before blocking on s.mu).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.queuedPkts.Load() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 5; i++ {
-		deliver()
-	}
-	// Budget 8 admits exactly two more 4-packet runs; the remaining three
-	// (12 datagrams) must be dropped, not queued.
-	if got := s.queuedPkts.Load(); got != 8 {
-		t.Fatalf("queued %d datagrams with InboxDepth=8, want 8", got)
-	}
+	d.HandleBatch(msgs)
 	if got := d.metrics.DropsQueueFull.Value(); got != 12 {
-		t.Fatalf("DropsQueueFull = %d datagrams, want 12", got)
+		t.Fatalf("DropsQueueFull = %d, want 12 (loud's 20 against a budget of 8)", got)
+	}
+	if got := d.metrics.DropsAuth.Value(); got != 13 {
+		t.Fatalf("handled %d datagrams, want 13 (8 of loud's, all 5 of quiet's)", got)
+	}
+	d.HandleBatch(floodBatch(loud.ID, 8))
+	if got := d.metrics.DropsQueueFull.Value(); got != 12 {
+		t.Fatalf("DropsQueueFull = %d after a within-budget sweep, want 12 still", got)
+	}
+	if got := d.metrics.DropsAuth.Value(); got != 21 {
+		t.Fatalf("handled %d datagrams, want 21 (the second sweep's 8 admitted whole)", got)
 	}
 }
 
-// TestInboxBoundAdmitsRunPrefix pins partial admission: a run larger
-// than the remaining budget is truncated, not dropped whole — otherwise
-// an InboxDepth below the read-batch size would starve a busy session
-// forever (its coalesced retransmissions would be condemned too).
+// TestInboxBoundAdmitsRunPrefix pins partial admission: a run larger than
+// the budget is truncated, not dropped whole, and it is the PREFIX that is
+// handled — an authentic keystroke at the head of a flood still reaches
+// its application, one behind the budget does not (SSP retransmits it).
 func TestInboxBoundAdmitsRunPrefix(t *testing.T) {
+	sched := simclock.NewScheduler(batchT0)
+	var keys []byte
 	d, err := New(Config{
-		Clock:       simclock.Real{},
+		Clock:       sched,
 		IdleTimeout: -1,
 		InboxDepth:  8,
 		Send:        func(netem.Addr, []byte) {},
+		NewApp: func(uint64) host.App {
+			return recordApp(func(data []byte) { keys = append(keys, data...) })
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s, err := d.OpenSession()
+	s, _ := d.OpenSession()
+	var wires [][]byte
+	cl, err := core.NewClient(core.ClientConfig{
+		Key:         s.Key(),
+		Clock:       sched,
+		Envelope:    &network.Envelope{ID: s.ID},
+		Predictions: overlay.Never,
+		Emit:        func(wire []byte) { wires = append(wires, append([]byte(nil), wire...)) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// One run of 12 against a budget of 8: the first 8 datagrams must be
-	// admitted, the 4-packet tail dropped.
-	r := getRun(false)
-	for i := 0; i < 12; i++ {
-		r.pkts = append(r.pkts, inPacket{wire: envPkt(s.ID, byte(i)), src: netem.Addr{Host: 1}})
+	keystroke := func(b byte) udpbatch.Message {
+		wires = wires[:0]
+		cl.UserBytes([]byte{b})
+		sched.RunFor(300 * time.Millisecond) // no RTT sample yet: the frame interval is its 250 ms ceiling
+		cl.Tick()
+		if len(wires) == 0 {
+			t.Fatal("client put nothing on the wire")
+		}
+		return udpbatch.Message{Buf: wires[len(wires)-1], Addr: netem.Addr{Host: 1, Port: 1}}
 	}
-	d.deliverRun(s, r)
-	// The wedged worker may have dequeued the run (subtracting its 8)
-	// before blocking on s.mu; accept either resting state but never a
-	// whole-run drop.
+	// Sweep 1: the keystroke leads 11 spoofed datagrams — 12 against 8.
+	d.HandleBatch(append([]udpbatch.Message{keystroke('a')}, floodBatch(s.ID, 11)...))
 	if got := d.metrics.DropsQueueFull.Value(); got != 4 {
 		t.Fatalf("DropsQueueFull = %d, want 4 (tail only, prefix admitted)", got)
 	}
-	if got := s.queuedPkts.Load(); got != 0 && got != 8 {
-		t.Fatalf("queuedPkts = %d, want 0 (dequeued) or 8 (queued)", got)
+	if string(keys) != "a" {
+		t.Fatalf("application received %q, want \"a\" (the run's head is inside the budget)", keys)
 	}
+	// Sweep 2: the keystroke trails them — it is in the dropped tail.
+	d.HandleBatch(append(floodBatch(s.ID, 11), keystroke('b')))
+	if got := d.metrics.DropsQueueFull.Value(); got != 8 {
+		t.Fatalf("DropsQueueFull = %d, want 8", got)
+	}
+	if string(keys) != "a" {
+		t.Fatalf("application received %q: a datagram beyond the budget was handled", keys)
+	}
+}
+
+// recordApp is a host application that reports its input and says nothing.
+type recordApp func(data []byte)
+
+func (recordApp) Start() []byte { return nil }
+func (f recordApp) Input(data []byte) ([]byte, time.Duration) {
+	f(data)
+	return nil, 0
 }
 
 // TestBatchEgressAllocFree pins the enqueue→flush cycle at zero heap
@@ -408,12 +436,12 @@ func TestBatchEgressAllocFree(t *testing.T) {
 	dst := netem.Addr{Host: 3, Port: 4}
 	// Warm the pools and scratch.
 	for i := 0; i < 8; i++ {
-		d.enqueueEgress(dst, wire)
+		d.enqueueEgress(dst, wire, batchT0)
 	}
 	d.flushEgress()
 	allocs := testing.AllocsPerRun(500, func() {
 		for i := 0; i < 8; i++ {
-			d.enqueueEgress(dst, wire)
+			d.enqueueEgress(dst, wire, batchT0)
 		}
 		d.flushEgress()
 	})
@@ -422,48 +450,126 @@ func TestBatchEgressAllocFree(t *testing.T) {
 	}
 }
 
-// TestBatchGroupDispatchAllocFree pins the read-side demultiplexer at
-// zero allocations per batch in steady state (pool-owned buffers grouped
-// into pooled runs and recycled).
-func TestBatchGroupDispatchAllocFree(t *testing.T) {
+// sinkConn is a served connection that counts what is written to it and
+// copies the datagrams into storage it already owns.
+type sinkConn struct {
+	got  []udpbatch.Message
+	used int
+}
+
+func (c *sinkConn) BatchCap() int                             { return udpbatch.DefaultBatch }
+func (c *sinkConn) ReadBatch([]udpbatch.Message) (int, error) { select {} }
+func (c *sinkConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
+	for i := range msgs {
+		if c.used == len(c.got) {
+			c.got = append(c.got, udpbatch.Message{Buf: make([]byte, 0, udpbatch.DefaultBufSize)})
+		}
+		slot := &c.got[c.used]
+		slot.Buf, slot.Addr = append(slot.Buf[:0], msgs[i].Buf...), msgs[i].Addr
+		c.used++
+	}
+	return len(msgs), nil
+}
+
+// TestIngestSweepAllocFree pins the served packet path at zero
+// allocations of its own: one ingest sweep — demultiplex a batch of
+// authentic keystroke datagrams from eight sessions, handle each under its
+// session's lock, write a full egress batch to the served connection —
+// allocates only what core.Server.Receive allocates for the same
+// datagrams: the opened plaintext (network), the decoded Instruction and
+// the keystroke's payload (transport's TestDecodeWarmPoolAllocsBounded and
+// TestReceiverKeystrokeAllocsBounded). AllocsPerRun cannot bracket a sweep
+// whose input the clients must produce in between, so the test counts
+// mallocs around each sweep the way AllocsPerRun does.
+func TestIngestSweepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool; CI runs this guard without -race")
 	}
+	const sessions, warm, sweeps = 8, 50, 200
 	sched := simclock.NewScheduler(batchT0)
-	d, err := New(Config{Clock: sched, IdleTimeout: -1})
+	d, err := New(Config{
+		Clock:       sched,
+		IdleTimeout: -1,
+		RecycleWire: true,
+		NewApp:      func(uint64) host.App { return recordApp(func([]byte) {}) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []uint64
-	for i := 0; i < 4; i++ {
-		s, err := d.OpenSession()
+	defer d.Close()
+	conn := &sinkConn{}
+	var bc udpbatch.Conn = conn
+	d.serveConn.Store(&bc)
+
+	clients := make([]*core.Client, sessions)
+	msgs := make([]udpbatch.Message, sessions)
+	for i := range clients {
+		sess, err := d.OpenSession()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, s.ID)
-	}
-	msgs := make([]udpbatch.Message, 16)
-	fill := func() {
-		for i := range msgs {
-			buf := d.readPool.Get()
-			buf = network.AppendEnvelope(buf, ids[i%len(ids)])
-			msgs[i].Buf = append(buf, byte(i))
-			msgs[i].Addr = netem.Addr{Host: uint32(i)}
+		slot := &msgs[i]
+		slot.Addr = netem.Addr{Host: uint32(i + 1), Port: 1}
+		clients[i], err = core.NewClient(core.ClientConfig{
+			Key:         sess.Key(),
+			Clock:       sched,
+			Envelope:    &network.Envelope{ID: sess.ID},
+			Predictions: overlay.Never,
+			RecycleWire: true,
+			Emit:        func(wire []byte) { slot.Buf = append(slot.Buf[:0], wire...) },
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	sweep := func() {
-		for _, g := range d.groupBatch(msgs, true) {
-			d.freeRun(g.run)
+	// What a tick sweep racing this ingest sweep would have left on the
+	// ring: a reply per session, so the sweep's flush has a batch to write.
+	reply := bytes.Repeat([]byte{7}, 120)
+	nobody := netem.Addr{Host: 999, Port: 9}
+
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for n := 0; n < warm+sweeps; n++ {
+		for _, cl := range clients {
+			cl.UserBytes([]byte{'k'})
+		}
+		// Off the measured path, as on a live daemon: the tick loop mints
+		// the acks and echo-ack frames that came due, and the clients hear
+		// them, so every client's next diff is one keystroke. The step is
+		// past the clients' frame interval (250 ms until the first acks
+		// give them an RTT), so every keystroke goes out.
+		sched.RunFor(300 * time.Millisecond)
+		conn.used = 0
+		d.TickDue()
+		for _, m := range conn.got[:conn.used] {
+			clients[m.Addr.Host-1].Receive(m.Buf, netem.Addr{})
+		}
+		for _, cl := range clients {
+			cl.Tick()
+		}
+		for range clients {
+			d.enqueueEgress(nobody, reply, sched.Now())
+		}
+		conn.used = 0
+		runtime.ReadMemStats(&before)
+		d.ingest(msgs, sched.Now())
+		runtime.ReadMemStats(&after)
+		if n >= warm {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if conn.used != sessions {
+			t.Fatalf("sweep %d wrote %d datagrams, want the %d queued replies", n, conn.used, sessions)
 		}
 	}
-	fill()
-	sweep()
-	allocs := testing.AllocsPerRun(500, func() {
-		fill()
-		sweep()
-	})
-	if allocs != 0 {
-		t.Fatalf("group+recycle = %.2f allocs per 16-datagram batch, want 0", allocs)
+	if got := d.metrics.DropsAuth.Value(); got != 0 {
+		t.Fatalf("%d datagrams failed authentication: the sweep did not handle keystrokes", got)
+	}
+	t.Logf("%d mallocs over %d datagrams in %d sweeps", mallocs, sweeps*sessions, sweeps)
+	// One allocation per sweep of the sweep's own would be 200 over; the
+	// runtime's strays (a timer, a GC work buffer) are a handful.
+	if over := int64(mallocs) - 3*sweeps*sessions; over > sweeps/10 {
+		t.Fatalf("ingest sweeps allocated %d beyond 3 per keystroke datagram (plaintext, Instruction, payload: all core.Server.Receive's) over %d sweeps, want 0",
+			over, sweeps)
 	}
 }
 
@@ -646,10 +752,10 @@ func TestGSOWriteModelCountsRuns(t *testing.T) {
 	// 10 equal-length datagrams to peer A (one run), 3 to peer B (one run).
 	wire := bytes.Repeat([]byte{0x5c}, 100)
 	for i := 0; i < 10; i++ {
-		d.enqueueEgress(netem.Addr{Host: 1, Port: 1}, wire)
+		d.enqueueEgress(netem.Addr{Host: 1, Port: 1}, wire, batchT0)
 	}
 	for i := 0; i < 3; i++ {
-		d.enqueueEgress(netem.Addr{Host: 2, Port: 2}, wire)
+		d.enqueueEgress(netem.Addr{Host: 2, Port: 2}, wire, batchT0)
 	}
 	d.flushEgress()
 	if sent != 13 {

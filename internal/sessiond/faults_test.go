@@ -2,12 +2,9 @@ package sessiond_test
 
 import (
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -371,9 +368,19 @@ func TestUnauthQuotaFlood(t *testing.T) {
 	}
 }
 
-// TestShedPolicy wedges a session's worker and floods its inbox: the
-// pressure drops must trip the metered shed policy (shed_events,
-// shedding gauge), and the gauge must clear after the hold expires.
+// floodSweep is n spoofed datagrams naming session id, one source.
+func floodSweep(id uint64, n int) []udpbatch.Message {
+	msgs := make([]udpbatch.Message, n)
+	for i := range msgs {
+		msgs[i] = udpbatch.Message{Buf: spoofedWire(id), Addr: netem.Addr{Host: 9, Port: 99}}
+	}
+	return msgs
+}
+
+// TestShedPolicy floods one session past its per-sweep budget: the
+// pressure drops must trip the metered shed policy (shed_events, shedding
+// gauge), the budget must halve while it is active, and the gauge must
+// clear — and the budget return — after the hold expires.
 func TestShedPolicy(t *testing.T) {
 	sched := simclock.NewScheduler(epoch)
 	d, err := sessiond.New(sessiond.Config{
@@ -392,82 +399,84 @@ func TestShedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wedge the session: Do holds the session lock, so the worker blocks
-	// mid-handle and the inbox backs up.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var wedge sync.WaitGroup
-	wedge.Add(1)
-	go func() {
-		defer wedge.Done()
-		sess.Do(func(*core.Server) {
-			close(entered)
-			<-release
-		})
-	}()
-	<-entered
-
-	wire := spoofedWire(sess.ID)
-	src := netem.Addr{Host: 9, Port: 99}
-	for i := 0; i < 100; i++ {
-		d.Dispatch(append([]byte(nil), wire...), src)
+	m := d.Metrics()
+	sweep := func(wantDrops int64, why string) {
+		t.Helper()
+		before := m.DropsQueueFull.Value()
+		d.HandleBatch(floodSweep(sess.ID, 12))
+		if got := m.DropsQueueFull.Value() - before; got != wantDrops {
+			t.Fatalf("sweep of 12 dropped %d, want %d (%s)", got, wantDrops, why)
+		}
 	}
-	if d.Metrics().DropsQueueFull.Value() < 16 {
-		t.Fatalf("flood produced only %d pressure drops", d.Metrics().DropsQueueFull.Value())
+	sweep(8, "budget 4")
+	if m.ShedEvents.Value() != 0 {
+		t.Fatal("shed tripped below its threshold")
 	}
-	if d.Metrics().ShedEvents.Value() != 1 {
-		t.Fatalf("shed_events = %d, want 1", d.Metrics().ShedEvents.Value())
+	sweep(8, "budget 4; the 16th drop trips the policy after this sweep's admission")
+	if m.ShedEvents.Value() != 1 {
+		t.Fatalf("shed_events = %d, want 1", m.ShedEvents.Value())
 	}
-	if d.Metrics().Shedding.Value() != 1 {
+	if m.Shedding.Value() != 1 {
 		t.Fatal("shedding gauge not set while active")
 	}
+	sweep(10, "budget halved to 2 while shedding")
+	if m.ShedEvents.Value() != 1 {
+		t.Fatalf("shed_events = %d: drops during the hold must extend it, not count a new event", m.ShedEvents.Value())
+	}
 
-	// After the hold expires, the next delivery observes the lapse and
-	// clears the gauge.
-	close(release)
-	wedge.Wait()
+	// After the hold expires, the next sweep observes the lapse, clears
+	// the gauge and admits the full budget again.
 	sched.RunFor(3 * time.Second)
-	d.Dispatch(append([]byte(nil), wire...), src)
-	if d.Metrics().Shedding.Value() != 0 {
+	sweep(8, "budget back to 4 after the hold")
+	if m.Shedding.Value() != 0 {
 		t.Fatal("shedding gauge still set after the hold expired")
 	}
 }
 
-// chanConn is an in-memory batched connection: a channel of datagrams
-// in, a counter out. ReadBatch blocks like a real socket.
-type chanConn struct {
-	ch     chan udpbatch.Message
-	closed chan struct{}
-	once   sync.Once
-	wrote  atomic.Int64
-}
-
-func newChanConn() *chanConn {
-	return &chanConn{ch: make(chan udpbatch.Message, 64), closed: make(chan struct{})}
-}
-
-func (c *chanConn) BatchCap() int { return 4 }
-
-func (c *chanConn) ReadBatch(msgs []udpbatch.Message) (int, error) {
-	select {
-	case m := <-c.ch:
-		msgs[0].Buf = append(msgs[0].Buf[:0], m.Buf...)
-		msgs[0].Addr = m.Addr
-		return 1, nil
-	case <-c.closed:
-		return 0, net.ErrClosed
+// TestFloodCannotStarveQuietSession puts every datagram of a quiet session
+// behind a hundred-datagram flood for another session in the SAME ingest
+// sweep: the flood is cut at its budget before any AEAD runs, so the quiet
+// session's keystrokes are handled in that sweep and its echo arrives on
+// time, however long the flood lasts.
+func TestFloodCannotStarveQuietSession(t *testing.T) {
+	w := newSimWorld(t, sessiond.Config{
+		NewApp:      shellApp,
+		IdleTimeout: -1,
+		InboxDepth:  4,
+	}, lan())
+	loud, err := w.d.OpenSession()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func (c *chanConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
-	c.wrote.Add(int64(len(msgs)))
-	return len(msgs), nil
-}
-
-func (c *chanConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
+	quiet, err := w.d.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweeps int64
+	w.nw.Attach(w.daemonAddr, func(p netem.Packet) {
+		sweeps++
+		w.d.HandleBatch(append(floodSweep(loud.ID, 100), udpbatch.Message{Buf: p.Payload, Addr: p.Src}))
+		w.wake()
+	})
+	cl := w.addClient(quiet, netem.Addr{Host: 1, Port: 7000})
+	w.sched.RunFor(time.Second)
+	cl.typeString("still here")
+	typed := w.sched.Now()
+	w.runUntil(time.Second, func() bool {
+		return strings.Contains(cl.screenText(), "still here")
+	}, "the quiet session's echo behind the flood")
+	// 2 ms each way, the server's 8 ms collection interval, the client's
+	// 1 ms: an unstarved echo is there well inside 50 ms.
+	if took := w.sched.Now().Sub(typed); took > 50*time.Millisecond {
+		t.Fatalf("echo took %v behind the flood, want what an idle daemon gives", took)
+	}
+	m := w.d.Metrics()
+	if m.DropsQueueFull.Value() == 0 {
+		t.Fatal("the flood was never cut at its budget")
+	}
+	if got := m.DropsAuth.Value() + m.DropsUnauthQuota.Value(); got > 4*sweeps {
+		t.Fatalf("%d flood datagrams reached a session over %d sweeps, budget is 4 per sweep", got, sweeps)
+	}
 }
 
 // TestServeBatchSurvivesTransientErrnos pins the satellite fix: the
@@ -484,7 +493,7 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := newChanConn()
+	inner := newMemConn(func(netem.Addr, []byte) {})
 	fc := faultinject.NewConn(inner, 1)
 	fc.ScriptReadError(
 		faultinject.ErrEINTR, faultinject.ErrENOBUFS,
@@ -495,7 +504,7 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 
 	// The four scripted errnos drain first; then a real datagram must
 	// still be read and routed — proof the reader survived them all.
-	inner.ch <- udpbatch.Message{Buf: spoofedWire(sess.ID), Addr: netem.Addr{Host: 3, Port: 33}}
+	inner.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
 	deadline := time.Now().Add(10 * time.Second)
 	for d.Metrics().ReadErrorsTransient.Value() < 4 || d.Metrics().PacketsIn.Value() < 1 {
 		if time.Now().After(deadline) {
@@ -512,7 +521,7 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 	// A persistent EACCES (firewall rejection) is NOT transient: the
 	// reader must surface it rather than spin forever.
 	fc.ScriptReadError(faultinject.ErrEACCES)
-	inner.ch <- udpbatch.Message{Buf: spoofedWire(sess.ID), Addr: netem.Addr{Host: 3, Port: 33}}
+	inner.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
 	select {
 	case err := <-serveErr:
 		if !errors.Is(err, syscall.EACCES) {

@@ -7,7 +7,7 @@ import (
 
 // SessionStats is a point-in-time transport snapshot of one session, read
 // under the session lock: the live RTT estimator, the frame-rule interval
-// the sender is currently honoring, and the queue depths that tell an
+// the sender is currently honoring, and the transport depths that tell an
 // operator where a slow session's latency is hiding.
 type SessionStats struct {
 	ID uint64
@@ -20,11 +20,9 @@ type SessionStats struct {
 	// (the paper's frame rule: SRTT/2 clamped to [20ms, 250ms]).
 	FrameInterval time.Duration
 	// OutstandingStates counts sender states not yet acknowledged by the
-	// peer; FragmentsHeld counts partially reassembled inbound fragments;
-	// QueuedPackets is the session inbox depth in datagrams.
+	// peer; FragmentsHeld counts partially reassembled inbound fragments.
 	OutstandingStates int
 	FragmentsHeld     int
-	QueuedPackets     int64
 }
 
 // Stats snapshots the session's live transport state.
@@ -40,7 +38,6 @@ func (s *Session) Stats() SessionStats {
 		FrameInterval:     tr.Sender().SendInterval(),
 		OutstandingStates: tr.Sender().SentStateCount(),
 		FragmentsHeld:     tr.FragmentsHeld(),
-		QueuedPackets:     s.queuedPkts.Load(),
 	}
 	if conn.HaveRTT() {
 		st.SRTT = conn.SRTT(0)
@@ -50,7 +47,7 @@ func (s *Session) Stats() SessionStats {
 
 // TransportStats aggregates live transport introspection across every
 // session: distribution points (p50/p99/max) for SRTT and frame interval,
-// plus totals for outstanding states, held fragments, and queued packets.
+// plus totals for outstanding states and held fragments.
 // Sessions without an RTT sample yet are excluded from the SRTT quantiles
 // but counted in Sessions.
 type TransportStats struct {
@@ -61,7 +58,6 @@ type TransportStats struct {
 
 	OutstandingStates int
 	FragmentsHeld     int
-	QueuedPackets     int64
 }
 
 // TransportStats walks the registry and aggregates per-session transport
@@ -78,7 +74,6 @@ func (d *Daemon) TransportStats() TransportStats {
 		out.Sessions++
 		out.OutstandingStates += st.OutstandingStates
 		out.FragmentsHeld += st.FragmentsHeld
-		out.QueuedPackets += st.QueuedPackets
 		if st.SRTT > 0 {
 			srtts = append(srtts, st.SRTT)
 		}

@@ -677,7 +677,7 @@ func (d *Daemon) noteFlushFailureLocked(now time.Time) {
 	j := d.journal
 	j.fails++
 	d.metrics.JournalFlushFailures.Add(1)
-	d.recordEv(telemetry.EvJournalFlushFail, 0, uint64(j.fails))
+	d.recordEv(telemetry.EvJournalFlushFail, 0, uint64(j.fails), now)
 	if j.backoff <= 0 {
 		j.backoff = j.retryMin
 	} else if j.backoff < j.retryMax {
@@ -693,7 +693,7 @@ func (d *Daemon) noteFlushFailureLocked(now time.Time) {
 	j.retryAt.Store(now.Add(delay).UnixNano())
 	d.metrics.JournalRetryBackoffMs.Set(int64(delay / time.Millisecond))
 	if j.suspendAfter > 0 && j.fails >= j.suspendAfter && j.suspended.Load() == journalActive {
-		d.suspendJournalingLocked()
+		d.suspendJournalingLocked(now)
 	}
 	d.requestFlush() // nudge the async loop to recompute its sleep
 }
@@ -710,7 +710,7 @@ func (d *Daemon) noteFlushSuccessLocked() {
 	d.metrics.JournalRetryBackoffMs.Set(0)
 	if j.suspended.Swap(journalActive) != journalActive {
 		d.metrics.JournalSuspended.Set(journalActive)
-		d.recordEv(telemetry.EvJournalResume, 0, 0)
+		d.recordEv(telemetry.EvJournalResume, 0, 0, d.cfg.Clock.Now())
 		j.fs.Remove(j.path + suspendedSuffix) // best-effort cleanup
 	}
 }
@@ -725,7 +725,7 @@ func (d *Daemon) noteFlushSuccessLocked() {
 // fail-safe keeps the recorded ceilings binding: sessions stall when
 // their reservation runs out rather than risk nonce reuse. Caller holds
 // flushMu.
-func (d *Daemon) suspendJournalingLocked() {
+func (d *Daemon) suspendJournalingLocked(now time.Time) {
 	j := d.journal
 	mode := int32(journalFailSafe)
 	if err := j.fs.Rename(j.path, j.path+suspendedSuffix); err == nil || errors.Is(err, os.ErrNotExist) {
@@ -733,7 +733,7 @@ func (d *Daemon) suspendJournalingLocked() {
 	}
 	j.suspended.Store(mode)
 	d.metrics.JournalSuspended.Set(int64(mode))
-	d.degrade("journal-suspend", telemetry.EvJournalSuspend, 0, uint64(mode))
+	d.degrade("journal-suspend", telemetry.EvJournalSuspend, 0, uint64(mode), now)
 	if mode == journalUnjournaled {
 		d.liftCeilingsLocked()
 	}
@@ -1002,8 +1002,6 @@ func (d *Daemon) restoreSession(sn *sessionSnapshot) (*Session, error) {
 		origW:   sn.OrigW,
 		origH:   sn.OrigH,
 		heapIdx: -1,
-		done:    make(chan struct{}),
-		inbox:   make(chan *inRun, d.inboxDepth()),
 	}
 	var raddr *netem.Addr
 	if sn.HaveRemote {

@@ -77,10 +77,9 @@ type Metrics struct {
 	DropsBadEnvelope    expvar.Int // datagrams without a parseable envelope
 	DropsUnknownSession expvar.Int // envelope named no live session
 	DropsAuth           expvar.Int // per-session receive failures (forged, stale, replayed)
-	DropsQueueFull      expvar.Int // async dispatch refused by a full session inbox
+	DropsQueueFull      expvar.Int // datagrams beyond a session's per-sweep budget (Config.InboxDepth)
 
-	DispatchQueueDepth expvar.Int // packets currently queued to session workers
-	RoamingEvents      expvar.Int // authentic source-address changes observed
+	RoamingEvents expvar.Int // authentic source-address changes observed
 
 	// Batched-pipeline counters. ReadBatchCalls/WriteBatchCalls count
 	// syscalls (real on a served socket, modeled one-per-batch in
@@ -153,7 +152,6 @@ var metricFields = []struct {
 	{"drops_unknown_session", func(m *Metrics) int64 { return m.DropsUnknownSession.Value() }},
 	{"drops_auth", func(m *Metrics) int64 { return m.DropsAuth.Value() }},
 	{"drops_queue_full", func(m *Metrics) int64 { return m.DropsQueueFull.Value() }},
-	{"dispatch_queue_depth", func(m *Metrics) int64 { return m.DispatchQueueDepth.Value() }},
 	{"roaming_events", func(m *Metrics) int64 { return m.RoamingEvents.Value() }},
 	{"read_batch_calls", func(m *Metrics) int64 { return m.ReadBatchCalls.Value() }},
 	{"write_batch_calls", func(m *Metrics) int64 { return m.WriteBatchCalls.Value() }},
@@ -402,10 +400,6 @@ func (d *Daemon) stageExpvar() any {
 // a Get that had to allocate; a healthy steady state plateaus misses).
 func (d *Daemon) poolExpvar() any {
 	out := map[string]int64{}
-	if p := d.readPool; p != nil {
-		g, m := p.Stats()
-		out["read_gets"], out["read_misses"] = g, m
-	}
 	if p := d.wirePool; p != nil {
 		g, m := p.Stats()
 		out["wire_gets"], out["wire_misses"] = g, m

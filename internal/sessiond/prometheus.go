@@ -9,7 +9,6 @@ import (
 	"repro/internal/statesync"
 	"repro/internal/telemetry"
 	"repro/internal/terminal"
-	"repro/internal/udpbatch"
 )
 
 // This file renders the daemon's telemetry in the Prometheus text
@@ -22,7 +21,6 @@ import (
 // rather than monotonic counters.
 var promGauges = map[string]bool{
 	"sessions_live":            true,
-	"dispatch_queue_depth":     true,
 	"egress_queue_depth":       true,
 	"journal_suspended":        true,
 	"journal_retry_backoff_ms": true,
@@ -96,7 +94,6 @@ func (d *Daemon) appendPrometheus(dst []byte) []byte {
 	dst = appendPromGauge(dst, "sessiond_transport_sessions", int64(tr.Sessions))
 	dst = appendPromGauge(dst, "sessiond_transport_outstanding_states", int64(tr.OutstandingStates))
 	dst = appendPromGauge(dst, "sessiond_transport_fragments_held", int64(tr.FragmentsHeld))
-	dst = appendPromGauge(dst, "sessiond_transport_queued_packets", tr.QueuedPackets)
 	dst = appendPromSummary(dst, "sessiond_transport_srtt_seconds",
 		tr.SRTTp50, tr.SRTTp99, tr.SRTTMax)
 	dst = appendPromSummary(dst, "sessiond_transport_frame_interval_seconds",
@@ -124,17 +121,9 @@ func (d *Daemon) appendPrometheus(dst []byte) []byte {
 
 	dst = append(dst, "# TYPE sessiond_buffer_pool_gets counter\n"...)
 	dst = append(dst, "# TYPE sessiond_buffer_pool_misses counter\n"...)
-	for _, p := range []struct {
-		name string
-		pool *udpbatch.Pool
-	}{{"read", d.readPool}, {"wire", d.wirePool}} {
-		if p.pool == nil {
-			continue
-		}
-		gets, misses := p.pool.Stats()
-		dst = append(dst, fmt.Sprintf("sessiond_buffer_pool_gets{pool=%q} %d\n", p.name, gets)...)
-		dst = append(dst, fmt.Sprintf("sessiond_buffer_pool_misses{pool=%q} %d\n", p.name, misses)...)
-	}
+	gets, misses := d.wirePool.Stats()
+	dst = append(dst, fmt.Sprintf("sessiond_buffer_pool_gets{pool=\"wire\"} %d\n", gets)...)
+	dst = append(dst, fmt.Sprintf("sessiond_buffer_pool_misses{pool=\"wire\"} %d\n", misses)...)
 	return dst
 }
 

@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/host"
-	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/sspcrypto"
 )
 
-// shardCount splits the session map so concurrent packet dispatch does not
-// serialize on one lock. Power of two; the low bits of the session ID pick
-// the shard (IDs are sequential, so consecutive sessions land on different
-// shards).
+// shardCount splits the session map so the reader's lookups, the tick loop
+// and session opens and closes do not serialize on one lock. Power of two;
+// the low bits of the session ID pick the shard (IDs are sequential, so
+// consecutive sessions land on different shards).
 const shardCount = 64
 
 type shard struct {
@@ -113,18 +112,11 @@ type Session struct {
 	lastActive time.Time
 	closed     bool
 
-	// Async dispatch (Serve mode): the reader pushes per-session runs
-	// (one or more datagrams from a read batch) to inbox and a per-session
-	// worker goroutine drains it — one channel send and one wakeup per
-	// run. queuedPkts counts the DATAGRAMS queued (runs carry several), so
-	// Config.InboxDepth bounds per-session memory in packets exactly as it
-	// did before batching. closedFlag mirrors closed for lock-free reads
-	// on the dispatch path.
-	inbox      chan *inRun
-	queuedPkts atomic.Int64
-	workerOnce sync.Once
-	done       chan struct{}
-	closedFlag atomic.Bool
+	// now is the clock reading of the sweep currently running this session
+	// (ingest, tick or Do), set when the sweep takes mu: the callbacks the
+	// session's state machine makes from inside it (hostInput, emit) stamp
+	// from it instead of each reading the clock.
+	now time.Time
 
 	// groupEpoch/groupIdx are the batch demultiplexer's O(1) group lookup
 	// (Daemon.groupBatch): when groupEpoch matches the current batch's
@@ -168,21 +160,18 @@ type Session struct {
 	jrValid        bool
 }
 
-type inPacket struct {
-	wire []byte
-	src  netem.Addr
-}
-
 // Key returns the session's pre-shared key for out-of-band bootstrap (the
 // daemon's analogue of mosh-server's "MOSH CONNECT port key" line).
 func (s *Session) Key() sspcrypto.Key { return s.key }
 
 // Do runs f with the session locked, giving tests and embedders serialized
 // access to the underlying server endpoint. Anything f caused the session
-// to emit is flushed from the egress ring before Do returns, preserving
-// the synchronous-send feel embedders had before the batched pipeline.
+// to emit is flushed from the egress ring before Do returns. The reader and
+// the tick loop handle this session under the same lock, inline, so an f
+// that blocks stalls the whole socket for as long: keep it short.
 func (s *Session) Do(f func(srv *core.Server)) {
 	s.mu.Lock()
+	s.now = s.d.cfg.Clock.Now()
 	f(s.srv)
 	s.mu.Unlock()
 	// f had arbitrary access to the session's durable core; assume it
@@ -217,8 +206,6 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		origW:   d.cfg.Width,
 		origH:   d.cfg.Height,
 		heapIdx: -1,
-		done:    make(chan struct{}),
-		inbox:   make(chan *inRun, d.inboxDepth()),
 	}
 	srv, err := core.NewServer(core.ServerConfig{
 		Key:         key,
@@ -302,15 +289,13 @@ func (d *Daemon) CloseSession(id uint64) {
 	s.mu.Unlock()
 }
 
-// removeLocked takes the session out of the daemon: registry, timer heap,
-// worker. Caller holds s.mu; counter is the metric to credit.
+// removeLocked takes the session out of the daemon: registry and timer
+// heap. Caller holds s.mu; counter is the metric to credit.
 func (s *Session) removeLocked(counter interface{ Add(int64) }) {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	s.closedFlag.Store(true)
-	close(s.done)
 	s.d.reg.delete(s.ID)
 	s.d.timers.remove(s)
 	if j := s.d.journal; j != nil {

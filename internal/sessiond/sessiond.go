@@ -10,24 +10,25 @@
 //   - a sharded session registry with key issuance, idle eviction, and
 //     per-session roaming (each session's replies follow the latest
 //     authentic source address of that session, independently);
-//   - a batched event loop: whole batches of datagrams are read per
-//     syscall (recvmmsg on Linux — see internal/udpbatch), demultiplexed
-//     by envelope in one sweep, and delivered to per-session workers as
-//     runs (one channel send per session per batch); replies funnel into
-//     a daemon-wide egress ring a flusher drains via sendmmsg. Sender
-//     ticks and delayed host output are driven from a single
-//     next-deadline timer heap rather than a timer goroutine per session;
+//   - a run-to-completion packet path (batch.go): whole batches of
+//     datagrams are read per syscall (recvmmsg on Linux — see
+//     internal/udpbatch), demultiplexed by envelope in one sweep, handled
+//     session by session on the goroutine that read them, and the replies
+//     — funnelled through a daemon-wide egress ring — written out in
+//     batches before that goroutine reads again. Sender ticks and delayed
+//     host output are driven from a single next-deadline timer heap, whose
+//     sweep ends with the same egress write. A daemon serving any number
+//     of sessions runs two goroutines (reader, tick loop) plus the journal
+//     loop when persistence is on;
 //   - a metrics surface (sessions live, packets/bytes in/out, evictions,
-//     dispatch-queue depth) publishable via expvar.
+//     drops, stage latencies) publishable via expvar.
 //
-// Two driving modes share all of that machinery. Production
-// (cmd/mosh-server) calls ServeBatch with a vectorized socket: a reader
-// loop feeds DispatchBatch, the egress flusher writes batches out, and a
-// tick goroutine sleeps on the heap minimum. Simulation (internal/bench's
-// many-session load generator, tests) drives the same daemon synchronously
-// in virtual time via HandleBatch/HandlePacket + Pump — the egress ring is
-// flushed before each entry point returns — keeping experiments exactly
-// reproducible.
+// Production (cmd/mosh-server) calls ServeBatch with a vectorized socket
+// and a real clock. Simulation (internal/bench's many-session load
+// generator, tests) hands the same sweep its batches through
+// HandleBatch/HandlePacket and its ticks through Pump, in virtual time,
+// keeping experiments exactly reproducible. There is one packet path; the
+// two differ only in who supplies batches and time.
 package sessiond
 
 import (
@@ -41,7 +42,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/host"
 	"repro/internal/netem"
-	"repro/internal/network"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -68,7 +68,7 @@ type Config struct {
 	// served connection). Datagrams reach it via the egress ring in
 	// batches accounted by the write counters; it runs under the egress
 	// flush lock and MUST NOT call back into the daemon (HandlePacket,
-	// TickDue, Session.Do, …) — doing so self-deadlocks the flusher.
+	// TickDue, Session.Do, …) — doing so self-deadlocks the flush.
 	Send func(dst netem.Addr, wire []byte)
 	// NewApp builds the host application behind session id (a pty stand-in:
 	// shell, editor, mail reader). Nil means sessions have no application
@@ -97,15 +97,17 @@ type Config struct {
 	// enabling per-session wire-buffer reuse. Must stay false when Send
 	// hands buffers to something that holds them (netem links in flight).
 	RecycleWire bool
-	// InboxDepth bounds each session's async dispatch queue in DATAGRAMS
-	// (Serve mode; default 128) — runs from a read batch are admitted
-	// only while the session is under budget, so per-session queued wire
-	// memory stays bounded exactly as before batching. Overflow drops
-	// the run — SSP retransmits.
+	// InboxDepth bounds how many of one session's datagrams a single
+	// ingest sweep handles (default 128): the prefix of the session's run
+	// is admitted, the excess is dropped unopened and counted in
+	// drops_queue_full — SSP retransmits. It is what keeps a flooding
+	// session from buying more than its share of a sweep; the shed policy
+	// halves it.
 	InboxDepth int
 	// EgressDepth bounds the daemon-wide egress ring in datagrams
 	// (default 4096). Overflow drops the datagram (drops_egress_full) —
-	// backpressure the flusher works off in batches.
+	// backpressure; a sweep flushes at half occupancy, so only a single
+	// session emitting thousands of datagrams at once can reach it.
 	EgressDepth int
 	// UnbatchedIO models the portable loop fallback in simulation: read
 	// and write syscall accounting is one datagram per call instead of
@@ -187,9 +189,9 @@ type Config struct {
 	UnauthQuotaRate  float64
 
 	// ShedThreshold/ShedWindow/ShedHold parameterize the pressure-shed
-	// policy: when pressure drops (full session inboxes, full egress
+	// policy: when pressure drops (sweep budgets exceeded, full egress
 	// ring) exceed ShedThreshold within ShedWindow, the daemon sheds for
-	// ShedHold — halving every session's inbox budget so the flood pays
+	// ShedHold — halving every session's sweep budget so the flood pays
 	// for the pressure it creates — and meters the event (shed_events).
 	// Defaults 256 drops / 1s / 2s; a negative threshold disables.
 	ShedThreshold        int
@@ -256,7 +258,7 @@ type Daemon struct {
 	asyncJournal atomic.Bool
 
 	// quota is the per-source unauthenticated-datagram token bucket (nil
-	// when disabled); shed is the inbox/egress pressure-shed policy.
+	// when disabled); shed is the sweep-budget/egress pressure-shed policy.
 	quota *unauthQuota
 	shed  shedState
 
@@ -269,18 +271,18 @@ type Daemon struct {
 	lastDump map[string]int64
 
 	// serveConn remembers the batched connection Serve/ServeBatch runs on
-	// so the egress flusher can write to it and Close can unblock its
-	// pending read.
+	// so egress flushes can write to it and Close can unblock its pending
+	// read.
 	serveConn atomic.Pointer[udpbatch.Conn]
 
-	// Batched I/O state: pooled read buffers (ServeBatch), pooled egress
-	// copies (RecycleWire), the daemon-wide egress ring, and the
-	// demultiplexer/flush scratch (single reader / single sim driver;
-	// egressMu serializes flush sweeps).
-	readPool        *udpbatch.Pool
+	// Batched I/O state: pooled egress copies (RecycleWire), the
+	// daemon-wide egress ring, and the demultiplexer/flush scratch (single
+	// reader / single sim driver; egressMu serializes flush sweeps).
 	wirePool        *udpbatch.Pool
 	egress          *egressRing
 	groupScratch    []sessGroup
+	slotScratch     []int
+	runScratch      []udpbatch.Message
 	groupEpoch      uint64
 	egressMu        sync.Mutex
 	egressScratch   []egressEntry
@@ -375,7 +377,6 @@ func New(cfg Config) (*Daemon, error) {
 		send:     cfg.Send,
 		stop:     make(chan struct{}),
 		flushReq: make(chan struct{}, 1),
-		readPool: udpbatch.NewPool(bufSize, 4*udpbatch.DefaultBatch),
 		wirePool: udpbatch.NewPool(bufSize, cfg.EgressDepth),
 		egress:   newEgressRing(cfg.EgressDepth),
 	}
@@ -422,12 +423,12 @@ func (d *Daemon) Pipeline() *telemetry.Pipeline { return d.pipe }
 // recorder's methods are nil-safe).
 func (d *Daemon) FlightRecorder() *telemetry.Recorder { return d.rec }
 
-// recordEv stores one flight-recorder event. The enabled check runs
-// BEFORE the clock read, so with recording off (or disabled) the whole
+// recordEv stores one flight-recorder event stamped at, the clock reading
+// of the sweep it happened in. With recording off (or disabled) the whole
 // call is one atomic load and a branch — cheap enough for every packet.
-func (d *Daemon) recordEv(code telemetry.Code, session, arg uint64) {
+func (d *Daemon) recordEv(code telemetry.Code, session, arg uint64, at time.Time) {
 	if d.rec.Enabled() {
-		d.rec.Record(code, session, arg, d.cfg.Clock.Now())
+		d.rec.Record(code, session, arg, at)
 	}
 }
 
@@ -440,13 +441,13 @@ const degradeDumpInterval = 10 * time.Second
 // when the embedder asked for dumps, hands it a rendered dump of the
 // events leading up to the trip (rate limited per reason). Callers may
 // hold session locks; OnDegrade must not call back into the daemon.
-func (d *Daemon) degrade(reason string, code telemetry.Code, session, arg uint64) {
-	d.recordEv(code, session, arg)
+func (d *Daemon) degrade(reason string, code telemetry.Code, session, arg uint64, at time.Time) {
+	d.recordEv(code, session, arg, at)
 	cb := d.cfg.OnDegrade
 	if cb == nil {
 		return
 	}
-	now := d.cfg.Clock.Now().UnixNano()
+	now := at.UnixNano()
 	d.dumpMu.Lock()
 	last, seen := d.lastDump[reason]
 	if seen && now-last < int64(degradeDumpInterval) {
@@ -495,59 +496,19 @@ func (d *Daemon) Sessions() []*Session {
 	return out
 }
 
-func (d *Daemon) inboxDepth() int { return d.cfg.InboxDepth }
-
-// ---- Synchronous driving (simulation, tests) ----
-
-// HandlePacket demultiplexes and processes one datagram synchronously:
-// envelope parse, registry lookup, session receive, replies emitted via
-// Send before it returns. This is the single-datagram virtual-time entry
-// point (it accounts one read syscall per datagram — the unbatched
-// baseline); batch-aware drivers use HandleBatch.
-func (d *Daemon) HandlePacket(wire []byte, src netem.Addr) {
-	d.metrics.ReadBatchCalls.Add(1)
-	d.metrics.ReadBatchSizes.Observe(1)
-	d.metrics.StackTraversalsIn.Add(1)
-	// The modeled read syscall is instantaneous in virtual time; a
-	// 0-duration observation keeps StageRead's count aligned with
-	// read_batch_calls in both driving modes.
-	d.pipe.Observe(telemetry.StageRead, 0)
-	demuxStart := d.cfg.Clock.Now()
-	s := d.route(wire)
-	d.pipe.Observe(telemetry.StageDemux, d.cfg.Clock.Now().Sub(demuxStart))
-	if s != nil {
-		s.handle(wire, src)
-	}
-	d.flushEgress()
-}
-
-// route accounts an arriving datagram and resolves its session.
-func (d *Daemon) route(wire []byte) *Session {
-	d.metrics.PacketsIn.Add(1)
-	d.metrics.BytesIn.Add(int64(len(wire)))
-	id, _, err := network.ParseEnvelope(wire)
-	if err != nil {
-		d.metrics.DropsBadEnvelope.Add(1)
-		return nil
-	}
-	s := d.reg.lookup(id)
-	if s == nil {
-		d.metrics.DropsUnknownSession.Add(1)
-		return nil
-	}
-	return s
-}
+// ---- Tick side ----
 
 // TickDue runs every session whose deadline has arrived, then flushes
 // their emissions as one egress sweep (sessions ticking at the same
-// instant share write batches). The sim driver calls it from Pump; the
-// async tick loop calls it from its sleeper. In simulation it also
-// drives a due journal-retry (the async journal loop owns that job in
-// Serve mode, keeping disk I/O off the tick loop).
+// instant share write batches) — the tick side's run to completion, on one
+// clock reading. The sim driver calls it from Pump; the tick loop calls it
+// from its sleeper. In simulation it also drives a due journal-retry (the
+// journal loop owns that job in Serve mode, keeping disk I/O off the tick
+// loop).
 func (d *Daemon) TickDue() {
 	now := d.cfg.Clock.Now()
 	for _, s := range d.timers.popDue(now) {
-		s.tick()
+		s.tick(now)
 	}
 	if j := d.journal; j != nil && !d.asyncJournal.Load() {
 		if at := j.retryAt.Load(); at != 0 && now.UnixNano() >= at {
@@ -587,16 +548,14 @@ func (d *Daemon) Pump(sched *simclock.Scheduler) (wake func()) {
 	return pump
 }
 
-// ---- Asynchronous driving (production) ----
+// ---- Serving (production) ----
 
-// Start launches the next-deadline tick loop, the egress flusher (and,
-// with persistence configured, the journal flush loop). It is called
-// implicitly by Serve/ServeBatch and is idempotent. Requires a real
-// clock.
+// Start launches the next-deadline tick loop (and, with persistence
+// configured, the journal flush loop). It is called implicitly by
+// Serve/ServeBatch and is idempotent. Requires a real clock.
 func (d *Daemon) Start() {
 	d.startOnce.Do(func() {
 		go d.tickLoop()
-		go d.egressLoop()
 		if d.journal != nil {
 			// The journal loop owns flush-retry timing from here on; the
 			// simulation deadline hooks stand down so the tick loop never
@@ -643,40 +602,14 @@ func (d *Daemon) tickLoop() {
 	}
 }
 
-// Dispatch routes one datagram to its session's worker queue as a
-// single-packet run. Tests drive it directly to exercise the concurrent
-// path; the batched reader uses DispatchBatch. The wire buffer is
-// retained until the worker processes it. Safe for concurrent use.
-func (d *Daemon) Dispatch(wire []byte, src netem.Addr) {
-	// One datagram handed in individually = one upstream read syscall:
-	// accounting it keeps syscalls_avoided honest for embedders that
-	// bypass the batched reader.
-	d.metrics.ReadBatchCalls.Add(1)
-	d.metrics.ReadBatchSizes.Observe(1)
-	d.metrics.StackTraversalsIn.Add(1)
-	d.pipe.Observe(telemetry.StageRead, 0)
-	demuxStart := d.cfg.Clock.Now()
-	s := d.route(wire)
-	d.pipe.Observe(telemetry.StageDemux, d.cfg.Clock.Now().Sub(demuxStart))
-	if s == nil {
-		return
-	}
-	r := getRun(false)
-	r.pkts = append(r.pkts, inPacket{wire: wire, src: src})
-	d.deliverRun(s, r)
-}
-
 // Serve runs the daemon over pc through the loop adapter: one datagram
 // per read syscall — the portable fallback path. Production servers with
 // a vectorized socket call ServeBatch directly. It returns when the
 // socket read fails (socket closed) or the daemon is closed; replies go
-// out via the egress flusher onto pc.WriteTo.
+// out through pc.WriteTo at the end of each sweep. The read buffer is
+// 64 KiB whatever the source — Serve's historical contract.
 func (d *Daemon) Serve(pc PacketConn) error {
-	// Preserve Serve's historical read contract: a 64 KiB buffer per
-	// datagram, whatever the source (the loop adapter reads one at a
-	// time, so a handful of slots suffices).
-	d.readPool = udpbatch.NewPool(64<<10, 8)
-	return d.ServeBatch(udpbatch.NewLoopConn(pc))
+	return d.serve(udpbatch.NewLoopConn(pc), udpbatch.MaxDatagram)
 }
 
 // Close stops the tick loop, flushes the journal one final time (so a
@@ -706,9 +639,8 @@ func (d *Daemon) Close() {
 			}
 		}
 	})
-	// Give queued replies one final sweep before the transport goes away:
-	// in simulation this keeps Close-time emission deterministic, and on a
-	// real socket it drains what the flusher had not reached yet.
+	// Give queued replies one final sweep before the transport goes away
+	// (a Session.Do racing Close may have enqueued after its own flush).
 	d.flushEgress()
 	if bcp := d.serveConn.Load(); bcp != nil {
 		if closer, ok := (*bcp).(interface{ Close() error }); ok {
@@ -724,55 +656,31 @@ func (d *Daemon) Close() {
 
 // ---- Per-session machinery ----
 
-// worker drains one session's inbox (Serve mode), one run — several
-// datagrams, one wakeup — at a time, recycling reader-owned wire buffers
-// after handling.
-func (s *Session) worker() {
-	for {
-		select {
-		case <-s.done:
-			// Drain anything still queued so the dispatch-queue gauge
-			// does not leak the remainder when a session is removed.
-			for {
-				select {
-				case r := <-s.inbox:
-					s.queuedPkts.Add(-int64(len(r.pkts)))
-					s.d.metrics.DispatchQueueDepth.Add(-int64(len(r.pkts)))
-					s.d.freeRun(r)
-				default:
-					return
-				}
-			}
-		case r := <-s.inbox:
-			s.queuedPkts.Add(-int64(len(r.pkts)))
-			s.d.metrics.DispatchQueueDepth.Add(-int64(len(r.pkts)))
-			if !r.at.IsZero() {
-				s.d.pipe.Observe(telemetry.StageQueueWait, s.d.cfg.Clock.Now().Sub(r.at))
-			}
-			for i := range r.pkts {
-				s.handle(r.pkts[i].wire, r.pkts[i].src)
-			}
-			s.d.freeRun(r)
-		}
+// handleRun processes one session's share of an ingest sweep, in arrival
+// order under one lock acquisition, emitting any replies onto the egress
+// ring. now is the sweep's clock reading.
+func (s *Session) handleRun(run []udpbatch.Message, now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.now = now
+	for i := range run {
+		s.handleLocked(run[i].Buf, run[i].Addr, now)
 	}
 }
 
-// handle processes one datagram for this session, emitting any replies.
-func (s *Session) handle(wire []byte, src netem.Addr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// handleLocked processes one datagram for this session.
+func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) {
 	if s.closed || s.d.closing.Load() {
 		s.d.metrics.DropsUnknownSession.Add(1)
 		return
 	}
-	now := s.d.cfg.Clock.Now()
 	if q := s.d.quota; q != nil && q.blocked(src, now) {
 		// This source has been failing authentication faster than its
 		// token bucket refills: refuse the datagram BEFORE the AEAD runs,
 		// so a spoofed-envelope flood pays nothing but an envelope parse
 		// and cannot starve live sessions of CPU.
 		s.d.metrics.DropsUnauthQuota.Add(1)
-		s.d.degrade("unauth-quota", telemetry.EvQuotaBlocked, s.ID, 0)
+		s.d.degrade("unauth-quota", telemetry.EvQuotaBlocked, s.ID, 0, now)
 		return
 	}
 	roamsBefore := s.srv.Transport().Connection().RemoteAddrChanges()
@@ -780,7 +688,7 @@ func (s *Session) handle(wire []byte, src netem.Addr) {
 		// Forged, replayed, stale or malformed: normal network noise at
 		// this layer; the envelope got it here but the key said no.
 		s.d.metrics.DropsAuth.Add(1)
-		s.d.recordEv(telemetry.EvDropAuth, s.ID, 0)
+		s.d.recordEv(telemetry.EvDropAuth, s.ID, 0, now)
 		if q := s.d.quota; q != nil {
 			q.charge(src, now)
 		}
@@ -795,7 +703,7 @@ func (s *Session) handle(wire []byte, src netem.Addr) {
 		}
 		if roams := s.srv.Transport().Connection().RemoteAddrChanges(); roams > roamsBefore {
 			s.d.metrics.RoamingEvents.Add(int64(roams - roamsBefore))
-			s.d.recordEv(telemetry.EvRoam, s.ID, uint64(roams))
+			s.d.recordEv(telemetry.EvRoam, s.ID, uint64(roams), now)
 		}
 		// An accepted datagram moved durable state: the replay floor at
 		// minimum, usually also the delivered-input watermarks (and the
@@ -814,14 +722,15 @@ func (s *Session) handle(wire []byte, src netem.Addr) {
 }
 
 // tick advances timers for this session: due host output, the transport's
-// sender timing, and the idle-eviction check.
-func (s *Session) tick() {
+// sender timing, and the idle-eviction check. now is the tick sweep's
+// clock reading.
+func (s *Session) tick(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	now := s.d.cfg.Clock.Now()
+	s.now = now
 	// The tick loop popped this session's heap entry; whatever deadline
 	// was armed is gone, so the rearm below must not dedup against it.
 	s.lastArmed = time.Time{}
@@ -851,17 +760,17 @@ func (s *Session) tick() {
 
 // hostInput feeds decoded user keystrokes to the host application and
 // queues its (delayed) response. Called by core.Server during Receive,
-// with s.mu held.
+// with s.mu held; the keystroke arrived at s.now.
 func (s *Session) hostInput(data []byte) {
 	if s.app == nil {
 		return
 	}
-	s.d.recordEv(telemetry.EvKeystroke, s.ID, uint64(len(data)))
+	now := s.now
+	s.d.recordEv(telemetry.EvKeystroke, s.ID, uint64(len(data)), now)
 	out, delay := s.app.Input(data)
 	if len(out) == 0 {
 		return
 	}
-	now := s.d.cfg.Clock.Now()
 	at := now.Add(delay)
 	// Host responses are serialized in input order, like a real pty.
 	if n := len(s.pendingOut); n > 0 && at.Before(s.pendingOut[n-1].at) {
@@ -907,7 +816,7 @@ func (s *Session) noteEchoLocked(now time.Time) {
 		return
 	}
 	s.lastSentNum = sent
-	s.d.recordEv(telemetry.EvFrameSent, s.ID, sent)
+	s.d.recordEv(telemetry.EvFrameSent, s.ID, sent, now)
 	if s.echoAwaitN == 0 {
 		return
 	}
@@ -919,7 +828,7 @@ func (s *Session) noteEchoLocked(now time.Time) {
 	for i := 0; i < s.echoAwaitN; i++ {
 		lat := now.Sub(s.echoAwait[i])
 		s.d.pipe.ObserveEcho(lat, srtt)
-		s.d.recordEv(telemetry.EvEcho, s.ID, uint64(lat/time.Microsecond))
+		s.d.recordEv(telemetry.EvEcho, s.ID, uint64(lat/time.Microsecond), now)
 		if cb := s.d.cfg.OnEcho; cb != nil {
 			cb(s.ID, lat, srtt)
 		}
@@ -963,9 +872,9 @@ func (s *Session) rearmLocked(now time.Time) {
 }
 
 // emit queues one sealed, enveloped datagram toward the session's
-// current reply target on the daemon egress ring; the flusher (or the
-// simulation driver's synchronous flush) transmits it in a batch.
-// Called by the transport with s.mu held. Roaming is fully per-session:
+// current reply target on the daemon egress ring; the flush that ends the
+// current sweep transmits it in a batch. Called by the transport with s.mu
+// held, inside the sweep that stamped s.now. Roaming is fully per-session:
 // the target is this session's datagram-layer address, which follows its
 // latest authentic source independently of every other session on the
 // socket.
@@ -974,7 +883,7 @@ func (s *Session) emit(wire []byte) {
 	if !ok {
 		return // no authentic client packet yet: nowhere to send
 	}
-	if !s.d.enqueueEgress(dst, wire) {
-		s.d.recordEv(telemetry.EvDropEgress, s.ID, 1)
+	if !s.d.enqueueEgress(dst, wire, s.now) {
+		s.d.recordEv(telemetry.EvDropEgress, s.ID, 1, s.now)
 	}
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the daemon's explicit shed policy. Isolated pressure
-// drops (one slow session's full inbox, a brief egress burst) are normal
+// drops (one session over its sweep budget, a brief egress burst) are normal
 // backpressure — SSP retransmits and nobody else notices. SUSTAINED
 // pressure is different: it means offered load exceeds what the daemon
 // can move, and continuing to admit full budgets for everyone just
 // converts memory into drops at a different layer. The shed policy makes
 // that regime a first-class, metered state: when pressure drops exceed a
 // threshold within a window, the daemon "sheds" for a hold period —
-// halving every session's inbox budget so queues stay short and the
+// halving every session's per-sweep budget (Config.InboxDepth) so the
 // heaviest offenders absorb the drops — and counts the event
 // (shed_events, shedding gauge) so operators see the regime change
 // instead of inferring it from scattered drop counters.
@@ -27,7 +27,7 @@ const DefaultShedThreshold = 256
 
 // shedState tracks pressure drops over a sliding window and the
 // activation deadline. until is the lock-free read path (checked per
-// delivered run); the window counters live under mu and are touched only
+// ingest sweep); the window counters live under mu and are touched only
 // when drops actually happen.
 type shedState struct {
 	threshold int64
@@ -41,15 +41,16 @@ type shedState struct {
 	drops       int64
 }
 
-// notePressureDrop records n datagrams dropped for pressure (full inbox,
-// full egress ring) and activates shedding when the windowed total trips
-// the threshold. Never blocks; safe under session locks.
-func (d *Daemon) notePressureDrop(n int64) {
+// notePressureDrop records n datagrams dropped for pressure (over a sweep
+// budget, full egress ring) at the sweep's clock reading, and activates
+// shedding when the windowed total trips the threshold. Never blocks; safe
+// under session locks.
+func (d *Daemon) notePressureDrop(n int64, at time.Time) {
 	sh := &d.shed
 	if sh.threshold <= 0 {
 		return
 	}
-	now := d.cfg.Clock.Now().UnixNano()
+	now := at.UnixNano()
 	sh.mu.Lock()
 	if now-sh.windowStart > int64(sh.window) {
 		sh.windowStart, sh.drops = now, 0
@@ -66,21 +67,21 @@ func (d *Daemon) notePressureDrop(n int64) {
 			// flight-recorder dump here is the whole point of the recorder:
 			// the events leading up to the trip are still in the ring.
 			d.metrics.ShedEvents.Add(1)
-			d.degrade("shed", telemetry.EvShedTrip, 0, uint64(sh.threshold))
+			d.degrade("shed", telemetry.EvShedTrip, 0, uint64(sh.threshold), at)
 		}
 		d.metrics.Shedding.Set(1)
 	}
 }
 
-// shedding reports whether the shed policy is currently active, clearing
-// the gauge lazily when the hold expires.
-func (d *Daemon) shedding() bool {
+// shedding reports whether the shed policy is active at now, clearing the
+// gauge lazily when the hold expires.
+func (d *Daemon) shedding(now time.Time) bool {
 	sh := &d.shed
 	until := sh.until.Load()
 	if until == 0 {
 		return false
 	}
-	if d.cfg.Clock.Now().UnixNano() >= until {
+	if now.UnixNano() >= until {
 		if sh.until.CompareAndSwap(until, 0) {
 			d.metrics.Shedding.Set(0)
 		}

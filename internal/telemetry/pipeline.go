@@ -19,8 +19,10 @@ const (
 	StageRead Stage = iota
 	// StageDemux is envelope parsing + per-session grouping of one batch.
 	StageDemux
-	// StageQueueWait is a packet run's wait in a session inbox between
-	// dispatch and its worker dequeuing it (async serving only).
+	// StageQueueWait was a packet run's wait between the reader and a
+	// per-session worker. sessiond's packet path is run to completion, so
+	// nothing observes it any more; the name stays because the repository
+	// benchmark reads it (sessiond.stage_queue_wait_*), where it is now 0.
 	StageQueueWait
 	// StageVerify is AEAD open (decrypt + authenticate) of one datagram.
 	StageVerify
@@ -30,8 +32,11 @@ const (
 	StageTick
 	// StageSeal is AEAD seal of one outgoing datagram.
 	StageSeal
-	// StageEgressWait is a datagram's wait in the egress ring between
-	// enqueue and the sweep that writes it.
+	// StageEgressWait is a datagram's wait for its write, measured from the
+	// clock reading of the sweep that emitted it (taken once, when the
+	// sweep began) to the flush that ends that sweep: an upper bound on its
+	// time in the egress ring, and a direct reading of how long a sweep
+	// runs before it writes.
 	StageEgressWait
 	// StageWrite is one egress sweep's socket write (batched or looped).
 	StageWrite

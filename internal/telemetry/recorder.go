@@ -21,7 +21,7 @@ const (
 	EvEcho                  // keystroke matched to its echo frame; arg = latency in µs
 	EvFrameSent             // sender minted a new state; arg = state number
 	EvDropAuth              // datagram failed AEAD verification
-	EvDropQueue             // session inbox full; arg = datagrams dropped
+	EvDropQueue             // session over its per-sweep budget; arg = datagrams dropped
 	EvDropEgress            // egress ring full, datagram dropped
 	EvQuotaBlocked          // source refused pre-AEAD by the unauth quota
 	EvRoam                  // authentic datagram from a new source address

@@ -37,7 +37,8 @@ type Config[L State[L], R State[R]] struct {
 	Key sspcrypto.Key
 	// Clock drives all timing.
 	Clock simclock.Clock
-	// Timing overrides transport timing; zero fields take defaults.
+	// Timing overrides transport timing. Nil takes the endpoint's default:
+	// DefaultTiming on the server (ToClient), ClientTiming on the client.
 	Timing *Timing
 	// MinRTO/MaxRTO pass through to the datagram layer (ablation knobs).
 	MinRTO, MaxRTO time.Duration
@@ -121,8 +122,11 @@ func New[L State[L], R State[R]](cfg Config[L, R]) (*Transport[L, R], error) {
 		return nil, err
 	}
 	timing := DefaultTiming()
-	if cfg.Timing != nil {
+	switch {
+	case cfg.Timing != nil:
 		timing = *cfg.Timing
+	case cfg.Direction == sspcrypto.ToServer:
+		timing = ClientTiming()
 	}
 	var s *Sender[L]
 	var r *Receiver[R]

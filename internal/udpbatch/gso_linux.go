@@ -166,8 +166,8 @@ type gsoConn struct {
 	rxTrav, txTrav atomic.Int64
 }
 
-// newGSOUDP builds the GSO/GRO connection for c, failing (so the ladder
-// falls to mmsg) on kernels without UDP_SEGMENT/UDP_GRO.
+// newGSOUDP builds the GSO/GRO connection for c, failing on kernels
+// without UDP_SEGMENT/UDP_GRO.
 func newGSOUDP(c *net.UDPConn) (Conn, error) {
 	rc, err := c.SyscallConn()
 	if err != nil {

@@ -12,10 +12,10 @@ import (
 	"repro/internal/netem"
 )
 
-// TestProviderProbe reports which rungs of the provider ladder this
-// kernel supports. CI runs it verbosely as the capability-probe step, so
-// every run records exactly which providers the other tests exercised —
-// a skipped GSO or io_uring test is visible, not silent.
+// TestProviderProbe reports which providers this kernel supports. CI runs
+// it verbosely as the capability-probe step, so every run records exactly
+// which providers the other tests exercised — a skipped GSO or io_uring
+// test is visible, not silent — and it pins what "auto" selects.
 func TestProviderProbe(t *testing.T) {
 	for _, r := range ProbeProviders() {
 		if r.OK {
@@ -29,6 +29,16 @@ func TestProviderProbe(t *testing.T) {
 	res := ProbeProviders()
 	if last := res[len(res)-1]; last.Name != "loop" || !last.OK {
 		t.Fatalf("loop rung must always be available, got %+v", last)
+	}
+	// "auto" is the measured order, not the newest facility first: mmsg
+	// here, whatever else the kernel offers.
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer c.Close()
+	if got := ProviderName(NewUDPConn(c)); got != "mmsg" {
+		t.Fatalf("auto selected %q, want mmsg", got)
 	}
 }
 
@@ -288,7 +298,7 @@ func TestURingWriteBatchErrorCount(t *testing.T) {
 
 // TestProviderOversizedRead is the regression test for the slot-sizing
 // fix: an oversized-but-legitimate datagram (bigger than the MTU-derived
-// pool class but within the provider's declared ReadSlotSize) must arrive
+// slot size but within the provider's declared ReadSlotSize) must arrive
 // whole. Before per-provider slot sizing it would truncate, fail the
 // AEAD, and every retransmission of it would fail the same way.
 func TestProviderOversizedRead(t *testing.T) {
@@ -303,9 +313,7 @@ func TestProviderOversizedRead(t *testing.T) {
 			if _, err := cl.Write(payload); err != nil {
 				t.Fatal(err)
 			}
-			pool := NewPool(DefaultBufSize, 8)
-			pool.EnableSuper(want, 8)
-			msgs := []Message{{Buf: pool.GetSized(want)}}
+			msgs := []Message{{Buf: make([]byte, 0, want)}}
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				if time.Now().After(deadline) {

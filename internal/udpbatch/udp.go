@@ -94,30 +94,43 @@ func (u *udpSingle) WriteTo(wire []byte, dst netem.Addr) error {
 
 func (u *udpSingle) Close() error { return u.c.Close() }
 
-// NewUDPConn wraps a UDP socket in the best available batch provider,
-// walking the fallback ladder io_uring → GSO/GRO → mmsg → loop: each rung
-// is a runtime capability probe (a kernel feature, a seccomp policy or a
-// non-Linux platform fails the rung, never the daemon), and the loop
-// adapter always works.
+// socketReadBuffer is the receive buffer a served socket asks for. The
+// system default holds a couple of hundred small datagrams — one session's
+// worth, which is what it was sized for. Here every session shares the
+// socket, its buffer is the only queue between the network and them, and
+// the reader is away for a whole sweep at a time (it handles what it read
+// before it reads again): at 400 busy sessions the default drops 1–2 % of
+// arrivals on the floor (RcvbufErrors), each costing its session a
+// retransmission timeout.
+const socketReadBuffer = 4 << 20
+
+// NewUDPConn wraps a UDP socket in the provider "auto" selects (see
+// NewUDPConnProvider): mmsg where the platform has it, the loop adapter —
+// which always works — elsewhere.
 func NewUDPConn(c *net.UDPConn) Conn {
 	bc, _ := NewUDPConnProvider(c, "auto")
 	return bc
 }
 
-// NewUDPConnProvider selects a provider by name. "auto" (or "") walks the
-// ladder; an explicit name fails rather than falling back, so an operator
-// pinning a provider learns it is unavailable instead of silently running
-// a different one. Names: "uring" (alias "io_uring"), "gso", "mmsg",
-// "loop", "auto".
+// NewUDPConnProvider selects a provider by name: "mmsg", "gso", "uring"
+// (alias "io_uring"), "loop", or "auto" (also ""). An explicit name fails
+// rather than falling back, so an operator pinning a provider learns it is
+// unavailable instead of silently running a different one.
+//
+// "auto" walks the rungs in the order the repository's benchmark measured
+// them, best first, and takes the first the platform supports. Today that
+// is mmsg, then loop. On `go run ./benchmark` io_uring costs a third more
+// CPU per keystroke than mmsg and wins nothing, and GSO ties mmsg except
+// for half a millisecond on one workload (the root README's provider table
+// has the numbers and the reasons); neither facility exists where recvmmsg
+// does not, so auto never reaches them. They stay selectable by name, each
+// kept honest by its own tests, until a workload promotes one or ROADMAP
+// item 2 removes it.
 func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
+	// Best effort: the kernel clamps the request to net.core.rmem_max.
+	_ = c.SetReadBuffer(socketReadBuffer)
 	switch provider {
 	case "", "auto":
-		if bc, err := newURingUDP(c); err == nil {
-			return bc, nil
-		}
-		if bc, err := newGSOUDP(c); err == nil {
-			return bc, nil
-		}
 		if bc, err := newPlatformUDP(c); err == nil {
 			return bc, nil
 		}
@@ -138,19 +151,18 @@ func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 // syscall adapter regardless of platform — the explicit fallback mode.
 func NewUDPLoopConn(c *net.UDPConn) Conn { return NewLoopConn(&udpSingle{c: c}) }
 
-// ProbeResult is one rung of the capability ladder as probed on this
-// kernel.
+// ProbeResult is one provider as probed on this kernel.
 type ProbeResult struct {
 	Name string
 	OK   bool
 	Err  error // why the rung is unavailable (nil when OK)
 }
 
-// ProbeProviders constructs each provider in ladder order against scratch
-// loopback sockets and reports which rungs this kernel supports. The CI
-// capability-probe step and -udp-provider=auto startup logging use it;
-// provider tests consult it to skip (loudly) rather than fail where the
-// runner's kernel lacks a facility.
+// ProbeProviders constructs each provider against scratch loopback sockets
+// and reports which this kernel supports: auto's choice first, then the
+// two selectable only by name, then the fallback. The CI capability-probe
+// step reads it, so every run records which providers the by-name tests
+// exercised and which they skipped.
 func ProbeProviders() []ProbeResult {
 	probe := func(name string) ProbeResult {
 		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -170,9 +182,9 @@ func ProbeProviders() []ProbeResult {
 		return ProbeResult{Name: name, OK: true}
 	}
 	return []ProbeResult{
-		probe("uring"),
-		probe("gso"),
 		probe("mmsg"),
+		probe("gso"),
+		probe("uring"),
 		probe("loop"),
 	}
 }

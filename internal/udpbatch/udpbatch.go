@@ -10,16 +10,19 @@
 //     Messages (one syscall on Linux via recvmmsg), WriteBatch transmits
 //     one (sendmmsg), with short-batch and partial-write semantics spelled
 //     out below.
-//   - Pool is a bounded free ring of wire buffers, so the steady-state
-//     read path hands pre-sized storage to the kernel and recycles it
-//     after dispatch without allocating per datagram.
+//   - Pool is a bounded free ring of wire buffers, so the egress ring's
+//     copies of outgoing datagrams recycle without allocating per
+//     datagram. (The read path needs none: the reader hands the same
+//     slots back to the kernel after every sweep.)
 //   - NewLoopConn adapts any single-datagram connection to Conn, so every
 //     existing PacketConn keeps working (one datagram per call — the
 //     portable fallback path, and the accounting baseline).
 //
 // The Linux fast path lives in mmsg_linux.go behind a build tag and uses
 // raw syscalls only (no new dependencies); NewUDPConn picks it when
-// available and falls back to the loop adapter elsewhere.
+// available and falls back to the loop adapter elsewhere. Two further
+// Linux providers, UDP GSO/GRO (gso_linux.go) and io_uring
+// (uring_linux.go), are selectable by name only: see NewUDPConnProvider.
 package udpbatch
 
 import (
@@ -101,10 +104,10 @@ type Conn interface {
 
 // SlotSizer is implemented by providers whose reads can legitimately
 // exceed the transport MTU: a UDP_GRO super-datagram or an io_uring
-// provided buffer holds up to MaxDatagram bytes. The serve loop draws
-// read slots from the matching pool size class, so an oversized-but-
-// legitimate read can never be truncated (a truncated datagram fails the
-// AEAD, and the peer's retransmissions of it fail forever — a livelock).
+// provided buffer holds up to MaxDatagram bytes. The serve loop sizes its
+// read slots to it, so an oversized-but-legitimate read can never be
+// truncated (a truncated datagram fails the AEAD, and the peer's
+// retransmissions of it fail forever — a livelock).
 type SlotSizer interface {
 	ReadSlotSize() int
 }
@@ -186,22 +189,11 @@ type SingleConn interface {
 // buffer with at least BufSize capacity; Put recycles one. The ring is
 // bounded so a burst cannot pin memory forever, and misses simply
 // allocate — the steady state is all hits.
-//
-// A pool can additionally grow a super-buffer size class (EnableSuper):
-// a second bounded free list of much larger buffers for providers whose
-// reads exceed the transport MTU — a 64 KiB UDP_GRO coalesced read must
-// land in a slot that can never truncate it. Put routes returned buffers
-// to the class their capacity fits, so base and super storage recycle
-// independently and a super buffer is never wasted holding an MTU-sized
-// datagram slot.
 type Pool struct {
-	mu        sync.Mutex
-	free      [][]byte
-	superFree [][]byte
-	size      int
-	superSize int // 0 until EnableSuper
-	max       int
-	superMax  int
+	mu   sync.Mutex
+	free [][]byte
+	size int
+	max  int
 	// gets/misses meter pool effectiveness: a miss is a Get that had to
 	// allocate. A steady-state daemon should see the miss count plateau.
 	gets   int64
@@ -222,75 +214,6 @@ func NewPool(bufSize, max int) *Pool {
 
 // BufSize reports the capacity of buffers this pool hands out.
 func (p *Pool) BufSize() int { return p.size }
-
-// EnableSuper registers (or widens) the pool's super-buffer size class:
-// GetSized requests above the base size draw from a second free list of
-// size-capacity buffers, keeping at most max free (0 means DefaultBatch).
-// Idempotent; widening the class drops cached buffers that no longer fit
-// it rather than letting them truncate a future oversized read.
-func (p *Pool) EnableSuper(size, max int) {
-	if size <= 0 {
-		size = MaxDatagram
-	}
-	if max <= 0 {
-		max = DefaultBatch
-	}
-	p.mu.Lock()
-	if size < p.size {
-		size = p.size
-	}
-	if size > p.superSize {
-		p.superSize = size
-		keep := p.superFree[:0]
-		for _, b := range p.superFree {
-			if cap(b) >= size {
-				keep = append(keep, b)
-			}
-		}
-		for i := len(keep); i < len(p.superFree); i++ {
-			p.superFree[i] = nil
-		}
-		p.superFree = keep
-	}
-	if max > p.superMax {
-		p.superMax = max
-	}
-	p.mu.Unlock()
-}
-
-// SuperSize reports the super class capacity (0 when disabled).
-func (p *Pool) SuperSize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.superSize
-}
-
-// GetSized returns an empty buffer with capacity at least n, drawn from
-// the smallest size class that fits. Requests beyond every class allocate
-// exactly-sized one-offs (counted as misses) rather than truncating.
-func (p *Pool) GetSized(n int) []byte {
-	if n <= p.size {
-		return p.Get()
-	}
-	p.mu.Lock()
-	p.gets++
-	if n <= p.superSize {
-		if k := len(p.superFree); k > 0 {
-			b := p.superFree[k-1]
-			p.superFree[k-1] = nil
-			p.superFree = p.superFree[:k-1]
-			p.mu.Unlock()
-			return b[:0]
-		}
-	}
-	p.misses++
-	size := p.superSize
-	if n > size {
-		size = n
-	}
-	p.mu.Unlock()
-	return make([]byte, 0, size)
-}
 
 // Get returns an empty buffer with at least BufSize capacity.
 func (p *Pool) Get() []byte {
@@ -316,19 +239,14 @@ func (p *Pool) Stats() (gets, misses int64) {
 	return p.gets, p.misses
 }
 
-// Put recycles a buffer obtained from Get or GetSized, routing it to the
-// size class its capacity fits. Undersized foreign buffers are dropped
-// rather than poisoning a ring.
+// Put recycles a buffer obtained from Get. Undersized foreign buffers are
+// dropped rather than poisoning the ring.
 func (p *Pool) Put(b []byte) {
 	if cap(b) < p.size {
 		return
 	}
 	p.mu.Lock()
-	if p.superSize > 0 && cap(b) >= p.superSize {
-		if len(p.superFree) < p.superMax {
-			p.superFree = append(p.superFree, b)
-		}
-	} else if len(p.free) < p.max {
+	if len(p.free) < p.max {
 		p.free = append(p.free, b)
 	}
 	p.mu.Unlock()

@@ -170,60 +170,3 @@ func TestSegmentRun(t *testing.T) {
 		t.Errorf("byte cap: SegmentRun = %d, want 1", got)
 	}
 }
-
-// TestPoolSuperClass pins the two-size-class pool: GetSized draws from
-// the class that fits, Put routes each buffer home, and widening drops
-// cached supers that could truncate a future read.
-func TestPoolSuperClass(t *testing.T) {
-	p := NewPool(2048, 4)
-	if got := p.GetSized(2048); cap(got) < 2048 {
-		t.Fatalf("base GetSized cap = %d", cap(got))
-	}
-	// Before EnableSuper an oversized request allocates a one-off.
-	b := p.GetSized(10000)
-	if cap(b) < 10000 {
-		t.Fatalf("one-off cap = %d, want >= 10000", cap(b))
-	}
-	p.EnableSuper(MaxDatagram, 2)
-	if p.SuperSize() != MaxDatagram {
-		t.Fatalf("SuperSize = %d", p.SuperSize())
-	}
-	s1 := p.GetSized(MaxDatagram)
-	if cap(s1) < MaxDatagram {
-		t.Fatalf("super cap = %d", cap(s1))
-	}
-	// Returned supers recycle through the super list, not the base ring.
-	p.Put(s1)
-	s2 := p.GetSized(5000)
-	if cap(s2) < MaxDatagram {
-		t.Fatal("super request did not hit the super free list")
-	}
-	// The old one-off (10000 < superSize) does not poison the super class.
-	p.Put(b)
-	s3 := p.GetSized(MaxDatagram)
-	if cap(s3) < MaxDatagram {
-		t.Fatalf("undersized buffer reached the super list: cap %d", cap(s3))
-	}
-	// Base buffers still recycle normally alongside the super class.
-	base := p.Get()
-	p.Put(base)
-	if got := p.Get(); cap(got) != cap(base) {
-		t.Fatalf("base class disturbed: cap %d vs %d", cap(got), cap(base))
-	}
-}
-
-// TestPoolSuperAllocFree pins the super class at zero steady-state
-// allocations, like the base class.
-func TestPoolSuperAllocFree(t *testing.T) {
-	p := NewPool(2048, 8)
-	p.EnableSuper(MaxDatagram, 8)
-	warm := p.GetSized(MaxDatagram)
-	p.Put(warm)
-	allocs := testing.AllocsPerRun(1000, func() {
-		b := p.GetSized(MaxDatagram)
-		p.Put(b)
-	})
-	if allocs > 0 {
-		t.Fatalf("super class steady state = %.1f allocs/op, want 0", allocs)
-	}
-}

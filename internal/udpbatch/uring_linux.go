@@ -28,8 +28,8 @@ import (
 //     blocking io_uring_enter when the queue runs dry.
 //   - The send ring turns each WriteBatch sweep into a chain of linked
 //     SENDMSG SQEs submitted with one syscall and drained synchronously
-//     on the flusher path, exactly where sendmmsg completions were
-//     handled before. IOSQE_IO_LINK keeps completion order equal to
+//     in the caller, exactly where sendmmsg completions were handled
+//     before. IOSQE_IO_LINK keeps completion order equal to
 //     submission order, so the first failure cancels the tail and the
 //     (n, err) contract — msgs[n] failed, drop it, retry the rest —
 //     holds without reordering bookkeeping.
@@ -38,7 +38,8 @@ import (
 // and round-trips a datagram through both of them on a scratch basis; any
 // missing facility (io_uring disabled by sysctl or seccomp, no provided
 // buffer rings before 5.19, no multishot recvmsg before 6.0) fails the
-// probe and the ladder falls to the GSO rung.
+// probe, and with it an explicit -udp-provider uring ("auto" does not try
+// this provider: see NewUDPConnProvider).
 
 // Raw io_uring ABI.
 const (
@@ -378,8 +379,7 @@ type uringConn struct {
 }
 
 // newURingUDP builds the io_uring connection for c and proves it works
-// with a loopback round-trip; any failure tears down and reports why, so
-// the ladder can fall to the next rung.
+// with a loopback round-trip; any failure tears down and reports why.
 func newURingUDP(c *net.UDPConn) (Conn, error) {
 	u := &uringConn{
 		c:      c,
