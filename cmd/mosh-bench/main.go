@@ -64,7 +64,7 @@ func main() {
 	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
 	lossy := flag.Bool("lossy", false, "manysession: per-cohort lossy links (editor 1%, log-tail 3%)")
 	unbatched := flag.Bool("unbatched", false, "manysession: one-datagram-per-syscall fallback mode (the baseline the batched pipeline is measured against)")
-	iomodel := flag.String("iomodel", "mmsg", "manysession: provider geometry the syscall/stack-traversal accounting mirrors: mmsg|loop|gso|uring")
+	iomodel := flag.String("iomodel", "mmsg", "manysession: provider geometry the syscall/stack-traversal accounting mirrors: mmsg|loop|gso")
 	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train, the workload GSO segmentation offload coalesces")
 	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire mangling, journal disk faults, nonce audit); see also -exp chaos")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")

@@ -13,7 +13,7 @@
 // Usage:
 //
 //	mosh-server [-port 60001] [-sessions 64] [-demo shell|editor|mail]
-//	            [-idle 12h] [-debug 127.0.0.1:6060] [-batchio=false]
+//	            [-idle 12h] [-debug 127.0.0.1:6060] [-udp-provider auto|mmsg|gso|loop]
 //	            [-state-dir /var/lib/moshd] [-journal 10s]
 //	            [-journal-full-rewrite] [-no-row-intern]
 //	            [-unauth-burst 64] [-unauth-rate 16]
@@ -22,7 +22,7 @@
 //
 // The daemon serves its socket through the batched datagram pipeline
 // (internal/udpbatch): recvmmsg/sendmmsg on Linux move whole batches of
-// datagrams per syscall; -batchio=false forces the portable
+// datagrams per syscall; -udp-provider loop forces the portable
 // one-datagram-per-syscall loop instead.
 //
 // -debug serves the daemon's observability surface: expvar metrics at
@@ -75,8 +75,7 @@ func main() {
 	debug := flag.String("debug", "", "serve expvar metrics on this address (e.g. 127.0.0.1:6060)")
 	stateDir := flag.String("state-dir", "", "journal sessions here and restore them on start (crash-safe resumption)")
 	journal := flag.Duration("journal", sessiond.DefaultJournalInterval, "journal flush cadence with -state-dir")
-	batchio := flag.Bool("batchio", true, "vectorized socket I/O (recvmmsg/sendmmsg) when the platform supports it; false forces the one-datagram-per-syscall loop")
-	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|gso|uring|loop; auto takes the best-measured provider the platform has (mmsg, else loop); gso and uring run only when named, and an explicit name fails at startup if unsupported rather than silently falling back")
+	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|gso|loop; auto takes the best-measured provider the platform has (mmsg, else loop); gso runs only when named, loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
 	fullRewrite := flag.Bool("journal-full-rewrite", false, "with -state-dir, rewrite the whole checkpoint on every flush instead of appending incremental segments (the pre-log-structured baseline; diagnostic)")
@@ -154,7 +153,7 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
-		// Close flushes the journal and unblocks Serve's read, which then
+		// Close flushes the journal and unblocks ServeBatch's read, which then
 		// returns nil for a clean exit.
 		d.Close()
 	}()
@@ -190,15 +189,9 @@ func main() {
 	// packed directly, native IPv6 carried by value — so replies,
 	// including post-roam replies, decompress straight back into socket
 	// addresses with no pre-authentication side table to poison.
-	var bc udpbatch.Conn
-	if !*batchio {
-		bc = udpbatch.NewUDPLoopConn(conn)
-	} else {
-		var err error
-		bc, err = udpbatch.NewUDPConnProvider(conn, *udpProvider)
-		if err != nil {
-			log.Fatalf("udp-provider %q: %v", *udpProvider, err)
-		}
+	bc, err := udpbatch.NewUDPConnProvider(conn, *udpProvider)
+	if err != nil {
+		log.Fatalf("udp-provider %q: %v", *udpProvider, err)
 	}
 	log.Printf("udp batch provider: %s", udpbatch.ProviderName(bc))
 	if err := d.ServeBatch(bc); err != nil {

@@ -397,9 +397,11 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		},
 		RestoreApp:       func(id uint64) host.App { return apps[id] },
 		IdleTimeout:      -1,
-		UnbatchedIO:      opt.Unbatched,
 		IOModel:          opt.IOModel,
 		DisableRowIntern: opt.DisableRowIntern,
+	}
+	if opt.Unbatched {
+		cfg.IOModel = sessiond.IOModelLoop
 	}
 	// Virtual regime: stretch the keepalive heartbeat on both ends so the
 	// long idle stretches between keystrokes stay idle on the wire too —

@@ -1,7 +1,6 @@
 package sessiond
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -33,68 +32,6 @@ import (
 // returns, with explicit backpressure (ring full → drop, SSP retransmits)
 // and partial-write handling. Served sockets and virtual-time simulation
 // run this same code; only the source of batches and of time differs.
-
-// IOModel selects which provider geometry the simulation's syscall and
-// stack-traversal accounting mirrors. The packet path is identical in
-// every model — what changes is how many modeled syscalls and UDP-stack
-// traversals a batch is charged, matching what the corresponding real
-// provider (udpbatch's ladder) would pay on a served socket.
-type IOModel int
-
-const (
-	// IOModelMMsg is the default: recvmmsg/sendmmsg geometry, one syscall
-	// per DefaultBatch datagrams, one stack traversal per datagram.
-	IOModelMMsg IOModel = iota
-	// IOModelLoop is the portable one-datagram-per-syscall baseline
-	// (Config.UnbatchedIO maps here).
-	IOModelLoop
-	// IOModelGSO is segmentation offload: same-peer equal-length runs
-	// coalesce into super-datagrams (udpbatch.SegmentRun), so both
-	// syscalls AND stack traversals are charged per run, not per
-	// datagram.
-	IOModelGSO
-	// IOModelURing is the completion-based geometry: submissions and
-	// completions move through shared rings, so read syscalls are charged
-	// per drained completion-queue sweep; traversals stay per datagram
-	// (no coalescing on this path).
-	IOModelURing
-)
-
-func (m IOModel) String() string {
-	switch m {
-	case IOModelMMsg:
-		return "mmsg"
-	case IOModelLoop:
-		return "loop"
-	case IOModelGSO:
-		return "gso"
-	case IOModelURing:
-		return "io_uring"
-	}
-	return "unknown"
-}
-
-// ParseIOModel maps a provider name — the same names the udpbatch ladder
-// and the -udp-provider flag use — to the modeled geometry. Unknown names
-// error rather than default, matching NewUDPConnProvider's refusal to
-// silently substitute a provider.
-func ParseIOModel(name string) (IOModel, error) {
-	switch name {
-	case "", "mmsg":
-		return IOModelMMsg, nil
-	case "loop":
-		return IOModelLoop, nil
-	case "gso":
-		return IOModelGSO, nil
-	case "uring", "io_uring":
-		return IOModelURing, nil
-	}
-	return IOModelMMsg, fmt.Errorf("sessiond: unknown io model %q", name)
-}
-
-// uringCQSweep mirrors the io_uring provider's recv completion-queue
-// depth: one modeled enter drains up to this many completions.
-const uringCQSweep = 256
 
 // route accounts an arriving datagram and resolves its session.
 func (d *Daemon) route(wire []byte) *Session {
@@ -213,94 +150,40 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 	d.flushEgress()
 }
 
-// HandlePacket is HandleBatch for one datagram (the unbatched baseline:
-// one modeled read syscall per datagram).
+// HandlePacket is HandleBatch for one datagram (the unbatched baseline).
 func (d *Daemon) HandlePacket(wire []byte, src netem.Addr) {
 	msgs := [1]udpbatch.Message{{Buf: wire, Addr: src}}
 	d.HandleBatch(msgs[:])
 }
 
 // HandleBatch is the synchronous entry point (virtual-time simulation,
-// tests, and the benchmark's sync-mode ladder): one ingest sweep, with the
-// read side's syscall accounting modeled as a vectorized reader draining
-// this batch. Replies are emitted via Send before it returns, within the
-// same scheduler instant. Like ServeBatch's reader it is single-driver:
-// calls must not overlap.
+// tests, and the benchmark's sync-mode ladder): the batch is accounted as
+// the reads a socket would have needed to deliver it (iomodel.go), then
+// takes one ingest sweep. Replies are emitted via Send before it returns,
+// within the same scheduler instant. Like ServeBatch's reader it is
+// single-driver: calls must not overlap.
 func (d *Daemon) HandleBatch(msgs []udpbatch.Message) {
 	if len(msgs) == 0 {
 		return
 	}
-	// Model the read side per I/O geometry: how many syscalls would have
-	// drained this batch, and how many times the UDP stack would have run.
-	// GSO charges both per coalesced same-peer run (the GRO splitter hands
-	// a whole train over as one super-datagram); io_uring charges reads
-	// per completion-queue sweep; mmsg/loop charge one traversal per
-	// datagram and syscalls per readBatchCap chunk.
-	var units, unitCap int
-	switch d.cfg.IOModel {
-	case IOModelGSO:
-		runs := segmentRuns(msgs)
-		d.metrics.StackTraversalsIn.Add(int64(runs))
-		units, unitCap = runs, udpbatch.GROReadSlots
-	case IOModelURing:
-		d.metrics.StackTraversalsIn.Add(int64(len(msgs)))
-		units, unitCap = len(msgs), uringCQSweep
-	default:
-		d.metrics.StackTraversalsIn.Add(int64(len(msgs)))
-		units, unitCap = len(msgs), d.readBatchCap()
-	}
-	calls := (units + unitCap - 1) / unitCap
-	for i := 0; i < calls; i++ {
-		// Attribute the batch's datagrams evenly across the modeled calls
-		// so the size histogram stays meaningful in every model.
-		size := len(msgs) / calls
-		if i < len(msgs)%calls {
-			size++
-		}
-		d.metrics.ReadBatchCalls.Add(1)
-		d.metrics.ReadBatchSizes.Observe(size)
-		// The modeled read syscall is instantaneous in virtual time; the
-		// 0-duration marker keeps StageRead's count == read_batch_calls.
-		d.pipe.Observe(telemetry.StageRead, 0)
-	}
+	d.model.chargeRead(&d.metrics, d.pipe, msgs)
 	d.ingest(msgs, d.cfg.Clock.Now())
 }
 
-// readBatchCap reports how many datagrams one modeled read syscall moves.
-func (d *Daemon) readBatchCap() int {
-	if d.cfg.IOModel == IOModelLoop {
-		return 1
-	}
-	return udpbatch.DefaultBatch
+// batchWriter is what the egress side needs of a connection: the served
+// socket's write half, or the simulation's stand-in for it.
+type batchWriter interface {
+	WriteBatch(msgs []udpbatch.Message) (n int, err error)
+	BatchCap() int
 }
 
-// writeBatchCap reports how many datagrams one modeled write syscall
-// moves (the served connection's capability when there is one). The GSO
-// model sweeps wider: one sendmmsg carries DefaultBatch segmented runs,
-// so the sweep size is messages-per-call, not runs-per-call.
+// writeBatchCap reports how many datagrams one write syscall moves on the
+// daemon's way out (DefaultBatch while it has none).
 func (d *Daemon) writeBatchCap() int {
-	if bcp := d.serveConn.Load(); bcp != nil && d.send == nil {
-		return (*bcp).BatchCap()
-	}
-	switch d.cfg.IOModel {
-	case IOModelLoop:
-		return 1
-	case IOModelGSO:
-		return udpbatch.GSOBatch
+	if wp := d.out.Load(); wp != nil {
+		return (*wp).BatchCap()
 	}
 	return udpbatch.DefaultBatch
-}
-
-// segmentRuns walks msgs with the provider's run definition
-// (udpbatch.SegmentRun) and reports how many coalesced super-datagrams
-// would carry them — the modeled stack-traversal count for GSO paths.
-func segmentRuns(msgs []udpbatch.Message) int {
-	runs := 0
-	for off := 0; off < len(msgs); {
-		off += udpbatch.SegmentRun(msgs[off:])
-		runs++
-	}
-	return runs
 }
 
 // ---- Egress ring ----
@@ -401,7 +284,7 @@ func (d *Daemon) flushEgress() {
 	var writeStart time.Time
 	for {
 		// The write cap can change after the first flush (a connection
-		// attached by Serve/ServeBatch supersedes the pre-serve default);
+		// attached by ServeBatch supersedes the pre-serve default);
 		// sizing the sweep to the current cap keeps the write-batch
 		// histogram and syscall accounting honest.
 		if want := d.writeBatchCap(); len(d.egressScratch) != want {
@@ -431,62 +314,25 @@ func (d *Daemon) flushEgress() {
 	}
 }
 
-// writeOut transmits one drained sweep: through the embedder's Send in
-// simulation, through the served batch connection in production —
-// honoring WriteBatch's short-batch (retry the remainder) and error
-// (drop the failing datagram, keep going) semantics.
+// writeOut transmits one drained sweep through the daemon's way out — the
+// served connection, or the embedder's Send behind its modeled one —
+// honoring WriteBatch's short-batch (retry the remainder) and error (drop
+// the failing datagram, keep going) semantics.
 func (d *Daemon) writeOut(entries []egressEntry) {
-	if d.send != nil {
-		// Modeled write accounting per I/O geometry: every model pays one
-		// syscall per drained sweep (writeBatchCap sizes the sweep — 1 for
-		// loop, DefaultBatch for mmsg, GSOBatch for gso, mirroring each
-		// real provider's WriteBatch clamp: the GSO provider sweeps 8x
-		// wider because run coalescing bounds its per-call msghdr count).
-		// Stack traversals are what segmentation offload changes: the GSO
-		// model charges one per same-peer segment run, computed with the
-		// provider's own arithmetic (udpbatch.SegmentRun over the drained
-		// entries); every other model pays one per datagram.
-		msgs := d.writeMsgScratch[:0]
-		for i := range entries {
-			msgs = append(msgs, udpbatch.Message{Buf: entries[i].wire, Addr: entries[i].dst})
-		}
-		d.writeMsgScratch = msgs[:0]
-		if d.cfg.IOModel == IOModelGSO {
-			d.metrics.StackTraversalsOut.Add(int64(segmentRuns(msgs)))
-		} else {
-			d.metrics.StackTraversalsOut.Add(int64(len(entries)))
-		}
-		d.metrics.WriteBatchCalls.Add(1)
-		d.metrics.WriteBatchSizes.Observe(len(entries))
-		for i := range entries {
-			d.send(entries[i].dst, entries[i].wire)
-			d.metrics.PacketsOut.Add(1)
-			d.metrics.BytesOut.Add(int64(len(entries[i].wire)))
-		}
-		return
-	}
-	bcp := d.serveConn.Load()
-	if bcp == nil {
+	wp := d.out.Load()
+	if wp == nil {
 		return // not serving and no Send: nowhere to transmit (metrics-only embedder)
 	}
-	bc := *bcp
-	// On a real socket, traversal counts come from the provider itself
-	// when it meters them (GSO counts super-datagrams); otherwise one
-	// traversal per transmitted datagram.
+	bc := *wp
+	// Traversal counts come from the connection itself when it meters
+	// them (GSO counts super-datagrams); otherwise one traversal per
+	// transmitted datagram.
 	tc, hasTC := bc.(udpbatch.TraversalCounter)
 	var trav0 int64
 	if hasTC {
 		_, trav0 = tc.Traversals()
 	}
 	sentTotal := 0
-	defer func() {
-		if hasTC {
-			_, trav1 := tc.Traversals()
-			d.metrics.StackTraversalsOut.Add(trav1 - trav0)
-		} else {
-			d.metrics.StackTraversalsOut.Add(int64(sentTotal))
-		}
-	}()
 	msgs := d.writeMsgScratch[:0]
 	for i := range entries {
 		msgs = append(msgs, udpbatch.Message{Buf: entries[i].wire, Addr: entries[i].dst})
@@ -518,8 +364,14 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 			// No progress and no error: defensive guard against a stuck
 			// implementation; drop the remainder rather than spin.
 			d.metrics.EgressWriteErrors.Add(int64(len(msgs) - off))
-			return
+			break
 		}
+	}
+	if hasTC {
+		_, trav1 := tc.Traversals()
+		d.metrics.StackTraversalsOut.Add(trav1 - trav0)
+	} else {
+		d.metrics.StackTraversalsOut.Add(int64(sentTotal))
 	}
 }
 
@@ -531,28 +383,17 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 // other goroutines are the tick loop and, with persistence, the journal
 // loop, however many sessions are live.
 func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
-	return d.serve(bc, d.wirePool.BufSize())
-}
-
-// serve is ServeBatch with the read-slot floor spelled out (Serve's legacy
-// contract is a 64 KiB buffer whatever the source).
-func (d *Daemon) serve(bc udpbatch.Conn, slotSize int) error {
 	d.serveConn.Store(&bc)
+	var w batchWriter = bc
+	d.out.CompareAndSwap(nil, &w) // Config.Send, when set, stays the way out
 	d.Start()
-	slots := bc.BatchCap()
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > udpbatch.DefaultBatch {
-		slots = udpbatch.DefaultBatch
-	}
+	slots := min(max(bc.BatchCap(), 1), udpbatch.DefaultBatch)
 	// Per-provider read-slot sizing: a provider whose reads can exceed the
-	// MTU-derived size (a UDP_GRO super-datagram split, an io_uring
-	// provided buffer) declares it via SlotSizer. Without this, an
-	// oversized-but-legitimate datagram would truncate, fail the AEAD, and
-	// — because SSP retransmits the identical datagram — fail on every
-	// retry forever (a livelock, not a loss).
-	slotSize = udpbatch.ReadSlotSize(bc, slotSize)
+	// MTU-derived size (a UDP_GRO super-datagram split) declares it via
+	// SlotSizer. Without this, an oversized-but-legitimate datagram would
+	// truncate, fail the AEAD, and — because SSP retransmits the identical
+	// datagram — fail on every retry forever (a livelock, not a loss).
+	slotSize := udpbatch.ReadSlotSize(bc, d.wirePool.BufSize())
 	// The reader owns its slots for life: a sweep handles every datagram
 	// before the next read, and nothing downstream retains wire bytes, so
 	// the same buffers go back to the kernel each time.

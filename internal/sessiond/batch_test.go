@@ -3,6 +3,7 @@ package sessiond
 import (
 	"bytes"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -109,6 +110,10 @@ func TestEgressRingBackpressure(t *testing.T) {
 	}
 }
 
+// attach makes w the daemon's way out, as ServeBatch does with the
+// connection it is given.
+func attach(d *Daemon, w batchWriter) { d.out.Store(&w) }
+
 // scriptedConn is a batch conn whose WriteBatch follows a script of
 // (consume n, maybe error) steps, recording everything delivered — the
 // partial-write/error-semantics fixture.
@@ -159,8 +164,7 @@ func TestWriteOutPartialAndErrorSemantics(t *testing.T) {
 		{n: 1, err: errors.New("icmp")}, // sent 1, next datagram errored
 		{n: 0, err: errors.New("icmp")}, // first datagram of remainder errored
 	}
-	var bc udpbatch.Conn = conn
-	d.serveConn.Store(&bc)
+	attach(d, conn)
 	for i := byte(10); i < 17; i++ {
 		d.enqueueEgress(netem.Addr{Host: 1}, []byte{i}, batchT0)
 	}
@@ -498,8 +502,7 @@ func TestIngestSweepAllocFree(t *testing.T) {
 	}
 	defer d.Close()
 	conn := &sinkConn{}
-	var bc udpbatch.Conn = conn
-	d.serveConn.Store(&bc)
+	attach(d, conn)
 
 	clients := make([]*core.Client, sessions)
 	msgs := make([]udpbatch.Message, sessions)
@@ -602,9 +605,9 @@ func sawEcho(cl *core.Client, text string) bool {
 	return strings.Contains(b.String(), text)
 }
 
-// sizedConn is a fake provider that, like the GSO and io_uring providers,
-// declares oversized read slots via udpbatch.SlotSizer and truncates
-// kernel-style when handed a smaller buffer.
+// sizedConn is a fake provider that, like the GSO provider, declares
+// oversized read slots via udpbatch.SlotSizer and truncates kernel-style
+// when handed a smaller buffer.
 type sizedConn struct {
 	slotSize int
 	payload  []byte
@@ -710,10 +713,9 @@ func TestIOModelAccounting(t *testing.T) {
 		wantCalls int64
 		wantTrav  int64
 	}{
-		{IOModelMMsg, 1, 8},  // one recvmmsg, one traversal per datagram
-		{IOModelLoop, 8, 8},  // one syscall per datagram
-		{IOModelGSO, 1, 2},   // two same-src runs → two traversals, one read call
-		{IOModelURing, 1, 8}, // one CQ sweep, traversals per datagram
+		{IOModelMMsg, 1, 8}, // one recvmmsg, one traversal per datagram
+		{IOModelLoop, 8, 8}, // one syscall per datagram
+		{IOModelGSO, 1, 2},  // two same-src runs → two traversals, one read call
 	}
 	for _, tc := range cases {
 		t.Run(tc.model.String(), func(t *testing.T) {
@@ -730,6 +732,31 @@ func TestIOModelAccounting(t *testing.T) {
 				t.Errorf("StackTraversalsIn = %d, want %d", got, tc.wantTrav)
 			}
 		})
+	}
+}
+
+// TestIOModelNamesMatchProviderLadder keeps the two name spaces one: every
+// rung the socket ladder can be asked for has a model of the same name, and
+// a name the ladder refuses has no model either.
+func TestIOModelNamesMatchProviderLadder(t *testing.T) {
+	for _, r := range udpbatch.ProbeProviders() {
+		m, err := ParseIOModel(r.Name)
+		if err != nil {
+			t.Errorf("provider %q has no I/O model: %v", r.Name, err)
+		} else if m.String() != r.Name {
+			t.Errorf("ParseIOModel(%q).String() = %q", r.Name, m)
+		}
+	}
+	if m, err := ParseIOModel("uring"); err == nil {
+		t.Errorf("ParseIOModel(\"uring\") = %v, want an error", m)
+	}
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer c.Close()
+	if bc, err := udpbatch.NewUDPConnProvider(c, "uring"); err == nil {
+		t.Errorf("NewUDPConnProvider(\"uring\") = %s, want an error", udpbatch.ProviderName(bc))
 	}
 }
 

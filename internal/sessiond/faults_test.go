@@ -532,3 +532,56 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 	}
 	d.Close()
 }
+
+// scriptedSingle is a one-datagram socket that reads ECONNREFUSED, then one
+// datagram, then EBADF for ever after.
+type scriptedSingle struct {
+	reads int
+	wire  []byte
+}
+
+func (s *scriptedSingle) ReadFrom(buf []byte) (int, netem.Addr, error) {
+	s.reads++
+	switch s.reads {
+	case 1:
+		return 0, netem.Addr{}, syscall.ECONNREFUSED
+	case 2:
+		return copy(buf, s.wire), netem.Addr{Host: 3, Port: 33}, nil
+	}
+	return 0, netem.Addr{}, syscall.EBADF
+}
+
+func (s *scriptedSingle) WriteTo([]byte, netem.Addr) error { return nil }
+
+// TestServeBatchClassifiesLoopRungErrors is the same contract on the loop
+// rung, auto's fallback: the adapter hands a socket's read errors to
+// ServeBatch, which counts and outlives a transient one and returns a
+// persistent one instead of spinning on it.
+func TestServeBatchClassifiesLoopRungErrors(t *testing.T) {
+	d, err := sessiond.New(sessiond.Config{Clock: simclock.Real{}, IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sess, err := d.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &scriptedSingle{wire: spoofedWire(sess.ID)}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- d.ServeBatch(udpbatch.NewLoopConn(sc)) }()
+	select {
+	case err := <-serveErr:
+		if !errors.Is(err, syscall.EBADF) {
+			t.Fatalf("ServeBatch returned %v, want EBADF", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeBatch did not return on a persistent EBADF")
+	}
+	if got := d.Metrics().ReadErrorsTransient.Value(); got != 1 {
+		t.Fatalf("read_errors_transient = %d, want 1 (the ECONNREFUSED)", got)
+	}
+	if got := d.Metrics().PacketsIn.Value(); got != 1 {
+		t.Fatalf("PacketsIn = %d, want 1: the datagram behind the transient error was not handled", got)
+	}
+}

@@ -793,7 +793,7 @@ func (s *Session) maybeRequestFlushLocked() {
 	}
 }
 
-// journalLoop is the async flush driver (Serve mode): periodic cadence,
+// journalLoop is the async flush driver (served mode): periodic cadence,
 // on-demand requests, and failed-flush retries. Simulation embedders
 // call FlushJournal directly in virtual time instead (with retries
 // riding the deadline heap — see TickDue). Flush attempts self-gate on
@@ -1014,8 +1014,6 @@ func (d *Daemon) restoreSession(sn *sessionSnapshot) (*Session, error) {
 		Width:       sn.OrigW,
 		Height:      sn.OrigH,
 		Timing:      d.cfg.Timing,
-		MinRTO:      d.cfg.MinRTO,
-		MaxRTO:      d.cfg.MaxRTO,
 		Envelope:    &network.Envelope{ID: sn.ID},
 		Probe:       d.pipe,
 		RecycleWire: d.cfg.RecycleWire,

@@ -82,9 +82,10 @@ type Metrics struct {
 	RoamingEvents expvar.Int // authentic source-address changes observed
 
 	// Batched-pipeline counters. ReadBatchCalls/WriteBatchCalls count
-	// syscalls (real on a served socket, modeled one-per-batch in
-	// simulation); with PacketsIn/PacketsOut they yield syscalls-per-
-	// packet, the number the vectorized pipeline exists to shrink.
+	// syscalls: the served connection's calls, or in simulation the calls
+	// Config.IOModel's provider would have made, charged at the daemon's
+	// edge (iomodel.go). With PacketsIn/PacketsOut they yield syscalls-
+	// per-packet, the number the vectorized pipeline exists to shrink.
 	ReadBatchCalls    expvar.Int
 	WriteBatchCalls   expvar.Int
 	ReadBatchSizes    BatchHist  // datagrams moved per read syscall
@@ -94,8 +95,8 @@ type Metrics struct {
 	EgressWriteErrors expvar.Int // datagrams dropped by a failing socket write
 
 	// Stack traversals count how many times the kernel's UDP stack ran
-	// per direction: one per wire datagram on mmsg/loop/io_uring paths,
-	// one per coalesced super-datagram on GSO/GRO paths. With PacketsIn/
+	// per direction: one per wire datagram on mmsg/loop paths, one per
+	// coalesced super-datagram on GSO/GRO paths. With PacketsIn/
 	// PacketsOut they yield stack-traversals-per-packet — the below-
 	// syscall cost GSO exists to shrink (a syscall moving 64 datagrams
 	// still pays 64 stack traversals without segmentation offload). Real

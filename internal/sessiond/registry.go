@@ -213,8 +213,6 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		Width:       d.cfg.Width,
 		Height:      d.cfg.Height,
 		Timing:      d.cfg.Timing,
-		MinRTO:      d.cfg.MinRTO,
-		MaxRTO:      d.cfg.MaxRTO,
 		Envelope:    &network.Envelope{ID: id},
 		Probe:       d.pipe,
 		RecycleWire: d.cfg.RecycleWire,

@@ -60,15 +60,16 @@ const minTickInterval = time.Millisecond
 
 // Config parameterizes a Daemon.
 type Config struct {
-	// Clock drives all timing: simclock.Real{} under Serve,
-	// a *simclock.Scheduler under Pump/HandlePacket simulation.
+	// Clock drives all timing: simclock.Real{} under ServeBatch,
+	// a *simclock.Scheduler under Pump/HandleBatch simulation.
 	Clock simclock.Clock
 	// Send transmits one enveloped wire datagram to dst. It may be nil
-	// when the daemon is driven via Serve/ServeBatch (which send on the
-	// served connection). Datagrams reach it via the egress ring in
-	// batches accounted by the write counters; it runs under the egress
-	// flush lock and MUST NOT call back into the daemon (HandlePacket,
-	// TickDue, Session.Do, …) — doing so self-deadlocks the flush.
+	// when the daemon is driven via ServeBatch (which sends on the served
+	// connection); when set it takes precedence over one. Datagrams reach
+	// it via the egress ring in batches accounted by the write counters
+	// (see IOModel); it runs under the egress flush lock and MUST NOT call
+	// back into the daemon (HandlePacket, TickDue, Session.Do, …) — doing
+	// so self-deadlocks the flush.
 	Send func(dst netem.Addr, wire []byte)
 	// NewApp builds the host application behind session id (a pty stand-in:
 	// shell, editor, mail reader). Nil means sessions have no application
@@ -91,8 +92,6 @@ type Config struct {
 	Scrollback int
 	// Timing overrides SSP transport timing (nil = paper defaults).
 	Timing *transport.Timing
-	// MinRTO/MaxRTO pass through to the datagram layer.
-	MinRTO, MaxRTO time.Duration
 	// RecycleWire declares Send non-retaining (synchronous socket write),
 	// enabling per-session wire-buffer reuse. Must stay false when Send
 	// hands buffers to something that holds them (netem links in flight).
@@ -109,12 +108,6 @@ type Config struct {
 	// backpressure; a sweep flushes at half occupancy, so only a single
 	// session emitting thousands of datagrams at once can reach it.
 	EgressDepth int
-	// UnbatchedIO models the portable loop fallback in simulation: read
-	// and write syscall accounting is one datagram per call instead of
-	// one batch per call. The packet path itself is identical — this is
-	// the baseline mode the batched pipeline is measured against.
-	// Shorthand for IOModel: IOModelLoop; ignored when IOModel is set.
-	UnbatchedIO bool
 	// IOModel selects which udpbatch provider geometry the simulation's
 	// syscall and stack-traversal accounting mirrors (mmsg by default;
 	// see the IOModel constants). The packet path is identical across
@@ -129,7 +122,7 @@ type Config struct {
 	// restart is just another form of packet loss to the clients. Empty
 	// disables persistence entirely.
 	StateDir string
-	// JournalInterval is the periodic flush cadence in Serve mode
+	// JournalInterval is the periodic flush cadence in served mode
 	// (default DefaultJournalInterval). Simulation embedders drive
 	// FlushJournal explicitly instead.
 	JournalInterval time.Duration
@@ -202,11 +195,6 @@ type Config struct {
 	// (exposed via Daemon.Pipeline); benches pass a shared pipeline so
 	// observations survive a mid-run daemon restart.
 	Pipeline *telemetry.Pipeline
-	// FlightRecorderSlots sizes the flight recorder's per-shard event
-	// ring (0 = telemetry.DefaultRecorderSlots; negative disables the
-	// recorder entirely, leaving only the atomic-load-and-branch gate
-	// compiled out via the nil recorder).
-	FlightRecorderSlots int
 	// OnEcho, when non-nil, observes every matched keystroke→echo-frame
 	// completion: the session, the end-to-end latency, and the smoothed
 	// RTT at match time (0 before the first RTT sample). Called with the
@@ -222,18 +210,6 @@ type Config struct {
 	OnDegrade func(reason string, dump []byte)
 }
 
-// PacketConn is the legacy one-datagram socket surface: a blocking read
-// and a send, in the address terms the rest of the stack uses. Serve
-// adapts it onto the batched pipeline through udpbatch.NewLoopConn (one
-// datagram per syscall); sockets with vectorized I/O go straight to
-// ServeBatch (cmd/mosh-server uses udpbatch.NewUDPConn).
-type PacketConn interface {
-	// ReadFrom blocks for one datagram, copying it into buf.
-	ReadFrom(buf []byte) (n int, src netem.Addr, err error)
-	// WriteTo transmits one datagram, consuming wire before returning.
-	WriteTo(wire []byte, dst netem.Addr) error
-}
-
 // Daemon multiplexes many SSP sessions over one socket.
 type Daemon struct {
 	cfg     Config
@@ -241,7 +217,6 @@ type Daemon struct {
 	timers  *timerHeap
 	metrics Metrics
 	nextID  atomic.Uint64
-	send    func(dst netem.Addr, wire []byte)
 
 	// openMu serializes OpenSession's capacity check against its insert so
 	// concurrent opens cannot over-admit.
@@ -250,7 +225,7 @@ type Daemon struct {
 	// journal is the persistence state (nil when Config.StateDir is
 	// empty); flushMu serializes flushes; flushReq coalesces early-flush
 	// requests toward the journal loop. asyncJournal marks that the
-	// journal loop owns retry timing (Serve mode), so the simulation
+	// journal loop owns retry timing (served mode), so the simulation
 	// deadline hooks stand down.
 	journal      *journal
 	flushMu      sync.Mutex
@@ -262,17 +237,21 @@ type Daemon struct {
 	quota *unauthQuota
 	shed  shedState
 
-	// pipe is the stage-latency/echo pipeline (never nil); rec is the
-	// flight recorder (nil when disabled — telemetry.Recorder methods are
-	// nil-safe). dumpMu/lastDump rate-limit OnDegrade dumps per reason.
+	// pipe is the stage-latency/echo pipeline and rec the flight recorder
+	// (neither is nil). dumpMu/lastDump rate-limit OnDegrade dumps per
+	// reason.
 	pipe     *telemetry.Pipeline
 	rec      *telemetry.Recorder
 	dumpMu   sync.Mutex
 	lastDump map[string]int64
 
-	// serveConn remembers the batched connection Serve/ServeBatch runs on
-	// so egress flushes can write to it and Close can unblock its pending
-	// read.
+	// out is where egress flushes write: the simulated socket wrapping
+	// Config.Send when that is set (New installs it), else the connection
+	// ServeBatch runs on; nil until one of them exists. model accounts the
+	// read side of batches handed to HandleBatch. serveConn remembers the
+	// served connection so Close can unblock its pending read.
+	out       atomic.Pointer[batchWriter]
+	model     *modelConn
 	serveConn atomic.Pointer[udpbatch.Conn]
 
 	// Batched I/O state: pooled egress copies (RecycleWire), the
@@ -305,6 +284,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("sessiond: Config.Clock is required")
 	}
+	if !cfg.IOModel.valid() {
+		return nil, fmt.Errorf("sessiond: unknown io model %d", int(cfg.IOModel))
+	}
 	if cfg.Width == 0 {
 		cfg.Width = 80
 	}
@@ -316,9 +298,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.InboxDepth <= 0 {
 		cfg.InboxDepth = 128
-	}
-	if cfg.UnbatchedIO && cfg.IOModel == IOModelMMsg {
-		cfg.IOModel = IOModelLoop
 	}
 	if cfg.JournalInterval <= 0 {
 		cfg.JournalInterval = DefaultJournalInterval
@@ -374,11 +353,15 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		reg:      newRegistry(),
 		timers:   newTimerHeap(),
-		send:     cfg.Send,
+		model:    &modelConn{model: cfg.IOModel, send: cfg.Send},
 		stop:     make(chan struct{}),
 		flushReq: make(chan struct{}, 1),
 		wirePool: udpbatch.NewPool(bufSize, cfg.EgressDepth),
 		egress:   newEgressRing(cfg.EgressDepth),
+	}
+	if cfg.Send != nil {
+		var w batchWriter = d.model
+		d.out.Store(&w)
 	}
 	if cfg.UnauthQuotaBurst > 0 {
 		d.quota = newUnauthQuota(float64(cfg.UnauthQuotaBurst), cfg.UnauthQuotaRate)
@@ -392,9 +375,7 @@ func New(cfg Config) (*Daemon, error) {
 	if d.pipe == nil {
 		d.pipe = telemetry.NewPipeline()
 	}
-	if cfg.FlightRecorderSlots >= 0 {
-		d.rec = telemetry.NewRecorder(cfg.FlightRecorderSlots)
-	}
+	d.rec = telemetry.NewRecorder(0)
 	d.lastDump = make(map[string]int64)
 	if cfg.StateDir != "" {
 		if err := cfg.FS.MkdirAll(cfg.StateDir, 0o700); err != nil {
@@ -419,13 +400,12 @@ func (d *Daemon) Metrics() *Metrics { return &d.metrics }
 // Pipeline exposes the stage-latency/echo telemetry (never nil).
 func (d *Daemon) Pipeline() *telemetry.Pipeline { return d.pipe }
 
-// FlightRecorder exposes the event ring (nil when disabled; the
-// recorder's methods are nil-safe).
+// FlightRecorder exposes the event ring (never nil).
 func (d *Daemon) FlightRecorder() *telemetry.Recorder { return d.rec }
 
 // recordEv stores one flight-recorder event stamped at, the clock reading
-// of the sweep it happened in. With recording off (or disabled) the whole
-// call is one atomic load and a branch — cheap enough for every packet.
+// of the sweep it happened in. With recording off the whole call is one
+// atomic load and a branch — cheap enough for every packet.
 func (d *Daemon) recordEv(code telemetry.Code, session, arg uint64, at time.Time) {
 	if d.rec.Enabled() {
 		d.rec.Record(code, session, arg, at)
@@ -460,12 +440,9 @@ func (d *Daemon) degrade(reason string, code telemetry.Code, session, arg uint64
 }
 
 // FlightDump renders the flight recorder human-readably: every buffered
-// event, oldest first. Returns nil when the recorder is disabled. Also
-// the SIGQUIT handler's payload in cmd/mosh-server.
+// event, oldest first. Also the SIGQUIT handler's payload in
+// cmd/mosh-server.
 func (d *Daemon) FlightDump(reason string) []byte {
-	if d.rec == nil {
-		return nil
-	}
 	now := d.cfg.Clock.Now()
 	d.rec.Record(telemetry.EvDump, 0, 0, now)
 	return d.rec.AppendDump(nil, reason, now)
@@ -473,9 +450,6 @@ func (d *Daemon) FlightDump(reason string) []byte {
 
 // FlightDumpJSON is FlightDump as one machine-readable JSON document.
 func (d *Daemon) FlightDumpJSON(reason string) []byte {
-	if d.rec == nil {
-		return nil
-	}
 	now := d.cfg.Clock.Now()
 	d.rec.Record(telemetry.EvDump, 0, 0, now)
 	return d.rec.AppendDumpJSON(nil, reason, now)
@@ -503,7 +477,7 @@ func (d *Daemon) Sessions() []*Session {
 // instant share write batches) — the tick side's run to completion, on one
 // clock reading. The sim driver calls it from Pump; the tick loop calls it
 // from its sleeper. In simulation it also drives a due journal-retry (the
-// journal loop owns that job in Serve mode, keeping disk I/O off the tick
+// journal loop owns that job in served mode, keeping disk I/O off the tick
 // loop).
 func (d *Daemon) TickDue() {
 	now := d.cfg.Clock.Now()
@@ -533,7 +507,7 @@ func (d *Daemon) NextDeadline() (time.Time, bool) {
 }
 
 // Pump attaches the daemon to a simulation scheduler with a
-// self-rescheduling timer (the virtual-time analogue of the Serve tick
+// self-rescheduling timer (the virtual-time analogue of the served tick
 // loop) and returns a wake function to call after delivering packets.
 func (d *Daemon) Pump(sched *simclock.Scheduler) (wake func()) {
 	var pump func()
@@ -552,7 +526,7 @@ func (d *Daemon) Pump(sched *simclock.Scheduler) (wake func()) {
 
 // Start launches the next-deadline tick loop (and, with persistence
 // configured, the journal flush loop). It is called implicitly by
-// Serve/ServeBatch and is idempotent. Requires a real clock.
+// ServeBatch and is idempotent. Requires a real clock.
 func (d *Daemon) Start() {
 	d.startOnce.Do(func() {
 		go d.tickLoop()
@@ -602,20 +576,10 @@ func (d *Daemon) tickLoop() {
 	}
 }
 
-// Serve runs the daemon over pc through the loop adapter: one datagram
-// per read syscall — the portable fallback path. Production servers with
-// a vectorized socket call ServeBatch directly. It returns when the
-// socket read fails (socket closed) or the daemon is closed; replies go
-// out through pc.WriteTo at the end of each sweep. The read buffer is
-// 64 KiB whatever the source — Serve's historical contract.
-func (d *Daemon) Serve(pc PacketConn) error {
-	return d.serve(udpbatch.NewLoopConn(pc), udpbatch.MaxDatagram)
-}
-
 // Close stops the tick loop, flushes the journal one final time (so a
 // clean shutdown preserves every session for the next incarnation), removes
 // every session, and — when the served connection supports Close —
-// unblocks Serve's pending read so it returns.
+// unblocks ServeBatch's pending read so it returns.
 func (d *Daemon) Close() {
 	d.closeOnce.Do(func() {
 		// Order matters for exactly-once delivery across a clean restart:

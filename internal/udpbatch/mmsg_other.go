@@ -13,8 +13,6 @@ var errNoPlatformBatch = errors.New("udpbatch: no vectorized socket I/O on this 
 
 func newPlatformUDP(*net.UDPConn) (Conn, error) { return nil, errNoPlatformBatch }
 
-// The segmentation-offload and io_uring providers are Linux-only;
-// elsewhere they fail the capability probe like any other missing kernel
-// facility.
-func newGSOUDP(*net.UDPConn) (Conn, error)   { return nil, errNoPlatformBatch }
-func newURingUDP(*net.UDPConn) (Conn, error) { return nil, errNoPlatformBatch }
+// The segmentation-offload provider is Linux-only; elsewhere it fails the
+// capability probe like any other missing kernel facility.
+func newGSOUDP(*net.UDPConn) (Conn, error) { return nil, errNoPlatformBatch }

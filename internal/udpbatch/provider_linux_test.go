@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +15,9 @@ import (
 
 // TestProviderProbe reports which providers this kernel supports. CI runs
 // it verbosely as the capability-probe step, so every run records exactly
-// which providers the other tests exercised — a skipped GSO or io_uring
-// test is visible, not silent — and it pins what "auto" selects.
+// which providers the other tests exercised — a skipped GSO test is
+// visible, not silent — and it pins the ladder: exactly mmsg, gso, loop,
+// with "auto" selecting mmsg.
 func TestProviderProbe(t *testing.T) {
 	for _, r := range ProbeProviders() {
 		if r.OK {
@@ -27,7 +29,14 @@ func TestProviderProbe(t *testing.T) {
 	// The portable rung must always hold; everything above it may
 	// legitimately be missing.
 	res := ProbeProviders()
-	if last := res[len(res)-1]; last.Name != "loop" || !last.OK {
+	var names []string
+	for _, r := range res {
+		names = append(names, r.Name)
+	}
+	if got := strings.Join(names, " "); got != "mmsg gso loop" {
+		t.Fatalf("probed rungs %q, want exactly \"mmsg gso loop\"", got)
+	}
+	if last := res[len(res)-1]; !last.OK {
 		t.Fatalf("loop rung must always be available, got %+v", last)
 	}
 	// "auto" is the measured order, not the newest facility first: mmsg
@@ -203,106 +212,13 @@ func TestGROSplitBoundaries(t *testing.T) {
 	}
 }
 
-// TestURingRoundTrip exercises the io_uring provider in both directions:
-// multishot-recv ingress and linked-send egress.
-func TestURingRoundTrip(t *testing.T) {
-	bc, cl := dialProviderPair(t, "uring")
-	const count = 5
-	for i := 0; i < count; i++ {
-		if _, err := cl.Write([]byte(fmt.Sprintf("in-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantSrc, _ := CompressUDPAddr(cl.LocalAddr().(*net.UDPAddr))
-	msgs := make([]Message, DefaultBatch)
-	for i := range msgs {
-		msgs[i].Buf = make([]byte, 0, DefaultBufSize)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	got := 0
-	for got < count {
-		if time.Now().After(deadline) {
-			t.Fatalf("read %d/%d datagrams before timeout", got, count)
-		}
-		n, err := bc.ReadBatch(msgs[: count-got : count-got])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if want := fmt.Sprintf("in-%d", got+i); string(msgs[i].Buf) != want {
-				t.Fatalf("datagram %d = %q, want %q", got+i, msgs[i].Buf, want)
-			}
-			if msgs[i].Addr != wantSrc {
-				t.Fatalf("datagram %d src = %v, want %v", got+i, msgs[i].Addr, wantSrc)
-			}
-			msgs[i].Buf = msgs[i].Buf[:0]
-		}
-		got += n
-	}
-	out := make([]Message, count)
-	for i := range out {
-		out[i] = Message{Buf: []byte(fmt.Sprintf("out-%d", i)), Addr: wantSrc}
-	}
-	sent := 0
-	for sent < count {
-		n, err := bc.WriteBatch(out[sent:])
-		if err != nil {
-			t.Fatalf("WriteBatch after %d: %v", sent, err)
-		}
-		if n == 0 {
-			t.Fatal("WriteBatch made no progress")
-		}
-		sent += n
-	}
-	cl.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 256)
-	for i := 0; i < count; i++ {
-		rn, err := cl.Read(buf)
-		if err != nil {
-			t.Fatalf("client read %d: %v", i, err)
-		}
-		if want := fmt.Sprintf("out-%d", i); string(buf[:rn]) != want {
-			t.Fatalf("client got %q, want %q", buf[:rn], want)
-		}
-	}
-}
-
-// TestURingWriteBatchErrorCount pins the linked-send error contract to
-// the same shape as sendmmsg: the failing datagram is msgs[n], the prefix
-// before it was transmitted, and the cancelled tail retries cleanly.
-func TestURingWriteBatchErrorCount(t *testing.T) {
-	bc, cl := dialProviderPair(t, "uring")
-	good, _ := CompressUDPAddr(cl.LocalAddr().(*net.UDPAddr))
-	bad := netem.Addr{Host: 0xFFFFFFFF, Port: 9} // broadcast without SO_BROADCAST → EACCES
-	msgs := []Message{
-		{Buf: []byte("doomed"), Addr: bad},
-		{Buf: []byte("fine"), Addr: good},
-	}
-	n, err := bc.WriteBatch(msgs)
-	if err == nil {
-		t.Skip("kernel accepted a broadcast send without SO_BROADCAST; cannot provoke the error path")
-	}
-	if n != 0 {
-		t.Fatalf("WriteBatch error count = %d, want 0 (the failing datagram is msgs[n])", n)
-	}
-	if n2, err := bc.WriteBatch(msgs[n+1:]); err != nil || n2 != 1 {
-		t.Fatalf("retry after dropping the failing datagram = %d, %v", n2, err)
-	}
-	cl.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	rn, err := cl.Read(buf)
-	if err != nil || string(buf[:rn]) != "fine" {
-		t.Fatalf("surviving datagram = %q, %v", buf[:rn], err)
-	}
-}
-
 // TestProviderOversizedRead is the regression test for the slot-sizing
 // fix: an oversized-but-legitimate datagram (bigger than the MTU-derived
 // slot size but within the provider's declared ReadSlotSize) must arrive
 // whole. Before per-provider slot sizing it would truncate, fail the
 // AEAD, and every retransmission of it would fail the same way.
 func TestProviderOversizedRead(t *testing.T) {
-	for _, provider := range []string{"gso", "uring"} {
+	for _, provider := range []string{"gso"} {
 		t.Run(provider, func(t *testing.T) {
 			bc, cl := dialProviderPair(t, provider)
 			want := ReadSlotSize(bc, DefaultBufSize)
@@ -400,70 +316,5 @@ func TestGSOReadBatchAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("GSO ReadBatch steady state = %.1f allocs/call, want 0", allocs)
-	}
-}
-
-// TestURingWriteBatchAllocFree pins the linked-send path at zero heap
-// allocations per WriteBatch call.
-func TestURingWriteBatchAllocFree(t *testing.T) {
-	bc, cl := dialProviderPair(t, "uring")
-	dst, _ := CompressUDPAddr(cl.LocalAddr().(*net.UDPAddr))
-	payload := bytes.Repeat([]byte{'u'}, 256)
-	msgs := []Message{
-		{Buf: payload, Addr: dst},
-		{Buf: payload, Addr: dst},
-	}
-	drain := make([]byte, 2048)
-	allocs := testing.AllocsPerRun(100, func() {
-		sent := 0
-		for sent < len(msgs) {
-			n, err := bc.WriteBatch(msgs[sent:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sent += n
-		}
-	})
-	cl.SetReadDeadline(time.Now().Add(time.Second))
-	for {
-		if _, err := cl.Read(drain); err != nil {
-			break
-		}
-	}
-	if allocs > 0 {
-		t.Fatalf("io_uring WriteBatch steady state = %.1f allocs/call, want 0", allocs)
-	}
-}
-
-// TestURingReadBatchAllocFree pins the completion-harvest ingress path at
-// zero heap allocations per ReadBatch call.
-func TestURingReadBatchAllocFree(t *testing.T) {
-	bc, cl := dialProviderPair(t, "uring")
-	msgs := make([]Message, 4)
-	pool := NewPool(DefaultBufSize, 16)
-	for i := range msgs {
-		msgs[i].Buf = pool.Get()
-	}
-	payload := []byte("x")
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := cl.Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			n, err := bc.ReadBatch(msgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n > 0 {
-				for i := 0; i < n; i++ {
-					pool.Put(msgs[i].Buf)
-					msgs[i].Buf = pool.Get()
-				}
-				break
-			}
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("io_uring ReadBatch steady state = %.1f allocs/call, want 0", allocs)
 	}
 }

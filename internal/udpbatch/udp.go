@@ -1,11 +1,8 @@
 package udpbatch
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"os"
-	"time"
 
 	"repro/internal/netem"
 )
@@ -56,28 +53,16 @@ func DecompressUDPAddr(a netem.Addr) *net.UDPAddr {
 // udpSingle is the portable single-datagram adapter over *net.UDPConn.
 type udpSingle struct {
 	c *net.UDPConn
-	// lastLog rate-limits transient-error logging (single reader
-	// goroutine): a peer provoking a stream of ICMP errors must not let
-	// unbounded stderr writes — possibly to an undrained pipe — stall the
-	// shared socket's only reader.
-	lastLog time.Time
 }
 
+// ReadFrom returns every socket error to its caller: the serve loop is
+// what tells a transient one (IsTransientIOError: counted, backed off,
+// retried) from one that ends the read loop.
 func (u *udpSingle) ReadFrom(buf []byte) (int, netem.Addr, error) {
 	for {
 		n, src, err := u.c.ReadFromUDP(buf)
 		if err != nil {
-			// One peer's ICMP port-unreachable (or similar transient error)
-			// must not tear down every other session on the shared socket;
-			// only a closed socket ends the read loop.
-			if errors.Is(err, net.ErrClosed) {
-				return 0, netem.Addr{}, err
-			}
-			if now := clk.Now(); now.Sub(u.lastLog) >= time.Second {
-				u.lastLog = now
-				fmt.Fprintln(os.Stderr, "udpbatch read:", err)
-			}
-			continue
+			return 0, netem.Addr{}, err
 		}
 		a, ok := CompressUDPAddr(src)
 		if !ok {
@@ -112,20 +97,18 @@ func NewUDPConn(c *net.UDPConn) Conn {
 	return bc
 }
 
-// NewUDPConnProvider selects a provider by name: "mmsg", "gso", "uring"
-// (alias "io_uring"), "loop", or "auto" (also ""). An explicit name fails
-// rather than falling back, so an operator pinning a provider learns it is
-// unavailable instead of silently running a different one.
+// NewUDPConnProvider selects a provider by name: "mmsg", "gso", "loop", or
+// "auto" (also ""). An explicit name fails rather than falling back, so an
+// operator pinning a provider learns it is unavailable instead of silently
+// running a different one.
 //
 // "auto" walks the rungs in the order the repository's benchmark measured
-// them, best first, and takes the first the platform supports. Today that
-// is mmsg, then loop. On `go run ./benchmark` io_uring costs a third more
-// CPU per keystroke than mmsg and wins nothing, and GSO ties mmsg except
-// for half a millisecond on one workload (the root README's provider table
-// has the numbers and the reasons); neither facility exists where recvmmsg
-// does not, so auto never reaches them. They stay selectable by name, each
-// kept honest by its own tests, until a workload promotes one or ROADMAP
-// item 2 removes it.
+// them, best first, and takes the first the platform supports: mmsg, then
+// loop. On `go run ./benchmark` GSO ties mmsg except for half a millisecond
+// on one workload (the root README's provider table has the numbers), and
+// it cannot exist where recvmmsg does not, so auto never reaches it. It
+// stays selectable by name, kept honest by its own tests, until a workload
+// promotes it or ROADMAP item 2 removes it.
 func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 	// Best effort: the kernel clamps the request to net.core.rmem_max.
 	_ = c.SetReadBuffer(socketReadBuffer)
@@ -135,8 +118,6 @@ func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 			return bc, nil
 		}
 		return NewUDPLoopConn(c), nil
-	case "uring", "io_uring":
-		return newURingUDP(c)
 	case "gso":
 		return newGSOUDP(c)
 	case "mmsg":
@@ -160,7 +141,7 @@ type ProbeResult struct {
 
 // ProbeProviders constructs each provider against scratch loopback sockets
 // and reports which this kernel supports: auto's choice first, then the
-// two selectable only by name, then the fallback. The CI capability-probe
+// one selectable only by name, then the fallback. The CI capability-probe
 // step reads it, so every run records which providers the by-name tests
 // exercised and which they skipped.
 func ProbeProviders() []ProbeResult {
@@ -184,7 +165,6 @@ func ProbeProviders() []ProbeResult {
 	return []ProbeResult{
 		probe("mmsg"),
 		probe("gso"),
-		probe("uring"),
 		probe("loop"),
 	}
 }

@@ -1,8 +1,11 @@
 package udpbatch
 
 import (
+	"errors"
 	"net"
+	"os"
 	"testing"
+	"time"
 )
 
 // TestCompressUDPAddrRoundTrip pins the bijective netem.Addr mapping for
@@ -59,5 +62,60 @@ func TestAddrDistinct(t *testing.T) {
 	p2, _ := CompressUDPAddr(&net.UDPAddr{IP: net.ParseIP("2001:db8:2::1"), Port: 99})
 	if p1 == p2 {
 		t.Fatal("distinct v6 prefixes must not alias")
+	}
+}
+
+// TestUDPLoopReadReturnsSocketErrors pins the loop rung's read contract on
+// a real socket: an error from the kernel goes back to the caller, who
+// classifies it (the serve loop counts and backs off on transient ones and
+// stops on the rest). Swallowing them in the adapter hid the transient
+// ones from that accounting and spun forever on a persistent one.
+func TestUDPLoopReadReturnsSocketErrors(t *testing.T) {
+	// A port nobody listens on: bind one, note it, let it go.
+	probe, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	dead := probe.LocalAddr().(*net.UDPAddr)
+	probe.Close()
+	c, err := net.DialUDP("udp4", nil, dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bc := NewUDPLoopConn(c)
+	read := func() error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := bc.ReadBatch([]Message{{Buf: make([]byte, 0, DefaultBufSize)}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("ReadBatch did not return: the adapter is retrying the error itself")
+			return nil
+		}
+	}
+
+	// Transient: the datagram provokes an ICMP port-unreachable, which a
+	// connected socket reports as ECONNREFUSED on its next read.
+	if _, err := c.Write([]byte("anyone?")); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	switch err := read(); {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.Log("no ICMP error on this host's loopback; transient half not exercised")
+	case !IsTransientIOError(err):
+		t.Fatalf("ReadBatch = %v, want the socket's ECONNREFUSED", err)
+	}
+
+	// Persistent and not transient: every read fails the same way.
+	c.SetReadDeadline(time.Now().Add(-time.Second))
+	if err := read(); !errors.Is(err, os.ErrDeadlineExceeded) || IsTransientIOError(err) {
+		t.Fatalf("ReadBatch = %v, want the deadline error, classified as fatal", err)
 	}
 }

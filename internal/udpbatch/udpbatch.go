@@ -14,15 +14,15 @@
 //     copies of outgoing datagrams recycle without allocating per
 //     datagram. (The read path needs none: the reader hands the same
 //     slots back to the kernel after every sweep.)
-//   - NewLoopConn adapts any single-datagram connection to Conn, so every
-//     existing PacketConn keeps working (one datagram per call — the
-//     portable fallback path, and the accounting baseline).
+//   - NewLoopConn adapts a single-datagram connection to Conn: one
+//     datagram per call — the portable fallback path, and the accounting
+//     baseline.
 //
 // The Linux fast path lives in mmsg_linux.go behind a build tag and uses
 // raw syscalls only (no new dependencies); NewUDPConn picks it when
-// available and falls back to the loop adapter elsewhere. Two further
-// Linux providers, UDP GSO/GRO (gso_linux.go) and io_uring
-// (uring_linux.go), are selectable by name only: see NewUDPConnProvider.
+// available and falls back to the loop adapter elsewhere. One further
+// Linux provider, UDP GSO/GRO (gso_linux.go), is selectable by name only:
+// see NewUDPConnProvider.
 package udpbatch
 
 import (
@@ -103,11 +103,11 @@ type Conn interface {
 // beyond the three-call contract are discovered by interface assertion.
 
 // SlotSizer is implemented by providers whose reads can legitimately
-// exceed the transport MTU: a UDP_GRO super-datagram or an io_uring
-// provided buffer holds up to MaxDatagram bytes. The serve loop sizes its
-// read slots to it, so an oversized-but-legitimate read can never be
-// truncated (a truncated datagram fails the AEAD, and the peer's
-// retransmissions of it fail forever — a livelock).
+// exceed the transport MTU: a UDP_GRO super-datagram holds up to
+// MaxDatagram bytes. The serve loop sizes its read slots to it, so an
+// oversized-but-legitimate read can never be truncated (a truncated
+// datagram fails the AEAD, and the peer's retransmissions of it fail
+// forever — a livelock).
 type SlotSizer interface {
 	ReadSlotSize() int
 }
@@ -123,8 +123,8 @@ func ReadSlotSize(conn Conn, fallback int) int {
 	return fallback
 }
 
-// Provider names the kernel facility a Conn rides on ("io_uring", "gso",
-// "mmsg", "loop"); the capability probe, startup logs and CI read it.
+// Provider names the kernel facility a Conn rides on ("mmsg", "gso",
+// "loop"); the capability probe, startup logs and CI read it.
 type Provider interface {
 	ProviderName() string
 }
@@ -178,8 +178,8 @@ func SegmentRun(msgs []Message) int {
 	return n
 }
 
-// SingleConn is the legacy one-datagram surface (sessiond.PacketConn
-// satisfies it structurally): a blocking read and a consuming write.
+// SingleConn is the one-datagram surface the loop adapter rides on: a
+// blocking read and a consuming write.
 type SingleConn interface {
 	ReadFrom(buf []byte) (n int, src netem.Addr, err error)
 	WriteTo(wire []byte, dst netem.Addr) error
