@@ -73,16 +73,12 @@ func main() {
 		pref = overlay.Never
 	}
 
-	var (
-		mu     sync.Mutex
-		client *core.Client
-		shown  *terminal.Framebuffer
-	)
+	var shown *terminal.Framebuffer
 	var env *network.Envelope
 	if *session != 0 {
 		env = &network.Envelope{ID: *session}
 	}
-	client, err = core.NewClient(core.ClientConfig{
+	client, err := core.NewClient(core.ClientConfig{
 		Key:         key,
 		Clock:       simclock.Real{},
 		Predictions: pref,
@@ -98,7 +94,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	repaint := func() {
+	p := newPump(client, simclock.Real{}, func() {
 		d := client.Display()
 		if shown == nil {
 			os.Stdout.Write(terminal.NewFrame(false, nil, d))
@@ -108,7 +104,8 @@ func main() {
 			return
 		}
 		shown = d
-	}
+	})
+	go p.timers(nil)
 
 	// Network receive loop.
 	go func() {
@@ -119,25 +116,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, "read:", err)
 				return
 			}
-			mu.Lock()
-			client.Receive(append([]byte(nil), buf[:n]...), netem.Addr{})
-			repaint()
-			mu.Unlock()
-		}
-	}()
-
-	// Timer loop.
-	go func() {
-		for {
-			mu.Lock()
-			client.Tick()
-			wait := client.WaitTime()
-			repaint()
-			mu.Unlock()
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
-			time.Sleep(wait)
+			wire := append([]byte(nil), buf[:n]...)
+			p.do(func(c *core.Client) { c.Receive(wire, netem.Addr{}) })
 		}
 	}()
 
@@ -151,9 +131,71 @@ func main() {
 		if b == '\n' {
 			b = '\r' // terminals send CR for the return key
 		}
-		mu.Lock()
-		client.UserBytes([]byte{b})
-		repaint()
-		mu.Unlock()
+		p.do(func(c *core.Client) { c.UserBytes([]byte{b}) })
+	}
+}
+
+// pump serializes a client endpoint's three event sources — datagrams,
+// keystrokes and its own timers — and keeps one timer armed at the
+// endpoint's next deadline. Every event can move that deadline (a keystroke
+// arms the 1 ms send delay inside what may be a 3 s heartbeat wait), so
+// every event wakes the timer loop to re-arm; a loop that only slept out
+// the wait it computed last would leave a keystroke typed into an idle
+// session unsent until the next datagram or heartbeat.
+type pump struct {
+	mu     sync.Mutex
+	client *core.Client
+	clock  simclock.Clock
+	// repaint runs with mu held after every event.
+	repaint func()
+	// wake tells the timer loop the deadline may have moved. One pending
+	// signal is enough: the loop re-reads WaitTime when it takes it.
+	wake chan struct{}
+}
+
+func newPump(client *core.Client, clock simclock.Clock, repaint func()) *pump {
+	return &pump{client: client, clock: clock, repaint: repaint, wake: make(chan struct{}, 1)}
+}
+
+// do applies one external event (a datagram, a keystroke) to the endpoint,
+// repaints, and has the timer loop re-arm.
+func (p *pump) do(event func(c *core.Client)) {
+	p.mu.Lock()
+	event(p.client)
+	p.repaint()
+	p.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// timers ticks the endpoint whenever its deadline arrives or an event moved
+// it, until stop closes (nil: forever).
+func (p *pump) timers(stop <-chan struct{}) {
+	timer := p.clock.NewTimer(0)
+	defer timer.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-timer.C():
+		case <-p.wake:
+		}
+		p.mu.Lock()
+		p.client.Tick()
+		wait := p.client.WaitTime()
+		p.repaint()
+		p.mu.Unlock()
+		if wait < time.Millisecond {
+			wait = time.Millisecond
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C():
+			default:
+			}
+		}
+		timer.Reset(wait)
 	}
 }

@@ -1,0 +1,86 @@
+package main
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/simclock"
+	"repro/internal/sspcrypto"
+)
+
+// eventually polls cond in real time: the pump's timer loop is a real
+// goroutine even though it sleeps on a virtual clock.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestKeystrokeWakesIdleTimerLoop: a key typed 500 ms into the 3 s heartbeat
+// wait is on the wire within 5 ms. The timer loop used to sleep out the wait
+// it had computed before the keystroke, so the 1 ms send delay UserBytes
+// arms went unserved until a server datagram or the heartbeat came by.
+func TestKeystrokeWakesIdleTimerLoop(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := simclock.NewManual(epoch)
+	key, err := sspcrypto.NewRandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var sentAt []time.Time
+	sent := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(sentAt)
+	}
+	client, err := core.NewClient(core.ClientConfig{
+		Key:   key,
+		Clock: clk,
+		Emit: func([]byte) {
+			mu.Lock()
+			sentAt = append(sentAt, clk.Now())
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPump(client, clk, func() {})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.timers(stop)
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	// The client introduces itself at once, then idles until the heartbeat.
+	armedAt := func(at time.Time) func() bool {
+		return func() bool {
+			next, ok := clk.NextDeadline()
+			return ok && next.Equal(at)
+		}
+	}
+	eventually(t, "the introduction and the 3 s heartbeat wait", func() bool {
+		return sent() == 1 && armedAt(epoch.Add(3*time.Second))()
+	})
+
+	clk.Advance(500 * time.Millisecond)
+	typed := clk.Now()
+	p.do(func(c *core.Client) { c.UserBytes([]byte("a")) })
+	eventually(t, "the keystroke's 1 ms send delay to reach the timer", armedAt(typed.Add(time.Millisecond)))
+	clk.Advance(5 * time.Millisecond)
+	eventually(t, "the keystroke's datagram", func() bool { return sent() == 2 })
+	if late := sentAt[1].Sub(typed); late > 5*time.Millisecond {
+		t.Fatalf("keystroke sent %v after it was typed, want within 5ms", late)
+	}
+}

@@ -238,19 +238,28 @@ func (s *Server) Tick() {
 	s.tr.Tick()
 }
 
-// WaitTime reports how long the event loop may sleep before calling Tick.
-func (s *Server) WaitTime() time.Duration {
-	w := s.tr.WaitTime()
+// NextDeadline reports the instant Tick is next needed: the transport's
+// deadline or the oldest queued keystroke's echo timeout, whichever is
+// earlier. It is absolute — an event loop that arms it does not inherit the
+// time the caller spent between its own clock reading and this call, as it
+// would by adding WaitTime to that reading.
+func (s *Server) NextDeadline() time.Time {
+	at := s.tr.NextDeadline()
 	if len(s.echoQueue) > 0 {
-		d := s.cfg.EchoAckTimeout - s.cfg.Clock.Now().Sub(s.echoQueue[0].at)
-		if d < 0 {
-			d = 0
-		}
-		if d < w {
-			w = d
+		if echo := s.echoQueue[0].at.Add(s.cfg.EchoAckTimeout); echo.Before(at) {
+			at = echo
 		}
 	}
-	return w
+	return at
+}
+
+// WaitTime reports how long the event loop may sleep before calling Tick:
+// NextDeadline less the current time, never negative.
+func (s *Server) WaitTime() time.Duration {
+	if d := s.NextDeadline().Sub(s.cfg.Clock.Now()); d > 0 {
+		return d
+	}
+	return 0
 }
 
 // ClientConfig parameterizes a Client.

@@ -490,3 +490,34 @@ func TestClientScrollbackFillsFromSync(t *testing.T) {
 		t.Fatalf("history[0] = %q", first)
 	}
 }
+
+// TestServerWaitTimeFollowsNextDeadline: WaitTime is NextDeadline less the
+// current time, and NextDeadline includes the echo timeout of a keystroke
+// the transport itself has nothing left to send for.
+func TestServerWaitTimeFollowsNextDeadline(t *testing.T) {
+	ss := newSession(t, netem.LinkParams{Delay: 2 * time.Millisecond}, overlay.Never)
+	ss.hostEcho = false // no host output: the echo timeout is the server's only near deadline
+	var arrived time.Time
+	ss.hostScript = func([]byte) { arrived = ss.sched.Now() }
+	ss.run(time.Second)
+	ss.client.TypeRune('x')
+	ss.wakeClient()
+	sawEchoDeadline := false
+	for i := 0; i < 400; i++ {
+		ss.run(250 * time.Microsecond)
+		now := ss.sched.Now()
+		at, wait := ss.server.NextDeadline(), ss.server.WaitTime()
+		if want := max(at.Sub(now), 0); wait != want {
+			t.Fatalf("at +%v: WaitTime %v, NextDeadline is %v away", now.Sub(t0), wait, want)
+		}
+		if echoAt := arrived.Add(DefaultEchoAckTimeout); !arrived.IsZero() && now.Before(echoAt) {
+			if at.After(echoAt) {
+				t.Fatalf("at +%v: NextDeadline %v is past the pending echo timeout %v", now.Sub(t0), at.Sub(t0), echoAt.Sub(t0))
+			}
+			sawEchoDeadline = sawEchoDeadline || at.Equal(echoAt)
+		}
+	}
+	if !sawEchoDeadline {
+		t.Fatal("the echo timeout was never the server's next deadline")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -447,4 +448,55 @@ func TestServedPathGoroutinesConstant(t *testing.T) {
 		t.Fatalf("a served daemon runs %d goroutines, want 2 (reader, tick loop)", small)
 	}
 	quiesce() // and Close leaks neither
+}
+
+// TestCloseReleasesTickTimer: the tick loop sleeps on the Clock's timer,
+// which under simclock.Real on Linux owns a descriptor and, while armed, a
+// parked goroutine. Neither outlives Close: the goroutine count returns to
+// where it was at once, the descriptor count once the collector has run.
+func TestCloseReleasesTickTimer(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	settle := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines and %d descriptors, from %d and %d",
+					what, runtime.NumGoroutine(), openFDs(), goroutines, fds)
+			}
+			runtime.GC()
+		}
+	}
+	// Earlier tests' daemons wind down on their own schedule; start level.
+	settle("baseline never settled", func() bool {
+		g, f := runtime.NumGoroutine(), openFDs()
+		level := g == goroutines && f == fds
+		goroutines, fds = g, f
+		return level
+	})
+	for i := 0; i < 20; i++ {
+		conn := newMemConn(func(netem.Addr, []byte) {})
+		d, err := sessiond.New(sessiond.Config{Clock: simclock.Real{}, IdleTimeout: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.OpenSession(); err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- d.ServeBatch(conn) }()
+		time.Sleep(time.Millisecond) // let the tick loop arm its timer
+		d.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("ServeBatch returned %v", err)
+		}
+	}
+	settle("goroutines outlived Close", func() bool { return runtime.NumGoroutine() <= goroutines })
+	settle("descriptors outlived Close", func() bool { return openFDs() <= fds })
 }

@@ -54,8 +54,9 @@ import (
 // disables eviction entirely.
 const DefaultIdleTimeout = 12 * time.Hour
 
-// minTickInterval floors the per-session rearm delay so a hot session
-// cannot spin the tick loop.
+// minTickInterval is how far ahead a session whose deadline has already
+// passed is re-armed, so a deadline its tick cannot serve (a send suppressed
+// by the journal's reservation, say) cannot spin the tick loop.
 const minTickInterval = time.Millisecond
 
 // Config parameterizes a Daemon.
@@ -481,7 +482,8 @@ func (d *Daemon) Sessions() []*Session {
 // loop).
 func (d *Daemon) TickDue() {
 	now := d.cfg.Clock.Now()
-	for _, s := range d.timers.popDue(now) {
+	due := d.timers.popDue(now)
+	for _, s := range due {
 		s.tick(now)
 	}
 	if j := d.journal; j != nil && !d.asyncJournal.Load() {
@@ -490,6 +492,16 @@ func (d *Daemon) TickDue() {
 		}
 	}
 	d.flushEgress()
+	if !d.cfg.DisableRowIntern {
+		// Deduplicate identical screen rows across the fleet (prompts,
+		// banners, blank rows) only now that the sweep's frames are on the
+		// wire: hashing every row a reply changed is the one piece of a tick
+		// no client is waiting for. Memoized per row generation, so on an
+		// unchanged screen it is a per-row integer compare.
+		for _, s := range due {
+			s.internRows()
+		}
+	}
 }
 
 // NextDeadline reports the earliest pending deadline: session timers
@@ -700,12 +712,6 @@ func (s *Session) tick(now time.Time) {
 	s.lastArmed = time.Time{}
 	s.flushHostOutputLocked(now)
 	s.srv.Tick()
-	if !s.d.cfg.DisableRowIntern {
-		// Deduplicate identical screen rows across the fleet (prompts,
-		// banners, blank rows). Memoized per row generation, so on an
-		// unchanged screen this is a per-row integer compare.
-		s.srv.Terminal().Framebuffer().InternRows()
-	}
 	// Both the flush's HostOutput tick and srv.Tick can mint the frame
 	// that echoes the output applied above; one match pass covers both.
 	s.noteEchoLocked(now)
@@ -720,6 +726,16 @@ func (s *Session) tick(now time.Time) {
 	}
 	s.maybeRequestFlushLocked()
 	s.rearmLocked(now)
+}
+
+// internRows runs the row-intern pass over this session's screen (see
+// TickDue, which calls it after the sweep's flush).
+func (s *Session) internRows() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.srv.Terminal().Framebuffer().InternRows()
+	}
 }
 
 // hostInput feeds decoded user keystrokes to the host application and
@@ -802,16 +818,16 @@ func (s *Session) noteEchoLocked(now time.Time) {
 }
 
 // rearmLocked recomputes this session's single heap deadline: the earliest
-// of the transport's wait time, the next pending host response, and (for
-// sessions a client has used) the idle-eviction horizon. The result is
-// floored at minTickInterval ahead of now so a stale deadline can never
-// spin the tick loop.
+// of the endpoint's next deadline, the next pending host response, and (for
+// sessions a client has used) the idle-eviction horizon. The endpoint's
+// deadline is armed as the absolute instant it is, however long the sweep
+// that read now has been running: adding a wait time to now would arm it
+// early by the sweep's age, and the tick loop would wake before the sender
+// is due, sweep for nothing and come back a whole minTickInterval later.
+// Only a deadline that is not ahead of now is floored, at minTickInterval
+// from now, so a stale one can never spin the tick loop.
 func (s *Session) rearmLocked(now time.Time) {
-	wait := s.srv.WaitTime()
-	if wait < minTickInterval {
-		wait = minTickInterval
-	}
-	at := now.Add(wait)
+	at := s.srv.NextDeadline()
 	if len(s.pendingOut) > 0 && s.pendingOut[0].at.Before(at) {
 		at = s.pendingOut[0].at
 	}
@@ -822,8 +838,8 @@ func (s *Session) rearmLocked(now time.Time) {
 			}
 		}
 	}
-	if floor := now.Add(minTickInterval); at.Before(floor) {
-		at = floor
+	if !at.After(now) {
+		at = now.Add(minTickInterval)
 	}
 	// Steady-state receives often leave the deadline where it was; skip
 	// the shared heap lock when nothing moved so packet handling across

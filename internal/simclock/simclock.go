@@ -72,8 +72,9 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // After returns time.After(d).
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// NewTimer returns a Timer wrapping a real time.Timer.
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+// NewTimer returns a real-time Timer: on Linux one that fires at hrtimer
+// resolution (see realtimer_linux.go), elsewhere a wrapped time.Timer.
+func (Real) NewTimer(d time.Duration) Timer { return newRealTimer(d) }
 
 type realTimer struct{ t *time.Timer }
 

@@ -241,3 +241,22 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 		e.Write(data)
 	}
 }
+
+// BenchmarkEmulatorBulk162x64 is one bulk reply of the benchmark's trains
+// workload: 96 lines of 160 characters into a 162×64 screen with server-side
+// scrollback off, as sessiond runs it.
+func BenchmarkEmulatorBulk162x64(b *testing.B) {
+	var sb strings.Builder
+	for i := 0; i < 96; i++ {
+		fmt.Fprintf(&sb, "%-160s\r\n", fmt.Sprintf("%04d %s", i, strings.Repeat("build output ", 11)))
+	}
+	data := []byte(sb.String())
+	e := NewEmulator(162, 64)
+	e.Framebuffer().SetScrollbackLimit(-1)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Write(data)
+	}
+}

@@ -186,6 +186,77 @@ func (e *Emulator) print(r rune) {
 	}
 }
 
+// printRun draws a run of printable ASCII a row segment at a time: one
+// writableRow, one touch and a plain cell-store loop per segment, where
+// print pays a width lookup, the ZWJ test, a window normalization and a
+// generation bump per character. A segment qualifies (plainSegment) only
+// when none of print's special cases can arise in it; everything else goes
+// through print a rune at a time, which stays the one implementation of
+// wrapping, insert mode and wide-cell repair. ASCII is never combining,
+// pictographic or wide, so print's first three branches never apply here.
+func (e *Emulator) printRun(run []byte) {
+	e.joinArmed = true
+	fb := e.fb
+	ds := &fb.DS
+	for len(run) > 0 {
+		n := e.plainSegment(len(run))
+		if n == 0 {
+			e.print(rune(run[0]))
+			run = run[1:]
+			continue
+		}
+		row := fb.writableRow(ds.CursorRow)
+		cells := row.Cells[ds.CursorCol : ds.CursorCol+n]
+		for i := range cells {
+			cells[i] = Cell{content: uint32(run[i]), Rend: ds.Rend}
+		}
+		row.touch()
+		if ds.CursorCol+n >= fb.W {
+			ds.CursorCol = fb.W - 1
+			ds.NextPrintWraps = true
+		} else {
+			ds.CursorCol += n
+		}
+		run = run[n:]
+	}
+}
+
+// plainSegment reports how many of the next max narrow characters can be
+// stored straight into the cursor's row: none in insert mode or with a
+// deferred wrap pending, otherwise as many as fit before the right margin
+// and before the first wide cell — the stored span and one cell either side
+// must hold no wide cell, so there is no leader to destroy and nothing for
+// normalizeWideRange to repair.
+func (e *Emulator) plainSegment(max int) int {
+	fb := e.fb
+	ds := &fb.DS
+	if ds.InsertMode || ds.NextPrintWraps {
+		return 0
+	}
+	col := ds.CursorCol
+	n := fb.W - col
+	if max < n {
+		n = max
+	}
+	cells := fb.rows[ds.CursorRow].Cells
+	lo, hi := col-1, col+n // inclusive: one cell either side of the span
+	if lo < 0 {
+		lo = 0
+	}
+	if hi >= fb.W {
+		hi = fb.W - 1
+	}
+	for i := lo; i <= hi; i++ {
+		if cells[i].Wide {
+			if n = i - col - 1; n < 0 {
+				n = 0
+			}
+			break
+		}
+	}
+	return n
+}
+
 // prevGraphicCell locates the cell holding the most recently printed
 // grapheme — the attachment target for combining characters and ZWJ
 // joins: the cell left of the cursor (or under it while an autowrap is

@@ -7,6 +7,9 @@ import "unicode/utf8"
 type dispatcher interface {
 	// print draws one decoded rune at the cursor.
 	print(r rune)
+	// printRun draws a run of printable ASCII (every byte in 0x20..0x7e)
+	// at the cursor: the same effect as print on each byte in turn.
+	printRun(run []byte)
 	// execute performs a C0 control function.
 	execute(b byte)
 	// escDispatch handles a completed ESC sequence.
@@ -74,10 +77,23 @@ func (p *Parser) clearSeq() {
 	p.osc = p.osc[:0]
 }
 
-// Feed parses data, invoking d for every completed action.
+// Feed parses data, invoking d for every completed action. Printable ASCII
+// is most of what a terminal is sent, so it does not go a byte at a time:
+// in ground state with no UTF-8 sequence pending, the maximal run of bytes
+// in 0x20..0x7e reaches the dispatcher in one printRun call.
 func (p *Parser) Feed(data []byte, d dispatcher) {
-	for _, b := range data {
-		p.feedByte(b, d)
+	for i := 0; i < len(data); {
+		if data[i]-0x20 < 0x5f && p.state == sGround && p.u8want == 0 {
+			j := i + 1
+			for j < len(data) && data[j]-0x20 < 0x5f {
+				j++
+			}
+			d.printRun(data[i:j])
+			i = j
+			continue
+		}
+		p.feedByte(data[i], d)
+		i++
 	}
 }
 

@@ -376,16 +376,24 @@ func (s *Sender[T]) tick() {
 	}
 }
 
+// nextDeadline reports the instant the sender next needs a tick: the
+// earlier of its ack/heartbeat and send deadlines, recomputed as of now. It
+// is absolute, so it does not move with the moment it is asked for — an
+// event loop arms it as is; waitTime is the same deadline for loops that
+// sleep on a duration.
+func (s *Sender[T]) nextDeadline(now time.Time) time.Time {
+	s.calculateTimers(now)
+	if !s.nextSendTime.IsZero() && s.nextSendTime.Before(s.nextAckTime) {
+		return s.nextSendTime
+	}
+	return s.nextAckTime
+}
+
 // waitTime reports how long the event loop may sleep before the sender
 // needs another tick.
 func (s *Sender[T]) waitTime() time.Duration {
 	now := s.clock.Now()
-	s.calculateTimers(now)
-	next := s.nextAckTime
-	if !s.nextSendTime.IsZero() && s.nextSendTime.Before(next) {
-		next = s.nextSendTime
-	}
-	if d := next.Sub(now); d > 0 {
+	if d := s.nextDeadline(now).Sub(now); d > 0 {
 		return d
 	}
 	return 0

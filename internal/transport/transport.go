@@ -245,6 +245,10 @@ func (t *Transport[L, R]) FragmentsHeld() int {
 	return t.assembly.held
 }
 
+// NextDeadline reports the instant the next Tick is needed, as an absolute
+// time on the endpoint's clock.
+func (t *Transport[L, R]) NextDeadline() time.Time { return t.sender.nextDeadline(t.clock.Now()) }
+
 // WaitTime reports how long the event loop may sleep before the next Tick
-// is needed.
+// is needed: NextDeadline less the current time, never negative.
 func (t *Transport[L, R]) WaitTime() time.Duration { return t.sender.waitTime() }
