@@ -107,7 +107,7 @@ func main() {
 	for col := 0; col < d.W; col++ {
 		for row := 10; row < 14; row++ {
 			c := d.Cell(row, col)
-			if c.ContentsString() == "!" && c.Rend.Underline {
+			if c.ContentsString() == "!" && c.Rend.Has(terminal.AttrUnderline) {
 				underlined = true
 			}
 		}
@@ -122,7 +122,7 @@ func main() {
 	for col := 0; col < d.W; col++ {
 		for row := 10; row < 14; row++ {
 			c := d.Cell(row, col)
-			if c.ContentsString() == "!" && c.Rend.Underline {
+			if c.ContentsString() == "!" && c.Rend.Has(terminal.AttrUnderline) {
 				still = true
 			}
 		}

@@ -85,7 +85,8 @@ func (n *NotificationEngine) Apply(fb *terminal.Framebuffer) {
 		text = fmt.Sprintf("mosh: Last contact %s ago.", humanDuration(d))
 	}
 	text = " " + text + " "
-	rend := terminal.Renditions{Inverse: true, Bold: true}
+	var rend terminal.Renditions
+	rend.Set(terminal.AttrInverse|terminal.AttrBold, true)
 	row := fb.Row(0)
 	for col := 0; col < fb.W; col++ {
 		c := fb.Cell(0, col)
@@ -95,7 +96,7 @@ func (n *NotificationEngine) Apply(fb *terminal.Framebuffer) {
 			c.SetRune(' ')
 		}
 		c.Rend = rend
-		c.Wide = false
+		c.SetWide(false)
 	}
 	row.Touch()
 }

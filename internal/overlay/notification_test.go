@@ -36,7 +36,7 @@ func TestBannerAfterSilence(t *testing.T) {
 	if !strings.Contains(row, "Last contact 10 seconds ago") {
 		t.Fatalf("banner = %q", row)
 	}
-	if !fb.Cell(0, 1).Rend.Inverse {
+	if !fb.Cell(0, 1).Rend.Has(terminal.AttrInverse) {
 		t.Fatal("banner not inverse video")
 	}
 }

@@ -383,8 +383,9 @@ func (e *Engine) predictEcho(seq uint64, rec *InputRecord, r rune, fb *terminal.
 	cell.expirationFrame = e.localFrameSent + 1
 	cell.predictionTime = now
 	cell.inputSeq = seq
-	repl := terminal.Cell{Rend: fb.DS.Rend, Wide: width == 2}
+	repl := terminal.Cell{Rend: fb.DS.Rend}
 	repl.SetRune(r)
+	repl.SetWide(width == 2)
 	cell.replacement = repl
 	e.stats.Predicted++
 	rec.Outcome = OutcomePending
@@ -703,7 +704,7 @@ func (e *Engine) Apply(fb *terminal.Framebuffer) {
 			target := fb.Cell(row.rowNum, cell.col)
 			*target = cell.replacement
 			if e.flagging {
-				target.Rend.Underline = true
+				target.Rend.Set(terminal.AttrUnderline, true)
 			}
 			fb.Row(row.rowNum).Touch()
 		}

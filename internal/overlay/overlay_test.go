@@ -227,7 +227,7 @@ func TestFlaggingUnderlinesPredictions(t *testing.T) {
 	v.serverEchoes("a", s1)
 	v.typeByte('b')
 	d := display(v)
-	if !d.Cell(0, 1).Rend.Underline {
+	if !d.Cell(0, 1).Rend.Has(terminal.AttrUnderline) {
 		t.Fatal("high-latency prediction not underlined")
 	}
 	if !v.e.Flagging() {
@@ -245,7 +245,7 @@ func TestNoUnderlineOnModerateLatency(t *testing.T) {
 	if d.Cell(0, 1).ContentsString() != "b" {
 		t.Fatal("prediction should display")
 	}
-	if d.Cell(0, 1).Rend.Underline {
+	if d.Cell(0, 1).Rend.Has(terminal.AttrUnderline) {
 		t.Fatal("prediction underlined below flag trigger")
 	}
 }

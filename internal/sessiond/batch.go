@@ -384,6 +384,17 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 // loop, however many sessions are live.
 func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 	d.serveConn.Store(&bc)
+	select {
+	case <-d.stop:
+		// Close ran before the store above and found no connection to
+		// close; blocking in ReadBatch now would wait for a wake-up nobody
+		// is left to send. Close it as Close would have.
+		if closer, ok := bc.(interface{ Close() error }); ok {
+			closer.Close()
+		}
+		return nil
+	default:
+	}
 	var w batchWriter = bc
 	d.out.CompareAndSwap(nil, &w) // Config.Send, when set, stays the way out
 	d.Start()

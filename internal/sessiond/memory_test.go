@@ -1,0 +1,207 @@
+package sessiond_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/core"
+	"repro/internal/netem"
+	"repro/internal/network"
+	"repro/internal/overlay"
+	"repro/internal/sessiond"
+	"repro/internal/simclock"
+	"repro/internal/terminal"
+)
+
+// liveHeap reports the bytes still allocated after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first one's sweep finalized
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestSessionHoldsOneScreen is the daemon-level statement of what SSP's
+// acknowledgments are for: once the client has acknowledged a state, the
+// server forgets everything older (§2.3), so a quiescent session's resident
+// memory is its live screen — not that plus the dead snapshots on a free
+// list, plus whatever an intern table decided to keep. 32 sessions at
+// 162x64 each repaint their whole screen 20 times, every repaint
+// acknowledged by a real client. Then five more go unacknowledged, and the
+// resident gauge must grow by what the heap grows by: the snapshots a
+// sender retains are exactly what it used not to see. Finally everything
+// is acknowledged again and the clients are dropped: what the heap has
+// grown by since before the first session was opened is what the sessions
+// hold, and it is one screen each.
+//
+// The world is pumped by hand on a Manual clock, with no scheduler and no
+// emulated network, so that nothing but the test's own variables refers to
+// the clients and dropping them really frees them.
+func TestSessionHoldsOneScreen(t *testing.T) {
+	const (
+		sessions = 32
+		cols     = 162
+		rows     = 64
+		repaints = 20
+	)
+	screen := int64(cols * rows * int(unsafe.Sizeof(terminal.Cell{})))
+	daemonAddr := netem.Addr{Host: 9999, Port: 60001}
+
+	type dgram struct {
+		peer int // client index
+		wire []byte
+	}
+	var toServer, toClients []dgram
+	clock := simclock.NewManual(epoch)
+	d, err := sessiond.New(sessiond.Config{
+		Clock: clock, IdleTimeout: -1, Width: cols, Height: rows,
+		Send: func(dst netem.Addr, wire []byte) {
+			toClients = append(toClients, dgram{int(dst.Host), bytes.Clone(wire)})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	before := liveHeap() // the daemon's own fixed cost is not a session's
+
+	var sess []*sessiond.Session
+	var clients []*core.Client
+	for i := 0; i < sessions; i++ {
+		s, err := d.OpenSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := core.NewClient(core.ClientConfig{
+			Key: s.Key(), Clock: clock, Envelope: &network.Envelope{ID: s.ID}, Predictions: overlay.Never,
+			Emit: func(wire []byte) { toServer = append(toServer, dgram{i, bytes.Clone(wire)}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, clients = append(sess, s), append(clients, cl)
+	}
+	repaint := func(round int) {
+		for i, s := range sess {
+			var out strings.Builder
+			out.WriteString("\x1b[H")
+			for y := 0; y < rows; y++ {
+				line := fmt.Sprintf("session %d round %d row %d ", i, round, y)
+				out.WriteString(strings.Repeat(line, cols/len(line)+1)[:cols-1])
+				if y < rows-1 {
+					out.WriteString("\r\n")
+				}
+			}
+			s.Do(func(srv *core.Server) { srv.HostOutput([]byte(out.String())) })
+		}
+	}
+	retained := func(s *sessiond.Session) (n int) {
+		s.Do(func(srv *core.Server) { n = srv.Transport().Sender().SentStateCount() })
+		return n
+	}
+	// step is one millisecond of the world; with the downlink cut, what
+	// the daemon sends is lost.
+	downlink := true
+	step := func() {
+		for _, cl := range clients {
+			cl.Tick()
+		}
+		for _, g := range toServer {
+			d.HandlePacket(g.wire, netem.Addr{Host: uint32(g.peer), Port: 1000})
+		}
+		toServer = toServer[:0]
+		d.TickDue()
+		for _, g := range toClients {
+			if downlink {
+				clients[g.peer].Receive(g.wire, daemonAddr)
+			}
+		}
+		toClients = toClients[:0]
+		clock.Advance(time.Millisecond)
+	}
+	// await steps the world until every session retains n sent states (and,
+	// when shown is set, every client displays it).
+	await := func(what string, n int, shown string) {
+		t.Helper()
+		settled := func() bool {
+			for i, cl := range clients {
+				if retained(sess[i]) != n || !strings.Contains(cl.ServerState().Text(0), shown) {
+					return false
+				}
+			}
+			return true
+		}
+		for ms := 0; !settled(); ms++ {
+			if ms > 20000 {
+				t.Fatalf("%s: not settled within 20 s", what)
+			}
+			step()
+		}
+	}
+	for _, cl := range clients {
+		cl.UserBytes([]byte("x")) // the server learns each client's address
+	}
+	for round := 1; round <= repaints; round++ {
+		repaint(round)
+		await(fmt.Sprintf("acknowledged repaint %d", round), 1, fmt.Sprintf("round %d row", round))
+	}
+
+	// Unacknowledged: with the downlink cut, every further repaint leaves a
+	// snapshot the sender must keep. The gauge has to see each one — the
+	// heap does. (The clients are still here; they hear nothing new, so
+	// what they hold stays out of the difference.)
+	const unacked = 5
+	gauge := int64(d.ScreenStateStats().ResidentBytesPerSession())
+	held := liveHeap()
+	downlink = false
+	for k := 1; k <= unacked; k++ {
+		repaint(repaints + k)
+		for _, cl := range clients {
+			cl.UserBytes([]byte("x")) // uplink traffic keeps the sessions ticking
+		}
+		await(fmt.Sprintf("unacknowledged repaint %d", k), 1+k, "")
+	}
+	gaugeGrowth := int64(d.ScreenStateStats().ResidentBytesPerSession()) - gauge
+	heapGrowth := (liveHeap() - held) / sessions
+	t.Logf("%d unacknowledged repaints: heap +%d B per session, resident gauge +%d B (%.0f%%)",
+		unacked, heapGrowth, gaugeGrowth, 100*float64(gaugeGrowth)/float64(heapGrowth))
+	if heapGrowth < unacked*screen*9/10 {
+		t.Fatalf("heap grew %d B per session for %d retained screens of %d B: the measurement is broken", heapGrowth, unacked, screen)
+	}
+	if gaugeGrowth < heapGrowth*3/4 || gaugeGrowth > heapGrowth*5/4 {
+		t.Errorf("the sender retains %d more screens: heap +%d B per session, resident_bytes_per_session +%d B — off by more than 25%%",
+			unacked, heapGrowth, gaugeGrowth)
+	}
+
+	// Quiescent again: the downlink returns, everything is acknowledged,
+	// and the clients go.
+	downlink = true
+	await("catching up", 1, fmt.Sprintf("round %d row", repaints+unacked))
+	clients, toServer, toClients = nil, nil, nil
+	step, await = nil, nil
+	gauge = int64(d.ScreenStateStats().ResidentBytesPerSession())
+	perSession := (liveHeap() - before) / sessions
+	t.Logf("quiescent: a session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
+		perSession, float64(perSession)/float64(screen), screen, gauge)
+	// One screen, its rows rounded up to their size class, and what is
+	// not cells: the transport's warm scratch for full-screen frames (diff,
+	// instruction and fragment buffers, ~70 KiB here and not this test's
+	// subject), the session itself, and a 32nd of the process-wide intern
+	// table's bookkeeping, which depends on what ran before — 110 to 140 KiB
+	// in all. A second screen (a dead snapshot, a row the table kept, a
+	// fatter cell) is another 130 KiB and does not fit.
+	if limit := screen*13/10 + 128<<10; perSession > limit {
+		t.Errorf("a quiescent session holds %d B of heap = %.2f screens, want <= 1.3 screens + 128 KiB = %d B",
+			perSession, float64(perSession)/float64(screen), limit)
+	}
+	if gauge < screen*9/10 || gauge > screen*11/10 {
+		t.Errorf("resident_bytes_per_session reads %d B for sessions holding one %d B screen of unique rows", gauge, screen)
+	}
+	runtime.KeepAlive(sess)
+}

@@ -272,17 +272,22 @@ type ScreenStateStats struct {
 	// sharing with snapshots, ≥ ScrollbackRows until compaction).
 	ScrollbackRows, ScrollbackArenaRows int
 	// ResidentBytes is the cell storage actually resident across every
-	// sampled session, counting each distinct backing array once — so
-	// rows deduplicated by the intern table (and rows structurally shared
-	// between sessions and snapshots) are charged a single time.
-	// InternedRows counts grid rows whose storage is intern-table
-	// canonical.
+	// sampled session — reachable from its live screen, from the snapshots
+	// its sender still retains for unacknowledged states, or from the
+	// retired shells on its snapshot free list — counting each distinct
+	// backing array once, so rows deduplicated by the intern table (and
+	// rows structurally shared between sessions and snapshots) are charged
+	// a single time. InternedRows counts live grid rows whose storage is
+	// intern-table canonical.
 	ResidentBytes, InternedRows int
 }
 
-// ResidentBytesPerSession reports the deduplicated cell bytes divided by
-// the sampled session count (0 with no sessions) — the gauge the
-// row-interning work is measured by.
+// ResidentBytesPerSession reports the deduplicated cell bytes every screen
+// a session keeps reachable adds up to, divided by the sampled session
+// count (0 with no sessions): what the cells of a session cost the heap,
+// and the gauge the screen-memory work is measured by. It counts cells
+// only — row headers, transport buffers and cipher state are the rest of a
+// session's heap.
 func (st ScreenStateStats) ResidentBytesPerSession() int {
 	if st.Sessions == 0 {
 		return 0
@@ -290,8 +295,10 @@ func (st ScreenStateStats) ResidentBytesPerSession() int {
 	return st.ResidentBytes / st.Sessions
 }
 
-// ScreenStateStats samples every live session's framebuffer footprint.
-// It takes each session's lock briefly; intended for metric scrapes.
+// ScreenStateStats samples every live session's screen footprint: the
+// live framebuffer's row counters, and the cell bytes of every screen the
+// session keeps reachable. It takes each session's lock briefly; intended
+// for metric scrapes.
 func (d *Daemon) ScreenStateStats() ScreenStateStats {
 	var st ScreenStateStats
 	seen := make(map[*terminal.Cell]struct{}, 1024)
@@ -301,9 +308,15 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 			s.mu.Unlock()
 			return
 		}
-		fb := s.srv.Terminal().Framebuffer()
+		live := s.srv.Transport().CurrentState()
+		fb := live.Framebuffer()
 		m := fb.MemStats()
 		bytes, interned := fb.AccumulateResident(seen)
+		for snap := range s.srv.Transport().Sender().SentStates() {
+			b, _ := snap.Framebuffer().AccumulateResident(seen)
+			bytes += b
+		}
+		bytes += live.AccumulatePooledResident(seen)
 		s.mu.Unlock()
 		st.Sessions++
 		st.ScreenRows += m.ScreenRows

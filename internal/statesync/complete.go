@@ -21,9 +21,10 @@ type Complete struct {
 	fw terminal.FrameWriter
 	// pool is the snapshot free list shared by this Complete and every
 	// clone derived from it (lazily created on first Clone). The transport
-	// sender recycles retired snapshots (transport.Recycler), Clone reuses
-	// their storage via Framebuffer.CloneInto, and the steady-state
-	// snapshot churn of a session allocates nothing.
+	// recycles retired snapshots (transport.Recycler), Clone reuses their
+	// shells via Framebuffer.CloneInto, and the steady-state snapshot churn
+	// of a session allocates nothing. Pooled shells reference no rows (see
+	// Recycle).
 	pool *freeList[Complete]
 }
 
@@ -115,9 +116,33 @@ func (c *Complete) Clone() *Complete {
 	}
 }
 
-// Recycle implements transport.Recycler: the sender hands back snapshots
-// it has dropped from its history, and Clone reuses their storage.
-func (c *Complete) Recycle() { c.pool.put(c) }
+// Recycle implements transport.Recycler: the sender and the receiver hand
+// back snapshots they have dropped from their history. A retired snapshot
+// pins nothing: every row pointer, the scrollback reference and the title
+// are dropped on the spot, and only the shell — the object and the capacity
+// of its row and tab slices, which is all CloneInto reuses — waits on the
+// free list. SSP's acknowledgments exist so the sender may forget (§2.3);
+// a parked shell that kept its rows would hold a dead screen per pool slot.
+func (c *Complete) Recycle() {
+	c.emu.Framebuffer().Release()
+	c.pool.put(c)
+}
+
+// AccumulatePooledResident tallies, like Framebuffer.AccumulateResident,
+// the cell storage reachable from the retired shells waiting on this
+// state's free list. Recycle releases a shell before pooling it, so the
+// answer is zero; the resident gauge asks anyway, because a free list is
+// exactly where dead screens hid from it before.
+func (c *Complete) AccumulatePooledResident(seen map[*terminal.Cell]struct{}) (bytes int) {
+	if c.pool == nil {
+		return 0
+	}
+	for _, d := range c.pool.free {
+		b, _ := d.emu.Framebuffer().AccumulateResident(seen)
+		bytes += b
+	}
+	return bytes
+}
 
 // Equal implements transport.State.
 func (c *Complete) Equal(o *Complete) bool {

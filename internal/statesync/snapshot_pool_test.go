@@ -2,7 +2,12 @@ package statesync
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/terminal"
 )
 
 // TestSnapshotPoolReuse pins the recycle contract: a snapshot handed back
@@ -83,5 +88,64 @@ func TestSteadyStateTickZeroAllocWithScrollback(t *testing.T) {
 		prev = next
 	}); avg != 0 {
 		t.Errorf("steady-state pooled snapshot allocates %v per run, want 0", avg)
+	}
+}
+
+// liveHeap reports the bytes still allocated after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first one's sweep finalized
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRetiredSnapshotPinsNothing holds a session to the screens SSP still
+// needs: snapshots that were taken, outlived by a full repaint and then
+// recycled must not keep the rows they shared alive from the free list. A
+// full pool of shells that kept their rows would pin five screens here.
+func TestRetiredSnapshotPinsNothing(t *testing.T) {
+	const w, h = 162, 64
+	repaint := func(c *Complete, round int) {
+		c.Terminal().WriteString("\x1b[H")
+		for y := 0; y < h; y++ {
+			line := fmt.Sprintf("round %d row %02d ", round, y)
+			c.Terminal().WriteString(strings.Repeat(line, w/len(line)+1)[:w-1])
+			if y < h-1 {
+				c.Terminal().WriteString("\r\n")
+			}
+		}
+	}
+	before := liveHeap()
+	live := NewComplete(w, h)
+	repaint(live, 0)
+	var snaps []*Complete
+	for round := 1; round <= maxPooledSnapshots; round++ {
+		snaps = append(snaps, live.Clone())
+		repaint(live, round) // every row diverges from the snapshot's copy
+	}
+	for _, s := range snaps {
+		s.Recycle()
+	}
+	if n := len(live.pool.free); n != maxPooledSnapshots {
+		t.Fatalf("pool holds %d shells, want %d", n, maxPooledSnapshots)
+	}
+	clear(snaps)
+	growth := int64(liveHeap() - before)
+	screen := int64(w * h * int(unsafe.Sizeof(terminal.Cell{})))
+	t.Logf("heap growth %d B = %.2f screens of %d B", growth, float64(growth)/float64(screen), screen)
+	if growth > screen*5/4 {
+		t.Fatalf("live heap grew %d B with %d retired snapshots pooled: %.2f screens, want <= 1.25",
+			growth, maxPooledSnapshots, float64(growth)/float64(screen))
+	}
+	runtime.KeepAlive(live)
+	if b := live.AccumulatePooledResident(map[*terminal.Cell]struct{}{}); b != 0 {
+		t.Fatalf("the pooled shells reference %d B of cells, want 0", b)
+	}
+
+	// The shells still do their job: the next clone reuses one.
+	pooled := live.pool.free[len(live.pool.free)-1]
+	if again := live.Clone(); again != pooled || !again.Equal(live) {
+		t.Fatal("a released shell was not reused as an exact clone")
 	}
 }

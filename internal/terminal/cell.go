@@ -8,21 +8,38 @@
 // # Memory model
 //
 // The cell is the data structure every layer above iterates over millions
-// of times per second, so it is engineered as a compact pointer-free value
-// type:
+// of times per second, and a session's resident memory is its cells, so it
+// is engineered as a compact pointer-free value type of 12 bytes — three
+// 32-bit words for the 81 bits it carries:
 //
-//   - Cell contents are a packed uint32: blank, an inline single rune
+//	content  [31] grapheme-table index flag  [30] wide  [29] wrap  [20:0] rune, or [15:0] table index
+//	Rend.fg  [31:25] invisible inverse blink underline italic faint bold  [24] RGB  [23:0] RGB | palette+1 | 0
+//	Rend.bg  [31:25] zero                                                 [24] RGB  [23:0] RGB | palette+1 | 0
+//
+// What the layout and the ownership rules around it buy:
+//
+//   - Cell contents are a packed word: blank, an inline single rune
 //     (ASCII, CJK, emoji — the overwhelming majority), or an index into a
 //     process-wide append-only grapheme intern table holding multi-rune
 //     combining clusters (see intern.go). Printing never allocates in
-//     steady state, cell equality is an integer compare, and rows contain
+//     steady state, cell equality is two integer compares, and rows contain
 //     no pointers for the garbage collector to trace.
+//   - Renditions is the packed value itself, as in the reference
+//     implementation, read and written through methods: one representation,
+//     not an API struct and a stored twin. Go's allocator rounds a row up to
+//     a size class, and 12 bytes is where that halves: an 80-column row is
+//     960 → 1024 bytes (1920 → 2048 at 24), a 162-column row 1944 → 2048
+//     (3888 → 4096).
 //   - Framebuffer.Clone is copy-on-write: it shares *Row pointers and
 //     marks them shared. Rows are immutable once shared — every mutation
 //     path first materializes a private copy (writableRow) — so a snapshot
 //     costs O(height), not O(width×height). CloneInto additionally reuses
-//     a retired snapshot's storage, making the sender's steady-state
-//     snapshot fully allocation-free.
+//     a retired snapshot's shell, making the sender's steady-state snapshot
+//     fully allocation-free; the shell waits on its free list Released,
+//     referencing no row.
+//   - Identical rows across the fleet share one backing array through the
+//     row intern table (rowintern.go), which references its rows weakly: a
+//     canonical row lives exactly as long as some screen shows it.
 //   - Scrollback is structurally shared: clones reference the same
 //     append-only history arena through (offset, length) windows, so a
 //     snapshot carries deep scrollback in O(1) instead of copying the
@@ -46,6 +63,7 @@ package terminal
 import (
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Color encodes a cell color: the zero value is the terminal default;
@@ -78,20 +96,80 @@ func (c Color) RGB() (r, g, b uint8) {
 	return uint8(c >> 16), uint8(c >> 8), uint8(c)
 }
 
-// Renditions is the graphic state applied to printed characters (SGR).
+// Attr is a set of SGR rendition attributes. The bit order is the order of
+// the rendition flag byte in the snapshot format (see serialize.go), which
+// is Attr >> attrShift.
+type Attr uint32
+
+// attrShift places the attribute bits above the 25-bit colour in the
+// foreground word of a Renditions.
+const attrShift = 25
+
+const (
+	AttrBold Attr = 1 << (attrShift + iota)
+	AttrFaint
+	AttrItalic
+	AttrUnderline
+	AttrBlink
+	AttrInverse
+	AttrInvisible
+
+	attrMask = AttrBold | AttrFaint | AttrItalic | AttrUnderline | AttrBlink | AttrInverse | AttrInvisible
+)
+
+// colorMask covers a packed colour: the RGB flag (bit 24) over 24 bits of
+// RGB, or a palette value 0..256.
+const colorMask = 1<<attrShift - 1
+
+// packColor squeezes a Color into 25 bits by moving its RGB flag from bit
+// 31 to bit 24; unpackColor is the inverse.
+func packColor(c Color) uint32   { return uint32(c)&(1<<24-1) | uint32(c>>31)<<24 }
+func unpackColor(w uint32) Color { return Color(w&(1<<24-1)) | Color(w>>24&1)<<31 }
+
+// Renditions is the graphic state applied to printed characters (SGR),
+// packed into two words as the reference implementation packs its own:
+//
+//	fg  [31:25] attributes (invisible … bold)  [24] RGB flag  [23:0] RGB, or palette+1, or 0 = default
+//	bg  [31:25] zero                           [24] RGB flag  [23:0] likewise
+//
+// There is one representation — the packed one is what cells store, what
+// the emulator's draw state carries and what callers hold — so comparing
+// two renditions is an integer compare. The zero value is the default
+// rendition. Read and write it through the methods.
 type Renditions struct {
-	Fg, Bg    Color
-	Bold      bool
-	Faint     bool
-	Italic    bool
-	Underline bool
-	Blink     bool
-	Inverse   bool
-	Invisible bool
+	fg, bg uint32
 }
 
 // SGRReset is the default rendition.
 var SGRReset = Renditions{}
+
+// Fg returns the foreground colour.
+func (r Renditions) Fg() Color { return unpackColor(r.fg) }
+
+// Bg returns the background colour.
+func (r Renditions) Bg() Color { return unpackColor(r.bg) }
+
+// SetFg sets the foreground colour.
+func (r *Renditions) SetFg(c Color) { r.fg = r.fg&^colorMask | packColor(c) }
+
+// SetBg sets the background colour.
+func (r *Renditions) SetBg(c Color) { r.bg = packColor(c) }
+
+// Has reports whether every attribute in a is set.
+func (r Renditions) Has(a Attr) bool { return Attr(r.fg)&a == a }
+
+// Set switches the attributes in a on or off.
+func (r *Renditions) Set(a Attr, on bool) {
+	if on {
+		r.fg |= uint32(a & attrMask)
+	} else {
+		r.fg &^= uint32(a & attrMask)
+	}
+}
+
+// background returns the default rendition over r's background: what an
+// erased cell carries.
+func (r Renditions) background() Renditions { return Renditions{bg: r.bg} }
 
 // ANSIString returns the escape sequence that establishes r starting from
 // the default rendition (always beginning with a reset).
@@ -99,33 +177,28 @@ func (r Renditions) ANSIString() string {
 	return string(r.appendANSI(nil))
 }
 
+// sgrAttrs lists the attributes in SGR parameter order.
+var sgrAttrs = [...]struct {
+	attr  Attr
+	param string
+}{
+	{AttrBold, ";1"}, {AttrFaint, ";2"}, {AttrItalic, ";3"}, {AttrUnderline, ";4"},
+	{AttrBlink, ";5"}, {AttrInverse, ";7"}, {AttrInvisible, ";8"},
+}
+
 // appendANSI appends the same escape sequence ANSIString returns to buf.
 // It is the allocation-free emission path the frame renderer uses.
 func (r Renditions) appendANSI(buf []byte) []byte {
 	buf = append(buf, "\x1b[0"...)
-	if r.Bold {
-		buf = append(buf, ";1"...)
+	if Attr(r.fg)&attrMask != 0 {
+		for _, a := range sgrAttrs {
+			if r.Has(a.attr) {
+				buf = append(buf, a.param...)
+			}
+		}
 	}
-	if r.Faint {
-		buf = append(buf, ";2"...)
-	}
-	if r.Italic {
-		buf = append(buf, ";3"...)
-	}
-	if r.Underline {
-		buf = append(buf, ";4"...)
-	}
-	if r.Blink {
-		buf = append(buf, ";5"...)
-	}
-	if r.Inverse {
-		buf = append(buf, ";7"...)
-	}
-	if r.Invisible {
-		buf = append(buf, ";8"...)
-	}
-	buf = appendColor(buf, 30, r.Fg)
-	buf = appendColor(buf, 40, r.Bg)
+	buf = appendColor(buf, 30, r.Fg())
+	buf = appendColor(buf, 40, r.Bg())
 	return append(buf, 'm')
 }
 
@@ -155,99 +228,135 @@ func appendColor(buf []byte, base int, c Color) []byte {
 }
 
 // Cell is one character cell of the screen: a compact, pointer-free value
-// type (the diff, snapshot and prediction layers compare and copy cells
-// millions of times per second).
+// type of three 32-bit words (the diff, snapshot and prediction layers
+// compare and copy cells millions of times per second, and a session's
+// resident memory is its cells). The package comment has the bit map.
 type Cell struct {
-	// content is the packed grapheme word: blank, an inline rune, or a
-	// grapheme intern table index (see intern.go). Mutate it only through
-	// SetRune/SetContents (or the emulator's print path) so inline/interned
-	// canonicalization — which cell equality relies on — is preserved.
+	// content is the packed grapheme word — blank, an inline rune, or a
+	// grapheme intern table index (see intern.go) — with the cell's two
+	// flags in spare high bits: wide marks the leading half of a
+	// double-width character (the cell to its right must be a blank
+	// continuation), wrap that the line soft-wrapped after this
+	// (last-column) cell. Read the grapheme through glyph and mutate it only
+	// through SetRune/SetContents (or the emulator's print path) so
+	// inline/interned canonicalization — which cell equality relies on — is
+	// preserved.
 	content uint32
 	// Rend is the graphic rendition the cell was printed with.
 	Rend Renditions
-	// Wide marks the leading half of a double-width character; the cell
-	// to its right must be a blank continuation.
-	Wide bool
-	// wrap marks that the line soft-wrapped after this (last-column)
-	// cell; renderers and predictors use it to reflow correctly.
-	wrap bool
 }
+
+// A Cell is 12 bytes; rows are sized, hashed and accounted on that.
+var _ [12 - unsafe.Sizeof(Cell{})]struct{}
+var _ [unsafe.Sizeof(Cell{}) - 12]struct{}
+
+const (
+	wideBit  uint32 = 1 << 30
+	wrapBit  uint32 = 1 << 29
+	flagBits        = wideBit | wrapBit
+)
 
 // packedSpace is the content word of an explicitly printed space, which
 // renders identically to a blank cell.
 const packedSpace = uint32(' ')
 
+// glyph returns the grapheme word without the cell flags.
+func (c *Cell) glyph() uint32 { return c.content &^ flagBits }
+
+// setGlyph replaces the grapheme word, keeping the cell flags.
+func (c *Cell) setGlyph(g uint32) { c.content = c.content&flagBits | g }
+
 // Reset clears the cell to a blank with the given background.
 func (c *Cell) Reset(bg Renditions) {
-	*c = Cell{Rend: Renditions{Bg: bg.Bg}}
+	*c = Cell{Rend: bg.background()}
 }
 
 // ContentsString returns the cell's grapheme: a base character plus any
 // combining characters, UTF-8 encoded. Empty means blank. (This is the
 // read side of the old exported Contents field.)
-func (c *Cell) ContentsString() string { return contentString(c.content) }
+func (c *Cell) ContentsString() string { return contentString(c.glyph()) }
 
 // SetContents replaces the cell's grapheme with an arbitrary string,
 // interning multi-rune clusters. Empty means blank.
-func (c *Cell) SetContents(s string) { c.content = internContents(s) }
+func (c *Cell) SetContents(s string) { c.setGlyph(internContents(s)) }
 
 // SetRune replaces the cell's grapheme with a single rune — the
 // allocation-free fast path for every plain printed character.
-func (c *Cell) SetRune(r rune) { c.content = packRune(r) }
+func (c *Cell) SetRune(r rune) { c.setGlyph(packRune(r)) }
 
 // ContentsEmpty reports whether the cell is blank (the old
 // Contents == "" test), without materializing a string.
-func (c *Cell) ContentsEmpty() bool { return c.content == 0 }
+func (c *Cell) ContentsEmpty() bool { return c.glyph() == 0 }
 
-// IsBlank reports whether the cell shows nothing (empty or space with no
-// distinguishing rendition).
-func (c *Cell) IsBlank() bool {
-	return (c.content == 0 || c.content == packedSpace) && !c.Wide &&
-		c.Rend == Renditions{Bg: c.Rend.Bg} && c.Rend.Bg == ColorDefault
+// Wide reports whether the cell is the leading half of a double-width
+// character.
+func (c *Cell) Wide() bool { return c.content&wideBit != 0 }
+
+// SetWide marks or unmarks the cell as a double-width leader.
+func (c *Cell) SetWide(on bool) {
+	if on {
+		c.content |= wideBit
+	} else {
+		c.content &^= wideBit
+	}
 }
 
-// Equal reports whether two cells render identically — one integer
-// compare per field, thanks to canonical interning. The soft-wrap flag
-// is deliberately excluded: it is invisible, and screen diffs (which use
+// IsBlank reports whether the cell shows nothing (empty or space, not
+// wide, in the default rendition).
+func (c *Cell) IsBlank() bool {
+	w := c.content &^ wrapBit
+	return (w == 0 || w == packedSpace) && c.Rend == Renditions{}
+}
+
+// visible folds what cannot be seen out of a content word: the soft-wrap
+// flag, and a printed space into a blank.
+func visible(w uint32) uint32 {
+	w &^= wrapBit
+	if w&^wideBit == packedSpace {
+		w &^= packedSpace
+	}
+	return w
+}
+
+// Equal reports whether two cells render identically — two integer
+// compares, thanks to canonical interning. The soft-wrap flag is
+// deliberately excluded: it is invisible, and screen diffs (which use
 // absolute cursor positioning) cannot reproduce it on the remote side.
 func (c *Cell) Equal(o *Cell) bool {
-	cc, oc := c.content, o.content
-	if cc == packedSpace {
-		cc = 0
-	}
-	if oc == packedSpace {
-		oc = 0
-	}
-	return cc == oc && c.Rend == o.Rend && c.Wide == o.Wide
+	return visible(c.content) == visible(o.content) && c.Rend == o.Rend
 }
 
 // Wrapped reports whether the line soft-wrapped after this cell.
-func (c *Cell) Wrapped() bool { return c.wrap }
+func (c *Cell) Wrapped() bool { return c.content&wrapBit != 0 }
+
+// setWrap marks the cell as the end of a soft-wrapped line.
+func (c *Cell) setWrap() { c.content |= wrapBit }
 
 // String renders the cell's visible contents (space when blank).
 func (c *Cell) String() string {
-	if c.content == 0 {
+	if c.glyph() == 0 {
 		return " "
 	}
-	return contentString(c.content)
+	return contentString(c.glyph())
 }
 
 // appendContents appends the cell's visible bytes to buf (space when
 // blank): the renderer's zero-allocation emission path.
 func (c *Cell) appendContents(buf []byte) []byte {
-	return appendContent(buf, c.content)
+	return appendContent(buf, c.glyph())
 }
 
 // leadRune returns the cell's base character (0 when blank); REP and the
 // prediction engine use it.
 func (c *Cell) leadRune() rune {
+	g := c.glyph()
 	switch {
-	case c.content == 0:
+	case g == 0:
 		return 0
-	case c.content&graphemeBit == 0:
-		return rune(c.content)
+	case g&graphemeBit == 0:
+		return rune(g)
 	default:
-		r, _ := utf8.DecodeRuneInString(graphemes.lookup(c.content))
+		r, _ := utf8.DecodeRuneInString(graphemes.lookup(g))
 		return r
 	}
 }

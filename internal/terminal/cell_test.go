@@ -1,0 +1,174 @@
+package terminal
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/binio"
+)
+
+// mkRend builds a rendition from its parts.
+func mkRend(fg, bg Color, a Attr) Renditions {
+	var r Renditions
+	r.SetFg(fg)
+	r.SetBg(bg)
+	r.Set(a, true)
+	return r
+}
+
+// TestCellIsPointerFree keeps the garbage collector out of the rows: a
+// cell holds no pointer of any kind, so a row's backing array is allocated
+// noscan and never traced. (Its size is asserted at compile time beside
+// the type.)
+func TestCellIsPointerFree(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		default:
+			t.Errorf("%s is a %s: a Cell must hold no pointers", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Cell{}), "Cell")
+}
+
+// oracleANSI is the rendition escape sequence spelled out attribute by
+// attribute, as the struct-of-bools representation produced it.
+func oracleANSI(attrs [7]bool, fg, bg Color) string {
+	var sb strings.Builder
+	sb.WriteString("\x1b[0")
+	for i, p := range []int{1, 2, 3, 4, 5, 7, 8} {
+		if attrs[i] {
+			fmt.Fprintf(&sb, ";%d", p)
+		}
+	}
+	for _, c := range []struct {
+		base int
+		c    Color
+	}{{30, fg}, {40, bg}} {
+		switch {
+		case c.c == ColorDefault:
+		case c.c.IsRGB():
+			r, g, b := c.c.RGB()
+			fmt.Fprintf(&sb, ";%d;2;%d;%d;%d", c.base+8, r, g, b)
+		case c.c.Palette() < 8:
+			fmt.Fprintf(&sb, ";%d", c.base+int(c.c.Palette()))
+		default:
+			fmt.Fprintf(&sb, ";%d;5;%d", c.base+8, c.c.Palette())
+		}
+	}
+	sb.WriteByte('m')
+	return sb.String()
+}
+
+// TestCellPackUnpackExhaustive walks every attribute subset × a foreground
+// and a background from each colour class × wide × wrap, and checks that
+// the packed cell gives back exactly what went in through every door:
+// accessors, the SGR string, the snapshot codec, equality and the hash.
+func TestCellPackUnpackExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	colors := []Color{
+		ColorDefault, PaletteColor(0), PaletteColor(7), PaletteColor(8), PaletteColor(255),
+		RGBColor(0, 0, 0), RGBColor(0xff, 0xff, 0xff),
+		RGBColor(uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))),
+	}
+	attrList := []Attr{AttrBold, AttrFaint, AttrItalic, AttrUnderline, AttrBlink, AttrInverse, AttrInvisible}
+	glyphs := []string{"", " ", "x", "日", "é"}
+	cases := 0
+	for subset := 0; subset < 1<<len(attrList); subset++ {
+		var attrs Attr
+		var bools [7]bool
+		for i, a := range attrList {
+			if subset&(1<<i) != 0 {
+				attrs |= a
+				bools[i] = true
+			}
+		}
+		for _, fg := range colors {
+			for _, bg := range colors {
+				rend := mkRend(fg, bg, attrs)
+				if rend.Fg() != fg || rend.Bg() != bg {
+					t.Fatalf("colours %#x/%#x came back as %#x/%#x", fg, bg, rend.Fg(), rend.Bg())
+				}
+				for i, a := range attrList {
+					if rend.Has(a) != bools[i] {
+						t.Fatalf("subset %07b: attribute %d reads %v", subset, i, rend.Has(a))
+					}
+				}
+				if got, want := rend.ANSIString(), oracleANSI(bools, fg, bg); got != want {
+					t.Fatalf("subset %07b fg %#x bg %#x: SGR %q, want %q", subset, fg, bg, got, want)
+				}
+				// Clearing everything that was set lands on the zero value.
+				cleared := rend
+				cleared.Set(attrs, false)
+				cleared.SetFg(ColorDefault)
+				cleared.SetBg(ColorDefault)
+				if cleared != SGRReset {
+					t.Fatalf("subset %07b: cleared rendition is %+v, want zero", subset, cleared)
+				}
+				for flags := 0; flags < 4; flags++ {
+					wide, wrap := flags&1 != 0, flags&2 != 0
+					g := glyphs[cases%len(glyphs)]
+					cases++
+					c := Cell{Rend: rend}
+					c.SetContents(g)
+					c.SetWide(wide)
+					if wrap {
+						c.setWrap()
+					}
+					if c.Wide() != wide || c.Wrapped() != wrap || c.ContentsString() != g || c.Rend != rend {
+						t.Fatalf("cell %q wide=%v wrap=%v reads %q wide=%v wrap=%v",
+							g, wide, wrap, c.ContentsString(), c.Wide(), c.Wrapped())
+					}
+					// A new grapheme leaves the flags alone, and the flags the
+					// grapheme.
+					d := c
+					d.SetRune('q')
+					if d.Wide() != wide || d.Wrapped() != wrap || d.ContentsString() != "q" {
+						t.Fatalf("SetRune disturbed the flags of %+v", c)
+					}
+					// The codec carries all of it.
+					enc := appendCell(nil, &c)
+					rd := binio.NewReader(append([]byte{1}, enc...))
+					back := make([]Cell, 1)
+					if !decodeRow(&rd, back) || back[0] != c {
+						t.Fatalf("cell %+v does not survive the snapshot codec: %+v", c, back[0])
+					}
+					// wrap is invisible to Equal; everything else is not.
+					e := c
+					e.content ^= wrapBit
+					if !c.Equal(&e) || hashRowCells([]Cell{c}) == hashRowCells([]Cell{e}) {
+						t.Fatalf("soft-wrap flag must be ignored by Equal and seen by the hash: %+v", c)
+					}
+					e = c
+					e.SetWide(!wide)
+					if c.Equal(&e) {
+						t.Fatalf("Equal ignored the wide flag of %+v", c)
+					}
+					blank := g == "" || g == " "
+					if c.IsBlank() != (blank && !wide && rend == SGRReset) {
+						t.Fatalf("IsBlank(%+v) = %v", c, c.IsBlank())
+					}
+				}
+			}
+		}
+	}
+	// A printed space equals a blank, under any flags and rendition.
+	sp, bl := Cell{Rend: mkRend(colors[3], colors[7], AttrBlink)}, Cell{Rend: mkRend(colors[3], colors[7], AttrBlink)}
+	sp.SetRune(' ')
+	sp.setWrap()
+	if !sp.Equal(&bl) || !bl.Equal(&sp) {
+		t.Fatal("printed space and blank compare unequal")
+	}
+	t.Logf("%d cells checked", cases)
+}

@@ -1,6 +1,9 @@
 package terminal
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // NewFrame computes the byte string that, when interpreted by a terminal
 // currently displaying last, makes it display f. This is the server→client
@@ -22,10 +25,10 @@ func NewFrame(initialized bool, last, f *Framebuffer) []byte {
 }
 
 // FrameWriter renders screen diffs. It owns the scratch state the diff
-// pipeline needs (scroll-detection tables and a blank baseline row), so a
-// long-lived writer — one per SSP sender — reaches zero heap allocations
-// per frame once warm. The zero value is ready to use. A FrameWriter is
-// not safe for concurrent use.
+// pipeline needs (the scroll-detection tables), so a long-lived writer —
+// one per SSP sender — reaches zero heap allocations per frame once warm.
+// The zero value is ready to use. A FrameWriter is not safe for concurrent
+// use.
 type FrameWriter struct {
 	// genIdx maps a row generation in `last` to its row index, turning
 	// scroll detection into one O(height) pass. Generations are unique
@@ -36,8 +39,24 @@ type FrameWriter struct {
 	// blank is the all-blank baseline row used for full repaints and for
 	// lines a scroll brought on screen. Its generation is 0, which no
 	// real row ever carries (the generation counter starts at 1), so it
-	// never falsely matches. It is read-only by construction.
-	blank *Row
+	// never falsely matches. It is read-only by construction, so its cells
+	// are the process-wide blankCells, not a private array per writer.
+	blank Row
+}
+
+// blankCells is the one run of zero-value cells behind every writer's
+// baseline row, as long as the widest screen painted so far. Nobody writes
+// to it; a racing pair of growers both publish all-blank arrays, and the
+// loser's lives only as long as the writers that took it.
+var blankCells atomic.Pointer[[]Cell]
+
+func sharedBlankCells(width int) []Cell {
+	if p := blankCells.Load(); p != nil && len(*p) >= width {
+		return (*p)[:width:width]
+	}
+	cells := make([]Cell, max(width, 256))
+	blankCells.Store(&cells)
+	return cells[:width:width]
 }
 
 // frameState tracks the remote terminal's cursor and rendition as our
@@ -50,12 +69,12 @@ type frameState struct {
 	rend       Renditions
 }
 
-// blankRow returns the cached width-w blank baseline row.
+// blankRow returns the width-w blank baseline row.
 func (w *FrameWriter) blankRow(width int) *Row {
-	if w.blank == nil || len(w.blank.Cells) != width {
-		w.blank = &Row{Cells: make([]Cell, width)}
+	if len(w.blank.Cells) != width {
+		w.blank.Cells = sharedBlankCells(width)
 	}
-	return w.blank
+	return &w.blank
 }
 
 // AppendFrame appends the frame bytes transforming last into f (see
@@ -231,7 +250,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		}
 		// A differing continuation cell of a wide character cannot be
 		// painted directly; repaint its leader, which regenerates it.
-		if cell.ContentsEmpty() && x > 0 && row.Cells[x-1].Wide {
+		if cell.ContentsEmpty() && x > 0 && row.Cells[x-1].Wide() {
 			x--
 			cell = &row.Cells[x]
 		}
@@ -239,7 +258,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		buf = setRend(buf, cur, cell.Rend)
 		buf = cell.appendContents(buf)
 		w := 1
-		if cell.Wide {
+		if cell.Wide() {
 			w = 2
 		}
 		if x+w >= width {

@@ -260,3 +260,22 @@ func BenchmarkEmulatorBulk162x64(b *testing.B) {
 		e.Write(data)
 	}
 }
+
+// TestFrameWriterBlankRowShared pins the baseline row's storage to one
+// process-wide array: a writer per session must not cost a blank row per
+// session.
+func TestFrameWriterBlankRowShared(t *testing.T) {
+	var a, b FrameWriter
+	wide, narrow := a.blankRow(132), b.blankRow(80)
+	if &wide.Cells[0] != &narrow.Cells[0] {
+		t.Fatal("two writers' blank baseline rows do not share storage")
+	}
+	if len(narrow.Cells) != 80 || cap(narrow.Cells) != 80 || narrow.gen != 0 {
+		t.Fatalf("blank row is len %d cap %d gen %d, want 80/80/0", len(narrow.Cells), cap(narrow.Cells), narrow.gen)
+	}
+	for i := range wide.Cells {
+		if wide.Cells[i] != (Cell{}) {
+			t.Fatalf("shared blank cell %d is %+v", i, wide.Cells[i])
+		}
+	}
+}

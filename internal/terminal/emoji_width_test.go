@@ -14,7 +14,7 @@ func TestVS16WidensNarrowCell(t *testing.T) {
 	if got := c.ContentsString(); got != "✈️" {
 		t.Fatalf("cell contents = %q, want the full VS16 cluster", got)
 	}
-	if !c.Wide {
+	if !c.Wide() {
 		t.Fatal("VS16 cluster must render wide")
 	}
 	if next := e.Framebuffer().Peek(0, 1); !next.ContentsEmpty() {
@@ -34,8 +34,8 @@ func TestVS16OnAlreadyWideCellKeepsWidth(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("\U0001f642️") // 🙂 (already wide) + VS16
 	c := e.Framebuffer().Peek(0, 0)
-	if !c.Wide || c.ContentsString() != "\U0001f642️" {
-		t.Fatalf("wide base + VS16: wide=%v contents=%q", c.Wide, c.ContentsString())
+	if !c.Wide() || c.ContentsString() != "\U0001f642️" {
+		t.Fatalf("wide base + VS16: wide=%v contents=%q", c.Wide(), c.ContentsString())
 	}
 	if ds := e.Framebuffer().DS; ds.CursorCol != 2 {
 		t.Fatalf("cursor at col %d, want 2 (unchanged by VS16)", ds.CursorCol)
@@ -50,7 +50,7 @@ func TestZWJSequenceJoinsIntoOneCell(t *testing.T) {
 	if got := c.ContentsString(); got != "\U0001f469‍\U0001f4bb" {
 		t.Fatalf("cell contents = %q, want the joined sequence in one cell", got)
 	}
-	if !c.Wide {
+	if !c.Wide() {
 		t.Fatal("joined emoji sequence must be wide")
 	}
 	// The laptop must NOT occupy its own cell.
@@ -71,7 +71,7 @@ func TestZWJWidestMemberSetsWidth(t *testing.T) {
 	if got := c.ContentsString(); got != "☁‍\U0001f327" {
 		t.Fatalf("cell contents = %q", got)
 	}
-	if !c.Wide {
+	if !c.Wide() {
 		t.Fatal("sequence with a wide member must render wide")
 	}
 	if ds := e.Framebuffer().DS; ds.CursorCol != 2 {
@@ -82,8 +82,8 @@ func TestZWJWidestMemberSetsWidth(t *testing.T) {
 	e2 := NewEmulator(20, 4)
 	e2.WriteString("\U0001f469‍⚕") // 👩 + ZWJ + ⚕ (narrow staff of aesculapius)
 	c2 := e2.Framebuffer().Peek(0, 0)
-	if !c2.Wide || c2.ContentsString() != "\U0001f469‍⚕" {
-		t.Fatalf("wide-lead join: wide=%v contents=%q", c2.Wide, c2.ContentsString())
+	if !c2.Wide() || c2.ContentsString() != "\U0001f469‍⚕" {
+		t.Fatalf("wide-lead join: wide=%v contents=%q", c2.Wide(), c2.ContentsString())
 	}
 }
 
@@ -95,7 +95,7 @@ func TestMultiZWJSequenceStaysOneCell(t *testing.T) {
 	if got := fb.Peek(0, 0).ContentsString(); got != seq {
 		t.Fatalf("cell 0 = %q, want the whole flag sequence", got)
 	}
-	if !fb.Peek(0, 0).Wide {
+	if !fb.Peek(0, 0).Wide() {
 		t.Fatal("flag sequence must be wide")
 	}
 	if got := fb.Peek(0, 2).ContentsString(); got != "x" {
@@ -114,7 +114,7 @@ func TestZWJBetweenLettersDoesNotJoinCells(t *testing.T) {
 	if got := fb.Peek(0, 0).ContentsString(); got != "A\u200d" {
 		t.Fatalf("cell 0 = %q, want A with trailing (invisible) ZWJ", got)
 	}
-	if fb.Peek(0, 0).Wide {
+	if fb.Peek(0, 0).Wide() {
 		t.Fatal("letter cell must stay narrow")
 	}
 	if got := fb.Peek(0, 1).ContentsString(); got != "B" {
@@ -135,13 +135,13 @@ func TestZWJAfterLetterDoesNotSwallowEmoji(t *testing.T) {
 	if got := fb.Peek(0, 0).ContentsString(); got != "A\u200d" {
 		t.Fatalf("cell 0 = %q, want the letter (with its invisible ZWJ) alone", got)
 	}
-	if fb.Peek(0, 0).Wide {
+	if fb.Peek(0, 0).Wide() {
 		t.Fatal("letter cell must stay narrow")
 	}
 	if got := fb.Peek(0, 1).ContentsString(); got != "\U0001f642" {
 		t.Fatalf("cell 1 = %q, want the emoji in its own cell", got)
 	}
-	if !fb.Peek(0, 1).Wide {
+	if !fb.Peek(0, 1).Wide() {
 		t.Fatal("emoji cell must be wide")
 	}
 	if ds := fb.DS; ds.CursorCol != 3 {
@@ -161,12 +161,12 @@ func TestStaleZWJDoesNotSwallowAfterCursorMove(t *testing.T) {
 	if got := fb.Peek(0, 0).ContentsString(); got != "☁\u200d" {
 		t.Fatalf("cell 0 = %q, want the stale cluster untouched", got)
 	}
-	if fb.Peek(0, 0).Wide {
+	if fb.Peek(0, 0).Wide() {
 		t.Fatal("stale cell must stay narrow")
 	}
-	if got := fb.Peek(0, 1).ContentsString(); got != "\U0001f642" || !fb.Peek(0, 1).Wide {
+	if got := fb.Peek(0, 1).ContentsString(); got != "\U0001f642" || !fb.Peek(0, 1).Wide() {
 		t.Fatalf("cell 1 = %q (wide=%v), want the emoji as its own wide cell",
-			got, fb.Peek(0, 1).Wide)
+			got, fb.Peek(0, 1).Wide())
 	}
 	if got := fb.Peek(0, 3).ContentsString(); got != "x" {
 		t.Fatalf("col 3 = %q, want x after the wide emoji", got)
@@ -180,7 +180,7 @@ func TestVS16OnPlainLetterStaysNarrow(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("a\ufe0fb")
 	fb := e.Framebuffer()
-	if fb.Peek(0, 0).Wide {
+	if fb.Peek(0, 0).Wide() {
 		t.Fatal("plain letter with VS16 must stay narrow")
 	}
 	if got := fb.Peek(0, 1).ContentsString(); got != "b" {
@@ -199,7 +199,7 @@ func TestVS16AtLastColumnStaysNarrow(t *testing.T) {
 	e.WriteString("\x1b[1;10H✈️")
 	fb := e.Framebuffer()
 	c := fb.Peek(0, 9)
-	if c.Wide {
+	if c.Wide() {
 		t.Fatal("last-column cell must not become a wide leader")
 	}
 	if got := c.ContentsString(); got != "✈️" {
@@ -225,8 +225,8 @@ func TestEmojiWidthDiffRoundTrip(t *testing.T) {
 		for c := 0; c < a.W; c++ {
 			if !a.Peek(r, c).Equal(b.Peek(r, c)) {
 				t.Fatalf("cell (%d,%d) differs after round trip: %q/wide=%v vs %q/wide=%v",
-					r, c, a.Peek(r, c).ContentsString(), a.Peek(r, c).Wide,
-					b.Peek(r, c).ContentsString(), b.Peek(r, c).Wide)
+					r, c, a.Peek(r, c).ContentsString(), a.Peek(r, c).Wide(),
+					b.Peek(r, c).ContentsString(), b.Peek(r, c).Wide())
 			}
 		}
 	}

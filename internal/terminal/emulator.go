@@ -90,7 +90,7 @@ func (e *Emulator) print(r rune) {
 		row, col := e.prevGraphicCell()
 		if !fb.Peek(row, col).ContentsEmpty() {
 			c := fb.Cell(row, col)
-			c.content = graphemes.appendRune(c.content, r)
+			c.setGlyph(graphemes.appendRune(c.glyph(), r))
 			fb.writableRow(row).touch()
 			// VS16 requests emoji presentation: the cell renders at double
 			// width even when its base character alone is narrow (✈ vs ✈️).
@@ -99,7 +99,7 @@ func (e *Emulator) print(r rune) {
 			// arriving after cursor motion, is zero-width noise in every
 			// wcwidth implementation, and widening would desync column
 			// positions with the application's layout.
-			if r == vs16 && joinable && !c.Wide && isPictographic(c.leadRune()) {
+			if r == vs16 && joinable && !c.Wide() && isPictographic(c.leadRune()) {
 				e.widenCell(row, col)
 			}
 		}
@@ -116,11 +116,11 @@ func (e *Emulator) print(r rune) {
 	// on cursor motion, so a stale dangling joiner on the screen never
 	// swallows a rune printed after the application repositions.
 	if row, col := e.prevGraphicCell(); joinable && isPictographic(r) &&
-		endsWithZWJ(fb.Peek(row, col).content) && isPictographic(fb.Peek(row, col).leadRune()) {
+		endsWithZWJ(fb.Peek(row, col).glyph()) && isPictographic(fb.Peek(row, col).leadRune()) {
 		c := fb.Cell(row, col)
-		c.content = graphemes.appendRune(c.content, r)
+		c.setGlyph(graphemes.appendRune(c.glyph(), r))
 		fb.writableRow(row).touch()
-		if width == 2 && !c.Wide {
+		if width == 2 && !c.Wide() {
 			e.widenCell(row, col)
 		}
 		return
@@ -129,7 +129,7 @@ func (e *Emulator) print(r rune) {
 	// Deferred autowrap.
 	if ds.NextPrintWraps && ds.AutoWrapMode {
 		wr := fb.writableRow(ds.CursorRow)
-		wr.Cells[fb.W-1].wrap = true
+		wr.Cells[fb.W-1].setWrap()
 		wr.touch()
 		ds.CursorCol = 0
 		ds.NextPrintWraps = false
@@ -140,7 +140,7 @@ func (e *Emulator) print(r rune) {
 	if width == 2 && ds.CursorCol == fb.W-1 {
 		if ds.AutoWrapMode {
 			wr := fb.writableRow(ds.CursorRow)
-			wr.Cells[fb.W-1].wrap = true
+			wr.Cells[fb.W-1].setWrap()
 			wr.touch()
 			ds.CursorCol = 0
 			e.lineFeed()
@@ -159,15 +159,13 @@ func (e *Emulator) print(r rune) {
 	row, col := ds.CursorRow, ds.CursorCol
 	// Overwriting the continuation half of a wide character destroys the
 	// leader too.
-	if col > 0 && fb.Peek(row, col-1).Wide {
+	if col > 0 && fb.Peek(row, col-1).Wide() {
 		lead := fb.Cell(row, col-1)
 		lead.Reset(lead.Rend)
 	}
 	c := fb.Cell(row, col)
-	c.SetRune(r)
-	c.Rend = ds.Rend
-	c.Wide = width == 2
-	c.wrap = false
+	*c = Cell{content: packRune(r), Rend: ds.Rend}
+	c.SetWide(width == 2)
 	if width == 2 && col+1 < fb.W {
 		fb.Cell(row, col+1).Reset(ds.Rend)
 	}
@@ -247,7 +245,7 @@ func (e *Emulator) plainSegment(max int) int {
 		hi = fb.W - 1
 	}
 	for i := lo; i <= hi; i++ {
-		if cells[i].Wide {
+		if cells[i].Wide() {
 			if n = i - col - 1; n < 0 {
 				n = 0
 			}
@@ -268,7 +266,7 @@ func (e *Emulator) prevGraphicCell() (row, col int) {
 	if !ds.NextPrintWraps && col > 0 {
 		col--
 	}
-	if col > 0 && fb.Peek(row, col).ContentsEmpty() && fb.Peek(row, col-1).Wide {
+	if col > 0 && fb.Peek(row, col).ContentsEmpty() && fb.Peek(row, col-1).Wide() {
 		col--
 	}
 	return row, col
@@ -287,7 +285,7 @@ func (e *Emulator) widenCell(row, col int) {
 		return
 	}
 	c := fb.Cell(row, col)
-	c.Wide = true
+	c.SetWide(true)
 	fb.Cell(row, col+1).Reset(c.Rend)
 	fb.normalizeWideRange(row, col-2, col+3)
 	fb.writableRow(row).touch()
@@ -355,7 +353,7 @@ func (e *Emulator) escDispatch(inter []byte, final byte) {
 					cell := &row.Cells[c]
 					cell.SetRune('E')
 					cell.Rend = SGRReset
-					cell.Wide = false
+					cell.SetWide(false)
 				}
 				row.touch()
 			}
@@ -596,57 +594,57 @@ func (e *Emulator) selectGraphicRendition(params []int) {
 		case p == 0:
 			ds.Rend = SGRReset
 		case p == 1:
-			ds.Rend.Bold = true
+			ds.Rend.Set(AttrBold, true)
 		case p == 2:
-			ds.Rend.Faint = true
+			ds.Rend.Set(AttrFaint, true)
 		case p == 3:
-			ds.Rend.Italic = true
+			ds.Rend.Set(AttrItalic, true)
 		case p == 4:
-			ds.Rend.Underline = true
+			ds.Rend.Set(AttrUnderline, true)
 		case p == 5 || p == 6:
-			ds.Rend.Blink = true
+			ds.Rend.Set(AttrBlink, true)
 		case p == 7:
-			ds.Rend.Inverse = true
+			ds.Rend.Set(AttrInverse, true)
 		case p == 8:
-			ds.Rend.Invisible = true
+			ds.Rend.Set(AttrInvisible, true)
 		case p == 21 || p == 22:
-			ds.Rend.Bold, ds.Rend.Faint = false, false
+			ds.Rend.Set(AttrBold|AttrFaint, false)
 		case p == 23:
-			ds.Rend.Italic = false
+			ds.Rend.Set(AttrItalic, false)
 		case p == 24:
-			ds.Rend.Underline = false
+			ds.Rend.Set(AttrUnderline, false)
 		case p == 25:
-			ds.Rend.Blink = false
+			ds.Rend.Set(AttrBlink, false)
 		case p == 27:
-			ds.Rend.Inverse = false
+			ds.Rend.Set(AttrInverse, false)
 		case p == 28:
-			ds.Rend.Invisible = false
+			ds.Rend.Set(AttrInvisible, false)
 		case p >= 30 && p <= 37:
-			ds.Rend.Fg = PaletteColor(uint8(p - 30))
+			ds.Rend.SetFg(PaletteColor(uint8(p - 30)))
 		case p == 38:
 			if c, skip, ok := extendedColor(params, i); ok {
-				ds.Rend.Fg = c
+				ds.Rend.SetFg(c)
 				i += skip
 			} else {
 				return
 			}
 		case p == 39:
-			ds.Rend.Fg = ColorDefault
+			ds.Rend.SetFg(ColorDefault)
 		case p >= 40 && p <= 47:
-			ds.Rend.Bg = PaletteColor(uint8(p - 40))
+			ds.Rend.SetBg(PaletteColor(uint8(p - 40)))
 		case p == 48:
 			if c, skip, ok := extendedColor(params, i); ok {
-				ds.Rend.Bg = c
+				ds.Rend.SetBg(c)
 				i += skip
 			} else {
 				return
 			}
 		case p == 49:
-			ds.Rend.Bg = ColorDefault
+			ds.Rend.SetBg(ColorDefault)
 		case p >= 90 && p <= 97:
-			ds.Rend.Fg = PaletteColor(uint8(p - 90 + 8))
+			ds.Rend.SetFg(PaletteColor(uint8(p - 90 + 8)))
 		case p >= 100 && p <= 107:
-			ds.Rend.Bg = PaletteColor(uint8(p - 100 + 8))
+			ds.Rend.SetBg(PaletteColor(uint8(p - 100 + 8)))
 		}
 	}
 }

@@ -201,7 +201,7 @@ func TestSGRBoldColorReset(t *testing.T) {
 	e := emu(20, 3)
 	e.WriteString("\x1b[1;31mhot\x1b[0m cold")
 	c := e.Framebuffer().Cell(0, 0)
-	if !c.Rend.Bold || c.Rend.Fg != PaletteColor(1) {
+	if !c.Rend.Has(AttrBold) || c.Rend.Fg() != PaletteColor(1) {
 		t.Fatalf("rendition = %+v", c.Rend)
 	}
 	c = e.Framebuffer().Cell(0, 4)
@@ -213,12 +213,12 @@ func TestSGRBoldColorReset(t *testing.T) {
 func TestSGR256AndTruecolor(t *testing.T) {
 	e := emu(20, 3)
 	e.WriteString("\x1b[38;5;196mX\x1b[48;2;10;20;30mY")
-	if got := e.Framebuffer().Cell(0, 0).Rend.Fg; got != PaletteColor(196) {
+	if got := e.Framebuffer().Cell(0, 0).Rend.Fg(); got != PaletteColor(196) {
 		t.Fatalf("256-color fg = %v", got)
 	}
 	rend := e.Framebuffer().Cell(0, 1).Rend
-	if r, g, b := rend.Bg.RGB(); !rend.Bg.IsRGB() || r != 10 || g != 20 || b != 30 {
-		t.Fatalf("truecolor bg = %v", rend.Bg)
+	if r, g, b := rend.Bg().RGB(); !rend.Bg().IsRGB() || r != 10 || g != 20 || b != 30 {
+		t.Fatalf("truecolor bg = %v", rend.Bg())
 	}
 }
 
@@ -226,7 +226,7 @@ func TestSGRBrightColors(t *testing.T) {
 	e := emu(20, 3)
 	e.WriteString("\x1b[97;104mZ")
 	rend := e.Framebuffer().Cell(0, 0).Rend
-	if rend.Fg != PaletteColor(15) || rend.Bg != PaletteColor(12) {
+	if rend.Fg() != PaletteColor(15) || rend.Bg() != PaletteColor(12) {
 		t.Fatalf("bright colors = %+v", rend)
 	}
 }
@@ -263,7 +263,7 @@ func TestSaveRestoreCursor(t *testing.T) {
 	e := emu(20, 5)
 	e.WriteString("\x1b[3;7H\x1b[1m\x1b7\x1b[H\x1b[0mmoved\x1b8")
 	cursor(t, e, 2, 6)
-	if !e.Framebuffer().DS.Rend.Bold {
+	if !e.Framebuffer().DS.Rend.Has(AttrBold) {
 		t.Fatal("rendition not restored")
 	}
 }
@@ -302,7 +302,7 @@ func TestUTF8AndWideChars(t *testing.T) {
 	e.WriteString("\r\n日本")
 	cursor(t, e, 1, 4)
 	c := e.Framebuffer().Cell(1, 0)
-	if !c.Wide || c.ContentsString() != "日" {
+	if !c.Wide() || c.ContentsString() != "日" {
 		t.Fatalf("wide cell = %+v", c)
 	}
 	if e.Framebuffer().Cell(1, 1).ContentsString() != "" {

@@ -227,6 +227,19 @@ func (f *Framebuffer) CloneInto(dst *Framebuffer) *Framebuffer {
 	return dst
 }
 
+// Release drops everything this framebuffer keeps reachable — every row,
+// the scrollback arena, the row free list, the title — and keeps only the
+// capacity CloneInto reuses (the rows slice and the tab table). A retired
+// snapshot waiting on a free list calls it so that a dead screen pins no
+// cell storage; the framebuffer must not be read again until CloneInto has
+// refilled it.
+func (f *Framebuffer) Release() {
+	clear(f.rows)
+	f.sb, f.sbOff, f.sbLen = nil, 0, 0
+	f.freeRows = nil
+	f.Title = ""
+}
+
 // Equal reports whether two framebuffers render identically and carry the
 // same synchronized metadata.
 func (f *Framebuffer) Equal(o *Framebuffer) bool {
@@ -353,14 +366,14 @@ func (f *Framebuffer) normalizeWideRange(row, from, to int) {
 	}
 	for col := from; col < to; col++ {
 		c := &r.Cells[col]
-		if !c.Wide {
+		if !c.Wide() {
 			continue
 		}
 		if col == f.W-1 {
 			c.Reset(c.Rend)
 			continue
 		}
-		want := Cell{Rend: Renditions{Bg: c.Rend.Bg}}
+		want := Cell{Rend: c.Rend.background()}
 		if r.Cells[col+1] != want {
 			r.Cells[col+1] = want
 		}
@@ -557,7 +570,7 @@ func (f *Framebuffer) Resize(w, h int) {
 			src := f.rows[i]
 			n := copy(r.Cells, src.Cells)
 			// A surviving wide cell split at the boundary becomes blank.
-			if n > 0 && r.Cells[n-1].Wide && n == w {
+			if n > 0 && r.Cells[n-1].Wide() && n == w {
 				r.Cells[n-1].Reset(SGRReset)
 			}
 		}
@@ -776,8 +789,9 @@ func (f *Framebuffer) MemStats() MemStats {
 // resident, deduplicated against every backing array already counted in
 // seen — so storage shared through row interning (or copy-on-write) is
 // charged once fleet-wide, no matter how many screens reference it. It
-// also counts this screen's interned rows. sessiond drives it across all
-// sessions to compute resident_bytes_per_session.
+// also counts this screen's interned rows. sessiond drives it across
+// every screen of every session (the live one, the sender's unacknowledged
+// snapshots, released shells) to compute resident_bytes_per_session.
 func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes, internedRows int) {
 	count := func(cells []Cell) {
 		if len(cells) == 0 {
@@ -791,6 +805,9 @@ func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes, intern
 		bytes += len(cells) * cellBytes
 	}
 	for _, r := range f.rows {
+		if r == nil {
+			continue // a released shell (see Release)
+		}
 		count(r.Cells)
 		if r.interned {
 			internedRows++

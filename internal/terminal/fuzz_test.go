@@ -39,7 +39,7 @@ func TestEmulatorFuzzNeverPanicsAndKeepsInvariants(t *testing.T) {
 		for r := 0; r < fb.H; r++ {
 			for c := 0; c < fb.W; c++ {
 				cell := fb.Cell(r, c)
-				if cell.Wide {
+				if cell.Wide() {
 					if c == fb.W-1 {
 						t.Fatalf("iter %d: wide leader in last column (%d,%d)", iter, r, c)
 					}

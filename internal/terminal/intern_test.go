@@ -42,7 +42,7 @@ func newStringScreen(w, h int) *stringScreen {
 }
 
 func (s *stringScreen) blankCell() stringCell {
-	return stringCell{rend: Renditions{Bg: s.rend.Bg}}
+	return stringCell{rend: s.rend.background()}
 }
 
 func (s *stringScreen) lineFeed() {
@@ -79,10 +79,10 @@ func (s *stringScreen) normalizeWide(row int) {
 			continue
 		}
 		if col == s.w-1 {
-			*c = stringCell{rend: Renditions{Bg: c.rend.Bg}}
+			*c = stringCell{rend: c.rend.background()}
 			continue
 		}
-		s.cells[row][col+1] = stringCell{rend: Renditions{Bg: c.rend.Bg}}
+		s.cells[row][col+1] = stringCell{rend: c.rend.background()}
 		col++
 	}
 }
@@ -114,7 +114,7 @@ func (s *stringScreen) print(r rune) {
 	row, col := s.row, s.col
 	if col > 0 && s.cells[row][col-1].wide {
 		lead := &s.cells[row][col-1]
-		*lead = stringCell{rend: Renditions{Bg: lead.rend.Bg}}
+		*lead = stringCell{rend: lead.rend.background()}
 	}
 	s.cells[row][col] = stringCell{contents: string(r), rend: s.rend, wide: width == 2}
 	if width == 2 && col+1 < s.w {
@@ -158,9 +158,9 @@ func (s *stringScreen) verifyAgainst(t *testing.T, fb *Framebuffer, label string
 		for c := 0; c < s.w; c++ {
 			got := fb.Peek(r, c)
 			want := s.cells[r][c]
-			if got.ContentsString() != want.contents || got.Rend != want.rend || got.Wide != want.wide {
+			if got.ContentsString() != want.contents || got.Rend != want.rend || got.Wide() != want.wide {
 				t.Fatalf("%s: cell (%d,%d) = {%q %v wide=%v}, oracle {%q %v wide=%v}", label, r, c,
-					got.ContentsString(), got.Rend, got.Wide, want.contents, want.rend, want.wide)
+					got.ContentsString(), got.Rend, got.Wide(), want.contents, want.rend, want.wide)
 			}
 		}
 	}
@@ -205,9 +205,9 @@ func TestPackedCellDifferentialFuzz(t *testing.T) {
 			rend Renditions
 		}{
 			{"\x1b[0m", Renditions{}},
-			{"\x1b[1m", Renditions{Bold: true}},
-			{"\x1b[31m", Renditions{Fg: PaletteColor(1)}},
-			{"\x1b[42m", Renditions{Bg: PaletteColor(2)}},
+			{"\x1b[1m", mkRend(0, 0, AttrBold)},
+			{"\x1b[31m", mkRend(PaletteColor(1), 0, 0)},
+			{"\x1b[42m", mkRend(0, PaletteColor(2), 0)},
 		}
 
 		for step := 0; step < 400; step++ {
@@ -239,11 +239,11 @@ func TestPackedCellDifferentialFuzz(t *testing.T) {
 				case "\x1b[0m":
 					cur = Renditions{}
 				case "\x1b[1m":
-					cur.Bold = true
+					cur.Set(AttrBold, true)
 				case "\x1b[31m":
-					cur.Fg = PaletteColor(1)
+					cur.SetFg(PaletteColor(1))
 				case "\x1b[42m":
-					cur.Bg = PaletteColor(2)
+					cur.SetBg(PaletteColor(2))
 				}
 				oracle.rend = cur
 			}

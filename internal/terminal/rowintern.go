@@ -1,8 +1,10 @@
 package terminal
 
 import (
+	"runtime"
 	"sync"
 	"unsafe"
+	"weak"
 )
 
 // Row-level screen interning (the memory-side counterpart of grapheme
@@ -25,84 +27,75 @@ const cellBytes = int(unsafe.Sizeof(Cell{}))
 
 const (
 	// maxInternedRowBytes caps the canonical cell storage the table may
-	// pin. Beyond it the table stops registering new rows (existing
-	// canonicals keep deduplicating) — graceful degradation, never an
-	// error.
+	// reference. The table holds its rows weakly, so this bounds bytes that
+	// are live and shared, not bytes the table keeps alive. Beyond it the
+	// table stops registering new rows (existing canonicals keep
+	// deduplicating) — graceful degradation, never an error — until rows
+	// die and give their room back.
 	maxInternedRowBytes = 16 << 20
 	// maxRowBucket bounds one hash bucket's candidate chain so a
 	// pathological workload degrades to a miss instead of a linear scan.
 	maxRowBucket = 8
+	// minInternedRowBytes keeps rows the runtime would pack into a shared
+	// 16-byte tiny-allocator block out of the table: such a block dies only
+	// when all its tenants do, so its cleanup may never run.
+	minInternedRowBytes = 16
 )
+
+// canonRow is one table entry: a weak reference to a canonical cell array
+// and its length. The table owns nothing — a canonical row lives exactly as
+// long as some screen, snapshot or scrollback arena references its cells.
+type canonRow struct {
+	cells weak.Pointer[Cell] // &cells[0]
+	n     int
+}
 
 // rowInternTable is the process-wide canonical row store. Sessions
 // emulate concurrently under their own locks, so the table has its own;
 // the read path (steady-state hit) takes only the read lock.
+//
+// Entries leave one at a time: registering a row attaches a cleanup to its
+// cell array (runtime.AddCleanup), which removes exactly that entry and its
+// bytes once the collector has found the array unreachable — O(bucket), on
+// the runtime's cleanup goroutine. Between the array's death and its
+// cleanup the entry still counts against the caps and lookups step over it.
+// Nothing here is O(table).
 type rowInternTable struct {
 	mu      sync.RWMutex
-	buckets map[uint64][][]Cell
+	buckets map[uint64][]canonRow
 	bytes   int
 	rows    int
 }
 
-var rowInterns = rowInternTable{buckets: make(map[uint64][][]Cell)}
+var rowInterns = rowInternTable{buckets: make(map[uint64][]canonRow)}
 
-// InternedRowStats reports the canonical row count and the bytes of cell
-// storage the intern table pins (observability gauges).
-func InternedRowStats() (rows, bytes int) {
-	rowInterns.mu.RLock()
-	defer rowInterns.mu.RUnlock()
-	return rowInterns.rows, rowInterns.bytes
+// InternedRowStats reports the canonical row count and the bytes of live
+// cell storage the intern table references (observability gauges).
+func InternedRowStats() (rows, bytes int) { return rowInterns.stats() }
+
+func (t *rowInternTable) stats() (rows, bytes int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows, t.bytes
 }
 
-// hashRowCells is FNV-1a over the content words and renditions of a row.
+// hashRowCells is FNV-1a over a row's words, three to a cell, a word at a
+// step.
 func hashRowCells(cells []Cell) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	mix := func(v uint64) {
-		h = (h ^ v&0xff) * prime64
-		h = (h ^ v>>8&0xff) * prime64
-		h = (h ^ v>>16&0xff) * prime64
-		h = (h ^ v>>24&0xff) * prime64
-	}
 	for i := range cells {
 		c := &cells[i]
-		mix(uint64(c.content))
-		mix(uint64(c.Rend.Fg))
-		mix(uint64(c.Rend.Bg))
-		var fl uint64
-		if c.Rend.Bold {
-			fl |= 1 << 0
-		}
-		if c.Rend.Faint {
-			fl |= 1 << 1
-		}
-		if c.Rend.Italic {
-			fl |= 1 << 2
-		}
-		if c.Rend.Underline {
-			fl |= 1 << 3
-		}
-		if c.Rend.Blink {
-			fl |= 1 << 4
-		}
-		if c.Rend.Inverse {
-			fl |= 1 << 5
-		}
-		if c.Rend.Invisible {
-			fl |= 1 << 6
-		}
-		if c.Wide {
-			fl |= 1 << 7
-		}
-		if c.wrap {
-			fl |= 1 << 8
-		}
-		mix(fl)
+		h = (h ^ uint64(c.content)) * prime64
+		h = (h ^ uint64(c.Rend.fg)) * prime64
+		h = (h ^ uint64(c.Rend.bg)) * prime64
 	}
-	return h
+	// The multiply only carries upwards; fold the well-mixed high half
+	// into the low bits the map's bucket index is drawn from.
+	return h ^ h>>32
 }
 
 // cellsIdentical is exact (bit-for-bit) row equality — stricter than
@@ -122,10 +115,19 @@ func cellsIdentical(a, b []Cell) bool {
 }
 
 // lookup returns the canonical cells equal to cells under hash h, or nil.
+// The returned slice is a strong reference: the array cannot die under the
+// caller.
 func (t *rowInternTable) lookup(cells []Cell, h uint64) []Cell {
 	for _, cand := range t.buckets[h] {
-		if cellsIdentical(cells, cand) {
-			return cand
+		if cand.n != len(cells) {
+			continue
+		}
+		p := cand.cells.Value()
+		if p == nil {
+			continue // dead, cleanup pending
+		}
+		if canon := unsafe.Slice(p, cand.n); cellsIdentical(cells, canon) {
+			return canon
 		}
 	}
 	return nil
@@ -136,6 +138,10 @@ func (t *rowInternTable) lookup(cells []Cell, h uint64) []Cell {
 // capacity and cells is not already interned — the caller leaves the row
 // private.
 func (t *rowInternTable) intern(cells []Cell) (canon []Cell, ok bool) {
+	size := len(cells) * cellBytes
+	if size < minInternedRowBytes {
+		return nil, false
+	}
 	h := hashRowCells(cells)
 	t.mu.RLock()
 	canon = t.lookup(cells, h)
@@ -148,13 +154,47 @@ func (t *rowInternTable) intern(cells []Cell) (canon []Cell, ok bool) {
 	if canon = t.lookup(cells, h); canon != nil {
 		return canon, true
 	}
-	if t.bytes+len(cells)*cellBytes > maxInternedRowBytes || len(t.buckets[h]) >= maxRowBucket {
+	if t.bytes+size > maxInternedRowBytes || len(t.buckets[h]) >= maxRowBucket {
 		return nil, false
 	}
-	t.buckets[h] = append(t.buckets[h], cells)
-	t.bytes += len(cells) * cellBytes
+	e := canonRow{cells: weak.Make(&cells[0]), n: len(cells)}
+	t.buckets[h] = append(t.buckets[h], e)
+	t.bytes += size
 	t.rows++
+	runtime.AddCleanup(&cells[0], forgetRow, deadRow{t: t, h: h, cells: e.cells})
 	return cells, true
+}
+
+// deadRow identifies the entry a cleanup removes. It must not reference
+// the cell array strongly, or the array would never die.
+type deadRow struct {
+	t     *rowInternTable
+	h     uint64
+	cells weak.Pointer[Cell]
+}
+
+// forgetRow removes the entry of a canonical array the collector has
+// reclaimed. Weak pointers compare by the identity of what they pointed
+// at, dead or alive, so the entry is found exactly.
+func forgetRow(d deadRow) {
+	t := d.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	b := t.buckets[d.h]
+	for i := range b {
+		if b[i].cells != d.cells {
+			continue
+		}
+		t.bytes -= b[i].n * cellBytes
+		t.rows--
+		if len(b) == 1 {
+			delete(t.buckets, d.h)
+			return
+		}
+		b[i] = b[len(b)-1]
+		t.buckets[d.h] = b[:len(b)-1]
+		return
+	}
 }
 
 // InternRows deduplicates this screen's rows against the process-wide
@@ -172,8 +212,8 @@ func (f *Framebuffer) InternRows() int {
 		}
 		canon, ok := rowInterns.intern(r.Cells)
 		if !ok {
-			// Table full: remember we looked so the row is not rehashed
-			// every call while it stays unchanged.
+			// No room just now: remember we looked so the row is not
+			// rehashed every call while it stays unchanged.
 			r.internGen = r.gen
 			continue
 		}

@@ -10,7 +10,7 @@ import (
 func fillRow(f *Framebuffer, i int, tag byte) {
 	r := f.Row(i)
 	for c := range r.Cells {
-		r.Cells[c] = Cell{Rend: Renditions{Bold: true}}
+		r.Cells[c] = Cell{Rend: mkRend(0, 0, AttrBold)}
 		r.Cells[c].SetRune(rune('A' + tag%26))
 	}
 	r.Touch()
@@ -57,10 +57,10 @@ func TestPooledRowsAreFullyReset(t *testing.T) {
 	for i := 0; i < f.H; i++ {
 		fillRow(f, i, byte(i))
 	}
-	f.DS.Rend = Renditions{Bg: Color(42)}
+	f.DS.Rend = mkRend(0, Color(42), 0)
 	f.Scroll(3) // discards 3 junk rows, vacates 3 lines from the pool
 	f.Scroll(3) // vacated lines now certainly come from the pool
-	want := newRow(f.W, Renditions{Bg: Color(42)})
+	want := newRow(f.W, mkRend(0, Color(42), 0))
 	for i := 3; i < f.H; i++ {
 		for c := 0; c < f.W; c++ {
 			if got := *f.Peek(i, c); got != want.Cells[c] {
@@ -133,7 +133,7 @@ func TestScrollContentMatchesUnpooledOracle(t *testing.T) {
 		func(fb *Framebuffer, step int) { fb.Scroll(-(1 + step%2)) },
 		func(fb *Framebuffer, step int) { fillRow(fb, step%fb.H, byte(step)) },
 		func(fb *Framebuffer, step int) { fb.SetScrollingRegion(step%3, fb.H-1-step%2) },
-		func(fb *Framebuffer, step int) { fb.DS.Rend = Renditions{Bg: Color(step % 5)} },
+		func(fb *Framebuffer, step int) { fb.DS.Rend = mkRend(0, Color(step%5), 0) },
 	}
 	for step := 0; step < 500; step++ {
 		op := ops[(step*7+step/11)%len(ops)]

@@ -63,43 +63,13 @@ const (
 	snapCellWrap
 )
 
-// Rendition flag bits.
-const (
-	snapRendBold = 1 << iota
-	snapRendFaint
-	snapRendItalic
-	snapRendUnderline
-	snapRendBlink
-	snapRendInverse
-	snapRendInvisible
-)
-
+// A rendition is written as its two Color values and one flag byte: bit 0
+// bold, then faint, italic, underline, blink, inverse, invisible — the
+// order of the Attr bits, which is part of the format.
 func appendRenditions(buf []byte, r Renditions) []byte {
-	buf = binary.AppendUvarint(buf, uint64(r.Fg))
-	buf = binary.AppendUvarint(buf, uint64(r.Bg))
-	var fl byte
-	if r.Bold {
-		fl |= snapRendBold
-	}
-	if r.Faint {
-		fl |= snapRendFaint
-	}
-	if r.Italic {
-		fl |= snapRendItalic
-	}
-	if r.Underline {
-		fl |= snapRendUnderline
-	}
-	if r.Blink {
-		fl |= snapRendBlink
-	}
-	if r.Inverse {
-		fl |= snapRendInverse
-	}
-	if r.Invisible {
-		fl |= snapRendInvisible
-	}
-	return append(buf, fl)
+	buf = binary.AppendUvarint(buf, uint64(r.Fg()))
+	buf = binary.AppendUvarint(buf, uint64(r.Bg()))
+	return append(buf, byte(r.fg>>attrShift))
 }
 
 // contentByteLen reports how many bytes appendContentBytes will write for a
@@ -131,15 +101,15 @@ func appendContentBytes(buf []byte, content uint32) []byte {
 
 func appendCell(buf []byte, c *Cell) []byte {
 	var fl byte
-	if c.Wide {
+	if c.Wide() {
 		fl |= snapCellWide
 	}
-	if c.wrap {
+	if c.Wrapped() {
 		fl |= snapCellWrap
 	}
 	buf = append(buf, fl)
-	buf = binary.AppendUvarint(buf, uint64(contentByteLen(c.content)))
-	buf = appendContentBytes(buf, c.content)
+	buf = binary.AppendUvarint(buf, uint64(contentByteLen(c.glyph())))
+	buf = appendContentBytes(buf, c.glyph())
 	return appendRenditions(buf, c.Rend)
 }
 
@@ -253,29 +223,33 @@ func (f *Framebuffer) appendSnapshotMeta(buf []byte) []byte {
 	return binary.AppendVarint(buf, int64(f.scrollbackMax))
 }
 
+// decodeColor reads one Color, refusing values no Color constructor makes
+// (they would not survive the 25-bit packing).
+func decodeColor(r *binio.Reader) (Color, bool) {
+	v, ok := r.Uvarint()
+	if !ok || v > uint64(^uint32(0)) || unpackColor(packColor(Color(v))) != Color(v) {
+		return 0, false
+	}
+	return Color(v), true
+}
+
 func decodeRenditions(r *binio.Reader) (Renditions, bool) {
 	var rd Renditions
-	fg, ok := r.Uvarint()
-	if !ok || fg > uint64(^uint32(0)) {
+	fg, ok := decodeColor(r)
+	if !ok {
 		return rd, false
 	}
-	bg, ok := r.Uvarint()
-	if !ok || bg > uint64(^uint32(0)) {
+	bg, ok := decodeColor(r)
+	if !ok {
 		return rd, false
 	}
 	fl, ok := r.Byte()
 	if !ok {
 		return rd, false
 	}
-	rd.Fg = Color(fg)
-	rd.Bg = Color(bg)
-	rd.Bold = fl&snapRendBold != 0
-	rd.Faint = fl&snapRendFaint != 0
-	rd.Italic = fl&snapRendItalic != 0
-	rd.Underline = fl&snapRendUnderline != 0
-	rd.Blink = fl&snapRendBlink != 0
-	rd.Inverse = fl&snapRendInverse != 0
-	rd.Invisible = fl&snapRendInvisible != 0
+	rd.SetFg(fg)
+	rd.SetBg(bg)
+	rd.Set(Attr(fl)<<attrShift, true)
 	return rd, true
 }
 
@@ -302,14 +276,14 @@ func decodeRow(r *binio.Reader, cells []Cell) bool {
 		if !ok {
 			return false
 		}
-		var c Cell
 		// Re-intern: the packed word from the previous process is
 		// meaningless here; internContents canonicalizes the raw grapheme
 		// bytes against this process's table.
-		c.content = internContents(string(raw))
-		c.Rend = rend
-		c.Wide = fl&snapCellWide != 0
-		c.wrap = fl&snapCellWrap != 0
+		c := Cell{content: internContents(string(raw)), Rend: rend}
+		c.SetWide(fl&snapCellWide != 0)
+		if fl&snapCellWrap != 0 {
+			c.setWrap()
+		}
 		for i := 0; i < int(run); i++ {
 			cells[filled] = c
 			filled++

@@ -20,15 +20,15 @@ func checkWideInvariant(t *testing.T, f *Framebuffer, step int, op string) {
 		r := f.Row(row)
 		for col := 0; col < f.W; col++ {
 			c := r.Cells[col]
-			if !c.Wide {
+			if !c.Wide() {
 				continue
 			}
 			if col == f.W-1 {
 				t.Fatalf("step %d (%s): row %d col %d: wide leader in last column", step, op, row, col)
 			}
-			want := Cell{Rend: Renditions{Bg: c.Rend.Bg}}
+			want := Cell{Rend: c.Rend.background()}
 			got := r.Cells[col+1]
-			got.wrap = false // soft-wrap is line metadata, not content (see Cell.Equal)
+			got.content &^= wrapBit // soft-wrap is line metadata, not content (see Cell.Equal)
 			if got != want {
 				t.Fatalf("step %d (%s): row %d col %d: wide leader without blank continuation (next=%+v)",
 					step, op, row, col+1, r.Cells[col+1])

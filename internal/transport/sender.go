@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"iter"
 	"slices"
 	"time"
 
@@ -211,6 +212,19 @@ func (s *Sender[T]) Stats() SenderStats { return s.stats }
 
 // SentStateCount reports the retained history length (for tests).
 func (s *Sender[T]) SentStateCount() int { return len(s.sentStates) }
+
+// SentStates iterates the retained history, the acknowledged baseline
+// first: every snapshot the receiver has not yet let the sender forget.
+// For memory accounting; the states stay the sender's.
+func (s *Sender[T]) SentStates() iter.Seq[T] {
+	return func(yield func(T) bool) {
+		for i := range s.sentStates {
+			if !yield(s.sentStates[i].state) {
+				return
+			}
+		}
+	}
+}
 
 // AssumedReceiverStateNum reports which state the sender currently diffs
 // against.

@@ -64,12 +64,15 @@ type State[T any] interface {
 // Recycler is an optional State capability: the sender calls Recycle on a
 // retained snapshot it is dropping for good (an acknowledged baseline, a
 // culled history entry), and on the scratch clones it creates during
-// acknowledgment processing. An implementation may feed the object's
-// storage back to its Clone path — statesync.Complete reuses the whole
-// framebuffer shell, which is what makes the sender's steady-state
-// snapshot allocation-free. Implementations must tolerate Recycle being
-// the last call ever made on the object; the transport never touches a
-// state after recycling it.
+// acknowledgment processing; the receiver does the same with the states
+// ThrowawayNum retires. An implementation may feed the object's shell back
+// to its Clone path — statesync.Complete keeps the framebuffer's slice
+// capacity, which is what makes the steady-state snapshot allocation-free
+// — but a recycled object must stop pinning what it referenced: the call
+// is the protocol saying "forget this state", so whatever waits on a free
+// list holds capacity, not content. Implementations must tolerate Recycle
+// being the last call ever made on the object; the transport never touches
+// a state after recycling it, and neither may anyone it lent one to.
 type Recycler interface {
 	Recycle()
 }
