@@ -22,13 +22,23 @@ type FloodResult struct {
 	// Converged reports whether the client's screen matched the server's
 	// at the end.
 	Converged bool
+	// Sender is the server's transport counters at the end.
+	Sender transport.SenderStats
 }
 
 // RunFlood floods the server terminal with output for the given duration
 // over a fast path and reports how much traffic SSP generated. With the
 // paper's 50 Hz frame cap the traffic stays bounded no matter how fast
-// the host writes; the ablation removes the cap.
+// the host writes; the ablation removes the cap. The server's loop is the
+// daemon's: after every wake-up it offers to build the next frame ahead of
+// its deadline, which a flood's own traffic turns down.
 func RunFlood(d time.Duration, timing *transport.Timing, seed int64) FloodResult {
+	return runFlood(d, timing, seed, true)
+}
+
+// runFlood is RunFlood with the frame-ahead offer made or (the reference the
+// flood guard compares against) withheld.
+func runFlood(d time.Duration, timing *transport.Timing, seed int64, prepare bool) FloodResult {
 	sched := simclock.NewScheduler(benchEpoch)
 	nw := netem.NewNetwork(sched)
 	path := netem.NewPath(nw, netem.LinkParams{Delay: 2 * time.Millisecond}, seed)
@@ -55,7 +65,13 @@ func RunFlood(d time.Duration, timing *transport.Timing, seed int64) FloodResult
 		},
 	})
 	wakeClient := core.Pump(sched, client)
-	wakeServer := core.Pump(sched, server)
+	pumpServer := core.Pump(sched, server)
+	wakeServer := func() {
+		pumpServer()
+		if prepare {
+			server.Prepare()
+		}
+	}
 	nw.Attach(serverAddr, func(p netem.Packet) { server.Receive(p.Payload, p.Src); wakeServer() })
 	nw.Attach(clientAddr, func(p netem.Packet) { client.Receive(p.Payload, p.Src); wakeClient() })
 	sched.RunFor(time.Second)
@@ -83,5 +99,6 @@ func RunFlood(d time.Duration, timing *transport.Timing, seed int64) FloodResult
 		Frames:      server.Transport().Sender().Stats().Instructions,
 		WirePackets: packets,
 		Converged:   client.ServerState().Equal(server.Terminal().Framebuffer()),
+		Sender:      server.Transport().Sender().Stats(),
 	}
 }

@@ -205,12 +205,30 @@ func (s *Server) Receive(wire []byte, src netem.Addr) error {
 	return nil
 }
 
-// HostOutput interprets host application output onto the terminal and
-// wakes the transport (which will wait out the collection interval before
-// sending a frame).
-func (s *Server) HostOutput(data []byte) {
+// HostOutput interprets host application output, written now, onto the
+// terminal and wakes the transport (which will wait out the collection
+// interval before sending a frame).
+func (s *Server) HostOutput(data []byte) { s.HostOutputAt(data, s.cfg.Clock.Now()) }
+
+// HostOutputAt is HostOutput for an event loop that read the clock when the
+// host's write woke it: the collection interval counts from at, the write,
+// and not from the moment the emulator has finished interpreting it.
+func (s *Server) HostOutputAt(data []byte, at time.Time) {
 	s.Terminal().Write(data)
-	s.tr.Tick()
+	s.tr.TickChangedAt(at)
+}
+
+// Prepare lets the transport build the next frame ahead of its send
+// deadline (transport.Transport.Prepare), and reports whether it did. What
+// the server knows and the transport cannot is that a queued keystroke's
+// echo timeout will change the screen state too: a frame due after the next
+// one would be overtaken by it, and is not built until that has passed.
+func (s *Server) Prepare() bool {
+	var quietUntil time.Time
+	if len(s.echoQueue) > 0 {
+		quietUntil = s.echoQueue[0].at.Add(s.cfg.EchoAckTimeout)
+	}
+	return s.tr.Prepare(quietUntil)
 }
 
 // Answerback drains terminal→host reports (cursor position queries and the

@@ -55,6 +55,9 @@ func (d *Daemon) route(wire []byte) *Session {
 type sessGroup struct {
 	s      *Session
 	n, off int
+	// unsettled: the run left work for after the sweep's flush
+	// (Session.settle).
+	unsettled bool
 }
 
 // groupBatch demultiplexes one batch by session, preserving arrival order
@@ -122,7 +125,8 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 	if d.shedding(start) {
 		budget = max(budget/2, 1)
 	}
-	for _, g := range groups {
+	for i := range groups {
+		g := &groups[i]
 		run := runs[g.off : g.off+g.n]
 		if over := int64(len(run) - budget); over > 0 {
 			// The prefix is admitted and the tail dropped, never the whole
@@ -133,7 +137,7 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 			d.notePressureDrop(over, start)
 			run = run[:budget]
 		}
-		g.s.handleRun(run, start)
+		g.unsettled = g.s.handleRun(run, start)
 		// Keep ring occupancy bounded however large the batch: flushing at
 		// the high-water mark mid-batch sends the same datagrams at the
 		// same instant, it only splits the sweep — so a giant batch can
@@ -143,11 +147,16 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 			d.flushEgress()
 		}
 	}
+	d.flushEgress()
+	for _, g := range groups {
+		if g.unsettled {
+			g.s.settle()
+		}
+	}
 	// Zero the scratch so its *Session and wire pointers cannot pin evicted
 	// sessions' screen state, or a caller's buffers, through an idle gap.
 	clear(groups)
 	clear(runs)
-	d.flushEgress()
 }
 
 // HandlePacket is HandleBatch for one datagram (the unbatched baseline).

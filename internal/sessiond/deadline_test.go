@@ -1,14 +1,17 @@
 package sessiond
 
 import (
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/host"
 	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/simclock"
+	"repro/internal/terminal"
 )
 
 // slowApp is a host application whose keystroke handling takes real (well:
@@ -137,9 +140,11 @@ func TestSessionArmedAtAbsoluteDeadline(t *testing.T) {
 	before := r.lastSent()
 	r.d.HandlePacket(wire, r.addr)
 
-	// The reply's collection interval starts when the host's output reaches
-	// the terminal, a millisecond into the sweep.
-	want := arrived.Add(time.Millisecond + 8*time.Millisecond)
+	// The reply's collection interval counts from the sweep's clock reading
+	// — when the daemon learned the host had something to write — and not
+	// from a millisecond later, when the application and the emulator have
+	// finished with it: that millisecond is spent inside the interval.
+	want := arrived.Add(8 * time.Millisecond)
 	var sender time.Time
 	r.s.Do(func(srv *core.Server) { sender = srv.Transport().NextDeadline() })
 	if !sender.Equal(want) {
@@ -205,5 +210,90 @@ func TestStaleDeadlineCannotSpin(t *testing.T) {
 		}
 		r.d.TickDue() // nothing is due until time moves
 		clk.Advance(minTickInterval)
+	}
+}
+
+// TestDoRearmsSession: a frame made pending inside Session.Do — a banner fed
+// as host output, the way internal/bench's journal experiment feeds them —
+// is armed when Do returns and leaves on its collection interval. Do used to
+// leave the heap where it was, so the banner waited for whatever had been
+// armed before: here the heartbeat, seconds away.
+func TestDoRearmsSession(t *testing.T) {
+	clk := simclock.NewManual(loopEpoch)
+	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
+	if ahead := r.armed().Sub(clk.Now()); ahead < time.Second {
+		t.Fatalf("the settled rig is armed %v ahead, want only its heartbeat", ahead)
+	}
+	before := r.lastSent()
+	wrote := clk.Now()
+	r.s.Do(func(srv *core.Server) { srv.HostOutput([]byte("banner")) })
+	if at, want := r.armed(), wrote.Add(8*time.Millisecond); !at.Equal(want) {
+		t.Fatalf("after Do the session is armed at +%v, want the banner's collection interval, +%v", at.Sub(wrote), want.Sub(wrote))
+	}
+
+	// A caller that polls through Do faster than minTickInterval re-arms a
+	// session whose deadline has just passed every time; the floor that
+	// keeps a stale deadline from spinning the tick loop must not turn that
+	// into never serving it.
+	clk.Set(wrote.Add(8*time.Millisecond + 100*time.Microsecond))
+	for i := 0; i < 20 && r.lastSent() == before; i++ {
+		clk.Advance(minTickInterval / 2)
+		r.d.TickDue()
+	}
+	if r.lastSent() == before {
+		t.Fatal("the banner's frame never left while Do was being polled")
+	}
+	r.deliver()
+	if got := r.client.ServerState().Text(0); !strings.HasPrefix(got, "banner") {
+		t.Fatalf("the client shows %q, want the banner", got)
+	}
+}
+
+// TestPreparedFrameIsCountedAndChargedOnce: the sweep that leaves a frame
+// waiting out its collection interval builds it once its replies are out;
+// the daemon's counters see it built and then sent, and the resident gauge,
+// which walks the waiting frame's snapshot like any other state the session
+// keeps reachable, charges the rows it shares with the live screen once.
+func TestPreparedFrameIsCountedAndChargedOnce(t *testing.T) {
+	clk := simclock.NewManual(loopEpoch)
+	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
+	m := r.d.Metrics()
+	built, sent := m.FramesPrepared.Value(), m.FramesPreparedSent.Value()
+	before := r.lastSent()
+	resident := r.d.ScreenStateStats().ResidentBytes
+
+	r.d.HandlePacket(r.typeKey(), r.addr)
+	if got := m.FramesPrepared.Value() - built; got != 1 {
+		t.Fatalf("the keystroke's sweep prepared %d frames, want 1", got)
+	}
+	r.s.mu.Lock()
+	_, waiting := r.s.srv.Transport().Sender().PreparedState()
+	r.s.mu.Unlock()
+	if !waiting {
+		t.Fatal("no frame is waiting for the deadline")
+	}
+	// The echo rewrote one row of the live screen; the acknowledged baseline
+	// still holds the old one. The waiting snapshot shares every row with
+	// the live screen and adds nothing.
+	row := 80 * int(unsafe.Sizeof(terminal.Cell{}))
+	waitingBytes := r.d.ScreenStateStats().ResidentBytes
+	if waitingBytes != resident+row {
+		t.Fatalf("resident bytes %d with a frame waiting, want the %d before the keystroke plus one %d B row", waitingBytes, resident, row)
+	}
+
+	clk.Set(r.armed())
+	r.d.TickDue()
+	if r.lastSent() == before {
+		t.Fatal("the deadline's sweep sent nothing")
+	}
+	if got := m.FramesPreparedSent.Value() - sent; got != 1 {
+		t.Fatalf("frames_prepared_sent grew by %d, want 1", got)
+	}
+	if got := r.d.ScreenStateStats().ResidentBytes; got != waitingBytes {
+		t.Fatalf("resident bytes %d once the snapshot is a sent state, %d while it waited", got, waitingBytes)
+	}
+	r.deliver()
+	if got := r.client.ServerState().Text(0); !strings.HasPrefix(got, "echo:x") {
+		t.Fatalf("the client shows %q", got)
 	}
 }

@@ -133,6 +133,14 @@ type Metrics struct {
 	ShedEvents            expvar.Int // times sustained pressure activated the shed policy
 	Shedding              expvar.Int // gauge: 1 while the shed policy is active
 	ReadErrorsTransient   expvar.Int // transient socket read errors absorbed by ServeBatch
+
+	// Frames built during their collection interval, after the sweep that
+	// made them pending had flushed (transport.Transport.Prepare), and how
+	// many of those left as built. Sent ÷ prepared is the speculation's
+	// useful share; the rest were overtaken by a write, an ack or a resize
+	// and minted at the deadline as before.
+	FramesPrepared     expvar.Int
+	FramesPreparedSent expvar.Int
 }
 
 // metricFields maps every published counter name to its accessor, so the
@@ -178,6 +186,8 @@ var metricFields = []struct {
 	{"shed_events", func(m *Metrics) int64 { return m.ShedEvents.Value() }},
 	{"shedding", func(m *Metrics) int64 { return m.Shedding.Value() }},
 	{"read_errors_transient", func(m *Metrics) int64 { return m.ReadErrorsTransient.Value() }},
+	{"frames_prepared", func(m *Metrics) int64 { return m.FramesPrepared.Value() }},
+	{"frames_prepared_sent", func(m *Metrics) int64 { return m.FramesPreparedSent.Value() }},
 }
 
 // pubMu guards the prefix→slot maps below. expvar.Publish panics on a
@@ -273,8 +283,9 @@ type ScreenStateStats struct {
 	ScrollbackRows, ScrollbackArenaRows int
 	// ResidentBytes is the cell storage actually resident across every
 	// sampled session — reachable from its live screen, from the snapshots
-	// its sender still retains for unacknowledged states, or from the
-	// retired shells on its snapshot free list — counting each distinct
+	// its sender still retains for unacknowledged states, from the snapshot
+	// of a frame prepared and waiting for its deadline, or from the retired
+	// shells on its snapshot free list — counting each distinct
 	// backing array once, so rows deduplicated by the intern table (and
 	// rows structurally shared between sessions and snapshots) are charged
 	// a single time. InternedRows counts live grid rows whose storage is
@@ -313,6 +324,10 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 		m := fb.MemStats()
 		bytes, interned := fb.AccumulateResident(seen)
 		for snap := range s.srv.Transport().Sender().SentStates() {
+			b, _ := snap.Framebuffer().AccumulateResident(seen)
+			bytes += b
+		}
+		if snap, ok := s.srv.Transport().Sender().PreparedState(); ok {
 			b, _ := snap.Framebuffer().AccumulateResident(seen)
 			bytes += b
 		}

@@ -125,9 +125,13 @@ type Session struct {
 	groupEpoch uint64
 	groupIdx   int
 
-	// lastArmed is the deadline currently in the timer heap for this
-	// session (zero when the entry was popped); guarded by mu. rearmLocked
-	// skips the heap lock when the deadline is unchanged.
+	// lastArmed is the deadline rearmLocked last put in the timer heap for
+	// this session; guarded by mu. rearmLocked skips the heap lock when the
+	// deadline is unchanged. It outlives its entry for a moment: popDue
+	// removes the entry under the heap's lock, and only the Session.tick
+	// that TickDue then always gives a popped session zeroes lastArmed and
+	// re-arms. A re-arm that lands in between may dedup against the popped
+	// entry and arm nothing; that tick makes it good.
 	lastArmed time.Time
 
 	// Keystroke→echo tracking (guarded by mu): echoAwait holds the
@@ -139,6 +143,11 @@ type Session struct {
 	echoAwait   [16]time.Time
 	echoAwaitN  int
 	lastSentNum uint64
+
+	// preparedSent is the sender's PreparedSent counter as of the last
+	// frame noteEchoLocked saw leave, which credits the daemon's
+	// frames_prepared_sent with what it grew by; guarded by mu.
+	preparedSent int
 
 	// Timer-heap entry, guarded by the daemon's timerHeap lock.
 	deadline time.Time
@@ -166,18 +175,24 @@ func (s *Session) Key() sspcrypto.Key { return s.key }
 
 // Do runs f with the session locked, giving tests and embedders serialized
 // access to the underlying server endpoint. Anything f caused the session
-// to emit is flushed from the egress ring before Do returns. The reader and
-// the tick loop handle this session under the same lock, inline, so an f
-// that blocks stalls the whole socket for as long: keep it short.
+// to emit is flushed from the egress ring before Do returns, and a deadline
+// f created or moved — a frame made pending by host output fed through it —
+// is armed. The reader and the tick loop handle this session under the same
+// lock, inline, so an f that blocks stalls the whole socket for as long:
+// keep it short.
 func (s *Session) Do(f func(srv *core.Server)) {
 	s.mu.Lock()
 	s.now = s.d.cfg.Clock.Now()
 	f(s.srv)
+	if !s.closed {
+		s.rearmLocked(s.now)
+	}
 	s.mu.Unlock()
 	// f had arbitrary access to the session's durable core; assume it
 	// changed something so the next incremental flush records it.
 	s.markDirty()
 	s.d.flushEgress()
+	s.settle()
 }
 
 // ErrCapacity is returned by OpenSession when the daemon is full.

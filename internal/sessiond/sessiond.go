@@ -492,15 +492,8 @@ func (d *Daemon) TickDue() {
 		}
 	}
 	d.flushEgress()
-	if !d.cfg.DisableRowIntern {
-		// Deduplicate identical screen rows across the fleet (prompts,
-		// banners, blank rows) only now that the sweep's frames are on the
-		// wire: hashing every row a reply changed is the one piece of a tick
-		// no client is waiting for. Memoized per row generation, so on an
-		// unchanged screen it is a per-row integer compare.
-		for _, s := range due {
-			s.internRows()
-		}
+	for _, s := range due {
+		s.settle()
 	}
 }
 
@@ -634,21 +627,28 @@ func (d *Daemon) Close() {
 
 // handleRun processes one session's share of an ingest sweep, in arrival
 // order under one lock acquisition, emitting any replies onto the egress
-// ring. now is the sweep's clock reading.
-func (s *Session) handleRun(run []udpbatch.Message, now time.Time) {
+// ring. now is the sweep's clock reading. It reports whether the run left
+// the session anything to settle once the sweep has flushed: host output it
+// applied to the screen, or a frame waiting out its collection interval. A
+// run of acknowledgments, the common one, leaves neither.
+func (s *Session) handleRun(run []udpbatch.Message, now time.Time) (unsettled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.now = now
 	for i := range run {
-		s.handleLocked(run[i].Buf, run[i].Addr, now)
+		if s.handleLocked(run[i].Buf, run[i].Addr, now) {
+			unsettled = true
+		}
 	}
+	return unsettled || s.srv.Transport().Sender().Collecting()
 }
 
-// handleLocked processes one datagram for this session.
-func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) {
+// handleLocked processes one datagram for this session, and reports whether
+// it applied host output to the screen.
+func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) (flushed bool) {
 	if s.closed || s.d.closing.Load() {
 		s.d.metrics.DropsUnknownSession.Add(1)
-		return
+		return false
 	}
 	if q := s.d.quota; q != nil && q.blocked(src, now) {
 		// This source has been failing authentication faster than its
@@ -657,7 +657,7 @@ func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) {
 		// and cannot starve live sessions of CPU.
 		s.d.metrics.DropsUnauthQuota.Add(1)
 		s.d.degrade("unauth-quota", telemetry.EvQuotaBlocked, s.ID, 0, now)
-		return
+		return false
 	}
 	roamsBefore := s.srv.Transport().Connection().RemoteAddrChanges()
 	if err := s.srv.Receive(wire, src); err != nil {
@@ -691,10 +691,11 @@ func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) {
 	// flush adds new waiters), and a frame minted inside the flush's own
 	// HostOutput tick echoes what it just applied (match again after).
 	s.noteEchoLocked(now)
-	s.flushHostOutputLocked(now)
+	flushed = s.flushHostOutputLocked(now)
 	s.noteEchoLocked(now)
 	s.maybeRequestFlushLocked()
 	s.rearmLocked(now)
+	return flushed
 }
 
 // tick advances timers for this session: due host output, the transport's
@@ -728,13 +729,27 @@ func (s *Session) tick(now time.Time) {
 	s.rearmLocked(now)
 }
 
-// internRows runs the row-intern pass over this session's screen (see
-// TickDue, which calls it after the sweep's flush).
-func (s *Session) internRows() {
+// settle is the post-flush pass a sweep (ingest, TickDue, Session.Do) gives
+// the sessions it left something to settle, once its replies are on the
+// wire: the work no client is waiting for. First the row-intern pass —
+// deduplicating identical screen rows across the fleet (prompts, banners,
+// blank rows) means hashing every row the sweep changed; memoized per row
+// generation, so on an unchanged screen it is a per-row integer compare.
+// Then, if the sweep left a frame waiting out its collection interval, that
+// frame is built now (core.Server.Prepare) so that the tick serving its
+// deadline has only to seal and write it; interning first lets the frame's
+// snapshot share the canonical rows.
+func (s *Session) settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed {
+	if s.closed {
+		return
+	}
+	if !s.d.cfg.DisableRowIntern {
 		s.srv.Terminal().Framebuffer().InternRows()
+	}
+	if s.srv.Prepare() {
+		s.d.metrics.FramesPrepared.Add(1)
 	}
 }
 
@@ -761,8 +776,11 @@ func (s *Session) hostInput(data []byte) {
 	s.pendingOut = append(s.pendingOut, timedOutput{at: at, keyAt: now, data: out})
 }
 
-// flushHostOutputLocked writes every due host response to the terminal.
-func (s *Session) flushHostOutputLocked(now time.Time) {
+// flushHostOutputLocked writes every due host response to the terminal, and
+// reports whether there was one. The frame that will carry it counts its
+// collection interval from now, the sweep's reading — when the daemon learned
+// of the write — and not from whenever the emulator has finished with it.
+func (s *Session) flushHostOutputLocked(now time.Time) bool {
 	n := 0
 	for n < len(s.pendingOut) && !s.pendingOut[n].at.After(now) {
 		// The waiter joins the echo ring BEFORE the write: HostOutput
@@ -773,7 +791,7 @@ func (s *Session) flushHostOutputLocked(now time.Time) {
 			s.echoAwait[s.echoAwaitN] = keyAt
 			s.echoAwaitN++
 		}
-		s.srv.HostOutput(s.pendingOut[n].data)
+		s.srv.HostOutputAt(s.pendingOut[n].data, now)
 		n++
 	}
 	if n > 0 {
@@ -782,6 +800,7 @@ func (s *Session) flushHostOutputLocked(now time.Time) {
 		// queue — both journaled state.
 		s.markDirty()
 	}
+	return n > 0
 }
 
 // noteEchoLocked is the server-side keystroke→echo matcher (the paper's
@@ -797,6 +816,12 @@ func (s *Session) noteEchoLocked(now time.Time) {
 	}
 	s.lastSentNum = sent
 	s.d.recordEv(telemetry.EvFrameSent, s.ID, sent, now)
+	// A frame left: credit the daemon's frames_prepared_sent if it (or one
+	// since the last pass) was one built ahead.
+	if n := s.srv.Transport().Sender().Stats().PreparedSent; n != s.preparedSent {
+		s.d.metrics.FramesPreparedSent.Add(int64(n - s.preparedSent))
+		s.preparedSent = n
+	}
 	if s.echoAwaitN == 0 {
 		return
 	}
@@ -825,7 +850,10 @@ func (s *Session) noteEchoLocked(now time.Time) {
 // early by the sweep's age, and the tick loop would wake before the sender
 // is due, sweep for nothing and come back a whole minTickInterval later.
 // Only a deadline that is not ahead of now is floored, at minTickInterval
-// from now, so a stale one can never spin the tick loop.
+// from now, so a stale one can never spin the tick loop — and the floor never
+// postpones an entry already armed short of it, or a caller that re-arms more
+// often than once a minTickInterval (Session.Do in a polling loop) would keep
+// an overdue session from ever being served.
 func (s *Session) rearmLocked(now time.Time) {
 	at := s.srv.NextDeadline()
 	if len(s.pendingOut) > 0 && s.pendingOut[0].at.Before(at) {
@@ -840,6 +868,11 @@ func (s *Session) rearmLocked(now time.Time) {
 	}
 	if !at.After(now) {
 		at = now.Add(minTickInterval)
+		if !s.lastArmed.IsZero() && s.lastArmed.Before(at) {
+			// Armed sooner already — or popped a moment ago, and then
+			// TickDue's tick is about to serve and re-arm it (lastArmed).
+			return
+		}
 	}
 	// Steady-state receives often leave the deadline where it was; skip
 	// the shared heap lock when nothing moved so packet handling across

@@ -149,6 +149,12 @@ func (c *Complete) Equal(o *Complete) bool {
 	return c.emu.Framebuffer().Equal(o.emu.Framebuffer())
 }
 
+// Identical implements transport.ExactState: Equal, and the same diff from
+// any source byte for byte (terminal.Framebuffer.Identical).
+func (c *Complete) Identical(o *Complete) bool {
+	return c.emu.Framebuffer().Identical(o.emu.Framebuffer())
+}
+
 // DiffFrom implements transport.State.
 func (c *Complete) DiffFrom(src *Complete) []byte {
 	return c.AppendDiff(nil, src)

@@ -28,7 +28,9 @@ const (
 	StageVerify
 	// StageApply is statesync apply of one received instruction.
 	StageApply
-	// StageTick is one sender tick (diff computation + frame mint).
+	// StageTick is one sender tick: the timer rules, and when the tick
+	// sends, the frame — diffed, encoded, sealed and emitted there, or only
+	// checked, sealed and emitted when StagePrepare had built it.
 	StageTick
 	// StageSeal is AEAD seal of one outgoing datagram.
 	StageSeal
@@ -45,6 +47,10 @@ const (
 	// delta that carries its host output. This is the paper's Fig. 6
 	// number, measured server-side.
 	StageEcho
+	// StagePrepare is one frame built ahead of its send deadline (snapshot,
+	// diff, marshal, deflate), after the sweep that made it pending has
+	// written its replies out: work no reply waits for.
+	StagePrepare
 	numStages
 )
 
@@ -59,6 +65,7 @@ var stageNames = [numStages]string{
 	StageEgressWait: "egress_wait",
 	StageWrite:      "write",
 	StageEcho:       "echo",
+	StagePrepare:    "prepare",
 }
 
 func (s Stage) String() string {

@@ -262,6 +262,25 @@ func (f *Framebuffer) Equal(o *Framebuffer) bool {
 	return true
 }
 
+// Identical reports whether f and o yield byte-identical frames from any
+// baseline, which is more than Equal promises: a frame ends by restoring the
+// active rendition, which is not synchronized state and Equal skips, and
+// AppendFrame detects scrolls and skips rows by generation, so every row
+// must be the same generation and not merely the same content. A snapshot
+// and the screen it was cloned from are identical until the screen is next
+// written to.
+func (f *Framebuffer) Identical(o *Framebuffer) bool {
+	if f.DS.Rend != o.DS.Rend || !f.Equal(o) {
+		return false
+	}
+	for i, r := range f.rows {
+		if r.gen != o.rows[i].gen {
+			return false
+		}
+	}
+	return true
+}
+
 // writableRow returns row i, first materializing a private copy if the
 // row is shared with a snapshot. Every mutation of row contents must go
 // through it (directly or via Row/Cell) to preserve the copy-on-write

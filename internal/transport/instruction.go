@@ -229,11 +229,17 @@ type fragmenter struct {
 	encBuf    []byte     // encoded (flag + raw/deflate) payload scratch
 	fragStore []fragment // fragment structs, reused
 	fragPtrs  []*fragment
+
+	// prepared marks encBuf as holding an instruction encoded ahead of its
+	// send (prepare); any later encode overwrites it, so there is never a
+	// second payload buffer.
+	prepared bool
 }
 
 // encode marshals and, when profitable, compresses the instruction into
 // the fragmenter's reusable scratch. The returned slice aliases encBuf.
 func (fr *fragmenter) encode(inst *Instruction) []byte {
+	fr.prepared = false
 	fr.rawBuf = inst.appendMarshal(fr.rawBuf[:0])
 	raw := fr.rawBuf
 	if len(raw) >= compressThreshold {
@@ -256,10 +262,29 @@ func (fr *fragmenter) encode(inst *Instruction) []byte {
 // contents are at most mtu bytes each. The result aliases the fragmenter's
 // scratch and is invalidated by the next call.
 func (fr *fragmenter) makeFragments(inst *Instruction, mtu int) []*fragment {
+	return fr.split(fr.encode(inst), mtu)
+}
+
+// prepare encodes inst now for a send that comes later: the payload waits in
+// encBuf, marked, until preparedFragments claims it.
+func (fr *fragmenter) prepare(inst *Instruction) {
+	fr.encode(inst)
+	fr.prepared = true
+}
+
+// preparedFragments is makeFragments for the instruction prepare encoded.
+// The caller has checked that it is still there (prepared).
+func (fr *fragmenter) preparedFragments(mtu int) []*fragment {
+	fr.prepared = false
+	return fr.split(fr.encBuf, mtu)
+}
+
+// split numbers an encoded payload's fragments under the next instruction
+// id.
+func (fr *fragmenter) split(payload []byte, mtu int) []*fragment {
 	if mtu < 1 {
 		mtu = 1
 	}
-	payload := fr.encode(inst)
 	id := fr.nextID
 	fr.nextID++
 	fr.fragStore = fr.fragStore[:0]

@@ -20,7 +20,11 @@ type Timing struct {
 	SendIntervalMax time.Duration
 	// CollectionInterval is the pause after the first host write before a
 	// frame goes out, letting clumped updates coalesce (§2.3; Figure 3
-	// found 8 ms optimal).
+	// found 8 ms optimal). It counts from the write itself when the caller
+	// says when that was (Transport.TickChangedAt — the reference freezes
+	// one timestamp per loop iteration, so its interval too starts when the
+	// pty became readable, not when the emulator finished with the bytes),
+	// and otherwise from the tick that first notices the change.
 	CollectionInterval time.Duration
 	// AckDelay is the delayed-ack interval; within 100 ms more than 99.9%
 	// of acks piggyback on host data (§2.3).
@@ -70,6 +74,11 @@ type SenderStats struct {
 	// (sequence numbers or state numbers). SSP treats each as loss; the
 	// persistence layer flushes its journal to extend the reservation.
 	Suppressed int
+	// Prepared counts frames built ahead of their deadline (Prepare) and
+	// PreparedSent those that then left as built; the rest were discarded
+	// because something moved first. Useful ÷ attempted is the waste ratio
+	// of the speculation.
+	Prepared, PreparedSent int
 }
 
 // sentState is one entry in the sender's history of states the receiver
@@ -85,8 +94,27 @@ type sentState[T State[T]] struct {
 // survive).
 const maxSentStates = 32
 
+// preparedFrame is a frame built during its collection interval (see
+// Transport.Prepare): the snapshot that will become the sent state and the
+// header numbers its payload, waiting in the fragmenter, was encoded with.
+type preparedFrame[T State[T]] struct {
+	valid bool
+	state T
+	// hdr is the instruction as encoded, less its diff, of which only the
+	// length is kept (for the counters).
+	hdr     Instruction
+	diffLen int
+}
+
 // Sender drives one direction of SSP: it watches a live local object and
 // fast-forwards the remote host to its current state.
+//
+// A frame waits out a collection interval before it leaves, and the sender
+// can spend that wait building it: Prepare snapshots, diffs, marshals and
+// deflates the frame the deadline is expected to send, and the tick that
+// serves the deadline only stamps, seals and writes it — after checking that
+// it is still exactly the frame it would have minted. The package comment
+// has the contract.
 type Sender[T State[T]] struct {
 	conn   *network.Connection
 	clock  simclock.Clock
@@ -107,6 +135,15 @@ type Sender[T State[T]] struct {
 	nextSendTime   time.Time // zero when no data pending
 	mindelayActive bool
 	mindelayAt     time.Time
+	// changedAt is when the caller of the tick about to run says the live
+	// object changed (noteChange); the tick clears it.
+	changedAt time.Time
+	// changes counts the changes the caller has announced since the last
+	// new state was minted, and prevChanges what that count was when it
+	// was: how many writes the previous frame coalesced. Prepare reads both.
+	changes, prevChanges int
+
+	prep preparedFrame[T]
 
 	pendingDataAck bool
 	ackNum         uint64 // newest remote state num, echoed in instructions
@@ -304,6 +341,10 @@ func (s *Sender[T]) processAcknowledgmentThrough(ack uint64) {
 	if idx <= 0 {
 		return // unknown (stale or bogus) ack, or already the baseline
 	}
+	// The baseline is about to move and every retained state to lose the
+	// acknowledged prefix; a frame prepared before that names the old
+	// baseline and its snapshot would miss the Subtract.
+	s.discardPrepared()
 	for i := 0; i < idx; i++ {
 		recycle(s.sentStates[i].state)
 	}
@@ -339,6 +380,12 @@ func (s *Sender[T]) calculateTimers(now time.Time) {
 		if !s.mindelayActive {
 			s.mindelayActive = true
 			s.mindelayAt = now
+			// The interval counts from the change itself when this tick's
+			// caller knows when that was. Only here: a hint never moves an
+			// interval already running, and one from the future is now.
+			if !s.changedAt.IsZero() && s.changedAt.Before(now) {
+				s.mindelayAt = s.changedAt
+			}
 		}
 		t := s.mindelayAt.Add(s.timing.CollectionInterval)
 		if u := s.back().at.Add(s.sendInterval()); u.After(t) {
@@ -370,10 +417,14 @@ func (s *Sender[T]) calculateTimers(now time.Time) {
 func (s *Sender[T]) tick() {
 	now := s.clock.Now()
 	s.calculateTimers(now)
+	s.changedAt = time.Time{} // a hint lives for the one tick it was given to
 
 	ackDue := !now.Before(s.nextAckTime)
 	sendDue := !s.nextSendTime.IsZero() && !now.Before(s.nextSendTime)
 	if !ackDue && !sendDue {
+		return
+	}
+	if s.sendPrepared(now) {
 		return
 	}
 
@@ -388,6 +439,128 @@ func (s *Sender[T]) tick() {
 	if sendDue || ackDue {
 		s.sendToReceiver(now, diff)
 	}
+}
+
+// wantsPrepare reports whether building the next frame now is likely to pay:
+// a send is pending for a state not yet sent, the reservation covers its
+// number, nothing is prepared already, and the traffic says it will last.
+// quietUntil is the earliest instant the caller already knows the live
+// object will change again (zero: none known). It reads the deadlines the
+// last Tick or NextDeadline computed; a stale answer costs a wasted or a
+// missed frame, never a wrong one. A frame prepared earlier that has gone
+// stale is recycled on the way.
+func (s *Sender[T]) wantsPrepare(quietUntil time.Time) bool {
+	if s.nextSendTime.IsZero() || (!quietUntil.IsZero() && !quietUntil.After(s.nextSendTime)) {
+		return false
+	}
+	// The traffic decides, through the changes the caller announces. A pty
+	// in a flood writes many times per interval and every write would throw
+	// the frame away; the previous frame is the forecast: if it coalesced
+	// more than one announced change, or this one already has, build
+	// nothing ahead — one discarded frame when a flood starts, and the first
+	// quiet interval switches building back on. And a pending frame nobody
+	// announced a change for carries no host write (an echo acknowledgment,
+	// a resize): a few bytes no reply is waiting for, usually overtaken by
+	// the keystroke whose output will be.
+	if s.changes != 1 || s.prevChanges > 1 {
+		return false
+	}
+	if s.prep.valid {
+		if s.preparedIsExact() {
+			return false
+		}
+		s.discardPrepared()
+	}
+	_, ok := s.nextNum()
+	return ok && !s.currentState.Equal(s.back().state)
+}
+
+// preparedIsExact reports whether the prepared frame is byte for byte the
+// instruction a tick sending now would mint: its payload still in the
+// fragmenter, the same four header numbers, each derived again, and a live
+// object identical to the snapshot.
+func (s *Sender[T]) preparedIsExact() bool {
+	hdr := &s.prep.hdr
+	num, ok := s.nextNum()
+	return ok && s.frag.prepared &&
+		hdr.OldNum == s.sentStates[s.assumedIdx].num && hdr.NewNum == num &&
+		hdr.AckNum == s.ackNum && hdr.ThrowawayNum == s.front().num &&
+		identical(s.currentState, s.prep.state)
+}
+
+// prepare builds the frame the pending deadline is expected to send: the
+// snapshot addSentState would take then, the diff against the assumed
+// receiver state, and the marshalled, deflated payload, which waits in the
+// fragmenter's own buffer. It reports whether there was a frame to build.
+func (s *Sender[T]) prepare() bool {
+	assumed := &s.sentStates[s.assumedIdx]
+	s.diffBuf = s.currentState.AppendDiff(s.diffBuf[:0], assumed.state)
+	if len(s.diffBuf) == 0 {
+		return false
+	}
+	num, _ := s.nextNum()
+	inst := Instruction{
+		ProtocolVersion: protocolVersion,
+		OldNum:          assumed.num,
+		NewNum:          num,
+		AckNum:          s.ackNum,
+		ThrowawayNum:    s.front().num,
+		Diff:            s.diffBuf,
+	}
+	s.frag.prepare(&inst)
+	inst.Diff = nil
+	s.prep = preparedFrame[T]{valid: true, state: s.currentState.Clone(), hdr: inst, diffLen: len(s.diffBuf)}
+	s.stats.Prepared++
+	return true
+}
+
+// sendPrepared sends the prepared frame if it is exactly what this tick
+// would mint, and reports whether it did: the snapshot becomes the sent
+// state and the payload is split and sealed with this tick's timestamps. A
+// frame that is anything else is recycled.
+func (s *Sender[T]) sendPrepared(now time.Time) bool {
+	p := &s.prep
+	if !p.valid {
+		return false
+	}
+	if !s.preparedIsExact() {
+		s.discardPrepared()
+		return false
+	}
+	s.pushSentState(now, p.hdr.NewNum, p.state)
+	diffLen := p.diffLen
+	*p = preparedFrame[T]{}
+	s.sendFragments(now, s.frag.preparedFragments(s.timing.MTU))
+	s.noteDataSent(diffLen)
+	s.stats.PreparedSent++
+	return true
+}
+
+// discardPrepared recycles the prepared frame's snapshot, if there is one.
+func (s *Sender[T]) discardPrepared() {
+	if s.prep.valid {
+		recycle(s.prep.state)
+		s.prep = preparedFrame[T]{}
+	}
+}
+
+// Collecting reports whether a frame for fresh changes is waiting out its
+// collection interval, as of the last tick.
+func (s *Sender[T]) Collecting() bool { return s.mindelayActive }
+
+// PreparedState returns the snapshot of the frame waiting for its deadline,
+// if there is one. For memory accounting; it stays the sender's.
+func (s *Sender[T]) PreparedState() (T, bool) { return s.prep.state, s.prep.valid }
+
+// noteChange records that the caller of the next tick says the live object
+// changed at at: a collection interval that tick starts counts from it (the
+// tick consumes the hint), the change is one more write the frame being
+// collected coalesces, and a frame prepared before it no longer shows the
+// live object.
+func (s *Sender[T]) noteChange(at time.Time) {
+	s.discardPrepared()
+	s.changes++
+	s.changedAt = at
 }
 
 // nextDeadline reports the instant the sender next needs a tick: the
@@ -429,6 +602,17 @@ func (s *Sender[T]) sendEmptyAck(now time.Time) {
 	s.mindelayActive = false
 }
 
+// nextNum is the number a state minted now would take: one past the newest,
+// and never below the restored floor. ok is false when the durable
+// reservation does not cover it.
+func (s *Sender[T]) nextNum() (num uint64, ok bool) {
+	num = s.back().num + 1
+	if num < s.numFloor {
+		num = s.numFloor
+	}
+	return num, s.numCeiling == 0 || num < s.numCeiling
+}
+
 // sendToReceiver conveys the current state as a diff from the assumed
 // receiver state (the action "best calculated to fast-forward the remote
 // host", design goal 3).
@@ -440,11 +624,8 @@ func (s *Sender[T]) sendToReceiver(now time.Time, diff []byte) {
 		newNum = s.back().num
 		s.back().at = now
 	} else {
-		newNum = s.back().num + 1
-		if newNum < s.numFloor {
-			newNum = s.numFloor
-		}
-		if s.numCeiling != 0 && newNum >= s.numCeiling {
+		var ok bool
+		if newNum, ok = s.nextNum(); !ok {
 			// Reservation exhausted: minting this number could collide
 			// with a post-crash restore. Suppress (SSP sees loss) until
 			// the journal extends the reservation.
@@ -461,14 +642,27 @@ func (s *Sender[T]) sendToReceiver(now time.Time, diff []byte) {
 		ThrowawayNum:    s.front().num,
 		Diff:            diff,
 	})
+	s.noteDataSent(len(diff))
+}
+
+// noteDataSent is the bookkeeping every data instruction ends with.
+func (s *Sender[T]) noteDataSent(diffLen int) {
 	s.stats.Instructions++
-	s.stats.DiffBytes += int64(len(diff))
+	s.stats.DiffBytes += int64(diffLen)
 	s.pendingDataAck = false
 	s.mindelayActive = false
 }
 
+// addSentState snapshots the live object into the history as state num.
 func (s *Sender[T]) addSentState(now time.Time, num uint64) {
-	s.sentStates = append(s.sentStates, sentState[T]{num: num, at: now, state: s.currentState.Clone()})
+	s.pushSentState(now, num, s.currentState.Clone())
+}
+
+// pushSentState appends snapshot, which the sender now owns, to the history
+// as state num, and opens the next frame's count of coalesced changes.
+func (s *Sender[T]) pushSentState(now time.Time, num uint64, snapshot T) {
+	s.prevChanges, s.changes = s.changes, 0
+	s.sentStates = append(s.sentStates, sentState[T]{num: num, at: now, state: snapshot})
 	if len(s.sentStates) > maxSentStates {
 		// Cull from the middle: keep the baseline, recent states and the
 		// newest.
@@ -488,12 +682,17 @@ func (s *Sender[T]) addSentState(now time.Time, num uint64) {
 	}
 }
 
-// sendInstruction fragments, seals and transmits one instruction, and
-// pushes the heartbeat deadline out. Marshal and encode scratch is reused
-// across datagrams; the sealed wire buffer itself is recycled only when
-// the embedder has declared Emit non-retaining (RecycleWire).
+// sendInstruction fragments, seals and transmits one instruction.
 func (s *Sender[T]) sendInstruction(now time.Time, inst *Instruction) {
-	for _, f := range s.frag.makeFragments(inst, s.timing.MTU) {
+	s.sendFragments(now, s.frag.makeFragments(inst, s.timing.MTU))
+}
+
+// sendFragments seals and transmits one instruction's fragments, and pushes
+// the heartbeat deadline out. Marshal and encode scratch is reused across
+// datagrams; the sealed wire buffer itself is recycled only when the
+// embedder has declared Emit non-retaining (RecycleWire).
+func (s *Sender[T]) sendFragments(now time.Time, frags []*fragment) {
+	for _, f := range frags {
 		s.fragBuf = f.appendMarshal(s.fragBuf[:0])
 		wire, err := s.conn.AppendPacket(s.takeWireBuf(len(s.fragBuf)), s.fragBuf)
 		if err != nil {

@@ -11,6 +11,53 @@
 // defines diff semantics; for user input the diff carries every keystroke,
 // for screens only the minimal transformation to the newest frame, which is
 // what lets SSP skip intermediate states on slow paths.
+//
+// # Frames built ahead of their deadline
+//
+// A frame for fresh changes waits out Timing.CollectionInterval before it
+// leaves, counted from the change (Transport.TickChangedAt) or from the tick
+// that noticed it. The sender can spend that wait building the frame:
+// Transport.Prepare does at once what the deadline's tick would do — clone
+// the live object (the clone that becomes the sent state), diff it against
+// the assumed receiver state, marshal, deflate — and keeps the encoded
+// payload in the fragmenter's own buffer with the four header numbers it was
+// built for. There is one such frame at most and no second payload buffer.
+//
+// Nothing about it is a promise. The tick that sends uses it only if it is
+// byte for byte the instruction that tick would mint: OldNum (the assumed
+// receiver state, re-derived — it flips to the acknowledged baseline at its
+// RTO horizon), NewNum (floor and reservation ceiling re-checked), AckNum
+// and ThrowawayNum all equal, the payload not overwritten by another
+// instruction encoded since, and the live object identical to the snapshot
+// (ExactState where the object has it, Equal otherwise). Then the snapshot
+// enters the history, the payload is split under the next instruction id and
+// each fragment is sealed with that tick's timestamps, exactly as if minted
+// there. Anything else — a further change to the object (an announced one
+// retires the frame on the spot), a resize, a new remote state to
+// acknowledge, an exhausted reservation — discards it and the tick mints its
+// own; an acknowledgment that moves the baseline discards it outright, since
+// its snapshot would miss the Subtract. A discarded snapshot goes back
+// through Recycle and pins nothing.
+//
+// Who may call Prepare: the goroutine that drives the endpoint, after a Tick
+// or NextDeadline, when nobody is waiting on it — sessiond calls it, once a
+// sweep's replies are written out, for the sessions the sweep applied host
+// output to or left with a frame collecting (Sender.Collecting). Whether it
+// then builds anything is decided by the traffic, not by a setting: every
+// TickChangedAt counts one change, and a frame is built only if the pending
+// one has seen exactly one so far and the previous frame coalesced at most
+// one. A pty in a flood (many writes per interval) therefore costs one
+// discarded frame when the flood starts and nothing after, and the first
+// quiet interval switches building back on; and a frame that carries no
+// announced write at all — an echo acknowledgment, a resize — is left to its
+// deadline: nobody waits for it, and the keystroke whose output somebody
+// will wait for usually overtakes it. The caller adds what it knows that the
+// sender cannot: the instant of the next change it already expects
+// (core.Server passes the next echo-acknowledgment timeout), before which a
+// deadline must fall for its frame to be worth building. On a closed loop,
+// whose frames leave 20 ms apart on the frame-rate rule with an earlier
+// keystroke's 50 ms echo timeout inside every wait, that is the difference
+// between building each frame once and building it twice.
 package transport
 
 // State is the object interface SSP synchronizes, the Go rendering of the
@@ -83,6 +130,28 @@ func recycle[T State[T]](st T) {
 	if r, ok := any(st).(Recycler); ok {
 		r.Recycle()
 	}
+}
+
+// ExactState is an optional State capability for objects whose diff depends
+// on more than Equal compares. Identical reports that the two states yield
+// byte-identical diffs from any source; the sender asks it, and not Equal,
+// before it sends a frame it built ahead of time from a snapshot (see
+// Transport.Prepare). A screen needs it — its frame ends by restoring the
+// active rendition, which Equal ignores, and detects scrolls by row
+// generation, which two screens with equal contents need not share; the
+// user-input stream and any state whose diff is a function of what Equal
+// compares do not, and are asked Equal.
+type ExactState[T any] interface {
+	Identical(other T) bool
+}
+
+// identical reports whether a frame diffed from snapshot is the frame live
+// would produce now.
+func identical[T State[T]](live, snapshot T) bool {
+	if x, ok := any(live).(ExactState[T]); ok {
+		return x.Identical(snapshot)
+	}
+	return live.Equal(snapshot)
 }
 
 // ResumableState is an optional State capability for objects whose diffs

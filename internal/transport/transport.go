@@ -19,7 +19,9 @@ import (
 //
 // Transport is a single-threaded state machine driven by three entries:
 // Receive (a datagram arrived), Tick (timers or the local object may have
-// advanced), and WaitTime (how long the event loop may sleep).
+// advanced; TickChangedAt when the caller knows when it did), and WaitTime
+// (how long the event loop may sleep). Prepare is optional: an event loop
+// with time to spare before the next deadline may spend it there.
 type Transport[L State[L], R State[R]] struct {
 	conn     *network.Connection
 	clock    simclock.Clock
@@ -72,9 +74,12 @@ type Config[L State[L], R State[R]] struct {
 
 	// Probe, when non-nil, receives per-stage latency observations:
 	// StageApply spans around statesync application, StageTick spans
-	// around sender ticks, and (through the datagram layer) StageSeal /
-	// StageVerify spans around the AEAD. Measured on Clock, so virtual
-	// time yields deterministic (0-duration) CPU spans.
+	// around sender ticks (timer rules, and for a tick that sends, the
+	// frame's diff and encoding unless Prepare had built it — then only the
+	// check, the seals and the emits), StagePrepare spans around frames
+	// built ahead, and (through the datagram layer) StageSeal / StageVerify
+	// spans around the AEAD. Measured on Clock, so virtual time yields
+	// deterministic (0-duration) CPU spans.
 	Probe *telemetry.Pipeline
 }
 
@@ -222,8 +227,22 @@ func (t *Transport[L, R]) Receive(wire []byte, src netem.Addr) (bool, error) {
 // object and whenever WaitTime elapses.
 func (t *Transport[L, R]) Tick() { t.tickSender() }
 
+// TickChangedAt is Tick for a caller that knows when the local object
+// changed — an event loop that read the clock once when the host's write
+// woke it, and has spent time interpreting the write since. A collection
+// interval this tick starts counts from at (clamped to now) instead of from
+// the tick; one already running does not move, and no frame leaves sooner
+// than CollectionInterval after at or than the frame-rate rule allows. Each
+// call also counts as one change — Prepare builds ahead only frames that
+// carry exactly one, from a sender whose previous frame carried no more —
+// and retires a frame prepared before it.
+func (t *Transport[L, R]) TickChangedAt(at time.Time) {
+	t.sender.noteChange(at)
+	t.tickSender()
+}
+
 // tickSender runs one sender tick, wrapped in a StageTick span when a
-// probe is configured (diff computation + frame mint cost).
+// probe is configured.
 func (t *Transport[L, R]) tickSender() {
 	if t.probe == nil {
 		t.sender.tick()
@@ -232,6 +251,30 @@ func (t *Transport[L, R]) tickSender() {
 	start := t.clock.Now()
 	t.sender.tick()
 	t.probe.Observe(telemetry.StageTick, t.clock.Now().Sub(start))
+}
+
+// Prepare builds the frame the pending send deadline is expected to send —
+// snapshot, diff, marshal, deflate — so that the tick serving the deadline
+// only has to stamp, seal and write it. Call it after a Tick or
+// NextDeadline (it reads the deadlines they computed), from the goroutine
+// that drives the endpoint, when nothing is waiting on that goroutine: an
+// event loop calls it after it has written out what its sweep emitted.
+// quietUntil is the earliest instant the caller already knows the local
+// object will change again (zero: none known); a frame due after that is
+// not built. It is idempotent and costs a few comparisons when nothing is
+// pending, and reports whether it built a frame. The package comment has the
+// contract, and what the sender does when the forecast was wrong.
+func (t *Transport[L, R]) Prepare(quietUntil time.Time) bool {
+	if !t.sender.wantsPrepare(quietUntil) {
+		return false
+	}
+	if t.probe == nil {
+		return t.sender.prepare()
+	}
+	start := t.clock.Now()
+	built := t.sender.prepare()
+	t.probe.Observe(telemetry.StagePrepare, t.clock.Now().Sub(start))
+	return built
 }
 
 // FragmentsHeld reports how many fragments of a partially assembled
