@@ -15,7 +15,7 @@
 //	mosh-server [-port 60001] [-sessions 64] [-demo shell|editor|mail]
 //	            [-idle 12h] [-debug 127.0.0.1:6060] [-udp-provider auto|mmsg|gso|loop]
 //	            [-state-dir /var/lib/moshd] [-journal 10s]
-//	            [-journal-full-rewrite] [-no-row-intern]
+//	            [-journal-full-rewrite]
 //	            [-unauth-burst 64] [-unauth-rate 16]
 //
 // Then, per printed line: mosh-client -to <host>:<port> -key <key> -session <id>
@@ -79,7 +79,6 @@ func main() {
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
 	fullRewrite := flag.Bool("journal-full-rewrite", false, "with -state-dir, rewrite the whole checkpoint on every flush instead of appending incremental segments (the pre-log-structured baseline; diagnostic)")
-	noRowIntern := flag.Bool("no-row-intern", false, "disable row-level screen interning across sessions (diagnostic; raises resident_bytes_per_session)")
 	flag.Parse()
 
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{Port: *port})
@@ -115,7 +114,6 @@ func main() {
 		StateDir:           *stateDir,
 		JournalInterval:    *journal,
 		JournalFullRewrite: *fullRewrite,
-		DisableRowIntern:   *noRowIntern,
 		UnauthQuotaBurst:   *quotaBurst,
 		UnauthQuotaRate:    *quotaRate,
 		// Degradation trips ship their own forensics: the flight-recorder

@@ -56,45 +56,6 @@ func TestJournalBenchRestores(t *testing.T) {
 	}
 }
 
-// TestRowInternEquivalence pins the row-interning acceptance criterion on
-// the mixed-cohort load: frame streams byte-identical with interning on
-// or off, and measurably lower resident bytes per session with it on.
-func TestRowInternEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run virtual-time simulation")
-	}
-	base := ManySessionOptions{
-		Sessions:      60,
-		Keystrokes:    8,
-		TypeInterval:  200 * time.Millisecond,
-		Seed:          11,
-		Mixed:         true,
-		CaptureFrames: true,
-	}
-	on := base
-	off := base
-	off.DisableRowIntern = true
-	ron := RunManySession(on)
-	roff := RunManySession(off)
-	if len(ron.FrameHashes) != len(roff.FrameHashes) || len(ron.FrameHashes) == 0 {
-		t.Fatalf("frame capture mismatch: %d vs %d sessions", len(ron.FrameHashes), len(roff.FrameHashes))
-	}
-	for i := range ron.FrameHashes {
-		if ron.FrameHashes[i] != roff.FrameHashes[i] {
-			t.Fatalf("session %d: frame stream differs between interned and uninterned runs", i)
-		}
-	}
-	t.Logf("resident bytes/session: interned %d, uninterned %d",
-		ron.ResidentBytesPerSession, roff.ResidentBytesPerSession)
-	if ron.ResidentBytesPerSession <= 0 || roff.ResidentBytesPerSession <= 0 {
-		t.Fatal("resident-bytes gauge returned nothing")
-	}
-	if ron.ResidentBytesPerSession >= roff.ResidentBytesPerSession {
-		t.Fatalf("row interning did not reduce resident bytes per session (%d >= %d)",
-			ron.ResidentBytesPerSession, roff.ResidentBytesPerSession)
-	}
-}
-
 // BenchmarkJournalFlush publishes the journaling figures of merit to the
 // BENCH record: steady-state bytes per flush, write amplification, and
 // wall-clock flush latency at the ~1%-dirty operating point.

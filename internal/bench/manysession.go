@@ -117,10 +117,6 @@ type ManySessionOptions struct {
 	// which costs nearly no wall time to skip over — instead of by
 	// per-packet work. Explicit Keystrokes/TypeInterval still win.
 	Virtual bool
-	// DisableRowIntern turns off row-level screen interning in the daemon,
-	// giving the resident-memory baseline an interned run is compared
-	// against. Frame streams must be byte-identical either way.
-	DisableRowIntern bool
 }
 
 // ManySessionResult aggregates the run.
@@ -160,9 +156,9 @@ type ManySessionResult struct {
 	Restored      int64
 	ResumeSamples []Sample
 	// ResidentBytesPerSession is the end-of-run deduplicated screen-cell
-	// footprint per live session (the row-interning gauge): each distinct
-	// backing array is charged once across the whole daemon, so intern-
-	// table sharing shows up directly as a lower number.
+	// footprint per live session: each distinct backing array — the blank
+	// array every unwritten row aliases above all — is charged once across
+	// the whole daemon.
 	ResidentBytesPerSession int
 	// ReadCalls/WriteCalls count daemon-side socket syscalls (modeled:
 	// one per batch in batched mode, one per datagram in unbatched mode);
@@ -395,10 +391,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			apps[id] = a
 			return a
 		},
-		RestoreApp:       func(id uint64) host.App { return apps[id] },
-		IdleTimeout:      -1,
-		IOModel:          opt.IOModel,
-		DisableRowIntern: opt.DisableRowIntern,
+		RestoreApp:  func(id uint64) host.App { return apps[id] },
+		IdleTimeout: -1,
+		IOModel:     opt.IOModel,
 	}
 	if opt.Unbatched {
 		cfg.IOModel = sessiond.IOModelLoop

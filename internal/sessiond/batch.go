@@ -20,7 +20,7 @@ import (
 //
 // Ingress: one read moves a whole batch (one recvmmsg on Linux), one
 // demultiplex groups it by session, and one lock acquisition per session
-// present covers all of that session's datagrams. Config.InboxDepth bounds
+// present covers all of that session's datagrams. limits.inboxDepth bounds
 // how many datagrams one session may have handled in one sweep; the excess
 // is dropped unopened (SSP retransmits), so a flooding session cannot buy
 // more than its share of a sweep.
@@ -121,7 +121,7 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 	// Under the shed policy every session's budget halves: sustained
 	// pressure means offered load exceeds what the daemon can move, and a
 	// short budget sheds it where it arises (the flooding sessions).
-	budget := d.cfg.InboxDepth
+	budget := d.lim.inboxDepth
 	if d.shedding(start) {
 		budget = max(budget/2, 1)
 	}
@@ -143,7 +143,7 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 		// same instant, it only splits the sweep — so a giant batch can
 		// never overflow the ring into drops that one-packet-at-a-time
 		// handling would not have suffered.
-		if d.metrics.EgressQueueDepth.Value() >= int64(d.cfg.EgressDepth/2) {
+		if d.metrics.EgressQueueDepth.Value() >= int64(d.lim.egressDepth/2) {
 			d.flushEgress()
 		}
 	}

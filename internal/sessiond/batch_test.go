@@ -77,12 +77,11 @@ func TestGroupBatchGroupsPerSessionInOrder(t *testing.T) {
 func TestEgressRingBackpressure(t *testing.T) {
 	sched := simclock.NewScheduler(batchT0)
 	var sent []byte
-	d, err := New(Config{
+	d, err := NewWithLimits(Config{
 		Clock:       sched,
 		IdleTimeout: -1,
-		EgressDepth: 4,
 		Send:        func(dst netem.Addr, wire []byte) { sent = append(sent, wire[0]) },
-	})
+	}, EgressDepth(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +310,17 @@ func floodBatch(id uint64, n int) []udpbatch.Message {
 }
 
 // TestInboxBoundCountsDatagrams pins the per-session admission contract:
-// Config.InboxDepth bounds the DATAGRAMS of one session that one ingest
+// limits.inboxDepth bounds the DATAGRAMS of one session that one ingest
 // sweep handles, however they are interleaved with other sessions' in the
 // batch, and the budget is per sweep — the next sweep starts afresh.
 func TestInboxBoundCountsDatagrams(t *testing.T) {
 	sched := simclock.NewScheduler(batchT0)
-	d, err := New(Config{
+	d, err := NewWithLimits(Config{
 		Clock:            sched,
 		IdleTimeout:      -1,
-		InboxDepth:       8,
 		UnauthQuotaBurst: -1, // every admitted datagram reaches the AEAD and is counted there
 		Send:             func(netem.Addr, []byte) {},
-	})
+	}, InboxDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,15 +358,14 @@ func TestInboxBoundCountsDatagrams(t *testing.T) {
 func TestInboxBoundAdmitsRunPrefix(t *testing.T) {
 	sched := simclock.NewScheduler(batchT0)
 	var keys []byte
-	d, err := New(Config{
+	d, err := NewWithLimits(Config{
 		Clock:       sched,
 		IdleTimeout: -1,
-		InboxDepth:  8,
 		Send:        func(netem.Addr, []byte) {},
 		NewApp: func(uint64) host.App {
 			return recordApp(func(data []byte) { keys = append(keys, data...) })
 		},
-	})
+	}, InboxDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}

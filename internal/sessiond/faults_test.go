@@ -383,14 +383,10 @@ func floodSweep(id uint64, n int) []udpbatch.Message {
 // clear — and the budget return — after the hold expires.
 func TestShedPolicy(t *testing.T) {
 	sched := simclock.NewScheduler(epoch)
-	d, err := sessiond.New(sessiond.Config{
-		Clock:         sched,
-		IdleTimeout:   -1,
-		InboxDepth:    4,
-		ShedThreshold: 16,
-		ShedWindow:    time.Second,
-		ShedHold:      2 * time.Second,
-	})
+	d, err := sessiond.NewWithLimits(sessiond.Config{
+		Clock:       sched,
+		IdleTimeout: -1,
+	}, sessiond.InboxDepth(4), sessiond.Shed(16, time.Second, 2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,8 +438,7 @@ func TestFloodCannotStarveQuietSession(t *testing.T) {
 	w := newSimWorld(t, sessiond.Config{
 		NewApp:      shellApp,
 		IdleTimeout: -1,
-		InboxDepth:  4,
-	}, lan())
+	}, lan(), sessiond.InboxDepth(4))
 	loud, err := w.d.OpenSession()
 	if err != nil {
 		t.Fatal(err)

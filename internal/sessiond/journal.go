@@ -162,14 +162,10 @@ type pendingCeiling struct {
 	numCeil uint64
 }
 
-func newJournal(cfg Config) *journal {
+func newJournal(cfg Config, compactMin int64) *journal {
 	seed := cfg.FaultSeed
 	if seed == 0 {
 		seed = 0x5e55104d // fixed default: runs stay reproducible
-	}
-	compactMin := int64(cfg.JournalCompactMinBytes)
-	if compactMin <= 0 {
-		compactMin = DefaultJournalCompactMinBytes
 	}
 	return &journal{
 		path:         filepath.Join(cfg.StateDir, journalFileName),

@@ -15,12 +15,11 @@ import (
 // of sessions the daemon carries.
 func TestJournalEncodeAllocFree(t *testing.T) {
 	sched := simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
-	d, err := New(Config{
+	d, err := NewWithLimits(Config{
 		Clock:       sched,
 		Send:        func(netem.Addr, []byte) {},
 		IdleTimeout: -1,
-		Scrollback:  64,
-	})
+	}, Scrollback(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ type Metrics struct {
 	DropsBadEnvelope    expvar.Int // datagrams without a parseable envelope
 	DropsUnknownSession expvar.Int // envelope named no live session
 	DropsAuth           expvar.Int // per-session receive failures (forged, stale, replayed)
-	DropsQueueFull      expvar.Int // datagrams beyond a session's per-sweep budget (Config.InboxDepth)
+	DropsQueueFull      expvar.Int // datagrams beyond a session's per-sweep budget (limits.inboxDepth)
 
 	RoamingEvents expvar.Int // authentic source-address changes observed
 
@@ -145,49 +145,52 @@ type Metrics struct {
 
 // metricFields maps every published counter name to its accessor, so the
 // expvar registrations can read through an atomic slot (see Publish).
+// gauge marks a point-in-time value rather than a monotonic counter, which
+// is all the Prometheus exposition needs to know beyond the name.
 var metricFields = []struct {
-	name string
-	get  func(m *Metrics) int64
+	name  string
+	get   func(m *Metrics) int64
+	gauge bool
 }{
-	{"sessions_live", func(m *Metrics) int64 { return m.SessionsLive.Value() }},
-	{"sessions_opened", func(m *Metrics) int64 { return m.SessionsOpened.Value() }},
-	{"sessions_evicted", func(m *Metrics) int64 { return m.SessionsEvicted.Value() }},
-	{"sessions_closed", func(m *Metrics) int64 { return m.SessionsClosed.Value() }},
-	{"packets_in", func(m *Metrics) int64 { return m.PacketsIn.Value() }},
-	{"bytes_in", func(m *Metrics) int64 { return m.BytesIn.Value() }},
-	{"packets_out", func(m *Metrics) int64 { return m.PacketsOut.Value() }},
-	{"bytes_out", func(m *Metrics) int64 { return m.BytesOut.Value() }},
-	{"drops_bad_envelope", func(m *Metrics) int64 { return m.DropsBadEnvelope.Value() }},
-	{"drops_unknown_session", func(m *Metrics) int64 { return m.DropsUnknownSession.Value() }},
-	{"drops_auth", func(m *Metrics) int64 { return m.DropsAuth.Value() }},
-	{"drops_queue_full", func(m *Metrics) int64 { return m.DropsQueueFull.Value() }},
-	{"roaming_events", func(m *Metrics) int64 { return m.RoamingEvents.Value() }},
-	{"read_batch_calls", func(m *Metrics) int64 { return m.ReadBatchCalls.Value() }},
-	{"write_batch_calls", func(m *Metrics) int64 { return m.WriteBatchCalls.Value() }},
-	{"egress_queue_depth", func(m *Metrics) int64 { return m.EgressQueueDepth.Value() }},
-	{"drops_egress_full", func(m *Metrics) int64 { return m.DropsEgressFull.Value() }},
-	{"egress_write_errors", func(m *Metrics) int64 { return m.EgressWriteErrors.Value() }},
-	{"stack_traversals_in", func(m *Metrics) int64 { return m.StackTraversalsIn.Value() }},
-	{"stack_traversals_out", func(m *Metrics) int64 { return m.StackTraversalsOut.Value() }},
-	{"sessions_restored", func(m *Metrics) int64 { return m.SessionsRestored.Value() }},
-	{"snapshots_stale", func(m *Metrics) int64 { return m.SnapshotsStale.Value() }},
-	{"journal_flushes", func(m *Metrics) int64 { return m.JournalFlushes.Value() }},
-	{"journal_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }},
-	{"journal_errors", func(m *Metrics) int64 { return m.JournalErrors.Value() }},
-	{"journal_bad_records", func(m *Metrics) int64 { return m.JournalBadRecords.Value() }},
-	{"journal_flush_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }},
-	{"journal_changed_bytes", func(m *Metrics) int64 { return m.JournalChangedBytes.Value() }},
-	{"journal_segments", func(m *Metrics) int64 { return m.JournalSegments.Value() }},
-	{"compaction_runs", func(m *Metrics) int64 { return m.CompactionRuns.Value() }},
-	{"journal_flush_failures", func(m *Metrics) int64 { return m.JournalFlushFailures.Value() }},
-	{"journal_suspended", func(m *Metrics) int64 { return m.JournalSuspended.Value() }},
-	{"journal_retry_backoff_ms", func(m *Metrics) int64 { return m.JournalRetryBackoffMs.Value() }},
-	{"drops_unauth_quota", func(m *Metrics) int64 { return m.DropsUnauthQuota.Value() }},
-	{"shed_events", func(m *Metrics) int64 { return m.ShedEvents.Value() }},
-	{"shedding", func(m *Metrics) int64 { return m.Shedding.Value() }},
-	{"read_errors_transient", func(m *Metrics) int64 { return m.ReadErrorsTransient.Value() }},
-	{"frames_prepared", func(m *Metrics) int64 { return m.FramesPrepared.Value() }},
-	{"frames_prepared_sent", func(m *Metrics) int64 { return m.FramesPreparedSent.Value() }},
+	{"sessions_live", func(m *Metrics) int64 { return m.SessionsLive.Value() }, true},
+	{"sessions_opened", func(m *Metrics) int64 { return m.SessionsOpened.Value() }, false},
+	{"sessions_evicted", func(m *Metrics) int64 { return m.SessionsEvicted.Value() }, false},
+	{"sessions_closed", func(m *Metrics) int64 { return m.SessionsClosed.Value() }, false},
+	{"packets_in", func(m *Metrics) int64 { return m.PacketsIn.Value() }, false},
+	{"bytes_in", func(m *Metrics) int64 { return m.BytesIn.Value() }, false},
+	{"packets_out", func(m *Metrics) int64 { return m.PacketsOut.Value() }, false},
+	{"bytes_out", func(m *Metrics) int64 { return m.BytesOut.Value() }, false},
+	{"drops_bad_envelope", func(m *Metrics) int64 { return m.DropsBadEnvelope.Value() }, false},
+	{"drops_unknown_session", func(m *Metrics) int64 { return m.DropsUnknownSession.Value() }, false},
+	{"drops_auth", func(m *Metrics) int64 { return m.DropsAuth.Value() }, false},
+	{"drops_queue_full", func(m *Metrics) int64 { return m.DropsQueueFull.Value() }, false},
+	{"roaming_events", func(m *Metrics) int64 { return m.RoamingEvents.Value() }, false},
+	{"read_batch_calls", func(m *Metrics) int64 { return m.ReadBatchCalls.Value() }, false},
+	{"write_batch_calls", func(m *Metrics) int64 { return m.WriteBatchCalls.Value() }, false},
+	{"egress_queue_depth", func(m *Metrics) int64 { return m.EgressQueueDepth.Value() }, true},
+	{"drops_egress_full", func(m *Metrics) int64 { return m.DropsEgressFull.Value() }, false},
+	{"egress_write_errors", func(m *Metrics) int64 { return m.EgressWriteErrors.Value() }, false},
+	{"stack_traversals_in", func(m *Metrics) int64 { return m.StackTraversalsIn.Value() }, false},
+	{"stack_traversals_out", func(m *Metrics) int64 { return m.StackTraversalsOut.Value() }, false},
+	{"sessions_restored", func(m *Metrics) int64 { return m.SessionsRestored.Value() }, false},
+	{"snapshots_stale", func(m *Metrics) int64 { return m.SnapshotsStale.Value() }, false},
+	{"journal_flushes", func(m *Metrics) int64 { return m.JournalFlushes.Value() }, false},
+	{"journal_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }, false},
+	{"journal_errors", func(m *Metrics) int64 { return m.JournalErrors.Value() }, false},
+	{"journal_bad_records", func(m *Metrics) int64 { return m.JournalBadRecords.Value() }, false},
+	{"journal_flush_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }, false},
+	{"journal_changed_bytes", func(m *Metrics) int64 { return m.JournalChangedBytes.Value() }, false},
+	{"journal_segments", func(m *Metrics) int64 { return m.JournalSegments.Value() }, true},
+	{"compaction_runs", func(m *Metrics) int64 { return m.CompactionRuns.Value() }, false},
+	{"journal_flush_failures", func(m *Metrics) int64 { return m.JournalFlushFailures.Value() }, false},
+	{"journal_suspended", func(m *Metrics) int64 { return m.JournalSuspended.Value() }, true},
+	{"journal_retry_backoff_ms", func(m *Metrics) int64 { return m.JournalRetryBackoffMs.Value() }, true},
+	{"drops_unauth_quota", func(m *Metrics) int64 { return m.DropsUnauthQuota.Value() }, false},
+	{"shed_events", func(m *Metrics) int64 { return m.ShedEvents.Value() }, false},
+	{"shedding", func(m *Metrics) int64 { return m.Shedding.Value() }, true},
+	{"read_errors_transient", func(m *Metrics) int64 { return m.ReadErrorsTransient.Value() }, false},
+	{"frames_prepared", func(m *Metrics) int64 { return m.FramesPrepared.Value() }, false},
+	{"frames_prepared_sent", func(m *Metrics) int64 { return m.FramesPreparedSent.Value() }, false},
 }
 
 // pubMu guards the prefix→slot maps below. expvar.Publish panics on a
@@ -286,11 +289,10 @@ type ScreenStateStats struct {
 	// its sender still retains for unacknowledged states, from the snapshot
 	// of a frame prepared and waiting for its deadline, or from the retired
 	// shells on its snapshot free list — counting each distinct
-	// backing array once, so rows deduplicated by the intern table (and
-	// rows structurally shared between sessions and snapshots) are charged
-	// a single time. InternedRows counts live grid rows whose storage is
-	// intern-table canonical.
-	ResidentBytes, InternedRows int
+	// backing array once, so the blank array every blank row aliases (and
+	// rows structurally shared between a screen and its snapshots) are
+	// charged a single time.
+	ResidentBytes int
 }
 
 // ResidentBytesPerSession reports the deduplicated cell bytes every screen
@@ -322,14 +324,12 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 		live := s.srv.Transport().CurrentState()
 		fb := live.Framebuffer()
 		m := fb.MemStats()
-		bytes, interned := fb.AccumulateResident(seen)
+		bytes := fb.AccumulateResident(seen)
 		for snap := range s.srv.Transport().Sender().SentStates() {
-			b, _ := snap.Framebuffer().AccumulateResident(seen)
-			bytes += b
+			bytes += snap.Framebuffer().AccumulateResident(seen)
 		}
 		if snap, ok := s.srv.Transport().Sender().PreparedState(); ok {
-			b, _ := snap.Framebuffer().AccumulateResident(seen)
-			bytes += b
+			bytes += snap.Framebuffer().AccumulateResident(seen)
 		}
 		bytes += live.AccumulatePooledResident(seen)
 		s.mu.Unlock()
@@ -340,7 +340,6 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 		st.ScrollbackRows += m.ScrollbackRows
 		st.ScrollbackArenaRows += m.ScrollbackArenaRows
 		st.ResidentBytes += bytes
-		st.InternedRows += interned
 	})
 	return st
 }
@@ -371,10 +370,6 @@ func (d *Daemon) PublishExpvar(prefix string) {
 	}))
 	expvar.Publish(prefix+".resident_bytes_per_session", expvar.Func(func() any {
 		return slot.Load().ScreenStateStats().ResidentBytesPerSession()
-	}))
-	expvar.Publish(prefix+".interned_rows", expvar.Func(func() any {
-		rows, bytes := terminal.InternedRowStats()
-		return map[string]int64{"rows": int64(rows), "bytes": int64(bytes)}
 	}))
 	expvar.Publish(prefix+".statesync_applies", expvar.Func(func() any {
 		sc, sb, uc, ub := statesync.ApplyStats()

@@ -61,7 +61,7 @@ func TestScreenStateStats(t *testing.T) {
 	}
 
 	// Opt-in scrollback: history accumulates and is visible in the gauge.
-	d2, err := New(Config{Clock: sched, IdleTimeout: -1, Scrollback: 30})
+	d2, err := NewWithLimits(Config{Clock: sched, IdleTimeout: -1}, Scrollback(30))
 	if err != nil {
 		t.Fatal(err)
 	}

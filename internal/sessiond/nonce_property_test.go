@@ -62,13 +62,13 @@ func TestNoncePropertyAcrossCrashPoints(t *testing.T) {
 		IdleTimeout: -1,
 		StateDir:    dir,
 		SeqReserve:  reserve,
-		// A tiny compaction floor makes the timeline alternate between
-		// compacted checkpoints and incremental segment tails, so the
-		// crash-point property is exercised across both journal shapes —
-		// including crashes landing mid-compaction.
-		JournalCompactMinBytes: 1,
 	}
-	d, err := sessiond.New(cfg)
+	// A tiny compaction floor makes the timeline alternate between
+	// compacted checkpoints and incremental segment tails, so the
+	// crash-point property is exercised across both journal shapes —
+	// including crashes landing mid-compaction.
+	tinyFloor := sessiond.JournalCompactMinBytes(1)
+	d, err := sessiond.NewWithLimits(cfg, tinyFloor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestNoncePropertyAcrossCrashPoints(t *testing.T) {
 		rcfg := cfg
 		rcfg.StateDir = rdir
 		rcfg.Send = func(netem.Addr, []byte) {}
-		rd, err := sessiond.New(rcfg)
+		rd, err := sessiond.NewWithLimits(rcfg, tinyFloor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestNoncePropertyAcrossCrashPoints(t *testing.T) {
 		rcfg := cfg
 		rcfg.StateDir = rdir
 		rcfg.Send = func(netem.Addr, []byte) {}
-		rd, err := sessiond.New(rcfg)
+		rd, err := sessiond.NewWithLimits(rcfg, tinyFloor)
 		if err != nil {
 			t.Fatalf("daemon refused to boot with %s torn at %d bytes: %v", tear, n, err)
 		}

@@ -17,17 +17,6 @@ import (
 // expvar registry (metrics.go) stays the debug-oriented surface; this one
 // is for scrapers.
 
-// promGauges marks the published counters that are point-in-time gauges
-// rather than monotonic counters.
-var promGauges = map[string]bool{
-	"sessions_live":            true,
-	"egress_queue_depth":       true,
-	"journal_suspended":        true,
-	"journal_retry_backoff_ms": true,
-	"journal_segments":         true,
-	"shedding":                 true,
-}
-
 // batchSizeBoundaries are the `le` boundaries for the batch-size
 // histograms: powers of two up to the clamp, matching BatchHist's exact
 // range.
@@ -56,7 +45,7 @@ func (d *Daemon) appendPrometheus(dst []byte) []byte {
 	m := d.Metrics()
 	for _, f := range metricFields {
 		kind := "counter"
-		if promGauges[f.name] {
+		if f.gauge {
 			kind = "gauge"
 		}
 		dst = append(dst, "# TYPE sessiond_"+f.name+" "+kind+"\n"...)
@@ -108,10 +97,6 @@ func (d *Daemon) appendPrometheus(dst []byte) []byte {
 	dst = appendPromGauge(dst, "sessiond_scrollback_arena_rows", int64(ss.ScrollbackArenaRows))
 	dst = appendPromGauge(dst, "sessiond_interned_graphemes", int64(terminal.InternedGraphemes()))
 	dst = appendPromGauge(dst, "sessiond_resident_bytes_per_session", int64(ss.ResidentBytesPerSession()))
-	irows, ibytes := terminal.InternedRowStats()
-	dst = appendPromGauge(dst, "sessiond_interned_rows", int64(irows))
-	dst = appendPromGauge(dst, "sessiond_interned_row_bytes", int64(ibytes))
-	dst = appendPromGauge(dst, "sessiond_screen_rows_interned", int64(ss.InternedRows))
 
 	sc, sb, uc, ub := statesync.ApplyStats()
 	dst = appendPromCounter(dst, "sessiond_statesync_screen_applies", sc)

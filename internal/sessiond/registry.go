@@ -238,17 +238,7 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		return nil, err
 	}
 	s.srv = srv
-	// By default the daemon's terminals keep no local scrollback: the
-	// client reconstructs its own history from scroll diffs, and at
-	// thousands of sessions the dead rows would dominate memory. This also
-	// lets the framebuffer recycle scrolled-off rows (terminal row
-	// pooling). Config.Scrollback opts in to (structurally shared,
-	// clone-cheap) server-side history.
-	sb := -1
-	if d.cfg.Scrollback > 0 {
-		sb = d.cfg.Scrollback
-	}
-	srv.Terminal().Framebuffer().SetScrollbackLimit(sb)
+	srv.Terminal().Framebuffer().SetScrollbackLimit(d.lim.scrollback)
 	now := d.cfg.Clock.Now()
 	s.lastActive = now
 	if d.cfg.NewApp != nil {

@@ -96,12 +96,11 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 		},
 		RestoreApp:  func(id uint64) host.App { return apps[id] },
 		IdleTimeout: -1,
-		Scrollback:  scrollback,
 	}
 	if restart {
 		cfg.StateDir = t.TempDir()
 	}
-	d, err := sessiond.New(cfg)
+	d, err := sessiond.NewWithLimits(cfg, sessiond.Scrollback(scrollback))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 		sched.RunFor(30 * time.Millisecond)
 		d.Close()
 		sched.RunFor(outage) // packets arriving now hit the dead daemon
-		d2, err := sessiond.New(cfg)
+		d2, err := sessiond.NewWithLimits(cfg, sessiond.Scrollback(scrollback))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 
 // journalTestDaemon builds a loop-less daemon over a real state directory:
 // FlushJournal is fully synchronous, so every test below is deterministic.
-func journalTestDaemon(t *testing.T, dir string, mod func(*Config)) *Daemon {
+func journalTestDaemon(t *testing.T, dir string, mod func(*Config), lim ...Limit) *Daemon {
 	t.Helper()
 	cfg := Config{
 		Clock:       simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC)),
@@ -30,7 +30,7 @@ func journalTestDaemon(t *testing.T, dir string, mod func(*Config)) *Daemon {
 	if mod != nil {
 		mod(&cfg)
 	}
-	d, err := New(cfg)
+	d, err := NewWithLimits(cfg, lim...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func equalStrings(a, b []string) bool {
 // the old segments are deleted, and a restart restores the exact state.
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
-	d := journalTestDaemon(t, dir, func(c *Config) { c.JournalCompactMinBytes = 1 })
+	d := journalTestDaemon(t, dir, nil, JournalCompactMinBytes(1))
 	s, err := d.OpenSession()
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestJournalCompaction(t *testing.T) {
 // purely from the checkpoint, ignore the stale epoch, and clean it up.
 func TestMidCompactionCrashRestore(t *testing.T) {
 	dir := t.TempDir()
-	d := journalTestDaemon(t, dir, func(c *Config) { c.JournalCompactMinBytes = 1 })
+	d := journalTestDaemon(t, dir, nil, JournalCompactMinBytes(1))
 	s, err := d.OpenSession()
 	if err != nil {
 		t.Fatal(err)

@@ -83,32 +83,12 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Width, Height size each session's terminal (default 80×24).
 	Width, Height int
-	// Scrollback is the per-session server-side history depth in lines.
-	// Zero or negative keeps the daemon default: history disabled — the
-	// client rebuilds its own history from scroll diffs, scrolled-off rows
-	// recycle through the row pool, and at thousands of sessions the dead
-	// rows would otherwise dominate memory. With the structurally-shared
-	// scrollback a positive depth is affordable when an embedder wants
-	// server-side history (e.g. for session handoff or auditing).
-	Scrollback int
 	// Timing overrides SSP transport timing (nil = paper defaults).
 	Timing *transport.Timing
 	// RecycleWire declares Send non-retaining (synchronous socket write),
 	// enabling per-session wire-buffer reuse. Must stay false when Send
 	// hands buffers to something that holds them (netem links in flight).
 	RecycleWire bool
-	// InboxDepth bounds how many of one session's datagrams a single
-	// ingest sweep handles (default 128): the prefix of the session's run
-	// is admitted, the excess is dropped unopened and counted in
-	// drops_queue_full — SSP retransmits. It is what keeps a flooding
-	// session from buying more than its share of a sweep; the shed policy
-	// halves it.
-	InboxDepth int
-	// EgressDepth bounds the daemon-wide egress ring in datagrams
-	// (default 4096). Overflow drops the datagram (drops_egress_full) —
-	// backpressure; a sweep flushes at half occupancy, so only a single
-	// session emitting thousands of datagrams at once can reach it.
-	EgressDepth int
 	// IOModel selects which udpbatch provider geometry the simulation's
 	// syscall and stack-traversal accounting mirrors (mmsg by default;
 	// see the IOModel constants). The packet path is identical across
@@ -160,17 +140,6 @@ type Config struct {
 	// behavior, kept as the measured baseline the journal bench compares
 	// against.
 	JournalFullRewrite bool
-	// JournalCompactMinBytes floors the segment-tail growth that triggers
-	// compaction back into a checkpoint (default
-	// DefaultJournalCompactMinBytes). The trigger itself is relative: the
-	// tail must also outgrow twice the checkpoint, bounding the log at
-	// O(live state).
-	JournalCompactMinBytes int
-	// DisableRowIntern turns off row-level screen interning (process-wide
-	// sharing of identical screen rows across sessions). Interning is
-	// semantically invisible — frames and snapshots are byte-identical
-	// either way — so this knob exists for A/B memory measurement.
-	DisableRowIntern bool
 
 	// UnauthQuotaBurst/UnauthQuotaRate parameterize the per-source token
 	// bucket on auth-failing datagrams: a source that fails
@@ -181,15 +150,6 @@ type Config struct {
 	// out. Defaults 64 and 16/s; a negative Burst disables the quota.
 	UnauthQuotaBurst int
 	UnauthQuotaRate  float64
-
-	// ShedThreshold/ShedWindow/ShedHold parameterize the pressure-shed
-	// policy: when pressure drops (sweep budgets exceeded, full egress
-	// ring) exceed ShedThreshold within ShedWindow, the daemon sheds for
-	// ShedHold — halving every session's sweep budget so the flood pays
-	// for the pressure it creates — and meters the event (shed_events).
-	// Defaults 256 drops / 1s / 2s; a negative threshold disables.
-	ShedThreshold        int
-	ShedWindow, ShedHold time.Duration
 
 	// Pipeline receives the daemon's per-stage latency observations and
 	// keystroke→echo matches. Nil allocates a daemon-private one
@@ -211,9 +171,54 @@ type Config struct {
 	OnDegrade func(reason string, dump []byte)
 }
 
+// limits are the daemon's fixed bounds. Nothing outside the tests of the
+// bounds themselves ever asked for other values, so production has one set
+// (defaultLimits) and no Config field; those tests build a daemon with small
+// ones through newDaemon.
+type limits struct {
+	// scrollback is the per-session server-side history depth in lines;
+	// negative disables it. The client rebuilds its own history from scroll
+	// diffs, scrolled-off rows recycle through the row pool, and at
+	// thousands of sessions the dead rows would otherwise dominate memory.
+	scrollback int
+	// inboxDepth bounds how many of one session's datagrams a single
+	// ingest sweep handles: the prefix of the session's run is admitted,
+	// the excess is dropped unopened and counted in drops_queue_full — SSP
+	// retransmits. It is what keeps a flooding session from buying more
+	// than its share of a sweep; the shed policy halves it.
+	inboxDepth int
+	// egressDepth bounds the daemon-wide egress ring in datagrams. Overflow
+	// drops the datagram (drops_egress_full) — backpressure; a sweep
+	// flushes at half occupancy, so only a single session emitting
+	// thousands of datagrams at once can reach it.
+	egressDepth int
+	// journalCompactMinBytes floors the segment-tail growth that triggers
+	// compaction back into a checkpoint. The trigger itself is relative:
+	// the tail must also outgrow twice the checkpoint, bounding the log at
+	// O(live state).
+	journalCompactMinBytes int64
+	// When pressure drops (sweep budgets exceeded, full egress ring) reach
+	// shedThreshold within shedWindow, the daemon sheds for shedHold —
+	// halving every session's sweep budget so the flood pays for the
+	// pressure it creates — and meters the event (shed_events).
+	shedThreshold        int64
+	shedWindow, shedHold time.Duration
+}
+
+var defaultLimits = limits{
+	scrollback:             -1,
+	inboxDepth:             128,
+	egressDepth:            4096,
+	journalCompactMinBytes: DefaultJournalCompactMinBytes,
+	shedThreshold:          DefaultShedThreshold,
+	shedWindow:             time.Second,
+	shedHold:               2 * time.Second,
+}
+
 // Daemon multiplexes many SSP sessions over one socket.
 type Daemon struct {
 	cfg     Config
+	lim     limits
 	reg     *registry
 	timers  *timerHeap
 	metrics Metrics
@@ -281,7 +286,9 @@ type Daemon struct {
 }
 
 // New builds a daemon. Clock is required.
-func New(cfg Config) (*Daemon, error) {
+func New(cfg Config) (*Daemon, error) { return newDaemon(cfg, defaultLimits) }
+
+func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("sessiond: Config.Clock is required")
 	}
@@ -297,17 +304,11 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 128
-	}
 	if cfg.JournalInterval <= 0 {
 		cfg.JournalInterval = DefaultJournalInterval
 	}
 	if cfg.SeqReserve == 0 {
 		cfg.SeqReserve = DefaultSeqReserve
-	}
-	if cfg.EgressDepth <= 0 {
-		cfg.EgressDepth = 4096
 	}
 	if cfg.FS == nil {
 		cfg.FS = faultinject.OSFS{}
@@ -330,15 +331,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.UnauthQuotaRate <= 0 {
 		cfg.UnauthQuotaRate = DefaultUnauthQuotaRate
 	}
-	if cfg.ShedThreshold == 0 {
-		cfg.ShedThreshold = DefaultShedThreshold
-	}
-	if cfg.ShedWindow <= 0 {
-		cfg.ShedWindow = time.Second
-	}
-	if cfg.ShedHold <= 0 {
-		cfg.ShedHold = 2 * time.Second
-	}
 	// Wire-buffer slots must hold any datagram this daemon's transport
 	// can legitimately produce: the configured MTU (fragment contents)
 	// plus headers, envelope, AEAD tag and slack. A truncated read would
@@ -352,13 +344,14 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:      cfg,
+		lim:      lim,
 		reg:      newRegistry(),
 		timers:   newTimerHeap(),
 		model:    &modelConn{model: cfg.IOModel, send: cfg.Send},
 		stop:     make(chan struct{}),
 		flushReq: make(chan struct{}, 1),
-		wirePool: udpbatch.NewPool(bufSize, cfg.EgressDepth),
-		egress:   newEgressRing(cfg.EgressDepth),
+		wirePool: udpbatch.NewPool(bufSize, lim.egressDepth),
+		egress:   newEgressRing(lim.egressDepth),
 	}
 	if cfg.Send != nil {
 		var w batchWriter = d.model
@@ -367,9 +360,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.UnauthQuotaBurst > 0 {
 		d.quota = newUnauthQuota(float64(cfg.UnauthQuotaBurst), cfg.UnauthQuotaRate)
 	}
-	d.shed.threshold = int64(cfg.ShedThreshold)
-	d.shed.window = cfg.ShedWindow
-	d.shed.hold = cfg.ShedHold
 	// Telemetry must exist before restore: sessions revived from the
 	// journal get their probe wired at construction like fresh ones.
 	d.pipe = cfg.Pipeline
@@ -382,7 +372,7 @@ func New(cfg Config) (*Daemon, error) {
 		if err := cfg.FS.MkdirAll(cfg.StateDir, 0o700); err != nil {
 			return nil, fmt.Errorf("sessiond: state dir: %w", err)
 		}
-		d.journal = newJournal(cfg)
+		d.journal = newJournal(cfg, lim.journalCompactMinBytes)
 		if err := d.restoreFromJournal(); err != nil {
 			return nil, err
 		}
@@ -731,22 +721,14 @@ func (s *Session) tick(now time.Time) {
 
 // settle is the post-flush pass a sweep (ingest, TickDue, Session.Do) gives
 // the sessions it left something to settle, once its replies are on the
-// wire: the work no client is waiting for. First the row-intern pass —
-// deduplicating identical screen rows across the fleet (prompts, banners,
-// blank rows) means hashing every row the sweep changed; memoized per row
-// generation, so on an unchanged screen it is a per-row integer compare.
-// Then, if the sweep left a frame waiting out its collection interval, that
-// frame is built now (core.Server.Prepare) so that the tick serving its
-// deadline has only to seal and write it; interning first lets the frame's
-// snapshot share the canonical rows.
+// wire: the work no client is waiting for. If the sweep left a frame waiting
+// out its collection interval, that frame is built now (core.Server.Prepare)
+// so that the tick serving its deadline has only to seal and write it.
 func (s *Session) settle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
-	}
-	if !s.d.cfg.DisableRowIntern {
-		s.srv.Terminal().Framebuffer().InternRows()
 	}
 	if s.srv.Prepare() {
 		s.d.metrics.FramesPrepared.Add(1)

@@ -32,7 +32,7 @@ type simWorld struct {
 	seed       int64
 }
 
-func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams) *simWorld {
+func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams, lim ...sessiond.Limit) *simWorld {
 	t.Helper()
 	w := &simWorld{
 		t:          t,
@@ -50,7 +50,7 @@ func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams) *si
 		}
 	}
 	var err error
-	w.d, err = sessiond.New(cfg)
+	w.d, err = sessiond.NewWithLimits(cfg, lim...)
 	if err != nil {
 		t.Fatal(err)
 	}

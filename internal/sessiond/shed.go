@@ -16,13 +16,13 @@ import (
 // converts memory into drops at a different layer. The shed policy makes
 // that regime a first-class, metered state: when pressure drops exceed a
 // threshold within a window, the daemon "sheds" for a hold period —
-// halving every session's per-sweep budget (Config.InboxDepth) so the
+// halving every session's per-sweep budget (limits.inboxDepth) so the
 // heaviest offenders absorb the drops — and counts the event
 // (shed_events, shedding gauge) so operators see the regime change
 // instead of inferring it from scattered drop counters.
 
-// DefaultShedThreshold is the pressure-drop count within ShedWindow that
-// activates shedding.
+// DefaultShedThreshold is the pressure-drop count within the shed window
+// that activates shedding.
 const DefaultShedThreshold = 256
 
 // shedState tracks pressure drops over a sliding window and the
@@ -30,10 +30,6 @@ const DefaultShedThreshold = 256
 // ingest sweep); the window counters live under mu and are touched only
 // when drops actually happen.
 type shedState struct {
-	threshold int64
-	window    time.Duration
-	hold      time.Duration
-
 	until atomic.Int64 // unix nanos; shedding active while now < until
 
 	mu          sync.Mutex
@@ -46,28 +42,25 @@ type shedState struct {
 // shedding when the windowed total trips the threshold. Never blocks; safe
 // under session locks.
 func (d *Daemon) notePressureDrop(n int64, at time.Time) {
-	sh := &d.shed
-	if sh.threshold <= 0 {
-		return
-	}
+	sh, lim := &d.shed, &d.lim
 	now := at.UnixNano()
 	sh.mu.Lock()
-	if now-sh.windowStart > int64(sh.window) {
+	if now-sh.windowStart > int64(lim.shedWindow) {
 		sh.windowStart, sh.drops = now, 0
 	}
 	sh.drops += n
-	trip := sh.drops >= sh.threshold
+	trip := sh.drops >= lim.shedThreshold
 	if trip {
 		sh.windowStart, sh.drops = now, 0
 	}
 	sh.mu.Unlock()
 	if trip {
-		if prev := sh.until.Swap(now + int64(sh.hold)); prev < now {
+		if prev := sh.until.Swap(now + int64(lim.shedHold)); prev < now {
 			// Newly activated (not an extension of an active hold). The
 			// flight-recorder dump here is the whole point of the recorder:
 			// the events leading up to the trip are still in the ring.
 			d.metrics.ShedEvents.Add(1)
-			d.degrade("shed", telemetry.EvShedTrip, 0, uint64(sh.threshold), at)
+			d.degrade("shed", telemetry.EvShedTrip, 0, uint64(lim.shedThreshold), at)
 		}
 		d.metrics.Shedding.Set(1)
 	}

@@ -138,8 +138,7 @@ func (c *Complete) AccumulatePooledResident(seen map[*terminal.Cell]struct{}) (b
 		return 0
 	}
 	for _, d := range c.pool.free {
-		b, _ := d.emu.Framebuffer().AccumulateResident(seen)
-		bytes += b
+		bytes += d.emu.Framebuffer().AccumulateResident(seen)
 	}
 	return bytes
 }

@@ -37,9 +37,9 @@
 //     a retired snapshot's shell, making the sender's steady-state snapshot
 //     fully allocation-free; the shell waits on its free list Released,
 //     referencing no row.
-//   - Identical rows across the fleet share one backing array through the
-//     row intern table (rowintern.go), which references its rows weakly: a
-//     canonical row lives exactly as long as some screen shows it.
+//   - A blank row with the default background owns no cells: it is born
+//     aliasing one process-wide blank array (newBlankRow) and marked shared,
+//     so a fleet's blank lines cost a row header each until they are written.
 //   - Scrollback is structurally shared: clones reference the same
 //     append-only history arena through (offset, length) windows, so a
 //     snapshot carries deep scrollback in O(1) instead of copying the
@@ -246,9 +246,12 @@ type Cell struct {
 	Rend Renditions
 }
 
-// A Cell is 12 bytes; rows are sized, hashed and accounted on that.
-var _ [12 - unsafe.Sizeof(Cell{})]struct{}
-var _ [unsafe.Sizeof(Cell{}) - 12]struct{}
+// cellBytes is the in-memory footprint of one Cell; rows are sized and
+// accounted on it.
+const cellBytes = 12
+
+var _ [cellBytes - unsafe.Sizeof(Cell{})]struct{}
+var _ [unsafe.Sizeof(Cell{}) - cellBytes]struct{}
 
 const (
 	wideBit  uint32 = 1 << 30

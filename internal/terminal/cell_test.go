@@ -147,8 +147,8 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 					// wrap is invisible to Equal; everything else is not.
 					e := c
 					e.content ^= wrapBit
-					if !c.Equal(&e) || hashRowCells([]Cell{c}) == hashRowCells([]Cell{e}) {
-						t.Fatalf("soft-wrap flag must be ignored by Equal and seen by the hash: %+v", c)
+					if !c.Equal(&e) || c == e {
+						t.Fatalf("soft-wrap flag must be ignored by Equal and seen by ==: %+v", c)
 					}
 					e = c
 					e.SetWide(!wide)

@@ -45,9 +45,10 @@ type FrameWriter struct {
 }
 
 // blankCells is the one run of zero-value cells behind every writer's
-// baseline row, as long as the widest screen painted so far. Nobody writes
-// to it; a racing pair of growers both publish all-blank arrays, and the
-// loser's lives only as long as the writers that took it.
+// baseline row and every blank screen row (newBlankRow), as long as the
+// widest screen seen so far. Nobody writes to it; a racing pair of growers
+// both publish all-blank arrays, and the loser's lives only as long as the
+// rows and writers that took it.
 var blankCells atomic.Pointer[[]Cell]
 
 func sharedBlankCells(width int) []Cell {

@@ -141,6 +141,7 @@ func TestEraseInDisplay(t *testing.T) {
 }
 
 func TestInsertDeleteChars(t *testing.T) {
+	blankArrayStaysBlank(t)
 	e := emu(10, 3)
 	e.WriteString("abcdef\x1b[1;3H\x1b[2@") // insert 2 blanks at col 3
 	rowText(t, e, 0, "ab  cdef")
@@ -151,6 +152,7 @@ func TestInsertDeleteChars(t *testing.T) {
 }
 
 func TestInsertDeleteLines(t *testing.T) {
+	blankArrayStaysBlank(t)
 	e := emu(10, 4)
 	e.WriteString("a\r\nb\r\nc\r\nd\x1b[2;1H\x1b[1L")
 	rowText(t, e, 0, "a")
@@ -164,6 +166,7 @@ func TestInsertDeleteLines(t *testing.T) {
 }
 
 func TestScrollingRegion(t *testing.T) {
+	blankArrayStaysBlank(t)
 	e := emu(10, 5)
 	e.WriteString("1\r\n2\r\n3\r\n4\r\n5")
 	e.WriteString("\x1b[2;4r") // region rows 2..4 (1-based)
@@ -424,6 +427,7 @@ func TestStringSequencesSwallowed(t *testing.T) {
 }
 
 func TestResizePreservesContent(t *testing.T) {
+	blankArrayStaysBlank(t)
 	e := emu(20, 5)
 	e.WriteString("keep me\r\nline2")
 	e.Resize(30, 8)

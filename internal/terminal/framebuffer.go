@@ -17,19 +17,11 @@ type Row struct {
 	Cells []Cell
 	gen   uint64
 	// shared marks a row reachable from more than one framebuffer (or
-	// from a framebuffer and the scrollback of another). Once set it is
+	// from a framebuffer and the scrollback of another), or one whose Cells
+	// alias the process-wide blank array (newBlankRow). Once set it is
 	// never cleared on this Row: a framebuffer that wants to write
 	// replaces its pointer with a private copy instead.
 	shared bool
-	// interned marks a row whose Cells storage is (or backs) a canonical
-	// entry in the process-wide row intern table (see rowintern.go).
-	// Interned rows are always shared, so copy-on-write protects the
-	// canonical storage from mutation.
-	interned bool
-	// internGen memoizes the generation this row last went through
-	// InternRows, so steady-state interning of an unchanged screen is a
-	// per-row integer compare instead of a content hash.
-	internGen uint64
 }
 
 // rowGenCounter is global so generations stay unique across every
@@ -41,12 +33,23 @@ func nextGen() uint64 {
 	return rowGenCounter.Add(1)
 }
 
+// newRow returns a private row of blanks with background bg.
 func newRow(width int, bg Renditions) *Row {
 	r := &Row{Cells: make([]Cell, width), gen: nextGen()}
 	for i := range r.Cells {
 		r.Cells[i].Reset(bg)
 	}
 	return r
+}
+
+// newBlankRow returns a blank row with the default background that owns no
+// cells: it aliases the process-wide blank array every session's blank lines
+// share and is born shared, so the first write to it materializes a private
+// row through writableRow exactly as a write to a snapshotted row does.
+// Nobody ever writes the blank array; code that fills a fresh row's cells
+// directly takes newRow.
+func newBlankRow(width int) *Row {
+	return &Row{Cells: sharedBlankCells(width), gen: nextGen(), shared: true}
 }
 
 // Gen returns the row's generation number.
@@ -172,7 +175,7 @@ func NewFramebuffer(w, h int) *Framebuffer {
 	f := &Framebuffer{W: w, H: h}
 	f.rows = make([]*Row, h)
 	for i := range f.rows {
-		f.rows[i] = newRow(w, SGRReset)
+		f.rows[i] = newBlankRow(w)
 	}
 	f.DS = DrawState{
 		Tabs:          defaultTabs(w),
@@ -282,9 +285,9 @@ func (f *Framebuffer) Identical(o *Framebuffer) bool {
 }
 
 // writableRow returns row i, first materializing a private copy if the
-// row is shared with a snapshot. Every mutation of row contents must go
-// through it (directly or via Row/Cell) to preserve the copy-on-write
-// invariant that shared rows are immutable.
+// row is shared with a snapshot or aliases the blank array. Every mutation
+// of row contents must go through it (directly or via Row/Cell) to preserve
+// the copy-on-write invariant that shared rows are immutable.
 func (f *Framebuffer) writableRow(i int) *Row {
 	r := f.rows[i]
 	if r.shared {
@@ -492,10 +495,14 @@ func (f *Framebuffer) recycleRow(r *Row) {
 }
 
 // newRowPooled returns a blank row with background bg, reusing a recycled
-// row when one is available.
+// row when one is available. With none, a default-background row is a
+// header over the shared blank array and costs cells only once written.
 func (f *Framebuffer) newRowPooled(bg Renditions) *Row {
 	n := len(f.freeRows)
 	if n == 0 {
+		if bg.bg == 0 {
+			return newBlankRow(f.W)
+		}
 		return newRow(f.W, bg)
 	}
 	r := f.freeRows[n-1]
@@ -584,14 +591,17 @@ func (f *Framebuffer) Resize(w, h int) {
 	}
 	rows := make([]*Row, h)
 	for i := 0; i < h; i++ {
+		if i >= f.H {
+			rows[i] = newBlankRow(w)
+			continue
+		}
+		// Copied into, so a private row: a blank one aliases the array
+		// every other blank row reads.
 		r := newRow(w, SGRReset)
-		if i < f.H {
-			src := f.rows[i]
-			n := copy(r.Cells, src.Cells)
-			// A surviving wide cell split at the boundary becomes blank.
-			if n > 0 && r.Cells[n-1].Wide() && n == w {
-				r.Cells[n-1].Reset(SGRReset)
-			}
+		n := copy(r.Cells, f.rows[i].Cells)
+		// A surviving wide cell split at the boundary becomes blank.
+		if n > 0 && r.Cells[n-1].Wide() && n == w {
+			r.Cells[n-1].Reset(SGRReset)
 		}
 		rows[i] = r
 	}
@@ -806,12 +816,12 @@ func (f *Framebuffer) MemStats() MemStats {
 
 // AccumulateResident tallies the cell storage this framebuffer keeps
 // resident, deduplicated against every backing array already counted in
-// seen — so storage shared through row interning (or copy-on-write) is
-// charged once fleet-wide, no matter how many screens reference it. It
-// also counts this screen's interned rows. sessiond drives it across
-// every screen of every session (the live one, the sender's unacknowledged
-// snapshots, released shells) to compute resident_bytes_per_session.
-func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes, internedRows int) {
+// seen — so storage shared copy-on-write, and the blank array every blank
+// row aliases, is charged once fleet-wide, no matter how many screens
+// reference it. sessiond drives it across every screen of every session
+// (the live one, the sender's unacknowledged snapshots, released shells) to
+// compute resident_bytes_per_session.
+func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes int) {
 	count := func(cells []Cell) {
 		if len(cells) == 0 {
 			return
@@ -828,9 +838,6 @@ func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes, intern
 			continue // a released shell (see Release)
 		}
 		count(r.Cells)
-		if r.interned {
-			internedRows++
-		}
 	}
 	for _, r := range f.freeRows {
 		count(r.Cells)
@@ -842,5 +849,5 @@ func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes, intern
 			count(r.Cells)
 		}
 	}
-	return bytes, internedRows
+	return bytes
 }

@@ -11,6 +11,7 @@ import (
 // relies on: cursor in bounds, scroll region sane, and the wide-character
 // invariant (no leader in the last column; continuations are blanks).
 func TestEmulatorFuzzNeverPanicsAndKeepsInvariants(t *testing.T) {
+	blankArrayStaysBlank(t)
 	rng := rand.New(rand.NewSource(2012))
 	interesting := []byte{0x1b, '[', ']', ';', '?', 'H', 'J', 'K', 'm', 'r', 'h', 'l',
 		'A', 'L', 'M', 'P', '@', 'S', 'T', 0x07, 0x08, 0x09, 0x0a, 0x0d, 0x7f,
@@ -62,6 +63,7 @@ func TestEmulatorFuzzNeverPanicsAndKeepsInvariants(t *testing.T) {
 // TestResizeFuzz resizes a live screen repeatedly while writing; no panics,
 // invariants hold.
 func TestResizeFuzz(t *testing.T) {
+	blankArrayStaysBlank(t)
 	rng := rand.New(rand.NewSource(7))
 	e := NewEmulator(80, 24)
 	for i := 0; i < 200; i++ {

@@ -187,6 +187,7 @@ func (s *stringScreen) verifyAgainst(t *testing.T, fb *Framebuffer, label string
 // printing (ASCII, CJK, emoji, combining marks), wrapping, erasing and
 // scrolling — and requires bit-for-bit agreement after every chunk.
 func TestPackedCellDifferentialFuzz(t *testing.T) {
+	blankArrayStaysBlank(t)
 	runes := []rune{
 		'a', 'b', 'z', ' ', '0', '~', // ASCII
 		'中', '日', '語', '漢', '字', // CJK wide

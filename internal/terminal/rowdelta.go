@@ -58,8 +58,8 @@ func (f *Framebuffer) AppendRowSnapshot(buf []byte, i int) []byte {
 // remainder of data.
 func (f *Framebuffer) ApplyRowSnapshot(data []byte, i int) ([]byte, error) {
 	r := binio.NewReader(data)
-	row := &Row{Cells: make([]Cell, f.W), gen: nextGen()}
-	if !decodeRow(&r, row.Cells) {
+	row, ok := decodeNewRow(&r, f.W)
+	if !ok {
 		return nil, ErrBadSnapshot
 	}
 	f.rows[i] = row

@@ -39,6 +39,9 @@ func TestRegionScrollReusesDiscardedRows(t *testing.T) {
 	// the region; vacated lines must reuse them without allocating.
 	f := NewFramebuffer(80, 24)
 	f.SetScrollingRegion(5, 18)
+	for i := 5; i <= 18; i++ {
+		fillRow(f, i, byte(i)) // a written row owns its cells
+	}
 	for i := 0; i < 4; i++ {
 		f.Scroll(1)
 	}
@@ -48,6 +51,17 @@ func TestRegionScrollReusesDiscardedRows(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("region scroll allocates %.1f per scroll with pooling, want 0", allocs)
+	}
+	// Rows nobody wrote alias the shared blank array and own nothing a
+	// scroll could reuse: each blank line brought in costs a row header.
+	f = NewFramebuffer(80, 24)
+	f.SetScrollingRegion(5, 18)
+	allocs = testing.AllocsPerRun(200, func() {
+		f.Scroll(1)
+		f.Scroll(-1)
+	})
+	if allocs > 2 {
+		t.Fatalf("scrolling blank rows allocates %.1f per pair of scrolls, want one row header each", allocs)
 	}
 }
 
@@ -107,6 +121,7 @@ func TestPoolingPreservesSnapshots(t *testing.T) {
 }
 
 func TestPoolClearedOnResize(t *testing.T) {
+	blankArrayStaysBlank(t)
 	f := NewFramebuffer(30, 8)
 	f.SetScrollbackLimit(-1)
 	for i := 0; i < 6; i++ {
@@ -122,6 +137,7 @@ func TestPoolClearedOnResize(t *testing.T) {
 }
 
 func TestScrollContentMatchesUnpooledOracle(t *testing.T) {
+	blankArrayStaysBlank(t)
 	// Property check: a framebuffer whose pool keeps engaging must stay
 	// Equal to a deep-copied oracle driven through identical operations.
 	f := NewFramebuffer(25, 9)

@@ -118,6 +118,7 @@ func runPathStream(rng *rand.Rand, w, h, steps int) []byte {
 // random streams and random screen sizes, fed whole and in random chunks,
 // the emulator ends where a rune-at-a-time oracle ends, cell for cell.
 func TestRunPathMatchesRunePath(t *testing.T) {
+	blankArrayStaysBlank(t)
 	seeds := 300
 	if testing.Short() {
 		seeds = 60
@@ -194,6 +195,7 @@ func FuzzEmulatorRunPath(f *testing.F) {
 	f.Add([]byte("漢字abc\x1b[1;2Hxy\x1b[4hins\x1b[4l\x1b[?7lno wrap at all here"), uint8(8), uint8(2), uint16(3))
 	f.Add([]byte("👩\u200d💻ab\x1b[2;3r\n\n\nlines inside a region\xe6\x97"), uint8(12), uint8(4), uint16(20))
 	f.Fuzz(func(t *testing.T, data []byte, w, h uint8, cut uint16) {
+		blankArrayStaysBlank(t)
 		width, height := 1+int(w)%64, 1+int(h)%16
 		oracle := runeOracle{NewEmulator(width, height)}
 		oracle.write(data)

@@ -292,6 +292,14 @@ func decodeRow(r *binio.Reader, cells []Cell) bool {
 	return true
 }
 
+// decodeNewRow decodes one RLE row into a fresh private row at a new
+// generation. Decoding fills cells in place, so it never takes a blank row:
+// that one aliases the array every other blank row reads.
+func decodeNewRow(r *binio.Reader, width int) (*Row, bool) {
+	row := &Row{Cells: make([]Cell, width), gen: nextGen()}
+	return row, decodeRow(r, row.Cells)
+}
+
 // DecodeSnapshot decodes a serialization produced by AppendSnapshot,
 // returning the restored framebuffer and the unconsumed remainder of data.
 // All storage is freshly allocated; grapheme contents are re-interned into
@@ -317,11 +325,10 @@ func DecodeSnapshot(data []byte) (*Framebuffer, []byte, error) {
 		return fail()
 	}
 
-	for i := 0; i < f.H; i++ {
-		if !decodeRow(&r, f.rows[i].Cells) {
+	for i := range f.rows {
+		if f.rows[i], ok = decodeNewRow(&r, f.W); !ok {
 			return fail()
 		}
-		f.rows[i].gen = nextGen()
 	}
 
 	sbCount, ok := r.BoundedUvarint(snapMaxScrollback)
@@ -338,8 +345,8 @@ func DecodeSnapshot(data []byte) (*Framebuffer, []byte, error) {
 			if !ok {
 				return fail()
 			}
-			row := &Row{Cells: make([]Cell, int(width)), gen: nextGen()}
-			if !decodeRow(&r, row.Cells) {
+			row, ok := decodeNewRow(&r, int(width))
+			if !ok {
 				return fail()
 			}
 			hist.rows = append(hist.rows, row)

@@ -29,6 +29,7 @@ func sampleScreen() *Framebuffer {
 // decode∘encode, and the restored screen is semantically equal (including
 // the scrollback window and draw state the codec carries).
 func TestSnapshotRoundTrip(t *testing.T) {
+	blankArrayStaysBlank(t)
 	fb := sampleScreen()
 	enc := fb.AppendSnapshot(nil)
 	got, rest, err := DecodeSnapshot(enc)

@@ -158,12 +158,13 @@ type Sender[T State[T]] struct {
 	// marshalled.
 	fragBuf []byte
 
-	// recycleWire enables reuse of emitted wire buffers. Only safe when
+	// recycleWire enables reuse of the emitted wire buffer: wireBuf, the
+	// last datagram sealed, is what the next is sealed into. Only safe when
 	// the Emit callback fully consumes the datagram before returning (a
 	// UDP write); simulation embedders retain payloads in flight and must
 	// leave it off.
 	recycleWire bool
-	wirePool    [][]byte
+	wireBuf     []byte
 
 	// numFloor is the journal-restored state-number reservation: the first
 	// state minted after a restart takes at least this number, so it
@@ -179,10 +180,6 @@ type Sender[T State[T]] struct {
 
 	stats SenderStats
 }
-
-// maxWirePool bounds the recycled wire-buffer list; an instruction rarely
-// spans more fragments than this in steady state.
-const maxWirePool = 8
 
 // newSender builds a sender for the live object current, whose initial
 // contents both sides agree is state number 0.
@@ -694,7 +691,11 @@ func (s *Sender[T]) sendInstruction(now time.Time, inst *Instruction) {
 func (s *Sender[T]) sendFragments(now time.Time, frags []*fragment) {
 	for _, f := range frags {
 		s.fragBuf = f.appendMarshal(s.fragBuf[:0])
-		wire, err := s.conn.AppendPacket(s.takeWireBuf(len(s.fragBuf)), s.fragBuf)
+		buf := s.wireBuf[:0]
+		if buf == nil {
+			buf = make([]byte, 0, len(s.fragBuf)+s.conn.Overhead())
+		}
+		wire, err := s.conn.AppendPacket(buf, s.fragBuf)
 		if err != nil {
 			// Sequence reservation exhausted (recoverable after a journal
 			// flush) or the sequence space itself is gone (session dead).
@@ -706,21 +707,9 @@ func (s *Sender[T]) sendFragments(now time.Time, frags []*fragment) {
 		if s.emit != nil {
 			s.emit(wire)
 		}
-		if s.recycleWire && len(s.wirePool) < maxWirePool {
-			s.wirePool = append(s.wirePool, wire)
+		if s.recycleWire {
+			s.wireBuf = wire
 		}
 	}
 	s.nextAckTime = now.Add(s.timing.HeartbeatInterval)
-}
-
-// takeWireBuf returns an empty buffer for one wire datagram: a recycled
-// one when available, else a fresh buffer sized for the payload plus the
-// datagram layer's overhead.
-func (s *Sender[T]) takeWireBuf(payloadLen int) []byte {
-	if n := len(s.wirePool); n > 0 {
-		b := s.wirePool[n-1]
-		s.wirePool = s.wirePool[:n-1]
-		return b[:0]
-	}
-	return make([]byte, 0, payloadLen+s.conn.Overhead())
 }
