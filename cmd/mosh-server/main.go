@@ -15,7 +15,6 @@
 //	mosh-server [-port 60001] [-sessions 64] [-demo shell|editor|mail]
 //	            [-idle 12h] [-debug 127.0.0.1:6060] [-udp-provider auto|mmsg|gso|loop]
 //	            [-state-dir /var/lib/moshd] [-journal 10s]
-//	            [-journal-full-rewrite]
 //	            [-unauth-burst 64] [-unauth-rate 16]
 //
 // Then, per printed line: mosh-client -to <host>:<port> -key <key> -session <id>
@@ -78,7 +77,6 @@ func main() {
 	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|gso|loop; auto takes the best-measured provider the platform has (mmsg, else loop); gso runs only when named, loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
-	fullRewrite := flag.Bool("journal-full-rewrite", false, "with -state-dir, rewrite the whole checkpoint on every flush instead of appending incremental segments (the pre-log-structured baseline; diagnostic)")
 	flag.Parse()
 
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{Port: *port})
@@ -110,12 +108,11 @@ func main() {
 		IdleTimeout: *idle,
 		// Egress hands datagrams to the kernel before recycling, so
 		// per-session wire buffers are reused (the ring owns pooled copies).
-		RecycleWire:        true,
-		StateDir:           *stateDir,
-		JournalInterval:    *journal,
-		JournalFullRewrite: *fullRewrite,
-		UnauthQuotaBurst:   *quotaBurst,
-		UnauthQuotaRate:    *quotaRate,
+		RecycleWire:      true,
+		StateDir:         *stateDir,
+		JournalInterval:  *journal,
+		UnauthQuotaBurst: *quotaBurst,
+		UnauthQuotaRate:  *quotaRate,
 		// Degradation trips ship their own forensics: the flight-recorder
 		// dump holds the events that led to the trip (rate-limited to one
 		// dump per reason per 10 s inside the daemon).

@@ -1,9 +1,15 @@
-package faultinject
+// Package faultconn is the socket half of the fault-injection harness: a
+// udpbatch.Conn wrapper driven by the same seeded PRNG discipline as
+// internal/faultinject. It lives apart from that package so that what only
+// needs the filesystem seam (internal/journal) does not link the socket
+// layer.
+package faultconn
 
 import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/faultinject"
 	"repro/internal/udpbatch"
 )
 
@@ -56,7 +62,7 @@ type ConnStats struct {
 // persistent EACCES, …).
 type Conn struct {
 	inner udpbatch.Conn
-	rng   *Rand
+	rng   *faultinject.Rand
 
 	mu          sync.Mutex
 	faults      ConnFaults
@@ -68,12 +74,12 @@ type Conn struct {
 	stats ConnStats
 }
 
-var defaultReadErrnos = []error{ErrEINTR, ErrENOBUFS, ErrENOMEM}
-var defaultWriteErrnos = []error{ErrENOBUFS}
+var defaultReadErrnos = []error{faultinject.ErrEINTR, faultinject.ErrENOBUFS, faultinject.ErrENOMEM}
+var defaultWriteErrnos = []error{faultinject.ErrENOBUFS}
 
 // NewConn wraps inner with a fault injector driven by the given seed.
 func NewConn(inner udpbatch.Conn, seed int64) *Conn {
-	return &Conn{inner: inner, rng: NewRand(seed)}
+	return &Conn{inner: inner, rng: faultinject.NewRand(seed)}
 }
 
 // SetFaults replaces the probabilistic fault schedule (zero value

@@ -4,13 +4,12 @@
 // path, EIO/ENOSPC/torn writes in the journal, mangled datagrams in
 // flight — reproducible inputs instead of production surprises.
 //
-// Three composable providers share one seeded PRNG discipline:
+// Two composable providers share one seeded PRNG discipline (a third, the
+// udpbatch.Conn wrapper that injects socket errnos, truncated, duplicated
+// and corrupted datagrams and partial writes, is the faultconn
+// subpackage):
 //
-//   - Conn wraps a udpbatch.Conn and injects scripted or probabilistic
-//     read/write errnos (EINTR, ENOBUFS, ENOMEM, persistent EACCES, …),
-//     truncated reads, duplicated and corrupted datagrams, and partial
-//     writes — every hazard the batch contract documents, on demand.
-//   - FS is the filesystem seam the sessiond journal writes through; OSFS
+//   - FS is the filesystem seam internal/journal writes through; OSFS
 //     is the real thing and FaultFS injects EIO, ENOSPC, short writes,
 //     failed fsyncs and torn renames at every operation, with an OpHook
 //     for scripting exact failures and recording attempt times.

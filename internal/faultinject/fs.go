@@ -13,7 +13,7 @@ type File interface {
 	Close() error
 }
 
-// FS is the filesystem seam the sessiond journal reads and writes
+// FS is the filesystem seam internal/journal reads and writes
 // through. Production uses OSFS; fault tests substitute a FaultFS so
 // every operation of the atomic-rename protocol can fail on schedule.
 type FS interface {

@@ -1,4 +1,4 @@
-package sessiond
+package journal
 
 import (
 	"encoding/binary"
@@ -14,8 +14,8 @@ import (
 )
 
 // This file defines the versioned binary codec for session snapshots and
-// the journal file that aggregates them — the durable core that lets a
-// sessiond restart resume every session instead of stranding its clients.
+// the checkpoint file that aggregates them — the durable core that lets a
+// restarted daemon resume every session instead of stranding its clients.
 //
 // A snapshot holds exactly what SSP needs to treat the restart as packet
 // loss: the session key and ID, the per-direction counter reservations
@@ -30,7 +30,7 @@ import (
 // returns an error — corrupted, truncated, or version-skewed journals can
 // never panic the daemon.
 
-// Journal file layout: header (magic, version, daemon fields), then
+// Checkpoint file layout: header (magic, version, daemon fields), then
 // sessionCount length-prefixed snapshot records, each followed by a CRC32
 // (Castagnoli) of its bytes.
 const (
@@ -49,14 +49,20 @@ const (
 	maxSnapshotLen = 16 << 20
 )
 
-// ErrBadJournal reports a corrupted, truncated, or version-skewed journal
-// or session snapshot.
-var ErrBadJournal = errors.New("sessiond: malformed session journal")
+// ErrBad reports a corrupted, truncated, or version-skewed journal file or
+// session snapshot.
+var ErrBad = errors.New("journal: malformed session journal")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// sessionSnapshot is the durable core of one session.
-type sessionSnapshot struct {
+// TimedOutput is one host-application write waiting for its due time.
+type TimedOutput struct {
+	At   time.Time
+	Data []byte
+}
+
+// Snapshot is the durable core of one session.
+type Snapshot struct {
 	ID  uint64
 	Key sspcrypto.Key
 
@@ -91,7 +97,7 @@ type sessionSnapshot struct {
 	// PendingOut carries host output that was queued (application think
 	// time) but not yet interpreted at flush time, so a restart drops no
 	// bytes between the application and the terminal.
-	PendingOut []timedOutput
+	PendingOut []TimedOutput
 
 	// FB is the serialized screen (and scrollback window, when enabled).
 	FB *terminal.Framebuffer
@@ -103,15 +109,11 @@ const (
 	maxPendingOutBytes = 1 << 20
 )
 
-// appendSessionSnapshot encodes one snapshot record (without the length
-// prefix or CRC the journal wraps around it). With a warmed buffer the
-// steady-state encode performs no heap allocations.
-func appendSessionSnapshot(buf []byte, sn *sessionSnapshot) []byte {
-	buf = append(buf, snapshotVersion)
-	buf = binary.AppendUvarint(buf, sn.ID)
-	buf = append(buf, sn.Key[:]...)
-	buf = binary.AppendUvarint(buf, uint64(sn.OrigW))
-	buf = binary.AppendUvarint(buf, uint64(sn.OrigH))
+// appendMutable encodes what a session changes as it runs, apart from its
+// screen: counters, watermarks, the address hint, the idle clock and the
+// pending host output (tiny, and churning as a unit). A full record and a
+// delta record carry it in the same bytes.
+func appendMutable(buf []byte, sn *Snapshot) []byte {
 	buf = binary.AppendUvarint(buf, sn.NextSeq)
 	buf = binary.AppendUvarint(buf, sn.ExpectedSeq)
 	buf = binary.AppendUvarint(buf, sn.NextStateNum)
@@ -130,109 +132,132 @@ func appendSessionSnapshot(buf []byte, sn *sessionSnapshot) []byte {
 	buf = binary.AppendVarint(buf, sn.LastActive.UnixNano())
 	buf = binary.AppendUvarint(buf, uint64(len(sn.PendingOut)))
 	for _, po := range sn.PendingOut {
-		buf = binary.AppendVarint(buf, po.at.UnixNano())
-		buf = binary.AppendUvarint(buf, uint64(len(po.data)))
-		buf = append(buf, po.data...)
+		buf = binary.AppendVarint(buf, po.At.UnixNano())
+		buf = binary.AppendUvarint(buf, uint64(len(po.Data)))
+		buf = append(buf, po.Data...)
 	}
-	return sn.FB.AppendSnapshot(buf)
+	return buf
 }
 
-// decodeSessionSnapshot reverses appendSessionSnapshot. It never panics on
-// malformed input and requires the record to be fully consumed.
-func decodeSessionSnapshot(data []byte) (*sessionSnapshot, error) {
-	r := binio.NewReader(data)
-	ver, ok := r.Byte()
-	if !ok {
-		return nil, ErrBadJournal
-	}
-	if ver != snapshotVersion {
-		return nil, fmt.Errorf("%w: snapshot version %d", ErrBadJournal, ver)
-	}
-	sn := &sessionSnapshot{}
-	if sn.ID, ok = r.Uvarint(); !ok {
-		return nil, ErrBadJournal
-	}
-	rawKey, ok := r.Bytes(sspcrypto.KeySize)
-	if !ok {
-		return nil, ErrBadJournal
-	}
-	key, err := sspcrypto.KeyFromBytes(rawKey)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJournal, err)
-	}
-	sn.Key = key
-	w, ok := r.BoundedUvarint(1 << 12)
-	if !ok || w < 1 {
-		return nil, ErrBadJournal
-	}
-	h, ok := r.BoundedUvarint(1 << 12)
-	if !ok || h < 1 {
-		return nil, ErrBadJournal
-	}
-	sn.OrigW, sn.OrigH = int(w), int(h)
+// decodeMutable reverses appendMutable into sn, appending the pending
+// output to sn.PendingOut. It never panics on malformed input.
+func decodeMutable(r *binio.Reader, sn *Snapshot) bool {
+	var ok bool
 	for _, dst := range []*uint64{&sn.NextSeq, &sn.ExpectedSeq, &sn.NextStateNum, &sn.RecvNum, &sn.StreamSize} {
 		if *dst, ok = r.Uvarint(); !ok {
-			return nil, ErrBadJournal
+			return false
 		}
 	}
 	fl, ok := r.Byte()
 	if !ok {
-		return nil, ErrBadJournal
+		return false
 	}
 	sn.HaveRemote = fl&1 != 0
 	sn.Heard = fl&2 != 0
 	host, ok := r.BoundedUvarint(uint64(^uint32(0)))
 	if !ok {
-		return nil, ErrBadJournal
+		return false
 	}
 	port, ok := r.BoundedUvarint(uint64(^uint16(0)))
 	if !ok {
-		return nil, ErrBadJournal
+		return false
 	}
 	sn.Remote = netem.Addr{Host: uint32(host), Port: uint16(port)}
 	nanos, ok := r.Varint()
 	if !ok {
-		return nil, ErrBadJournal
+		return false
 	}
 	sn.LastActive = time.Unix(0, nanos)
 	poCount, ok := r.BoundedUvarint(maxPendingOut)
 	if !ok {
-		return nil, ErrBadJournal
+		return false
 	}
 	for i := uint64(0); i < poCount; i++ {
 		at, ok := r.Varint()
 		if !ok {
-			return nil, ErrBadJournal
+			return false
 		}
 		dlen, ok := r.BoundedUvarint(maxPendingOutBytes)
 		if !ok {
-			return nil, ErrBadJournal
+			return false
 		}
 		data, ok := r.Bytes(int(dlen))
 		if !ok {
-			return nil, ErrBadJournal
+			return false
 		}
-		sn.PendingOut = append(sn.PendingOut, timedOutput{
-			at:   time.Unix(0, at),
-			data: append([]byte(nil), data...),
+		sn.PendingOut = append(sn.PendingOut, TimedOutput{
+			At:   time.Unix(0, at),
+			Data: append([]byte(nil), data...),
 		})
+	}
+	return true
+}
+
+// appendSnapshot encodes one snapshot record (without the length prefix or
+// CRC the journal wraps around it). With a warmed buffer the steady-state
+// encode performs no heap allocations.
+func appendSnapshot(buf []byte, sn *Snapshot) []byte {
+	buf = append(buf, snapshotVersion)
+	buf = binary.AppendUvarint(buf, sn.ID)
+	buf = append(buf, sn.Key[:]...)
+	buf = binary.AppendUvarint(buf, uint64(sn.OrigW))
+	buf = binary.AppendUvarint(buf, uint64(sn.OrigH))
+	buf = appendMutable(buf, sn)
+	return sn.FB.AppendSnapshot(buf)
+}
+
+// decodeSnapshot reverses appendSnapshot. It never panics on malformed
+// input and requires the record to be fully consumed.
+func decodeSnapshot(data []byte) (*Snapshot, error) {
+	r := binio.NewReader(data)
+	ver, ok := r.Byte()
+	if !ok {
+		return nil, ErrBad
+	}
+	if ver != snapshotVersion {
+		return nil, fmt.Errorf("%w: snapshot version %d", ErrBad, ver)
+	}
+	sn := &Snapshot{}
+	if sn.ID, ok = r.Uvarint(); !ok {
+		return nil, ErrBad
+	}
+	rawKey, ok := r.Bytes(sspcrypto.KeySize)
+	if !ok {
+		return nil, ErrBad
+	}
+	key, err := sspcrypto.KeyFromBytes(rawKey)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBad, err)
+	}
+	sn.Key = key
+	w, ok := r.BoundedUvarint(1 << 12)
+	if !ok || w < 1 {
+		return nil, ErrBad
+	}
+	h, ok := r.BoundedUvarint(1 << 12)
+	if !ok || h < 1 {
+		return nil, ErrBad
+	}
+	sn.OrigW, sn.OrigH = int(w), int(h)
+	if !decodeMutable(&r, sn) {
+		return nil, ErrBad
 	}
 	fb, rest, err := terminal.DecodeSnapshot(r.Rest())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJournal, err)
+		return nil, fmt.Errorf("%w: %v", ErrBad, err)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadJournal, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBad, len(rest))
 	}
 	sn.FB = fb
 	return sn, nil
 }
 
-// journalHeader is the daemon-level state a journal carries besides the
+// header is the daemon-level state a checkpoint carries besides the
 // per-session records.
-type journalHeader struct {
-	// NextID resumes session-ID issuance so post-restart OpenSession calls
-	// never collide with restored sessions.
+type header struct {
+	// NextID resumes session-ID issuance so sessions opened after a restart
+	// never collide with restored ones.
 	NextID uint64
 	// Epoch names the checkpoint generation. Log segments carry the epoch
 	// of the checkpoint they extend; boot replays only segments whose
@@ -245,64 +270,67 @@ type journalHeader struct {
 	FlushedAt time.Time
 }
 
-// appendJournal encodes a complete journal file: header (CRC-protected)
-// plus one wrapped record per snapshot, in the order given.
-func appendJournal(buf []byte, hdr journalHeader, records [][]byte) []byte {
+// appendFramedRecord wraps one record body in the journal's record
+// framing, the checkpoint's and the segments' alike: uvarint length, body,
+// CRC32 of the body.
+func appendFramedRecord(buf, body []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	buf = append(buf, body...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, crcTable))
+}
+
+// appendCheckpointHeader encodes a checkpoint file's CRC-protected header;
+// count framed records follow it.
+func appendCheckpointHeader(buf []byte, hdr header, count int) []byte {
 	start := len(buf)
 	buf = append(buf, journalMagic...)
 	buf = binary.AppendUvarint(buf, journalVersion)
 	buf = binary.AppendUvarint(buf, hdr.NextID)
 	buf = binary.AppendUvarint(buf, hdr.Epoch)
 	buf = binary.AppendVarint(buf, hdr.FlushedAt.UnixNano())
-	buf = binary.AppendUvarint(buf, uint64(len(records)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
-	for _, rec := range records {
-		buf = binary.AppendUvarint(buf, uint64(len(rec)))
-		buf = append(buf, rec...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(rec, crcTable))
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(count))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
-// decodeJournal parses a journal file. Records that fail their CRC or
+// decodeCheckpoint parses a checkpoint file. Records that fail their CRC or
 // their own decode are skipped, and a truncated or garbled record section
 // abandons only the remainder — both reported via badRecords — so one
 // corrupted session (or a torn tail) cannot strand every other. Only
 // header corruption fails the whole load: the header's CRC covers the
 // session count and the NextID issuance floor, which must be trusted
 // before any session is revived.
-func decodeJournal(data []byte) (hdr journalHeader, snaps []*sessionSnapshot, badRecords int, err error) {
+func decodeCheckpoint(data []byte) (hdr header, snaps []*Snapshot, badRecords int, err error) {
 	r := binio.NewReader(data)
 	magic, ok := r.Bytes(len(journalMagic))
 	if !ok || string(magic) != journalMagic {
-		return hdr, nil, 0, fmt.Errorf("%w: bad magic", ErrBadJournal)
+		return hdr, nil, 0, fmt.Errorf("%w: bad magic", ErrBad)
 	}
 	ver, ok := r.Uvarint()
 	if !ok {
-		return hdr, nil, 0, ErrBadJournal
+		return hdr, nil, 0, ErrBad
 	}
 	if ver != journalVersion {
-		return hdr, nil, 0, fmt.Errorf("%w: journal version %d", ErrBadJournal, ver)
+		return hdr, nil, 0, fmt.Errorf("%w: journal version %d", ErrBad, ver)
 	}
 	if hdr.NextID, ok = r.Uvarint(); !ok {
-		return hdr, nil, 0, ErrBadJournal
+		return hdr, nil, 0, ErrBad
 	}
 	if hdr.Epoch, ok = r.Uvarint(); !ok {
-		return hdr, nil, 0, ErrBadJournal
+		return hdr, nil, 0, ErrBad
 	}
 	nanos, ok := r.Varint()
 	if !ok {
-		return hdr, nil, 0, ErrBadJournal
+		return hdr, nil, 0, ErrBad
 	}
 	hdr.FlushedAt = time.Unix(0, nanos)
 	count, ok := r.BoundedUvarint(1 << 20)
 	if !ok {
-		return hdr, nil, 0, ErrBadJournal
+		return hdr, nil, 0, ErrBad
 	}
 	hdrLen := len(data) - r.Len()
 	sum, ok := r.Bytes(4)
 	if !ok || binary.LittleEndian.Uint32(sum) != crc32.Checksum(data[:hdrLen], crcTable) {
-		return hdr, nil, 0, fmt.Errorf("%w: header checksum", ErrBadJournal)
+		return hdr, nil, 0, fmt.Errorf("%w: header checksum", ErrBad)
 	}
 	for i := uint64(0); i < count; i++ {
 		rlen, lenOK := r.Uvarint()
@@ -319,7 +347,7 @@ func decodeJournal(data []byte) (hdr journalHeader, snaps []*sessionSnapshot, ba
 			badRecords++
 			continue
 		}
-		sn, err := decodeSessionSnapshot(rec)
+		sn, err := decodeSnapshot(rec)
 		if err != nil {
 			badRecords++
 			continue

@@ -1,4 +1,4 @@
-package sessiond
+package journal
 
 import (
 	"bytes"
@@ -15,7 +15,7 @@ import (
 // sampleSnapshot builds a realistic snapshot: a screen driven through the
 // emulator (colors, wide characters, combining marks, scrolled-off
 // history) plus every counter field populated.
-func sampleSnapshot(seed int64) *sessionSnapshot {
+func sampleSnapshot(seed int64) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	emu := terminal.NewEmulator(80, 24)
 	emu.Framebuffer().SetScrollbackLimit(32)
@@ -28,7 +28,7 @@ func sampleSnapshot(seed int64) *sessionSnapshot {
 	emu.WriteString("\x1b[5;10H\x1b[4mcursor parked here")
 
 	key, _ := sspcrypto.KeyFromBytes(bytes.Repeat([]byte{byte(seed)}, sspcrypto.KeySize))
-	sn := &sessionSnapshot{
+	sn := &Snapshot{
 		ID:           rng.Uint64(),
 		Key:          key,
 		OrigW:        80,
@@ -42,13 +42,22 @@ func sampleSnapshot(seed int64) *sessionSnapshot {
 		Remote:       netem.Addr{Host: rng.Uint32(), Port: uint16(rng.Uint32())},
 		Heard:        seed%3 == 0,
 		LastActive:   time.Unix(0, rng.Int63()),
-		PendingOut: []timedOutput{
-			{at: time.Unix(0, rng.Int63()), data: []byte("queued host output\r\n")},
-			{at: time.Unix(0, rng.Int63()), data: []byte{0x1b, '[', '2', 'J'}},
+		PendingOut: []TimedOutput{
+			{At: time.Unix(0, rng.Int63()), Data: []byte("queued host output\r\n")},
+			{At: time.Unix(0, rng.Int63()), Data: []byte{0x1b, '[', '2', 'J'}},
 		},
 		FB: emu.Framebuffer(),
 	}
 	return sn
+}
+
+// appendJournal assembles a checkpoint file the way a flush does.
+func appendJournal(buf []byte, hdr header, records [][]byte) []byte {
+	buf = appendCheckpointHeader(buf, hdr, len(records))
+	for _, rec := range records {
+		buf = appendFramedRecord(buf, rec)
+	}
+	return buf
 }
 
 // TestSessionSnapshotRoundTrip: decode(encode(s)) == s, field by field,
@@ -56,8 +65,8 @@ func sampleSnapshot(seed int64) *sessionSnapshot {
 func TestSessionSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		sn := sampleSnapshot(seed)
-		enc := appendSessionSnapshot(nil, sn)
-		got, err := decodeSessionSnapshot(enc)
+		enc := appendSnapshot(nil, sn)
+		got, err := decodeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -73,15 +82,15 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: pending out length %d != %d", seed, len(got.PendingOut), len(sn.PendingOut))
 		}
 		for i := range got.PendingOut {
-			if !got.PendingOut[i].at.Equal(sn.PendingOut[i].at) ||
-				!bytes.Equal(got.PendingOut[i].data, sn.PendingOut[i].data) {
+			if !got.PendingOut[i].At.Equal(sn.PendingOut[i].At) ||
+				!bytes.Equal(got.PendingOut[i].Data, sn.PendingOut[i].Data) {
 				t.Fatalf("seed %d: pending out %d did not round-trip", seed, i)
 			}
 		}
 		// The codec is canonical for decoded values: re-encoding the
 		// decoded snapshot reproduces the bytes exactly (framebuffer
 		// included — cells, draw state, tabs, title, scrollback window).
-		re := appendSessionSnapshot(nil, got)
+		re := appendSnapshot(nil, got)
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("seed %d: re-encode differs (%d vs %d bytes)", seed, len(enc), len(re))
 		}
@@ -94,9 +103,9 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 // TestSessionSnapshotTruncation: every strict prefix of a valid encoding
 // must error — never panic, never decode.
 func TestSessionSnapshotTruncation(t *testing.T) {
-	enc := appendSessionSnapshot(nil, sampleSnapshot(1))
+	enc := appendSnapshot(nil, sampleSnapshot(1))
 	for n := 0; n < len(enc); n++ {
-		if _, err := decodeSessionSnapshot(enc[:n]); err == nil {
+		if _, err := decodeSnapshot(enc[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(enc))
 		}
 	}
@@ -104,9 +113,9 @@ func TestSessionSnapshotTruncation(t *testing.T) {
 
 // TestSessionSnapshotVersionSkew: an unknown snapshot version errors.
 func TestSessionSnapshotVersionSkew(t *testing.T) {
-	enc := appendSessionSnapshot(nil, sampleSnapshot(2))
+	enc := appendSnapshot(nil, sampleSnapshot(2))
 	enc[0] = snapshotVersion + 1
-	if _, err := decodeSessionSnapshot(enc); err == nil {
+	if _, err := decodeSnapshot(enc); err == nil {
 		t.Fatal("version-skewed snapshot decoded without error")
 	}
 }
@@ -116,19 +125,19 @@ func TestSessionSnapshotVersionSkew(t *testing.T) {
 // silently accepted or panicking.
 func TestJournalDetectsCorruption(t *testing.T) {
 	recs := [][]byte{
-		appendSessionSnapshot(nil, sampleSnapshot(3)),
-		appendSessionSnapshot(nil, sampleSnapshot(4)),
+		appendSnapshot(nil, sampleSnapshot(3)),
+		appendSnapshot(nil, sampleSnapshot(4)),
 	}
-	hdr := journalHeader{NextID: 7, FlushedAt: time.Unix(0, 12345)}
+	hdr := header{NextID: 7, FlushedAt: time.Unix(0, 12345)}
 	file := appendJournal(nil, hdr, recs)
 
-	if _, snaps, bad, err := decodeJournal(file); err != nil || bad != 0 || len(snaps) != 2 {
+	if _, snaps, bad, err := decodeCheckpoint(file); err != nil || bad != 0 || len(snaps) != 2 {
 		t.Fatalf("pristine journal: snaps=%d bad=%d err=%v", len(snaps), bad, err)
 	}
 	for pos := 0; pos < len(file); pos++ {
 		mut := append([]byte(nil), file...)
 		mut[pos] ^= 0x40
-		_, snaps, bad, err := decodeJournal(mut)
+		_, snaps, bad, err := decodeCheckpoint(mut)
 		if err == nil && bad == 0 && len(snaps) == 2 {
 			t.Fatalf("corruption at byte %d/%d went undetected", pos, len(file))
 		}
@@ -137,7 +146,7 @@ func TestJournalDetectsCorruption(t *testing.T) {
 	// take down the whole load: once the header is intact, every record
 	// that fully survived is still recovered.
 	for n := 0; n < len(file); n++ {
-		_, snaps, bad, err := decodeJournal(file[:n])
+		_, snaps, bad, err := decodeCheckpoint(file[:n])
 		if err == nil && bad == 0 {
 			t.Fatalf("truncated journal (%d/%d bytes) went undetected", n, len(file))
 		}
@@ -149,7 +158,7 @@ func TestJournalDetectsCorruption(t *testing.T) {
 	// strip the second record (its uvarint length prefix, bytes, CRC).
 	rec1Framed := len(binary.AppendUvarint(nil, uint64(len(recs[1])))) + len(recs[1]) + 4
 	cut := len(file) - rec1Framed
-	if _, snaps, bad, err := decodeJournal(file[:cut]); err != nil || bad != 1 || len(snaps) != 1 {
+	if _, snaps, bad, err := decodeCheckpoint(file[:cut]); err != nil || bad != 1 || len(snaps) != 1 {
 		t.Fatalf("torn tail: snaps=%d bad=%d err=%v, want 1 recovered + 1 bad", len(snaps), bad, err)
 	}
 }
@@ -159,21 +168,21 @@ func TestJournalDetectsCorruption(t *testing.T) {
 // stable canonical form.
 func FuzzSessionSnapshotCodec(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
-		f.Add(appendSessionSnapshot(nil, sampleSnapshot(seed)))
+		f.Add(appendSnapshot(nil, sampleSnapshot(seed)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{snapshotVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, err := decodeSessionSnapshot(data)
+		sn, err := decodeSnapshot(data)
 		if err != nil {
 			return // rejected is fine; panicking is not
 		}
-		enc := appendSessionSnapshot(nil, sn)
-		sn2, err := decodeSessionSnapshot(enc)
+		enc := appendSnapshot(nil, sn)
+		sn2, err := decodeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		enc2 := appendSessionSnapshot(nil, sn2)
+		enc2 := appendSnapshot(nil, sn2)
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding is not a fixed point")
 		}
@@ -182,18 +191,18 @@ func FuzzSessionSnapshotCodec(f *testing.F) {
 
 // FuzzJournalDecode: arbitrary journal files must never panic the loader.
 func FuzzJournalDecode(f *testing.F) {
-	recs := [][]byte{appendSessionSnapshot(nil, sampleSnapshot(5))}
-	f.Add(appendJournal(nil, journalHeader{NextID: 1, FlushedAt: time.Unix(0, 1)}, recs))
+	recs := [][]byte{appendSnapshot(nil, sampleSnapshot(5))}
+	f.Add(appendJournal(nil, header{NextID: 1, FlushedAt: time.Unix(0, 1)}, recs))
 	f.Add([]byte(journalMagic))
 	// Segment files land in the same state directory; feeding one to the
 	// checkpoint decoder (and vice versa, see FuzzSegmentDecode) must fail
 	// cleanly, never panic.
 	seg := appendSegmentHeader(nil, 1, 2)
-	seg = appendFramedRecord(seg, append([]byte{recFull}, appendSessionSnapshot(nil, sampleSnapshot(5))...))
+	seg = appendFramedRecord(seg, append([]byte{recFull}, appendSnapshot(nil, sampleSnapshot(5))...))
 	f.Add(seg)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _, _ = func() (journalHeader, []*sessionSnapshot, int, error) {
-			return decodeJournal(data)
+		_, _, _, _ = func() (header, []*Snapshot, int, error) {
+			return decodeCheckpoint(data)
 		}()
 		if _, _, body, err := decodeSegmentHeader(data); err == nil {
 			decodeSegmentRecords(body)

@@ -1,21 +1,21 @@
-package sessiond
+package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/binio"
-	"repro/internal/netem"
 )
 
 // This file is the log-segment codec of the incremental journal. The
 // durable layout is a full checkpoint (sessions.journal — the version-2
-// file persist.go encodes) plus an ordered tail of append-only segment
+// file codec.go encodes) plus an ordered tail of append-only segment
 // files, one per flush batch:
 //
 //	sessions.journal.seg.<epoch>.<seq>
@@ -34,7 +34,7 @@ import (
 //
 //	recMeta  — uvarint NextID (session-ID issuance floor)
 //	recClose — uvarint ID (tombstone: the session closed)
-//	recFull  — a complete appendSessionSnapshot record (new session, or a
+//	recFull  — a complete appendSnapshot record (new session, or a
 //	           session whose screen changed too much for a delta to pay)
 //	recDelta — counters, watermarks, pending output and only the screen
 //	           rows whose generation moved since the last durable record
@@ -56,37 +56,27 @@ const (
 	segVersion = 1
 )
 
-// segSuffix builds segment file names under journalFileName; see
+// segSuffix builds segment file names under fileName; see
 // segmentFileName.
 const segSuffix = ".seg."
 
 // segmentFileName names the segment file for one flush batch.
 func segmentFileName(epoch, seq uint64) string {
-	return journalFileName + segSuffix +
+	return fileName + segSuffix +
 		strconv.FormatUint(epoch, 10) + "." + strconv.FormatUint(seq, 10)
 }
 
 // parseSegmentName recovers (epoch, seq) from a directory entry, rejecting
 // everything that is not a well-formed segment file name.
 func parseSegmentName(name string) (epoch, seq uint64, ok bool) {
-	prefix := journalFileName + segSuffix
-	if !strings.HasPrefix(name, prefix) {
+	rest, ok := strings.CutPrefix(name, fileName+segSuffix)
+	if !ok {
 		return 0, 0, false
 	}
-	rest := name[len(prefix):]
-	dot := strings.IndexByte(rest, '.')
-	if dot <= 0 || dot == len(rest)-1 {
-		return 0, 0, false
-	}
-	epoch, err := strconv.ParseUint(rest[:dot], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	seq, err = strconv.ParseUint(rest[dot+1:], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	return epoch, seq, true
+	e, q, _ := strings.Cut(rest, ".")
+	epoch, errE := strconv.ParseUint(e, 10, 64)
+	seq, errQ := strconv.ParseUint(q, 10, 64)
+	return epoch, seq, errE == nil && errQ == nil
 }
 
 // appendSegmentHeader encodes the segment file prefix: magic, version,
@@ -107,32 +97,24 @@ func decodeSegmentHeader(data []byte) (epoch, seq uint64, records []byte, err er
 	r := binio.NewReader(data)
 	magic, ok := r.Bytes(len(segMagic))
 	if !ok || string(magic) != segMagic {
-		return 0, 0, nil, fmt.Errorf("%w: bad segment magic", ErrBadJournal)
+		return 0, 0, nil, fmt.Errorf("%w: bad segment magic", ErrBad)
 	}
 	ver, ok := r.Uvarint()
 	if !ok || ver != segVersion {
-		return 0, 0, nil, fmt.Errorf("%w: segment version", ErrBadJournal)
+		return 0, 0, nil, fmt.Errorf("%w: segment version", ErrBad)
 	}
 	if epoch, ok = r.Uvarint(); !ok {
-		return 0, 0, nil, ErrBadJournal
+		return 0, 0, nil, ErrBad
 	}
 	if seq, ok = r.Uvarint(); !ok {
-		return 0, 0, nil, ErrBadJournal
+		return 0, 0, nil, ErrBad
 	}
 	hdrLen := len(data) - r.Len()
 	sum, ok := r.Bytes(4)
 	if !ok || binary.LittleEndian.Uint32(sum) != crc32.Checksum(data[:hdrLen], crcTable) {
-		return 0, 0, nil, fmt.Errorf("%w: segment header checksum", ErrBadJournal)
+		return 0, 0, nil, fmt.Errorf("%w: segment header checksum", ErrBad)
 	}
 	return epoch, seq, r.Rest(), nil
-}
-
-// appendFramedRecord wraps one record body in the journal's record
-// framing: uvarint length, body, CRC32 of the body.
-func appendFramedRecord(buf, body []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, crcTable))
 }
 
 // decodeSegmentRecords splits a segment's record region into CRC-verified
@@ -171,32 +153,10 @@ func decodeSegmentRecords(data []byte) (recs [][]byte, bad int, torn bool) {
 // changed grid rows named by rowIdx (ascending). The caller guarantees the
 // last durable record for this session has the same dimensions and no
 // scrollback. With a warmed buffer the encode performs no allocations.
-func appendDeltaBody(buf []byte, sn *sessionSnapshot, rowIdx []int) []byte {
+func appendDeltaBody(buf []byte, sn *Snapshot, rowIdx []int) []byte {
 	buf = append(buf, recDelta)
 	buf = binary.AppendUvarint(buf, sn.ID)
-	buf = binary.AppendUvarint(buf, sn.NextSeq)
-	buf = binary.AppendUvarint(buf, sn.ExpectedSeq)
-	buf = binary.AppendUvarint(buf, sn.NextStateNum)
-	buf = binary.AppendUvarint(buf, sn.RecvNum)
-	buf = binary.AppendUvarint(buf, sn.StreamSize)
-	var fl byte
-	if sn.HaveRemote {
-		fl |= 1
-	}
-	if sn.Heard {
-		fl |= 2
-	}
-	buf = append(buf, fl)
-	buf = binary.AppendUvarint(buf, uint64(sn.Remote.Host))
-	buf = binary.AppendUvarint(buf, uint64(sn.Remote.Port))
-	buf = binary.AppendVarint(buf, sn.LastActive.UnixNano())
-	// Pending host output is tiny and churns as a unit: full replacement.
-	buf = binary.AppendUvarint(buf, uint64(len(sn.PendingOut)))
-	for _, po := range sn.PendingOut {
-		buf = binary.AppendVarint(buf, po.at.UnixNano())
-		buf = binary.AppendUvarint(buf, uint64(len(po.data)))
-		buf = append(buf, po.data...)
-	}
+	buf = appendMutable(buf, sn)
 	buf = sn.FB.AppendMetaSnapshot(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(rowIdx)))
 	for _, i := range rowIdx {
@@ -206,25 +166,25 @@ func appendDeltaBody(buf []byte, sn *sessionSnapshot, rowIdx []int) []byte {
 	return buf
 }
 
-// journalReplay accumulates the boot-time replay of checkpoint + segments.
+// replay accumulates the boot-time replay of checkpoint + segments.
 //
 // Poisoning is how replay stays consistent across a damaged middle: when a
-// non-final segment loses records (read error, bad header, failed CRC),
-// every session restored so far moves to the poisoned set — later deltas
+// segment loses records to corruption (see applySegment), every session
+// restored so far moves to the poisoned set — later deltas
 // for it may build on updates the gap swallowed, so they are ignored until
 // a full record (or tombstone) re-establishes the session. Dropping a
 // session is always nonce-safe: an unrestored session reseals nothing.
-type journalReplay struct {
-	snaps    map[uint64]*sessionSnapshot
+type replay struct {
+	snaps    map[uint64]*Snapshot
 	poisoned map[uint64]struct{}
 	// nextID is the highest session-ID issuance floor seen (checkpoint
 	// header and recMeta records).
 	nextID uint64
 }
 
-func newJournalReplay(hdr journalHeader, snaps []*sessionSnapshot) *journalReplay {
-	jr := &journalReplay{
-		snaps:    make(map[uint64]*sessionSnapshot, len(snaps)),
+func newReplay(hdr header, snaps []*Snapshot) *replay {
+	jr := &replay{
+		snaps:    make(map[uint64]*Snapshot, len(snaps)),
 		poisoned: make(map[uint64]struct{}),
 		nextID:   hdr.NextID,
 	}
@@ -235,39 +195,72 @@ func newJournalReplay(hdr journalHeader, snaps []*sessionSnapshot) *journalRepla
 }
 
 // poisonAll marks every session restored so far as unextendable by deltas.
-func (jr *journalReplay) poisonAll() {
+func (jr *replay) poisonAll() {
 	for id := range jr.snaps {
 		jr.poisoned[id] = struct{}{}
 	}
 	clear(jr.snaps)
 }
 
+// applySegment folds one segment file of the checkpoint's epoch into the
+// replay state and returns how many records it had to give up on.
+//
+// Damage policy: truncation is benign, corruption is not. A torn tail
+// (framing that runs out mid-record — the shape a crashed or short-write
+// append leaves, since each segment gets exactly one Write call) keeps
+// every CRC-complete record before it; that is consistent because a failed
+// append requeues its whole batch, so every session the tear touched
+// reappears as a full record in a later segment. The same goes for a file
+// whose header never finished (short or inconsistent): the write that
+// created it reported failure, so the file is skipped whole. Real
+// corruption — a record that fails its CRC or decodes malformed with INTACT
+// framing, which one truncated Write can never produce — poisons every
+// session restored so far: later deltas might build on updates the gap
+// swallowed, so they are ignored until a full record re-establishes their
+// session. Dropping a session is always nonce-safe. (A file that cannot be
+// READ is neither: Open refuses to boot on it.)
+func (jr *replay) applySegment(data []byte, epoch uint64) (bad int) {
+	ep, _, body, err := decodeSegmentHeader(data)
+	if err != nil || ep != epoch {
+		return 1
+	}
+	recs, bad, torn := decodeSegmentRecords(body)
+	poison := bad > 0 && !torn
+	for _, rec := range recs {
+		if !jr.applyRecord(rec) {
+			// The CRC passed but the body is malformed: corruption, not a
+			// tear. Nothing after it in this file can be trusted either.
+			bad++
+			poison = true
+			break
+		}
+	}
+	if poison {
+		jr.poisonAll()
+	}
+	return bad
+}
+
 // applyRecord folds one verified segment record into the replay state.
 // false means the record body itself is malformed (the caller treats it
 // like a CRC failure: abandon the rest of the segment).
-func (jr *journalReplay) applyRecord(body []byte) bool {
+func (jr *replay) applyRecord(body []byte) bool {
 	switch body[0] {
-	case recMeta:
+	case recMeta, recClose:
 		r := binio.NewReader(body[1:])
 		id, ok := r.Uvarint()
 		if !ok || r.Len() != 0 {
 			return false
 		}
-		if id > jr.nextID {
-			jr.nextID = id
+		if body[0] == recMeta {
+			jr.nextID = max(jr.nextID, id)
+		} else {
+			delete(jr.snaps, id)
+			delete(jr.poisoned, id)
 		}
-		return true
-	case recClose:
-		r := binio.NewReader(body[1:])
-		id, ok := r.Uvarint()
-		if !ok || r.Len() != 0 {
-			return false
-		}
-		delete(jr.snaps, id)
-		delete(jr.poisoned, id)
 		return true
 	case recFull:
-		sn, err := decodeSessionSnapshot(body[1:])
+		sn, err := decodeSnapshot(body[1:])
 		if err != nil {
 			return false
 		}
@@ -284,7 +277,7 @@ func (jr *journalReplay) applyRecord(body []byte) bool {
 // applyDelta folds one recDelta body onto its base snapshot. Deltas for
 // poisoned or unknown sessions are parsed for well-formedness cheaply and
 // ignored (the session stays dropped until a recFull revives it).
-func (jr *journalReplay) applyDelta(body []byte) bool {
+func (jr *replay) applyDelta(body []byte) bool {
 	r := binio.NewReader(body)
 	id, ok := r.Uvarint()
 	if !ok {
@@ -299,50 +292,12 @@ func (jr *journalReplay) applyDelta(body []byte) bool {
 		_, poisoned := jr.poisoned[id]
 		return poisoned
 	}
-	var next, exp, num, recv, stream uint64
-	for _, dst := range []*uint64{&next, &exp, &num, &recv, &stream} {
-		if *dst, ok = r.Uvarint(); !ok {
-			return false
-		}
-	}
-	fl, ok := r.Byte()
-	if !ok {
+	// Parse into a copy and commit it whole: a delta that fails half way
+	// must leave its base's scalars as the last good record had them.
+	next := *sn
+	next.PendingOut = nil
+	if !decodeMutable(&r, &next) {
 		return false
-	}
-	host, ok := r.BoundedUvarint(uint64(^uint32(0)))
-	if !ok {
-		return false
-	}
-	port, ok := r.BoundedUvarint(uint64(^uint16(0)))
-	if !ok {
-		return false
-	}
-	nanos, ok := r.Varint()
-	if !ok {
-		return false
-	}
-	poCount, ok := r.BoundedUvarint(maxPendingOut)
-	if !ok {
-		return false
-	}
-	pendingOut := sn.PendingOut[:0]
-	for i := uint64(0); i < poCount; i++ {
-		at, ok := r.Varint()
-		if !ok {
-			return false
-		}
-		dlen, ok := r.BoundedUvarint(maxPendingOutBytes)
-		if !ok {
-			return false
-		}
-		data, ok := r.Bytes(int(dlen))
-		if !ok {
-			return false
-		}
-		pendingOut = append(pendingOut, timedOutput{
-			at:   time.Unix(0, at),
-			data: append([]byte(nil), data...),
-		})
 	}
 	rest, err := sn.FB.ApplyMetaSnapshot(r.Rest())
 	if err != nil {
@@ -368,25 +323,13 @@ func (jr *journalReplay) applyDelta(body []byte) bool {
 	if len(rest) != 0 {
 		return false
 	}
-	// All parsed: commit the scalar fields.
-	sn.NextSeq, sn.ExpectedSeq, sn.NextStateNum = next, exp, num
-	sn.RecvNum, sn.StreamSize = recv, stream
-	sn.HaveRemote = fl&1 != 0
-	sn.Heard = fl&2 != 0
-	sn.Remote = netem.Addr{Host: uint32(host), Port: uint16(port)}
-	sn.LastActive = time.Unix(0, nanos)
-	sn.PendingOut = pendingOut
+	*sn = next
 	return true
 }
 
 // sessionsSorted returns the surviving snapshots in ascending ID order
 // (deterministic restore order, like the monolithic journal's record
 // order).
-func (jr *journalReplay) sessionsSorted() []*sessionSnapshot {
-	out := make([]*sessionSnapshot, 0, len(jr.snaps))
-	for _, sn := range jr.snaps {
-		out = append(out, sn)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+func (jr *replay) sessionsSorted() []*Snapshot {
+	return slices.SortedFunc(maps.Values(jr.snaps), func(a, b *Snapshot) int { return cmp.Compare(a.ID, b.ID) })
 }

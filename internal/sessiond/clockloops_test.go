@@ -106,7 +106,7 @@ func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go d.journalLoop()
+	d.journal.Start(d.stop)
 	defer close(d.stop)
 	clk.BlockUntilWaiters(1) // loop parked on its cadence timer
 
@@ -116,7 +116,7 @@ func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
 	ffs.SetFaults(faultinject.FSFaults{FailAll: faultinject.ErrEIO})
 	errs0 := d.metrics.JournalErrors.Value()
 	s.Do(func(*core.Server) {})
-	d.requestFlush()
+	d.journal.RequestFlush()
 	waitUntil(t, "first failed flush attempt", func() bool {
 		return d.metrics.JournalErrors.Value() > errs0
 	})
@@ -129,7 +129,7 @@ func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
 	// pre-fix loop racks up thousands here.
 	resets0 := clk.resets.Load()
 	for i := 0; i < 20000; i++ {
-		d.requestFlush()
+		d.journal.RequestFlush()
 	}
 	simclock.Real{}.Sleep(150 * time.Millisecond)
 	if grew := clk.resets.Load() - resets0; grew > 2 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/faultinject/faultconn"
 	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/sessiond"
@@ -489,7 +490,7 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := newMemConn(func(netem.Addr, []byte) {})
-	fc := faultinject.NewConn(inner, 1)
+	fc := faultconn.NewConn(inner, 1)
 	fc.ScriptReadError(
 		faultinject.ErrEINTR, faultinject.ErrENOBUFS,
 		faultinject.ErrETIMEDOUT, faultinject.ErrECONNREFUSED,

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/statesync"
 	"repro/internal/telemetry"
 	"repro/internal/terminal"
@@ -105,34 +106,19 @@ type Metrics struct {
 	StackTraversalsIn  expvar.Int
 	StackTraversalsOut expvar.Int
 
-	SessionsRestored  expvar.Int // sessions revived from the journal at boot
-	SnapshotsStale    expvar.Int // journal records evicted at boot (idle past the horizon)
-	JournalFlushes    expvar.Int // successful journal writes (checkpoints and segments)
-	JournalBytes      expvar.Int // cumulative journal bytes written (= journal_flush_bytes)
-	JournalErrors     expvar.Int // failed journal writes (reservations not extended)
-	JournalBadRecords expvar.Int // journal records skipped for CRC/decode failure
+	SessionsRestored expvar.Int // sessions revived from the journal at boot
+	SnapshotsStale   expvar.Int // journal records evicted at boot (idle past the horizon)
 
-	// Incremental-journal accounting. JournalChangedBytes is the encoded
-	// size of the records covering sessions whose durable core actually
-	// changed — the denominator of the write-amplification ratio
-	// (JournalWriteAmp); with full rewrites the numerator additionally
-	// carries every unchanged session, which is the waste the segment log
-	// eliminates.
-	JournalChangedBytes expvar.Int
-	JournalSegments     expvar.Int // gauge: live segment files since the last checkpoint
-	CompactionRuns      expvar.Int // checkpoints triggered by segment-tail growth
+	// The journal's own counters and gauges (flushes, bytes, errors, bad
+	// records, changed bytes, segments, compactions, and the failure
+	// posture), published under the names they have always had.
+	journal.Counters
 
-	// Degradation observability (the fault-injection hardening). The
-	// gauges make the daemon's failure posture visible from /debug/vars:
-	// an operator watching journal_suspended knows exactly what a crash
-	// right now would lose.
-	JournalFlushFailures  expvar.Int // flush attempts that failed (before any retry succeeded)
-	JournalSuspended      expvar.Int // gauge: 0 active, 1 suspended (unjournaled), 2 suspended (fail-safe)
-	JournalRetryBackoffMs expvar.Int // gauge: current flush-retry backoff in ms (0 = healthy)
-	DropsUnauthQuota      expvar.Int // datagrams refused by the per-source unauth token bucket
-	ShedEvents            expvar.Int // times sustained pressure activated the shed policy
-	Shedding              expvar.Int // gauge: 1 while the shed policy is active
-	ReadErrorsTransient   expvar.Int // transient socket read errors absorbed by ServeBatch
+	// Degradation observability (the fault-injection hardening).
+	DropsUnauthQuota    expvar.Int // datagrams refused by the per-source unauth token bucket
+	ShedEvents          expvar.Int // times sustained pressure activated the shed policy
+	Shedding            expvar.Int // gauge: 1 while the shed policy is active
+	ReadErrorsTransient expvar.Int // transient socket read errors absorbed by ServeBatch
 
 	// Frames built during their collection interval, after the sweep that
 	// made them pending had flushed (transport.Transport.Prepare), and how

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/overlay"
@@ -416,4 +417,59 @@ func TestNoncePropertyAcrossCrashPoints(t *testing.T) {
 	}
 	t.Logf("torn-journal boots: %d (%d restored all %d sessions; %d flushes ended in a checkpoint, %d in a segment)",
 		tornBoots, fullRestores, nSessions, tornCheckpoints, tornSegments)
+
+	// The READ-FAULT property: every file of crash point i is whole, but
+	// the restoring boot cannot read the directory listing, or one of the
+	// segments. A boot that shrugged the error off would restore the
+	// checkpoint without (all of) its tail — counters from before traffic
+	// that did reach the wire. The boot may be refused, or lose sessions;
+	// any session it does revive must clear the same bounds an undamaged
+	// restore of crash point i does.
+	readFaultBoots, refused := 0, 0
+	for i, snap := range snapshots {
+		boundSeq, boundNum, boundWire := boundsFor(i)
+		faults := map[string]func(op faultinject.Op, path string) bool{
+			"readdir": func(op faultinject.Op, _ string) bool { return op == faultinject.OpReadDir },
+		}
+		for name := range segmentsOf(snap) {
+			faults["read "+name] = func(op faultinject.Op, path string) bool {
+				return op == faultinject.OpRead && filepath.Base(path) == name
+			}
+		}
+		for label, hit := range faults {
+			rdir := t.TempDir()
+			writeSnapshot(rdir, snap, "", 0)
+			ffs := faultinject.NewFaultFS(nil, 1)
+			ffs.SetOpHook(func(op faultinject.Op, path string) error {
+				if hit(op, path) {
+					return faultinject.ErrEIO
+				}
+				return nil
+			})
+			rcfg := cfg
+			rcfg.StateDir, rcfg.FS = rdir, ffs
+			rcfg.Send = func(netem.Addr, []byte) {}
+			readFaultBoots++
+			rd, err := sessiond.NewWithLimits(rcfg, tinyFloor)
+			if err != nil {
+				refused++ // the operator retries the boot
+				continue
+			}
+			for _, c := range clients {
+				sess := rd.Lookup(c.id)
+				if sess == nil {
+					continue // safe loss
+				}
+				sess.Do(func(srv *core.Server) {
+					seq, num := srv.Transport().Connection().NextSeq(), srv.Transport().Sender().NumHighWater()
+					if w, ok := boundWire[c.id]; (ok && seq <= w) || seq < boundSeq[c.id] || num < boundNum[c.id] {
+						t.Errorf("flush %d, %s failing, session %d: restored NextSeq %d / state-num floor %d below wire nonce %d, live next-seq %d, live high water %d",
+							i, label, c.id, seq, num, w, boundSeq[c.id], boundNum[c.id])
+					}
+				})
+			}
+			rd.Close()
+		}
+	}
+	t.Logf("read-fault boots: %d (%d refused)", readFaultBoots, refused)
 }

@@ -3,11 +3,11 @@ package sessiond
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/host"
+	"repro/internal/journal"
 	"repro/internal/network"
 	"repro/internal/sspcrypto"
 )
@@ -153,20 +153,9 @@ type Session struct {
 	deadline time.Time
 	heapIdx  int
 
-	// dirty marks that this session's durable core changed since the last
-	// journal flush encoded it; the CAS in markDirty admits the session
-	// onto the journal's dirty list exactly once per flush cycle.
-	dirty atomic.Bool
-
-	// Screen-delta base tracking for the incremental journal, guarded by
-	// mu: jrGens holds the per-row generation numbers as of the last
-	// encoded record, jrW/jrH/jrSb the dimensions and scrollback depth.
-	// jrValid is true only while the record that captured them is durable
-	// on disk (set in a flush's phase two, cleared at every encode), so a
-	// failed or torn write forces the next record to be a full snapshot.
-	jrGens         []uint64
-	jrW, jrH, jrSb int
-	jrValid        bool
+	// jm is the journal's per-session state (dirty flag, screen-delta
+	// base); only internal/journal looks inside.
+	jm journal.Mark
 }
 
 // Key returns the session's pre-shared key for out-of-band bootstrap (the
@@ -222,18 +211,7 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		origH:   d.cfg.Height,
 		heapIdx: -1,
 	}
-	srv, err := core.NewServer(core.ServerConfig{
-		Key:         key,
-		Clock:       d.cfg.Clock,
-		Width:       d.cfg.Width,
-		Height:      d.cfg.Height,
-		Timing:      d.cfg.Timing,
-		Envelope:    &network.Envelope{ID: id},
-		Probe:       d.pipe,
-		RecycleWire: d.cfg.RecycleWire,
-		Emit:        func(wire []byte) { s.emit(wire) },
-		HostInput:   func(data []byte) { s.hostInput(data) },
-	})
+	srv, err := core.NewServer(s.serverConfig(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -250,35 +228,54 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		}
 	}
 	if d.journal != nil {
-		if d.journal.suspended.Load() == journalUnjournaled {
-			// Journaling is suspended with the on-disk snapshot
+		// A brand-new session has no journal record yet; cap its counters
+		// at one reservation so that, if the daemon dies before the next
+		// flush, the session's absence from the journal is the only loss
+		// (nothing it sent can collide with a future restore). The flush
+		// request below gets it journaled promptly. (In the fail-safe
+		// suspension this cap is also the session's service bound.)
+		s.setCeilingsLocked(d.cfg.SeqReserve, d.cfg.SeqReserve)
+		if d.journal.Suspended() == journal.Unjournaled {
+			// Unless journaling is suspended with the on-disk snapshot
 			// invalidated: nothing can be restored, so nothing this
 			// session sends can collide with a future restore — it joins
 			// the other sessions at lifted ceilings, and the eventual
 			// resume flush re-caps it at snapshot time like everyone else.
-			srv.Transport().Connection().SetSeqCeiling(sspcrypto.MaxSeq + 1)
-			srv.Transport().Sender().SetNumCeiling(^uint64(0))
-		} else {
-			// A brand-new session has no journal record yet; cap its counters
-			// at one reservation so that, if the daemon dies before the next
-			// flush, the session's absence from the journal is the only loss
-			// (nothing it sent can collide with a future restore). The flush
-			// request gets it journaled promptly. (In the fail-safe
-			// suspension this cap is also the session's service bound.)
-			srv.Transport().Connection().SetSeqCeiling(d.cfg.SeqReserve)
-			srv.Transport().Sender().SetNumCeiling(d.cfg.SeqReserve)
+			s.liftCeilingsLocked()
 		}
-		// A new session is durable state the journal has never seen.
-		s.markDirty()
-		d.requestFlush()
 	}
 	d.reg.insert(s)
 	d.metrics.SessionsLive.Add(1)
 	d.metrics.SessionsOpened.Add(1)
+	if j := d.journal; j != nil {
+		// A new session is durable state the journal has never seen. It is
+		// marked only now that it is registered: a flush finds the sessions
+		// on its dirty list by ID.
+		s.markDirty()
+		j.RequestFlush()
+	}
 	s.mu.Lock()
 	s.rearmLocked(now)
 	s.mu.Unlock()
 	return s, nil
+}
+
+// serverConfig is the endpoint configuration of this session, fresh
+// (resume nil) or revived from the journal.
+func (s *Session) serverConfig(resume *core.ServerResume) core.ServerConfig {
+	return core.ServerConfig{
+		Key:         s.key,
+		Clock:       s.d.cfg.Clock,
+		Width:       s.origW,
+		Height:      s.origH,
+		Timing:      s.d.cfg.Timing,
+		Envelope:    &network.Envelope{ID: s.ID},
+		Probe:       s.d.pipe,
+		RecycleWire: s.d.cfg.RecycleWire,
+		Emit:        s.emit,
+		HostInput:   s.hostInput,
+		Resume:      resume,
+	}
 }
 
 // CloseSession removes a session explicitly (user logout, admin action).
@@ -304,7 +301,7 @@ func (s *Session) removeLocked(counter interface{ Add(int64) }) {
 	if j := s.d.journal; j != nil {
 		// Record the close durably: without a tombstone the next restart
 		// would resurrect this session from its last journal record.
-		j.noteClosed(s.ID)
+		j.NoteClosed(s.ID)
 	}
 	s.d.metrics.SessionsLive.Add(-1)
 	counter.Add(1)

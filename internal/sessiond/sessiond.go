@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/host"
+	"repro/internal/journal"
 	"repro/internal/netem"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
@@ -228,15 +229,9 @@ type Daemon struct {
 	// concurrent opens cannot over-admit.
 	openMu sync.Mutex
 
-	// journal is the persistence state (nil when Config.StateDir is
-	// empty); flushMu serializes flushes; flushReq coalesces early-flush
-	// requests toward the journal loop. asyncJournal marks that the
-	// journal loop owns retry timing (served mode), so the simulation
-	// deadline hooks stand down.
-	journal      *journal
-	flushMu      sync.Mutex
-	flushReq     chan struct{}
-	asyncJournal atomic.Bool
+	// journal is the persistence of the sessions' durable cores (nil when
+	// Config.StateDir is empty); see durable.go.
+	journal *journal.Journal
 
 	// quota is the per-source unauthenticated-datagram token bucket (nil
 	// when disabled); shed is the sweep-budget/egress pressure-shed policy.
@@ -304,26 +299,8 @@ func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
-	if cfg.JournalInterval <= 0 {
-		cfg.JournalInterval = DefaultJournalInterval
-	}
 	if cfg.SeqReserve == 0 {
 		cfg.SeqReserve = DefaultSeqReserve
-	}
-	if cfg.FS == nil {
-		cfg.FS = faultinject.OSFS{}
-	}
-	if cfg.JournalRetryMin <= 0 {
-		cfg.JournalRetryMin = 100 * time.Millisecond
-	}
-	if cfg.JournalRetryMax <= 0 {
-		cfg.JournalRetryMax = 10 * time.Second
-	}
-	if cfg.JournalRetryMax < cfg.JournalRetryMin {
-		cfg.JournalRetryMax = cfg.JournalRetryMin
-	}
-	if cfg.JournalSuspendAfter == 0 {
-		cfg.JournalSuspendAfter = 8
 	}
 	if cfg.UnauthQuotaBurst == 0 {
 		cfg.UnauthQuotaBurst = DefaultUnauthQuotaBurst
@@ -349,7 +326,6 @@ func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 		timers:   newTimerHeap(),
 		model:    &modelConn{model: cfg.IOModel, send: cfg.Send},
 		stop:     make(chan struct{}),
-		flushReq: make(chan struct{}, 1),
 		wirePool: udpbatch.NewPool(bufSize, lim.egressDepth),
 		egress:   newEgressRing(lim.egressDepth),
 	}
@@ -369,16 +345,7 @@ func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 	d.rec = telemetry.NewRecorder(0)
 	d.lastDump = make(map[string]int64)
 	if cfg.StateDir != "" {
-		if err := cfg.FS.MkdirAll(cfg.StateDir, 0o700); err != nil {
-			return nil, fmt.Errorf("sessiond: state dir: %w", err)
-		}
-		d.journal = newJournal(cfg, lim.journalCompactMinBytes)
-		if err := d.restoreFromJournal(); err != nil {
-			return nil, err
-		}
-		// Record the restart state and grant every restored session fresh
-		// reservation headroom before any traffic flows.
-		if err := d.FlushJournal(); err != nil {
+		if err := d.openJournal(); err != nil {
 			return nil, err
 		}
 	}
@@ -476,9 +443,9 @@ func (d *Daemon) TickDue() {
 	for _, s := range due {
 		s.tick(now)
 	}
-	if j := d.journal; j != nil && !d.asyncJournal.Load() {
-		if at := j.retryAt.Load(); at != 0 && now.UnixNano() >= at {
-			d.FlushJournal() // outcome recorded in metrics/backoff state
+	if j := d.journal; j != nil {
+		if at, ok := j.RetryAt(); ok && !now.Before(at) {
+			j.Flush(false) // outcome recorded in metrics/backoff state
 		}
 	}
 	d.flushEgress()
@@ -491,11 +458,9 @@ func (d *Daemon) TickDue() {
 // plus, in simulation mode, a pending journal-retry.
 func (d *Daemon) NextDeadline() (time.Time, bool) {
 	at, ok := d.timers.next()
-	if j := d.journal; j != nil && !d.asyncJournal.Load() {
-		if r := j.retryAt.Load(); r != 0 {
-			if rt := time.Unix(0, r); !ok || rt.Before(at) {
-				at, ok = rt, true
-			}
+	if j := d.journal; j != nil {
+		if rt, retry := j.RetryAt(); retry && (!ok || rt.Before(at)) {
+			at, ok = rt, true
 		}
 	}
 	return at, ok
@@ -526,11 +491,10 @@ func (d *Daemon) Start() {
 	d.startOnce.Do(func() {
 		go d.tickLoop()
 		if d.journal != nil {
-			// The journal loop owns flush-retry timing from here on; the
-			// simulation deadline hooks stand down so the tick loop never
-			// does disk I/O.
-			d.asyncJournal.Store(true)
-			go d.journalLoop()
+			// The journal's loop owns flush-retry timing from here on; the
+			// simulation deadline hooks (RetryAt) stand down so the tick
+			// loop never does disk I/O.
+			d.journal.Start(d.stop)
 		}
 	})
 }
@@ -592,7 +556,7 @@ func (d *Daemon) Close() {
 			// metrics and the sessions are lost — the documented cost of
 			// dying while the disk is refusing writes.
 			for attempt := 0; attempt < 3; attempt++ {
-				if err := d.flushJournal(true); err == nil {
+				if err := d.journal.Flush(true); err == nil {
 					break
 				}
 			}

@@ -188,61 +188,6 @@ func TestManualRaceHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAutoAdvancesWhenAllBlocked is the lockstep contract: registered
-// sleepers never need an external Advance, and virtual time lands exactly
-// on the sum of the longest sleep chain.
-func TestAutoAdvancesWhenAllBlocked(t *testing.T) {
-	a := NewAuto(epoch)
-	const workers = 4
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		a.RegisterGoroutine()
-		go func(i int) {
-			defer wg.Done()
-			defer a.UnregisterGoroutine()
-			for k := 0; k < 25; k++ {
-				a.Sleep(time.Duration(i+1) * time.Millisecond)
-			}
-		}(i)
-	}
-	wg.Wait()
-	// The longest chain is worker 3: 25 sleeps × 4 ms = 100 ms. Auto must
-	// have advanced exactly that far and no further.
-	if want := epoch.Add(100 * time.Millisecond); !a.Now().Equal(want) {
-		t.Fatalf("auto clock ended at %v, want exactly %v", a.Now(), want)
-	}
-}
-
-// TestAutoTimerLoop drives a tickLoop-shaped consumer (arm timer, select
-// on its channel) in the lockstep: arming counts as blocking on the clock,
-// so a single registered goroutine makes progress with no external Advance.
-func TestAutoTimerLoop(t *testing.T) {
-	a := NewAuto(epoch)
-	a.RegisterGoroutine()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer a.UnregisterGoroutine()
-		tm := a.NewTimer(10 * time.Millisecond)
-		defer tm.Stop()
-		for i := 0; i < 50; i++ {
-			<-tm.C()
-			if i < 49 {
-				tm.Reset(10 * time.Millisecond)
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("auto timer loop stalled")
-	}
-	if want := epoch.Add(500 * time.Millisecond); !a.Now().Equal(want) {
-		t.Fatalf("auto clock ended at %v, want exactly %v", a.Now(), want)
-	}
-}
-
 // TestSchedulerClockSurface exercises the Clock methods the daemon's
 // goroutines use against a Scheduler being stepped by another goroutine.
 func TestSchedulerClockSurface(t *testing.T) {

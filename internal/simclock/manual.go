@@ -22,10 +22,6 @@ type Manual struct {
 	now  time.Time
 	seq  uint64
 	wh   waiterHeap
-	// onWait, when set (by Auto), runs under mu after every waiter
-	// registration and deregistration so an auto-advancing wrapper can
-	// re-evaluate its all-blocked condition.
-	onWait func()
 }
 
 // NewManual returns a Manual clock set to start.
@@ -130,20 +126,11 @@ func (m *Manual) advanceToLocked(t time.Time) {
 	if m.now.Before(t) {
 		m.now = t
 	}
-	m.notifyLocked()
-}
-
-func (m *Manual) notifyLocked() {
 	m.cond.Broadcast()
-	if m.onWait != nil {
-		m.onWait()
-	}
 }
 
 // addWaiterLocked parks a waiter delivering on ch (nil allocates a fresh
-// 1-buffered channel). The waiter must be fully wired — channel included —
-// before notifyLocked runs: an Auto wrapper may fire it synchronously from
-// the onWait hook.
+// 1-buffered channel).
 func (m *Manual) addWaiterLocked(at time.Time, kind int, ch chan time.Time, tm *manualTimer) *waiter {
 	if ch == nil {
 		ch = make(chan time.Time, 1)
@@ -154,7 +141,7 @@ func (m *Manual) addWaiterLocked(at time.Time, kind int, ch chan time.Time, tm *
 	if tm != nil {
 		tm.w = w
 	}
-	m.notifyLocked()
+	m.cond.Broadcast()
 	return w
 }
 
@@ -220,7 +207,7 @@ func (t *manualTimer) Stop() bool {
 	}
 	heap.Remove(&t.m.wh, t.w.idx)
 	t.w = nil
-	t.m.notifyLocked()
+	t.m.cond.Broadcast()
 	return true
 }
 

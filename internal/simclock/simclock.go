@@ -6,13 +6,11 @@
 // deterministic discrete-event simulation that regenerates the paper's
 // experiments bit-for-bit.
 //
-// Four implementations cover the repertoire:
+// Three implementations cover the repertoire:
 //
 //   - Real: the system clock.
 //   - Manual: time moves only on Advance/Set; sleepers and timers park on
 //     a waiter heap and fire with exact timestamps.
-//   - Auto: a Manual that advances itself to the next deadline whenever
-//     every registered goroutine is blocked on the clock.
 //   - Scheduler: a single-goroutine discrete-event simulator (callback
 //     events, virtual timers) that also satisfies Clock so it can be
 //     injected wholesale into the daemon.

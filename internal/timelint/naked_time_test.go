@@ -16,6 +16,7 @@ import (
 // deliberately absent.
 var guardedPackages = []string{
 	"internal/sessiond",
+	"internal/journal",
 	"internal/transport",
 	"internal/network",
 	"internal/statesync",
