@@ -260,21 +260,30 @@ func (s *Server) Tick() {
 // deadline or the oldest queued keystroke's echo timeout, whichever is
 // earlier. It is absolute — an event loop that arms it does not inherit the
 // time the caller spent between its own clock reading and this call, as it
-// would by adding WaitTime to that reading.
-func (s *Server) NextDeadline() time.Time {
-	at := s.tr.NextDeadline()
+// would by adding WaitTime to that reading. ok is false when there is none: a
+// server no client has contacted yet has nothing to do on a timer (see
+// transport.Transport.NextDeadline), and its event loop arms nothing.
+func (s *Server) NextDeadline() (at time.Time, ok bool) {
+	if at, ok = s.tr.NextDeadline(); !ok {
+		return at, false // and no keystroke is queued: none has been heard
+	}
 	if len(s.echoQueue) > 0 {
 		if echo := s.echoQueue[0].at.Add(s.cfg.EchoAckTimeout); echo.Before(at) {
 			at = echo
 		}
 	}
-	return at
+	return at, true
 }
 
 // WaitTime reports how long the event loop may sleep before calling Tick:
-// NextDeadline less the current time, never negative.
+// NextDeadline less the current time, never negative, and
+// transport.NoDeadline when there is none.
 func (s *Server) WaitTime() time.Duration {
-	if d := s.NextDeadline().Sub(s.cfg.Clock.Now()); d > 0 {
+	at, ok := s.NextDeadline()
+	if !ok {
+		return transport.NoDeadline
+	}
+	if d := at.Sub(s.cfg.Clock.Now()); d > 0 {
 		return d
 	}
 	return 0

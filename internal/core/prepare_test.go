@@ -57,9 +57,12 @@ type prepWorld struct {
 // retried a millisecond on, as sessiond's minTickInterval has it).
 func (w *prepWorld) sweep() {
 	w.server.Tick()
-	at := w.server.NextDeadline()
+	at, ok := w.server.NextDeadline()
 	if w.prepare {
 		w.server.Prepare()
+	}
+	if !ok {
+		return // no client yet: the hello's sweep arms the timer
 	}
 	if floor := w.sched.Now().Add(time.Millisecond); at.Before(floor) {
 		at = floor

@@ -231,6 +231,17 @@ func (c *Connection) SetRemoteAddr(a netem.Addr) {
 // RemoteAddr returns the current reply target and whether one is known.
 func (c *Connection) RemoteAddr() (netem.Addr, bool) { return c.remoteAddr, c.haveRemote }
 
+// HasPeer reports whether this endpoint has anybody to talk to. A client is
+// built knowing its server, whether or not the embedder told the datagram
+// layer the address (SetRemoteAddr); a server has a peer once it has a reply
+// target: from the first authentic datagram, from SetRemoteAddr, or from a
+// journal's Resume.RemoteAddr. It never reverts — a peer that has gone quiet
+// is still a peer. The layers above send nothing, build nothing and ask for
+// no wake-up until it is true (the reference's get_has_remote_addr).
+func (c *Connection) HasPeer() bool {
+	return c.cfg.Direction == sspcrypto.ToServer || c.haveRemote
+}
+
 // RemoteAddrChanges counts roaming events observed (server side).
 func (c *Connection) RemoteAddrChanges() int { return c.remoteChanges }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/netem"
 	"repro/internal/simclock"
 )
 
@@ -62,13 +63,12 @@ func TestTickLoopHonorsInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A slot nobody has contacted holds no deadline; one with a peer owes it
+	// a heartbeat, and any session work arms that.
+	s.Do(func(srv *core.Server) { srv.Transport().Connection().SetRemoteAddr(netem.Addr{Host: 1, Port: 1}) })
 	at, ok := d.NextDeadline()
 	if !ok {
-		// Arm via the ordinary path: any session work re-arms the heap.
-		s.Do(func(srv *core.Server) {})
-		if at, ok = d.NextDeadline(); !ok {
-			t.Fatal("no session deadline armed")
-		}
+		t.Fatal("no session deadline armed")
 	}
 	go d.tickLoop()
 	defer close(d.stop)

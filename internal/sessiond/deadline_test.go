@@ -43,14 +43,19 @@ type deadlineRig struct {
 	toCli  [][]byte // datagrams the daemon emitted, not yet delivered
 }
 
-func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineRig {
+// newBareDeadlineRig opens the session (app nil: one with no application)
+// and builds its client, and exchanges nothing: the session is unconnected.
+func newBareDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineRig {
 	r := &deadlineRig{t: t, clk: clk, addr: netem.Addr{Host: 7, Port: 7007}}
-	d, err := New(Config{
+	cfg := Config{
 		Clock:       clk,
 		IdleTimeout: -1,
-		NewApp:      func(uint64) host.App { return app },
 		Send:        func(_ netem.Addr, wire []byte) { r.toCli = append(r.toCli, append([]byte(nil), wire...)) },
-	})
+	}
+	if app != nil {
+		cfg.NewApp = func(uint64) host.App { return app }
+	}
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +73,12 @@ func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineR
 		t.Fatal(err)
 	}
 	r.d, r.s, r.client = d, s, client
+	return r
+}
+
+func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineRig {
+	r := newBareDeadlineRig(t, app, clk)
+	d, client := r.d, r.client
 	// Introduce the client and let both sides settle until the only
 	// deadline left is the heartbeat, then go quiet for longer than any
 	// frame interval so the next send waits for nothing but its collection
@@ -146,7 +157,7 @@ func TestSessionArmedAtAbsoluteDeadline(t *testing.T) {
 	// finished with it: that millisecond is spent inside the interval.
 	want := arrived.Add(8 * time.Millisecond)
 	var sender time.Time
-	r.s.Do(func(srv *core.Server) { sender = srv.Transport().NextDeadline() })
+	r.s.Do(func(srv *core.Server) { sender, _ = srv.Transport().NextDeadline() })
 	if !sender.Equal(want) {
 		t.Fatalf("sender due at +%v, want +%v", sender.Sub(arrived), want.Sub(arrived))
 	}

@@ -27,6 +27,21 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
+// fullRepaint is host output that rewrites every cell of a cols x rows screen
+// with text unique to the session, the round and the row.
+func fullRepaint(session, round, cols, rows int) []byte {
+	var out strings.Builder
+	out.WriteString("\x1b[H")
+	for y := 0; y < rows; y++ {
+		line := fmt.Sprintf("session %d round %d row %d ", session, round, y)
+		out.WriteString(strings.Repeat(line, cols/len(line)+1)[:cols-1])
+		if y < rows-1 {
+			out.WriteString("\r\n")
+		}
+	}
+	return []byte(out.String())
+}
+
 // TestSessionHoldsOneScreen is the daemon-level statement of what SSP's
 // acknowledgments are for: once the client has acknowledged a state, the
 // server forgets everything older (§2.3), so a quiescent session's resident
@@ -89,16 +104,8 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 	}
 	repaint := func(round int) {
 		for i, s := range sess {
-			var out strings.Builder
-			out.WriteString("\x1b[H")
-			for y := 0; y < rows; y++ {
-				line := fmt.Sprintf("session %d round %d row %d ", i, round, y)
-				out.WriteString(strings.Repeat(line, cols/len(line)+1)[:cols-1])
-				if y < rows-1 {
-					out.WriteString("\r\n")
-				}
-			}
-			s.Do(func(srv *core.Server) { srv.HostOutput([]byte(out.String())) })
+			out := fullRepaint(i, round, cols, rows)
+			s.Do(func(srv *core.Server) { srv.HostOutput(out) })
 		}
 	}
 	retained := func(s *sessiond.Session) (n int) {
@@ -204,4 +211,59 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 		t.Errorf("resident_bytes_per_session reads %d B for sessions holding one %d B screen of unique rows", gauge, screen)
 	}
 	runtime.KeepAlive(sess)
+}
+
+// TestUnconnectedSessionHoldsOneScreen is the same promise for a session
+// nobody has connected to yet, which has no acknowledgments to forget by: a
+// 162x64 session whose application rewrites the whole screen every 20 ms for a
+// minute holds its live screen and the blank state 0 it will diff the first
+// frame from (rows born shared, no cells of their own) — not the 32 snapshots a
+// sender keeps of frames it sent to no address, assumed delivered for 1.1 s
+// each, and could never have acknowledged.
+func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
+	const cols, rows = 162, 64
+	screen := int64(cols * rows * int(unsafe.Sizeof(terminal.Cell{})))
+	clock := simclock.NewManual(epoch)
+	written := 0
+	d, err := sessiond.New(sessiond.Config{
+		Clock: clock, IdleTimeout: -1, Width: cols, Height: rows,
+		Send: func(netem.Addr, []byte) { written++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	before := liveHeap()
+	s, err := d.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3000; round++ {
+		out := fullRepaint(0, round, cols, rows)
+		s.Do(func(srv *core.Server) { srv.HostOutput(out) })
+		clock.Advance(20 * time.Millisecond)
+		d.TickDue()
+	}
+	var retained int
+	var sealed uint64
+	s.Do(func(srv *core.Server) {
+		retained = srv.Transport().Sender().SentStateCount()
+		sealed = srv.Transport().Connection().NextSeq()
+	})
+	if retained != 1 || sealed != 0 || written != 0 {
+		t.Fatalf("an unconnected session retains %d snapshots, sealed %d datagrams, wrote %d; want 1, 0, 0", retained, sealed, written)
+	}
+	held := liveHeap() - before
+	gauge := int64(d.ScreenStateStats().ResidentBytesPerSession())
+	t.Logf("an unconnected session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
+		held, float64(held)/float64(screen), screen, gauge)
+	// TestSessionHoldsOneScreen's bound for a quiescent connected session.
+	if limit := screen*13/10 + 128<<10; held > limit {
+		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1.3 screens + 128 KiB = %d B",
+			held, float64(held)/float64(screen), limit)
+	}
+	if gauge < screen*9/10 || gauge > screen*11/10 {
+		t.Errorf("resident_bytes_per_session reads %d B for a session holding one %d B screen", gauge, screen)
+	}
+	runtime.KeepAlive(s)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/netem"
 	"repro/internal/simclock"
 	"repro/internal/terminal"
 )
@@ -36,6 +37,8 @@ func TestScreenStateStats(t *testing.T) {
 	}
 	d.reg.each(func(s *Session) {
 		s.mu.Lock()
+		// A sender snapshots only for a peer; nobody connects in this test.
+		s.srv.Transport().Connection().SetRemoteAddr(netem.Addr{Host: 1, Port: uint16(s.ID)})
 		s.srv.HostOutput([]byte(lines.String()))
 		s.rearmLocked(sched.Now())
 		s.mu.Unlock()

@@ -801,16 +801,22 @@ func (s *Session) noteEchoLocked(now time.Time) {
 // often than once a minTickInterval (Session.Do in a polling loop) would keep
 // an overdue session from ever being served.
 func (s *Session) rearmLocked(now time.Time) {
-	at := s.srv.NextDeadline()
-	if len(s.pendingOut) > 0 && s.pendingOut[0].at.Before(at) {
-		at = s.pendingOut[0].at
+	at, ok := s.srv.NextDeadline()
+	if len(s.pendingOut) > 0 && (!ok || s.pendingOut[0].at.Before(at)) {
+		at, ok = s.pendingOut[0].at, true
 	}
 	if idle := s.d.cfg.IdleTimeout; idle > 0 {
 		if _, heard := s.srv.Transport().Connection().LastHeard(); heard {
-			if idleAt := s.lastActive.Add(idle); idleAt.Before(at) {
-				at = idleAt
+			if idleAt := s.lastActive.Add(idle); !ok || idleAt.Before(at) {
+				at, ok = idleAt, true
 			}
 		}
+	}
+	if !ok {
+		// A slot no client has redeemed: nothing to send, nobody to send it
+		// to, no host output queued. It holds no heap entry, and the datagram
+		// that gives it a peer re-arms it.
+		return
 	}
 	if !at.After(now) {
 		at = now.Add(minTickInterval)
@@ -840,7 +846,10 @@ func (s *Session) rearmLocked(now time.Time) {
 func (s *Session) emit(wire []byte) {
 	dst, ok := s.srv.Transport().Connection().RemoteAddr()
 	if !ok {
-		return // no authentic client packet yet: nowhere to send
+		// The sender seals nothing for an endpoint without a peer, so this
+		// is a regression in that gate; the datagram and its nonce are spent.
+		s.d.recordEv(telemetry.EvDropEgress, s.ID, 0, s.now)
+		return
 	}
 	if !s.d.enqueueEgress(dst, wire, s.now) {
 		s.d.recordEv(telemetry.EvDropEgress, s.ID, 1, s.now)

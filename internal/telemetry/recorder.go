@@ -22,7 +22,7 @@ const (
 	EvFrameSent             // sender minted a new state; arg = state number
 	EvDropAuth              // datagram failed AEAD verification
 	EvDropQueue             // session over its per-sweep budget; arg = datagrams dropped
-	EvDropEgress            // egress ring full, datagram dropped
+	EvDropEgress            // sealed datagram dropped before the socket; arg = 1 egress ring full, 0 no reply target
 	EvQuotaBlocked          // source refused pre-AEAD by the unauth quota
 	EvRoam                  // authentic datagram from a new source address
 	EvShedTrip              // shed policy tripped; arg = drop threshold

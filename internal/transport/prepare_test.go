@@ -47,12 +47,15 @@ func newCountedLog() *countedLog {
 var (
 	prepClientAddr = netem.Addr{Host: 1, Port: 1000}
 	prepServerAddr = netem.Addr{Host: 2, Port: 2000}
+	prepKey        = sspcrypto.Key{4, 5, 6}
 )
 
-func newPrepRig(t *testing.T) *prepRig {
+// newBareRig builds the two endpoints and exchanges nothing: the server has
+// never heard from its client.
+func newBareRig(t *testing.T) *prepRig {
 	t.Helper()
 	r := &prepRig{t: t, clk: simclock.NewManual(t0)}
-	key := sspcrypto.Key{4, 5, 6}
+	key := prepKey
 	var err error
 	r.server, err = New(Config[*countedLog, *countedLog]{
 		Direction: sspcrypto.ToClient, Key: key, Clock: r.clk,
@@ -70,6 +73,12 @@ func newPrepRig(t *testing.T) *prepRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func newPrepRig(t *testing.T) *prepRig {
+	t.Helper()
+	r := newBareRig(t)
 	// The client introduces itself; a few quiet exchanges settle the RTT
 	// estimate at the floor, then both sides go idle for longer than any
 	// frame interval so the next send waits only for its collection interval.
@@ -112,7 +121,7 @@ func (r *prepRig) write(b string, at time.Time) {
 // due returns the server's pending send deadline.
 func (r *prepRig) due() time.Time {
 	r.t.Helper()
-	at := r.server.NextDeadline()
+	at, _ := r.server.NextDeadline()
 	if r.server.sender.nextSendTime.IsZero() || !at.Equal(r.server.sender.nextSendTime) {
 		r.t.Fatalf("no send is pending (next deadline +%v)", at.Sub(r.clk.Now()))
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"iter"
+	"math"
 	"slices"
 	"time"
 
@@ -415,6 +416,12 @@ func (s *Sender[T]) tick() {
 	now := s.clock.Now()
 	s.calculateTimers(now)
 	s.changedAt = time.Time{} // a hint lives for the one tick it was given to
+	if !s.conn.HasPeer() {
+		// Nobody to send to. The timers above still ran, so a collection
+		// interval the local object's first change opened keeps counting from
+		// that change; nothing is minted, diffed, sealed or numbered.
+		return
+	}
 
 	ackDue := !now.Before(s.nextAckTime)
 	sendDue := !s.nextSendTime.IsZero() && !now.Before(s.nextSendTime)
@@ -447,7 +454,7 @@ func (s *Sender[T]) tick() {
 // missed frame, never a wrong one. A frame prepared earlier that has gone
 // stale is recycled on the way.
 func (s *Sender[T]) wantsPrepare(quietUntil time.Time) bool {
-	if s.nextSendTime.IsZero() || (!quietUntil.IsZero() && !quietUntil.After(s.nextSendTime)) {
+	if !s.conn.HasPeer() || s.nextSendTime.IsZero() || (!quietUntil.IsZero() && !quietUntil.After(s.nextSendTime)) {
 		return false
 	}
 	// The traffic decides, through the changes the caller announces. A pty
@@ -564,20 +571,32 @@ func (s *Sender[T]) noteChange(at time.Time) {
 // earlier of its ack/heartbeat and send deadlines, recomputed as of now. It
 // is absolute, so it does not move with the moment it is asked for — an
 // event loop arms it as is; waitTime is the same deadline for loops that
-// sleep on a duration.
-func (s *Sender[T]) nextDeadline(now time.Time) time.Time {
+// sleep on a duration. ok is false when there is none: an endpoint without
+// a peer has nothing a tick could do, until a datagram gives it one.
+func (s *Sender[T]) nextDeadline(now time.Time) (at time.Time, ok bool) {
+	if !s.conn.HasPeer() {
+		return time.Time{}, false
+	}
 	s.calculateTimers(now)
 	if !s.nextSendTime.IsZero() && s.nextSendTime.Before(s.nextAckTime) {
-		return s.nextSendTime
+		return s.nextSendTime, true
 	}
-	return s.nextAckTime
+	return s.nextAckTime, true
 }
+
+// NoDeadline is what WaitTime reports when no tick is needed until something
+// arrives: the longest wait there is.
+const NoDeadline time.Duration = math.MaxInt64
 
 // waitTime reports how long the event loop may sleep before the sender
 // needs another tick.
 func (s *Sender[T]) waitTime() time.Duration {
 	now := s.clock.Now()
-	if d := s.nextDeadline(now).Sub(now); d > 0 {
+	at, ok := s.nextDeadline(now)
+	if !ok {
+		return NoDeadline
+	}
+	if d := at.Sub(now); d > 0 {
 		return d
 	}
 	return 0

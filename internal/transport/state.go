@@ -12,6 +12,25 @@
 // for screens only the minimal transformation to the newest frame, which is
 // what lets SSP skip intermediate states on slow paths.
 //
+// # An endpoint without a peer
+//
+// A server endpoint is mute, and has no deadline, until it has a peer
+// (network.Connection.HasPeer: a reply target — from the first authentic
+// datagram, from SetRemoteAddr, or from a journal's Resume.RemoteAddr; a
+// client always has one). Until then Tick runs the timing rules, so a
+// collection interval the object's first change opened counts from that
+// change, and stops: no state is minted, nothing is diffed, sealed or
+// numbered, Prepare builds nothing, NextDeadline reports that there is none
+// and WaitTime NoDeadline. The Receive that brings the peer ends, like every
+// Receive, with a tick, and that tick sends the first frame — state 0 → 1
+// under sequence number 0 — if the frame-rate rule (SendIntervalMax from
+// state 0, no RTT sample yet) and any running collection interval have
+// expired; otherwise it leaves on whichever is later. A frame sent to nobody
+// would not be harmless: it is assumed delivered for RTO + AckDelay, and a
+// client arriving inside those 1.1 s would wait them out for its first
+// screen. Once there is a peer there always is: one that has gone quiet still
+// gets heartbeats and new states at its last address.
+//
 // # Frames built ahead of their deadline
 //
 // A frame for fresh changes waits out Timing.CollectionInterval before it

@@ -22,6 +22,12 @@ import (
 // advanced; TickChangedAt when the caller knows when it did), and WaitTime
 // (how long the event loop may sleep). Prepare is optional: an event loop
 // with time to spare before the next deadline may spend it there.
+//
+// A server endpoint is mute, and has no deadline, until it has a peer: Tick
+// and Prepare send and build nothing, NextDeadline reports none and WaitTime
+// NoDeadline, and the first authentic datagram's Receive sends the first
+// frame (the package comment has the contract). An event loop needs no case
+// for it beyond arming nothing when NextDeadline says so.
 type Transport[L State[L], R State[R]] struct {
 	conn     *network.Connection
 	clock    simclock.Clock
@@ -289,9 +295,14 @@ func (t *Transport[L, R]) FragmentsHeld() int {
 }
 
 // NextDeadline reports the instant the next Tick is needed, as an absolute
-// time on the endpoint's clock.
-func (t *Transport[L, R]) NextDeadline() time.Time { return t.sender.nextDeadline(t.clock.Now()) }
+// time on the endpoint's clock. ok is false when none is: an endpoint without
+// a peer (network.Connection.HasPeer) wants no tick until Receive has given it
+// one, and an event loop arms nothing for it.
+func (t *Transport[L, R]) NextDeadline() (at time.Time, ok bool) {
+	return t.sender.nextDeadline(t.clock.Now())
+}
 
 // WaitTime reports how long the event loop may sleep before the next Tick
-// is needed: NextDeadline less the current time, never negative.
+// is needed: NextDeadline less the current time, never negative, and
+// NoDeadline when there is none.
 func (t *Transport[L, R]) WaitTime() time.Duration { return t.sender.waitTime() }
