@@ -27,7 +27,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // arms went unserved until a server datagram or the heartbeat came by.
 func TestKeystrokeWakesIdleTimerLoop(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	clk := simclock.NewManual(epoch)
+	clk := simclock.NewScheduler(epoch)
 	key, err := sspcrypto.NewRandomKey()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestKeystrokeWakesIdleTimerLoop(t *testing.T) {
 	// The client introduces itself at once, then idles until the heartbeat.
 	armedAt := func(at time.Time) func() bool {
 		return func() bool {
-			next, ok := clk.NextDeadline()
+			next, ok := clk.NextAt()
 			return ok && next.Equal(at)
 		}
 	}
@@ -74,11 +74,11 @@ func TestKeystrokeWakesIdleTimerLoop(t *testing.T) {
 		return sent() == 1 && armedAt(epoch.Add(3*time.Second))()
 	})
 
-	clk.Advance(500 * time.Millisecond)
+	clk.RunFor(500 * time.Millisecond)
 	typed := clk.Now()
 	p.do(func(c *core.Client) { c.UserBytes([]byte("a")) })
 	eventually(t, "the keystroke's 1 ms send delay to reach the timer", armedAt(typed.Add(time.Millisecond)))
-	clk.Advance(5 * time.Millisecond)
+	clk.RunFor(5 * time.Millisecond)
 	eventually(t, "the keystroke's datagram", func() bool { return sent() == 2 })
 	if late := sentAt[1].Sub(typed); late > 5*time.Millisecond {
 		t.Fatalf("keystroke sent %v after it was typed, want within 5ms", late)

@@ -125,7 +125,9 @@ func TestServerHistoryBoundedOverLongSession(t *testing.T) {
 	}
 	k := len(run.allocated) - 1
 	firstB, lastB := run.allocated[1]-run.allocated[0], run.allocated[k]-run.allocated[k-1]
-	if lastB > 2*firstB {
+	// Under -race sync.Pool drops puts at random, so the byte count is only
+	// repeatable, and asserted, without it (CI's bounded-history step).
+	if !raceEnabled && lastB > 2*firstB {
 		t.Fatalf("the last 1000 keystrokes allocated %d bytes, the first 1000 %d", lastB, firstB)
 	}
 	// The echo queue holds EchoAckTimeout's worth of keystrokes (five here)

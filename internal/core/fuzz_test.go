@@ -44,7 +44,7 @@ func TestGarbageDatagramsNeverPanic(t *testing.T) {
 // random corruption; authentication must reject every damaged packet.
 func TestTruncatedAndBitflippedDatagrams(t *testing.T) {
 	key := sspcrypto.Key{5}
-	clk := simclock.NewManual(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
+	clk := simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
 	var wires [][]byte
 	client, err := NewClient(ClientConfig{
 		Key: key, Clock: clk,

@@ -12,18 +12,18 @@ import (
 	"repro/internal/transport"
 )
 
-// chattyServer is a 162x64 server on a Manual clock whose host rewrites the
+// chattyServer is a 162x64 server on a Scheduler whose host rewrites the
 // whole screen every 20 ms, driven the way an event loop drives it: write,
 // build ahead, sleep to the next deadline or the next write.
 type chattyServer struct {
-	clk  *simclock.Manual
+	clk  *simclock.Scheduler
 	srv  *Server
 	sent int
 }
 
 func newChattyServer(t *testing.T) *chattyServer {
 	t.Helper()
-	c := &chattyServer{clk: simclock.NewManual(t0)}
+	c := &chattyServer{clk: simclock.NewScheduler(t0)}
 	var err error
 	c.srv, err = NewServer(ServerConfig{
 		Key: sspcrypto.Key{23}, Clock: c.clk, Width: 162, Height: 64,
@@ -44,11 +44,11 @@ func (c *chattyServer) run(d time.Duration) {
 		for next := c.clk.Now().Add(every); ; {
 			at, ok := c.srv.NextDeadline()
 			if !ok || !at.Before(next) {
-				c.clk.Set(next)
+				c.clk.RunUntil(next)
 				break
 			}
 			if at.After(c.clk.Now()) {
-				c.clk.Set(at)
+				c.clk.RunUntil(at)
 			}
 			c.srv.Tick()
 		}

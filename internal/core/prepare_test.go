@@ -289,11 +289,11 @@ func TestPreparedFrameEquivalence(t *testing.T) {
 	}
 }
 
-// prepPair is a server and a client on a Manual clock, wired back to back,
+// prepPair is a server and a client on a Scheduler, wired back to back,
 // the test playing network and event loop.
 type prepPair struct {
 	t        testing.TB
-	clk      *simclock.Manual
+	clk      *simclock.Scheduler
 	server   *Server
 	client   *Client
 	toClient [][]byte
@@ -302,7 +302,7 @@ type prepPair struct {
 }
 
 func newPrepPair(t testing.TB, w, h int) *prepPair {
-	p := &prepPair{t: t, clk: simclock.NewManual(t0)}
+	p := &prepPair{t: t, clk: simclock.NewScheduler(t0)}
 	key := sspcrypto.Key{9}
 	var err error
 	p.server, err = NewServer(ServerConfig{
@@ -333,7 +333,7 @@ func newPrepPair(t testing.TB, w, h int) *prepPair {
 
 // settle runs both endpoints, delivering everything, a millisecond at a time.
 func (p *prepPair) settle(d time.Duration) {
-	for end := p.clk.Now().Add(d); p.clk.Now().Before(end); p.clk.Advance(time.Millisecond) {
+	for end := p.clk.Now().Add(d); p.clk.Now().Before(end); p.clk.RunFor(time.Millisecond) {
 		p.server.Tick()
 		p.client.Tick()
 		for _, w := range p.toServer {
@@ -382,7 +382,7 @@ func TestPreparedFrameSkipsPendingEchoAck(t *testing.T) {
 	if got := snd.Stats().Prepared; got != 0 {
 		t.Fatalf("a frame was built %d times with an echo acknowledgment due before its deadline", got)
 	}
-	p.clk.Advance(4 * time.Millisecond)
+	p.clk.RunFor(4 * time.Millisecond)
 	p.server.Tick() // the echo acknowledgment lands
 	p.server.Prepare()
 	p.settle(time.Second)
@@ -441,7 +441,7 @@ func TestPreparedRepaintAllocFree(t *testing.T) {
 		p.server.HostOutputAt(screens[i%2], p.clk.Now())
 		before := mallocs()
 		p.server.Prepare()
-		p.clk.Advance(50 * time.Millisecond)
+		p.clk.RunFor(50 * time.Millisecond)
 		p.server.Tick() // the deadline: check, seal, emit
 		if i >= 8 {
 			allocs += mallocs() - before
@@ -488,7 +488,7 @@ func BenchmarkDeadlineTick162x64(b *testing.B) {
 				if mode == "prepared" {
 					p.server.Prepare()
 				}
-				p.clk.Advance(50 * time.Millisecond)
+				p.clk.RunFor(50 * time.Millisecond)
 				b.StartTimer()
 				p.server.Tick()
 				b.StopTimer()
@@ -529,7 +529,7 @@ func TestPreparedFrameDiscardedByChangeEqualCannotSee(t *testing.T) {
 				if !p.server.Terminal().Framebuffer().Equal(snapshot) {
 					t.Skip("Equal sees this change; the ordinary discard covers it")
 				}
-				p.clk.Advance(20 * time.Millisecond)
+				p.clk.RunFor(20 * time.Millisecond)
 				p.server.Tick()
 				wires[i] = p.toClient
 				if st := p.server.Transport().Sender().Stats(); st.PreparedSent != 0 || st.Instructions != 1 {

@@ -141,13 +141,13 @@ type world struct {
 	t      *testing.T
 	dir    string
 	ffs    *faultinject.FaultFS
-	clk    *simclock.Manual
+	clk    *simclock.Scheduler
 	cfg    Config
 	events []telemetry.Code
 }
 
 func newWorld(t *testing.T, cfg Config) *world {
-	w := &world{t: t, dir: t.TempDir(), ffs: faultinject.NewFaultFS(nil, 7), clk: simclock.NewManual(epoch)}
+	w := &world{t: t, dir: t.TempDir(), ffs: faultinject.NewFaultFS(nil, 7), clk: simclock.NewScheduler(epoch)}
 	cfg.Dir, cfg.FS, cfg.Clock = w.dir, w.ffs, w.clk
 	if cfg.CompactMin == 0 {
 		cfg.CompactMin = 64 << 10 // the daemon's floor: no test compacts by accident
@@ -338,11 +338,11 @@ func TestFlushFailureStateMachine(t *testing.T) {
 				}
 				// Inside the backoff a flush is refused before it reaches
 				// the disk, however many ask.
-				w.clk.Advance(delay - time.Nanosecond)
+				w.clk.RunFor(delay - time.Nanosecond)
 				if err := h.j.Flush(false); err != nil || opens != fail {
 					t.Fatalf("failure %d: a flush inside the backoff reached the disk (err %v, attempts %d)", fail, err, opens)
 				}
-				w.clk.Advance(time.Nanosecond)
+				w.clk.RunFor(time.Nanosecond)
 				wantMode := Active
 				if fail == suspend {
 					wantMode = tc.mode
@@ -390,7 +390,7 @@ func TestFlushFailureStateMachine(t *testing.T) {
 			// The disk heals: the first success resumes and re-caps.
 			w.ffs.SetFaults(faultinject.FSFaults{})
 			at, _ := h.j.RetryAt()
-			w.clk.Set(at)
+			w.clk.RunUntil(at)
 			recaps := h.recaps
 			w.mustFlush(h)
 			if h.j.Suspended() != Active || c.JournalSuspended.Value() != Active || c.JournalRetryBackoffMs.Value() != 0 {
@@ -657,7 +657,7 @@ func TestIdleFlushAndRequeueBookkeeping(t *testing.T) {
 	w.ffs.SetFaults(faultinject.FSFaults{})
 	h.write(s, "two\r\n") // marks again: the failed flush had cleared the flag
 	at, _ := h.j.RetryAt()
-	w.clk.Set(at)
+	w.clk.RunUntil(at)
 	w.mustFlush(h)
 	segs, _ := w.segments()
 	data, err := os.ReadFile(filepath.Join(w.dir, segs[len(segs)-1]))

@@ -27,7 +27,7 @@ func pair(t *testing.T, clock simclock.Clock) (client, server *Connection) {
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	wire, err := client.NewPacket([]byte("keys"))
 	if err != nil {
@@ -43,7 +43,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 func TestSequenceNumbersIncrement(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, _ := pair(t, clk)
 	if client.NextSeq() != 0 {
 		t.Fatal("fresh connection should start at seq 0")
@@ -56,7 +56,7 @@ func TestSequenceNumbersIncrement(t *testing.T) {
 }
 
 func TestStaleAndReplayedPacketsDropped(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	w1, _ := client.NewPacket([]byte("one"))
 	w2, _ := client.NewPacket([]byte("two"))
@@ -73,7 +73,7 @@ func TestStaleAndReplayedPacketsDropped(t *testing.T) {
 }
 
 func TestOwnDirectionRejected(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, _ := pair(t, clk)
 	wire, _ := client.NewPacket(nil)
 	if _, err := client.Receive(wire, netem.Addr{}); err != ErrOwnDirection {
@@ -82,7 +82,7 @@ func TestOwnDirectionRejected(t *testing.T) {
 }
 
 func TestForgedPacketRejected(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	wire, _ := client.NewPacket([]byte("x"))
 	wire[len(wire)-1] ^= 1
@@ -95,7 +95,7 @@ func TestForgedPacketRejected(t *testing.T) {
 }
 
 func TestRoamingUpdatesTarget(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	a1 := netem.Addr{Host: 1, Port: 10}
 	a2 := netem.Addr{Host: 2, Port: 20}
@@ -124,7 +124,7 @@ func TestRoamingUpdatesTarget(t *testing.T) {
 }
 
 func TestClientDoesNotRoamServer(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	serverAddr := netem.Addr{Host: 5, Port: 50}
 	client.SetRemoteAddr(serverAddr)
@@ -136,16 +136,16 @@ func TestClientDoesNotRoamServer(t *testing.T) {
 }
 
 func TestRTTEstimation(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	src := netem.Addr{Host: 1}
 	// client -> server (50ms one way), server replies immediately,
 	// reply arrives 50ms later: RTT = 100ms.
 	w, _ := client.NewPacket(nil)
-	clk.Advance(50 * time.Millisecond)
+	clk.RunFor(50 * time.Millisecond)
 	server.Receive(w, src)
 	r, _ := server.NewPacket(nil)
-	clk.Advance(50 * time.Millisecond)
+	clk.RunFor(50 * time.Millisecond)
 	client.Receive(r, netem.Addr{Host: 2})
 	if !client.HaveRTT() {
 		t.Fatal("no RTT sample")
@@ -156,16 +156,16 @@ func TestRTTEstimation(t *testing.T) {
 }
 
 func TestTimestampReplyAdjustedForHoldTime(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	src := netem.Addr{Host: 1}
 	w, _ := client.NewPacket(nil)
-	clk.Advance(50 * time.Millisecond)
+	clk.RunFor(50 * time.Millisecond)
 	server.Receive(w, src)
 	// Server delays its ack 300ms (like a delayed ACK would).
-	clk.Advance(300 * time.Millisecond)
+	clk.RunFor(300 * time.Millisecond)
 	r, _ := server.NewPacket(nil)
-	clk.Advance(50 * time.Millisecond)
+	clk.RunFor(50 * time.Millisecond)
 	client.Receive(r, netem.Addr{Host: 2})
 	// Despite 300ms hold, measured RTT must reflect only path delay.
 	if got := client.SRTT(0); got < 95*time.Millisecond || got > 110*time.Millisecond {
@@ -174,7 +174,7 @@ func TestTimestampReplyAdjustedForHoldTime(t *testing.T) {
 }
 
 func TestRTOBounds(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	if client.RTO() != DefaultMaxRTO {
 		t.Fatalf("pre-sample RTO = %v, want max", client.RTO())
@@ -185,7 +185,7 @@ func TestRTOBounds(t *testing.T) {
 		w, _ := client.NewPacket(nil)
 		server.Receive(w, src)
 		r, _ := server.NewPacket(nil)
-		clk.Advance(time.Millisecond)
+		clk.RunFor(time.Millisecond)
 		client.Receive(r, netem.Addr{Host: 2})
 	}
 	if got := client.RTO(); got != DefaultMinRTO {
@@ -194,7 +194,7 @@ func TestRTOBounds(t *testing.T) {
 }
 
 func TestRTOCustomFloor(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	key := sspcrypto.Key{1}
 	c, err := NewConnection(Config{Direction: sspcrypto.ToServer, Key: key, Clock: clk, MinRTO: time.Second, MaxRTO: 60 * time.Second})
 	if err != nil {
@@ -207,7 +207,7 @@ func TestRTOCustomFloor(t *testing.T) {
 }
 
 func TestRFC6298Smoothing(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	c, _ := NewConnection(Config{Direction: sspcrypto.ToServer, Key: sspcrypto.Key{1}, Clock: clk})
 	c.observeRTT(100)
 	if c.srtt != 100 || c.rttvar != 50 {
@@ -225,13 +225,13 @@ func TestTimestampWraparound(t *testing.T) {
 	// between request and reply; the mod-2^16 arithmetic must still
 	// produce the right sample.
 	start := time.UnixMilli((1 << 16) - 20)
-	clk := simclock.NewManual(start)
+	clk := simclock.NewScheduler(start)
 	client, server := pair(t, clk)
 	w, _ := client.NewPacket(nil)
-	clk.Advance(30 * time.Millisecond) // crosses the wrap
+	clk.RunFor(30 * time.Millisecond) // crosses the wrap
 	server.Receive(w, netem.Addr{Host: 1})
 	r, _ := server.NewPacket(nil)
-	clk.Advance(30 * time.Millisecond)
+	clk.RunFor(30 * time.Millisecond)
 	client.Receive(r, netem.Addr{Host: 2})
 	if got := client.SRTT(0); got < 55*time.Millisecond || got > 65*time.Millisecond {
 		t.Fatalf("SRTT across wrap = %v, want ~60ms", got)
@@ -245,7 +245,7 @@ func TestRequiresClock(t *testing.T) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	key := sspcrypto.Key{9, 9, 9}
 	env := &Envelope{ID: 0xfeedface12345678}
 	client, err := NewConnection(Config{Direction: sspcrypto.ToServer, Key: key, Clock: clk, Envelope: env})
@@ -277,7 +277,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeMismatchRejected(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	key := sspcrypto.Key{9, 9, 9}
 	client, err := NewConnection(Config{Direction: sspcrypto.ToServer, Key: key, Clock: clk, Envelope: &Envelope{ID: 7}})
 	if err != nil {
@@ -303,7 +303,7 @@ func TestNoEnvelopeWireFormatUnchanged(t *testing.T) {
 	// A session without an Envelope must produce bytes identical to what it
 	// produced before the envelope hook existed: header+ciphertext only,
 	// and an enveloped peer must not accept them as enveloped.
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)
 	wire, err := client.NewPacket([]byte("keys"))
 	if err != nil {

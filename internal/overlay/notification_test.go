@@ -10,10 +10,10 @@ import (
 )
 
 func TestNoBannerWhileHealthy(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	n := NewNotificationEngine(clk)
 	n.ServerHeard()
-	clk.Advance(3 * time.Second)
+	clk.RunFor(3 * time.Second)
 	fb := terminal.NewFramebuffer(40, 5)
 	fb.Cell(0, 0).SetContents("x")
 	n.Apply(fb)
@@ -23,10 +23,10 @@ func TestNoBannerWhileHealthy(t *testing.T) {
 }
 
 func TestBannerAfterSilence(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	n := NewNotificationEngine(clk)
 	n.ServerHeard()
-	clk.Advance(10 * time.Second)
+	clk.RunFor(10 * time.Second)
 	if !n.NeedsBanner() {
 		t.Fatal("no banner after 10s of silence")
 	}
@@ -42,16 +42,16 @@ func TestBannerAfterSilence(t *testing.T) {
 }
 
 func TestBannerUnitsScale(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	n := NewNotificationEngine(clk)
 	n.ServerHeard()
-	clk.Advance(5 * time.Minute)
+	clk.RunFor(5 * time.Minute)
 	fb := terminal.NewFramebuffer(60, 5)
 	n.Apply(fb)
 	if !strings.Contains(fb.Text(0), "5 minutes") {
 		t.Fatalf("banner = %q", fb.Text(0))
 	}
-	clk.Advance(3 * time.Hour)
+	clk.RunFor(3 * time.Hour)
 	fb2 := terminal.NewFramebuffer(60, 5)
 	n.Apply(fb2)
 	if !strings.Contains(fb2.Text(0), "hours") {
@@ -60,7 +60,7 @@ func TestBannerUnitsScale(t *testing.T) {
 }
 
 func TestBannerMessageOnly(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	n := NewNotificationEngine(clk)
 	n.Message = "connecting..."
 	fb := terminal.NewFramebuffer(60, 5)
@@ -71,7 +71,7 @@ func TestBannerMessageOnly(t *testing.T) {
 }
 
 func TestBannerNeverHeard(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	n := NewNotificationEngine(clk)
 	if n.NeedsBanner() {
 		t.Fatal("banner before any contact and without a message")

@@ -12,7 +12,7 @@ var t0 = time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // env bundles an engine with a pretend server screen for direct tests.
 type env struct {
-	clk *simclock.Manual
+	clk *simclock.Scheduler
 	e   *Engine
 	fb  *terminal.Framebuffer // client's view of the server screen
 	emu *terminal.Emulator
@@ -20,7 +20,7 @@ type env struct {
 }
 
 func newEnv(pref DisplayPreference) *env {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	emu := terminal.NewEmulator(40, 10)
 	v := &env{clk: clk, e: NewEngine(clk, pref), emu: emu, fb: emu.Framebuffer()}
 	// Slow connection so Adaptive mode predicts.
@@ -311,7 +311,7 @@ func TestResizeResetsPredictions(t *testing.T) {
 func TestPendingExpiryResets(t *testing.T) {
 	v := newEnv(Adaptive)
 	v.typeByte('a')
-	v.clk.Advance(25 * time.Second) // connection dead
+	v.clk.RunFor(25 * time.Second) // connection dead
 	v.e.Cull(v.fb)
 	if v.e.anyActive() {
 		t.Fatal("stale predictions not abandoned")
@@ -320,7 +320,7 @@ func TestPendingExpiryResets(t *testing.T) {
 	// round trip (bufferbloated LTE) must survive.
 	v2 := newEnv(Adaptive)
 	v2.typeByte('b')
-	v2.clk.Advance(8 * time.Second)
+	v2.clk.RunFor(8 * time.Second)
 	v2.e.Cull(v2.fb)
 	if !v2.e.anyActive() {
 		t.Fatal("prediction abandoned before a bufferbloated RTT elapsed")
@@ -355,7 +355,7 @@ func TestGlitchTriggerRaisesFlagging(t *testing.T) {
 	v := newEnv(Adaptive)
 	v.e.SetSendInterval(40 * time.Millisecond) // predict; below the flag-off threshold
 	s1 := v.typeByte('a')
-	v.clk.Advance(400 * time.Millisecond) // slow confirmation: a glitch
+	v.clk.RunFor(400 * time.Millisecond) // slow confirmation: a glitch
 	v.serverEchoes("a", s1)
 	if !v.e.Flagging() {
 		t.Fatal("slow confirmation did not raise flagging")
@@ -363,7 +363,7 @@ func TestGlitchTriggerRaisesFlagging(t *testing.T) {
 	// Ten quick confirmations spaced out repair confidence.
 	for i := 0; i < glitchRepairCount; i++ {
 		s := v.typeByte(byte('b' + i))
-		v.clk.Advance(200 * time.Millisecond)
+		v.clk.RunFor(200 * time.Millisecond)
 		v.serverEchoes(string(rune('b'+i)), s)
 	}
 	if v.e.Flagging() {

@@ -13,15 +13,15 @@ import (
 
 var loopEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// countingClock wraps a Manual clock and counts timer traffic, making "how
+// countingClock wraps a Scheduler and counts timer traffic, making "how
 // often did a daemon loop wake and re-arm" an observable quantity.
 type countingClock struct {
-	*simclock.Manual
+	*simclock.Scheduler
 	resets atomic.Int64
 }
 
 func (c *countingClock) NewTimer(d time.Duration) simclock.Timer {
-	return &countingTimer{Timer: c.Manual.NewTimer(d), c: c}
+	return &countingTimer{Timer: c.Scheduler.NewTimer(d), c: c}
 }
 
 type countingTimer struct {
@@ -50,11 +50,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // TestTickLoopHonorsInjectedClock pins the tickLoop half of the one-time-
 // regime bug: deadlines are computed against cfg.Clock.Now, so the sleep
-// must ride the same clock. Under a Manual clock the loop must fire a due
+// must ride the same clock. Under a Scheduler the loop must fire a due
 // session deadline when *virtual* time crosses it — the pre-fix loop slept
 // on a real time.Timer and would sit out the full wall-clock duration.
 func TestTickLoopHonorsInjectedClock(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	d, err := New(Config{Clock: clk, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,14 @@ func TestTickLoopHonorsInjectedClock(t *testing.T) {
 	go d.tickLoop()
 	defer close(d.stop)
 
-	clk.BlockUntilWaiters(1) // the loop parked its sleep on the clock
-	clk.Advance(at.Sub(clk.Now()) + time.Millisecond)
+	// The loop parks a one-hour timer before it computes its real sleep, so
+	// a parked waiter is not yet the rendezvous: its timer armed at the
+	// session deadline is.
+	waitUntil(t, "the loop to arm its sleep at the session deadline", func() bool {
+		next, ok := clk.NextAt()
+		return ok && next.Equal(at)
+	})
+	clk.RunFor(at.Sub(clk.Now()) + time.Millisecond)
 	waitUntil(t, "tick loop to consume the due deadline", func() bool {
 		next, ok := d.NextDeadline()
 		return !ok || next.After(at)
@@ -88,7 +94,7 @@ func TestTickLoopHonorsInjectedClock(t *testing.T) {
 // one (failed) flush attempt. The pre-fix loop woke per request and clamped
 // past deadlines to a 1 ms resleep, spinning at ~1 kHz for the outage.
 func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
-	clk := &countingClock{Manual: simclock.NewManual(loopEpoch)}
+	clk := &countingClock{Scheduler: simclock.NewScheduler(loopEpoch)}
 	ffs := faultinject.NewFaultFS(nil, 1)
 	d, err := New(Config{
 		Clock:               clk,
@@ -144,7 +150,7 @@ func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
 	// across several expiries and count attempts, not spins.
 	for round := int64(1); round <= 4; round++ {
 		waitUntil(t, "loop parked before advance", func() bool { return clk.WaiterCount() >= 1 })
-		clk.Advance(600 * time.Millisecond) // > retryMax + jitter
+		clk.RunFor(600 * time.Millisecond) // > retryMax + jitter
 		waitUntil(t, "one retry per backoff expiry", func() bool {
 			return d.metrics.JournalErrors.Value() >= errs0+1+round
 		})
@@ -158,7 +164,7 @@ func TestJournalLoopBoundedWakeupsDuringOutage(t *testing.T) {
 	ffs.SetFaults(faultinject.FSFaults{})
 	flushes0 := d.metrics.JournalFlushes.Value()
 	waitUntil(t, "loop parked before heal advance", func() bool { return clk.WaiterCount() >= 1 })
-	clk.Advance(600 * time.Millisecond)
+	clk.RunFor(600 * time.Millisecond)
 	waitUntil(t, "post-outage flush success", func() bool {
 		return d.metrics.JournalFlushes.Value() > flushes0
 	})

@@ -20,21 +20,21 @@ import (
 // re-arms — what 0.15 ms of host.Input plus 0.75 ms of Emulator.Write do to
 // a bulk reply on a real clock.
 type slowApp struct {
-	clk  *simclock.Manual
+	clk  *simclock.Scheduler
 	took time.Duration
 }
 
 func (a *slowApp) Start() []byte { return nil }
 func (a *slowApp) Input(data []byte) ([]byte, time.Duration) {
-	a.clk.Advance(a.took)
+	a.clk.RunFor(a.took)
 	return append([]byte("echo:"), data...), 0
 }
 
-// deadlineRig is one daemon session and its client on a Manual clock, driven
+// deadlineRig is one daemon session and its client on a Scheduler, driven
 // by hand: the test plays network, tick loop and time.
 type deadlineRig struct {
 	t      *testing.T
-	clk    *simclock.Manual
+	clk    *simclock.Scheduler
 	d      *Daemon
 	s      *Session
 	client *core.Client
@@ -45,7 +45,7 @@ type deadlineRig struct {
 
 // newBareDeadlineRig opens the session (app nil: one with no application)
 // and builds its client, and exchanges nothing: the session is unconnected.
-func newBareDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineRig {
+func newBareDeadlineRig(t *testing.T, app host.App, clk *simclock.Scheduler) *deadlineRig {
 	r := &deadlineRig{t: t, clk: clk, addr: netem.Addr{Host: 7, Port: 7007}}
 	cfg := Config{
 		Clock:       clk,
@@ -76,7 +76,7 @@ func newBareDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadl
 	return r
 }
 
-func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineRig {
+func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Scheduler) *deadlineRig {
 	r := newBareDeadlineRig(t, app, clk)
 	d, client := r.d, r.client
 	// Introduce the client and let both sides settle until the only
@@ -86,10 +86,10 @@ func newDeadlineRig(t *testing.T, app host.App, clk *simclock.Manual) *deadlineR
 	for i := 0; i < 20; i++ {
 		client.Tick()
 		r.deliver()
-		clk.Advance(10 * time.Millisecond)
+		clk.RunFor(10 * time.Millisecond)
 		d.TickDue()
 	}
-	clk.Advance(500 * time.Millisecond)
+	clk.RunFor(500 * time.Millisecond)
 	d.TickDue()
 	client.Tick()
 	r.deliver()
@@ -114,7 +114,7 @@ func (r *deadlineRig) deliver() {
 func (r *deadlineRig) typeKey() []byte {
 	r.t.Helper()
 	r.client.UserBytes([]byte("x"))
-	r.clk.Advance(time.Millisecond) // the client's send delay
+	r.clk.RunFor(time.Millisecond) // the client's send delay
 	r.client.Tick()
 	if len(r.toSrv) != 1 {
 		r.t.Fatalf("keystroke produced %d datagrams, want 1", len(r.toSrv))
@@ -144,7 +144,7 @@ func (r *deadlineRig) lastSent() (n uint64) {
 // was early by the handling time: the tick loop woke a millisecond before
 // the sender was due, swept for nothing, and re-armed a minTickInterval out.
 func TestSessionArmedAtAbsoluteDeadline(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	r := newDeadlineRig(t, &slowApp{clk: clk, took: time.Millisecond}, clk)
 	wire := r.typeKey()
 	arrived := clk.Now()
@@ -170,7 +170,7 @@ func TestSessionArmedAtAbsoluteDeadline(t *testing.T) {
 		if sweeps++; sweeps > 5 {
 			t.Fatal("the reply frame was never minted")
 		}
-		clk.Set(r.armed())
+		clk.RunUntil(r.armed())
 		r.d.TickDue()
 	}
 	if sweeps != 1 {
@@ -184,14 +184,14 @@ func TestSessionArmedAtAbsoluteDeadline(t *testing.T) {
 // TestNearDeadlineNotFloored: a deadline 300 µs ahead is armed 300 µs ahead.
 // minTickInterval is for deadlines that have passed, not for near ones.
 func TestNearDeadlineNotFloored(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
 	wire := r.typeKey()
 	r.d.HandlePacket(wire, r.addr)
 	due := r.armed()
 
 	// Any datagram re-arms the session; a replay is the cheapest one.
-	clk.Set(due.Add(-300 * time.Microsecond))
+	clk.RunUntil(due.Add(-300 * time.Microsecond))
 	r.d.HandlePacket(wire, r.addr)
 	if at := r.armed(); !at.Equal(due) {
 		t.Fatalf("deadline 300µs ahead re-armed %v ahead", at.Sub(clk.Now()))
@@ -202,7 +202,7 @@ func TestNearDeadlineNotFloored(t *testing.T) {
 // send the state-number reservation suppresses — is re-armed a whole
 // minTickInterval out, every time.
 func TestStaleDeadlineCannotSpin(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
 	r.s.Do(func(srv *core.Server) {
 		snd := srv.Transport().Sender()
@@ -210,7 +210,7 @@ func TestStaleDeadlineCannotSpin(t *testing.T) {
 	})
 	before := r.lastSent()
 	r.d.HandlePacket(r.typeKey(), r.addr)
-	clk.Set(r.armed())
+	clk.RunUntil(r.armed())
 	for i := 0; i < 5; i++ {
 		r.d.TickDue()
 		if got := r.lastSent(); got != before {
@@ -220,7 +220,7 @@ func TestStaleDeadlineCannotSpin(t *testing.T) {
 			t.Fatalf("sweep %d: stale deadline re-armed %v ahead, want %v", i, ahead, minTickInterval)
 		}
 		r.d.TickDue() // nothing is due until time moves
-		clk.Advance(minTickInterval)
+		clk.RunFor(minTickInterval)
 	}
 }
 
@@ -230,7 +230,7 @@ func TestStaleDeadlineCannotSpin(t *testing.T) {
 // leave the heap where it was, so the banner waited for whatever had been
 // armed before: here the heartbeat, seconds away.
 func TestDoRearmsSession(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
 	if ahead := r.armed().Sub(clk.Now()); ahead < time.Second {
 		t.Fatalf("the settled rig is armed %v ahead, want only its heartbeat", ahead)
@@ -246,9 +246,9 @@ func TestDoRearmsSession(t *testing.T) {
 	// session whose deadline has just passed every time; the floor that
 	// keeps a stale deadline from spinning the tick loop must not turn that
 	// into never serving it.
-	clk.Set(wrote.Add(8*time.Millisecond + 100*time.Microsecond))
+	clk.RunUntil(wrote.Add(8*time.Millisecond + 100*time.Microsecond))
 	for i := 0; i < 20 && r.lastSent() == before; i++ {
-		clk.Advance(minTickInterval / 2)
+		clk.RunFor(minTickInterval / 2)
 		r.d.TickDue()
 	}
 	if r.lastSent() == before {
@@ -266,7 +266,7 @@ func TestDoRearmsSession(t *testing.T) {
 // which walks the waiting frame's snapshot like any other state the session
 // keeps reachable, charges the rows it shares with the live screen once.
 func TestPreparedFrameIsCountedAndChargedOnce(t *testing.T) {
-	clk := simclock.NewManual(loopEpoch)
+	clk := simclock.NewScheduler(loopEpoch)
 	r := newDeadlineRig(t, &slowApp{clk: clk}, clk)
 	m := r.d.Metrics()
 	built, sent := m.FramesPrepared.Value(), m.FramesPreparedSent.Value()
@@ -292,7 +292,7 @@ func TestPreparedFrameIsCountedAndChargedOnce(t *testing.T) {
 		t.Fatalf("resident bytes %d with a frame waiting, want the %d before the keystroke plus one %d B row", waitingBytes, resident, row)
 	}
 
-	clk.Set(r.armed())
+	clk.RunUntil(r.armed())
 	r.d.TickDue()
 	if r.lastSent() == before {
 		t.Fatal("the deadline's sweep sent nothing")

@@ -60,7 +60,7 @@ func assertNeverSpoke(t *testing.T, s *Session) {
 // millisecond, for every unconnected session.
 func TestPeerlessSessionsCostNothing(t *testing.T) {
 	t.Run("1000 quiet sessions for 10 s", func(t *testing.T) {
-		clk := simclock.NewManual(loopEpoch)
+		clk := simclock.NewScheduler(loopEpoch)
 		sent := 0
 		d, err := New(Config{
 			Clock: clk, IdleTimeout: -1,
@@ -88,7 +88,7 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 				t.Fatalf("+%v: %d sessions popped off the timer heap", elapsed, len(due))
 			}
 			d.TickDue()
-			clk.Advance(50 * time.Millisecond)
+			clk.RunFor(50 * time.Millisecond)
 		}
 		if got := d.Pipeline().Stage(telemetry.StageTick).Count(); got != ticks {
 			t.Fatalf("%d sender ticks in 10 s with nobody connected", got-ticks)
@@ -108,7 +108,7 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 	// reservation out.
 	t.Run("a chatty session does not walk its reservation", func(t *testing.T) {
 		const reserve = 32
-		clk := simclock.NewManual(loopEpoch)
+		clk := simclock.NewScheduler(loopEpoch)
 		d, err := New(Config{
 			Clock: clk, IdleTimeout: -1, Width: 162, Height: 64,
 			StateDir: t.TempDir(), SeqReserve: reserve,
@@ -139,7 +139,7 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 			line := fmt.Sprintf("round %d ", round)
 			out := []byte("\x1b[H" + strings.Repeat(line, 162*64/len(line)))
 			s.Do(func(srv *core.Server) { srv.HostOutput(out) })
-			clk.Advance(20 * time.Millisecond)
+			clk.RunFor(20 * time.Millisecond)
 			d.TickDue()
 			// maybeRequestFlushLocked's condition, which must stay false.
 			if seq, num := headroom(); seq != seq0 || num != num0 {
@@ -152,7 +152,7 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 }
 
 // The first-paint tests drive an unconnected deadlineRig (newBareDeadlineRig):
-// one daemon session on a Manual clock, opened at loopEpoch, and the client
+// one daemon session on a Scheduler, opened at loopEpoch, and the client
 // that will connect to it some time later.
 
 // runTo is the tick loop until at: it serves every deadline armed on the
@@ -164,11 +164,11 @@ func (r *deadlineRig) runTo(at time.Time) {
 			break
 		}
 		if next.After(r.clk.Now()) {
-			r.clk.Set(next)
+			r.clk.RunUntil(next)
 		}
 		r.d.TickDue()
 	}
-	r.clk.Set(at)
+	r.clk.RunUntil(at)
 }
 
 // hello introduces the client now: one datagram, handled in one sweep.
@@ -238,7 +238,7 @@ func TestFirstPaintArrivesWithHello(t *testing.T) {
 	}
 	for _, after := range hellos {
 		t.Run(fmt.Sprintf("banner, hello at +%v", after), func(t *testing.T) {
-			r := newBareDeadlineRig(t, bannerApp{}, simclock.NewManual(loopEpoch))
+			r := newBareDeadlineRig(t, bannerApp{}, simclock.NewScheduler(loopEpoch))
 			r.runTo(loopEpoch.Add(after))
 			r.hello()
 			if inSweep := len(r.toCli) > 0; inSweep != (after >= frameRate) {
@@ -263,7 +263,7 @@ func TestFirstPaintArrivesWithHello(t *testing.T) {
 	tm := transport.DefaultTiming()
 	for _, after := range hellos {
 		t.Run(fmt.Sprintf("host write 3 ms before a hello at +%v", after), func(t *testing.T) {
-			r := newBareDeadlineRig(t, nil, simclock.NewManual(loopEpoch))
+			r := newBareDeadlineRig(t, nil, simclock.NewScheduler(loopEpoch))
 			wrote := loopEpoch.Add(after - 3*time.Millisecond)
 			r.runTo(wrote)
 			r.s.Do(func(srv *core.Server) { srv.HostOutput([]byte("late")) })

@@ -55,8 +55,8 @@ func fullRepaint(session, round, cols, rows int) []byte {
 // grown by since before the first session was opened is what the sessions
 // hold, and it is one screen each.
 //
-// The world is pumped by hand on a Manual clock, with no scheduler and no
-// emulated network, so that nothing but the test's own variables refers to
+// The world is pumped by hand on a Scheduler used only as a clock, with no
+// events and no emulated network, so that nothing but the test's own variables refers to
 // the clients and dropping them really frees them.
 func TestSessionHoldsOneScreen(t *testing.T) {
 	const (
@@ -73,7 +73,7 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 		wire []byte
 	}
 	var toServer, toClients []dgram
-	clock := simclock.NewManual(epoch)
+	clock := simclock.NewScheduler(epoch)
 	d, err := sessiond.New(sessiond.Config{
 		Clock: clock, IdleTimeout: -1, Width: cols, Height: rows,
 		Send: func(dst netem.Addr, wire []byte) {
@@ -130,7 +130,7 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 			}
 		}
 		toClients = toClients[:0]
-		clock.Advance(time.Millisecond)
+		clock.RunFor(time.Millisecond)
 	}
 	// await steps the world until every session retains n sent states (and,
 	// when shown is set, every client displays it).
@@ -223,7 +223,7 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	const cols, rows = 162, 64
 	screen := int64(cols * rows * int(unsafe.Sizeof(terminal.Cell{})))
-	clock := simclock.NewManual(epoch)
+	clock := simclock.NewScheduler(epoch)
 	written := 0
 	d, err := sessiond.New(sessiond.Config{
 		Clock: clock, IdleTimeout: -1, Width: cols, Height: rows,
@@ -241,7 +241,7 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	for round := 0; round < 3000; round++ {
 		out := fullRepaint(0, round, cols, rows)
 		s.Do(func(srv *core.Server) { srv.HostOutput(out) })
-		clock.Advance(20 * time.Millisecond)
+		clock.RunFor(20 * time.Millisecond)
 		d.TickDue()
 	}
 	var retained int

@@ -6,14 +6,13 @@
 // deterministic discrete-event simulation that regenerates the paper's
 // experiments bit-for-bit.
 //
-// Three implementations cover the repertoire:
+// Two implementations cover the repertoire:
 //
 //   - Real: the system clock.
-//   - Manual: time moves only on Advance/Set; sleepers and timers park on
-//     a waiter heap and fire with exact timestamps.
-//   - Scheduler: a single-goroutine discrete-event simulator (callback
-//     events, virtual timers) that also satisfies Clock so it can be
-//     injected wholesale into the daemon.
+//   - Scheduler: a discrete-event simulator (callback events, virtual
+//     timers) whose time moves only when it is stepped. It satisfies Clock,
+//     so it is both the test clock and the clock injected wholesale into
+//     the daemon under simulation.
 package simclock
 
 import (
@@ -35,10 +34,6 @@ type Clock interface {
 	// Sleep blocks the calling goroutine for d of this clock's time.
 	// Sleep(d) for d <= 0 returns immediately.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed. Like time.After, the underlying timer cannot be stopped;
-	// prefer NewTimer in loops.
-	After(d time.Duration) <-chan time.Time
 	// NewTimer returns an armed timer that delivers on C after d.
 	NewTimer(d time.Duration) Timer
 }
@@ -46,8 +41,9 @@ type Clock interface {
 // Timer is the restartable one-shot timer every Clock vends. C returns the
 // same channel on every call, so the time.Timer drain idiom
 // (Stop, then non-blocking receive from C, then Reset) carries over
-// verbatim. Stop and Reset report whether the timer was still armed, with
-// the same inherent fire/Stop race time.Timer documents.
+// verbatim. A non-positive duration delivers at once. Stop and Reset report
+// whether the timer was still armed, and are atomic with respect to a
+// firing: once Stop reports true, the arming it stopped delivers nothing.
 type Timer interface {
 	C() <-chan time.Time
 	Stop() bool
@@ -66,9 +62,6 @@ func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // Sleep pauses the calling goroutine for d of real time.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// After returns time.After(d).
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // NewTimer returns a real-time Timer: on Linux one that fires at hrtimer
 // resolution (see realtimer_linux.go), elsewhere a wrapped time.Timer.
@@ -99,9 +92,6 @@ func (e *Event) Cancel() {
 		e.canceled.Store(true)
 	}
 }
-
-// At reports the time the event is scheduled to fire.
-func (e *Event) At() time.Time { return e.at }
 
 type eventHeap []*Event
 
@@ -145,17 +135,32 @@ func (h *eventHeap) Pop() any {
 // progress while some other goroutine steps the scheduler; calling Sleep
 // from the simulation goroutine itself deadlocks.
 //
+// The Clock timers keep time.Timer's contract. A non-positive duration
+// delivers at once, without an event. Each delivery carries exactly its
+// deadline, however coarse the RunFor that crossed it. Stop and Reset are
+// atomic with respect to a firing: an event Step has already popped
+// delivers only if its arming is still current when it runs. Parked Sleeps
+// and armed timers are the clock's waiters, which WaiterCount counts and
+// BlockUntilWaiters waits for; callback events are not waiters. A goroutine
+// woken during a RunFor runs concurrently with it, so a wait it re-arms
+// inside the window may fire within that same RunFor (the Manual clock this
+// replaced held its lock across an advance, deferring such a wait to the next).
+//
 // The zero value is not usable; call NewScheduler.
 type Scheduler struct {
-	mu   sync.Mutex // guards now, seq, and heap
-	now  time.Time
-	seq  uint64
-	heap eventHeap
+	mu      sync.Mutex // guards now, seq, heap, and waiters
+	parked  sync.Cond  // broadcast on s.mu whenever waiters grows
+	now     time.Time
+	seq     uint64
+	heap    eventHeap
+	waiters int // parked Sleeps plus armed Clock timers
 }
 
 // NewScheduler returns a Scheduler whose clock starts at start.
 func NewScheduler(start time.Time) *Scheduler {
-	return &Scheduler{now: start}
+	s := &Scheduler{now: start}
+	s.parked.L = &s.mu
+	return s
 }
 
 // Now returns the current virtual time.
@@ -192,14 +197,6 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func()) *Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.atLocked(s.now.Add(d), fn)
-}
-
-// Pending reports the number of events waiting to fire, including cancelled
-// events that have not yet been discarded.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.heap)
 }
 
 // NextAt returns the firing time of the earliest pending live event, and
@@ -270,6 +267,38 @@ func (s *Scheduler) Drain(limit int) int {
 	return n
 }
 
+// parkLocked schedules a waiter's event d from now and counts the waiter
+// until unpark.
+func (s *Scheduler) parkLocked(d time.Duration, fn func()) *Event {
+	s.waiters++
+	s.parked.Broadcast()
+	return s.atLocked(s.now.Add(d), fn)
+}
+
+func (s *Scheduler) unpark() {
+	s.mu.Lock()
+	s.waiters--
+	s.mu.Unlock()
+}
+
+// WaiterCount reports how many parked Sleeps and armed timers there are.
+func (s *Scheduler) WaiterCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiters
+}
+
+// BlockUntilWaiters blocks until at least n Sleeps and armed timers wait on
+// the clock: the test-side rendezvous that makes "the loop under test has
+// gone to sleep" observable instead of a real-time guess.
+func (s *Scheduler) BlockUntilWaiters(n int) {
+	s.mu.Lock()
+	for s.waiters < n {
+		s.parked.Wait()
+	}
+	s.mu.Unlock()
+}
+
 // Sleep blocks the calling goroutine for d of virtual time. It must be
 // called from a goroutine other than the one stepping the scheduler.
 func (s *Scheduler) Sleep(d time.Duration) {
@@ -277,48 +306,71 @@ func (s *Scheduler) Sleep(d time.Duration) {
 		return
 	}
 	ch := make(chan struct{})
-	s.AfterFunc(d, func() { close(ch) })
+	s.mu.Lock()
+	s.parkLocked(d, func() { s.unpark(); close(ch) })
+	s.mu.Unlock()
 	<-ch
-}
-
-// After returns a channel delivering the virtual time once d has elapsed.
-func (s *Scheduler) After(d time.Duration) <-chan time.Time {
-	return s.NewTimer(d).C()
 }
 
 // NewTimer returns an armed Timer that fires in virtual time. Safe for use
 // from daemon goroutines while the simulation goroutine steps.
 func (s *Scheduler) NewTimer(d time.Duration) Timer {
 	t := &schedTimer{s: s, ch: make(chan time.Time, 1)}
-	t.arm(d)
+	t.mu.Lock()
+	t.armLocked(d)
+	t.mu.Unlock()
 	return t
 }
 
+// schedTimer is a Clock timer on a Scheduler. Lock order: t.mu, then s.mu.
 type schedTimer struct {
 	s  *Scheduler
 	ch chan time.Time
 
 	mu sync.Mutex
-	ev *Event
+	ev *Event // the current arming; nil when stopped or fired
 }
 
-func (t *schedTimer) arm(d time.Duration) {
+func (t *schedTimer) armLocked(d time.Duration) {
 	t.s.mu.Lock()
-	ev := t.s.atLocked(t.s.now.Add(d), t.fire)
-	t.s.mu.Unlock()
-	t.mu.Lock()
+	defer t.s.mu.Unlock()
+	if d <= 0 {
+		t.deliver(t.s.now)
+		return
+	}
+	var ev *Event
+	ev = t.s.parkLocked(d, func() { t.fire(ev) })
 	t.ev = ev
-	t.mu.Unlock()
 }
 
-func (t *schedTimer) fire() {
+// fire runs ev's delivery unless a Stop or Reset has replaced that arming
+// since Step popped it.
+func (t *schedTimer) fire(ev *Event) {
 	t.mu.Lock()
-	t.ev = nil
-	t.mu.Unlock()
-	select {
-	case t.ch <- t.s.Now():
-	default:
+	defer t.mu.Unlock()
+	if t.ev != ev {
+		return
 	}
+	t.ev = nil
+	t.s.unpark()
+	t.deliver(ev.at)
+}
+
+func (t *schedTimer) deliver(at time.Time) {
+	select {
+	case t.ch <- at:
+	default: // an undrained delivery already holds the slot
+	}
+}
+
+func (t *schedTimer) stopLocked() bool {
+	if t.ev == nil {
+		return false
+	}
+	t.ev.Cancel()
+	t.ev = nil
+	t.s.unpark()
+	return true
 }
 
 func (t *schedTimer) C() <-chan time.Time { return t.ch }
@@ -326,23 +378,14 @@ func (t *schedTimer) C() <-chan time.Time { return t.ch }
 func (t *schedTimer) Stop() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ev == nil {
-		return false
-	}
-	t.ev.Cancel()
-	t.ev = nil
-	return true
+	return t.stopLocked()
 }
 
 func (t *schedTimer) Reset(d time.Duration) bool {
 	t.mu.Lock()
-	active := t.ev != nil
-	if active {
-		t.ev.Cancel()
-		t.ev = nil
-	}
-	t.mu.Unlock()
-	t.arm(d)
+	defer t.mu.Unlock()
+	active := t.stopLocked()
+	t.armLocked(d)
 	return active
 }
 

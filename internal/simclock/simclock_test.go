@@ -136,14 +136,10 @@ func TestNextAtSkipsCancelled(t *testing.T) {
 }
 
 func TestManualClock(t *testing.T) {
-	m := NewManual(t0)
-	m.Advance(time.Minute)
-	if !m.Now().Equal(t0.Add(time.Minute)) {
-		t.Fatalf("manual clock = %v", m.Now())
-	}
-	m.Set(t0)
-	if !m.Now().Equal(t0) {
-		t.Fatalf("manual clock after Set = %v", m.Now())
+	s := NewScheduler(t0)
+	s.RunFor(time.Minute)
+	if !s.Now().Equal(t0.Add(time.Minute)) {
+		t.Fatalf("manual clock = %v", s.Now())
 	}
 }
 

@@ -69,7 +69,7 @@ func TestPeerlessServerIsMuteUntilFirstContact(t *testing.T) {
 		if at, ok := r.server.NextDeadline(); ok {
 			t.Fatalf("write %d: a peerless endpoint wants a tick at +%v", i, at.Sub(t0))
 		}
-		r.clk.Advance(20 * time.Millisecond)
+		r.clk.RunFor(20 * time.Millisecond)
 		r.server.Tick()
 	}
 	if w := r.server.WaitTime(); w != NoDeadline {
@@ -115,7 +115,7 @@ func TestPeerlessServerIsMuteUntilFirstContact(t *testing.T) {
 func TestFirstFrameKeepsFrameRateRule(t *testing.T) {
 	r := newBareRig(t)
 	r.write("banner", r.clk.Now())
-	r.clk.Advance(100 * time.Millisecond)
+	r.clk.RunFor(100 * time.Millisecond)
 	r.server.Receive(r.hello(), prepClientAddr)
 	if len(r.toClient) != 0 {
 		t.Fatalf("a frame left %v after state 0", r.clk.Now().Sub(t0))
@@ -146,7 +146,7 @@ func TestClientNeedsNoRemoteAddr(t *testing.T) {
 	if !ok {
 		t.Fatal("a client with a keystroke pending has no deadline")
 	}
-	r.clk.Set(at)
+	r.clk.RunUntil(at)
 	r.client.Tick()
 	if len(r.toServer) != 1 {
 		t.Fatalf("the keystroke left in %d datagrams, want 1", len(r.toServer))
@@ -163,7 +163,7 @@ func TestClientNeedsNoRemoteAddr(t *testing.T) {
 // under its restored counters.
 func TestResumedServerSpeaksOnlyWithAddressHint(t *testing.T) {
 	build := func(resume Resume) (*Transport[*countedLog, *countedLog], *[][]byte) {
-		clk := simclock.NewManual(t0)
+		clk := simclock.NewScheduler(t0)
 		sent := new([][]byte)
 		live := newCountedLog()
 		live.Append([]byte("restored screen"))
@@ -185,7 +185,7 @@ func TestResumedServerSpeaksOnlyWithAddressHint(t *testing.T) {
 			if !ok || !at.After(clk.Now()) {
 				at = clk.Now().Add(50 * time.Millisecond)
 			}
-			clk.Set(at)
+			clk.RunUntil(at)
 		}
 		return tr, sent
 	}
@@ -224,7 +224,7 @@ func TestQuietPeerIsStillAPeer(t *testing.T) {
 		if !ok {
 			t.Fatalf("no deadline +%v into the silence", r.clk.Now().Sub(quietFrom))
 		}
-		r.clk.Set(at)
+		r.clk.RunUntil(at)
 		r.server.Tick()
 	}
 	r.toClient = nil // the client hears none of it
@@ -233,7 +233,7 @@ func TestQuietPeerIsStillAPeer(t *testing.T) {
 		t.Fatalf("%d heartbeats in %v of silence, want about %d", heartbeats, r.clk.Now().Sub(quietFrom), want)
 	}
 	r.write("still here", r.clk.Now())
-	r.clk.Set(r.due())
+	r.clk.RunUntil(r.due())
 	r.server.Tick()
 	if got := r.stats().Instructions - before.Instructions; got != 1 || len(r.toClient) != 1 {
 		t.Fatalf("a new state for a quiet peer: %d instructions in %d datagrams, want 1 in 1", got, len(r.toClient))

@@ -10,12 +10,12 @@ import (
 	"repro/internal/sspcrypto"
 )
 
-// prepRig is a server and a client Transport on one Manual clock, wired back
+// prepRig is a server and a client Transport on one Scheduler, wired back
 // to back with the test playing network and event loop: datagrams wait in
 // toClient/toServer until the test delivers them.
 type prepRig struct {
 	t              *testing.T
-	clk            *simclock.Manual
+	clk            *simclock.Scheduler
 	server, client *Transport[*countedLog, *countedLog]
 	toClient       [][]byte
 	toServer       [][]byte
@@ -54,7 +54,7 @@ var (
 // never heard from its client.
 func newBareRig(t *testing.T) *prepRig {
 	t.Helper()
-	r := &prepRig{t: t, clk: simclock.NewManual(t0)}
+	r := &prepRig{t: t, clk: simclock.NewScheduler(t0)}
 	key := prepKey
 	var err error
 	r.server, err = New(Config[*countedLog, *countedLog]{
@@ -87,9 +87,9 @@ func newPrepRig(t *testing.T) *prepRig {
 		r.client.Tick()
 		r.server.Tick()
 		r.deliver()
-		r.clk.Advance(30 * time.Millisecond)
+		r.clk.RunFor(30 * time.Millisecond)
 	}
-	r.clk.Advance(500 * time.Millisecond)
+	r.clk.RunFor(500 * time.Millisecond)
 	r.server.Tick()
 	r.client.Tick()
 	r.deliver()
@@ -132,7 +132,7 @@ func (r *prepRig) due() time.Time {
 // delivers what it sent.
 func (r *prepRig) serveDeadline() {
 	r.t.Helper()
-	r.clk.Set(r.due())
+	r.clk.RunUntil(r.due())
 	r.server.Tick()
 	r.deliver()
 }
@@ -150,13 +150,13 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 		r := newPrepRig(t)
 		wrote := r.clk.Now()
 		r.server.CurrentState().Append([]byte("a"))
-		r.clk.Advance(700 * time.Microsecond) // the emulator at work
+		r.clk.RunFor(700 * time.Microsecond) // the emulator at work
 		r.server.TickChangedAt(wrote)
 		if got := r.due(); !got.Equal(wrote.Add(ci)) {
 			t.Fatalf("frame due +%v after the write, want +%v", got.Sub(wrote), ci)
 		}
 		// Not a tick sooner.
-		r.clk.Set(wrote.Add(ci - time.Nanosecond))
+		r.clk.RunUntil(wrote.Add(ci - time.Nanosecond))
 		r.server.Tick()
 		if len(r.toClient) != 0 {
 			t.Fatalf("a frame left %v after the write", r.clk.Now().Sub(wrote))
@@ -170,7 +170,7 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 	t.Run("a plain tick starts it when it notices", func(t *testing.T) {
 		r := newPrepRig(t)
 		r.server.CurrentState().Append([]byte("a"))
-		r.clk.Advance(700 * time.Microsecond)
+		r.clk.RunFor(700 * time.Microsecond)
 		noticed := r.clk.Now()
 		r.server.Tick()
 		if got := r.due(); !got.Equal(noticed.Add(ci)) {
@@ -181,7 +181,7 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 	t.Run("the hint lives for one tick", func(t *testing.T) {
 		r := newPrepRig(t)
 		r.server.TickChangedAt(r.clk.Now()) // announced, but nothing changed
-		r.clk.Advance(5 * time.Millisecond)
+		r.clk.RunFor(5 * time.Millisecond)
 		r.server.CurrentState().Append([]byte("a"))
 		noticed := r.clk.Now()
 		r.server.Tick()
@@ -194,7 +194,7 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 		r := newPrepRig(t)
 		first := r.clk.Now()
 		r.write("a", first)
-		r.clk.Advance(3 * time.Millisecond)
+		r.clk.RunFor(3 * time.Millisecond)
 		r.write("b", first.Add(-time.Second)) // older than the first write
 		r.write("c", r.clk.Now())             // newer
 		if got := r.due(); !got.Equal(first.Add(ci)) {
@@ -222,13 +222,13 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 		sent := r.clk.Now()
 		// A write announced as older than the frame just sent: its interval
 		// is long over, so only the frame-rate rule holds the next frame.
-		r.clk.Advance(time.Millisecond)
+		r.clk.RunFor(time.Millisecond)
 		r.write("b", sent.Add(-time.Second))
 		want := sent.Add(r.server.Sender().SendInterval())
 		if got := r.due(); !got.Equal(want) {
 			t.Fatalf("frame due +%v after the previous one, want the frame interval +%v", got.Sub(sent), want.Sub(sent))
 		}
-		r.clk.Set(want.Add(-time.Nanosecond))
+		r.clk.RunUntil(want.Add(-time.Nanosecond))
 		r.server.Tick()
 		if len(r.toClient) != 0 {
 			t.Fatal("a frame left inside the frame interval")
@@ -241,7 +241,7 @@ func TestIntervalCountsFromHostWrite(t *testing.T) {
 		r := newPrepRig(t)
 		r.write("a", r.clk.Now())
 		r.serveDeadline()
-		r.clk.Advance(time.Second) // past the frame interval
+		r.clk.RunFor(time.Second) // past the frame interval
 		r.server.CurrentState().Append([]byte("e"))
 		noticed := r.clk.Now()
 		r.server.Tick()
@@ -275,7 +275,7 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 		t.Fatalf("an unannounced change was built ahead: %+v", r.stats())
 	}
 	r.serveDeadline()
-	r.clk.Advance(time.Second)
+	r.clk.RunFor(time.Second)
 	r.client.Tick() // its acknowledgment, so that none is owed below
 	r.deliver()
 	clones, diffs = *live.clones, *live.diffs
@@ -283,7 +283,7 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 	r.write("hello", r.clk.Now())
 	for i := 0; i < 5; i++ {
 		r.server.Prepare(time.Time{})
-		r.clk.Advance(time.Millisecond)
+		r.clk.RunFor(time.Millisecond)
 		r.server.NextDeadline()
 	}
 	if got := r.stats().Prepared; got != 1 {
@@ -307,7 +307,7 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 	}
 
 	// A change the caller knows is coming before the deadline: not built.
-	r.clk.Advance(time.Second)
+	r.clk.RunFor(time.Second)
 	r.write("x", r.clk.Now())
 	r.server.Prepare(r.due())
 	if got := r.stats().Prepared; got != 1 {
@@ -340,7 +340,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 	discarded := func(t *testing.T, r *prepRig, want string) {
 		t.Helper()
 		for i := 0; i < 50 && string(r.clientGot) != want; i++ {
-			r.clk.Advance(5 * time.Millisecond)
+			r.clk.RunFor(5 * time.Millisecond)
 			r.server.Tick()
 			r.client.Tick()
 			r.deliver()
@@ -358,7 +358,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 
 	t.Run("a second announced write", func(t *testing.T) {
 		r := prepared(t)
-		r.clk.Advance(2 * time.Millisecond)
+		r.clk.RunFor(2 * time.Millisecond)
 		r.write("b", r.clk.Now())
 		if _, ok := r.server.Sender().PreparedState(); ok {
 			t.Fatal("the frame survived a second write")
@@ -392,11 +392,11 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		// (ThrowawayNum names the old baseline); its ack lands mid-interval.
 		r := newPrepRig(t)
 		r.write("a", r.clk.Now())
-		r.clk.Set(r.due())
+		r.clk.RunUntil(r.due())
 		r.server.Tick()
 		held := r.toClient
 		r.toClient = nil
-		r.clk.Advance(40 * time.Millisecond)
+		r.clk.RunFor(40 * time.Millisecond)
 		r.write("b", r.clk.Now())
 		r.server.Prepare(time.Time{})
 		if r.stats().Prepared != 1 {
@@ -405,7 +405,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		r.toClient = held
 		r.deliver() // the client acks "a"; the ack reaches the server
 		for i := 0; len(r.toServer) == 0 && i < 200; i++ {
-			r.clk.Advance(time.Millisecond)
+			r.clk.RunFor(time.Millisecond)
 			r.client.Tick()
 		}
 		r.deliver()
@@ -422,7 +422,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		r := prepared(t)
 		r.client.CurrentState().Append([]byte("k"))
 		r.client.Tick()
-		r.clk.Advance(time.Millisecond)
+		r.clk.RunFor(time.Millisecond)
 		r.client.Tick()
 		r.deliver() // AckNum moves under the prepared frame
 		r.serveDeadline()
@@ -436,12 +436,12 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		// the acknowledged baseline.
 		r := newPrepRig(t)
 		r.write("a", r.clk.Now())
-		r.clk.Set(r.due())
+		r.clk.RunUntil(r.due())
 		r.server.Tick()
 		r.toClient = nil // lost
 		s := r.server.sender
 		horizon := s.back().at.Add(s.conn.RTO() + s.timing.AckDelay)
-		r.clk.Set(horizon.Add(-time.Millisecond))
+		r.clk.RunUntil(horizon.Add(-time.Millisecond))
 		r.write("b", r.clk.Now())
 		if s.assumedIdx != 1 {
 			t.Fatalf("assumed state index %d, want the unacknowledged frame", s.assumedIdx)
@@ -450,7 +450,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		if r.stats().Prepared != 1 || s.prep.hdr.OldNum != 1 {
 			t.Fatalf("want a frame diffed from state 1: %+v %+v", r.stats(), s.prep)
 		}
-		r.clk.Set(r.due())
+		r.clk.RunUntil(r.due())
 		r.server.Tick()
 		if st := r.stats(); st.PreparedSent != 0 || st.Instructions != 2 {
 			t.Fatalf("want the deadline to mint its own frame: %+v", st)
@@ -463,7 +463,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		r := prepared(t)
 		snd := r.server.Sender()
 		snd.SetNumCeiling(snd.NumHighWater())
-		r.clk.Set(r.due())
+		r.clk.RunUntil(r.due())
 		r.server.Tick()
 		if st := r.stats(); st.Suppressed != 1 || st.PreparedSent != 0 || st.Instructions != 0 {
 			t.Fatalf("want the send suppressed: %+v", st)
@@ -477,7 +477,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		snd.SetNumCeiling(0)
 		r.server.NextDeadline()
 		r.server.Prepare(time.Time{})
-		r.clk.Advance(time.Millisecond)
+		r.clk.RunFor(time.Millisecond)
 		r.server.Tick()
 		r.deliver()
 		if st := r.stats(); st.Prepared != 2 || st.PreparedSent != 1 || string(r.clientGot) != "a" {
@@ -509,11 +509,11 @@ func TestFloodSwitchesPreparingOff(t *testing.T) {
 			r.write(b, r.clk.Now())
 			r.server.Prepare(time.Time{})
 			if i < writes-1 {
-				r.clk.Advance(2 * time.Millisecond)
+				r.clk.RunFor(2 * time.Millisecond)
 			}
 		}
 		r.serveDeadline()
-		r.clk.Advance(100 * time.Millisecond)
+		r.clk.RunFor(100 * time.Millisecond)
 		r.server.Tick()
 		r.client.Tick()
 		r.deliver()

@@ -39,7 +39,7 @@ func (s *recycleState) Recycle() {
 // history entries, and the scratch clone acknowledgment processing makes —
 // is recycled exactly once, and states still in the history never are.
 func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	recycled := 0
 	live := &recycleState{logState: &logState{}, recycled: &recycled}
 	s := newSender[*recycleState](nil, clk, DefaultTiming(), live)
@@ -48,7 +48,7 @@ func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 	for i := byte(0); i < 5; i++ {
 		live.data = append(live.data, 'a'+i)
 		s.addSentState(clk.Now(), uint64(i)+1)
-		clk.Advance(10 * time.Millisecond)
+		clk.RunFor(10 * time.Millisecond)
 	}
 	if got := s.SentStateCount(); got != 6 {
 		t.Fatalf("history = %d states, want 6", got)
@@ -83,7 +83,7 @@ func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 		live.data = append(live.data, 'z')
 		s.addSentState(clk.Now(), num)
 		num++
-		clk.Advance(time.Millisecond)
+		clk.RunFor(time.Millisecond)
 	}
 	overflowed := s.SentStateCount() // stays capped
 	if overflowed > maxSentStates {
@@ -105,7 +105,7 @@ func TestSenderRecyclesRetiredSnapshots(t *testing.T) {
 // assumed receiver state — the base the caller's diff was computed
 // against — must survive with assumedIdx still naming it.
 func TestCullNeverDropsAssumedReceiverState(t *testing.T) {
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	recycled := 0
 	live := &recycleState{logState: &logState{}, recycled: &recycled}
 	s := newSender[*recycleState](nil, clk, DefaultTiming(), live)

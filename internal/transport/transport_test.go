@@ -447,7 +447,7 @@ func TestSendPathAllocationFreeWhenRecycled(t *testing.T) {
 	// With RecycleWire (Emit consumes before returning), the steady-state
 	// heartbeat path — marshal, encode, fragment, seal — must not allocate:
 	// every buffer is pooled through the fragmenter and AppendPacket.
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	tr, err := New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
 		Key:           sspcrypto.Key{1},
@@ -463,12 +463,12 @@ func TestSendPathAllocationFreeWhenRecycled(t *testing.T) {
 	timing := DefaultTiming()
 	// Warm up the pools with a few sends.
 	for i := 0; i < 4; i++ {
-		clk.Advance(timing.HeartbeatInterval + time.Millisecond)
+		clk.RunFor(timing.HeartbeatInterval + time.Millisecond)
 		tr.Tick()
 	}
 	sent := tr.Sender().Stats().EmptyAcks
 	allocs := testing.AllocsPerRun(200, func() {
-		clk.Advance(timing.HeartbeatInterval + time.Millisecond)
+		clk.RunFor(timing.HeartbeatInterval + time.Millisecond)
 		tr.Tick()
 	})
 	if got := tr.Sender().Stats().EmptyAcks; got <= sent {
@@ -483,7 +483,7 @@ func TestDataSendPathAllocationsBounded(t *testing.T) {
 	// The data path additionally clones the local object into the sent
 	// history (inherent to SSP); everything else is pooled, so the per-send
 	// allocation count must stay small and flat.
-	clk := simclock.NewManual(t0)
+	clk := simclock.NewScheduler(t0)
 	tr, err := New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
 		Key:           sspcrypto.Key{1},
@@ -499,13 +499,13 @@ func TestDataSendPathAllocationsBounded(t *testing.T) {
 	timing := DefaultTiming()
 	for i := 0; i < 4; i++ {
 		tr.CurrentState().Append([]byte("x"))
-		clk.Advance(timing.SendIntervalMax + timing.CollectionInterval)
+		clk.RunFor(timing.SendIntervalMax + timing.CollectionInterval)
 		tr.Tick()
 	}
 	sent := tr.Sender().Stats().Instructions
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.CurrentState().Append([]byte("x"))
-		clk.Advance(timing.SendIntervalMax + timing.CollectionInterval)
+		clk.RunFor(timing.SendIntervalMax + timing.CollectionInterval)
 		tr.Tick()
 	})
 	if got := tr.Sender().Stats().Instructions; got <= sent {
