@@ -396,8 +396,9 @@ func TestPreparedFrameSkipsPendingEchoAck(t *testing.T) {
 
 // TestPreparedRepaintAllocFree: a full 162x64 repaint built ahead and sent
 // on its deadline allocates nothing once warm — the snapshot comes off the
-// free list, the diff and the deflated payload reuse the sender's buffers,
-// and there is no second payload buffer to fill. (Interpreting the repaint
+// free list, the diff and the deflated payload are built in a scratch the
+// process-wide pool lends the frame until it is sent, and there is no second
+// payload buffer to fill. (Interpreting the repaint
 // allocates the rows it rewrites, and the client's side is the client's:
 // neither is inside the measurement.)
 func TestPreparedRepaintAllocFree(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/overlay"
@@ -25,6 +26,141 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// pumpedWorld is a daemon and one client per session, pumped by hand on a
+// Scheduler used only as a clock: no events and no emulated network, and
+// every datagram is delivered in the millisecond it was sent.
+type pumpedWorld struct {
+	t       *testing.T
+	clock   *simclock.Scheduler
+	d       *sessiond.Daemon
+	sess    []*sessiond.Session
+	clients []*core.Client
+	up      []pumpedDgram // to the daemon
+	down    []pumpedDgram // to the clients
+}
+
+type pumpedDgram struct {
+	peer int // client index, and its address's Host
+	wire []byte
+}
+
+var pumpedDaemonAddr = netem.Addr{Host: 9999, Port: 60001}
+
+// newPumpedWorld starts a daemon on cfg (its clock, idle timeout and Send
+// are the world's) with the given number of sessions and clients.
+func newPumpedWorld(t *testing.T, cfg sessiond.Config, sessions int) *pumpedWorld {
+	t.Helper()
+	w := &pumpedWorld{t: t, clock: simclock.NewScheduler(epoch)}
+	cfg.Clock, cfg.IdleTimeout = w.clock, -1
+	cfg.Send = func(dst netem.Addr, wire []byte) {
+		w.down = append(w.down, pumpedDgram{int(dst.Host), bytes.Clone(wire)})
+	}
+	var err error
+	if w.d, err = sessiond.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.d.Close)
+	for i := 0; i < sessions; i++ {
+		s, err := w.d.OpenSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := core.NewClient(core.ClientConfig{
+			Key: s.Key(), Clock: w.clock, Envelope: &network.Envelope{ID: s.ID}, Predictions: overlay.Never,
+			Emit: func(wire []byte) { w.up = append(w.up, pumpedDgram{i, bytes.Clone(wire)}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.sess, w.clients = append(w.sess, s), append(w.clients, cl)
+	}
+	return w
+}
+
+// run steps the world ms milliseconds.
+func (w *pumpedWorld) run(ms int) {
+	for ; ms > 0; ms-- {
+		for _, cl := range w.clients {
+			cl.Tick()
+		}
+		for _, g := range w.up {
+			w.d.HandlePacket(g.wire, netem.Addr{Host: uint32(g.peer), Port: 1000})
+		}
+		w.up = w.up[:0]
+		w.d.TickDue()
+		for _, g := range w.down {
+			w.clients[g.peer].Receive(g.wire, pumpedDaemonAddr)
+		}
+		w.down = w.down[:0]
+		w.clock.RunFor(time.Millisecond)
+	}
+}
+
+// await steps the world until done reports true, for at most 10 s.
+func (w *pumpedWorld) await(what string, done func() bool) {
+	w.t.Helper()
+	for ms := 0; !done(); ms++ {
+		if ms > 10000 {
+			w.t.Fatalf("%s: not within 10 s", what)
+		}
+		w.run(1)
+	}
+}
+
+// shows reports whether client i's copy of the screen has s on some row.
+func (w *pumpedWorld) shows(i int, s string) bool {
+	fb := w.clients[i].ServerState()
+	for y := 0; y < fb.H; y++ {
+		if strings.Contains(fb.Text(y), s) {
+			return true
+		}
+	}
+	return false
+}
+
+// bigWriteApp answers the keystroke "w", after a think time, with one host
+// write of 100 KB that changes one row of the screen, and every other
+// keystroke with nothing.
+type bigWriteApp struct{}
+
+func (bigWriteApp) Start() []byte { return nil }
+func (bigWriteApp) Input(data []byte) ([]byte, time.Duration) {
+	if string(data) != "w" {
+		return nil, 0
+	}
+	out := make([]byte, 0, 100<<10)
+	for len(out) < cap(out)-len("written") {
+		out = append(out, '\r')
+	}
+	return append(out, "written"...), 50 * time.Millisecond
+}
+
+// TestFlushedHostWriteIsNotRetained: a host write waits in its session's
+// queue of pending output until it is due, and once it has been written to
+// the terminal nothing may keep it. The queue used to be compacted by
+// copying the rest down, which left the written slot past the new length
+// still pointing at the write until a later one overwrote it: one host write
+// per session, 100 KB here, held for as long as the session was quiet.
+func TestFlushedHostWriteIsNotRetained(t *testing.T) {
+	w := newPumpedWorld(t, sessiond.Config{Width: 80, Height: 24, NewApp: func(uint64) host.App { return bigWriteApp{} }}, 1)
+	w.clients[0].UserBytes([]byte("x")) // the server learns the client's address
+	w.run(500)
+	w.clients[0].UserBytes([]byte("w"))
+	w.run(20) // the keystroke is in, and its response waits out the think time
+	queued := liveHeap()
+	w.await("the write is shown", func() bool { return w.shows(0, "written") })
+	w.await("the frame is acknowledged", func() bool {
+		var retained int
+		w.sess[0].Do(func(srv *core.Server) { retained = srv.Transport().Sender().SentStateCount() })
+		return retained == 1
+	})
+	drop := queued - liveHeap()
+	t.Logf("written and acknowledged: the heap dropped by %d B", drop)
+	if drop < 90<<10 {
+		t.Errorf("a written and acknowledged 100 KB host write freed only %d B of heap, want >= 90 KiB", drop)
+	}
 }
 
 // fullRepaint is host output that rewrites every cell of a cols x rows screen
@@ -46,9 +182,10 @@ func fullRepaint(session, round, cols, rows int) []byte {
 // acknowledgments are for: once the client has acknowledged a state, the
 // server forgets everything older (§2.3), so a quiescent session's resident
 // memory is its live screen — not that plus the dead snapshots on a free
-// list, plus whatever an intern table decided to keep. 32 sessions at
-// 162x64 each repaint their whole screen 20 times, every repaint
-// acknowledged by a real client. Then five more go unacknowledged, and the
+// list, plus whatever an intern table decided to keep, plus the scratch its
+// largest frame was built in. 32 sessions at 162x64 each repaint their whole
+// screen 20 times, every repaint acknowledged by a real client. Then five
+// more go unacknowledged, and the
 // resident gauge must grow by what the heap grows by: the snapshots a
 // sender retains are exactly what it used not to see. Finally everything
 // is acknowledged again and the clients are dropped: what the heap has
@@ -196,15 +333,17 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 	perSession := (liveHeap() - before) / sessions
 	t.Logf("quiescent: a session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
 		perSession, float64(perSession)/float64(screen), screen, gauge)
-	// One screen, its rows rounded up to their size class, and what is
-	// not cells: the transport's warm scratch for full-screen frames (diff,
-	// instruction and fragment buffers, ~70 KiB here and not this test's
-	// subject), the session itself, and a 32nd of the process-wide intern
-	// table's bookkeeping, which depends on what ran before — 110 to 140 KiB
-	// in all. A second screen (a dead snapshot, a row the table kept, a
-	// fatter cell) is another 130 KiB and does not fit.
-	if limit := screen*13/10 + 128<<10; perSession > limit {
-		t.Errorf("a quiescent session holds %d B of heap = %.2f screens, want <= 1.3 screens + 128 KiB = %d B",
+	// One screen, its rows rounded up to their size class, and what is not
+	// cells: the session itself (its transport, emulator, journal slot and
+	// the acknowledged snapshot's shell) and a 32nd of the process-wide
+	// bookkeeping, about 30 KiB in all. Nothing is sized by a frame: the
+	// diff, instruction, fragment and scroll-detection scratch of a
+	// full-screen frame is lent per call and went back to the pool, where a
+	// collection frees it (held per session, it was another 65 KiB). A second
+	// screen (a dead snapshot, a fatter cell) is another 120 KiB and does not
+	// fit.
+	if limit := screen*13/10 + 32<<10; perSession > limit {
+		t.Errorf("a quiescent session holds %d B of heap = %.2f screens, want <= 1.3 screens + 32 KiB = %d B",
 			perSession, float64(perSession)/float64(screen), limit)
 	}
 	if gauge < screen*9/10 || gauge > screen*11/10 {
@@ -258,8 +397,8 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	t.Logf("an unconnected session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
 		held, float64(held)/float64(screen), screen, gauge)
 	// TestSessionHoldsOneScreen's bound for a quiescent connected session.
-	if limit := screen*13/10 + 128<<10; held > limit {
-		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1.3 screens + 128 KiB = %d B",
+	if limit := screen*13/10 + 32<<10; held > limit {
+		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1.3 screens + 32 KiB = %d B",
 			held, float64(held)/float64(screen), limit)
 	}
 	if gauge < screen*9/10 || gauge > screen*11/10 {

@@ -34,6 +34,7 @@ package sessiond
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -741,7 +742,9 @@ func (s *Session) flushHostOutputLocked(now time.Time) bool {
 		n++
 	}
 	if n > 0 {
-		s.pendingOut = append(s.pendingOut[:0], s.pendingOut[n:]...)
+		// Delete clears the vacated tail: a slot past the new length must not
+		// keep a written response's bytes alive until a later one lands there.
+		s.pendingOut = slices.Delete(s.pendingOut, 0, n)
 		// Applied host output changed the screen and the pending-output
 		// queue — both journaled state.
 		s.markDirty()

@@ -2,6 +2,7 @@ package statesync
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"repro/internal/terminal"
 )
@@ -14,11 +15,6 @@ import (
 // flooded terminal (paper §1, §2.3).
 type Complete struct {
 	emu *terminal.Emulator
-	// fw holds the diff renderer's reusable scratch (scroll-detection
-	// tables, blank baseline row). It is per-Complete, not cloned: the
-	// sender diffs from its live object, so the scratch warms up there
-	// and every subsequent frame renders without heap allocations.
-	fw terminal.FrameWriter
 	// pool is the snapshot free list shared by this Complete and every
 	// clone derived from it (lazily created on first Clone). The transport
 	// recycles retired snapshots (transport.Recycler), Clone reuses their
@@ -159,16 +155,25 @@ func (c *Complete) DiffFrom(src *Complete) []byte {
 	return c.AppendDiff(nil, src)
 }
 
+// frameWriters lends the diff renderer's scratch (the scroll-detection
+// tables) to one AppendDiff at a time. It is the process's, not a session's:
+// a writer's tables are sized by the screen it last rendered, and the frame
+// it renders next does not depend on which one that was.
+var frameWriters = sync.Pool{New: func() any { return new(terminal.FrameWriter) }}
+
 // AppendDiff implements transport.State: it appends the wire diff to buf
-// and returns the extended buffer. With a reused buffer this path performs
-// no heap allocations in steady state.
+// and returns the extended buffer. With a reused buffer and a warm writer
+// pool this path performs no heap allocations in steady state.
 func (c *Complete) AppendDiff(buf []byte, src *Complete) []byte {
 	fb, sfb := c.emu.Framebuffer(), src.emu.Framebuffer()
 	sameSize := fb.W == sfb.W && fb.H == sfb.H
 	buf = binary.AppendUvarint(buf, uint64(fb.W))
 	buf = binary.AppendUvarint(buf, uint64(fb.H))
 	buf = binary.AppendUvarint(buf, fb.EchoAck)
-	return c.fw.AppendFrame(buf, sameSize, sfb, fb)
+	fw := frameWriters.Get().(*terminal.FrameWriter)
+	buf = fw.AppendFrame(buf, sameSize, sfb, fb)
+	frameWriters.Put(fw)
+	return buf
 }
 
 // Apply implements transport.State.
@@ -178,24 +183,18 @@ func (c *Complete) Apply(diff []byte) error {
 	}
 	screenApplies.Add(1)
 	screenApplyBytes.Add(int64(len(diff)))
-	w, n := binary.Uvarint(diff)
-	if n <= 0 {
+	w, h, diff, ok := decodeDims(diff)
+	if !ok {
 		return ErrBadDiff
 	}
-	diff = diff[n:]
-	h, n := binary.Uvarint(diff)
-	if n <= 0 {
-		return ErrBadDiff
-	}
-	diff = diff[n:]
 	echoAck, n := binary.Uvarint(diff)
 	if n <= 0 {
 		return ErrBadDiff
 	}
 	diff = diff[n:]
 	fb := c.emu.Framebuffer()
-	if int(w) != fb.W || int(h) != fb.H {
-		c.emu.Resize(int(w), int(h))
+	if w != fb.W || h != fb.H {
+		c.emu.Resize(w, h)
 	}
 	c.emu.Write(diff)
 	c.emu.Framebuffer().EchoAck = echoAck

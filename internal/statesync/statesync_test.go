@@ -2,9 +2,13 @@ package statesync
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/terminal"
 )
 
 func TestUserStreamDiffApply(t *testing.T) {
@@ -101,6 +105,49 @@ func TestUserStreamBadDiffs(t *testing.T) {
 	} {
 		if err := u.Clone().Apply(d); err == nil {
 			t.Fatalf("accepted bad diff %v", d)
+		}
+	}
+}
+
+// TestUserStreamResizeBounds: a resize event's width and height are the
+// peer's to choose, and each must make a screen a journal snapshot can
+// restore, in [1, terminal.MaxDim]. Anything else is a malformed diff,
+// refused where it is decoded, before a screen is sized by it.
+func TestUserStreamResizeBounds(t *testing.T) {
+	for _, c := range []struct {
+		w, h int
+		ok   bool
+	}{
+		{80, 24, true}, {1, 1, true}, {terminal.MaxDim, terminal.MaxDim, true},
+		{5000, 3, false}, {80, 1 << 50, false}, {terminal.MaxDim + 1, 24, false}, {0, 24, false}, {80, 0, false},
+	} {
+		src := NewUserStream()
+		src.PushResize(c.w, c.h)
+		dst := NewUserStream()
+		err := dst.Apply(src.DiffFrom(dst))
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadDiff)) {
+			t.Errorf("resize %dx%d: err = %v, want accepted = %v", c.w, c.h, err, c.ok)
+		}
+	}
+}
+
+// TestCompleteApplyRejectsHostileSize is the same bound on the client: a
+// frame's header names the screen's width and height, and the client resized
+// its copy to whatever arrived — 80 x 2^50 from a hostile or broken server
+// panicked in makeslice. Now the frame is malformed and the screen is left as
+// it was.
+func TestCompleteApplyRejectsHostileSize(t *testing.T) {
+	for _, dims := range [][2]uint64{{80, 1 << 50}, {5000, 3}, {0, 24}} {
+		diff := binary.AppendUvarint(nil, dims[0])
+		diff = binary.AppendUvarint(diff, dims[1])
+		diff = binary.AppendUvarint(diff, 0) // the echo ack
+		diff = append(diff, "hello"...)
+		c := NewComplete(80, 24)
+		if err := c.Apply(diff); !errors.Is(err, ErrBadDiff) {
+			t.Errorf("a frame for a %dx%d screen: err = %v, want ErrBadDiff", dims[0], dims[1], err)
+		}
+		if fb := c.Framebuffer(); fb.W != 80 || fb.H != 24 || strings.TrimSpace(fb.Text(0)) != "" {
+			t.Errorf("a refused %dx%d frame left a %dx%d screen reading %q", dims[0], dims[1], fb.W, fb.H, fb.Text(0))
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/terminal"
 )
 
 // EventType distinguishes user-stream events.
@@ -262,17 +264,12 @@ func (u *UserStream) applyEvents(start uint64, diff []byte) error {
 			}
 			diff = diff[n+int(l):]
 		case EventResize:
-			w, n := binary.Uvarint(diff)
-			if n <= 0 {
+			w, h, rest, ok := decodeDims(diff)
+			if !ok {
 				return ErrBadDiff
 			}
-			diff = diff[n:]
-			h, n2 := binary.Uvarint(diff)
-			if n2 <= 0 {
-				return ErrBadDiff
-			}
-			diff = diff[n2:]
-			ev = Event{Type: EventResize, W: int(w), H: int(h)}
+			diff = rest
+			ev = Event{Type: EventResize, W: w, H: h}
 		default:
 			return fmt.Errorf("%w: unknown event type %d", ErrBadDiff, t)
 		}
@@ -284,6 +281,23 @@ func (u *UserStream) applyEvents(start uint64, diff []byte) error {
 		return ErrBadDiff
 	}
 	return nil
+}
+
+// decodeDims reads a screen's width and height, two uvarints, from the front
+// of diff and returns them with the rest of it. ok is false — the diff is
+// malformed — unless both are in [1, terminal.MaxDim]: a peer's dimensions
+// are bounded where they are decoded, so no screen is ever sized by one the
+// journal could not restore (or by one no allocation can satisfy).
+func decodeDims(diff []byte) (w, h int, rest []byte, ok bool) {
+	var dims [2]int
+	for i := range dims {
+		v, n := binary.Uvarint(diff)
+		if n <= 0 || v < 1 || v > terminal.MaxDim {
+			return 0, 0, nil, false
+		}
+		dims[i], diff = int(v), diff[n:]
+	}
+	return dims[0], dims[1], diff, true
 }
 
 // Subtract implements transport.State: drops the shared prefix with other,

@@ -6,9 +6,13 @@ import (
 )
 
 // TestCompleteAppendDiffZeroAlloc guards the statesync layer's steady-state
-// diff path: with the Complete's own warm FrameWriter and a reused output
-// buffer, producing the wire diff (header + ANSI frame) allocates nothing.
+// diff path: with a warm FrameWriter from the process-wide pool and a reused
+// output buffer, producing the wire diff (header + ANSI frame) allocates
+// nothing.
 func TestCompleteAppendDiffZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race; CI runs this guard without it")
+	}
 	cur := NewComplete(80, 24)
 	for i := 0; i < 23; i++ {
 		cur.Terminal().WriteString(fmt.Sprintf("line %d of steady-state screen\r\n", i))

@@ -28,11 +28,11 @@ func (f *Framebuffer) ApplyMetaSnapshot(data []byte) ([]byte, error) {
 	if !ok || ver != snapshotVersion {
 		return nil, ErrBadSnapshot
 	}
-	w, ok := r.BoundedUvarint(snapMaxDim)
+	w, ok := r.BoundedUvarint(MaxDim)
 	if !ok || int(w) != f.W {
 		return nil, ErrBadSnapshot
 	}
-	h, ok := r.BoundedUvarint(snapMaxDim)
+	h, ok := r.BoundedUvarint(MaxDim)
 	if !ok || int(h) != f.H {
 		return nil, ErrBadSnapshot
 	}

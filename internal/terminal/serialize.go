@@ -32,10 +32,15 @@ const snapshotVersion = 1
 // framebuffer serialization.
 var ErrBadSnapshot = errors.New("terminal: malformed framebuffer snapshot")
 
+// MaxDim is the most columns or rows a screen may have: what a snapshot
+// decodes, so a screen inside it is one a journal can restore. A width or
+// height from the wire is checked against it (and against 1) where it is
+// decoded, before anything is sized by it.
+const MaxDim = 1 << 12
+
 // Defensive bounds on decode: anything beyond these is corruption, not a
 // screen this codebase can produce.
 const (
-	snapMaxDim         = 1 << 12 // columns or rows
 	snapMaxTitle       = 1 << 13
 	snapMaxScrollback  = 1 << 16
 	snapMaxContent     = 1 << 9 // bytes per cell grapheme
@@ -312,11 +317,11 @@ func DecodeSnapshot(data []byte) (*Framebuffer, []byte, error) {
 	if !ok || ver != snapshotVersion {
 		return fail()
 	}
-	w, ok := r.BoundedUvarint(snapMaxDim)
+	w, ok := r.BoundedUvarint(MaxDim)
 	if !ok || w < 1 {
 		return fail()
 	}
-	h, ok := r.BoundedUvarint(snapMaxDim)
+	h, ok := r.BoundedUvarint(MaxDim)
 	if !ok || h < 1 {
 		return fail()
 	}
@@ -384,7 +389,7 @@ func decodeSnapshotMeta(r *binio.Reader, f *Framebuffer) bool {
 		&ds.SavedCursorRow, &ds.SavedCursorCol,
 	}
 	for _, dst := range coords {
-		v, ok := r.BoundedUvarint(snapMaxDim)
+		v, ok := r.BoundedUvarint(MaxDim)
 		if !ok {
 			return false
 		}

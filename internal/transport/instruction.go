@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -92,8 +93,9 @@ const (
 )
 
 // encodeInstruction marshals and, when profitable, compresses, into a
-// fresh buffer. The sender's hot path goes through fragmenter.encode,
-// which reuses scratch buffers instead.
+// buffer the caller keeps: the scratch it is encoded in is never given back.
+// The sender's hot path goes through a fragmenter, which returns its scratch
+// to the pool once the instruction is on the wire.
 func encodeInstruction(inst *Instruction) []byte {
 	var fr fragmenter
 	return fr.encode(inst)
@@ -102,7 +104,9 @@ func encodeInstruction(inst *Instruction) []byte {
 // Deflate and inflate state belongs to the process, not to a session: a
 // zlib.Writer is ≈ 1.2 MB, an endpoint needs one only while it encodes one
 // instruction, and Reset makes a borrowed one indistinguishable from a
-// fresh one — the bytes on the wire do not depend on who used it last.
+// fresh one — the bytes on the wire do not depend on who used it last. The
+// frame-sized buffers an instruction is built or rebuilt in are lent the
+// same way (scratch).
 
 // deflater is a pooled zlib.Writer that deflates into out, which encode
 // lends it for one instruction (the writer never points into a session).
@@ -132,9 +136,10 @@ type inflater struct {
 
 var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
-// inflate decompresses z into dst (reset first). A stream that inflates
-// past maxDecompressed is an error, never a truncated instruction.
-func inflate(dst *bytes.Buffer, z []byte) error {
+// inflate decompresses z into dst's storage. A stream that inflates past
+// maxDecompressed is an error, never a truncated instruction.
+func inflate(dst, z []byte) ([]byte, error) {
+	dst = dst[:0]
 	in := inflaters.Get().(*inflater)
 	defer inflaters.Put(in)
 	in.src.Reset(z)
@@ -146,21 +151,83 @@ func inflate(dst *bytes.Buffer, z []byte) error {
 		err = in.zr.(zlib.Resetter).Reset(&in.src, nil)
 	}
 	if err != nil {
-		return err
+		return dst, err
 	}
-	dst.Reset()
 	in.lim = io.LimitedReader{R: in.zr, N: maxDecompressed + 1}
-	if _, err := dst.ReadFrom(&in.lim); err != nil {
-		return err
+	for {
+		dst = slices.Grow(dst, bytes.MinRead)
+		n, err := in.lim.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, err
+		}
 	}
-	if dst.Len() > maxDecompressed {
-		return errors.New("inflates past the limit")
+	if len(dst) > maxDecompressed {
+		return dst, errors.New("inflates past the limit")
 	}
-	return nil
+	return dst, nil
+}
+
+// scratch is the frame-sized working memory of one instruction on its way
+// to or from the wire. It belongs to a call, not to an endpoint: a fragmenter
+// or an assembly borrows one from the process-wide pool when a call first
+// needs it and gives it back before the call returns, so a session between
+// sweeps holds none, and the scratch in use scales with frames in flight,
+// not with sessions. The one exception is a frame prepared ahead of its
+// deadline, whose payload waits in its scratch until it is sent or
+// discarded. Like the deflate state, a borrowed scratch carries nothing from
+// its last user into the bytes on the wire: every buffer is truncated before
+// it is written.
+type scratch struct {
+	diff []byte // the local object's diff (sender)
+	// raw is the marshalled instruction: what encode deflates, or what a
+	// received payload inflates to.
+	raw []byte
+	// enc is the encoded payload, a flag and then raw or deflated bytes: what
+	// the sender splits, or what the receiver joins from fragments.
+	enc   []byte
+	frags []fragment // the payload's fragments, their contents in enc
+	out   []byte     // one marshalled fragment, on its way to the seal
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxRetainedScratch is the most a scratch may hold and still go back to the
+// pool; screen frames are far smaller, and one hostile instruction inflating
+// to maxDecompressed is left to the collector instead of parked for the next
+// borrower.
+const maxRetainedScratch = 1 << 20
+
+// lease is the scratch a fragmenter or an assembly has borrowed for the call
+// in progress; lent is nil between calls.
+type lease struct {
+	lent *scratch
+}
+
+// borrow returns the leased scratch, taking one from the pool if none is.
+func (l *lease) borrow() *scratch {
+	if l.lent == nil {
+		l.lent = scratches.Get().(*scratch)
+	}
+	return l.lent
+}
+
+// release gives the scratch back to the pool; what was built in it is dead
+// after.
+func (l *lease) release() {
+	if sc := l.lent; sc != nil {
+		if cap(sc.diff)+cap(sc.raw)+cap(sc.enc)+cap(sc.out) <= maxRetainedScratch {
+			scratches.Put(sc)
+		}
+		l.lent = nil
+	}
 }
 
 // decodeInstruction reverses encodeInstruction into fresh buffers. The
-// receive path goes through assembly.decode, which reuses its own.
+// receive path goes through assembly.decode, which borrows a scratch.
 func decodeInstruction(buf []byte) (*Instruction, error) {
 	var a assembly
 	return a.decode(buf)
@@ -217,56 +284,61 @@ func unmarshalFragment(b []byte) (*fragment, error) {
 	}, nil
 }
 
-// fragmenter splits instructions for transmission. Its scratch buffers are
-// reused across calls: fragments returned by makeFragments (and their
-// contents) are valid only until the next call, which is all the sender
-// needs — each instruction's fragments are sealed and emitted before the
-// next instruction exists.
+// fragmenter numbers and splits instructions for transmission, in a scratch
+// it holds only while a call uses it: fragments returned by makeFragments
+// (and their contents) are valid until the next call or release, which is
+// all the sender needs — each instruction's fragments are sealed and emitted
+// before the next instruction exists.
 type fragmenter struct {
 	nextID uint64
-
-	rawBuf    []byte     // marshalled instruction scratch
-	encBuf    []byte     // encoded (flag + raw/deflate) payload scratch
-	fragStore []fragment // fragment structs, reused
-	fragPtrs  []*fragment
-
-	// prepared marks encBuf as holding an instruction encoded ahead of its
-	// send (prepare); any later encode overwrites it, so there is never a
-	// second payload buffer.
+	lease
+	// prepared marks the leased scratch as holding an instruction encoded
+	// ahead of its send (prepare), which keeps it past release; any later
+	// encode overwrites it, so there is never a second payload buffer.
 	prepared bool
 }
 
-// encode marshals and, when profitable, compresses the instruction into
-// the fragmenter's reusable scratch. The returned slice aliases encBuf.
+// release gives the scratch back unless a prepared payload waits in it. What
+// the fragmenter returned since it was borrowed is dead after.
+func (fr *fragmenter) release() {
+	if !fr.prepared {
+		fr.lease.release()
+	}
+}
+
+// encode marshals and, when profitable, compresses the instruction into the
+// fragmenter's scratch. The returned slice aliases it.
 func (fr *fragmenter) encode(inst *Instruction) []byte {
 	fr.prepared = false
-	fr.rawBuf = inst.appendMarshal(fr.rawBuf[:0])
-	raw := fr.rawBuf
+	sc := fr.borrow()
+	sc.raw = inst.appendMarshal(sc.raw[:0])
+	raw := sc.raw
 	if len(raw) >= compressThreshold {
 		d := deflaters.Get().(*deflater)
-		d.out = append(fr.encBuf[:0], encodingZlib)
+		d.out = append(sc.enc[:0], encodingZlib)
 		d.zw.Reset(d)
 		d.zw.Write(raw) // deflater.Write cannot fail
 		d.zw.Close()
-		fr.encBuf, d.out = d.out, nil
+		sc.enc, d.out = d.out, nil
 		deflaters.Put(d)
-		if len(fr.encBuf) < len(raw)+1 {
-			return fr.encBuf
+		if len(sc.enc) < len(raw)+1 {
+			return sc.enc
 		}
 	}
-	fr.encBuf = append(append(fr.encBuf[:0], encodingRaw), raw...)
-	return fr.encBuf
+	sc.enc = append(append(sc.enc[:0], encodingRaw), raw...)
+	return sc.enc
 }
 
 // makeFragments splits the marshalled instruction into fragments whose
 // contents are at most mtu bytes each. The result aliases the fragmenter's
 // scratch and is invalidated by the next call.
-func (fr *fragmenter) makeFragments(inst *Instruction, mtu int) []*fragment {
+func (fr *fragmenter) makeFragments(inst *Instruction, mtu int) []fragment {
 	return fr.split(fr.encode(inst), mtu)
 }
 
 // prepare encodes inst now for a send that comes later: the payload waits in
-// encBuf, marked, until preparedFragments claims it.
+// the scratch, marked, until preparedFragments claims it or unprepare drops
+// it.
 func (fr *fragmenter) prepare(inst *Instruction) {
 	fr.encode(inst)
 	fr.prepared = true
@@ -274,26 +346,27 @@ func (fr *fragmenter) prepare(inst *Instruction) {
 
 // preparedFragments is makeFragments for the instruction prepare encoded.
 // The caller has checked that it is still there (prepared).
-func (fr *fragmenter) preparedFragments(mtu int) []*fragment {
+func (fr *fragmenter) preparedFragments(mtu int) []fragment {
 	fr.prepared = false
-	return fr.split(fr.encBuf, mtu)
+	return fr.split(fr.lent.enc, mtu)
 }
 
 // split numbers an encoded payload's fragments under the next instruction
 // id.
-func (fr *fragmenter) split(payload []byte, mtu int) []*fragment {
+func (fr *fragmenter) split(payload []byte, mtu int) []fragment {
 	if mtu < 1 {
 		mtu = 1
 	}
 	id := fr.nextID
 	fr.nextID++
-	fr.fragStore = fr.fragStore[:0]
+	sc := fr.borrow()
+	sc.frags = sc.frags[:0]
 	for num := 0; ; num++ {
 		n := len(payload)
 		if n > mtu {
 			n = mtu
 		}
-		fr.fragStore = append(fr.fragStore, fragment{
+		sc.frags = append(sc.frags, fragment{
 			id:       id,
 			num:      uint16(num),
 			final:    n == len(payload),
@@ -304,17 +377,23 @@ func (fr *fragmenter) split(payload []byte, mtu int) []*fragment {
 			break
 		}
 	}
-	fr.fragPtrs = fr.fragPtrs[:0]
-	for i := range fr.fragStore {
-		fr.fragPtrs = append(fr.fragPtrs, &fr.fragStore[i])
-	}
-	return fr.fragPtrs
+	return sc.frags
+}
+
+// marshal encodes one fragment into the scratch, valid until the next.
+func (fr *fragmenter) marshal(f *fragment) []byte {
+	sc := fr.borrow()
+	sc.out = f.appendMarshal(sc.out[:0])
+	return sc.out
 }
 
 // assembly reassembles fragments into instructions. It holds at most one
-// instruction in progress; fragments from a newer id reset it. Its buffers
-// are reused, so a returned instruction's Diff is valid only until the next
-// add — processInstruction applies it first, and Apply copies what it keeps.
+// instruction in progress; fragments from a newer id reset it. An
+// instruction that has to be joined from several fragments or inflated is
+// rebuilt in a scratch borrowed when it completes, so its Diff is valid only
+// until release or the next add — processInstruction applies it first, and
+// Apply copies what it keeps. The common lone, uncompressed fragment is
+// decoded where it lies and borrows nothing.
 type assembly struct {
 	id     uint64
 	active bool
@@ -322,13 +401,8 @@ type assembly struct {
 	held   int      // non-nil entries of parts
 	total  int      // fragment count once the final fragment is seen, else -1
 
-	joined   []byte       // concatenation scratch
-	inflated bytes.Buffer // decompression scratch
+	lease // where the last completed instruction was rebuilt, until release
 }
-
-// maxRetainedScratch is the most reassembly or decompression scratch an
-// assembly keeps between instructions; screen frames are far smaller.
-const maxRetainedScratch = 1 << 20
 
 // add consumes one fragment; when it completes an instruction, the decoded
 // instruction is returned.
@@ -369,19 +443,17 @@ func (a *assembly) add(f *fragment) (*Instruction, error) {
 	if a.total < 0 || a.held < a.total {
 		return nil, nil
 	}
-	if cap(a.joined) > maxRetainedScratch {
-		a.joined = nil
-	}
-	a.joined = a.joined[:0]
+	sc := a.borrow()
+	sc.enc = sc.enc[:0]
 	for _, part := range a.parts[:a.total] {
 		if part == nil {
 			return nil, nil
 		}
-		a.joined = append(a.joined, part...)
+		sc.enc = append(sc.enc, part...)
 	}
 	a.active = false
 	clear(a.parts)
-	return a.decode(a.joined)
+	return a.decode(sc.enc)
 }
 
 // decode reverses fragmenter.encode.
@@ -393,13 +465,12 @@ func (a *assembly) decode(buf []byte) (*Instruction, error) {
 	case encodingRaw:
 		return unmarshalInstruction(buf[1:])
 	case encodingZlib:
-		if a.inflated.Cap() > maxRetainedScratch {
-			a.inflated = bytes.Buffer{}
-		}
-		if err := inflate(&a.inflated, buf[1:]); err != nil {
+		sc := a.borrow()
+		var err error
+		if sc.raw, err = inflate(sc.raw, buf[1:]); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
 		}
-		return unmarshalInstruction(a.inflated.Bytes())
+		return unmarshalInstruction(sc.raw)
 	default:
 		return nil, ErrBadInstruction
 	}

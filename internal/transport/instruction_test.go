@@ -87,8 +87,8 @@ func TestFragmentationSplitAndReassemble(t *testing.T) {
 		t.Fatalf("got %d fragments for 5000-byte diff at mtu 1200", len(frags))
 	}
 	var a assembly
-	for i, f := range frags {
-		back, err := unmarshalFragment(f.marshal())
+	for i := range frags {
+		back, err := unmarshalFragment(frags[i].marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestFragmentReassemblyOutOfOrder(t *testing.T) {
 	}
 	var got *Instruction
 	for _, idx := range order {
-		inst, err := a.add(frags[idx])
+		inst, err := a.add(&frags[idx])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,12 +136,11 @@ func TestFragmentReassemblyOutOfOrder(t *testing.T) {
 
 // copyFragments deep-copies makeFragments output so a test can hold it
 // across a later makeFragments call (which reuses the scratch buffers).
-func copyFragments(frags []*fragment) []*fragment {
+func copyFragments(frags []fragment) []*fragment {
 	out := make([]*fragment, len(frags))
 	for i, f := range frags {
-		c := *f
-		c.contents = append([]byte(nil), f.contents...)
-		out[i] = &c
+		f.contents = append([]byte(nil), f.contents...)
+		out[i] = &f
 	}
 	return out
 }
@@ -154,7 +153,7 @@ func TestNewerInstructionAbandonsOlder(t *testing.T) {
 	if inst, _ := a.add(old[0]); inst != nil {
 		t.Fatal("premature assembly")
 	}
-	inst, err := a.add(fresh[0])
+	inst, err := a.add(&fresh[0])
 	if err != nil || inst == nil {
 		t.Fatalf("fresh single-fragment instruction should assemble: %v", err)
 	}
@@ -168,11 +167,11 @@ func TestFragmentLossLeavesInstructionIncomplete(t *testing.T) {
 	var fr fragmenter
 	frags := fr.makeFragments(instOfSize(3000), 1000)
 	var a assembly
-	for i, f := range frags {
+	for i := range frags {
 		if i == 1 {
 			continue // lost
 		}
-		if inst, _ := a.add(f); inst != nil {
+		if inst, _ := a.add(&frags[i]); inst != nil {
 			t.Fatal("assembled despite missing fragment")
 		}
 	}

@@ -97,7 +97,8 @@ const maxSentStates = 32
 
 // preparedFrame is a frame built during its collection interval (see
 // Transport.Prepare): the snapshot that will become the sent state and the
-// header numbers its payload, waiting in the fragmenter, was encoded with.
+// header numbers its payload, waiting in the fragmenter's scratch, was
+// encoded with.
 type preparedFrame[T State[T]] struct {
 	valid bool
 	state T
@@ -148,16 +149,6 @@ type Sender[T State[T]] struct {
 
 	pendingDataAck bool
 	ackNum         uint64 // newest remote state num, echoed in instructions
-
-	// diffBuf is reused across ticks for DiffFrom output; the diff is
-	// consumed (copied into wire fragments) before the tick returns, so
-	// the buffer never escapes.
-	diffBuf []byte
-
-	// fragBuf is scratch for marshalling one fragment; it is consumed by
-	// sealing (copied into the wire datagram) before the next fragment is
-	// marshalled.
-	fragBuf []byte
 
 	// recycleWire enables reuse of the emitted wire buffer: wireBuf, the
 	// last datagram sealed, is what the next is sealed into. Only safe when
@@ -428,21 +419,22 @@ func (s *Sender[T]) tick() {
 	if !ackDue && !sendDue {
 		return
 	}
+	// The diff, the instruction and its fragments are built in a scratch
+	// borrowed for this tick alone: between ticks the sender holds none.
+	defer s.frag.release()
 	if s.sendPrepared(now) {
 		return
 	}
 
-	s.diffBuf = s.currentState.AppendDiff(s.diffBuf[:0], s.sentStates[s.assumedIdx].state)
-	diff := s.diffBuf
-	if len(diff) == 0 {
+	sc := s.frag.borrow()
+	sc.diff = s.currentState.AppendDiff(sc.diff[:0], s.sentStates[s.assumedIdx].state)
+	if len(sc.diff) == 0 {
 		if ackDue {
 			s.sendEmptyAck(now)
 		}
 		return
 	}
-	if sendDue || ackDue {
-		s.sendToReceiver(now, diff)
-	}
+	s.sendToReceiver(now, sc.diff)
 }
 
 // wantsPrepare reports whether building the next frame now is likely to pay:
@@ -495,11 +487,14 @@ func (s *Sender[T]) preparedIsExact() bool {
 // prepare builds the frame the pending deadline is expected to send: the
 // snapshot addSentState would take then, the diff against the assumed
 // receiver state, and the marshalled, deflated payload, which waits in the
-// fragmenter's own buffer. It reports whether there was a frame to build.
+// fragmenter's scratch — the one scratch a sender keeps past the call that
+// borrowed it. It reports whether there was a frame to build.
 func (s *Sender[T]) prepare() bool {
+	defer s.frag.release() // unless a payload now waits in it
+	sc := s.frag.borrow()
 	assumed := &s.sentStates[s.assumedIdx]
-	s.diffBuf = s.currentState.AppendDiff(s.diffBuf[:0], assumed.state)
-	if len(s.diffBuf) == 0 {
+	sc.diff = s.currentState.AppendDiff(sc.diff[:0], assumed.state)
+	if len(sc.diff) == 0 {
 		return false
 	}
 	num, _ := s.nextNum()
@@ -509,11 +504,11 @@ func (s *Sender[T]) prepare() bool {
 		NewNum:          num,
 		AckNum:          s.ackNum,
 		ThrowawayNum:    s.front().num,
-		Diff:            s.diffBuf,
+		Diff:            sc.diff,
 	}
 	s.frag.prepare(&inst)
 	inst.Diff = nil
-	s.prep = preparedFrame[T]{valid: true, state: s.currentState.Clone(), hdr: inst, diffLen: len(s.diffBuf)}
+	s.prep = preparedFrame[T]{valid: true, state: s.currentState.Clone(), hdr: inst, diffLen: len(sc.diff)}
 	s.stats.Prepared++
 	return true
 }
@@ -540,11 +535,14 @@ func (s *Sender[T]) sendPrepared(now time.Time) bool {
 	return true
 }
 
-// discardPrepared recycles the prepared frame's snapshot, if there is one.
+// discardPrepared recycles the prepared frame's snapshot, if there is one,
+// and gives back the scratch its payload waited in.
 func (s *Sender[T]) discardPrepared() {
 	if s.prep.valid {
 		recycle(s.prep.state)
 		s.prep = preparedFrame[T]{}
+		s.frag.prepared = false
+		s.frag.release()
 	}
 }
 
@@ -704,17 +702,17 @@ func (s *Sender[T]) sendInstruction(now time.Time, inst *Instruction) {
 }
 
 // sendFragments seals and transmits one instruction's fragments, and pushes
-// the heartbeat deadline out. Marshal and encode scratch is reused across
-// datagrams; the sealed wire buffer itself is recycled only when the
-// embedder has declared Emit non-retaining (RecycleWire).
-func (s *Sender[T]) sendFragments(now time.Time, frags []*fragment) {
-	for _, f := range frags {
-		s.fragBuf = f.appendMarshal(s.fragBuf[:0])
+// the heartbeat deadline out. Each fragment is marshalled into the tick's
+// scratch; the sealed wire buffer itself is recycled only when the embedder
+// has declared Emit non-retaining (RecycleWire).
+func (s *Sender[T]) sendFragments(now time.Time, frags []fragment) {
+	for i := range frags {
+		payload := s.frag.marshal(&frags[i])
 		buf := s.wireBuf[:0]
 		if buf == nil {
-			buf = make([]byte, 0, len(s.fragBuf)+s.conn.Overhead())
+			buf = make([]byte, 0, len(payload)+s.conn.Overhead())
 		}
-		wire, err := s.conn.AppendPacket(buf, s.fragBuf)
+		wire, err := s.conn.AppendPacket(buf, payload)
 		if err != nil {
 			// Sequence reservation exhausted (recoverable after a journal
 			// flush) or the sequence space itself is gone (session dead).

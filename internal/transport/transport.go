@@ -206,6 +206,7 @@ func (t *Transport[L, R]) Receive(wire []byte, src netem.Addr) (bool, error) {
 	}
 	inst, err := t.assembly.add(frag)
 	if err != nil || inst == nil {
+		t.assembly.release() // nothing to apply, but a join or an inflate may have borrowed
 		return false, err
 	}
 	t.sender.processAcknowledgmentThrough(inst.AckNum)
@@ -214,6 +215,7 @@ func (t *Transport[L, R]) Receive(wire []byte, src netem.Addr) (bool, error) {
 		applyStart = t.clock.Now()
 	}
 	isNew, err := t.receiver.processInstruction(inst)
+	t.assembly.release() // the diff is applied, and Apply copied what it keeps
 	if t.probe != nil {
 		t.probe.Observe(telemetry.StageApply, t.clock.Now().Sub(applyStart))
 	}

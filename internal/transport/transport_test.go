@@ -446,7 +446,10 @@ func TestCustomCollectionInterval(t *testing.T) {
 func TestSendPathAllocationFreeWhenRecycled(t *testing.T) {
 	// With RecycleWire (Emit consumes before returning), the steady-state
 	// heartbeat path — marshal, encode, fragment, seal — must not allocate:
-	// every buffer is pooled through the fragmenter and AppendPacket.
+	// every buffer is lent by the scratch pool or reused by AppendPacket.
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race; CI runs this guard without it")
+	}
 	clk := simclock.NewScheduler(t0)
 	tr, err := New(Config[*logState, *logState]{
 		Direction:     sspcrypto.ToServer,
