@@ -167,11 +167,10 @@ type Connection struct {
 	savedTimestamp   int32 // -1 when none pending
 	savedTimestampAt time.Time
 
-	srtt     float64 // smoothed RTT, milliseconds
-	rttvar   float64
-	haveRTT  bool
-	lastRTT  time.Duration
-	rttCount int
+	srtt    float64 // smoothed RTT, milliseconds
+	rttvar  float64
+	haveRTT bool
+	lastRTT time.Duration
 
 	lastHeard time.Time
 	heardOnce bool
@@ -398,7 +397,6 @@ func (c *Connection) observeRTT(ms float64) {
 		return
 	}
 	c.lastRTT = time.Duration(ms * float64(time.Millisecond))
-	c.rttCount++
 	if !c.haveRTT {
 		c.srtt = ms
 		c.rttvar = ms / 2
@@ -422,16 +420,8 @@ func (c *Connection) SRTT(def time.Duration) time.Duration {
 	return time.Duration(c.srtt * float64(time.Millisecond))
 }
 
-// RTTVar returns the RTT variation estimate.
-func (c *Connection) RTTVar() time.Duration {
-	return time.Duration(c.rttvar * float64(time.Millisecond))
-}
-
 // HaveRTT reports whether at least one RTT sample has been folded in.
 func (c *Connection) HaveRTT() bool { return c.haveRTT }
-
-// RTTSamples reports how many RTT samples have been observed.
-func (c *Connection) RTTSamples() int { return c.rttCount }
 
 // RTO returns the retransmission timeout: SRTT + 4·RTTVAR clamped to
 // [MinRTO, MaxRTO]. Before any sample it returns MaxRTO.

@@ -69,3 +69,25 @@ func TestResizeBeyondSnapshotBoundIsRejected(t *testing.T) {
 		return cw == terminal.MaxDim && ch == 3
 	})
 }
+
+// TestAuthenticatedBadDiffIsNotAnAuthDrop: the hostile resize passed the
+// AEAD — its sender holds the session key — so refusing it is not an
+// authentication failure. It is counted as a bad diff, and its source is
+// not charged against the quota that exists for unauthenticated floods.
+func TestAuthenticatedBadDiffIsNotAnAuthDrop(t *testing.T) {
+	w := hostileResizeWorld(t)
+	m := w.d.Metrics()
+	w.clients[0].Resize(80, 1<<50)
+	w.await("the resize's first datagram", func() bool {
+		return m.DropsAuth.Value()+m.DropsBadDiff.Value() > 0
+	})
+	if got := m.DropsAuth.Value(); got != 0 {
+		t.Errorf("drops_auth = %d, want 0", got)
+	}
+	if got := sessiond.UnauthSources(w.d); got != 0 {
+		t.Errorf("the unauth quota tracks %d sources, want 0", got)
+	}
+	if got := m.DropsBadDiff.Value(); got != 1 {
+		t.Errorf("drops_bad_diff = %d, want 1", got)
+	}
+}

@@ -26,3 +26,7 @@ func NewWithLimits(cfg Config, over ...Limit) (*Daemon, error) {
 	}
 	return newDaemon(cfg, lim)
 }
+
+// UnauthSources reports how many sources the unauthenticated-datagram
+// quota is tracking.
+func UnauthSources(d *Daemon) int64 { return d.quota.active.Load() }

@@ -5,46 +5,6 @@ import (
 	"time"
 )
 
-// SessionStats is a point-in-time transport snapshot of one session, read
-// under the session lock: the live RTT estimator, the frame-rule interval
-// the sender is currently honoring, and the transport depths that tell an
-// operator where a slow session's latency is hiding.
-type SessionStats struct {
-	ID uint64
-	// SRTT and RTTVar are the RFC 6298 estimator state (zero before the
-	// first RTT sample); RTTSamples counts how many measurements fed it.
-	SRTT       time.Duration
-	RTTVar     time.Duration
-	RTTSamples int
-	// FrameInterval is the sender's current minimum inter-frame interval
-	// (the paper's frame rule: SRTT/2 clamped to [20ms, 250ms]).
-	FrameInterval time.Duration
-	// OutstandingStates counts sender states not yet acknowledged by the
-	// peer; FragmentsHeld counts partially reassembled inbound fragments.
-	OutstandingStates int
-	FragmentsHeld     int
-}
-
-// Stats snapshots the session's live transport state.
-func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr := s.srv.Transport()
-	conn := tr.Connection()
-	st := SessionStats{
-		ID:                s.ID,
-		RTTVar:            conn.RTTVar(),
-		RTTSamples:        conn.RTTSamples(),
-		FrameInterval:     tr.Sender().SendInterval(),
-		OutstandingStates: tr.Sender().SentStateCount(),
-		FragmentsHeld:     tr.FragmentsHeld(),
-	}
-	if conn.HaveRTT() {
-		st.SRTT = conn.SRTT(0)
-	}
-	return st
-}
-
 // TransportStats aggregates live transport introspection across every
 // session: distribution points (p50/p99/max) for SRTT and frame interval,
 // plus totals for outstanding states and held fragments.
@@ -60,9 +20,12 @@ type TransportStats struct {
 	FragmentsHeld     int
 }
 
-// TransportStats walks the registry and aggregates per-session transport
-// snapshots. It takes each session lock briefly; with thousands of sessions
-// this is an operator-path call, not a hot-path one.
+// TransportStats walks the registry and aggregates every session's live
+// transport state, read under its lock: the RFC 6298 SRTT estimate, the
+// frame-rule interval its sender is honoring (the paper's SRTT/2 clamped
+// to [20ms, 250ms]), its unacknowledged sender states and its partially
+// reassembled inbound fragments. With thousands of sessions this is an
+// operator-path call, not a hot-path one.
 func (d *Daemon) TransportStats() TransportStats {
 	var (
 		out    TransportStats
@@ -70,14 +33,16 @@ func (d *Daemon) TransportStats() TransportStats {
 		frames []time.Duration
 	)
 	d.reg.each(func(s *Session) {
-		st := s.Stats()
+		s.mu.Lock()
+		tr := s.srv.Transport()
 		out.Sessions++
-		out.OutstandingStates += st.OutstandingStates
-		out.FragmentsHeld += st.FragmentsHeld
-		if st.SRTT > 0 {
-			srtts = append(srtts, st.SRTT)
+		out.OutstandingStates += tr.Sender().SentStateCount()
+		out.FragmentsHeld += tr.FragmentsHeld()
+		if srtt := tr.Connection().SRTT(0); srtt > 0 {
+			srtts = append(srtts, srtt)
 		}
-		frames = append(frames, st.FrameInterval)
+		frames = append(frames, tr.Sender().SendInterval())
+		s.mu.Unlock()
 	})
 	out.SRTTp50, out.SRTTp99, out.SRTTMax = durQuantiles(srtts)
 	out.FrameIntervalP50, out.FrameIntervalP99, out.FrameIntervalMax = durQuantiles(frames)

@@ -1,11 +1,14 @@
 package sessiond
 
 import (
+	"encoding/json"
 	"expvar"
-	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/journal"
 	"repro/internal/statesync"
@@ -52,15 +55,6 @@ func (h *BatchHist) Samples() int64 { return h.hist().Count() }
 // samples have been observed).
 func (h *BatchHist) Quantile(q float64) int { return int(h.hist().Quantile(q)) }
 
-// expvarValue renders the histogram's summary for /debug/vars.
-func (h *BatchHist) expvarValue() any {
-	return map[string]int64{
-		"samples": h.Samples(),
-		"p50":     int64(h.Quantile(0.50)),
-		"p99":     int64(h.Quantile(0.99)),
-	}
-}
-
 // Metrics counts the daemon's activity. All fields are safe for concurrent
 // update; tests read them directly and production publishes them through
 // the expvar registry (and so over any net/http debug listener).
@@ -78,6 +72,7 @@ type Metrics struct {
 	DropsBadEnvelope    expvar.Int // datagrams without a parseable envelope
 	DropsUnknownSession expvar.Int // envelope named no live session
 	DropsAuth           expvar.Int // per-session receive failures (forged, stale, replayed)
+	DropsBadDiff        expvar.Int // authentic datagrams whose diff would not apply (statesync.ErrBadDiff)
 	DropsQueueFull      expvar.Int // datagrams beyond a session's per-sweep budget (limits.inboxDepth)
 
 	RoamingEvents expvar.Int // authentic source-address changes observed
@@ -129,104 +124,155 @@ type Metrics struct {
 	FramesPreparedSent expvar.Int
 }
 
-// metricFields maps every published counter name to its accessor, so the
-// expvar registrations can read through an atomic slot (see Publish).
-// gauge marks a point-in-time value rather than a monotonic counter, which
-// is all the Prometheus exposition needs to know beyond the name.
-var metricFields = []struct {
-	name  string
-	get   func(m *Metrics) int64
-	gauge bool
-}{
-	{"sessions_live", func(m *Metrics) int64 { return m.SessionsLive.Value() }, true},
-	{"sessions_opened", func(m *Metrics) int64 { return m.SessionsOpened.Value() }, false},
-	{"sessions_evicted", func(m *Metrics) int64 { return m.SessionsEvicted.Value() }, false},
-	{"sessions_closed", func(m *Metrics) int64 { return m.SessionsClosed.Value() }, false},
-	{"packets_in", func(m *Metrics) int64 { return m.PacketsIn.Value() }, false},
-	{"bytes_in", func(m *Metrics) int64 { return m.BytesIn.Value() }, false},
-	{"packets_out", func(m *Metrics) int64 { return m.PacketsOut.Value() }, false},
-	{"bytes_out", func(m *Metrics) int64 { return m.BytesOut.Value() }, false},
-	{"drops_bad_envelope", func(m *Metrics) int64 { return m.DropsBadEnvelope.Value() }, false},
-	{"drops_unknown_session", func(m *Metrics) int64 { return m.DropsUnknownSession.Value() }, false},
-	{"drops_auth", func(m *Metrics) int64 { return m.DropsAuth.Value() }, false},
-	{"drops_queue_full", func(m *Metrics) int64 { return m.DropsQueueFull.Value() }, false},
-	{"roaming_events", func(m *Metrics) int64 { return m.RoamingEvents.Value() }, false},
-	{"read_batch_calls", func(m *Metrics) int64 { return m.ReadBatchCalls.Value() }, false},
-	{"write_batch_calls", func(m *Metrics) int64 { return m.WriteBatchCalls.Value() }, false},
-	{"egress_queue_depth", func(m *Metrics) int64 { return m.EgressQueueDepth.Value() }, true},
-	{"drops_egress_full", func(m *Metrics) int64 { return m.DropsEgressFull.Value() }, false},
-	{"egress_write_errors", func(m *Metrics) int64 { return m.EgressWriteErrors.Value() }, false},
-	{"stack_traversals_in", func(m *Metrics) int64 { return m.StackTraversalsIn.Value() }, false},
-	{"stack_traversals_out", func(m *Metrics) int64 { return m.StackTraversalsOut.Value() }, false},
-	{"sessions_restored", func(m *Metrics) int64 { return m.SessionsRestored.Value() }, false},
-	{"snapshots_stale", func(m *Metrics) int64 { return m.SnapshotsStale.Value() }, false},
-	{"journal_flushes", func(m *Metrics) int64 { return m.JournalFlushes.Value() }, false},
-	{"journal_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }, false},
-	{"journal_errors", func(m *Metrics) int64 { return m.JournalErrors.Value() }, false},
-	{"journal_bad_records", func(m *Metrics) int64 { return m.JournalBadRecords.Value() }, false},
-	{"journal_flush_bytes", func(m *Metrics) int64 { return m.JournalBytes.Value() }, false},
-	{"journal_changed_bytes", func(m *Metrics) int64 { return m.JournalChangedBytes.Value() }, false},
-	{"journal_segments", func(m *Metrics) int64 { return m.JournalSegments.Value() }, true},
-	{"compaction_runs", func(m *Metrics) int64 { return m.CompactionRuns.Value() }, false},
-	{"journal_flush_failures", func(m *Metrics) int64 { return m.JournalFlushFailures.Value() }, false},
-	{"journal_suspended", func(m *Metrics) int64 { return m.JournalSuspended.Value() }, true},
-	{"journal_retry_backoff_ms", func(m *Metrics) int64 { return m.JournalRetryBackoffMs.Value() }, true},
-	{"drops_unauth_quota", func(m *Metrics) int64 { return m.DropsUnauthQuota.Value() }, false},
-	{"shed_events", func(m *Metrics) int64 { return m.ShedEvents.Value() }, false},
-	{"shedding", func(m *Metrics) int64 { return m.Shedding.Value() }, true},
-	{"read_errors_transient", func(m *Metrics) int64 { return m.ReadErrorsTransient.Value() }, false},
-	{"frames_prepared", func(m *Metrics) int64 { return m.FramesPrepared.Value() }, false},
-	{"frames_prepared_sent", func(m *Metrics) int64 { return m.FramesPreparedSent.Value() }, false},
-}
+// metricKind is how a series renders on each surface.
+type metricKind uint8
 
-// pubMu guards the prefix→slot maps below. expvar.Publish panics on a
-// duplicate name, so each prefix is registered exactly once, with every
-// registered Func reading through an atomic slot; republishing the same
-// prefix (a daemon restarted in-process, a test constructing a fresh
-// Metrics) just swaps the slot.
-var (
-	pubMu       sync.Mutex
-	metricSlots = map[string]*atomic.Pointer[Metrics]{}
-	daemonSlots = map[string]*atomic.Pointer[Daemon]{}
+const (
+	counter     metricKind = iota // int64, monotonic
+	gauge                         // int64, a point-in-time value
+	floatGauge                    // float64
+	batchHist                     // *BatchHist: power-of-two buckets; samples/p50/p99 in expvar
+	latencyHist                   // []telemetry.Stage: buckets in seconds; count/p50_us/p99_us in expvar
+	durSummary                    // [3]time.Duration: p50, p99 and max
 )
 
-// Publish registers every counter with the process-wide expvar registry
-// under prefix (e.g. "sessiond.sessions_live"). Idempotent per prefix:
-// the first call registers the names, later calls re-point them at m —
-// no duplicate-name panic, and stale objects stop being scraped.
-func (m *Metrics) Publish(prefix string) {
-	pubMu.Lock()
-	defer pubMu.Unlock()
-	if slot, ok := metricSlots[prefix]; ok {
-		slot.Store(m)
-		return
-	}
-	slot := &atomic.Pointer[Metrics]{}
-	slot.Store(m)
-	metricSlots[prefix] = slot
-	for _, f := range metricFields {
-		get := f.get
-		// An expvar.Func returning int64 renders exactly like expvar.Int
-		// (both are json-encoded integers), so swapping the registration
-		// style is invisible to scrapers.
-		expvar.Publish(prefix+"."+f.name, expvar.Func(func() any { return get(slot.Load()) }))
-	}
-	// Batch-size distributions and the syscalls the vectorized pipeline
-	// saved versus a one-datagram-per-syscall loop.
-	expvar.Publish(prefix+".read_batch_size", expvar.Func(func() any {
-		return slot.Load().ReadBatchSizes.expvarValue()
-	}))
-	expvar.Publish(prefix+".write_batch_size", expvar.Func(func() any {
-		return slot.Load().WriteBatchSizes.expvarValue()
-	}))
-	expvar.Publish(prefix+".syscalls_avoided", expvar.Func(func() any {
-		return slot.Load().SyscallsAvoided()
-	}))
-	// Float-valued ratio: published as a Func because the int64-rendering
-	// metricFields table cannot carry it.
-	expvar.Publish(prefix+".journal_write_amp", expvar.Func(func() any {
-		return slot.Load().JournalWriteAmp()
-	}))
+var promTypes = [...]string{
+	counter: "counter", gauge: "gauge", floatGauge: "gauge",
+	batchHist: "histogram", latencyHist: "histogram", durSummary: "summary",
+}
+
+// metric is one published series, declared once for both surfaces.
+type metric struct {
+	// prom is the Prometheus family after "sessiond_", with any constant
+	// labels its samples carry; "" publishes the series to expvar only.
+	prom string
+	// ev is the expvar key after "<prefix>.", or "key.field" for a field of
+	// a composite key (a durSummary names its p50, p99 and max fields,
+	// comma-separated); "" publishes the series to Prometheus only.
+	ev   string
+	kind metricKind
+	get  func(*scrape) any
+	// label, on a latencyHist, is the label whose values are the stages it
+	// holds: one histogram, and one field of the composite key ev, each.
+	label string
+	// evLast moves the field behind its composite's other fields.
+	evLast bool
+}
+
+// metrics is every series the daemon publishes, in /metrics order. Adding a
+// metric is one row here plus its increment. Inside a composite expvar key,
+// lower-case fields render sorted and Go-named ones in row order: the map
+// and the struct those keys were first published as.
+var metrics = []metric{
+	{prom: "sessions_live", ev: "sessions_live", kind: gauge, get: func(s *scrape) any { return s.m.SessionsLive.Value() }},
+	{prom: "sessions_opened", ev: "sessions_opened", get: func(s *scrape) any { return s.m.SessionsOpened.Value() }},
+	{prom: "sessions_evicted", ev: "sessions_evicted", get: func(s *scrape) any { return s.m.SessionsEvicted.Value() }},
+	{prom: "sessions_closed", ev: "sessions_closed", get: func(s *scrape) any { return s.m.SessionsClosed.Value() }},
+	{prom: "packets_in", ev: "packets_in", get: func(s *scrape) any { return s.m.PacketsIn.Value() }},
+	{prom: "bytes_in", ev: "bytes_in", get: func(s *scrape) any { return s.m.BytesIn.Value() }},
+	{prom: "packets_out", ev: "packets_out", get: func(s *scrape) any { return s.m.PacketsOut.Value() }},
+	{prom: "bytes_out", ev: "bytes_out", get: func(s *scrape) any { return s.m.BytesOut.Value() }},
+	{prom: "drops_bad_envelope", ev: "drops_bad_envelope", get: func(s *scrape) any { return s.m.DropsBadEnvelope.Value() }},
+	{prom: "drops_unknown_session", ev: "drops_unknown_session", get: func(s *scrape) any { return s.m.DropsUnknownSession.Value() }},
+	{prom: "drops_auth", ev: "drops_auth", get: func(s *scrape) any { return s.m.DropsAuth.Value() }},
+	{prom: "drops_bad_diff", ev: "drops_bad_diff", get: func(s *scrape) any { return s.m.DropsBadDiff.Value() }},
+	{prom: "drops_queue_full", ev: "drops_queue_full", get: func(s *scrape) any { return s.m.DropsQueueFull.Value() }},
+	{prom: "roaming_events", ev: "roaming_events", get: func(s *scrape) any { return s.m.RoamingEvents.Value() }},
+	{prom: "read_batch_calls", ev: "read_batch_calls", get: func(s *scrape) any { return s.m.ReadBatchCalls.Value() }},
+	{prom: "write_batch_calls", ev: "write_batch_calls", get: func(s *scrape) any { return s.m.WriteBatchCalls.Value() }},
+	{prom: "egress_queue_depth", ev: "egress_queue_depth", kind: gauge, get: func(s *scrape) any { return s.m.EgressQueueDepth.Value() }},
+	{prom: "drops_egress_full", ev: "drops_egress_full", get: func(s *scrape) any { return s.m.DropsEgressFull.Value() }},
+	{prom: "egress_write_errors", ev: "egress_write_errors", get: func(s *scrape) any { return s.m.EgressWriteErrors.Value() }},
+	{prom: "stack_traversals_in", ev: "stack_traversals_in", get: func(s *scrape) any { return s.m.StackTraversalsIn.Value() }},
+	{prom: "stack_traversals_out", ev: "stack_traversals_out", get: func(s *scrape) any { return s.m.StackTraversalsOut.Value() }},
+	{prom: "sessions_restored", ev: "sessions_restored", get: func(s *scrape) any { return s.m.SessionsRestored.Value() }},
+	{prom: "snapshots_stale", ev: "snapshots_stale", get: func(s *scrape) any { return s.m.SnapshotsStale.Value() }},
+	{prom: "journal_flushes", ev: "journal_flushes", get: func(s *scrape) any { return s.m.JournalFlushes.Value() }},
+	{prom: "journal_bytes", ev: "journal_bytes", get: func(s *scrape) any { return s.m.JournalBytes.Value() }},
+	{prom: "journal_errors", ev: "journal_errors", get: func(s *scrape) any { return s.m.JournalErrors.Value() }},
+	{prom: "journal_bad_records", ev: "journal_bad_records", get: func(s *scrape) any { return s.m.JournalBadRecords.Value() }},
+	{prom: "journal_flush_bytes", ev: "journal_flush_bytes", get: func(s *scrape) any { return s.m.JournalBytes.Value() }},
+	{prom: "journal_changed_bytes", ev: "journal_changed_bytes", get: func(s *scrape) any { return s.m.JournalChangedBytes.Value() }},
+	{prom: "journal_segments", ev: "journal_segments", kind: gauge, get: func(s *scrape) any { return s.m.JournalSegments.Value() }},
+	{prom: "compaction_runs", ev: "compaction_runs", get: func(s *scrape) any { return s.m.CompactionRuns.Value() }},
+	{prom: "journal_flush_failures", ev: "journal_flush_failures", get: func(s *scrape) any { return s.m.JournalFlushFailures.Value() }},
+	{prom: "journal_suspended", ev: "journal_suspended", kind: gauge, get: func(s *scrape) any { return s.m.JournalSuspended.Value() }},
+	{prom: "journal_retry_backoff_ms", ev: "journal_retry_backoff_ms", kind: gauge, get: func(s *scrape) any { return s.m.JournalRetryBackoffMs.Value() }},
+	{prom: "drops_unauth_quota", ev: "drops_unauth_quota", get: func(s *scrape) any { return s.m.DropsUnauthQuota.Value() }},
+	{prom: "shed_events", ev: "shed_events", get: func(s *scrape) any { return s.m.ShedEvents.Value() }},
+	{prom: "shedding", ev: "shedding", kind: gauge, get: func(s *scrape) any { return s.m.Shedding.Value() }},
+	{prom: "read_errors_transient", ev: "read_errors_transient", get: func(s *scrape) any { return s.m.ReadErrorsTransient.Value() }},
+	{prom: "frames_prepared", ev: "frames_prepared", get: func(s *scrape) any { return s.m.FramesPrepared.Value() }},
+	{prom: "frames_prepared_sent", ev: "frames_prepared_sent", get: func(s *scrape) any { return s.m.FramesPreparedSent.Value() }},
+	// The read+write syscalls batching has saved versus one per datagram.
+	{prom: "syscalls_avoided", ev: "syscalls_avoided", get: func(s *scrape) any {
+		return max(0, s.m.PacketsIn.Value()-s.m.ReadBatchCalls.Value()+s.m.PacketsOut.Value()-s.m.WriteBatchCalls.Value())
+	}},
+	{prom: "journal_write_amp", ev: "journal_write_amp", kind: floatGauge, get: func(s *scrape) any { return s.m.JournalWriteAmp() }},
+	{prom: "read_batch_size", ev: "read_batch_size", kind: batchHist, get: func(s *scrape) any { return &s.m.ReadBatchSizes }},
+	{prom: "write_batch_size", ev: "write_batch_size", kind: batchHist, get: func(s *scrape) any { return &s.m.WriteBatchSizes }},
+
+	// Pipeline stages, and the keystroke→echo numbers of the paper's Fig. 6.
+	{prom: "stage_latency_seconds", ev: "stage_latency", kind: latencyHist, label: "stage", get: func(*scrape) any {
+		return slices.DeleteFunc(telemetry.Stages(), func(st telemetry.Stage) bool { return st == telemetry.StageEcho })
+	}},
+	{prom: "echo_latency_seconds", ev: "stage_latency.echo", kind: latencyHist, get: func(*scrape) any { return []telemetry.Stage{telemetry.StageEcho} }},
+	{prom: "echo_total", ev: "echo.total", get: func(s *scrape) any { n, _, _ := s.d.pipe.EchoStats(); return n }},
+	{prom: "echo_within_16ms_total", ev: "echo.le_16ms", get: func(s *scrape) any { _, n, _ := s.d.pipe.EchoStats(); return n }},
+	{prom: "echo_within_rtt_total", ev: "echo.le_rtt", get: func(s *scrape) any { _, _, n := s.d.pipe.EchoStats(); return n }},
+	{ev: "echo.p50_us", kind: gauge, get: func(s *scrape) any { return s.echoUs(0.50) }},
+	{ev: "echo.p99_us", kind: gauge, get: func(s *scrape) any { return s.echoUs(0.99) }},
+	{ev: "echo.p999_us", kind: gauge, get: func(s *scrape) any { return s.echoUs(0.999) }},
+
+	// Live transport introspection.
+	{prom: "transport_sessions", ev: "transport.Sessions", kind: gauge, get: func(s *scrape) any { return int64(s.transport().Sessions) }},
+	{prom: "transport_outstanding_states", ev: "transport.OutstandingStates", kind: gauge, evLast: true, get: func(s *scrape) any { return int64(s.transport().OutstandingStates) }},
+	{prom: "transport_fragments_held", ev: "transport.FragmentsHeld", kind: gauge, evLast: true, get: func(s *scrape) any { return int64(s.transport().FragmentsHeld) }},
+	{prom: "transport_srtt_seconds", ev: "transport.SRTTp50,SRTTp99,SRTTMax", kind: durSummary, get: func(s *scrape) any { t := s.transport(); return [3]time.Duration{t.SRTTp50, t.SRTTp99, t.SRTTMax} }},
+	{prom: "transport_frame_interval_seconds", ev: "transport.FrameIntervalP50,FrameIntervalP99,FrameIntervalMax", kind: durSummary, get: func(s *scrape) any {
+		t := s.transport()
+		return [3]time.Duration{t.FrameIntervalP50, t.FrameIntervalP99, t.FrameIntervalMax}
+	}},
+
+	// Memory per session.
+	{ev: "screen_state.Sessions", kind: gauge, get: func(s *scrape) any { return int64(s.screen().Sessions) }},
+	{prom: "screen_rows", ev: "screen_state.ScreenRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScreenRows) }},
+	{prom: "screen_rows_shared", ev: "screen_state.SharedScreenRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().SharedScreenRows) }},
+	{prom: "screen_rows_pooled", ev: "screen_state.PooledRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().PooledRows) }},
+	{prom: "scrollback_rows", ev: "screen_state.ScrollbackRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScrollbackRows) }},
+	{prom: "scrollback_arena_rows", ev: "screen_state.ScrollbackArenaRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScrollbackArenaRows) }},
+	{ev: "screen_state.ResidentBytes", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ResidentBytes) }},
+	{prom: "interned_graphemes", ev: "interned_graphemes", kind: gauge, get: func(*scrape) any { return int64(terminal.InternedGraphemes()) }},
+	{prom: "resident_bytes_per_session", ev: "resident_bytes_per_session", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ResidentBytesPerSession()) }},
+
+	// Process-wide statesync apply counters.
+	{prom: "statesync_screen_applies", ev: "statesync_applies.screen", get: func(*scrape) any { n, _, _, _ := statesync.ApplyStats(); return n }},
+	{prom: "statesync_screen_apply_bytes", ev: "statesync_applies.screen_bytes", get: func(*scrape) any { _, n, _, _ := statesync.ApplyStats(); return n }},
+	{prom: "statesync_stream_applies", ev: "statesync_applies.stream", get: func(*scrape) any { _, _, n, _ := statesync.ApplyStats(); return n }},
+	{prom: "statesync_stream_apply_bytes", ev: "statesync_applies.stream_bytes", get: func(*scrape) any { _, _, _, n := statesync.ApplyStats(); return n }},
+
+	// Buffer-pool effectiveness: a miss is a Get that had to allocate; a
+	// healthy steady state plateaus misses.
+	{prom: `buffer_pool_gets{pool="wire"}`, ev: "buffer_pools.wire_gets", get: func(s *scrape) any { n, _ := s.d.wirePool.Stats(); return n }},
+	{prom: `buffer_pool_misses{pool="wire"}`, ev: "buffer_pools.wire_misses", get: func(s *scrape) any { _, n := s.d.wirePool.Stats(); return n }},
+}
+
+// scrape is one rendering's view of a daemon. The walking aggregates take
+// each session's lock, so a scrape reads each at most once.
+type scrape struct {
+	d         *Daemon
+	m         *Metrics
+	transport func() TransportStats
+	screen    func() ScreenStateStats
+}
+
+func newScrape(d *Daemon) *scrape {
+	return &scrape{d: d, m: &d.metrics, transport: sync.OnceValue(d.TransportStats), screen: sync.OnceValue(d.ScreenStateStats)}
+}
+
+// echoUs reads quantile q of the keystroke→echo histogram, in µs.
+func (s *scrape) echoUs(q float64) int64 {
+	return int64(s.d.pipe.Stage(telemetry.StageEcho).QuantileDuration(q) / time.Microsecond)
 }
 
 // JournalWriteAmp reports the journal's cumulative write amplification:
@@ -240,17 +286,6 @@ func (m *Metrics) JournalWriteAmp() float64 {
 		return 0
 	}
 	return float64(m.JournalBytes.Value()) / float64(changed)
-}
-
-// SyscallsAvoided reports how many read+write syscalls batching has saved
-// so far versus the one-per-datagram baseline.
-func (m *Metrics) SyscallsAvoided() int64 {
-	avoided := (m.PacketsIn.Value() - m.ReadBatchCalls.Value()) +
-		(m.PacketsOut.Value() - m.WriteBatchCalls.Value())
-	if avoided < 0 {
-		return 0
-	}
-	return avoided
 }
 
 // ScreenStateStats aggregates the resident screen-state footprint across
@@ -330,15 +365,22 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 	return st
 }
 
-// PublishExpvar registers the daemon's counters plus its live-inspection
-// gauges with the process-wide expvar registry under prefix: resident
-// screen state, transport introspection (SRTT/frame-interval quantiles,
-// queue depths), keystroke→echo percentiles, per-stage pipeline latencies,
-// buffer-pool effectiveness, and process-wide statesync/grapheme counters.
-// The walking gauges (screen_state, transport) take each session's lock
-// briefly at scrape time. Idempotent per prefix, like Metrics.Publish.
+// pubMu guards daemonSlots. expvar.Publish panics on a duplicate name, so
+// each prefix is registered once, every key reading through the prefix's
+// slot; republishing a prefix (a daemon restarted in-process, a test
+// building a fresh daemon) just re-points the slot.
+var (
+	pubMu       sync.Mutex
+	daemonSlots = map[string]*atomic.Pointer[Daemon]{}
+)
+
+// PublishExpvar registers every expvar key of the metrics table with the
+// process-wide expvar registry under prefix (e.g. "sessiond.sessions_live").
+// Idempotent per prefix: the first call registers the names, later calls
+// re-point them at d, so stale daemons stop being scraped. The keys that
+// walk the sessions (screen_state, transport) take each session's lock
+// briefly at scrape time.
 func (d *Daemon) PublishExpvar(prefix string) {
-	d.metrics.Publish(prefix)
 	pubMu.Lock()
 	defer pubMu.Unlock()
 	if slot, ok := daemonSlots[prefix]; ok {
@@ -348,81 +390,82 @@ func (d *Daemon) PublishExpvar(prefix string) {
 	slot := &atomic.Pointer[Daemon]{}
 	slot.Store(d)
 	daemonSlots[prefix] = slot
-	expvar.Publish(prefix+".interned_graphemes", expvar.Func(func() any {
-		return terminal.InternedGraphemes()
-	}))
-	expvar.Publish(prefix+".screen_state", expvar.Func(func() any {
-		return slot.Load().ScreenStateStats()
-	}))
-	expvar.Publish(prefix+".resident_bytes_per_session", expvar.Func(func() any {
-		return slot.Load().ScreenStateStats().ResidentBytesPerSession()
-	}))
-	expvar.Publish(prefix+".statesync_applies", expvar.Func(func() any {
-		sc, sb, uc, ub := statesync.ApplyStats()
-		return map[string]int64{
-			"screen": sc, "screen_bytes": sb,
-			"stream": uc, "stream_bytes": ub,
-		}
-	}))
-	expvar.Publish(prefix+".transport", expvar.Func(func() any {
-		return slot.Load().TransportStats()
-	}))
-	expvar.Publish(prefix+".echo", expvar.Func(func() any {
-		return slot.Load().echoExpvar()
-	}))
-	expvar.Publish(prefix+".stage_latency", expvar.Func(func() any {
-		return slot.Load().stageExpvar()
-	}))
-	expvar.Publish(prefix+".buffer_pools", expvar.Func(func() any {
-		return slot.Load().poolExpvar()
-	}))
-}
-
-// echoExpvar renders the Fig. 6 keystroke→echo summary.
-func (d *Daemon) echoExpvar() any {
-	total, le16, leRTT := d.pipe.EchoStats()
-	h := d.pipe.Stage(telemetry.StageEcho)
-	return map[string]int64{
-		"total":   total,
-		"le_16ms": le16,
-		"le_rtt":  leRTT,
-		"p50_us":  int64(h.QuantileDuration(0.50) / time.Microsecond),
-		"p99_us":  int64(h.QuantileDuration(0.99) / time.Microsecond),
-		"p999_us": int64(h.QuantileDuration(0.999) / time.Microsecond),
-	}
-}
-
-// stageExpvar renders every pipeline stage's latency summary.
-func (d *Daemon) stageExpvar() any {
-	out := make(map[string]map[string]int64, len(telemetry.Stages()))
-	for _, st := range telemetry.Stages() {
-		h := d.pipe.Stage(st)
-		out[st.String()] = map[string]int64{
-			"count":  h.Count(),
-			"p50_us": int64(h.QuantileDuration(0.50) / time.Microsecond),
-			"p99_us": int64(h.QuantileDuration(0.99) / time.Microsecond),
+	keys := map[string][]*metric{}
+	for i := range metrics {
+		if r := &metrics[i]; r.ev != "" {
+			key, _, _ := strings.Cut(r.ev, ".")
+			keys[key] = append(keys[key], r)
 		}
 	}
-	return out
-}
-
-// poolExpvar renders buffer-pool effectiveness: gets vs misses (a miss is
-// a Get that had to allocate; a healthy steady state plateaus misses).
-func (d *Daemon) poolExpvar() any {
-	out := map[string]int64{}
-	if p := d.wirePool; p != nil {
-		g, m := p.Stats()
-		out["wire_gets"], out["wire_misses"] = g, m
+	for key, rows := range keys {
+		expvar.Publish(prefix+"."+key, expvar.Func(func() any {
+			return expvarValue(newScrape(slot.Load()), rows)
+		}))
 	}
-	return out
 }
 
-// String renders a one-line summary for logs and the load harness.
-func (m *Metrics) String() string {
-	return fmt.Sprintf(
-		"sessions=%d (opened=%d evicted=%d) in=%d pkts/%d B out=%d pkts/%d B drops[env=%d unk=%d auth=%d queue=%d] roams=%d",
-		m.SessionsLive.Value(), m.SessionsOpened.Value(), m.SessionsEvicted.Value(),
-		m.PacketsIn.Value(), m.BytesIn.Value(), m.PacketsOut.Value(), m.BytesOut.Value(),
-		m.DropsBadEnvelope.Value(), m.DropsUnknownSession.Value(), m.DropsAuth.Value(),
-		m.DropsQueueFull.Value(), m.RoamingEvents.Value())
+// evField is one field of a composite expvar key, or with no name the
+// whole value of a plain one.
+type evField struct {
+	name string
+	v    any
+}
+
+// expvarValue renders one expvar key from its rows: a plain key's value, or
+// the JSON object of a composite key's fields.
+func expvarValue(s *scrape, rows []*metric) any {
+	var fields, last []evField
+	for _, r := range rows {
+		if r.evLast {
+			last = r.appendExpvar(last, s)
+		} else {
+			fields = r.appendExpvar(fields, s)
+		}
+	}
+	fields = append(fields, last...)
+	if fields[0].name == "" {
+		return fields[0].v
+	}
+	if unicode.IsLower(rune(fields[0].name[0])) {
+		slices.SortFunc(fields, func(a, b evField) int { return strings.Compare(a.name, b.name) })
+	}
+	b := []byte{'{'}
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		v, _ := json.Marshal(f.v)
+		b = append(append(b, `"`+f.name+`":`...), v...)
+	}
+	return json.RawMessage(append(b, '}'))
+}
+
+// appendExpvar appends the fields r contributes to its expvar key.
+func (r *metric) appendExpvar(fs []evField, s *scrape) []evField {
+	_, name, _ := strings.Cut(r.ev, ".")
+	switch v := r.get(s); r.kind {
+	case batchHist:
+		h := v.(*BatchHist)
+		return append(fs, evField{name, map[string]int64{"samples": h.Samples(), "p50": int64(h.Quantile(0.50)), "p99": int64(h.Quantile(0.99))}})
+	case latencyHist:
+		for _, st := range v.([]telemetry.Stage) {
+			if r.label != "" {
+				name = st.String()
+			}
+			h := s.d.pipe.Stage(st)
+			fs = append(fs, evField{name, map[string]int64{
+				"count":  h.Count(),
+				"p50_us": int64(h.QuantileDuration(0.50) / time.Microsecond),
+				"p99_us": int64(h.QuantileDuration(0.99) / time.Microsecond),
+			}})
+		}
+		return fs
+	case durSummary:
+		for i, n := range strings.Split(name, ",") {
+			fs = append(fs, evField{n, v.([3]time.Duration)[i]})
+		}
+		return fs
+	default:
+		return append(fs, evField{name, v})
+	}
 }

@@ -17,9 +17,9 @@ import (
 	"repro/internal/udpbatch"
 )
 
-// The two files under testdata/ are what /metrics and /debug/vars served
-// for the fixture below before the daemon's metrics were declared in one
-// table. Both surfaces must keep rendering them byte for byte.
+// The two files under testdata/ pin, byte for byte, what /metrics and
+// /debug/vars serve for the fixture below: scrapers, dashboards and
+// `mosh-server -debug` users read these names, kinds and layouts.
 // MOSH_WRITE_METRICS_GOLDEN=1 rewrites them instead.
 const (
 	goldenProm   = "testdata/metrics.prom"
@@ -84,8 +84,8 @@ func goldenWorld(t *testing.T) *simWorld {
 	m := w.d.Metrics()
 	if total, _, _ := w.d.Pipeline().EchoStats(); total == 0 || m.RoamingEvents.Value() != 1 ||
 		m.DropsAuth.Value() != 1 || m.DropsUnauthQuota.Value() != 2 || m.JournalFlushes.Value() == 0 {
-		t.Fatalf("fixture not in its state: echoes %d, %s, quota drops %d, flushes %d",
-			total, m, m.DropsUnauthQuota.Value(), m.JournalFlushes.Value())
+		t.Fatalf("fixture not in its state: echoes %d, roams %d, auth drops %d, quota drops %d, flushes %d",
+			total, m.RoamingEvents.Value(), m.DropsAuth.Value(), m.DropsUnauthQuota.Value(), m.JournalFlushes.Value())
 	}
 	return w
 }

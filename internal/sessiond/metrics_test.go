@@ -138,3 +138,47 @@ func TestDegradationMetricsPublished(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricRowsUnique checks the metrics table: every row publishes
+// somewhere, no Prometheus family or expvar name is declared twice, and each
+// family renders exactly one TYPE line.
+func TestMetricRowsUnique(t *testing.T) {
+	d, err := New(Config{Clock: simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC)), IdleTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(d.appendPrometheus(nil))
+	families, evNames := map[string]bool{}, map[string]bool{}
+	for _, r := range metrics {
+		if r.prom == "" && r.ev == "" {
+			t.Errorf("a %s row publishes nothing", promTypes[r.kind])
+		}
+		if key, fields, composite := strings.Cut(r.ev, "."); composite {
+			for _, f := range strings.Split(fields, ",") {
+				if evNames[key+"."+f] {
+					t.Errorf("expvar field %s.%s declared twice", key, f)
+				}
+				evNames[key+"."+f] = true
+			}
+		} else if r.ev != "" {
+			if evNames[r.ev] {
+				t.Errorf("expvar key %s declared twice", r.ev)
+			}
+			evNames[r.ev] = true
+		}
+		if r.prom == "" {
+			continue
+		}
+		family, _, _ := strings.Cut(r.prom, "{")
+		if families[family] {
+			t.Errorf("Prometheus family %s declared twice", family)
+		}
+		families[family] = true
+		if n := strings.Count(body, "# TYPE sessiond_"+family+" "+promTypes[r.kind]+"\n"); n != 1 {
+			t.Errorf("family %s renders %d TYPE %s lines, want 1", family, n, promTypes[r.kind])
+		}
+	}
+	if n := strings.Count(body, "# TYPE "); n != len(families) {
+		t.Errorf("exposition has %d TYPE lines for %d families", n, len(families))
+	}
+}

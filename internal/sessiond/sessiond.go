@@ -45,6 +45,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/netem"
 	"repro/internal/simclock"
+	"repro/internal/statesync"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/udpbatch"
@@ -615,9 +616,15 @@ func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) (flus
 		return false
 	}
 	roamsBefore := s.srv.Transport().Connection().RemoteAddrChanges()
-	if err := s.srv.Receive(wire, src); err != nil {
-		// Forged, replayed, stale or malformed: normal network noise at
-		// this layer; the envelope got it here but the key said no.
+	if err := s.srv.Receive(wire, src); errors.Is(err, statesync.ErrBadDiff) {
+		// The datagram passed the AEAD, so its sender holds the key: a
+		// diff that would not apply is no forgery, and its source is not
+		// charged against the quota for unauthenticated floods.
+		s.d.metrics.DropsBadDiff.Add(1)
+		s.d.recordEv(telemetry.EvDropBadDiff, s.ID, 0, now)
+	} else if err != nil {
+		// Forged, replayed or stale: normal network noise at this layer;
+		// the envelope got it here but the key said no.
 		s.d.metrics.DropsAuth.Add(1)
 		s.d.recordEv(telemetry.EvDropAuth, s.ID, 0, now)
 		if q := s.d.quota; q != nil {

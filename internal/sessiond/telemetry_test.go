@@ -13,31 +13,25 @@ import (
 )
 
 // TestPublishIdempotentPerPrefix is the regression test for the expvar
-// duplicate-name panic: publishing two different Metrics objects (or two
-// daemons) under the same prefix must not panic, and a scrape after the
-// second Publish must read the newer object's values.
+// duplicate-name panic: publishing two different daemons under the same
+// prefix must not panic, and a scrape after the second publish must read
+// the newer daemon's values.
 func TestPublishIdempotentPerPrefix(t *testing.T) {
 	const prefix = "sessiond_republish_test"
-	var a, b sessiond.Metrics
-	a.PacketsIn.Add(11)
-	b.PacketsIn.Add(22)
+	a := newSimWorld(t, sessiond.Config{IdleTimeout: -1}, lan()).d
+	b := newSimWorld(t, sessiond.Config{IdleTimeout: -1}, lan()).d
+	a.Metrics().PacketsIn.Add(11)
+	b.Metrics().PacketsIn.Add(22)
 
-	a.Publish(prefix) // first registration
-	a.Publish(prefix) // same object again: must not panic
+	a.PublishExpvar(prefix) // first registration
+	a.PublishExpvar(prefix) // same daemon again: must not panic
 	if got := expvar.Get(prefix + ".packets_in").String(); got != "11" {
 		t.Fatalf("after first publish, packets_in = %s, want 11", got)
 	}
-	b.Publish(prefix) // different object, same prefix: repoint, no panic
+	b.PublishExpvar(prefix) // different daemon, same prefix: repoint, no panic
 	if got := expvar.Get(prefix + ".packets_in").String(); got != "22" {
-		t.Fatalf("after republish, packets_in = %s, want 22 (new object)", got)
+		t.Fatalf("after republish, packets_in = %s, want 22 (new daemon)", got)
 	}
-
-	// The daemon-level surface must be idempotent too (this is the exact
-	// restart-in-process scenario that used to panic).
-	w1 := newSimWorld(t, sessiond.Config{IdleTimeout: -1}, lan())
-	w1.d.PublishExpvar(prefix)
-	w2 := newSimWorld(t, sessiond.Config{IdleTimeout: -1}, lan())
-	w2.d.PublishExpvar(prefix)
 	if expvar.Get(prefix+".screen_state") == nil {
 		t.Fatal("daemon gauges missing after republish")
 	}
@@ -49,11 +43,11 @@ func TestPublishIdempotentPerPrefix(t *testing.T) {
 // quantile walk gave {1,2,3,4,5} → p50=3, p99=4.
 func TestBatchSizeExpvarPinned(t *testing.T) {
 	const prefix = "sessiond_batchpin_test"
-	var m sessiond.Metrics
+	d := newSimWorld(t, sessiond.Config{IdleTimeout: -1}, lan()).d
 	for n := 1; n <= 5; n++ {
-		m.ReadBatchSizes.Observe(n)
+		d.Metrics().ReadBatchSizes.Observe(n)
 	}
-	m.Publish(prefix)
+	d.PublishExpvar(prefix)
 	const want = `{"p50":3,"p99":4,"samples":5}`
 	if got := expvar.Get(prefix + ".read_batch_size").String(); got != want {
 		t.Fatalf("read_batch_size = %s, want %s", got, want)

@@ -88,13 +88,20 @@ func (h *timerHeap) popDue(now time.Time) []*Session {
 	return due
 }
 
-// sessionHeap implements container/heap over sessions by deadline.
+// sessionHeap implements container/heap over sessions by deadline, and by
+// session ID among equal deadlines, so sessions due at the same instant are
+// ticked in an order that does not depend on the heap's history.
 type sessionHeap []*Session
 
-func (q sessionHeap) Len() int           { return len(q) }
-func (q sessionHeap) Less(i, j int) bool { return q[i].deadline.Before(q[j].deadline) }
-func (q sessionHeap) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].heapIdx = i; q[j].heapIdx = j }
-func (q *sessionHeap) Push(x any)        { s := x.(*Session); s.heapIdx = len(*q); *q = append(*q, s) }
+func (q sessionHeap) Len() int { return len(q) }
+func (q sessionHeap) Less(i, j int) bool {
+	if c := q[i].deadline.Compare(q[j].deadline); c != 0 {
+		return c < 0
+	}
+	return q[i].ID < q[j].ID
+}
+func (q sessionHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i]; q[i].heapIdx = i; q[j].heapIdx = j }
+func (q *sessionHeap) Push(x any)   { s := x.(*Session); s.heapIdx = len(*q); *q = append(*q, s) }
 func (q *sessionHeap) Pop() any {
 	old := *q
 	n := len(old)

@@ -30,6 +30,7 @@ const (
 	EvJournalSuspend        // journaling suspended; arg = suspension mode
 	EvJournalResume         // journaling resumed after suspension
 	EvDump                  // a flight-recorder dump was taken
+	EvDropBadDiff           // authentic datagram whose diff would not apply
 	numCodes
 )
 
@@ -49,6 +50,7 @@ var codeNames = [numCodes]string{
 	EvJournalSuspend:   "journal_suspend",
 	EvJournalResume:    "journal_resume",
 	EvDump:             "dump",
+	EvDropBadDiff:      "drop_bad_diff",
 }
 
 func (c Code) String() string {
