@@ -107,6 +107,34 @@ func TestScrollOptimization(t *testing.T) {
 	}
 }
 
+// TestScrollThenPaintAtOldCursor: the scroll a frame opens with resets the
+// scrolling region, and DECSTBM homes the cursor, so a cell painted where
+// the cursor stood before the frame needs a move first. Without one the
+// client paints it at the top-left corner.
+func TestScrollThenPaintAtOldCursor(t *testing.T) {
+	e := NewEmulator(80, 24)
+	for i := 1; i <= 24; i++ {
+		fmt.Fprintf(e, "line %02d", i)
+		if i < 24 {
+			e.WriteString("\r\n")
+		}
+	}
+	e.WriteString("\x1b[6;4H")
+	last := e.Framebuffer().Clone()
+	e.WriteString("\x1b[24;1H\n\x1b[6;4HZ\x1b[6;4H")
+	target := e.Framebuffer()
+	frame := NewFrame(true, last, target)
+	if !bytes.Contains(frame, []byte("\x1b[1S")) {
+		t.Fatalf("frame does not scroll: %q", frame)
+	}
+	got := applyFrame(last, frame)
+	if row0, row5 := got.Text(0), got.Text(5); row0 != target.Text(0) || row5 != target.Text(5) {
+		t.Fatalf("client rows 0 and 5 read %q, %q; want %q, %q\nframe: %q",
+			row0, row5, target.Text(0), target.Text(5), frame)
+	}
+	requireFrameTransforms(t, last, target)
+}
+
 func TestCursorPositionSynchronized(t *testing.T) {
 	last := fbFrom(40, 8, "abc")
 	e := NewEmulator(40, 8)
