@@ -96,13 +96,10 @@ func main() {
 
 	p := newPump(client, simclock.Real{}, func() {
 		d := client.Display()
-		if shown == nil {
-			os.Stdout.Write(terminal.NewFrame(false, nil, d))
-		} else if !shown.Equal(d) {
-			os.Stdout.Write(terminal.NewFrame(true, shown, d))
-		} else {
+		if shown != nil && shown.Equal(d) {
 			return
 		}
+		os.Stdout.Write(displayFrame(shown, d))
 		shown = d
 	})
 	go p.timers(nil)
@@ -133,6 +130,25 @@ func main() {
 		}
 		p.do(func(c *core.Client) { c.UserBytes([]byte{b}) })
 	}
+}
+
+// displayFrame returns the bytes that bring the user's terminal from shown,
+// the screen last painted on it (nil: none yet), to d. An incremental frame
+// carries a cursor-visibility change only when there is one, so while the
+// cursor stays visible the client hides it around the frame itself: a real
+// terminal would otherwise show it jumping across the cells being painted.
+func displayFrame(shown, d *terminal.Framebuffer) []byte {
+	if shown == nil {
+		return terminal.NewFrame(false, nil, d)
+	}
+	frame := terminal.NewFrame(true, shown, d)
+	if len(frame) == 0 || !shown.DS.CursorVisible || !d.DS.CursorVisible {
+		return frame
+	}
+	out := make([]byte, 0, len(frame)+12)
+	out = append(out, "\x1b[?25l"...)
+	out = append(out, frame...)
+	return append(out, "\x1b[?25h"...)
 }
 
 // pump serializes a client endpoint's three event sources — datagrams,

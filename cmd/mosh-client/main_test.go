@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
+	"repro/internal/terminal"
 )
 
 // eventually polls cond in real time: the pump's timer loop is a real
@@ -18,6 +20,36 @@ func eventually(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// TestDisplayFrameHidesCursorWhilePainting: the wire frame no longer hides
+// the cursor while it paints, so the client does it on the terminal it
+// paints — around a non-empty frame, while the cursor is visible before and
+// after. A frame that hides or shows the cursor, and one with nothing to
+// paint, go out as they are, and the first paint is the full repaint.
+func TestDisplayFrameHidesCursorWhilePainting(t *testing.T) {
+	e := terminal.NewEmulator(20, 4)
+	step := func(s string) (before, after *terminal.Framebuffer) {
+		before = e.Framebuffer().Clone()
+		e.WriteString(s)
+		return before, e.Framebuffer().Clone()
+	}
+	for _, c := range []struct{ host, want string }{
+		{"hi", "\x1b[?25lhi\x1b[?25h"},
+		{"\x1b[?25l!", "\x1b[?25l!"},
+		{"?", "?"},
+		{"\x1b[?25h", "\x1b[?25h"},
+		{"\x1b[0m", ""},
+	} {
+		shown, d := step(c.host)
+		if got := string(displayFrame(shown, d)); got != c.want {
+			t.Errorf("host wrote %q: display frame %q, want %q", c.host, got, c.want)
+		}
+	}
+	d := e.Framebuffer()
+	if got, want := displayFrame(nil, d), terminal.NewFrame(false, nil, d); !bytes.Equal(got, want) {
+		t.Errorf("first paint %q, want the full repaint %q", got, want)
 	}
 }
 

@@ -262,6 +262,26 @@ func TestCompleteEchoAckSync(t *testing.T) {
 	}
 }
 
+// TestCompleteEchoAckOnlyDiffIsHeader: the frame that follows an echo 50 ms
+// later to acknowledge it (§3.2) changes nothing on screen, so its diff is
+// the three header bytes (width, height, echo ack) and no frame.
+func TestCompleteEchoAckOnlyDiffIsHeader(t *testing.T) {
+	server := NewComplete(80, 24)
+	server.Terminal().WriteString("$ ls")
+	client := server.Clone()
+	server.SetEchoAck(1)
+	diff := server.DiffFrom(client)
+	if want := "\x50\x18\x01"; string(diff) != want {
+		t.Fatalf("echo-ack diff is %q, want %q", diff, want)
+	}
+	if err := client.Apply(diff); err != nil {
+		t.Fatal(err)
+	}
+	if !client.Equal(server) {
+		t.Fatal("did not converge")
+	}
+}
+
 func TestCompleteCloneIndependence(t *testing.T) {
 	a := NewComplete(20, 5)
 	a.Terminal().WriteString("aaa")

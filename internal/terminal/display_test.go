@@ -59,10 +59,10 @@ func TestIncrementalSingleCharEcho(t *testing.T) {
 	e.SetFramebuffer(target)
 	e.WriteString("l")
 	requireFrameTransforms(t, last, e.Framebuffer())
-	// The incremental frame for one echoed character should be tiny.
-	frame := NewFrame(true, last, e.Framebuffer())
-	if len(frame) > 64 {
-		t.Fatalf("single-character frame is %d bytes", len(frame))
+	// The remote cursor already stands where the character goes, in the
+	// rendition it takes, and stays visible: the frame is the character.
+	if frame := NewFrame(true, last, e.Framebuffer()); string(frame) != "l" {
+		t.Fatalf("single-character frame is %q, want %q", frame, "l")
 	}
 }
 
@@ -133,6 +133,19 @@ func TestScrollThenPaintAtOldCursor(t *testing.T) {
 			row0, row5, target.Text(0), target.Text(5), frame)
 	}
 	requireFrameTransforms(t, last, target)
+}
+
+// TestFrameBreaksPrintStreamBeforeZWJNeighbour: a host that breaks its print
+// stream after a ZWJ-terminated emoji leaves the next emoji in a cell of its
+// own. Printed straight after the first, it would join it on the client, so
+// the frame moves between them — in a repaint too, which the parent writer
+// got wrong.
+func TestFrameBreaksPrintStreamBeforeZWJNeighbour(t *testing.T) {
+	target := fbFrom(20, 2, "\U0001f469‍\x1b[m\U0001f4bb")
+	if got := applyFrame(NewFramebuffer(20, 2), NewFrame(false, nil, target)); !got.Equal(target) {
+		t.Fatalf("repaint diverged:\n%s\nvs\n%s", dump(got), dump(target))
+	}
+	requireFrameTransforms(t, NewFramebuffer(20, 2), target)
 }
 
 func TestCursorPositionSynchronized(t *testing.T) {
@@ -243,7 +256,7 @@ func TestFrameIdempotentWhenNoChange(t *testing.T) {
 	if !got.Equal(f) {
 		t.Fatal("no-change frame altered the screen")
 	}
-	if len(frame) > 48 {
+	if len(frame) != 0 {
 		t.Fatalf("no-change frame is %d bytes: %q", len(frame), frame)
 	}
 }

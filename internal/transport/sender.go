@@ -427,14 +427,24 @@ func (s *Sender[T]) tick() {
 	}
 
 	sc := s.frag.borrow()
-	sc.diff = s.currentState.AppendDiff(sc.diff[:0], s.sentStates[s.assumedIdx].state)
+	// A live object Equal to the newest sent state goes out as a resend of
+	// that state, under its number, so its diff is that snapshot's: Equal
+	// need not compare everything a diff carries (a screen's active
+	// rendition), and every diff a receiver can hold for one number must
+	// leave it in the state the next diff is computed from.
+	resend := s.currentState.Equal(s.back().state)
+	target := s.currentState
+	if resend {
+		target = s.back().state
+	}
+	sc.diff = target.AppendDiff(sc.diff[:0], s.sentStates[s.assumedIdx].state)
 	if len(sc.diff) == 0 {
 		if ackDue {
 			s.sendEmptyAck(now)
 		}
 		return
 	}
-	s.sendToReceiver(now, sc.diff)
+	s.sendToReceiver(now, sc.diff, resend)
 }
 
 // wantsPrepare reports whether building the next frame now is likely to pay:
@@ -629,10 +639,10 @@ func (s *Sender[T]) nextNum() (num uint64, ok bool) {
 
 // sendToReceiver conveys the current state as a diff from the assumed
 // receiver state (the action "best calculated to fast-forward the remote
-// host", design goal 3).
-func (s *Sender[T]) sendToReceiver(now time.Time, diff []byte) {
+// host", design goal 3); resend says the newest sent state is that state.
+func (s *Sender[T]) sendToReceiver(now time.Time, diff []byte, resend bool) {
 	var newNum uint64
-	if s.currentState.Equal(s.back().state) {
+	if resend {
 		// Resend of a state the receiver should already be getting:
 		// same number, refreshed timestamp.
 		newNum = s.back().num
