@@ -3,6 +3,7 @@ package terminal
 import (
 	"strconv"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // NewFrame computes the byte string that, when interpreted by a terminal
@@ -282,7 +283,11 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		}
 		buf = moveTo(buf, cur, y, x)
 		buf = setRend(buf, cur, cell.Rend)
-		buf = cell.appendContents(buf)
+		if g := cell.glyph(); g&graphemeBit != 0 && !cell.Wide() && x+1 < width && isPictographic(cell.leadRune()) {
+			buf = appendKeepingNarrow(buf, graphemes.lookup(g), cell.Rend)
+		} else {
+			buf = cell.appendContents(buf)
+		}
 		w := 1
 		if cell.Wide() {
 			w = 2
@@ -316,6 +321,21 @@ func joinsLeft(row *Row, x int) bool {
 	}
 	prev := &row.Cells[p]
 	return endsWithZWJ(prev.glyph()) && isPictographic(prev.leadRune())
+}
+
+// appendKeepingNarrow appends the grapheme s of a narrow cell, not in the
+// last column, whose base is an emoji. A VS16 printed in an unbroken stream
+// widens such a cell, so any VS16 it holds arrived after its application
+// broke the stream; each goes out after a restatement of the rendition,
+// which breaks the stream again.
+func appendKeepingNarrow(buf []byte, s string, rend Renditions) []byte {
+	for _, r := range s {
+		if r == vs16 {
+			buf = rend.appendANSI(buf)
+		}
+		buf = utf8.AppendRune(buf, r)
+	}
+	return buf
 }
 
 // appendMove emits an absolute cursor move to (row, col), 0-based.
