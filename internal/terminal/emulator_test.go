@@ -273,9 +273,14 @@ func TestSaveRestoreCursor(t *testing.T) {
 
 func TestRIS(t *testing.T) {
 	e := emu(20, 5)
-	e.WriteString("junk\x1b[5;5H\x1bc")
+	e.WriteString("junk\a\x1b[5;5H\x1bc")
 	rowText(t, e, 0, "")
 	cursor(t, e, 0, 0)
+	// The bell count is the session's, not the screen's: frames ring the
+	// bells it gained and cannot unring one.
+	if n := e.Framebuffer().BellCount; n != 1 {
+		t.Fatalf("bell count after RIS = %d, want 1", n)
+	}
 }
 
 func TestDECALN(t *testing.T) {

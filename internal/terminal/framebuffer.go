@@ -651,11 +651,14 @@ func (f *Framebuffer) RestoreCursor() {
 // Reset implements RIS: back to the power-on state at the current size.
 // The scrollback *limit* survives — it is embedder configuration (sessiond
 // disables history per session; see SetScrollbackLimit), not screen state
-// — while the history itself is discarded like the rest of the screen.
+// — while the history itself is discarded like the rest of the screen. The
+// bell count and the echo ack survive too: they count the session's events
+// rather than describe the screen, and a frame rings the bells a count
+// gained but cannot take one back.
 func (f *Framebuffer) Reset() {
-	max := f.scrollbackMax
+	max, bells, ack := f.scrollbackMax, f.BellCount, f.EchoAck
 	*f = *NewFramebuffer(f.W, f.H)
-	f.scrollbackMax = max
+	f.scrollbackMax, f.BellCount, f.EchoAck = max, bells, ack
 }
 
 // SetTab sets a tab stop at the cursor column.
