@@ -138,8 +138,7 @@ func TestScrollThenPaintAtOldCursor(t *testing.T) {
 // TestFrameBreaksPrintStreamBeforeZWJNeighbour: a host that breaks its print
 // stream after a ZWJ-terminated emoji leaves the next emoji in a cell of its
 // own. Printed straight after the first, it would join it on the client, so
-// the frame moves between them — in a repaint too, which the parent writer
-// got wrong.
+// the frame moves between them, in a full repaint as in an incremental one.
 func TestFrameBreaksPrintStreamBeforeZWJNeighbour(t *testing.T) {
 	target := fbFrom(20, 2, "\U0001f469‍\x1b[m\U0001f4bb")
 	if got := applyFrame(NewFramebuffer(20, 2), NewFrame(false, nil, target)); !got.Equal(target) {

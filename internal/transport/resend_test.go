@@ -18,8 +18,9 @@ import (
 // frame emits no SGR when the rendition it tracks already matches). Here
 // state 1 leaves the host in red and is lost; the host then resets the
 // rendition, which changes nothing visible, before the retransmission; then
-// it prints a red x. A resend diffed from the live object left the client in
-// the default rendition under state 1, and the x arrived uncoloured.
+// it prints a red x. A resend diffed from the live object would leave the
+// client in the default rendition under state 1, and the x would arrive
+// uncoloured.
 func TestResendCarriesTheNumberedState(t *testing.T) {
 	const cols, rows = 20, 4
 	clk := simclock.NewScheduler(t0)
