@@ -72,7 +72,10 @@ func TestResendCarriesTheNumberedState(t *testing.T) {
 		t.Fatal("the red state was never sent")
 	}
 	host.WriteString("\x1b[0m")
-	run(5*time.Second, false)
+	run(5*time.Second, false) // long enough for the retransmission probe
+	if server.Sender().Stats().Instructions < 2 {
+		t.Fatal("the lost state was never resent")
+	}
 	host.WriteString("\x1b[31mx")
 	server.TickChangedAt(clk.Now())
 	run(time.Second, false)
