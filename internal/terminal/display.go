@@ -276,10 +276,15 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 			x--
 			cell = &row.Cells[x]
 		}
-		if joinsLeft(row, x) {
-			// Printed straight after its neighbour, the cell would join
-			// that neighbour's emoji sequence; a move breaks the stream.
-			cur.colInvalid = true
+		// Printed straight after its neighbour, the cell could join that
+		// neighbour's emoji sequence; a move breaks the stream. Only a
+		// blank (a wide cell's continuation) or multi-rune neighbour can
+		// end in a joiner, and that test is inline: it runs for every cell
+		// a frame paints.
+		if x > 0 {
+			if g := row.Cells[x-1].glyph(); (g == 0 || g&graphemeBit != 0) && joinsLeft(row, x) {
+				cur.colInvalid = true
+			}
 		}
 		buf = moveTo(buf, cur, y, x)
 		buf = setRend(buf, cur, cell.Rend)
@@ -305,22 +310,20 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 	return buf
 }
 
-// joinsLeft reports whether the cell at x, printed right after the cell to
+// joinsLeft reports whether the cell at x > 0, printed right after the cell to
 // its left, would be absorbed into it rather than start a cell of its own:
 // the emulator, like a real terminal, joins a pictographic rune printed
 // straight after a pictographic cluster ending in a zero-width joiner. The
 // server may hold the two as separate cells when its application broke the
 // print stream between them.
 func joinsLeft(row *Row, x int) bool {
-	if x == 0 || !isPictographic(row.Cells[x].leadRune()) {
-		return false
-	}
 	p := x - 1
 	if p > 0 && row.Cells[p].ContentsEmpty() && row.Cells[p-1].Wide() {
 		p--
 	}
 	prev := &row.Cells[p]
-	return endsWithZWJ(prev.glyph()) && isPictographic(prev.leadRune())
+	return endsWithZWJ(prev.glyph()) && isPictographic(prev.leadRune()) &&
+		isPictographic(row.Cells[x].leadRune())
 }
 
 // appendKeepingNarrow appends the grapheme s of a narrow cell, not in the
