@@ -30,6 +30,8 @@ type simWorld struct {
 	paths      map[netem.Addr]*netem.Path
 	params     netem.LinkParams
 	seed       int64
+	// tap, when set, sees every datagram the daemon sends, as sent.
+	tap func(dst netem.Addr, wire []byte)
 }
 
 func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams, lim ...sessiond.Limit) *simWorld {
@@ -45,6 +47,9 @@ func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams, lim
 	w.nw = netem.NewNetwork(w.sched)
 	cfg.Clock = w.sched
 	cfg.Send = func(dst netem.Addr, wire []byte) {
+		if w.tap != nil {
+			w.tap(dst, wire)
+		}
 		if p := w.paths[dst]; p != nil {
 			p.Down.Send(netem.Packet{Src: w.daemonAddr, Dst: dst, Payload: wire})
 		}

@@ -395,7 +395,9 @@ func (f *Framebuffer) normalizeWideRange(row, from, to int) {
 			c.Reset(c.Rend)
 			continue
 		}
-		want := Cell{Rend: c.Rend.background()}
+		// The continuation keeps the row's soft-wrap flag: it is line
+		// metadata, not content the leader dictates.
+		want := Cell{content: r.Cells[col+1].content & wrapBit, Rend: c.Rend.background()}
 		if r.Cells[col+1] != want {
 			r.Cells[col+1] = want
 		}

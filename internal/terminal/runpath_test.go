@@ -188,6 +188,28 @@ func TestRunPathTakesBulkText(t *testing.T) {
 	}
 }
 
+// TestWideContinuationKeepsWrap: on a 4-column screen, 字 lands in column 2
+// and the next character wraps the row, so its continuation in column 3
+// carries the soft-wrap flag. A print within two columns re-normalizes the
+// pair, and the continuation, rewritten as a blank with the leader's
+// background, must keep the flag: the rune-at-a-time path used to drop it
+// while the run path, which does not normalize, kept it.
+func TestWideContinuationKeepsWrap(t *testing.T) {
+	data := []byte("\xe6\xbc0字0\x1b[0H0")
+	oracle := runeOracle{NewEmulator(4, 15)}
+	oracle.write(data)
+	e := NewEmulator(4, 15)
+	e.Write(data)
+	for path, fb := range map[string]*Framebuffer{"rune": oracle.Framebuffer(), "run": e.Framebuffer()} {
+		if lead, cont := fb.Peek(0, 2), fb.Peek(0, 3); !lead.Wide() || !cont.ContentsEmpty() || !cont.Wrapped() {
+			t.Errorf("%s path: row 0 = %q, cell (0,3) wrapped %v; want 字 in column 2 and its continuation wrapped", path, fb.Text(0), cont.Wrapped())
+		}
+	}
+	if d := diffScreens(e.Framebuffer(), oracle.Framebuffer()); d != "" {
+		t.Fatal(d)
+	}
+}
+
 // FuzzEmulatorRunPath is the same differential under the fuzzer: any byte
 // stream, any small screen, cut in two anywhere.
 func FuzzEmulatorRunPath(f *testing.F) {

@@ -11,24 +11,26 @@ import (
 	"sync"
 )
 
-// protocolVersion identifies this wire format. Version 3 added the
-// absolute-start-index prefix to user-stream diffs (crash-safe session
-// resumption); a version-2 peer's diffs would misparse silently, so the
-// bump makes mixed-version pairs fail loudly with ErrVersion instead.
-const protocolVersion = 3
+// protocolVersion identifies this wire format. It travels in the high bits
+// of every payload's flag byte, so a peer of another version fails with
+// ErrVersion before anything is inflated. Version 4 numbers a fragment by
+// the datagram that carries it and sends the state numbers as steps down
+// from NewNum; nothing reads version 3.
+const protocolVersion = 4
 
 // Instruction is the transport layer's only message: a self-contained
 // statement that "state NewNum is state OldNum plus this diff", along with
 // acknowledgment (AckNum: the newest remote state we have received) and
 // history trimming (ThrowawayNum: the receiver may discard every state
 // numbered below it, because the sender will never again diff from them).
+// Every sender mints ThrowawayNum ≤ OldNum ≤ NewNum, and the encoding
+// cannot express anything else.
 type Instruction struct {
-	ProtocolVersion uint8
-	OldNum          uint64
-	NewNum          uint64
-	AckNum          uint64
-	ThrowawayNum    uint64
-	Diff            []byte
+	OldNum       uint64
+	NewNum       uint64
+	AckNum       uint64
+	ThrowawayNum uint64
+	Diff         []byte
 }
 
 var (
@@ -38,53 +40,44 @@ var (
 	ErrVersion = errors.New("transport: unsupported protocol version")
 )
 
-// appendMarshal encodes the instruction onto buf: version byte, four
-// uvarints, then the raw diff to the end of the buffer.
+// appendMarshal encodes the instruction onto buf: NewNum, NewNum−OldNum,
+// OldNum−ThrowawayNum and AckNum, each a uvarint, then the raw diff to the
+// end of the buffer.
 func (inst *Instruction) appendMarshal(buf []byte) []byte {
-	buf = append(buf, inst.ProtocolVersion)
-	buf = binary.AppendUvarint(buf, inst.OldNum)
 	buf = binary.AppendUvarint(buf, inst.NewNum)
+	buf = binary.AppendUvarint(buf, inst.NewNum-inst.OldNum)
+	buf = binary.AppendUvarint(buf, inst.OldNum-inst.ThrowawayNum)
 	buf = binary.AppendUvarint(buf, inst.AckNum)
-	buf = binary.AppendUvarint(buf, inst.ThrowawayNum)
-	buf = append(buf, inst.Diff...)
-	return buf
+	return append(buf, inst.Diff...)
 }
 
-// marshal encodes the instruction into a fresh buffer.
-func (inst *Instruction) marshal() []byte {
-	return inst.appendMarshal(make([]byte, 0, 1+4*binary.MaxVarintLen64+len(inst.Diff)))
-}
-
-// unmarshalInstruction decodes a buffer produced by marshal.
+// unmarshalInstruction decodes a buffer produced by appendMarshal.
 func unmarshalInstruction(b []byte) (*Instruction, error) {
-	if len(b) < 5 {
-		return nil, ErrBadInstruction
-	}
-	inst := &Instruction{ProtocolVersion: b[0]}
-	if inst.ProtocolVersion != protocolVersion {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, inst.ProtocolVersion)
-	}
-	rest := b[1:]
-	for _, dst := range []*uint64{&inst.OldNum, &inst.NewNum, &inst.AckNum, &inst.ThrowawayNum} {
-		v, n := binary.Uvarint(rest)
+	var v [4]uint64
+	for i := range v {
+		x, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, ErrBadInstruction
 		}
-		*dst = v
-		rest = rest[n:]
+		v[i], b = x, b[n:]
 	}
-	inst.Diff = rest
-	return inst, nil
+	newNum, toOld, toThrowaway := v[0], v[1], v[2]
+	if toOld > newNum || toThrowaway > newNum-toOld {
+		return nil, ErrBadInstruction
+	}
+	oldNum := newNum - toOld
+	return &Instruction{OldNum: oldNum, NewNum: newNum, AckNum: v[3], ThrowawayNum: oldNum - toThrowaway, Diff: b}, nil
 }
 
 // Compression. Like the reference implementation, instructions are
 // zlib-compressed before fragmentation when that actually helps (screen
 // repaints are full of runs and repeated escape sequences). A one-byte
-// flag distinguishes the encodings.
+// flag, the protocol version over a compressed bit, distinguishes the
+// encodings.
 
 const (
-	encodingRaw  = 0
-	encodingZlib = 1
+	encodingRaw  = protocolVersion << 1
+	encodingZlib = encodingRaw | 1
 	// compressThreshold skips compression for tiny instructions
 	// (keystrokes, acks) where the zlib header would only add bytes.
 	compressThreshold = 64
@@ -234,54 +227,46 @@ func decodeInstruction(buf []byte) (*Instruction, error) {
 }
 
 // Fragmentation. An instruction larger than the MTU is split into numbered
-// fragments sharing an instruction id; the last fragment carries a final
-// bit. Fragments of a newer instruction abandon any partial older one —
-// SSP never needs the old instruction because a newer diff supersedes it.
+// fragments; the last fragment carries a final bit. A fragment names no
+// instruction: the sender seals an instruction's fragments back to back, so
+// the instruction's id is the sequence number of the datagram carrying its
+// fragment 0, which the receiver derives as seq − num. The datagram layer
+// accepts sequence numbers only in increasing order, and a restarted sender
+// seals above its journaled reservation, so ids only grow. Fragments of a
+// newer instruction abandon any partial older one — SSP never needs the old
+// instruction because a newer diff supersedes it.
 
-const (
-	fragmentHeaderLen = 8 + 2
-	finalFragmentBit  = 0x8000
-	// maxFragments bounds a single instruction's fragment count; combined
-	// with the MTU this caps instruction size defensively.
-	maxFragments = 1 << 14
-)
+// maxFragments bounds a single instruction's fragment count; combined with
+// the MTU this caps instruction size defensively.
+const maxFragments = 1 << 14
 
 // fragment is one wire piece of an instruction.
 type fragment struct {
-	id       uint64
+	id       uint64 // the instruction's, derived on receipt; the sender leaves it 0
 	num      uint16
 	final    bool
 	contents []byte
 }
 
-// appendMarshal encodes the fragment onto dst.
+// appendMarshal encodes the fragment onto dst: uvarint(num<<1 | final),
+// then the contents.
 func (f *fragment) appendMarshal(dst []byte) []byte {
-	var hdr [fragmentHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[:], f.id)
-	num := f.num
+	hdr := uint64(f.num) << 1
 	if f.final {
-		num |= finalFragmentBit
+		hdr |= 1
 	}
-	binary.BigEndian.PutUint16(hdr[8:], num)
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.contents...)
+	return append(binary.AppendUvarint(dst, hdr), f.contents...)
 }
 
-func (f *fragment) marshal() []byte {
-	return f.appendMarshal(make([]byte, 0, fragmentHeaderLen+len(f.contents)))
-}
-
-func unmarshalFragment(b []byte) (*fragment, error) {
-	if len(b) < fragmentHeaderLen {
-		return nil, ErrBadInstruction
+// parseFragment decodes the fragment the datagram with sequence number seq
+// carried, deriving its instruction's id. The contents alias b.
+func parseFragment(seq uint64, b []byte) (fragment, error) {
+	hdr, n := binary.Uvarint(b)
+	num := hdr >> 1
+	if n <= 0 || num >= maxFragments || num > seq {
+		return fragment{}, ErrBadInstruction
 	}
-	num := binary.BigEndian.Uint16(b[8:])
-	return &fragment{
-		id:       binary.BigEndian.Uint64(b),
-		num:      num &^ finalFragmentBit,
-		final:    num&finalFragmentBit != 0,
-		contents: b[fragmentHeaderLen:],
-	}, nil
+	return fragment{id: seq - num, num: uint16(num), final: hdr&1 != 0, contents: b[n:]}, nil
 }
 
 // fragmenter numbers and splits instructions for transmission, in a scratch
@@ -290,7 +275,6 @@ func unmarshalFragment(b []byte) (*fragment, error) {
 // all the sender needs — each instruction's fragments are sealed and emitted
 // before the next instruction exists.
 type fragmenter struct {
-	nextID uint64
 	lease
 	// prepared marks the leased scratch as holding an instruction encoded
 	// ahead of its send (prepare), which keeps it past release; any later
@@ -351,14 +335,11 @@ func (fr *fragmenter) preparedFragments(mtu int) []fragment {
 	return fr.split(fr.lent.enc, mtu)
 }
 
-// split numbers an encoded payload's fragments under the next instruction
-// id.
+// split numbers an encoded payload's fragments.
 func (fr *fragmenter) split(payload []byte, mtu int) []fragment {
 	if mtu < 1 {
 		mtu = 1
 	}
-	id := fr.nextID
-	fr.nextID++
 	sc := fr.borrow()
 	sc.frags = sc.frags[:0]
 	for num := 0; ; num++ {
@@ -367,7 +348,6 @@ func (fr *fragmenter) split(payload []byte, mtu int) []fragment {
 			n = mtu
 		}
 		sc.frags = append(sc.frags, fragment{
-			id:       id,
 			num:      uint16(num),
 			final:    n == len(payload),
 			contents: payload[:n],
@@ -407,9 +387,6 @@ type assembly struct {
 // add consumes one fragment; when it completes an instruction, the decoded
 // instruction is returned.
 func (a *assembly) add(f *fragment) (*Instruction, error) {
-	if f.num >= maxFragments {
-		return nil, ErrBadInstruction
-	}
 	if !a.active || f.id != a.id {
 		if a.active && f.id < a.id {
 			return nil, nil // stale fragment of an abandoned instruction
@@ -461,17 +438,16 @@ func (a *assembly) decode(buf []byte) (*Instruction, error) {
 	if len(buf) < 1 {
 		return nil, ErrBadInstruction
 	}
-	switch buf[0] {
-	case encodingRaw:
-		return unmarshalInstruction(buf[1:])
-	case encodingZlib:
-		sc := a.borrow()
-		var err error
-		if sc.raw, err = inflate(sc.raw, buf[1:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
-		}
-		return unmarshalInstruction(sc.raw)
-	default:
-		return nil, ErrBadInstruction
+	if v := buf[0] >> 1; v != protocolVersion {
+		return nil, fmt.Errorf("%w: %d", ErrVersion, v)
 	}
+	if buf[0] == encodingRaw {
+		return unmarshalInstruction(buf[1:])
+	}
+	sc := a.borrow()
+	var err error
+	if sc.raw, err = inflate(sc.raw, buf[1:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInstruction, err)
+	}
+	return unmarshalInstruction(sc.raw)
 }

@@ -2,19 +2,23 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// marshal encodes the instruction into a fresh buffer.
+func (inst *Instruction) marshal() []byte { return inst.appendMarshal(nil) }
+
 func TestInstructionRoundTrip(t *testing.T) {
 	in := &Instruction{
-		ProtocolVersion: protocolVersion,
-		OldNum:          3,
-		NewNum:          9,
-		AckNum:          17,
-		ThrowawayNum:    2,
-		Diff:            []byte("diff-bytes"),
+		OldNum:       3,
+		NewNum:       9,
+		AckNum:       17,
+		ThrowawayNum: 2,
+		Diff:         []byte("diff-bytes"),
 	}
 	out, err := unmarshalInstruction(in.marshal())
 	if err != nil {
@@ -26,31 +30,68 @@ func TestInstructionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstructionRoundTripProperty: every instruction a sender can mint
+// (ThrowawayNum ≤ OldNum ≤ NewNum) survives the round trip, and no buffer
+// decodes to one that breaks that order.
 func TestInstructionRoundTripProperty(t *testing.T) {
-	f := func(oldN, newN, ack, throw uint64, diff []byte) bool {
-		in := &Instruction{ProtocolVersion: protocolVersion, OldNum: oldN, NewNum: newN, AckNum: ack, ThrowawayNum: throw, Diff: diff}
+	f := func(x, y, z, ack uint64, equal uint8, diff []byte) bool {
+		nums := []uint64{x, y, z}
+		switch equal % 4 { // the orders a sender mints most: resends and acks
+		case 1:
+			nums[1] = nums[0]
+		case 2:
+			nums[1], nums[2] = nums[0], nums[0]
+		}
+		slices.Sort(nums)
+		in := &Instruction{ThrowawayNum: nums[0], OldNum: nums[1], NewNum: nums[2], AckNum: ack, Diff: diff}
 		out, err := unmarshalInstruction(in.marshal())
 		if err != nil {
 			return false
 		}
-		return out.OldNum == oldN && out.NewNum == newN && out.AckNum == ack &&
-			out.ThrowawayNum == throw && bytes.Equal(out.Diff, diff)
+		return out.OldNum == in.OldNum && out.NewNum == in.NewNum && out.AckNum == ack &&
+			out.ThrowawayNum == in.ThrowawayNum && bytes.Equal(out.Diff, diff)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+	ordered := func(b []byte) bool {
+		inst, err := unmarshalInstruction(b)
+		return err != nil || (inst.ThrowawayNum <= inst.OldNum && inst.OldNum <= inst.NewNum)
+	}
+	if err := quick.Check(ordered, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// NewNum 5, then a step of 6 down to OldNum: below zero.
+	if _, err := unmarshalInstruction([]byte{5, 6, 0, 0}); !errors.Is(err, ErrBadInstruction) {
+		t.Fatalf("OldNum below zero: err = %v, want ErrBadInstruction", err)
+	}
+	// NewNum 5, OldNum 3, then a step of 4 down to ThrowawayNum.
+	if _, err := unmarshalInstruction([]byte{5, 2, 4, 0}); !errors.Is(err, ErrBadInstruction) {
+		t.Fatalf("ThrowawayNum below zero: err = %v, want ErrBadInstruction", err)
+	}
 }
 
+// TestInstructionBadVersion: the version rides in the flag byte, so a
+// version-3 payload (flag 0 raw, 1 zlib) is refused before it is inflated
+// or parsed, whatever follows.
 func TestInstructionBadVersion(t *testing.T) {
-	in := &Instruction{ProtocolVersion: 99}
-	if _, err := unmarshalInstruction(in.marshal()); err == nil {
-		t.Fatal("accepted wrong protocol version")
+	body := (&Instruction{OldNum: 1, NewNum: 2}).marshal()
+	for _, flag := range []byte{0, 1, 3<<1 | 1, 5 << 1, 0xff} {
+		if _, err := decodeInstruction(append([]byte{flag}, body...)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("flag byte %#x: err = %v, want ErrVersion", flag, err)
+		}
+	}
+	if _, err := decodeInstruction(append([]byte{encodingRaw}, body...)); err != nil {
+		t.Fatalf("this version's flag byte: %v", err)
 	}
 }
 
 func TestInstructionTruncated(t *testing.T) {
-	if _, err := unmarshalInstruction([]byte{protocolVersion, 1}); err == nil {
+	if _, err := unmarshalInstruction([]byte{9, 1, 0}); err == nil {
 		t.Fatal("accepted truncated instruction")
+	}
+	if _, err := unmarshalInstruction([]byte{9, 1, 0, 0x80}); err == nil {
+		t.Fatal("accepted instruction ending inside a uvarint")
 	}
 	if _, err := unmarshalInstruction(nil); err == nil {
 		t.Fatal("accepted empty instruction")
@@ -68,7 +109,7 @@ func instOfSize(n int) *Instruction {
 		x ^= x << 17
 		diff[i] = byte(x)
 	}
-	return &Instruction{ProtocolVersion: protocolVersion, OldNum: 1, NewNum: 2, AckNum: 3, ThrowawayNum: 0, Diff: diff}
+	return &Instruction{OldNum: 1, NewNum: 2, AckNum: 3, ThrowawayNum: 0, Diff: diff}
 }
 
 func TestFragmentationSingle(t *testing.T) {
@@ -87,11 +128,8 @@ func TestFragmentationSplitAndReassemble(t *testing.T) {
 		t.Fatalf("got %d fragments for 5000-byte diff at mtu 1200", len(frags))
 	}
 	var a assembly
-	for i := range frags {
-		back, err := unmarshalFragment(frags[i].marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
+	var w seqWire
+	for i, back := range w.carry(t, frags) {
 		inst, err := a.add(back)
 		if err != nil {
 			t.Fatal(err)
@@ -134,12 +172,22 @@ func TestFragmentReassemblyOutOfOrder(t *testing.T) {
 	}
 }
 
-// copyFragments deep-copies makeFragments output so a test can hold it
-// across a later makeFragments call (which reuses the scratch buffers).
-func copyFragments(frags []fragment) []*fragment {
+// seqWire stands in for the datagram layer under fragment-level tests: it
+// carries fragments as the sender seals them, back to back under
+// consecutive sequence numbers, and parses each as the receiver does, into
+// buffers of its own, so a test can hold them across a later makeFragments
+// call (which reuses the scratch).
+type seqWire struct{ seq uint64 }
+
+func (w *seqWire) carry(t testing.TB, frags []fragment) []*fragment {
+	t.Helper()
 	out := make([]*fragment, len(frags))
-	for i, f := range frags {
-		f.contents = append([]byte(nil), f.contents...)
+	for i := range frags {
+		f, err := parseFragment(w.seq, frags[i].appendMarshal(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.seq++
 		out[i] = &f
 	}
 	return out
@@ -147,13 +195,14 @@ func copyFragments(frags []fragment) []*fragment {
 
 func TestNewerInstructionAbandonsOlder(t *testing.T) {
 	var fr fragmenter
-	old := copyFragments(fr.makeFragments(instOfSize(3000), 1000))
-	fresh := fr.makeFragments(instOfSize(50), 1000)
+	var w seqWire
+	old := w.carry(t, fr.makeFragments(instOfSize(3000), 1000))
+	fresh := w.carry(t, fr.makeFragments(instOfSize(50), 1000))
 	var a assembly
 	if inst, _ := a.add(old[0]); inst != nil {
 		t.Fatal("premature assembly")
 	}
-	inst, err := a.add(&fresh[0])
+	inst, err := a.add(fresh[0])
 	if err != nil || inst == nil {
 		t.Fatalf("fresh single-fragment instruction should assemble: %v", err)
 	}
@@ -178,8 +227,12 @@ func TestFragmentLossLeavesInstructionIncomplete(t *testing.T) {
 }
 
 func TestFragmentMarshalRoundTrip(t *testing.T) {
-	f := &fragment{id: 77, num: 3, final: true, contents: []byte("abc")}
-	back, err := unmarshalFragment(f.marshal())
+	f := &fragment{num: 3, final: true, contents: []byte("abc")}
+	wire := f.appendMarshal(nil)
+	if len(wire) != 1+3 {
+		t.Fatalf("fragment 3 of an instruction is %d bytes on the wire, want a 1-byte header", len(wire))
+	}
+	back, err := parseFragment(80, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +241,19 @@ func TestFragmentMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFragmentTooShort: a fragment needs at least its header, a whole
+// uvarint.
 func TestFragmentTooShort(t *testing.T) {
-	if _, err := unmarshalFragment(make([]byte, 5)); err == nil {
-		t.Fatal("accepted short fragment")
+	for _, b := range [][]byte{nil, {}, {0x80}, {0xff, 0xff}} {
+		if _, err := parseFragment(100, b); !errors.Is(err, ErrBadInstruction) {
+			t.Fatalf("fragment % x: err = %v, want ErrBadInstruction", b, err)
+		}
 	}
 }
 
 func TestInstructionCompression(t *testing.T) {
 	// A repetitive screen repaint must compress.
-	in := &Instruction{ProtocolVersion: protocolVersion, OldNum: 1, NewNum: 2,
+	in := &Instruction{OldNum: 1, NewNum: 2,
 		Diff: []byte(strings.Repeat("\x1b[K all work and no play ", 100))}
 	enc := encodeInstruction(in)
 	if enc[0] != encodingZlib {
@@ -210,7 +267,7 @@ func TestInstructionCompression(t *testing.T) {
 		t.Fatalf("compressed round trip failed: %v", err)
 	}
 	// A keystroke-sized instruction stays raw.
-	small := &Instruction{ProtocolVersion: protocolVersion, Diff: []byte("x")}
+	small := &Instruction{Diff: []byte("x")}
 	if enc := encodeInstruction(small); enc[0] != encodingRaw {
 		t.Fatal("tiny instruction pointlessly compressed")
 	}

@@ -22,11 +22,11 @@ func openWire(t *testing.T, asm *assembly, wire []byte) (seq uint64, inst *Instr
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := unmarshalFragment(pt[4:]) // past the two timestamps
+	frag, err := parseFragment(seq, pt[4:]) // past the two timestamps
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inst, err = asm.add(frag); err != nil {
+	if inst, err = asm.add(&frag); err != nil {
 		t.Fatal(err)
 	}
 	return seq, inst

@@ -12,7 +12,7 @@ import (
 
 // repaint is a compressible, screen-frame-shaped instruction.
 func repaint(tag string) *Instruction {
-	return &Instruction{ProtocolVersion: protocolVersion, OldNum: 1, NewNum: 2,
+	return &Instruction{OldNum: 1, NewNum: 2,
 		Diff: []byte(strings.Repeat("\x1b[K all work and no play "+tag, 40))}
 }
 
@@ -70,7 +70,8 @@ func TestDecodeWarmPoolAllocsBounded(t *testing.T) {
 		t.Skip("sync.Pool drops entries at random under -race; CI runs this guard without it")
 	}
 	var fr fragmenter
-	frags := copyFragments(fr.makeFragments(repaint("x"), 40))
+	var w seqWire
+	frags := w.carry(t, fr.makeFragments(repaint("x"), 40))
 	if len(frags) < 2 || frags[0].contents[0] != encodingZlib {
 		t.Fatalf("guard wants a compressed multi-fragment instruction, got %d fragments", len(frags))
 	}
@@ -139,14 +140,19 @@ func TestDecodeRejectsOverLimitStream(t *testing.T) {
 		var buf bytes.Buffer
 		buf.WriteByte(encodingZlib)
 		zw := zlib.NewWriter(&buf)
-		zw.Write((&Instruction{ProtocolVersion: protocolVersion, NewNum: 1}).marshal())
-		zw.Write(make([]byte, n-5)) // the marshalled header above is 5 bytes
+		// NewNum 1, one step down to OldNum 0, ThrowawayNum 0, AckNum 0.
+		hdr := (&Instruction{NewNum: 1}).marshal()
+		if !bytes.Equal(hdr, []byte{1, 1, 0, 0}) {
+			t.Fatalf("header % x, want the 4 bytes 01 01 00 00", hdr)
+		}
+		zw.Write(hdr)
+		zw.Write(make([]byte, n-len(hdr)))
 		zw.Close()
 		return buf.Bytes()
 	}
 	var a assembly
 	inst, err := a.decode(bomb(maxDecompressed))
-	if err != nil || len(inst.Diff) != maxDecompressed-5 {
+	if err != nil || len(inst.Diff) != maxDecompressed-4 {
 		t.Fatalf("a stream of exactly the limit must decode: %v", err)
 	}
 	if _, err := a.decode(bomb(maxDecompressed + 1)); !errors.Is(err, ErrBadInstruction) {
@@ -172,7 +178,8 @@ func TestDecodeRejectsOverLimitStream(t *testing.T) {
 func TestAssemblyDuplicateAndStrayFragments(t *testing.T) {
 	var fr fragmenter
 	in := instOfSize(3000)
-	frags := copyFragments(fr.makeFragments(in, 1000)) // 4 fragments
+	var w seqWire
+	frags := w.carry(t, fr.makeFragments(in, 1000)) // 4 fragments
 	var a assembly
 	stray := &fragment{id: frags[0].id, num: 7, contents: []byte("stray")}
 	for _, f := range []*fragment{frags[0], frags[0], stray, frags[3], frags[1], frags[1]} {
@@ -188,7 +195,7 @@ func TestAssemblyDuplicateAndStrayFragments(t *testing.T) {
 		t.Fatalf("did not assemble once complete: %v", err)
 	}
 	// The next multi-fragment instruction starts from a clean slate.
-	next := copyFragments(fr.makeFragments(in, 1000))
+	next := w.carry(t, fr.makeFragments(in, 1000))
 	if inst, _ := a.add(next[3]); inst != nil || a.held != 1 {
 		t.Fatalf("reused assembly started with %d fragments held", a.held)
 	}

@@ -487,7 +487,7 @@ func TestPreparedFrameDiscards(t *testing.T) {
 
 	t.Run("another instruction encoded meanwhile", func(t *testing.T) {
 		r := prepared(t)
-		r.server.sender.frag.encode(&Instruction{ProtocolVersion: protocolVersion})
+		r.server.sender.frag.encode(&Instruction{})
 		r.serveDeadline()
 		discarded(t, r, "a")
 	})

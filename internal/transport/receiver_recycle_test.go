@@ -13,11 +13,10 @@ import (
 
 func mkInst(old, new, throwaway uint64, diff []byte) *Instruction {
 	return &Instruction{
-		ProtocolVersion: protocolVersion,
-		OldNum:          old,
-		NewNum:          new,
-		ThrowawayNum:    throwaway,
-		Diff:            diff,
+		OldNum:       old,
+		NewNum:       new,
+		ThrowawayNum: throwaway,
+		Diff:         diff,
 	}
 }
 

@@ -157,9 +157,10 @@ func TestAssemblyRetainsNothingAfterLargeInstruction(t *testing.T) {
 	for i := range diff {
 		diff[i] = 'a' + byte(rng.Intn(16)) // half a byte of entropy a byte: deflates to about 60 %
 	}
-	in := &Instruction{ProtocolVersion: protocolVersion, OldNum: 1, NewNum: 2, Diff: diff}
+	in := &Instruction{OldNum: 1, NewNum: 2, Diff: diff}
 	var fr fragmenter
-	frags := copyFragments(fr.makeFragments(in, DefaultTiming().MTU))
+	var w seqWire
+	frags := w.carry(t, fr.makeFragments(in, DefaultTiming().MTU))
 	fr.release()
 	if len(frags) < 100 || frags[0].contents[0] != encodingZlib {
 		t.Fatalf("want a compressed instruction of many fragments, got %d", len(frags))

@@ -509,12 +509,11 @@ func (s *Sender[T]) prepare() bool {
 	}
 	num, _ := s.nextNum()
 	inst := Instruction{
-		ProtocolVersion: protocolVersion,
-		OldNum:          assumed.num,
-		NewNum:          num,
-		AckNum:          s.ackNum,
-		ThrowawayNum:    s.front().num,
-		Diff:            sc.diff,
+		OldNum:       assumed.num,
+		NewNum:       num,
+		AckNum:       s.ackNum,
+		ThrowawayNum: s.front().num,
+		Diff:         sc.diff,
 	}
 	s.frag.prepare(&inst)
 	inst.Diff = nil
@@ -615,11 +614,10 @@ func (s *Sender[T]) waitTime() time.Duration {
 func (s *Sender[T]) sendEmptyAck(now time.Time) {
 	num := s.back().num
 	s.sendInstruction(now, &Instruction{
-		ProtocolVersion: protocolVersion,
-		OldNum:          num,
-		NewNum:          num,
-		AckNum:          s.ackNum,
-		ThrowawayNum:    s.front().num,
+		OldNum:       num,
+		NewNum:       num,
+		AckNum:       s.ackNum,
+		ThrowawayNum: s.front().num,
 	})
 	s.stats.EmptyAcks++
 	s.pendingDataAck = false
@@ -659,12 +657,11 @@ func (s *Sender[T]) sendToReceiver(now time.Time, diff []byte, resend bool) {
 		s.addSentState(now, newNum)
 	}
 	s.sendInstruction(now, &Instruction{
-		ProtocolVersion: protocolVersion,
-		OldNum:          s.sentStates[s.assumedIdx].num,
-		NewNum:          newNum,
-		AckNum:          s.ackNum,
-		ThrowawayNum:    s.front().num,
-		Diff:            diff,
+		OldNum:       s.sentStates[s.assumedIdx].num,
+		NewNum:       newNum,
+		AckNum:       s.ackNum,
+		ThrowawayNum: s.front().num,
+		Diff:         diff,
 	})
 	s.noteDataSent(len(diff))
 }
@@ -712,7 +709,10 @@ func (s *Sender[T]) sendInstruction(now time.Time, inst *Instruction) {
 }
 
 // sendFragments seals and transmits one instruction's fragments, and pushes
-// the heartbeat deadline out. Each fragment is marshalled into the tick's
+// the heartbeat deadline out. The fragments are sealed back to back, as the
+// receiver's derivation of their instruction id (seq − num) requires; a
+// refused seal consumes no sequence number, so the next instruction starts
+// a fresh id. Each fragment is marshalled into the tick's
 // scratch; the sealed wire buffer itself is recycled only when the embedder
 // has declared Emit non-retaining (RecycleWire).
 func (s *Sender[T]) sendFragments(now time.Time, frags []fragment) {

@@ -143,11 +143,6 @@ func New[L State[L], R State[R]](cfg Config[L, R]) (*Transport[L, R], error) {
 	var r *Receiver[R]
 	if rs := cfg.Resume; rs != nil {
 		s = newResumedSender[L](conn, cfg.Clock, timing, cfg.LocalInitial, cfg.LocalBaseline, rs.SendNumFloor)
-		// Fragment ids only need monotonicity; reusing the sequence
-		// reservation guarantees the restored ids exceed every id the dead
-		// process emitted, so the peer's reassembly never mistakes a
-		// post-restart instruction for a stale fragment.
-		s.frag.nextID = rs.NextSeq
 		// The journal proves receipt through RecvNum; advertising it from
 		// the first post-restore instruction lets a surviving client whose
 		// ack was lost in the crash collapse its history instead of
@@ -200,11 +195,11 @@ func (t *Transport[L, R]) Receive(wire []byte, src netem.Addr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	frag, err := unmarshalFragment(payload)
+	frag, err := parseFragment(t.conn.ExpectedSeq()-1, payload) // the sequence number just accepted
 	if err != nil {
 		return false, err
 	}
-	inst, err := t.assembly.add(frag)
+	inst, err := t.assembly.add(&frag)
 	if err != nil || inst == nil {
 		t.assembly.release() // nothing to apply, but a join or an inflate may have borrowed
 		return false, err
