@@ -49,7 +49,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/netem"
 	"repro/internal/overlay"
-	"repro/internal/sessiond"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -64,8 +63,7 @@ func main() {
 	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
 	lossy := flag.Bool("lossy", false, "manysession: per-cohort lossy links (editor 1%, log-tail 3%)")
 	unbatched := flag.Bool("unbatched", false, "manysession: one-datagram-per-syscall fallback mode (the baseline the batched pipeline is measured against)")
-	iomodel := flag.String("iomodel", "mmsg", "manysession: provider geometry the syscall/stack-traversal accounting mirrors: mmsg|loop|gso")
-	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train, the workload GSO segmentation offload coalesces")
+	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train")
 	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire mangling, journal disk faults, nonce audit); see also -exp chaos")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")
 	virtual := flag.Bool("virtual", false, "manysession: virtual-time regime tuned so the run completes faster than the span it simulates even at 100000 sessions (sparse keystrokes, stretched heartbeat); exits nonzero if wall time exceeds virtual time")
@@ -111,11 +109,6 @@ func main() {
 	// reproduction.
 	if *exp == "manysession" {
 		start := time.Now()
-		model, err := sessiond.ParseIOModel(*iomodel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		res := bench.RunManySession(bench.ManySessionOptions{
 			Sessions:     *sessions,
 			Seed:         cfg.Seed,
@@ -124,7 +117,6 @@ func main() {
 			Roam:         *roam,
 			LossyCohorts: *lossy,
 			Unbatched:    *unbatched,
-			IOModel:      model,
 			Trains:       *trains,
 			Chaos:        *chaos,
 			ChaosSeed:    *chaosSeed,

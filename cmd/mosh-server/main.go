@@ -13,7 +13,7 @@
 // Usage:
 //
 //	mosh-server [-port 60001] [-sessions 64] [-demo shell|editor|mail]
-//	            [-idle 12h] [-debug 127.0.0.1:6060] [-udp-provider auto|mmsg|gso|loop]
+//	            [-idle 12h] [-debug 127.0.0.1:6060] [-udp-provider auto|mmsg|loop]
 //	            [-state-dir /var/lib/moshd] [-journal 10s]
 //	            [-unauth-burst 64] [-unauth-rate 16]
 //
@@ -74,7 +74,7 @@ func main() {
 	debug := flag.String("debug", "", "serve expvar metrics on this address (e.g. 127.0.0.1:6060)")
 	stateDir := flag.String("state-dir", "", "journal sessions here and restore them on start (crash-safe resumption)")
 	journal := flag.Duration("journal", sessiond.DefaultJournalInterval, "journal flush cadence with -state-dir")
-	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|gso|loop; auto takes the best-measured provider the platform has (mmsg, else loop); gso runs only when named, loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
+	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|loop; auto takes the best-measured provider the platform has (mmsg, else loop), loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
 	flag.Parse()

@@ -55,11 +55,10 @@ func TestBatchEquivalenceUnderLossAndRoam(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Every provider geometry in the ladder — loop, gso (mmsg is `res`
-	// above) — must produce the identical per-session frame streams: the
-	// I/O model only changes how syscalls and stack traversals are
-	// accounted, never what any session sees.
-	for _, m := range []sessiond.IOModel{sessiond.IOModelLoop, sessiond.IOModelGSO} {
+	// Every provider geometry in the ladder — loop (mmsg is `res` above) —
+	// must produce the identical per-session frame streams: the I/O model
+	// only changes how syscalls are accounted, never what any session sees.
+	for _, m := range []sessiond.IOModel{sessiond.IOModelLoop} {
 		mopt := base
 		mopt.IOModel = m
 		mres := RunManySession(mopt)

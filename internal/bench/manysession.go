@@ -70,20 +70,17 @@ type ManySessionOptions struct {
 	// modes, so the comparison isolates syscall amortization.
 	Unbatched bool
 	// IOModel selects which provider geometry the batched daemon's syscall
-	// and stack-traversal accounting mirrors (mmsg by default; see
-	// sessiond.IOModel). Packet handling is identical in every model —
-	// per-session traffic is byte-for-byte the same — so model runs are
-	// directly comparable on syscalls/pkt and traversals/pkt alone.
+	// accounting mirrors (mmsg by default; see sessiond.IOModel). Packet
+	// handling is identical in every model — per-session traffic is
+	// byte-for-byte the same — so model runs differ in syscalls/pkt alone.
 	IOModel sessiond.IOModel
 	// Trains replaces every session's application with host.BulkStream and
 	// types in lockstep (no phase shift): one shared busy log feeding every
 	// viewer, so reply bursts are correlated across sessions and each reply
-	// diff spans several MTU-sized fragments. The egress ring then carries
-	// long same-peer equal-length trains — the workload UDP segmentation
-	// offload (IOModel gso) collapses into single sendmmsg entries and
-	// single kernel-stack traversals. Echo-latency sampling is disabled
-	// (bulk output scrolls the prompt away); the measures of interest are
-	// WriteCalls, StackIn/StackOut, and frame equivalence.
+	// diff spans several MTU-sized fragments, so the egress ring carries
+	// long same-peer trains. Echo-latency sampling is disabled (bulk
+	// output scrolls the prompt away); the measures of interest are
+	// WriteCalls and frame equivalence.
 	Trains bool
 	// DeliveryQuantum models receive-side interrupt coalescing on the
 	// daemon's ingress path (client→daemon links only): arrivals are
@@ -167,14 +164,6 @@ type ManySessionResult struct {
 	SyscallsPerPacket     float64
 	// IOModel echoes the provider geometry the run's accounting mirrored.
 	IOModel sessiond.IOModel
-	// StackIn/StackOut count modeled UDP-stack traversals per direction:
-	// one per coalesced same-peer run under the gso model (the kernel
-	// segments/reassembles a whole train in one pass), one per datagram
-	// everywhere else. StackTraversalsPerPacket =
-	// (StackIn+StackOut)/(PacketsIn+PacketsOut) — the below-syscall
-	// companion to SyscallsPerPacket.
-	StackIn, StackOut        int64
-	StackTraversalsPerPacket float64
 	// Batch-size distribution observed by the daemon (datagrams moved per
 	// syscall; from the final daemon incarnation on restart runs).
 	ReadBatchP50, ReadBatchP99   int
@@ -620,7 +609,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	bytesIn0, bytesOut0 := m.BytesIn.Value(), m.BytesOut.Value()
 	queueDrops0, roams0 := m.DropsQueueFull.Value(), m.RoamingEvents.Value()
 	readCalls0, writeCalls0 := m.ReadBatchCalls.Value(), m.WriteBatchCalls.Value()
-	stackIn0, stackOut0 := m.StackTraversalsIn.Value(), m.StackTraversalsOut.Value()
 	authDrops0, flushFails0 := m.DropsAuth.Value(), m.JournalFlushFailures.Value()
 	harvest := func() {
 		res.PacketsIn += m.PacketsIn.Value() - packetsIn0
@@ -631,8 +619,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		res.Roams += m.RoamingEvents.Value() - roams0
 		res.ReadCalls += m.ReadBatchCalls.Value() - readCalls0
 		res.WriteCalls += m.WriteBatchCalls.Value() - writeCalls0
-		res.StackIn += m.StackTraversalsIn.Value() - stackIn0
-		res.StackOut += m.StackTraversalsOut.Value() - stackOut0
 		res.AuthDrops += m.DropsAuth.Value() - authDrops0
 		res.JournalFlushFailures += m.JournalFlushFailures.Value() - flushFails0
 	}
@@ -642,7 +628,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		bytesIn0, bytesOut0 = m.BytesIn.Value(), m.BytesOut.Value()
 		queueDrops0, roams0 = m.DropsQueueFull.Value(), m.RoamingEvents.Value()
 		readCalls0, writeCalls0 = m.ReadBatchCalls.Value(), m.WriteBatchCalls.Value()
-		stackIn0, stackOut0 = m.StackTraversalsIn.Value(), m.StackTraversalsOut.Value()
 		authDrops0, flushFails0 = m.DropsAuth.Value(), m.JournalFlushFailures.Value()
 	}
 	start := sched.Now()
@@ -810,7 +795,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	res.WriteBatchP99 = m.WriteBatchSizes.Quantile(0.99)
 	if pkts := res.PacketsIn + res.PacketsOut; pkts > 0 {
 		res.SyscallsPerPacket = float64(res.ReadCalls+res.WriteCalls) / float64(pkts)
-		res.StackTraversalsPerPacket = float64(res.StackIn+res.StackOut) / float64(pkts)
 	}
 	if opt.CaptureFrames {
 		for _, lc := range clients {
@@ -893,12 +877,6 @@ func FormatManySession(r ManySessionResult) string {
 		fmt.Fprintf(&b, "  socket io [%s]: %d read + %d write syscalls for %d pkts → %.3f syscalls/pkt (%.1fx fewer than 1/pkt); batch size read p50/p99 = %d/%d, write p50/p99 = %d/%d\n",
 			r.IOModel, r.ReadCalls, r.WriteCalls, r.PacketsIn+r.PacketsOut, r.SyscallsPerPacket, factor,
 			r.ReadBatchP50, r.ReadBatchP99, r.WriteBatchP50, r.WriteBatchP99)
-	}
-	if r.StackIn+r.StackOut > 0 {
-		// One traversal per datagram everywhere except the gso model, where
-		// the stack runs once per coalesced same-peer train each direction.
-		fmt.Fprintf(&b, "  udp stack: %d in + %d out traversals → %.3f traversals/pkt\n",
-			r.StackIn, r.StackOut, r.StackTraversalsPerPacket)
 	}
 	st := Summarize(r.Samples)
 	fmt.Fprintf(&b, "  keystroke latency: n=%d p50=%v p90=%v p99=%v max=%v lost=%d\n",

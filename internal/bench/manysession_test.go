@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/sessiond"
 )
 
 // TestManySessionLoad1000 is the scaling demonstration from the roadmap:
@@ -199,7 +198,6 @@ func TestManySessionTelemetryDeterministic(t *testing.T) {
 func reportEchoMetrics(b *testing.B, res ManySessionResult) {
 	b.ReportMetric(float64(res.PacketsIn+res.PacketsOut), "wirepkts/op")
 	b.ReportMetric(res.SyscallsPerPacket, "syscalls_per_pkt")
-	b.ReportMetric(res.StackTraversalsPerPacket, "stack_traversals_per_pkt")
 	for _, ec := range res.EchoCohorts {
 		if ec.Name != "shell" {
 			continue
@@ -240,87 +238,6 @@ func BenchmarkManySession(b *testing.B) {
 		})
 		if res.Lost != 0 {
 			b.Fatalf("lost %d keystrokes", res.Lost)
-		}
-		reportEchoMetrics(b, res)
-	}
-}
-
-// TestManySessionGSOTrains1000 is the segmentation-offload acceptance gate
-// at scale: 1000 sessions viewing one shared bulk stream type in lockstep,
-// so every reply leaves the daemon as a same-peer train of MTU-sized
-// fragments and same-instant sweeps carry hundreds of sessions' trains.
-// The gso model must spend at least 3x fewer write syscalls than the mmsg
-// baseline on identical traffic (the sweep is GSOBatch wide because run
-// coalescing bounds per-call msghdr count), cut egress stack traversals
-// at least 2x (one per train instead of one per datagram), and deliver
-// byte-identical per-session frame streams.
-func TestManySessionGSOTrains1000(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000-session simulation")
-	}
-	opt := ManySessionOptions{
-		Sessions:      1000,
-		Keystrokes:    2,
-		TypeInterval:  200 * time.Millisecond,
-		Seed:          17,
-		Trains:        true,
-		CaptureFrames: true,
-	}
-	base := RunManySession(opt) // mmsg geometry
-	gsoOpt := opt
-	gsoOpt.IOModel = sessiond.IOModelGSO
-	gso := RunManySession(gsoOpt)
-	t.Logf("\n%s", FormatManySession(base))
-	t.Logf("\n%s", FormatManySession(gso))
-
-	// Same traffic: the model changes accounting geometry, never packets.
-	if base.PacketsOut == 0 || base.PacketsIn != gso.PacketsIn || base.PacketsOut != gso.PacketsOut {
-		t.Fatalf("wire traffic differs: mmsg %d/%d vs gso %d/%d pkts",
-			base.PacketsIn, base.PacketsOut, gso.PacketsIn, gso.PacketsOut)
-	}
-	if len(base.FrameHashes) != opt.Sessions || len(gso.FrameHashes) != opt.Sessions {
-		t.Fatalf("frame capture incomplete: %d vs %d hashes", len(base.FrameHashes), len(gso.FrameHashes))
-	}
-	for i := range base.FrameHashes {
-		if base.FrameHashes[i] != gso.FrameHashes[i] {
-			t.Fatalf("session %d: frame-stream hash differs (mmsg %x vs gso %x)",
-				i+1, base.FrameHashes[i], gso.FrameHashes[i])
-		}
-	}
-	// The tentpole gate: >=3x fewer write syscalls on the trains workload.
-	if gso.WriteCalls*3 > base.WriteCalls {
-		t.Fatalf("gso spent %d write syscalls vs mmsg's %d, want >=3x fewer",
-			gso.WriteCalls, base.WriteCalls)
-	}
-	// The mmsg baseline pays the stack once per datagram by construction;
-	// coalescing must cut egress traversals at least in half.
-	if base.StackOut != base.PacketsOut {
-		t.Fatalf("mmsg egress traversals = %d for %d pkts, want exactly 1/pkt", base.StackOut, base.PacketsOut)
-	}
-	if gso.StackOut*2 > base.StackOut {
-		t.Fatalf("gso egress traversals = %d vs mmsg's %d, want >=2x fewer", gso.StackOut, base.StackOut)
-	}
-	if gso.StackTraversalsPerPacket >= base.StackTraversalsPerPacket {
-		t.Fatalf("gso traversals/pkt = %.3f not below mmsg's %.3f",
-			gso.StackTraversalsPerPacket, base.StackTraversalsPerPacket)
-	}
-}
-
-// BenchmarkManySessionGSOTrains feeds the per-commit perf artifact with
-// the segmentation-offload trains run, reporting stack traversals per
-// packet alongside the echo metrics.
-func BenchmarkManySessionGSOTrains(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := RunManySession(ManySessionOptions{
-			Sessions:     128,
-			Keystrokes:   3,
-			TypeInterval: 150 * time.Millisecond,
-			Seed:         int64(i + 1),
-			Trains:       true,
-			IOModel:      sessiond.IOModelGSO,
-		})
-		if res.PacketsOut == 0 {
-			b.Fatal("no traffic")
 		}
 		reportEchoMetrics(b, res)
 	}

@@ -308,8 +308,7 @@ func (p *PasswordPrompt) Input(data []byte) ([]byte, time.Duration) {
 // where every keystroke releases a burst of lines whose screen diff spans
 // several MTU-sized fragments even after the transport's zlib pass. Each
 // reply therefore leaves the daemon as a run of equal-length datagrams to
-// one peer — the egress-train workload UDP segmentation offload coalesces
-// into single kernel-stack traversals.
+// one peer.
 type BulkStream struct {
 	rng   *rand.Rand
 	lines int

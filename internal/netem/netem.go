@@ -274,41 +274,6 @@ func (s *BatchSink) drain() {
 	}
 }
 
-// MaxCoalesce is the segment ceiling one coalesced super-datagram may
-// carry, mirroring the kernel's UDP_MAX_SEGMENTS so virtual-time runs
-// group exactly like a GSO/GRO-capable NIC path.
-const MaxCoalesce = 64
-
-// CoalescedRuns reports how many datagrams a segmentation-aware (UDP GRO)
-// receiver would see in one delivered batch: adjacent packets from the
-// same source whose payloads equal the first's length collapse into one
-// super-datagram (the last segment of a run may be shorter, ending it),
-// capped at MaxCoalesce segments per run. This is the delivery-side
-// grouping rule the real udpbatch GSO provider applies on egress, exposed
-// here so virtual-time experiments can meter stack traversals with the
-// same arithmetic the kernel path pays.
-func CoalescedRuns(pkts []Packet) int {
-	runs := 0
-	for off := 0; off < len(pkts); {
-		seg := len(pkts[off].Payload)
-		src := pkts[off].Src
-		n := 1
-		for off+n < len(pkts) && n < MaxCoalesce && seg > 0 {
-			l := len(pkts[off+n].Payload)
-			if pkts[off+n].Src != src || l > seg || l == 0 {
-				break
-			}
-			n++
-			if l < seg {
-				break // shorter trailer closes the super-datagram
-			}
-		}
-		off += n
-		runs++
-	}
-	return runs
-}
-
 // Path is a bidirectional link pair between a client side and a server
 // side: Up carries client→server traffic, Down carries server→client.
 type Path struct {

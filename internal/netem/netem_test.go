@@ -343,35 +343,3 @@ func TestBatchSinkCoalescesInstant(t *testing.T) {
 		t.Fatalf("second batch = %v", batches[1])
 	}
 }
-
-// TestCoalescedRuns pins the simulator's segmentation-aware delivery
-// model to the same run definition the real GSO provider uses.
-func TestCoalescedRuns(t *testing.T) {
-	a := Addr{Host: 1, Port: 1}
-	b := Addr{Host: 2, Port: 2}
-	mk := func(src Addr, n int) Packet { return Packet{Src: src, Payload: make([]byte, n)} }
-	cases := []struct {
-		name string
-		pkts []Packet
-		want int
-	}{
-		{"empty", nil, 0},
-		{"one", []Packet{mk(a, 100)}, 1},
-		{"same-src equal-len train", []Packet{mk(a, 100), mk(a, 100), mk(a, 100)}, 1},
-		{"trailer joins its run", []Packet{mk(a, 100), mk(a, 100), mk(a, 40)}, 1},
-		{"src change splits", []Packet{mk(a, 100), mk(b, 100), mk(a, 100)}, 3},
-		{"len grows splits", []Packet{mk(a, 100), mk(a, 40), mk(a, 100)}, 2},
-	}
-	for _, tc := range cases {
-		if got := CoalescedRuns(tc.pkts); got != tc.want {
-			t.Errorf("%s: CoalescedRuns = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	long := make([]Packet, MaxCoalesce+1)
-	for i := range long {
-		long[i] = mk(a, 100)
-	}
-	if got := CoalescedRuns(long); got != 2 {
-		t.Errorf("segment cap: CoalescedRuns = %d, want 2", got)
-	}
-}

@@ -39,6 +39,12 @@ const (
 	DefaultMinRTO = 50 * time.Millisecond
 	// DefaultMaxRTO caps the retransmission timeout.
 	DefaultMaxRTO = 1000 * time.Millisecond
+	// maxRTTSampleMs bounds the RTT samples the estimator believes: the
+	// reference implementation ignores samples of 5 s or more. Such a
+	// sample measures a stopped peer (Ctrl-Z, a suspended laptop) that
+	// answered a long-queued datagram on resuming, not the path; folded
+	// in, one of them holds SRTT inflated for some 30 round trips.
+	maxRTTSampleMs = 5000
 )
 
 // tsNone is the wire encoding of "no timestamp reply".
@@ -391,9 +397,10 @@ func (c *Connection) Receive(wire []byte, src netem.Addr) ([]byte, error) {
 
 // observeRTT folds one RTT sample (milliseconds) into SRTT/RTTVAR per
 // RFC 6298. Every SSP packet has a unique sequence number, so there is no
-// retransmission ambiguity (§2.2 change 1) and every sample is usable.
+// retransmission ambiguity (§2.2 change 1); only a sample of
+// maxRTTSampleMs or more is ignored.
 func (c *Connection) observeRTT(ms float64) {
-	if ms < 0 {
+	if ms < 0 || ms >= maxRTTSampleMs {
 		return
 	}
 	c.lastRTT = time.Duration(ms * float64(time.Millisecond))

@@ -173,6 +173,44 @@ func TestTimestampReplyAdjustedForHoldTime(t *testing.T) {
 	}
 }
 
+// TestStaleTimestampReplyIgnored: a server stopped for 20 s with the
+// client's datagram queued in its socket replies as soon as it resumes.
+// That 20 s sample measures the stop, not the path, so SRTT and RTO keep
+// the 50 ms exchange's values; a sample just under 5 s is still folded.
+func TestStaleTimestampReplyIgnored(t *testing.T) {
+	clk := simclock.NewScheduler(t0)
+	client, server := pair(t, clk)
+	src := netem.Addr{Host: 1}
+	exchange := func(transit time.Duration) {
+		w, _ := client.NewPacket(nil)
+		clk.RunFor(transit)
+		server.Receive(w, src)
+		r, _ := server.NewPacket(nil)
+		clk.RunFor(25 * time.Millisecond)
+		client.Receive(r, netem.Addr{Host: 2})
+	}
+	exchange(25 * time.Millisecond)
+	if got := client.SRTT(0); got != 50*time.Millisecond {
+		t.Fatalf("SRTT after a 50ms exchange = %v, want 50ms", got)
+	}
+	if got := client.RTO(); got != 150*time.Millisecond {
+		t.Fatalf("RTO after a 50ms exchange = %v, want 150ms", got)
+	}
+	// The server is stopped for 20 s while the datagram waits in its socket.
+	exchange(20*time.Second + 25*time.Millisecond)
+	if got := client.SRTT(0); got != 50*time.Millisecond {
+		t.Fatalf("SRTT after a 20s stall = %v, want 50ms (sample ignored)", got)
+	}
+	if got := client.RTO(); got != 150*time.Millisecond {
+		t.Fatalf("RTO after a 20s stall = %v, want 150ms (sample ignored)", got)
+	}
+	// A 4.9 s sample is under the bound: SRTT = 7/8·50 + 1/8·4900 ms.
+	exchange(4875 * time.Millisecond)
+	if got, want := client.SRTT(0), 656250*time.Microsecond; got != want {
+		t.Fatalf("SRTT after a 4.9s sample = %v, want %v (sample folded)", got, want)
+	}
+}
+
 func TestRTOBounds(t *testing.T) {
 	clk := simclock.NewScheduler(t0)
 	client, server := pair(t, clk)

@@ -333,15 +333,6 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 		return // not serving and no Send: nowhere to transmit (metrics-only embedder)
 	}
 	bc := *wp
-	// Traversal counts come from the connection itself when it meters
-	// them (GSO counts super-datagrams); otherwise one traversal per
-	// transmitted datagram.
-	tc, hasTC := bc.(udpbatch.TraversalCounter)
-	var trav0 int64
-	if hasTC {
-		_, trav0 = tc.Traversals()
-	}
-	sentTotal := 0
 	msgs := d.writeMsgScratch[:0]
 	for i := range entries {
 		msgs = append(msgs, udpbatch.Message{Buf: entries[i].wire, Addr: entries[i].dst})
@@ -354,7 +345,6 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 			n = 0 // defensive: a negative count must not rewind the sweep
 		}
 		if n > 0 {
-			sentTotal += n
 			d.metrics.WriteBatchSizes.Observe(n)
 			d.metrics.PacketsOut.Add(int64(n))
 			for i := off; i < off+n; i++ {
@@ -375,12 +365,6 @@ func (d *Daemon) writeOut(entries []egressEntry) {
 			d.metrics.EgressWriteErrors.Add(int64(len(msgs) - off))
 			break
 		}
-	}
-	if hasTC {
-		_, trav1 := tc.Traversals()
-		d.metrics.StackTraversalsOut.Add(trav1 - trav0)
-	} else {
-		d.metrics.StackTraversalsOut.Add(int64(sentTotal))
 	}
 }
 
@@ -409,10 +393,10 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 	d.Start()
 	slots := min(max(bc.BatchCap(), 1), udpbatch.DefaultBatch)
 	// Per-provider read-slot sizing: a provider whose reads can exceed the
-	// MTU-derived size (a UDP_GRO super-datagram split) declares it via
-	// SlotSizer. Without this, an oversized-but-legitimate datagram would
-	// truncate, fail the AEAD, and — because SSP retransmits the identical
-	// datagram — fail on every retry forever (a livelock, not a loss).
+	// MTU-derived size declares it via SlotSizer. Without this, an
+	// oversized-but-legitimate datagram would truncate, fail the AEAD,
+	// and — because SSP retransmits the identical datagram — fail on
+	// every retry forever (a livelock, not a loss).
 	slotSize := udpbatch.ReadSlotSize(bc, d.wirePool.BufSize())
 	// The reader owns its slots for life: a sweep handles every datagram
 	// before the next read, and nothing downstream retains wire bytes, so
@@ -420,13 +404,6 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 	msgs := make([]udpbatch.Message, slots)
 	for i := range msgs {
 		msgs[i].Buf = make([]byte, 0, slotSize)
-	}
-	// Read-side stack traversals: metered by the provider when it counts
-	// super-datagrams (GSO), otherwise one per datagram.
-	rtc, hasRTC := bc.(udpbatch.TraversalCounter)
-	var travIn int64
-	if hasRTC {
-		travIn, _ = rtc.Traversals()
 	}
 	for {
 		readStart := d.cfg.Clock.Now()
@@ -462,13 +439,6 @@ func (d *Daemon) ServeBatch(bc udpbatch.Conn) error {
 		}
 		d.metrics.ReadBatchCalls.Add(1)
 		d.metrics.ReadBatchSizes.Observe(n)
-		if hasRTC {
-			in1, _ := rtc.Traversals()
-			d.metrics.StackTraversalsIn.Add(in1 - travIn)
-			travIn = in1
-		} else {
-			d.metrics.StackTraversalsIn.Add(int64(n))
-		}
 		// StageRead on the real socket includes the blocking wait for the
 		// first datagram — it is "time from wanting data to having it",
 		// not pure syscall cost (an idle daemon shows large reads).

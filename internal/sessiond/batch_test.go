@@ -602,9 +602,9 @@ func sawEcho(cl *core.Client, text string) bool {
 	return strings.Contains(b.String(), text)
 }
 
-// sizedConn is a fake provider that, like the GSO provider, declares
-// oversized read slots via udpbatch.SlotSizer and truncates kernel-style
-// when handed a smaller buffer.
+// sizedConn is a fake provider that declares oversized read slots via
+// udpbatch.SlotSizer and truncates kernel-style when handed a smaller
+// buffer.
 type sizedConn struct {
 	slotSize int
 	payload  []byte
@@ -649,8 +649,9 @@ func (c *sizedConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
 
 // TestServeBatchSlotSizing is the regression test for per-provider read
 // slot sizing: a provider declaring MaxDatagram read slots must receive
-// buffers that large, so an oversized-but-legitimate datagram (a GRO
-// super-datagram, a jumbo frame) arrives whole instead of truncating —
+// buffers that large, so an oversized-but-legitimate datagram (one larger
+// than the MTU-derived slot, a jumbo frame) arrives whole instead of
+// truncating —
 // truncation fails the AEAD, and since SSP retransmits the identical
 // datagram, every retry fails identically (a livelock, not a loss).
 func TestServeBatchSlotSizing(t *testing.T) {
@@ -689,9 +690,9 @@ func TestServeBatchSlotSizing(t *testing.T) {
 	<-serveErr
 }
 
-// TestIOModelAccounting pins the per-model syscall and stack-traversal
-// arithmetic against a hand-computed batch: 6 same-source equal-length
-// datagrams followed by 2 from another source.
+// TestIOModelAccounting pins the per-model read-syscall arithmetic against
+// a hand-computed batch: 6 same-source equal-length datagrams followed by
+// 2 from another source.
 func TestIOModelAccounting(t *testing.T) {
 	mkBatch := func() []udpbatch.Message {
 		var msgs []udpbatch.Message
@@ -708,11 +709,9 @@ func TestIOModelAccounting(t *testing.T) {
 	cases := []struct {
 		model     IOModel
 		wantCalls int64
-		wantTrav  int64
 	}{
-		{IOModelMMsg, 1, 8}, // one recvmmsg, one traversal per datagram
-		{IOModelLoop, 8, 8}, // one syscall per datagram
-		{IOModelGSO, 1, 2},  // two same-src runs → two traversals, one read call
+		{IOModelMMsg, 1}, // one recvmmsg
+		{IOModelLoop, 8}, // one syscall per datagram
 	}
 	for _, tc := range cases {
 		t.Run(tc.model.String(), func(t *testing.T) {
@@ -724,9 +723,6 @@ func TestIOModelAccounting(t *testing.T) {
 			d.HandleBatch(mkBatch())
 			if got := d.metrics.ReadBatchCalls.Value(); got != tc.wantCalls {
 				t.Errorf("ReadBatchCalls = %d, want %d", got, tc.wantCalls)
-			}
-			if got := d.metrics.StackTraversalsIn.Value(); got != tc.wantTrav {
-				t.Errorf("StackTraversalsIn = %d, want %d", got, tc.wantTrav)
 			}
 		})
 	}
@@ -744,51 +740,20 @@ func TestIOModelNamesMatchProviderLadder(t *testing.T) {
 			t.Errorf("ParseIOModel(%q).String() = %q", r.Name, m)
 		}
 	}
-	if m, err := ParseIOModel("uring"); err == nil {
-		t.Errorf("ParseIOModel(\"uring\") = %v, want an error", m)
+	refused := []string{"uring", "gso"}
+	for _, name := range refused {
+		if m, err := ParseIOModel(name); err == nil {
+			t.Errorf("ParseIOModel(%q) = %v, want an error", name, m)
+		}
 	}
 	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
 	defer c.Close()
-	if bc, err := udpbatch.NewUDPConnProvider(c, "uring"); err == nil {
-		t.Errorf("NewUDPConnProvider(\"uring\") = %s, want an error", udpbatch.ProviderName(bc))
-	}
-}
-
-// TestGSOWriteModelCountsRuns pins the egress model: a sweep of same-peer
-// equal-length datagrams is charged one stack traversal per coalesced run
-// and syscalls per DefaultBatch runs, using the provider's own run
-// definition.
-func TestGSOWriteModelCountsRuns(t *testing.T) {
-	sched := simclock.NewScheduler(batchT0)
-	var sent int
-	d, err := New(Config{
-		Clock:       sched,
-		IdleTimeout: -1,
-		IOModel:     IOModelGSO,
-		Send:        func(dst netem.Addr, wire []byte) { sent++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 equal-length datagrams to peer A (one run), 3 to peer B (one run).
-	wire := bytes.Repeat([]byte{0x5c}, 100)
-	for i := 0; i < 10; i++ {
-		d.enqueueEgress(netem.Addr{Host: 1, Port: 1}, wire, batchT0)
-	}
-	for i := 0; i < 3; i++ {
-		d.enqueueEgress(netem.Addr{Host: 2, Port: 2}, wire, batchT0)
-	}
-	d.flushEgress()
-	if sent != 13 {
-		t.Fatalf("sent %d datagrams, want 13", sent)
-	}
-	if got := d.metrics.StackTraversalsOut.Value(); got != 2 {
-		t.Fatalf("StackTraversalsOut = %d, want 2 (two same-peer runs)", got)
-	}
-	if got := d.metrics.WriteBatchCalls.Value(); got != 1 {
-		t.Fatalf("WriteBatchCalls = %d, want 1 (both runs fit one sendmmsg)", got)
+	for _, name := range refused {
+		if bc, err := udpbatch.NewUDPConnProvider(c, name); err == nil {
+			t.Errorf("NewUDPConnProvider(%q) = %s, want an error", name, udpbatch.ProviderName(bc))
+		}
 	}
 }

@@ -10,32 +10,26 @@ import (
 
 // IOModel selects which udpbatch provider's geometry a simulated daemon's
 // I/O is accounted in. A daemon driven in virtual time has no kernel under
-// it, so what its traffic would have cost a served socket — syscalls, and
-// traversals of the UDP stack — is charged at its edges by the code in this
-// file. The packet path (batch.go) is identical in every model and knows
-// none of this: it sees batches arrive and a connection to write to.
+// it, so the syscalls its traffic would have cost a served socket are
+// charged at its edges by the code in this file. The packet path
+// (batch.go) is identical in every model and knows none of this: it sees
+// batches arrive and a connection to write to.
 type IOModel int
 
 const (
 	IOModelMMsg IOModel = iota // recvmmsg/sendmmsg; the default
 	IOModelLoop                // the portable one-datagram-per-syscall baseline
-	IOModelGSO                 // UDP segmentation offload (GSO/GRO)
 )
 
 // ioModels is each model's geometry: its name (the one the udpbatch ladder
-// and -udp-provider use), how many units one read and one write syscall of
-// the real provider move, and what a unit is — a datagram, or with coalesce
-// a same-peer equal-length run (udpbatch.SegmentRun) that crosses the stack
-// as one super-datagram. GSO's write sweep is 8x mmsg's because run
-// coalescing bounds its per-call msghdr count.
+// and -udp-provider use) and how many datagrams one read and one write
+// syscall of the real provider move.
 var ioModels = [...]struct {
 	name              string
 	readCap, writeCap int
-	coalesce          bool
 }{
-	IOModelMMsg: {"mmsg", udpbatch.DefaultBatch, udpbatch.DefaultBatch, false},
-	IOModelLoop: {"loop", 1, 1, false},
-	IOModelGSO:  {"gso", udpbatch.GROReadSlots, udpbatch.GSOBatch, true},
+	IOModelMMsg: {"mmsg", udpbatch.DefaultBatch, udpbatch.DefaultBatch},
+	IOModelLoop: {"loop", 1, 1},
 }
 
 func (m IOModel) valid() bool { return m >= 0 && int(m) < len(ioModels) }
@@ -67,43 +61,25 @@ func ParseIOModel(name string) (IOModel, error) {
 // WriteBatch is one modeled syscall handing every datagram to Send. Its
 // read half is chargeRead; there is no ReadBatch, nothing reads a model.
 type modelConn struct {
-	model   IOModel
-	send    func(dst netem.Addr, wire []byte)
-	travOut int64 // touched only under the daemon's egress flush lock
-}
-
-// units is how many times the UDP stack runs to move msgs.
-func (c *modelConn) units(msgs []udpbatch.Message) int {
-	if !ioModels[c.model].coalesce {
-		return len(msgs)
-	}
-	runs := 0
-	for off := 0; off < len(msgs); off += udpbatch.SegmentRun(msgs[off:]) {
-		runs++
-	}
-	return runs
+	model IOModel
+	send  func(dst netem.Addr, wire []byte)
 }
 
 func (c *modelConn) BatchCap() int { return ioModels[c.model].writeCap }
 
 // WriteBatch never fails and never writes short.
 func (c *modelConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
-	c.travOut += int64(c.units(msgs))
 	for i := range msgs {
 		c.send(msgs[i].Addr, msgs[i].Buf)
 	}
 	return len(msgs), nil
 }
 
-// Traversals implements udpbatch.TraversalCounter for the write half.
-func (c *modelConn) Traversals() (in, out int64) { return 0, c.travOut }
-
-// chargeRead accounts the read syscalls and stack traversals that would
-// have delivered msgs, the batch a simulation hands to HandleBatch.
+// chargeRead accounts the read syscalls that would have delivered msgs,
+// the batch a simulation hands to HandleBatch.
 func (c *modelConn) chargeRead(m *Metrics, pipe *telemetry.Pipeline, msgs []udpbatch.Message) {
-	units, unitCap := c.units(msgs), ioModels[c.model].readCap
-	m.StackTraversalsIn.Add(int64(units))
-	calls := (units + unitCap - 1) / unitCap
+	readCap := ioModels[c.model].readCap
+	calls := (len(msgs) + readCap - 1) / readCap
 	for i := 0; i < calls; i++ {
 		// Attribute the batch's datagrams evenly across the modeled calls
 		// so the size histogram stays meaningful in every model.

@@ -90,17 +90,6 @@ type Metrics struct {
 	DropsEgressFull   expvar.Int // datagrams dropped at a full egress ring (backpressure)
 	EgressWriteErrors expvar.Int // datagrams dropped by a failing socket write
 
-	// Stack traversals count how many times the kernel's UDP stack ran
-	// per direction: one per wire datagram on mmsg/loop paths, one per
-	// coalesced super-datagram on GSO/GRO paths. With PacketsIn/
-	// PacketsOut they yield stack-traversals-per-packet — the below-
-	// syscall cost GSO exists to shrink (a syscall moving 64 datagrams
-	// still pays 64 stack traversals without segmentation offload). Real
-	// served sockets meter through udpbatch.TraversalCounter; simulation
-	// models the same run arithmetic via udpbatch.SegmentRun.
-	StackTraversalsIn  expvar.Int
-	StackTraversalsOut expvar.Int
-
 	SessionsRestored expvar.Int // sessions revived from the journal at boot
 	SnapshotsStale   expvar.Int // journal records evicted at boot (idle past the horizon)
 
@@ -183,8 +172,6 @@ var metrics = []metric{
 	{prom: "egress_queue_depth", ev: "egress_queue_depth", kind: gauge, get: func(s *scrape) any { return s.m.EgressQueueDepth.Value() }},
 	{prom: "drops_egress_full", ev: "drops_egress_full", get: func(s *scrape) any { return s.m.DropsEgressFull.Value() }},
 	{prom: "egress_write_errors", ev: "egress_write_errors", get: func(s *scrape) any { return s.m.EgressWriteErrors.Value() }},
-	{prom: "stack_traversals_in", ev: "stack_traversals_in", get: func(s *scrape) any { return s.m.StackTraversalsIn.Value() }},
-	{prom: "stack_traversals_out", ev: "stack_traversals_out", get: func(s *scrape) any { return s.m.StackTraversalsOut.Value() }},
 	{prom: "sessions_restored", ev: "sessions_restored", get: func(s *scrape) any { return s.m.SessionsRestored.Value() }},
 	{prom: "snapshots_stale", ev: "snapshots_stale", get: func(s *scrape) any { return s.m.SnapshotsStale.Value() }},
 	{prom: "journal_flushes", ev: "journal_flushes", get: func(s *scrape) any { return s.m.JournalFlushes.Value() }},

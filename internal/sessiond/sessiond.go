@@ -93,7 +93,7 @@ type Config struct {
 	// hands buffers to something that holds them (netem links in flight).
 	RecycleWire bool
 	// IOModel selects which udpbatch provider geometry the simulation's
-	// syscall and stack-traversal accounting mirrors (mmsg by default;
+	// syscall accounting mirrors (mmsg by default;
 	// see the IOModel constants). The packet path is identical across
 	// models — per-session frame streams are byte-for-byte the same —
 	// only the modeled I/O cost differs. Served sockets ignore it: their

@@ -3,6 +3,7 @@ package timelint
 import (
 	"bufio"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,20 +11,10 @@ import (
 	"testing"
 )
 
-// guardedPackages are the internal packages where every clock read, sleep,
-// and timer must go through an injected simclock.Clock. internal/simclock
-// itself is the one place naked time.* calls are implemented, and is
-// deliberately absent.
-var guardedPackages = []string{
-	"internal/sessiond",
-	"internal/journal",
-	"internal/transport",
-	"internal/network",
-	"internal/statesync",
-	"internal/udpbatch",
-	"internal/bench",
-	"internal/telemetry",
-}
+// unguarded names the one internal package exempt from the gate:
+// internal/simclock is where naked time.* calls are implemented. Every
+// other package under internal/, present or future, is guarded.
+const unguarded = "internal/simclock"
 
 // nakedTime matches the time package's clock surface. Constructors and
 // arithmetic (time.Duration, time.Unix, t.Add, t.Sub, t.Before) are fine —
@@ -35,35 +26,46 @@ var nakedTime = regexp.MustCompile(`\btime\.(Now|NewTimer|NewTicker|Sleep|After|
 // injected clock; every entry needs a justification.
 var allowlist = map[string]string{}
 
-// TestNoNakedTime walks every non-test Go file in the guarded packages and
-// fails on any direct time.Now/NewTimer/NewTicker/Sleep/After/AfterFunc/
-// Tick/Since call outside the allowlist. Comment lines are skipped so
-// prose may name the forbidden functions. CI runs this by name; it also
-// rides the ordinary `go test ./...` tier so the gate cannot be forgotten.
+// TestNoNakedTime walks every non-test Go file under internal/ except
+// simclock and fails on any direct time.Now/NewTimer/NewTicker/Sleep/After/
+// AfterFunc/Tick/Since call outside the allowlist. Comment lines are
+// skipped so prose may name the forbidden functions. CI runs this by name;
+// it also rides the ordinary `go test ./...` tier so the gate cannot be
+// forgotten.
 func TestNoNakedTime(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var violations []string
-	for _, pkg := range guardedPackages {
-		dir := filepath.Join(root, pkg)
-		entries, err := os.ReadDir(dir)
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatalf("guarded package missing: %v", err)
+			return err
 		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			rel := pkg + "/" + name
-			if reason, ok := allowlist[rel]; ok {
-				t.Logf("allowlisted: %s (%s)", rel, reason)
-				continue
-			}
-			violations = append(violations, scanFile(t, filepath.Join(dir, name), rel)...)
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
 		}
+		rel = filepath.ToSlash(rel)
+		name := e.Name()
+		if e.IsDir() {
+			if rel == unguarded || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if reason, ok := allowlist[rel]; ok {
+			t.Logf("allowlisted: %s (%s)", rel, reason)
+			return nil
+		}
+		violations = append(violations, scanFile(t, path, rel)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(violations) > 0 {
 		t.Errorf("naked time.* calls in guarded packages (inject simclock.Clock instead, or allowlist with a reason):\n  %s",

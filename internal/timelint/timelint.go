@@ -1,7 +1,8 @@
 // Package timelint holds the repository's naked-time guardrail: a test
-// that fails whenever a core internal package calls the time package's
-// clock surface (time.Now, time.NewTimer, time.Sleep, time.After, …)
-// directly instead of going through an injected simclock.Clock. Two time
-// regimes stitched together is how virtual-time tests silently measure
-// the wrong thing; this gate keeps the repository on one.
+// that fails whenever an internal package other than simclock calls the
+// time package's clock surface (time.Now, time.NewTimer, time.Sleep,
+// time.After, …) directly instead of going through an injected
+// simclock.Clock. Two time regimes stitched together is how virtual-time
+// tests silently measure the wrong thing; this gate keeps the repository
+// on one.
 package timelint

@@ -12,7 +12,3 @@ import (
 var errNoPlatformBatch = errors.New("udpbatch: no vectorized socket I/O on this platform")
 
 func newPlatformUDP(*net.UDPConn) (Conn, error) { return nil, errNoPlatformBatch }
-
-// The segmentation-offload provider is Linux-only; elsewhere it fails the
-// capability probe like any other missing kernel facility.
-func newGSOUDP(*net.UDPConn) (Conn, error) { return nil, errNoPlatformBatch }

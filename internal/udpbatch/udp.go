@@ -97,18 +97,14 @@ func NewUDPConn(c *net.UDPConn) Conn {
 	return bc
 }
 
-// NewUDPConnProvider selects a provider by name: "mmsg", "gso", "loop", or
-// "auto" (also ""). An explicit name fails rather than falling back, so an
+// NewUDPConnProvider selects a provider by name: "mmsg", "loop", or "auto"
+// (also ""). An explicit name fails rather than falling back, so an
 // operator pinning a provider learns it is unavailable instead of silently
 // running a different one.
 //
 // "auto" walks the rungs in the order the repository's benchmark measured
 // them, best first, and takes the first the platform supports: mmsg, then
-// loop. On `go run ./benchmark` GSO ties mmsg except for half a millisecond
-// on one workload (the root README's provider table has the numbers), and
-// it cannot exist where recvmmsg does not, so auto never reaches it. It
-// stays selectable by name, kept honest by its own tests, until a workload
-// promotes it or ROADMAP item 2 removes it.
+// loop.
 func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 	// Best effort: the kernel clamps the request to net.core.rmem_max.
 	_ = c.SetReadBuffer(socketReadBuffer)
@@ -118,8 +114,6 @@ func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 			return bc, nil
 		}
 		return NewUDPLoopConn(c), nil
-	case "gso":
-		return newGSOUDP(c)
 	case "mmsg":
 		return newPlatformUDP(c)
 	case "loop":
@@ -141,9 +135,8 @@ type ProbeResult struct {
 
 // ProbeProviders constructs each provider against scratch loopback sockets
 // and reports which this kernel supports: auto's choice first, then the
-// one selectable only by name, then the fallback. The CI capability-probe
-// step reads it, so every run records which providers the by-name tests
-// exercised and which they skipped.
+// fallback. The CI capability-probe step reads it, so every run records
+// which providers the by-name tests exercised and which they skipped.
 func ProbeProviders() []ProbeResult {
 	probe := func(name string) ProbeResult {
 		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -164,7 +157,6 @@ func ProbeProviders() []ProbeResult {
 	}
 	return []ProbeResult{
 		probe("mmsg"),
-		probe("gso"),
 		probe("loop"),
 	}
 }

@@ -20,9 +20,8 @@
 //
 // The Linux fast path lives in mmsg_linux.go behind a build tag and uses
 // raw syscalls only (no new dependencies); NewUDPConn picks it when
-// available and falls back to the loop adapter elsewhere. One further
-// Linux provider, UDP GSO/GRO (gso_linux.go), is selectable by name only:
-// see NewUDPConnProvider.
+// available and falls back to the loop adapter elsewhere. Every provider
+// moves one datagram per traversal of the kernel's UDP stack.
 package udpbatch
 
 import (
@@ -43,26 +42,10 @@ const DefaultBatch = 64
 // datagram is truncated by the kernel and then discarded by the AEAD.
 const DefaultBufSize = 2048
 
-// MaxSegments mirrors the kernel's UDP_MAX_SEGMENTS: the most MTU-sized
-// segments one GSO super-datagram (one sendmsg, one stack traversal) may
-// carry.
-const MaxSegments = 64
-
 // MaxDatagram is the read-slot capacity that can never truncate: the
-// 64 KiB UDP payload ceiling, which bounds both a UDP_GRO coalesced
-// super-datagram and any single oversized-but-legitimate datagram.
+// 64 KiB UDP payload ceiling, which bounds any single oversized-but-
+// legitimate datagram.
 const MaxDatagram = 65535
-
-// GSOBatch is how many messages one GSO-provider WriteBatch call may
-// consume (DefaultBatch segmented runs of typical train length).
-// sessiond's modeled syscall accounting mirrors it so simulated GSO
-// sweeps match the wire path's geometry.
-const GSOBatch = 8 * DefaultBatch
-
-// GROReadSlots is how many super-buffers one GSO-provider read syscall
-// fills: each can carry a whole coalesced train, so a small vector
-// already moves hundreds of datagrams per syscall.
-const GROReadSlots = 8
 
 // Message is one datagram slot in a batch.
 //
@@ -103,11 +86,10 @@ type Conn interface {
 // beyond the three-call contract are discovered by interface assertion.
 
 // SlotSizer is implemented by providers whose reads can legitimately
-// exceed the transport MTU: a UDP_GRO super-datagram holds up to
-// MaxDatagram bytes. The serve loop sizes its read slots to it, so an
-// oversized-but-legitimate read can never be truncated (a truncated
-// datagram fails the AEAD, and the peer's retransmissions of it fail
-// forever — a livelock).
+// exceed the transport MTU, up to MaxDatagram bytes. The serve loop sizes
+// its read slots to it, so an oversized-but-legitimate read can never be
+// truncated (a truncated datagram fails the AEAD, and the peer's
+// retransmissions of it fail forever — a livelock).
 type SlotSizer interface {
 	ReadSlotSize() int
 }
@@ -123,8 +105,8 @@ func ReadSlotSize(conn Conn, fallback int) int {
 	return fallback
 }
 
-// Provider names the kernel facility a Conn rides on ("mmsg", "gso",
-// "loop"); the capability probe, startup logs and CI read it.
+// Provider names the kernel facility a Conn rides on ("mmsg", "loop");
+// the capability probe, startup logs and CI read it.
 type Provider interface {
 	ProviderName() string
 }
@@ -138,44 +120,12 @@ func ProviderName(conn Conn) string {
 	return "unknown"
 }
 
-// TraversalCounter is implemented by providers whose syscalls move
-// coalesced super-datagrams: Traversals reports cumulative UDP-stack
-// traversals (one per wire datagram on mmsg/loop paths, one per GSO/GRO
-// super-datagram on segmented paths). sessiond diffs it around batch
-// calls to meter stack-traversals-per-packet honestly.
+// TraversalCounter reports cumulative traversals of the kernel's UDP
+// stack per direction. Every provider here moves one datagram per
+// traversal, so none implements it; only the repository's benchmark
+// (benchmark/) uses it, to report traversals per datagram for each rung.
 type TraversalCounter interface {
 	Traversals() (in, out int64)
-}
-
-// SegmentRun reports the length of the maximal GSO-coalescible prefix of
-// msgs: datagrams to the same peer whose payloads equal the first's
-// length (the last segment of a run may be shorter, ending it), capped at
-// MaxSegments segments and the MaxDatagram super-buffer ceiling. The real
-// GSO provider and sessiond's modeled syscall accounting share this one
-// definition, so simulated counts and wire behavior cannot drift apart.
-func SegmentRun(msgs []Message) int {
-	if len(msgs) == 0 {
-		return 0
-	}
-	seg := len(msgs[0].Buf)
-	if seg == 0 {
-		return 1
-	}
-	dst := msgs[0].Addr
-	total := seg
-	n := 1
-	for n < len(msgs) && n < MaxSegments {
-		l := len(msgs[n].Buf)
-		if l == 0 || l > seg || total+l > MaxDatagram || msgs[n].Addr != dst {
-			break
-		}
-		n++
-		total += l
-		if l < seg {
-			break // shorter trailer closes the super-datagram
-		}
-	}
-	return n
 }
 
 // SingleConn is the one-datagram surface the loop adapter rides on: a

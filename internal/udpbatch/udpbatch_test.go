@@ -128,45 +128,3 @@ func TestPoolAllocFree(t *testing.T) {
 		t.Fatalf("pool Get/Put = %.1f allocs, want 0", allocs)
 	}
 }
-
-// TestSegmentRun pins the one shared definition of a GSO-coalescible run
-// that both the real provider and sessiond's modeled accounting use.
-func TestSegmentRun(t *testing.T) {
-	a := netem.Addr{Host: 1, Port: 1}
-	b := netem.Addr{Host: 2, Port: 2}
-	mk := func(n int, addr netem.Addr) Message {
-		return Message{Buf: make([]byte, n), Addr: addr}
-	}
-	cases := []struct {
-		name string
-		msgs []Message
-		want int
-	}{
-		{"empty", nil, 0},
-		{"single", []Message{mk(100, a)}, 1},
-		{"equal run", []Message{mk(100, a), mk(100, a), mk(100, a)}, 3},
-		{"peer change breaks", []Message{mk(100, a), mk(100, b)}, 1},
-		{"shorter trailer closes", []Message{mk(100, a), mk(100, a), mk(40, a), mk(100, a)}, 3},
-		{"longer breaks", []Message{mk(100, a), mk(200, a)}, 1},
-		{"empty first slot", []Message{mk(0, a), mk(100, a)}, 1},
-		{"empty mid breaks", []Message{mk(100, a), mk(0, a)}, 1},
-	}
-	for _, tc := range cases {
-		if got := SegmentRun(tc.msgs); got != tc.want {
-			t.Errorf("%s: SegmentRun = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	// Kernel caps: at most MaxSegments segments and MaxDatagram total bytes
-	// per super-datagram.
-	long := make([]Message, MaxSegments+10)
-	for i := range long {
-		long[i] = mk(100, a)
-	}
-	if got := SegmentRun(long); got != MaxSegments {
-		t.Errorf("segment cap: SegmentRun = %d, want %d", got, MaxSegments)
-	}
-	big := []Message{mk(40000, a), mk(40000, a)} // 80000 > MaxDatagram
-	if got := SegmentRun(big); got != 1 {
-		t.Errorf("byte cap: SegmentRun = %d, want 1", got)
-	}
-}
