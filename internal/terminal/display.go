@@ -65,10 +65,14 @@ func sharedBlankCells(width int) []Cell {
 // emitted bytes move it.
 type frameState struct {
 	row, col int
-	// colValid is false when the remote cursor position is unknown
-	// (e.g. after printing into the last column).
+	// colInvalid is true when the remote cursor's column is unknown (after
+	// printing into the last column) or must not be trusted (before a cell
+	// that has to start a new print stream). Its row is always known.
 	colInvalid bool
-	rend       Renditions
+	// relative is set for incremental frames: their moves may be relative
+	// (see seek). A repaint's moves are all absolute, and its bytes pinned.
+	relative bool
+	rend     Renditions
 }
 
 // blankRow returns the width-w blank baseline row.
@@ -111,7 +115,7 @@ func (w *FrameWriter) AppendFrame(buf []byte, initialized bool, last, f *Framebu
 		// The remote terminal is where the frame that produced last left
 		// it: at last's cursor, in last's rendition, with no wrap pending
 		// (a frame that prints into the last column ends with a move).
-		cur = frameState{row: last.DS.CursorRow, col: last.DS.CursorCol, rend: last.DS.Rend}
+		cur = frameState{row: last.DS.CursorRow, col: last.DS.CursorCol, relative: true, rend: last.DS.Rend}
 	}
 
 	// Window title.
@@ -177,7 +181,7 @@ func (w *FrameWriter) AppendFrame(buf []byte, initialized bool, last, f *Framebu
 		buf = appendMove(buf, f.DS.CursorRow, f.DS.CursorCol)
 		buf = f.DS.Rend.appendANSI(buf)
 	} else {
-		buf = moveTo(buf, &cur, f.DS.CursorRow, f.DS.CursorCol)
+		buf = seek(buf, &cur, f.DS.CursorRow, f.DS.CursorCol, nil, nil)
 		buf = setRend(buf, &cur, f.DS.Rend)
 	}
 	if !lastVisible && f.DS.CursorVisible {
@@ -266,7 +270,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		// Erase-to-end shortcut: everything from here on is blank in the
 		// target row.
 		if x >= blankFrom {
-			buf = moveTo(buf, cur, y, x)
+			buf = seek(buf, cur, y, x, lastRow, row)
 			buf = setRend(buf, cur, SGRReset)
 			return append(buf, "\x1b[K"...)
 		}
@@ -286,7 +290,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 				cur.colInvalid = true
 			}
 		}
-		buf = moveTo(buf, cur, y, x)
+		buf = seek(buf, cur, y, x, lastRow, row)
 		buf = setRend(buf, cur, cell.Rend)
 		if g := cell.glyph(); g&graphemeBit != 0 && !cell.Wide() && x+1 < width && isPictographic(cell.leadRune()) {
 			buf = appendKeepingNarrow(buf, graphemes.lookup(g), cell.Rend)
@@ -299,7 +303,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		}
 		if x+w >= width {
 			// Wrote into the last column: remote pending-wrap state is
-			// ambiguous, so force an absolute move next time.
+			// ambiguous, so the next move must not trust the column.
 			cur.colInvalid = true
 			x = width
 		} else {
@@ -356,6 +360,116 @@ func moveTo(buf []byte, cur *frameState, row, col int) []byte {
 	}
 	cur.row, cur.col, cur.colInvalid = row, col, false
 	return appendMove(buf, row, col)
+}
+
+// maxLF is the most rows a relative move goes down by line feeds, the
+// reference's limit (FrameState::append_move in terminaldisplay.cc).
+const maxLF = 4
+
+// seek moves the remote cursor to (row, col) for an incremental frame by
+// the shortest of three motions, ties going to the CUP:
+//
+//   - an absolute CUP, as a repaint always uses (moveTo);
+//   - a CUF, going right along the cursor's row from a known column;
+//   - a CR, then row − cur.row ≤ maxLF LFs, then a CUF to col if col > 0.
+//     The CR also clears a pending wrap, so this motion starts from an
+//     unknown column too.
+//
+// An LF here never scrolls: the target row is on screen, and the remote
+// scrolling region is always the whole screen. Frames never set one, only
+// reset it (\x1b[r), and they are all the client's emulator and
+// mosh-client's terminal are ever fed. A change of that invariant must
+// bound the LFs by the region's bottom margin.
+//
+// When the move goes right along the row from a known column and row is
+// the screen row being painted (next; lastRow is its baseline, what the
+// client shows), the cells in between may instead be printed again if that
+// is shorter (see reprints). The final cursor placement passes nil rows.
+func seek(buf []byte, cur *frameState, row, col int, lastRow, next *Row) []byte {
+	if !cur.relative {
+		return moveTo(buf, cur, row, col)
+	}
+	sameRow := !cur.colInvalid && cur.row == row
+	if sameRow && cur.col == col {
+		return buf
+	}
+	from, down := cur.col, row-cur.row
+	cur.row, cur.col, cur.colInvalid = row, col, false
+	cup := len("\x1b[;H") + decLen(row+1) + decLen(col+1)
+	if sameRow && col > from {
+		// Right along the row, a CUF is always shorter than a CR + CUF.
+		n := cufLen(col - from)
+		if next != nil && col-from < min(n, cup) && reprints(lastRow, next, from, col, cur.rend) {
+			for x := from; x < col; x++ {
+				buf = append(buf, byte(next.Cells[x].content))
+			}
+			return buf
+		}
+		if n < cup {
+			return appendCUF(buf, col-from)
+		}
+	} else if down >= 0 && down <= maxLF {
+		n := 1 + down
+		if col > 0 {
+			n += cufLen(col)
+		}
+		if n < cup {
+			buf = append(buf, '\r')
+			for ; down > 0; down-- {
+				buf = append(buf, '\n')
+			}
+			if col > 0 {
+				buf = appendCUF(buf, col)
+			}
+			return buf
+		}
+	}
+	return appendMove(buf, row, col)
+}
+
+// reprints reports whether the cells [from, to) of row, all unchanged from
+// its baseline lastRow, can be printed again in the rendition rend instead
+// of stepped over, leaving every cell of the client's as it was. Each must
+// hold one printable ASCII character other than space, with the identical
+// content word in both rows, in rend. A blank and a space look alike, so
+// the client may hold either where the server holds one (a repaint prints
+// neither), and printing would turn its blank into a space. A wide
+// character's continuation is blank, so a cursor parked on one never starts
+// a reprint, which would destroy the character.
+func reprints(lastRow, row *Row, from, to int, rend Renditions) bool {
+	for x := from; x < to; x++ {
+		c := &row.Cells[x]
+		if c.content != lastRow.Cells[x].content || c.content-'!' > '~'-'!' || c.Rend != rend {
+			return false
+		}
+	}
+	return true
+}
+
+// decLen returns the number of decimal digits of n ≥ 0.
+func decLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
+}
+
+// cufLen returns the length of a CUF by n ≥ 1 columns.
+func cufLen(n int) int {
+	if n == 1 {
+		return len("\x1b[C")
+	}
+	return len("\x1b[C") + decLen(n)
+}
+
+// appendCUF moves the cursor n ≥ 1 columns right.
+func appendCUF(buf []byte, n int) []byte {
+	buf = append(buf, "\x1b["...)
+	if n > 1 {
+		buf = strconv.AppendUint(buf, uint64(n), 10)
+	}
+	return append(buf, 'C')
 }
 
 func setRend(buf []byte, cur *frameState, r Renditions) []byte {

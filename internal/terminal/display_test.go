@@ -319,3 +319,90 @@ func TestFrameWriterBlankRowShared(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalFrameMotionBytes pins the cursor motions of incremental
+// frames: each move is the shortest of a CUP, a CUF and CR + LFs + CUF, ties
+// going to the CUP, and a short run of unchanged ASCII is printed again when
+// that is shorter still.
+func TestIncrementalFrameMotionBytes(t *testing.T) {
+	for _, c := range []struct {
+		name, last, host, want string
+	}{
+		{"next row after a changed row", "", "ab\r\ncd", "ab\r\ncd"},
+		{"next row after the last column", "", "abcdefghijklmnopqrst\r\nxy", "abcdefghijklmnopqrst\r\nxy"},
+		{"skip of 16 unchanged cells", "0123456789abcdefghij\x1b[H", "X\x1b[1;18HY\x1b[H", "X\x1b[16CY\r"},
+		{"identical 2-cell ASCII gap", "abcdef\x1b[H", "X\x1b[1;4HY", "XbcY"},
+		{"4 rows down", "", "\x1b[5;1HZ", "\r\n\n\n\nZ"},
+		{"6 rows down stays a CUP", "", "\x1b[7;1HZ", "\x1b[7;1HZ"},
+		{"same-row move to column 1", "abcdef", "\x1b[1;2HX", "\r\x1b[CX"},
+		{"move up is a CUP", "\x1b[3;1Habc", "\x1b[1;1HX", "\x1b[1;1HX"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			last := fbFrom(20, 8, c.last)
+			e := NewEmulatorWithFramebuffer(last.Clone())
+			e.WriteString(c.host)
+			frame := NewFrame(true, last, e.Framebuffer())
+			if string(frame) != c.want {
+				t.Errorf("frame is %q, want %q", frame, c.want)
+			}
+			requireFrameTransforms(t, last, e.Framebuffer())
+		})
+	}
+}
+
+// TestGapReprintSkipsWideContinuation: a cursor parked on the continuation
+// of a wide character must not start a reprint of the cells after it, or
+// the printed space destroys the character on the client.
+func TestGapReprintSkipsWideContinuation(t *testing.T) {
+	for _, c := range []struct{ host, want string }{
+		{"\x1b[1;6HX\x1b[1;2H", "\x1b[4CX\r\x1b[C"},
+		{"\x1b[1;5HX\x1b[1;2H", "\x1b[3CX\r\x1b[C"},
+	} {
+		last := fbFrom(20, 4, "字ab\x1b[1;2H")
+		e := NewEmulatorWithFramebuffer(last.Clone())
+		e.WriteString(c.host)
+		frame := NewFrame(true, last, e.Framebuffer())
+		if string(frame) != c.want {
+			t.Errorf("after %q the frame is %q, want %q", c.host, frame, c.want)
+		}
+		requireFrameTransforms(t, last, e.Framebuffer())
+	}
+}
+
+// TestGapReprintKeepsClientCells: a reprint must leave the client's cells as
+// they were, word for word, not merely looking alike. A blank and a space
+// look alike, so neither is printed again: where the server turned a blank
+// into a space, and where a repaint left the client a blank under the
+// server's space. The FuzzFrameChain oracle cannot see this, because Equal
+// and the repaint fold a space into a blank.
+func TestGapReprintKeepsClientCells(t *testing.T) {
+	for _, c := range []struct {
+		name, last, host string
+		repainted        bool // the client holds a repaint of last
+	}{
+		{"server space over a blank", "ab\x1b[Cd\x1b[1;2H", "\x1b[1;3H \x1b[1;5HX\x1b[1;2H", false},
+		{"blank under a server space", "a b\x1b[1;2H", "\x1b[1;3HX\x1b[1;2H", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			last := fbFrom(20, 4, c.last)
+			client := last.Clone()
+			if c.repainted {
+				client = applyFrame(NewFramebuffer(20, 4), NewFrame(false, nil, last))
+			}
+			e := NewEmulatorWithFramebuffer(last.Clone())
+			e.WriteString(c.host)
+			got := applyFrame(client, NewFrame(true, last, e.Framebuffer()))
+			if !got.Equal(e.Framebuffer()) {
+				t.Fatalf("client diverged:\n%s\nvs\n%s", dump(got), dump(e.Framebuffer()))
+			}
+			for x := 0; x < 20; x++ {
+				if !e.Framebuffer().Peek(0, x).Equal(last.Peek(0, x)) {
+					continue // a changed cell
+				}
+				if g, w := got.Peek(0, x).content, client.Peek(0, x).content; g != w {
+					t.Errorf("client cell %d went %#x → %#x", x, w, g)
+				}
+			}
+		})
+	}
+}

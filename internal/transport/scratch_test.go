@@ -31,13 +31,22 @@ func liveHeap() int64 {
 }
 
 // screenRepaint is host output that rewrites every cell of a cols x rows
-// screen with text unique to the round and the row.
+// screen with text unique to the round and the row: words of random
+// letters, which deflate about as well as a real screen's text, where one
+// line repeated across the screen would shrink its frame to one datagram.
 func screenRepaint(round, cols, rows int) []byte {
+	rng := rand.New(rand.NewSource(int64(round)))
 	var b strings.Builder
 	b.WriteString("\x1b[H")
 	for y := 0; y < rows; y++ {
-		line := fmt.Sprintf("round %d row %d ", round, y)
-		b.WriteString(strings.Repeat(line, cols/len(line)+1)[:cols-1])
+		line := []byte(fmt.Sprintf("round %d row %d", round, y))
+		for len(line) < cols-1 {
+			line = append(line, ' ')
+			for n := 1 + rng.Intn(8); n > 0; n-- {
+				line = append(line, byte('a'+rng.Intn(26)))
+			}
+		}
+		b.Write(line[:cols-1])
 		if y < rows-1 {
 			b.WriteString("\r\n")
 		}
@@ -80,7 +89,7 @@ func TestSentRepaintHoldsNoScratch(t *testing.T) {
 	}
 	// The shell is a few KiB, and the runtime's own bookkeeping moves the
 	// figure by a few more; any one buffer sized by this frame (its diff alone
-	// is 30 KB) would not fit.
+	// is 14 KB) would not fit.
 	if held > 16<<10 {
 		t.Fatalf("a sent repaint left %d B on the heap, want <= 16 KiB: the snapshot's shell and nothing sized by the frame", held)
 	}
