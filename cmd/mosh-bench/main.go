@@ -13,7 +13,7 @@
 //	                           # sessiond scaling: N sessions, one socket
 //	mosh-bench -exp manysession -sessions 999 -mixed
 //	                           # heterogeneous cohorts: shell / CJK editor /
-//	                           # deep-scrollback log tail
+//	                           # log tail
 //	mosh-bench -exp manysession -sessions 500 -mixed -restart -roam -lossy
 //	                           # torture mode: daemon killed and restored
 //	                           # from its journal mid-run (resumption
@@ -58,7 +58,7 @@ func main() {
 	keys := flag.Int("keys", 1664, "keystrokes per user (6 users)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	sessions := flag.Int("sessions", 1000, "concurrent sessions for -exp manysession")
-	mixed := flag.Bool("mixed", false, "mixed cohorts for -exp manysession: shell (latency-measured) / CJK-emoji editor / deep-scrollback log tail")
+	mixed := flag.Bool("mixed", false, "mixed cohorts for -exp manysession: shell (latency-measured) / CJK-emoji editor / log tail")
 	restart := flag.Bool("restart", false, "manysession: kill the daemon mid-run and restore it from its journal; report resumption latency percentiles")
 	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
 	lossy := flag.Bool("lossy", false, "manysession: per-cohort lossy links (editor 1%, log-tail 3%)")
@@ -162,17 +162,16 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// The incremental-journaling gate: both arms on the same fleet shape,
-	// compared on steady-state flush bytes and write amplification.
+	// The incremental-journaling gate: steady-state flush bytes against the
+	// run's first flush, a checkpoint of every session, and write
+	// amplification.
 	if *exp == "journal" {
 		start := time.Now()
 		inc := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: *seed})
-		full := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: *seed, FullRewrite: true})
 		fmt.Println(bench.FormatJournalBench(inc))
-		fmt.Println(bench.FormatJournalBench(full))
 		fmt.Fprintf(os.Stderr, "[journal done in %v]\n\n", time.Since(start).Round(time.Millisecond))
-		ratio := full.BytesPerFlush / inc.BytesPerFlush
-		fmt.Printf("incremental saves %.1fx flush bytes; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
+		ratio := float64(inc.WarmBytes) / inc.BytesPerFlush
+		fmt.Printf("incremental saves %.1fx flush bytes over a checkpoint; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
 			ratio, inc.WriteAmp, float64(inc.FlushP99)/float64(time.Millisecond))
 		if ratio < 10 || inc.WriteAmp > 2 {
 			fmt.Fprintf(os.Stderr, "journal FAILED: ratio=%.1fx (want >=10) write_amp=%.3f (want <=2)\n", ratio, inc.WriteAmp)

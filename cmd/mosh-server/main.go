@@ -166,7 +166,7 @@ func main() {
 
 	if *debug != "" {
 		// Counters plus resident screen-state gauges (interned graphemes,
-		// pooled rows, shared scrollback rows), live transport introspection
+		// pooled rows, shared grid rows), live transport introspection
 		// (SRTT / frame-interval quantiles), keystroke→echo percentiles,
 		// and per-stage pipeline latency: the whole surface at /debug/vars,
 		// mirrored as Prometheus text exposition at /metrics. The pprof

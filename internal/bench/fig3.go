@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
@@ -119,26 +120,8 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 	if err != nil {
 		panic(err)
 	}
-	var wakeSrv, wakeCli func()
-	pumpEndpoint := func(t interface {
-		Tick()
-		WaitTime() time.Duration
-	}) func() {
-		var pump func()
-		timer := sched.NewEventTimer(func() { pump() })
-		pump = func() {
-			t.Tick()
-			w := t.WaitTime()
-			if w < time.Millisecond {
-				w = time.Millisecond
-			}
-			timer.Reset(sched.Now().Add(w))
-		}
-		sched.AfterFunc(0, pump)
-		return pump
-	}
-	wakeSrv = pumpEndpoint(srv)
-	wakeCli = pumpEndpoint(cli)
+	wakeSrv := core.Pump(sched, srv)
+	wakeCli := core.Pump(sched, cli)
 	// Receiving can establish new deadlines (delayed acks), so the pump
 	// timer must be re-armed after every arrival.
 	nw.Attach(srvAddr, func(p netem.Packet) { srv.Receive(p.Payload, p.Src); wakeSrv() })

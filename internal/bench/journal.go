@@ -17,8 +17,9 @@ import (
 // active in any flush interval — the steady-state shape the log-structured
 // journal is built for. Each round dirties DirtyPerRound sessions and
 // flushes; the figure of merit is bytes written per flush versus the
-// monolithic full-rewrite baseline, plus the physical/logical write
-// amplification of the segment log itself.
+// run's first flush — a checkpoint of every session, which is what a
+// journal without the segment log would write on every flush — plus the
+// physical/logical write amplification of the segment log itself.
 type JournalBenchOptions struct {
 	// Sessions is the fleet size (default 10000).
 	Sessions int
@@ -30,9 +31,6 @@ type JournalBenchOptions struct {
 	DirtyPerRound int
 	// FlushInterval is the virtual time between flushes (default 3 s).
 	FlushInterval time.Duration
-	// FullRewrite runs the monolithic-journal baseline: every flush
-	// rewrites the whole checkpoint regardless of dirtiness.
-	FullRewrite bool
 	// Dir is the state directory (default: a fresh temp dir, removed
 	// after the run).
 	Dir string
@@ -40,17 +38,17 @@ type JournalBenchOptions struct {
 	Seed int64
 }
 
-// JournalBenchResult reports one arm of the journaling experiment.
+// JournalBenchResult reports the journaling experiment.
 type JournalBenchResult struct {
 	Sessions      int
 	Rounds        int
 	DirtyPerRound int
-	FullRewrite   bool
-	// WarmBytes is the initial whole-fleet flush (both arms pay it).
+	// WarmBytes is the initial whole-fleet flush: a checkpoint of every
+	// session.
 	WarmBytes int64
 	// SteadyBytes is the total journal bytes across the measured rounds;
 	// BytesPerFlush is the per-round average — the number the ≥10×
-	// incremental-vs-rewrite claim is about.
+	// incremental-vs-checkpoint claim is about.
 	SteadyBytes   int64
 	BytesPerFlush float64
 	// WriteAmp is physical bytes written over encoded bytes that changed,
@@ -67,7 +65,7 @@ type JournalBenchResult struct {
 	Wall    time.Duration
 }
 
-// RunJournalBench drives one arm of the experiment. Everything runs on a
+// RunJournalBench drives the experiment. Everything runs on a
 // virtual clock with the daemon's loops unstarted, so flushes happen
 // exactly when the harness says and the byte accounting is deterministic;
 // only the flush latencies are wall-clock measurements.
@@ -100,11 +98,10 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 	wallStart := wall.Now()
 	sched := simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
 	d, err := sessiond.New(sessiond.Config{
-		Clock:              sched,
-		Send:               func(netem.Addr, []byte) {},
-		IdleTimeout:        -1,
-		StateDir:           dir,
-		JournalFullRewrite: opt.FullRewrite,
+		Clock:       sched,
+		Send:        func(netem.Addr, []byte) {},
+		IdleTimeout: -1,
+		StateDir:    dir,
 	})
 	if err != nil {
 		panic(err)
@@ -115,7 +112,6 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 		Sessions:      opt.Sessions,
 		Rounds:        opt.Rounds,
 		DirtyPerRound: opt.DirtyPerRound,
-		FullRewrite:   opt.FullRewrite,
 	}
 	m := d.Metrics()
 	start := sched.Now()
@@ -168,20 +164,16 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 	return res
 }
 
-// FormatJournalBench renders one arm for the CLI.
+// FormatJournalBench renders the result for the CLI.
 func FormatJournalBench(r JournalBenchResult) string {
-	arm := "incremental"
-	if r.FullRewrite {
-		arm = "full-rewrite"
-	}
 	return fmt.Sprintf(
-		"journal [%s]: %d sessions, %d dirty/round, %d rounds\n"+
+		"journal: %d sessions, %d dirty/round, %d rounds\n"+
 			"  warm flush      %d B\n"+
 			"  steady flush    %.0f B/flush (%d B total)\n"+
 			"  write amp       %.3f\n"+
 			"  flush latency   p50 %v  p99 %v\n"+
 			"  segments %d  compactions %d  elapsed %v (virtual)  wall %v\n",
-		arm, r.Sessions, r.DirtyPerRound, r.Rounds,
+		r.Sessions, r.DirtyPerRound, r.Rounds,
 		r.WarmBytes, r.BytesPerFlush, r.SteadyBytes, r.WriteAmp,
 		r.FlushP50.Round(time.Microsecond), r.FlushP99.Round(time.Microsecond),
 		r.Segments, r.CompactionRuns, r.Elapsed, r.Wall.Round(time.Millisecond))

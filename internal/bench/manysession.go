@@ -43,9 +43,9 @@ type ManySessionOptions struct {
 	// Mixed runs heterogeneous workload cohorts instead of uniform shell
 	// typing: sessions rotate through shell (keystroke latency measured on
 	// the echo), CJK/emoji editor (unicode-heavy screens exercising the
-	// grapheme intern table), and log-tail (deep client-side scrollback
-	// from continuous scrolling). Latency samples come from the shell
-	// cohort; the other cohorts contribute realistic screen-state load.
+	// grapheme intern table), and log-tail (continuous scrolling). Latency
+	// samples come from the shell cohort; the other cohorts contribute
+	// realistic screen-state load.
 	Mixed bool
 	// Roam makes a third of the sessions change their source address
 	// mid-run (60% through the typing window), exercising per-session
@@ -123,10 +123,6 @@ type ManySessionResult struct {
 	// Shells/Editors/Pagers/Bulk are the cohort sizes (Sessions/0/0/0 for
 	// the uniform run; 0/0/0/Sessions for the Trains run).
 	Shells, Editors, Pagers, Bulk int
-	// PagerScrollbackMin is the shallowest client-side history across the
-	// pager cohort at the end of the run — proof the cohort actually
-	// exercised deep scrollback (0 when the cohort is empty).
-	PagerScrollbackMin int
 	// Samples holds one keystroke→visible-echo latency per delivered
 	// keystroke, across all sessions.
 	Samples []Sample
@@ -779,11 +775,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	sched.RunFor(typing + 10*time.Second)
 	for _, lc := range clients {
 		res.Lost += len(lc.pending)
-		if lc.cohort == cohortPager {
-			if depth := lc.cl.ServerState().ScrollbackLines(); res.PagerScrollbackMin == 0 || depth < res.PagerScrollbackMin {
-				res.PagerScrollbackMin = depth
-			}
-		}
 	}
 
 	res.Elapsed = sched.Now().Sub(start)

@@ -72,9 +72,8 @@ func TestManySessionLossRecovery(t *testing.T) {
 
 // TestManySessionMixedCohorts runs the heterogeneous workload: shells
 // (latency-measured), CJK/emoji editors (intern-table load), and log
-// tails (deep client scrollback) sharing one daemon socket. The shell
-// cohort's echoes must all land, and the pager cohort must actually have
-// built deep scrollback on its clients.
+// tails (continuous scrolling) sharing one daemon socket. The shell
+// cohort's echoes must all land.
 func TestManySessionMixedCohorts(t *testing.T) {
 	res := RunManySession(ManySessionOptions{
 		Sessions:     60,
@@ -94,12 +93,6 @@ func TestManySessionMixedCohorts(t *testing.T) {
 	}
 	if res.PacketsOut == 0 {
 		t.Fatal("no aggregate traffic measured")
-	}
-	// The pager cohort must have actually built deep client-side history:
-	// 10 keystrokes × 3-5 log lines each on a 24-high screen scrolls well
-	// past a screenful on every pager client.
-	if res.PagerScrollbackMin <= 24 {
-		t.Fatalf("pager cohort min scrollback = %d lines, want > one screen", res.PagerScrollbackMin)
 	}
 	t.Logf("\n%s", FormatManySession(res))
 }
@@ -209,7 +202,7 @@ func reportEchoMetrics(b *testing.B, res ManySessionResult) {
 }
 
 // BenchmarkManySessionMixed feeds the per-commit perf artifact with the
-// heterogeneous cohort run (unicode + deep-scrollback screen-state load).
+// heterogeneous cohort run (unicode + scrolling screen-state load).
 func BenchmarkManySessionMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := RunManySession(ManySessionOptions{

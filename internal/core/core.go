@@ -367,25 +367,9 @@ func (c *Client) Transport() *transport.Transport[*statesync.UserStream, *states
 // Predictions exposes the speculative-echo engine (stats, preferences).
 func (c *Client) Predictions() *overlay.Engine { return c.engine }
 
-// Notifications exposes the connectivity-banner engine.
-func (c *Client) Notifications() *overlay.NotificationEngine { return c.notifications }
-
 // ServerState returns the newest reconstructed server screen (read-only).
 func (c *Client) ServerState() *terminal.Framebuffer {
 	return c.tr.RemoteState().Framebuffer()
-}
-
-// sendInterval mirrors the transport's frame-rate rule for the engine's
-// adaptive triggers.
-func (c *Client) sendInterval() time.Duration {
-	iv := c.tr.Connection().SRTT(time.Second) / 2
-	if iv < 20*time.Millisecond {
-		iv = 20 * time.Millisecond
-	}
-	if iv > 250*time.Millisecond {
-		iv = 250 * time.Millisecond
-	}
-	return iv
 }
 
 // InputSeq returns the global index the next user event will carry; the
@@ -397,7 +381,7 @@ func (c *Client) InputSeq() uint64 { return c.tr.CurrentState().Size() + 1 }
 // It returns the event's global index.
 func (c *Client) UserBytes(data []byte) uint64 {
 	seq := c.InputSeq()
-	c.engine.SetSendInterval(c.sendInterval())
+	c.engine.SetSendInterval(c.tr.Sender().SendInterval())
 	c.engine.SetLocalFrameSent(c.tr.Sender().LastSentNum())
 	c.engine.NewUserInput(seq, data, c.ServerState())
 	c.tr.CurrentState().PushBytes(data)
@@ -407,12 +391,6 @@ func (c *Client) UserBytes(data []byte) uint64 {
 
 // TypeRune is a convenience for a printable keystroke.
 func (c *Client) TypeRune(r rune) uint64 { return c.UserBytes(terminal.EncodeRune(r)) }
-
-// TypeSpecial encodes a special key according to the synchronized terminal
-// modes and records it.
-func (c *Client) TypeSpecial(k terminal.SpecialKey) uint64 {
-	return c.UserBytes(terminal.EncodeSpecial(k, c.ServerState().DS.ApplicationCursorKeys))
-}
 
 // Resize records a window-size change.
 func (c *Client) Resize(w, h int) {
@@ -430,7 +408,7 @@ func (c *Client) Receive(wire []byte, src netem.Addr) error {
 	if err != nil || !isNew {
 		return err
 	}
-	c.engine.SetSendInterval(c.sendInterval())
+	c.engine.SetSendInterval(c.tr.Sender().SendInterval())
 	c.engine.SetLocalFrameAcked(c.tr.Sender().LastAckedNum())
 	c.engine.SetLocalFrameLateAcked(c.tr.RemoteState().EchoAck())
 	c.engine.Cull(c.ServerState())

@@ -468,29 +468,6 @@ func (ss *session) String() string {
 	return fmt.Sprintf("session@%v", ss.sched.Now().Sub(t0))
 }
 
-func TestClientScrollbackFillsFromSync(t *testing.T) {
-	// The paper's future-work item: the client can browse history. The
-	// client's emulator accumulates scrollback naturally as it applies
-	// the server's scroll diffs.
-	ss := newSession(t, netem.LinkParams{Delay: 20 * time.Millisecond}, overlay.Never)
-	ss.run(time.Second)
-	for i := 0; i < 40; i++ {
-		ss.server.HostOutput([]byte(fmt.Sprintf("output line %02d\r\n", i)))
-		ss.wakeServer()
-		ss.run(300 * time.Millisecond)
-	}
-	ss.run(3 * time.Second)
-	fb := ss.client.ServerState()
-	if fb.ScrollbackLines() < 10 {
-		t.Fatalf("client scrollback holds %d lines; expected history from sync", fb.ScrollbackLines())
-	}
-	// History lines are real content, oldest first.
-	first := strings.TrimRight(fb.ScrollbackText(0), " ")
-	if !strings.HasPrefix(first, "output line") {
-		t.Fatalf("history[0] = %q", first)
-	}
-}
-
 // TestServerWaitTimeFollowsNextDeadline: WaitTime is NextDeadline less the
 // current time, and NextDeadline includes the echo timeout of a keystroke
 // the transport itself has nothing left to send for.

@@ -410,7 +410,6 @@ func TestPreparedRepaintAllocFree(t *testing.T) {
 	// must come back from the pool it was put in.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p := newPrepPair(t, cols, rows)
-	p.server.Terminal().Framebuffer().SetScrollbackLimit(-1)
 	var screens [2][]byte
 	for i := range screens {
 		var b bytes.Buffer
@@ -472,7 +471,6 @@ func BenchmarkDeadlineTick162x64(b *testing.B) {
 	for _, mode := range []string{"minted", "prepared"} {
 		b.Run(mode, func(b *testing.B) {
 			p := newPrepPair(b, cols, rows)
-			p.server.Terminal().Framebuffer().SetScrollbackLimit(-1)
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -101,7 +101,6 @@ type Editor struct {
 	rng          *rand.Rand
 	keystrokes   int
 	width        int
-	needRepaint  bool
 	sinceRepaint int // printable characters since the last region repaint
 }
 
@@ -130,13 +129,8 @@ func (e *Editor) Start() []byte {
 	return []byte(b.String())
 }
 
-// Reposition makes the next response begin with a repaint into the editing
-// region — what an editor does when the user returns to it.
-func (e *Editor) Reposition() { e.needRepaint = true }
-
 func (e *Editor) maybeRepaint(out []byte) []byte {
-	if e.needRepaint || e.sinceRepaint >= editorRepaintEvery {
-		e.needRepaint = false
+	if e.sinceRepaint >= editorRepaintEvery {
 		e.sinceRepaint = 0
 		out = append(out, fmt.Sprintf("\x1b[%d;1H\x1b[0J", editorRegionTop)...)
 	}

@@ -24,7 +24,6 @@ type UnicodeEditor struct {
 	rng          *rand.Rand
 	keystrokes   int
 	width        int
-	needRepaint  bool
 	sinceRepaint int
 }
 
@@ -45,8 +44,7 @@ func (e *UnicodeEditor) Start() []byte {
 }
 
 func (e *UnicodeEditor) maybeRepaint(out []byte) []byte {
-	if e.needRepaint || e.sinceRepaint >= editorRepaintEvery {
-		e.needRepaint = false
+	if e.sinceRepaint >= editorRepaintEvery {
 		e.sinceRepaint = 0
 		out = append(out, fmt.Sprintf("\x1b[%d;1H\x1b[0J", editorRegionTop)...)
 	}
@@ -76,15 +74,13 @@ func (e *UnicodeEditor) Input(data []byte) ([]byte, time.Duration) {
 }
 
 // LogTail models `tail -f` on a busy log (or a pager held on space):
-// every keystroke scrolls several raw lines past, so the client's
-// framebuffer accumulates deep scrollback — the workload the structurally
-// shared scrollback exists for.
+// every keystroke scrolls several raw lines past.
 type LogTail struct {
 	rng  *rand.Rand
 	line int
 }
 
-// NewLogTail returns a deep-scrollback log stream model.
+// NewLogTail returns a log stream model.
 func NewLogTail(seed int64) *LogTail {
 	return &LogTail{rng: rand.New(rand.NewSource(seed))}
 }

@@ -22,8 +22,7 @@ import (
 // (outgoing sequence/nonce ceiling, state-number ceiling, incoming replay
 // floor), the newest client state number and delivered-event count, a
 // remote-address hint, the session's original terminal dimensions (the
-// fresh-baseline diff target), and the serialized screen — plus the
-// scrollback window when server-side history is enabled.
+// fresh-baseline diff target), and the serialized screen.
 //
 // Decode is hardened: every length is validated against the remaining
 // input and hard bounds, every record carries a CRC, and any inconsistency
@@ -99,7 +98,7 @@ type Snapshot struct {
 	// bytes between the application and the terminal.
 	PendingOut []TimedOutput
 
-	// FB is the serialized screen (and scrollback window, when enabled).
+	// FB is the serialized screen.
 	FB *terminal.Framebuffer
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // sampleSnapshot builds a realistic snapshot: a screen driven through the
-// emulator (colors, wide characters, combining marks, scrolled-off
-// history) plus every counter field populated.
+// emulator (colors, wide characters, combining marks, scrolled lines) plus
+// every counter field populated.
 func sampleSnapshot(seed int64) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	emu := terminal.NewEmulator(80, 24)
-	emu.Framebuffer().SetScrollbackLimit(32)
 	emu.WriteString("\x1b]0;resume torture\x07")
 	emu.WriteString("\x1b[1;31mbold red\x1b[0m plain \x1b[44mblue bg\x1b[0m\r\n")
 	emu.WriteString("cjk: 你好世界 emoji: 🙂 combining: ȩ́\r\n")
@@ -89,13 +88,10 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		}
 		// The codec is canonical for decoded values: re-encoding the
 		// decoded snapshot reproduces the bytes exactly (framebuffer
-		// included — cells, draw state, tabs, title, scrollback window).
+		// included — cells, draw state, tabs, title).
 		re := appendSnapshot(nil, got)
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("seed %d: re-encode differs (%d vs %d bytes)", seed, len(enc), len(re))
-		}
-		if got.FB.ScrollbackLines() != sn.FB.ScrollbackLines() {
-			t.Fatalf("seed %d: scrollback %d != %d", seed, got.FB.ScrollbackLines(), sn.FB.ScrollbackLines())
 		}
 	}
 }

@@ -96,13 +96,13 @@ type Mark struct {
 	dirty atomic.Bool
 
 	// The screen-delta base, guarded by the session's lock: gens holds the
-	// per-row generation numbers as of the last encoded record, w/h/sb its
-	// dimensions and scrollback depth. valid is true only while the record
-	// that captured them is durable (Granted sets it, every encode clears
-	// it), so a failed or torn write forces the next record to be full.
-	gens     []uint64
-	w, h, sb int
-	valid    bool
+	// per-row generation numbers as of the last encoded record, w/h its
+	// dimensions. valid is true only while the record that captured them is
+	// durable (Granted sets it, every encode clears it), so a failed or torn
+	// write forces the next record to be full.
+	gens  []uint64
+	w, h  int
+	valid bool
 }
 
 // Granted records that the session's last encoded record is durable.
@@ -111,13 +111,12 @@ func (m *Mark) Granted() { m.valid = true }
 
 // deltaRows appends to rows the screen rows that moved since the last
 // encoded record and reports whether a delta against that record may stand
-// in for a full one: the record is durable, the dimensions are unchanged
-// and free of scrollback, and at most half the rows moved — past that a
-// delta stops paying for itself (the row encoding is the checkpoint's, so
-// the crossover is purely the changed-row fraction).
+// in for a full one: the record is durable, the dimensions are unchanged,
+// and at most half the rows moved — past that a delta stops paying for
+// itself (the row encoding is the checkpoint's, so the crossover is purely
+// the changed-row fraction).
 func (m *Mark) deltaRows(fb *terminal.Framebuffer, rows []int) ([]int, bool) {
-	if !m.valid || m.w != fb.W || m.h != fb.H || m.sb != 0 ||
-		fb.ScrollbackLines() != 0 || len(m.gens) != fb.H {
+	if !m.valid || m.w != fb.W || m.h != fb.H || len(m.gens) != fb.H {
 		return rows, false
 	}
 	for i := 0; i < fb.H; i++ {
@@ -135,7 +134,7 @@ func (m *Mark) noteEncoded(fb *terminal.Framebuffer) {
 	for i := 0; i < fb.H; i++ {
 		m.gens = append(m.gens, fb.RowGen(i))
 	}
-	m.w, m.h, m.sb = fb.W, fb.H, fb.ScrollbackLines()
+	m.w, m.h = fb.W, fb.H
 	m.valid = false
 }
 
@@ -149,9 +148,9 @@ type Counters struct {
 
 	// JournalChangedBytes is the encoded size of the records covering
 	// sessions whose durable core actually changed — the denominator of
-	// the write-amplification ratio; with full rewrites the numerator
-	// additionally carries every unchanged session, which is the waste the
-	// segment log eliminates.
+	// the write-amplification ratio; a checkpoint's numerator additionally
+	// carries every unchanged session, which is the waste the segment log
+	// eliminates.
 	JournalChangedBytes expvar.Int
 	JournalSegments     expvar.Int // gauge: live segment files since the last checkpoint
 	CompactionRuns      expvar.Int // checkpoints triggered by segment-tail growth
@@ -184,9 +183,6 @@ type Config struct {
 	SuspendAfter int
 	// Seed seeds the deterministic backoff jitter (0 = a fixed default).
 	Seed int64
-	// FullRewrite forces every flush onto the checkpoint path — the
-	// pre-incremental behavior, kept as the journal bench's baseline.
-	FullRewrite bool
 	// CompactMin floors the compaction trigger in bytes, so tiny
 	// deployments do not checkpoint on every few appended records.
 	CompactMin int64
@@ -381,8 +377,8 @@ func (j *Journal) compactDue() bool {
 // since the last flush, and a complete no-op when nothing changed. The
 // checkpoint rewrites the whole journal atomically at the next epoch and
 // deletes the segment tail it absorbed; it is written on shutdown, on the
-// first flush after boot, while resuming from a suspension, under
-// Config.FullRewrite, and when compaction is due.
+// first flush after boot, while resuming from a suspension, and when
+// compaction is due.
 func (j *Journal) Flush(final bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -403,8 +399,8 @@ func (j *Journal) Flush(final bool) error {
 		}
 	}
 	mode := j.suspended.Load()
-	compact := j.haveCheckpoint && mode == Active && !j.cfg.FullRewrite && !final && j.compactDue()
-	checkpoint := final || j.cfg.FullRewrite || !j.haveCheckpoint || mode != Active || compact
+	compact := j.haveCheckpoint && mode == Active && !final && j.compactDue()
+	checkpoint := final || !j.haveCheckpoint || mode != Active || compact
 	return j.flushLocked(now, checkpoint, compact, mode == Unjournaled)
 }
 

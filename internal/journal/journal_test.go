@@ -114,7 +114,6 @@ func (h *fakeHost) LiftCeilings() {
 func (h *fakeHost) open() *fakeSession {
 	h.nextID++
 	s := &fakeSession{id: h.nextID, emu: terminal.NewEmulator(40, 8), seqCeil: h.reserve}
-	s.emu.Framebuffer().SetScrollbackLimit(-1) // the daemon's default: no server-side history
 	if h.j.Suspended() == Unjournaled {
 		s.seqCeil = noCeiling
 	}
@@ -587,7 +586,7 @@ func TestReplayDamagePolicy(t *testing.T) {
 
 // TestAppendRecordEncodeAllocFree guards the journal's half of a flush's
 // per-session visit, for both record shapes: a checkpoint's full snapshot
-// (screen and scrollback window) and a segment's delta (row-generation diff
+// (the whole screen) and a segment's delta (row-generation diff
 // and changed rows), encoded into a warmed arena through the callback the
 // host runs under the session's lock, allocate nothing — no closure per
 // session either — so the per-interval cost at thousands of sessions is
@@ -597,9 +596,6 @@ func TestAppendRecordEncodeAllocFree(t *testing.T) {
 		w := newWorld(t, Config{})
 		h := w.mustBoot(ample)
 		s := h.open()
-		if checkpoint {
-			s.emu.Framebuffer().SetScrollbackLimit(64)
-		}
 		for i := 0; i < 40; i++ {
 			h.write(s, "\x1b[1;32muser@remote\x1b[0m:~$ ls -l output line\r\n")
 		}

@@ -151,8 +151,8 @@ func decodeSegmentRecords(data []byte) (recs [][]byte, bad int, torn bool) {
 
 // appendDeltaBody encodes a recDelta record body for sn, carrying the
 // changed grid rows named by rowIdx (ascending). The caller guarantees the
-// last durable record for this session has the same dimensions and no
-// scrollback. With a warmed buffer the encode performs no allocations.
+// last durable record for this session has the same dimensions. With a
+// warmed buffer the encode performs no allocations.
 func appendDeltaBody(buf []byte, sn *Snapshot, rowIdx []int) []byte {
 	buf = append(buf, recDelta)
 	buf = binary.AppendUvarint(buf, sn.ID)

@@ -164,16 +164,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // QueueBytes reports current queue occupancy at the bottleneck.
 func (l *Link) QueueBytes() int { return l.queuedBytes }
 
-// QueueDelay reports how long a packet entering now would wait before its
-// transmission begins.
-func (l *Link) QueueDelay() time.Duration {
-	now := l.net.sched.Now()
-	if l.busyUntil.After(now) {
-		return l.busyUntil.Sub(now)
-	}
-	return 0
-}
-
 // Send offers a packet to the link. The payload is not copied; callers must
 // not reuse the buffer.
 func (l *Link) Send(p Packet) bool {

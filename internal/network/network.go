@@ -268,9 +268,6 @@ func (c *Connection) ExpectedSeq() uint64 { return c.expectedSeq }
 // sequence) nonce is ever sealed twice.
 func (c *Connection) SetSeqCeiling(ceiling uint64) { c.seqCeiling = ceiling }
 
-// SeqCeiling reports the current reservation ceiling (0 = unlimited).
-func (c *Connection) SeqCeiling() uint64 { return c.seqCeiling }
-
 // SeqRemaining reports how many packets may still be sealed under the
 // current reservation; the embedder flushes its journal before this runs
 // out. Unlimited when no ceiling is set.
@@ -449,11 +446,6 @@ func (c *Connection) RTO() time.Duration {
 // LastHeard returns when the last authentic packet arrived, and whether any
 // has. The client uses this to warn the user about lost connectivity.
 func (c *Connection) LastHeard() (time.Time, bool) { return c.lastHeard, c.heardOnce }
-
-// HasPendingTimestampReply reports whether a received timestamp is waiting
-// to be echoed; the transport sender uses this to piggyback replies rather
-// than let them go stale.
-func (c *Connection) HasPendingTimestampReply() bool { return c.savedTimestamp >= 0 }
 
 // Overhead is the total per-packet byte overhead added by this layer
 // (sequence header, AEAD tag, timestamps, and the session envelope when

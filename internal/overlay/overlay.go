@@ -175,9 +175,6 @@ func NewEngine(clock simclock.Clock, pref DisplayPreference) *Engine {
 // Stats returns a snapshot of engine counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// SetDisplayPreference changes when predictions are shown.
-func (e *Engine) SetDisplayPreference(p DisplayPreference) { e.preference = p }
-
 // SetSendInterval feeds the transport's frame interval (≈SRTT/2) into the
 // adaptive display triggers.
 func (e *Engine) SetSendInterval(d time.Duration) { e.sendInterval = d }

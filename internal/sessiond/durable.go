@@ -46,7 +46,6 @@ func (d *Daemon) openJournal() error {
 		RetryMax:     cfg.JournalRetryMax,
 		SuspendAfter: cfg.JournalSuspendAfter,
 		Seed:         cfg.FaultSeed,
-		FullRewrite:  cfg.JournalFullRewrite,
 		CompactMin:   d.lim.journalCompactMinBytes,
 		Counters:     &d.metrics.Counters,
 		Event: func(code telemetry.Code, arg uint64, at time.Time) {

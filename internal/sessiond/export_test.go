@@ -4,12 +4,11 @@ import "time"
 
 // The daemon's fixed bounds (limits) have no Config field; the tests of the
 // bounds themselves — per-sweep admission, ring overflow, the shed trip,
-// compaction, server-side history — build a daemon with small ones here.
+// compaction — build a daemon with small ones here.
 
 // Limit overrides one of the daemon's fixed bounds.
 type Limit func(*limits)
 
-func Scrollback(lines int) Limit           { return func(l *limits) { l.scrollback = lines } }
 func InboxDepth(n int) Limit               { return func(l *limits) { l.inboxDepth = n } }
 func EgressDepth(n int) Limit              { return func(l *limits) { l.egressDepth = n } }
 func JournalCompactMinBytes(n int64) Limit { return func(l *limits) { l.journalCompactMinBytes = n } }

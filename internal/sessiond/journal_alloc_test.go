@@ -11,17 +11,17 @@ import (
 
 // TestJournalEncodeAllocFree guards the daemon's half of a journal flush's
 // per-session visit: finding the session, filling a warmed snapshot from it
-// under its lock — counters, pending output, screen, scrollback window —
+// under its lock — counters, pending output, screen —
 // and handing it to the encoder performs no heap allocations, so the
 // periodic flush never pressures the collector however many thousands of
 // sessions the daemon carries. (internal/journal guards the encoder's half.)
 func TestJournalEncodeAllocFree(t *testing.T) {
 	sched := simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
-	d, err := NewWithLimits(Config{
+	d, err := New(Config{
 		Clock:       sched,
 		Send:        func(netem.Addr, []byte) {},
 		IdleTimeout: -1,
-	}, Scrollback(64))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestJournalEncodeAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Populate the screen and history so the encode is representative.
+	// Populate and scroll the screen so the encode is representative.
 	s.mu.Lock()
 	for i := 0; i < 40; i++ {
 		s.srv.HostOutput([]byte("\x1b[1;32muser@remote\x1b[0m:~$ ls -l output line\r\n"))

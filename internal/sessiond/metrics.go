@@ -226,8 +226,6 @@ var metrics = []metric{
 	{prom: "screen_rows", ev: "screen_state.ScreenRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScreenRows) }},
 	{prom: "screen_rows_shared", ev: "screen_state.SharedScreenRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().SharedScreenRows) }},
 	{prom: "screen_rows_pooled", ev: "screen_state.PooledRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().PooledRows) }},
-	{prom: "scrollback_rows", ev: "screen_state.ScrollbackRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScrollbackRows) }},
-	{prom: "scrollback_arena_rows", ev: "screen_state.ScrollbackArenaRows", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ScrollbackArenaRows) }},
 	{ev: "screen_state.ResidentBytes", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ResidentBytes) }},
 	{prom: "interned_graphemes", ev: "interned_graphemes", kind: gauge, get: func(*scrape) any { return int64(terminal.InternedGraphemes()) }},
 	{prom: "resident_bytes_per_session", ev: "resident_bytes_per_session", kind: gauge, get: func(s *scrape) any { return int64(s.screen().ResidentBytesPerSession()) }},
@@ -288,10 +286,6 @@ type ScreenStateStats struct {
 	ScreenRows, SharedScreenRows int
 	// PooledRows counts recycled rows waiting on per-session free lists.
 	PooledRows int
-	// ScrollbackRows is the summed visible history; ScrollbackArenaRows
-	// counts shared-arena entries kept alive (retained for structural
-	// sharing with snapshots, ≥ ScrollbackRows until compaction).
-	ScrollbackRows, ScrollbackArenaRows int
 	// ResidentBytes is the cell storage actually resident across every
 	// sampled session — reachable from its live screen, from the snapshots
 	// its sender still retains for unacknowledged states, from the snapshot
@@ -345,8 +339,6 @@ func (d *Daemon) ScreenStateStats() ScreenStateStats {
 		st.ScreenRows += m.ScreenRows
 		st.SharedScreenRows += m.SharedScreenRows
 		st.PooledRows += m.PooledRows
-		st.ScrollbackRows += m.ScrollbackRows
-		st.ScrollbackArenaRows += m.ScrollbackArenaRows
 		st.ResidentBytes += bytes
 	})
 	return st

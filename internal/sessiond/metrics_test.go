@@ -14,13 +14,11 @@ import (
 )
 
 // TestScreenStateStats proves the resident screen-state gauges see what
-// the sessions actually hold: pooled rows from scroll floods with history
-// disabled, shared scrollback rows when history is enabled, and interned
-// graphemes from unicode output.
+// the sessions actually hold: grid rows shared with sender snapshots after
+// a scroll flood, and interned graphemes from unicode output.
 func TestScreenStateStats(t *testing.T) {
 	sched := simclock.NewScheduler(time.Date(2012, 4, 1, 0, 0, 0, 0, time.UTC))
 
-	// Default daemon: scrollback disabled, rows recycle through the pool.
 	d, err := New(Config{Clock: sched, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -55,36 +53,12 @@ func TestScreenStateStats(t *testing.T) {
 	if st.SharedScreenRows == 0 {
 		t.Fatal("sender snapshots exist but no grid rows register as shared")
 	}
-	if st.ScrollbackRows != 0 || st.ScrollbackArenaRows != 0 {
-		t.Fatalf("history disabled but gauges show %d/%d scrollback rows",
-			st.ScrollbackRows, st.ScrollbackArenaRows)
-	}
 	if terminal.InternedGraphemes() == 0 {
 		t.Fatal("unicode output interned no graphemes")
 	}
 
-	// Opt-in scrollback: history accumulates and is visible in the gauge.
-	d2, err := NewWithLimits(Config{Clock: sched, IdleTimeout: -1}, Scrollback(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := d2.OpenSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.mu.Lock()
-	s2.srv.HostOutput([]byte(lines.String()))
-	s2.mu.Unlock()
-	st2 := d2.ScreenStateStats()
-	if st2.ScrollbackRows != 17 { // 40 lines on a 24-high screen: 17 scrolled off
-		t.Fatalf("scrollback rows = %d, want 17", st2.ScrollbackRows)
-	}
-	if st2.ScrollbackArenaRows < st2.ScrollbackRows {
-		t.Fatalf("arena rows %d < visible %d", st2.ScrollbackArenaRows, st2.ScrollbackRows)
-	}
-
 	// The expvar surface renders the same numbers.
-	d2.PublishExpvar("sessiond_test")
+	d.PublishExpvar("sessiond_test")
 	v := expvar.Get("sessiond_test.screen_state")
 	if v == nil {
 		t.Fatal("screen_state gauge not published")
@@ -93,7 +67,7 @@ func TestScreenStateStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
 		t.Fatalf("screen_state gauge is not JSON: %v", err)
 	}
-	if got.ScrollbackRows != 17 || got.Sessions != 1 {
+	if got.Sessions != 3 || got.ScreenRows != st.ScreenRows || got.SharedScreenRows != st.SharedScreenRows {
 		t.Fatalf("published gauge = %+v", got)
 	}
 	if g := expvar.Get("sessiond_test.interned_graphemes"); g == nil || g.String() == "0" {

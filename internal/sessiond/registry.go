@@ -216,7 +216,6 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		return nil, err
 	}
 	s.srv = srv
-	srv.Terminal().Framebuffer().SetScrollbackLimit(d.lim.scrollback)
 	now := d.cfg.Clock.Now()
 	s.lastActive = now
 	if d.cfg.NewApp != nil {

@@ -45,16 +45,10 @@ func recordNonce(t *testing.T, seen map[nonceKey]int, wire []byte) {
 
 // maskedScreen serializes a framebuffer for cross-run comparison. EchoAck
 // is masked (it encodes transport state numbers, which legitimately depend
-// on frame batching and therefore on restart timing); client-side
-// scrollback is optionally dropped (frames skipped during the outage never
-// enter the surviving client's local history — by design, SSP skips
-// intermediate states).
-func maskedScreen(fb *terminal.Framebuffer, dropScrollback bool) string {
+// on frame batching and therefore on restart timing).
+func maskedScreen(fb *terminal.Framebuffer) string {
 	c := fb.Clone()
 	c.EchoAck = 0
-	if dropScrollback {
-		c.SetScrollbackLimit(-1)
-	}
 	return string(c.AppendSnapshot(nil))
 }
 
@@ -63,13 +57,12 @@ func maskedScreen(fb *terminal.Framebuffer, dropScrollback bool) string {
 func tortureScenario(t *testing.T, restart bool) [][]string {
 	t.Helper()
 	const (
-		nSessions  = 50
-		nKeys      = 24
-		interval   = 150 * time.Millisecond
-		burst1     = 12 // keys typed before the restart point
-		burst2     = 18 // keys typed before the first checkpoint
-		outage     = 120 * time.Millisecond
-		scrollback = 64
+		nSessions = 50
+		nKeys     = 24
+		interval  = 150 * time.Millisecond
+		burst1    = 12 // keys typed before the restart point
+		burst2    = 18 // keys typed before the first checkpoint
+		outage    = 120 * time.Millisecond
 	)
 
 	sched := simclock.NewScheduler(epoch)
@@ -100,7 +93,7 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 	if restart {
 		cfg.StateDir = t.TempDir()
 	}
-	d, err := sessiond.NewWithLimits(cfg, sessiond.Scrollback(scrollback))
+	d, err := sessiond.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +148,7 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 	}
 
 	// Key scripts: most sessions type text with a couple of commands; the
-	// i%5==4 cohort hammers ENTER so command output scrolls the screen and
-	// fills server-side scrollback (exercising its persistence).
+	// i%5==4 cohort hammers ENTER so command output scrolls the screen.
 	script := func(i, k int) byte {
 		if i%5 == 4 {
 			return '\r'
@@ -182,7 +174,7 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 		sched.RunFor(30 * time.Millisecond)
 		d.Close()
 		sched.RunFor(outage) // packets arriving now hit the dead daemon
-		d2, err := sessiond.NewWithLimits(cfg, sessiond.Scrollback(scrollback))
+		d2, err := sessiond.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,11 +238,9 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 			sess := d.Lookup(c.id)
 			var server string
 			sess.Do(func(srv *core.Server) {
-				// Server-side state INCLUDING scrollback: the restored
-				// daemon must carry history, not just the visible grid.
-				server = maskedScreen(srv.Terminal().Framebuffer(), false)
+				server = maskedScreen(srv.Terminal().Framebuffer())
 			})
-			out[i] = maskedScreen(c.cl.ServerState(), true) + "|" + server
+			out[i] = maskedScreen(c.cl.ServerState()) + "|" + server
 		}
 		return out
 	}
@@ -269,23 +259,6 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 
 	if d.Metrics().RoamingEvents.Value() <= roamsBefore {
 		t.Fatal("roaming cohort produced no roaming events")
-	}
-
-	// The ENTER cohort must have scrolled deep enough that server-side
-	// scrollback (persisted across the restart) is non-trivial.
-	deepest := 0
-	for i, c := range clients {
-		if i%5 != 4 {
-			continue
-		}
-		d.Lookup(c.id).Do(func(srv *core.Server) {
-			if n := srv.Terminal().Framebuffer().ScrollbackLines(); n > deepest {
-				deepest = n
-			}
-		})
-	}
-	if deepest == 0 {
-		t.Fatal("ENTER cohort produced no server-side scrollback")
 	}
 
 	// Nonce uniqueness across the whole run, including across the restart:

@@ -138,11 +138,6 @@ type Config struct {
 	// FaultSeed seeds the deterministic jitter on journal-retry backoff
 	// (0 = a fixed default), keeping fault-schedule runs reproducible.
 	FaultSeed int64
-	// JournalFullRewrite disables the incremental segment log and rewrites
-	// the complete checkpoint on every flush — the pre-incremental
-	// behavior, kept as the measured baseline the journal bench compares
-	// against.
-	JournalFullRewrite bool
 
 	// UnauthQuotaBurst/UnauthQuotaRate parameterize the per-source token
 	// bucket on auth-failing datagrams: a source that fails
@@ -179,11 +174,6 @@ type Config struct {
 // (defaultLimits) and no Config field; those tests build a daemon with small
 // ones through newDaemon.
 type limits struct {
-	// scrollback is the per-session server-side history depth in lines;
-	// negative disables it. The client rebuilds its own history from scroll
-	// diffs, scrolled-off rows recycle through the row pool, and at
-	// thousands of sessions the dead rows would otherwise dominate memory.
-	scrollback int
 	// inboxDepth bounds how many of one session's datagrams a single
 	// ingest sweep handles: the prefix of the session's run is admitted,
 	// the excess is dropped unopened and counted in drops_queue_full — SSP
@@ -209,7 +199,6 @@ type limits struct {
 }
 
 var defaultLimits = limits{
-	scrollback:             -1,
 	inboxDepth:             128,
 	egressDepth:            4096,
 	journalCompactMinBytes: DefaultJournalCompactMinBytes,

@@ -380,7 +380,6 @@ func expectedSingleSessionFrame(t *testing.T, appSeed int64, script string) []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Terminal().Framebuffer().SetScrollbackLimit(-1)
 	server.HostOutput(app.Start())
 
 	var client *core.Client

@@ -114,10 +114,9 @@ func (c *Complete) Clone() *Complete {
 
 // Recycle implements transport.Recycler: the sender and the receiver hand
 // back snapshots they have dropped from their history. A retired snapshot
-// pins nothing: every row pointer, the scrollback reference and the title
-// are dropped on the spot, and only the shell — the object and the capacity
-// of its row and tab slices, which is all CloneInto reuses — waits on the
-// free list. SSP's acknowledgments exist so the sender may forget (§2.3);
+// pins nothing: every row pointer and the title are dropped on the spot,
+// and only the shell — the object and the capacity of its row and tab
+// slices, which is all CloneInto reuses — waits on the free list. SSP's acknowledgments exist so the sender may forget (§2.3);
 // a parked shell that kept its rows would hold a dead screen per pool slot.
 func (c *Complete) Recycle() {
 	c.emu.Framebuffer().Release()

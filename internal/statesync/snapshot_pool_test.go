@@ -68,11 +68,11 @@ func TestSnapshotPoolBounded(t *testing.T) {
 	}
 }
 
-// TestSteadyStateTickZeroAllocWithScrollback is the end-to-end guard for
-// the sender's per-tick snapshot path on a deep-scroll session: with the
-// snapshot pool warm, clone + recycle costs nothing even with a full
-// 1000-line history attached.
-func TestSteadyStateTickZeroAllocWithScrollback(t *testing.T) {
+// TestSteadyStateTickZeroAllocAfterScrollFlood is the end-to-end guard for
+// the sender's per-tick snapshot path on a session that has scrolled
+// through a long log: with the snapshot pool warm, clone + recycle costs
+// nothing.
+func TestSteadyStateTickZeroAllocAfterScrollFlood(t *testing.T) {
 	live := NewComplete(80, 24)
 	for i := 0; i < 1100; i++ {
 		live.Terminal().WriteString(fmt.Sprintf("scrolled line %d\r\n", i))

@@ -163,7 +163,6 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	}
 	// A line brought in by a scroll with the default background is born
 	// the same way; with a colour it needs cells of its own.
-	fb.SetScrollbackLimit(-1)
 	emus[0].WriteString("\x1b[24;1H\n")
 	if !aliasesBlankArray(fb, h-1) {
 		t.Fatal("a default-background line scrolled in owns cells")

@@ -40,10 +40,6 @@
 //   - A blank row with the default background owns no cells: it is born
 //     aliasing one process-wide blank array (newBlankRow) and marked shared,
 //     so a fleet's blank lines cost a row header each until they are written.
-//   - Scrollback is structurally shared: clones reference the same
-//     append-only history arena through (offset, length) windows, so a
-//     snapshot carries deep scrollback in O(1) instead of copying the
-//     up-to-1000-entry pointer slice (see scrollHistory in framebuffer.go).
 //
 // # Snapshot and diff performance
 //

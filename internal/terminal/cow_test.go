@@ -218,3 +218,42 @@ func TestSnapshotCloneCheapAlloc(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestCloneIntoMatchesClone proves the storage-reusing clone is
+// observationally identical to a fresh Clone, including copy-on-write
+// independence afterwards.
+func TestCloneIntoMatchesClone(t *testing.T) {
+	emu := NewEmulator(30, 6)
+	for i := 0; i < 12; i++ {
+		emu.WriteString(fmt.Sprintf("pre line %d\r\n", i))
+	}
+	emu.WriteString("\x1b[1;31mcolored\x1b[0m prompt$ ")
+	live := emu.Framebuffer()
+
+	// A retired shell with matching dimensions (arbitrary stale content).
+	shell := NewFramebuffer(30, 6)
+	NewEmulatorWithFramebuffer(shell).WriteString("stale junk\r\nmore junk")
+
+	got := live.CloneInto(shell)
+	if got != shell {
+		t.Fatal("CloneInto did not reuse the matching shell")
+	}
+	if !got.Equal(live) {
+		t.Fatal("CloneInto result differs from live state")
+	}
+
+	// Independence both ways, exactly like Clone.
+	oracle := takeOracle(got)
+	emu.WriteString("\r\nnew live output after snapshot")
+	oracle.verify(t, got, "CloneInto snapshot after live writes")
+
+	// Dimension mismatch falls back to a fresh clone.
+	small := NewFramebuffer(10, 3)
+	got2 := live.CloneInto(small)
+	if got2 == small {
+		t.Fatal("CloneInto reused a mismatched shell")
+	}
+	if !got2.Equal(live) {
+		t.Fatal("fallback clone differs from live state")
+	}
+}

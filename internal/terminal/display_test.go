@@ -283,8 +283,8 @@ func BenchmarkEmulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkEmulatorBulk162x64 is one bulk reply of the benchmark's trains
-// workload: 96 lines of 160 characters into a 162×64 screen with server-side
-// scrollback off, as sessiond runs it.
+// workload: 96 lines of 160 characters into a 162×64 screen, as sessiond
+// runs it.
 func BenchmarkEmulatorBulk162x64(b *testing.B) {
 	var sb strings.Builder
 	for i := 0; i < 96; i++ {
@@ -292,7 +292,6 @@ func BenchmarkEmulatorBulk162x64(b *testing.B) {
 	}
 	data := []byte(sb.String())
 	e := NewEmulator(162, 64)
-	e.Framebuffer().SetScrollbackLimit(-1)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()

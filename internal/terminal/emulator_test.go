@@ -1,7 +1,6 @@
 package terminal
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -528,53 +527,5 @@ func TestRuneWidths(t *testing.T) {
 		if got := RuneWidth(c.r); got != c.want {
 			t.Errorf("RuneWidth(%q) = %d, want %d", c.r, got, c.want)
 		}
-	}
-}
-
-func TestScrollbackCapturesHistory(t *testing.T) {
-	e := emu(40, 4)
-	for i := 0; i < 10; i++ {
-		fmt.Fprintf(e, "history line %d\r\n", i)
-	}
-	fb := e.Framebuffer()
-	// 4 visible rows; with the cursor on the last row, 7 lines scrolled off.
-	if fb.ScrollbackLines() != 7 {
-		t.Fatalf("scrollback holds %d lines, want 7", fb.ScrollbackLines())
-	}
-	if got := strings.TrimRight(fb.ScrollbackText(0), " "); got != "history line 0" {
-		t.Fatalf("oldest history = %q", got)
-	}
-	if got := strings.TrimRight(fb.ScrollbackText(6), " "); got != "history line 6" {
-		t.Fatalf("newest history = %q", got)
-	}
-}
-
-func TestScrollbackLimit(t *testing.T) {
-	e := emu(40, 3)
-	e.Framebuffer().SetScrollbackLimit(5)
-	for i := 0; i < 50; i++ {
-		fmt.Fprintf(e, "line %d\r\n", i)
-	}
-	fb := e.Framebuffer()
-	if fb.ScrollbackLines() != 5 {
-		t.Fatalf("limit not enforced: %d", fb.ScrollbackLines())
-	}
-	// Keeps the newest history.
-	if got := strings.TrimRight(fb.ScrollbackText(4), " "); got != "line 47" {
-		t.Fatalf("newest retained = %q", got)
-	}
-	fb.SetScrollbackLimit(-1)
-	e.WriteString("more\r\nmore\r\n")
-	if fb.ScrollbackLines() != 0 {
-		t.Fatal("disabled scrollback still collecting")
-	}
-}
-
-func TestScrollbackExcludesRegionScrolls(t *testing.T) {
-	e := emu(40, 10)
-	e.WriteString("\x1b[3;7r") // partial scrolling region
-	e.WriteString("\x1b[7;1H\n\n\n")
-	if e.Framebuffer().ScrollbackLines() != 0 {
-		t.Fatal("region-internal scroll leaked into history")
 	}
 }

@@ -16,11 +16,10 @@ import "sync/atomic"
 type Row struct {
 	Cells []Cell
 	gen   uint64
-	// shared marks a row reachable from more than one framebuffer (or
-	// from a framebuffer and the scrollback of another), or one whose Cells
-	// alias the process-wide blank array (newBlankRow). Once set it is
-	// never cleared on this Row: a framebuffer that wants to write
-	// replaces its pointer with a private copy instead.
+	// shared marks a row reachable from more than one framebuffer, or one
+	// whose Cells alias the process-wide blank array (newBlankRow). Once
+	// set it is never cleared on this Row: a framebuffer that wants to
+	// write replaces its pointer with a private copy instead.
 	shared bool
 }
 
@@ -124,7 +123,9 @@ func defaultTabs(width int) []bool {
 
 // Framebuffer is the complete screen state synchronized between server and
 // client: the cell grid, draw state, window title, bell count and the
-// "echo ack" the prediction engine relies on (§3.2).
+// "echo ack" the prediction engine relies on (§3.2). It keeps no history:
+// the paper lists scrollback browsing as future work, so a row scrolling off
+// the screen is discarded like one leaving any other scroll region.
 type Framebuffer struct {
 	W, H int
 	rows []*Row
@@ -138,31 +139,12 @@ type Framebuffer struct {
 	// (50 ms), so their effects ought to be visible in this frame.
 	EchoAck uint64
 
-	// Scrollback holds lines scrolled off the top of the screen, oldest
-	// first. It is local state — the paper lists scrollback browsing as
-	// future work, and by construction the client's copy fills up
-	// naturally as it applies the server's scroll diffs. It is excluded
-	// from Equal (it is not synchronized).
-	//
-	// The history is structurally shared: sb points at an append-only
-	// arena, and this framebuffer's visible window is sb.rows[sbOff:sbLen].
-	// Clone copies the three words instead of the up-to-1000-entry pointer
-	// slice. See pushScrollback for the sharing and compaction rules.
-	sb            *scrollHistory
-	sbOff, sbLen  int
-	scrollbackMax int
-
 	// freeRows is a free list of discarded rows available for reuse when a
 	// scroll vacates lines. Only rows this framebuffer exclusively owns
-	// enter it: never shared rows (a snapshot may still read them) and
-	// never rows that passed through scrollback (a clone's history window
-	// may still reference them). It is deliberately not carried over
-	// by Clone. See recycleRow.
+	// enter it, never shared rows (a snapshot may still read them). It is
+	// deliberately not carried over by Clone. See recycleRow.
 	freeRows []*Row
 }
-
-// DefaultScrollbackLimit bounds the local history.
-const DefaultScrollbackLimit = 1000
 
 // NewFramebuffer returns a blank w×h screen.
 func NewFramebuffer(w, h int) *Framebuffer {
@@ -192,11 +174,6 @@ func NewFramebuffer(w, h int) *Framebuffer {
 // sender's per-send snapshot costs pointer copies, not cell copies. Row
 // generations are preserved, which keeps generation-based scroll
 // detection and row skipping working across snapshots.
-// Scrollback is carried over structurally: the clone references the same
-// append-only history arena through its own (offset, length) window —
-// scrolled-off rows are never mutated, and the state-sync receiver
-// reconstructs each new state from a clone of the previous one, so
-// history accumulates across the chain without ever being copied.
 func (f *Framebuffer) Clone() *Framebuffer {
 	nf := &Framebuffer{}
 	nf.rows = make([]*Row, len(f.rows))
@@ -218,7 +195,6 @@ func (f *Framebuffer) CloneInto(dst *Framebuffer) *Framebuffer {
 	rows, tabs := dst.rows, dst.DS.Tabs
 	*dst = Framebuffer{
 		W: f.W, H: f.H, DS: f.DS, Title: f.Title, BellCount: f.BellCount, EchoAck: f.EchoAck,
-		sb: f.sb, sbOff: f.sbOff, sbLen: f.sbLen, scrollbackMax: f.scrollbackMax,
 	}
 	copy(tabs, f.DS.Tabs)
 	dst.DS.Tabs = tabs
@@ -231,14 +207,12 @@ func (f *Framebuffer) CloneInto(dst *Framebuffer) *Framebuffer {
 }
 
 // Release drops everything this framebuffer keeps reachable — every row,
-// the scrollback arena, the row free list, the title — and keeps only the
-// capacity CloneInto reuses (the rows slice and the tab table). A retired
-// snapshot waiting on a free list calls it so that a dead screen pins no
-// cell storage; the framebuffer must not be read again until CloneInto has
-// refilled it.
+// the row free list, the title — and keeps only the capacity CloneInto
+// reuses (the rows slice and the tab table). A retired snapshot waiting on
+// a free list calls it so that a dead screen pins no cell storage; the
+// framebuffer must not be read again until CloneInto has refilled it.
 func (f *Framebuffer) Release() {
 	clear(f.rows)
-	f.sb, f.sbOff, f.sbLen = nil, 0, 0
 	f.freeRows = nil
 	f.Title = ""
 }
@@ -456,19 +430,8 @@ func (f *Framebuffer) Scroll(n int) {
 	}
 	switch {
 	case n > 0:
-		// Lines leaving the top of a full-width scroll enter the local
-		// scrollback history; when history is disabled they are simply
-		// discarded and can be recycled.
-		if top == 0 {
-			for i := 0; i < n; i++ {
-				if !f.pushScrollback(f.rows[i]) {
-					f.recycleRow(f.rows[i])
-				}
-			}
-		} else {
-			for i := top; i < top+n; i++ {
-				f.recycleRow(f.rows[i])
-			}
+		for i := top; i < top+n; i++ {
+			f.recycleRow(f.rows[i])
 		}
 		copy(f.rows[top:], f.rows[top+n:bot+1])
 		for i := bot - n + 1; i <= bot; i++ {
@@ -487,8 +450,8 @@ func (f *Framebuffer) Scroll(n int) {
 }
 
 // recycleRow offers a discarded row to the free list. Shared rows are
-// refused (a snapshot or scrollback still reads them), as are rows of the
-// wrong width; the list is bounded by the screen height.
+// refused (a snapshot still reads them), as are rows of the wrong width;
+// the list is bounded by the screen height.
 func (f *Framebuffer) recycleRow(r *Row) {
 	if r.shared || len(r.Cells) != f.W || len(f.freeRows) >= f.H {
 		return
@@ -651,16 +614,13 @@ func (f *Framebuffer) RestoreCursor() {
 }
 
 // Reset implements RIS: back to the power-on state at the current size.
-// The scrollback *limit* survives — it is embedder configuration (sessiond
-// disables history per session; see SetScrollbackLimit), not screen state
-// — while the history itself is discarded like the rest of the screen. The
-// bell count and the echo ack survive too: they count the session's events
+// The bell count and the echo ack survive: they count the session's events
 // rather than describe the screen, and a frame rings the bells a count
 // gained but cannot take one back.
 func (f *Framebuffer) Reset() {
-	max, bells, ack := f.scrollbackMax, f.BellCount, f.EchoAck
+	bells, ack := f.BellCount, f.EchoAck
 	*f = *NewFramebuffer(f.W, f.H)
-	f.scrollbackMax, f.BellCount, f.EchoAck = max, bells, ack
+	f.BellCount, f.EchoAck = bells, ack
 }
 
 // SetTab sets a tab stop at the cursor column.
@@ -700,92 +660,9 @@ func (f *Framebuffer) PrevTab(col int) int {
 // Ring increments the synchronized bell counter.
 func (f *Framebuffer) Ring() { f.BellCount++ }
 
-// scrollHistory is a shared, append-only scrollback arena. A framebuffer
-// and its clones all point at the same arena; each sees its own window
-// rows[sbOff:sbLen], so cloning deep history costs three word copies.
-// Rows in the arena are never mutated (they left the screen for good),
-// and arena entries below every window's sbLen are never overwritten —
-// only the framebuffer sitting at the arena tip (sbLen == len(rows)) may
-// append; anyone else forks first. That makes divergent clone chains
-// (retransmit reconstruction applying different diffs to clones of the
-// same state) safe: the second writer pays one O(window) copy.
-type scrollHistory struct {
-	rows []*Row
-}
-
-// effectiveScrollbackMax resolves the configured limit (0 = default,
-// negative = disabled).
-func (f *Framebuffer) effectiveScrollbackMax() int {
-	if f.scrollbackMax == 0 {
-		return DefaultScrollbackLimit
-	}
-	return f.scrollbackMax
-}
-
-// pushScrollback offers a row leaving the top of the screen to the local
-// history. It reports whether the row was stored; a false return means the
-// caller still owns the row (history disabled) and may recycle it. Rows
-// trimmed from a full history are NOT returned for reuse: a clone's
-// window may still reference them.
-func (f *Framebuffer) pushScrollback(r *Row) bool {
-	max := f.effectiveScrollbackMax()
-	if max < 0 {
-		return false // history disabled
-	}
-	if f.sb == nil {
-		f.sb = &scrollHistory{}
-	}
-	// Fork when a sibling clone already extended the arena past our window
-	// (we are not at the tip), or when the arena holds ≥max entries dead to
-	// us (amortized compaction: one O(≤max) copy per max pushes, after
-	// which appends run in place until the fresh arena's capacity is used).
-	if f.sbLen != len(f.sb.rows) || f.sbOff >= max {
-		f.forkScrollback(max)
-	}
-	f.sb.rows = append(f.sb.rows, r)
-	f.sbLen++
-	if f.sbLen-f.sbOff > max {
-		f.sbOff++ // trim by window advance; the arena row stays for clones
-	}
-	return true
-}
-
-// forkScrollback moves this framebuffer onto a private arena holding just
-// its visible window, with room to grow.
-func (f *Framebuffer) forkScrollback(max int) {
-	vis := f.sb.rows[f.sbOff:f.sbLen]
-	ns := &scrollHistory{rows: make([]*Row, len(vis), len(vis)+max)}
-	copy(ns.rows, vis)
-	f.sb = ns
-	f.sbOff = 0
-	f.sbLen = len(ns.rows)
-}
-
-// SetScrollbackLimit bounds the local history; negative disables and
-// discards it.
-func (f *Framebuffer) SetScrollbackLimit(n int) {
-	f.scrollbackMax = n
-	switch {
-	case n < 0:
-		f.sb = nil
-		f.sbOff, f.sbLen = 0, 0
-	case f.sbLen-f.sbOff > n:
-		f.sbOff = f.sbLen - n
-	}
-}
-
-// ScrollbackLines reports how many history lines are held.
-func (f *Framebuffer) ScrollbackLines() int { return f.sbLen - f.sbOff }
-
-// ScrollbackText returns history line i (0 = oldest).
-func (f *Framebuffer) ScrollbackText(i int) string {
-	row := f.sb.rows[f.sbOff+i]
-	var s []byte
-	for c := range row.Cells {
-		s = row.Cells[c].appendContents(s)
-	}
-	return string(s)
-}
+// SetScrollbackLimit does nothing: a framebuffer keeps no history. It
+// remains only because the benchmark harness still calls it.
+func (f *Framebuffer) SetScrollbackLimit(int) {}
 
 // MemStats reports this framebuffer's resident screen-state footprint for
 // observability (sessiond exports the aggregate over all sessions).
@@ -795,26 +672,18 @@ type MemStats struct {
 	ScreenRows, SharedScreenRows int
 	// PooledRows counts recycled rows waiting on the free list.
 	PooledRows int
-	// ScrollbackRows is the visible history window; ScrollbackArenaRows
-	// counts the shared arena entries kept alive through this framebuffer
-	// (≥ ScrollbackRows until compaction forks the window away).
-	ScrollbackRows, ScrollbackArenaRows int
 }
 
 // MemStats returns the current footprint counters.
 func (f *Framebuffer) MemStats() MemStats {
 	m := MemStats{
-		ScreenRows:     len(f.rows),
-		PooledRows:     len(f.freeRows),
-		ScrollbackRows: f.sbLen - f.sbOff,
+		ScreenRows: len(f.rows),
+		PooledRows: len(f.freeRows),
 	}
 	for _, r := range f.rows {
 		if r.shared {
 			m.SharedScreenRows++
 		}
-	}
-	if f.sb != nil {
-		m.ScrollbackArenaRows = len(f.sb.rows)
 	}
 	return m
 }
@@ -846,13 +715,6 @@ func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes int) {
 	}
 	for _, r := range f.freeRows {
 		count(r.Cells)
-	}
-	if f.sb != nil {
-		// Charge the whole arena segment this framebuffer keeps alive,
-		// not just the visible window.
-		for _, r := range f.sb.rows {
-			count(r.Cells)
-		}
 	}
 	return bytes
 }

@@ -3,7 +3,6 @@ package terminal
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -14,7 +13,7 @@ import (
 // print/wrap/erase/scroll semantics over plain string cells — the
 // representation the packed interned cell model replaced. The differential
 // fuzz below drives both through identical input and requires the screens
-// (and scrollback) to match cell for cell, which checks the packing,
+// to match cell for cell, which checks the packing,
 // interning and combine-cache logic without trusting any of it.
 
 type stringCell struct {
@@ -24,12 +23,11 @@ type stringCell struct {
 }
 
 type stringScreen struct {
-	w, h       int
-	cells      [][]stringCell
-	row, col   int
-	nextWraps  bool
-	rend       Renditions
-	scrollback [][]stringCell
+	w, h      int
+	cells     [][]stringCell
+	row, col  int
+	nextWraps bool
+	rend      Renditions
 }
 
 func newStringScreen(w, h int) *stringScreen {
@@ -58,11 +56,6 @@ func (s *stringScreen) scrollUp(n int) {
 		n = s.h
 	}
 	for i := 0; i < n; i++ {
-		old := s.cells[0]
-		s.scrollback = append(s.scrollback, old)
-		if len(s.scrollback) > DefaultScrollbackLimit {
-			s.scrollback = s.scrollback[1:]
-		}
 		copy(s.cells, s.cells[1:])
 		fresh := make([]stringCell, s.w)
 		for c := range fresh {
@@ -147,7 +140,7 @@ func (s *stringScreen) eraseInLine(mode int) {
 func (s *stringScreen) carriageReturn() { s.col = 0; s.nextWraps = false }
 
 // verifyAgainst requires the real framebuffer to match the oracle exactly:
-// contents, rendition and wide flag per cell, cursor, and scrollback text.
+// contents, rendition and wide flag per cell, and cursor.
 func (s *stringScreen) verifyAgainst(t *testing.T, fb *Framebuffer, label string) {
 	t.Helper()
 	if fb.DS.CursorRow != s.row || fb.DS.CursorCol != s.col || fb.DS.NextPrintWraps != s.nextWraps {
@@ -162,22 +155,6 @@ func (s *stringScreen) verifyAgainst(t *testing.T, fb *Framebuffer, label string
 				t.Fatalf("%s: cell (%d,%d) = {%q %v wide=%v}, oracle {%q %v wide=%v}", label, r, c,
 					got.ContentsString(), got.Rend, got.Wide(), want.contents, want.rend, want.wide)
 			}
-		}
-	}
-	if fb.ScrollbackLines() != len(s.scrollback) {
-		t.Fatalf("%s: scrollback %d lines, oracle %d", label, fb.ScrollbackLines(), len(s.scrollback))
-	}
-	for i := range s.scrollback {
-		var want strings.Builder
-		for _, c := range s.scrollback[i] {
-			if c.contents == "" {
-				want.WriteString(" ")
-			} else {
-				want.WriteString(c.contents)
-			}
-		}
-		if got := fb.ScrollbackText(i); got != want.String() {
-			t.Fatalf("%s: scrollback line %d = %q, oracle %q", label, i, got, want.String())
 		}
 	}
 }
@@ -278,7 +255,6 @@ func TestInternTableConcurrentEmulators(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			emu := NewEmulator(40, 4)
-			emu.Framebuffer().SetScrollbackLimit(-1)
 			for i := 0; i < rounds; i++ {
 				base := rune('a' + (g+i)%26)
 				m1 := marks[(g+i)%len(marks)]
@@ -417,7 +393,6 @@ func TestInternTableCardinalityBounded(t *testing.T) {
 // allocations at all.
 func TestUnicodePrintPathZeroAlloc(t *testing.T) {
 	emu := NewEmulator(80, 24)
-	emu.Framebuffer().SetScrollbackLimit(-1)
 	cjk := []byte("漢字出力の定常状態\r\n")
 	if avg := testing.AllocsPerRun(200, func() {
 		emu.Write(cjk)

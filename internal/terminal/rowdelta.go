@@ -12,7 +12,7 @@ import "repro/internal/binio"
 
 // AppendMetaSnapshot appends the snapshot format's non-grid prefix —
 // version, dimensions, draw state, title, synchronized counters and the
-// scrollback limit — without any cell rows. With a warmed buffer the
+// history limit — without any cell rows. With a warmed buffer the
 // encode performs no heap allocations.
 func (f *Framebuffer) AppendMetaSnapshot(buf []byte) []byte {
 	return f.appendSnapshotMeta(buf)

@@ -17,11 +17,9 @@ func fillRow(f *Framebuffer, i int, tag byte) {
 }
 
 func TestScrollFloodAllocationFreeWithPooledRows(t *testing.T) {
-	// With scrollback disabled (the sessiond daemon's configuration),
-	// rows leaving the top are recycled into the rows a scroll vacates, so
+	// Rows leaving the top are recycled into the rows a scroll vacates, so
 	// a scroll flood allocates nothing.
 	f := NewFramebuffer(80, 24)
-	f.SetScrollbackLimit(-1)
 	for i := 0; i < 4; i++ {
 		f.Scroll(1)
 	}
@@ -31,6 +29,23 @@ func TestScrollFloodAllocationFreeWithPooledRows(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("scroll flood allocates %.1f per line with pooling, want 0", allocs)
+	}
+}
+
+// TestDefaultScrollFloodAllocFree drives the whole emulator, as a client
+// applying a scrolling frame does: a fresh screen, configured no further,
+// scrolls a steady flood of printed lines without allocating.
+func TestDefaultScrollFloodAllocFree(t *testing.T) {
+	emu := NewEmulator(80, 24)
+	line := []byte("steady scroll line: object compiled without warnings\r\n")
+	for i := 0; i < 2*emu.Framebuffer().H; i++ {
+		emu.Write(line) // warm: every row written once, the free list stocked
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		emu.Write(line)
+	})
+	if allocs != 0 {
+		t.Fatalf("default scroll flood allocates %.2f per line, want 0", allocs)
 	}
 }
 
@@ -67,7 +82,6 @@ func TestRegionScrollReusesDiscardedRows(t *testing.T) {
 
 func TestPooledRowsAreFullyReset(t *testing.T) {
 	f := NewFramebuffer(20, 6)
-	f.SetScrollbackLimit(-1)
 	for i := 0; i < f.H; i++ {
 		fillRow(f, i, byte(i))
 	}
@@ -98,7 +112,6 @@ func TestPoolingPreservesSnapshots(t *testing.T) {
 	// Rows shared with a snapshot must never enter the pool: scrolling
 	// after a Clone may not disturb what the snapshot renders.
 	f := NewFramebuffer(40, 10)
-	f.SetScrollbackLimit(-1)
 	for i := 0; i < f.H; i++ {
 		fillRow(f, i, byte(i))
 	}
@@ -123,7 +136,6 @@ func TestPoolingPreservesSnapshots(t *testing.T) {
 func TestPoolClearedOnResize(t *testing.T) {
 	blankArrayStaysBlank(t)
 	f := NewFramebuffer(30, 8)
-	f.SetScrollbackLimit(-1)
 	for i := 0; i < 6; i++ {
 		f.Scroll(1) // stock the pool with 30-wide rows
 	}
@@ -141,9 +153,7 @@ func TestScrollContentMatchesUnpooledOracle(t *testing.T) {
 	// Property check: a framebuffer whose pool keeps engaging must stay
 	// Equal to a deep-copied oracle driven through identical operations.
 	f := NewFramebuffer(25, 9)
-	f.SetScrollbackLimit(-1)
 	oracle := NewFramebuffer(25, 9)
-	oracle.SetScrollbackLimit(-1)
 	ops := []func(fb *Framebuffer, step int){
 		func(fb *Framebuffer, step int) { fb.Scroll(1 + step%3) },
 		func(fb *Framebuffer, step int) { fb.Scroll(-(1 + step%2)) },

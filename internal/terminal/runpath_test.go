@@ -23,7 +23,7 @@ func (o runeOracle) write(data []byte) { o.parser.Feed(data, o) }
 
 // diffScreens compares everything the run path could get wrong: every cell
 // (including the soft-wrap flag Equal ignores), the cursor and its deferred
-// wrap, and the scrollback the wraps feed.
+// wrap.
 func diffScreens(got, want *Framebuffer) string {
 	if got.W != want.W || got.H != want.H {
 		return fmt.Sprintf("size %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
@@ -42,14 +42,6 @@ func diffScreens(got, want *Framebuffer) string {
 			if *got.Peek(r, c) != *want.Peek(r, c) {
 				return fmt.Sprintf("cell (%d,%d) = %+v, want %+v", r, c, *got.Peek(r, c), *want.Peek(r, c))
 			}
-		}
-	}
-	if got.ScrollbackLines() != want.ScrollbackLines() {
-		return fmt.Sprintf("scrollback %d lines, want %d", got.ScrollbackLines(), want.ScrollbackLines())
-	}
-	for i := 0; i < want.ScrollbackLines(); i++ {
-		if got.ScrollbackText(i) != want.ScrollbackText(i) {
-			return fmt.Sprintf("scrollback line %d = %q, want %q", i, got.ScrollbackText(i), want.ScrollbackText(i))
 		}
 	}
 	return ""

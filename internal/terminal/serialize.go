@@ -9,15 +9,17 @@ import (
 )
 
 // This file implements the compact binary serialization of a Framebuffer —
-// the screen grid, draw state, and (when enabled) the scrollback window —
-// used by internal/sessiond to persist sessions across a daemon restart.
+// the screen grid and draw state — used by internal/sessiond to persist
+// sessions across a daemon restart.
 //
 // The format is versioned and self-delimiting. Cells are run-length encoded
-// (screens are overwhelmingly runs of identical blanks), cell contents are
-// written as raw grapheme bytes and re-interned on load (an intern-table
-// index is process-local and meaningless in the next incarnation), and the
-// scrollback window is rendered out of the shared arena row by row, so the
-// serialized form shares storage with nothing.
+// (screens are overwhelmingly runs of identical blanks), and cell contents
+// are written as raw grapheme bytes and re-interned on load (an intern-table
+// index is process-local and meaningless in the next incarnation), so the
+// serialized form shares storage with nothing. The format still carries a
+// history limit and a trailing history window from when screens kept
+// scrollback; the encoder writes -1 and an empty window, and the decoder
+// refuses a non-empty one.
 //
 // Encoding is append-only into a caller-owned buffer and performs no heap
 // allocations with a warmed buffer (the journal writer's steady state).
@@ -41,10 +43,8 @@ const MaxDim = 1 << 12
 // Defensive bounds on decode: anything beyond these is corruption, not a
 // screen this codebase can produce.
 const (
-	snapMaxTitle       = 1 << 13
-	snapMaxScrollback  = 1 << 16
-	snapMaxContent     = 1 << 9 // bytes per cell grapheme
-	snapMaxScrollWidth = 1 << 12
+	snapMaxTitle   = 1 << 13
+	snapMaxContent = 1 << 9 // bytes per cell grapheme
 )
 
 // DrawState flag bit assignments (order is part of the format).
@@ -133,8 +133,8 @@ func appendRow(buf []byte, cells []Cell) []byte {
 }
 
 // AppendSnapshot appends a versioned binary serialization of the complete
-// screen state — grid, draw state, title, synchronized counters, and the
-// visible scrollback window — to buf and returns the extended buffer. The
+// screen state — grid, draw state, title and synchronized counters — to buf
+// and returns the extended buffer. The
 // result aliases no framebuffer storage; rows shared copy-on-write with
 // snapshots are only read. With a warmed buffer the encode performs no heap
 // allocations.
@@ -145,20 +145,14 @@ func (f *Framebuffer) AppendSnapshot(buf []byte) []byte {
 		buf = appendRow(buf, r.Cells)
 	}
 
-	// Scrollback window, oldest first. Rows may predate a resize, so each
-	// carries its own width.
-	buf = binary.AppendUvarint(buf, uint64(f.ScrollbackLines()))
-	for i := f.sbOff; i < f.sbLen; i++ {
-		cells := f.sb.rows[i].Cells
-		buf = binary.AppendUvarint(buf, uint64(len(cells)))
-		buf = appendRow(buf, cells)
-	}
-	return buf
+	// The format's history window, always empty: a screen keeps no history.
+	return append(buf, 0)
 }
 
 // appendSnapshotMeta appends the non-grid prefix of the snapshot format:
 // version, dimensions, draw state, title, synchronized counters and the
-// scrollback limit — everything up to (but excluding) the cell rows. The
+// format's history limit, always -1 — everything up to (but excluding) the
+// cell rows. The
 // journal's delta records reuse it to persist screen metadata without
 // re-encoding the grid.
 func (f *Framebuffer) appendSnapshotMeta(buf []byte) []byte {
@@ -225,7 +219,7 @@ func (f *Framebuffer) appendSnapshotMeta(buf []byte) []byte {
 	buf = append(buf, f.Title...)
 	buf = binary.AppendUvarint(buf, f.BellCount)
 	buf = binary.AppendUvarint(buf, f.EchoAck)
-	return binary.AppendVarint(buf, int64(f.scrollbackMax))
+	return binary.AppendVarint(buf, -1)
 }
 
 // decodeColor reads one Color, refusing values no Color constructor makes
@@ -336,28 +330,9 @@ func DecodeSnapshot(data []byte) (*Framebuffer, []byte, error) {
 		}
 	}
 
-	sbCount, ok := r.BoundedUvarint(snapMaxScrollback)
-	if !ok {
+	// A history window has nothing to restore into.
+	if n, ok := r.Uvarint(); !ok || n != 0 {
 		return fail()
-	}
-	if sbCount > 0 {
-		if f.scrollbackMax < 0 || sbCount > uint64(f.effectiveScrollbackMax()) {
-			return fail()
-		}
-		hist := &scrollHistory{rows: make([]*Row, 0, int(sbCount))}
-		for i := uint64(0); i < sbCount; i++ {
-			width, ok := r.BoundedUvarint(snapMaxScrollWidth)
-			if !ok {
-				return fail()
-			}
-			row, ok := decodeNewRow(&r, int(width))
-			if !ok {
-				return fail()
-			}
-			hist.rows = append(hist.rows, row)
-		}
-		f.sb = hist
-		f.sbOff, f.sbLen = 0, len(hist.rows)
 	}
 	return f, r.Rest(), nil
 }
@@ -428,10 +403,7 @@ func decodeSnapshotMeta(r *binio.Reader, f *Framebuffer) bool {
 	if f.EchoAck, ok = r.Uvarint(); !ok {
 		return false
 	}
-	sbMax, ok := r.Varint()
-	if !ok || sbMax > snapMaxScrollback || sbMax < -1 {
-		return false
-	}
-	f.scrollbackMax = int(sbMax)
-	return true
+	// The history limit configures nothing any more.
+	_, ok = r.Varint()
+	return ok
 }

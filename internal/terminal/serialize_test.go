@@ -7,11 +7,10 @@ import (
 
 // sampleScreen builds a framebuffer exercising every serialized feature:
 // colors and attributes, wide and combining characters, tabs, a scrolling
-// region, saved cursor, title, and scrolled-off history.
+// region, saved cursor and title.
 func sampleScreen() *Framebuffer {
 	emu := NewEmulator(80, 24)
 	fb := emu.Framebuffer()
-	fb.SetScrollbackLimit(40)
 	emu.WriteString("\x1b]0;snapshot codec\x07")
 	emu.WriteString("\x1b[1;4;38;5;202mhot\x1b[0m \x1b[48;2;1;2;3mrgb bg\x1b[0m\r\n")
 	emu.WriteString("wide: 你好 combining: ȩ́ emoji: 🙂\r\n")
@@ -27,7 +26,7 @@ func sampleScreen() *Framebuffer {
 
 // TestSnapshotRoundTrip: the canonical serialization is a fixed point of
 // decode∘encode, and the restored screen is semantically equal (including
-// the scrollback window and draw state the codec carries).
+// the draw state the codec carries).
 func TestSnapshotRoundTrip(t *testing.T) {
 	blankArrayStaysBlank(t)
 	fb := sampleScreen()
@@ -41,14 +40,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(fb) {
 		t.Fatal("restored framebuffer is not Equal to the original")
-	}
-	if got.ScrollbackLines() != fb.ScrollbackLines() {
-		t.Fatalf("scrollback %d != %d", got.ScrollbackLines(), fb.ScrollbackLines())
-	}
-	for i := 0; i < fb.ScrollbackLines(); i++ {
-		if got.ScrollbackText(i) != fb.ScrollbackText(i) {
-			t.Fatalf("scrollback line %d differs", i)
-		}
 	}
 	re := got.AppendSnapshot(nil)
 	if !bytes.Equal(enc, re) {
@@ -91,6 +82,33 @@ func TestSnapshotDecodeNeverPanics(t *testing.T) {
 	mut[0] = snapshotVersion + 1
 	if _, _, err := DecodeSnapshot(mut); err == nil {
 		t.Fatal("version-skewed snapshot decoded")
+	}
+}
+
+// TestSnapshotHistoryWindowRejected: the format's trailing history window
+// must be empty. A snapshot carrying one line of history, under the
+// default history limit (0), is refused rather than silently dropped.
+func TestSnapshotHistoryWindowRejected(t *testing.T) {
+	fb := NewFramebuffer(8, 1)
+	NewEmulatorWithFramebuffer(fb).WriteString("history")
+	meta := fb.AppendMetaSnapshot(nil)
+	enc := fb.AppendSnapshot(nil)
+	row := enc[len(meta) : len(enc)-1] // the one grid row, before the empty window
+	if enc[len(enc)-1] != 0 {
+		t.Fatalf("snapshot ends %#x, want an empty history window", enc[len(enc)-1])
+	}
+
+	// The history limit is meta's last field, a one-byte varint.
+	data := append([]byte(nil), meta[:len(meta)-1]...)
+	data = append(data, 0x00) // history limit 0
+	data = append(data, row...)
+	if got, rest, err := DecodeSnapshot(append(append([]byte(nil), data...), 0)); err != nil || len(rest) != 0 || !got.Equal(fb) {
+		t.Fatalf("empty window under limit 0: err=%v rest=%d", err, len(rest))
+	}
+	data = append(data, 1, byte(fb.W)) // window of one line, as wide as the screen
+	data = append(data, row...)
+	if _, _, err := DecodeSnapshot(data); err != ErrBadSnapshot {
+		t.Fatalf("snapshot with a one-line history window: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// These benchmarks are the unicode-heavy and deep-scrollback companions to
-// the ASCII snapshot/diff suite: the workloads the packed interned cell
-// model and the structurally-shared scrollback exist for. They use only
-// the public emulator/diff API, so they measure any cell representation.
+// These benchmarks are the unicode-heavy companions to the ASCII
+// snapshot/diff suite: the workloads the packed interned cell model exists
+// for. They use only the public emulator/diff API, so they measure any cell
+// representation.
 
 // cjkEditorLines is an "editor" screenful in the CJK/emoji/combining mix a
 // real compose session produces: wide ideographs, emoji, and accented
@@ -48,7 +48,6 @@ func BenchmarkSnapshotDiffCJKEditor(b *testing.B) {
 // ideographs (no diffing): the per-cell cost of non-ASCII contents.
 func BenchmarkPrintCJKFlood(b *testing.B) {
 	emu := NewEmulator(80, 24)
-	emu.Framebuffer().SetScrollbackLimit(-1)
 	line := []byte(strings.Repeat("漢字書込測定中", 5) + "\r\n")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -62,7 +61,6 @@ func BenchmarkPrintCJKFlood(b *testing.B) {
 // each cell's contents is a multi-rune cluster.
 func BenchmarkPrintCombiningFlood(b *testing.B) {
 	emu := NewEmulator(80, 24)
-	emu.Framebuffer().SetScrollbackLimit(-1)
 	var sb strings.Builder
 	for i := 0; i < 20; i++ {
 		sb.WriteString(string(rune('a'+i%26)) + "́̈")
@@ -74,65 +72,4 @@ func BenchmarkPrintCombiningFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		emu.Write(line)
 	}
-}
-
-// deepScrollbackEmulator returns an emulator whose framebuffer holds a
-// full scrollback history (the pager/compile-log steady state).
-func deepScrollbackEmulator(w, h int) *Emulator {
-	emu := NewEmulator(w, h)
-	for i := 0; i < DefaultScrollbackLimit+h; i++ {
-		emu.WriteString(fmt.Sprintf("log line %4d: object compiled without warnings\r\n", i))
-	}
-	return emu
-}
-
-// BenchmarkSnapshotCloneDeepScrollback isolates the per-send snapshot cost
-// once the scrollback is full — the dominant remaining clone cost before
-// scrollback sharing.
-func BenchmarkSnapshotCloneDeepScrollback(b *testing.B) {
-	emu := deepScrollbackEmulator(80, 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCloneSink = emu.Framebuffer().Clone()
-	}
-}
-
-// BenchmarkSnapshotCloneIntoDeepScrollback is the pooled-snapshot path the
-// statesync layer actually runs (retired shells reused via CloneInto): a
-// full-history snapshot at zero allocations.
-func BenchmarkSnapshotCloneIntoDeepScrollback(b *testing.B) {
-	emu := deepScrollbackEmulator(80, 24)
-	live := emu.Framebuffer()
-	shells := [2]*Framebuffer{live.Clone(), live.Clone()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shells[i&1] = live.CloneInto(shells[i&1])
-	}
-	benchCloneSink = shells[0]
-}
-
-// BenchmarkSnapshotDiffPagerScrollback is the full sender tick of a
-// deep-scroll "pager" session with history enabled: scroll several lines,
-// diff, snapshot — every tick both pushes scrollback and clones it.
-func BenchmarkSnapshotDiffPagerScrollback(b *testing.B) {
-	emu := deepScrollbackEmulator(80, 24)
-	prev := emu.Framebuffer().Clone()
-	lines := make([][]byte, 8)
-	for i := range lines {
-		lines[i] = []byte(fmt.Sprintf("pager line %d: section text with explanatory words\r\n", i))
-	}
-	var fw FrameWriter
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 4; j++ {
-			emu.Write(lines[(i*4+j)%len(lines)])
-		}
-		buf = fw.AppendFrame(buf[:0], true, prev, emu.Framebuffer())
-		prev = emu.Framebuffer().Clone()
-	}
-	benchSink = buf
 }

@@ -252,12 +252,6 @@ func (s *Sender[T]) SentStates() iter.Seq[T] {
 	}
 }
 
-// AssumedReceiverStateNum reports which state the sender currently diffs
-// against.
-func (s *Sender[T]) AssumedReceiverStateNum() uint64 {
-	return s.sentStates[s.assumedIdx].num
-}
-
 // ForceAckSoon makes the next Tick emit at least an empty ack; the client
 // uses it right after dialing so the server learns its address without
 // waiting for the first heartbeat.
