@@ -6,12 +6,18 @@
 //
 // The implementation follows the RFC's specification directly (offset
 // doubling, nonce stretching, checksum accumulation) and is validated
-// against the RFC 7253 Appendix A test vectors.
+// against the RFC 7253 Appendix A test vectors. A block is held as two
+// 64-bit words, so offsets, checksums and the whitening around each
+// cipher call are word XORs. Ktop, the cipher call that stretches a nonce
+// (RFC 7253 §4.2), depends only on the nonce with its low 6 bits cleared,
+// so each AEAD keeps the last one: SSP's sequence-number nonces reuse it
+// for 64 datagrams in a row.
 package ocb
 
 import (
 	"crypto/cipher"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"math/bits"
 )
@@ -33,19 +39,43 @@ const (
 // ever released for an inauthentic message.
 var ErrOpen = errors.New("ocb: message authentication failed")
 
+// words is a block as two big-endian words, bytes 0–7 in hi and 8–15 in lo.
+type words struct{ hi, lo uint64 }
+
+func load(b []byte) words {
+	return words{binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:16])}
+}
+
+func (w words) store(b []byte) {
+	binary.BigEndian.PutUint64(b, w.hi)
+	binary.BigEndian.PutUint64(b[8:16], w.lo)
+}
+
+func (w words) xor(v words) words { return words{w.hi ^ v.hi, w.lo ^ v.lo} }
+
+// double computes 2*w in GF(2^128) with the OCB polynomial.
+func (w words) double() words {
+	return words{w.hi<<1 | w.lo>>63, w.lo<<1 ^ (w.hi>>63)*0x87}
+}
+
 type ocb struct {
 	block   cipher.Block
-	lstar   [blockSize]byte
-	ldollar [blockSize]byte
-	l       [maxL][blockSize]byte
+	lstar   words
+	ldollar words
+	l       [maxL]words
 
-	// Per-call scratch blocks. Slices of these cross the cipher.Block
-	// interface, which would force stack copies to escape on every packet;
-	// keeping them on the struct makes sealing and opening allocation-free.
-	// The tradeoff is that this AEAD is not safe for concurrent use —
-	// matching the documented contract of sspcrypto.Session, whose
-	// endpoints each own one.
-	tmp, pad, tag, ktop, nbuf, off [blockSize]byte
+	// ktopNonce is the nonce block, low 6 bits cleared, whose Ktop stretch
+	// holds: Ktop, then its first 64 bits XOR its bits 8–71. A real nonce
+	// block has its 1 bit set, so the zero value is an empty cache.
+	ktopNonce [blockSize]byte
+	stretch   [3]uint64
+
+	// buf is the one block that crosses the cipher.Block interface. A slice
+	// of a stack array there would escape on every packet; keeping it on the
+	// struct makes sealing and opening allocation-free. The tradeoff is that
+	// this AEAD is not safe for concurrent use — matching the documented
+	// contract of sspcrypto.Session, whose endpoints each own one.
+	buf [blockSize]byte
 }
 
 // New returns an OCB3 AEAD (12-byte nonce, 16-byte tag) wrapping block,
@@ -55,134 +85,105 @@ func New(block cipher.Block) (cipher.AEAD, error) {
 		return nil, errors.New("ocb: cipher block size must be 128 bits")
 	}
 	o := &ocb{block: block}
-	block.Encrypt(o.lstar[:], make([]byte, blockSize))
-	double(&o.ldollar, &o.lstar)
-	double(&o.l[0], &o.ldollar)
+	o.lstar = o.encrypt(words{})
+	o.ldollar = o.lstar.double()
+	o.l[0] = o.ldollar.double()
 	for i := 1; i < maxL; i++ {
-		double(&o.l[i], &o.l[i-1])
+		o.l[i] = o.l[i-1].double()
 	}
 	return o, nil
 }
 
-// double computes dst = 2*src in GF(2^128) with the OCB polynomial.
-func double(dst, src *[blockSize]byte) {
-	carry := src[0] >> 7
-	for i := 0; i < blockSize-1; i++ {
-		dst[i] = src[i]<<1 | src[i+1]>>7
-	}
-	dst[blockSize-1] = src[blockSize-1] << 1
-	dst[blockSize-1] ^= carry * 0x87
+func (o *ocb) encrypt(w words) words {
+	w.store(o.buf[:])
+	o.block.Encrypt(o.buf[:], o.buf[:])
+	return load(o.buf[:])
 }
 
-func xorBlock(dst, a, b []byte) {
-	for i := 0; i < blockSize; i++ {
-		dst[i] = a[i] ^ b[i]
-	}
+func (o *ocb) decrypt(w words) words {
+	w.store(o.buf[:])
+	o.block.Decrypt(o.buf[:], o.buf[:])
+	return load(o.buf[:])
 }
 
 func (o *ocb) NonceSize() int { return NonceSize }
 func (o *ocb) Overhead() int  { return TagSize }
 
-// initialOffset derives Offset_0 from the nonce per RFC 7253 §4.2. The
-// result is written into o.off (struct scratch, like every block that
-// crosses the cipher.Block interface).
-func (o *ocb) initialOffset(nonce []byte) {
-	n := &o.nbuf
-	*n = [blockSize]byte{}
+// initialOffset derives Offset_0 from the nonce per RFC 7253 §4.2,
+// enciphering Ktop only when the nonce's top 122 bits differ from the last
+// call's.
+func (o *ocb) initialOffset(nonce []byte) words {
 	// Nonce = num2str(TAGLEN mod 128, 7) || zeros || 1 || N.
 	// TAGLEN = 128, so the leading 7 bits are zero.
-	n[blockSize-1-len(nonce)] |= 1
+	var n [blockSize]byte
+	n[blockSize-1-len(nonce)] = 1
 	copy(n[blockSize-len(nonce):], nonce)
-	bottom := int(n[blockSize-1] & 0x3F)
+	bottom := uint(n[blockSize-1] & 0x3F)
 	n[blockSize-1] &= 0xC0
-	ktop := &o.ktop
-	o.block.Encrypt(ktop[:], n[:])
-	var stretch [blockSize + 8]byte
-	copy(stretch[:blockSize], ktop[:])
-	for i := 0; i < 8; i++ {
-		stretch[blockSize+i] = ktop[i] ^ ktop[i+1]
+	if n != o.ktopNonce {
+		ktop := o.encrypt(load(n[:]))
+		o.stretch = [3]uint64{ktop.hi, ktop.lo, ktop.hi ^ (ktop.hi<<8 | ktop.lo>>56)}
+		o.ktopNonce = n
 	}
-	byteShift, bitShift := bottom/8, uint(bottom%8)
-	for i := 0; i < blockSize; i++ {
-		o.off[i] = stretch[i+byteShift] << bitShift
-		if bitShift > 0 {
-			o.off[i] |= stretch[i+byteShift+1] >> (8 - bitShift)
-		}
-	}
+	// Offset_0 is bits bottom to bottom+127 of the stretch; a shift by 64
+	// yields 0, so bottom 0 needs no case of its own.
+	s := &o.stretch
+	return words{s[0]<<bottom | s[1]>>(64-bottom), s[1]<<bottom | s[2]>>(64-bottom)}
 }
 
 // hash computes the HASH(K, A) value over the associated data.
-func (o *ocb) hash(ad []byte) [blockSize]byte {
-	var sum, offset [blockSize]byte
-	tmp := &o.tmp
-	i := 1
-	for len(ad) >= blockSize {
-		xorBlock(offset[:], offset[:], o.l[bits.TrailingZeros(uint(i))][:])
-		xorBlock(tmp[:], ad[:blockSize], offset[:])
-		o.block.Encrypt(tmp[:], tmp[:])
-		xorBlock(sum[:], sum[:], tmp[:])
+func (o *ocb) hash(ad []byte) words {
+	var sum, offset words
+	for i := 1; len(ad) >= blockSize; i++ {
+		offset = offset.xor(o.l[bits.TrailingZeros(uint(i))])
+		sum = sum.xor(o.encrypt(load(ad).xor(offset)))
 		ad = ad[blockSize:]
-		i++
 	}
 	if len(ad) > 0 {
-		xorBlock(offset[:], offset[:], o.lstar[:])
+		offset = offset.xor(o.lstar)
 		var padded [blockSize]byte
 		copy(padded[:], ad)
 		padded[len(ad)] = 0x80
-		xorBlock(tmp[:], padded[:], offset[:])
-		o.block.Encrypt(tmp[:], tmp[:])
-		xorBlock(sum[:], sum[:], tmp[:])
+		sum = sum.xor(o.encrypt(load(padded[:]).xor(offset)))
 	}
 	return sum
 }
 
 // Seal encrypts and authenticates plaintext, authenticates additionalData,
-// and appends the result to dst.
+// and appends the result to dst. dst may be plaintext[:0].
 func (o *ocb) Seal(dst, nonce, plaintext, additionalData []byte) []byte {
 	if len(nonce) != NonceSize {
 		panic("ocb: incorrect nonce length")
 	}
 	ret, out := sliceForAppend(dst, len(plaintext)+TagSize)
-	o.initialOffset(nonce)
-	offset, tmp := &o.off, &o.tmp
-	var checksum [blockSize]byte
-	i := 1
+	offset := o.initialOffset(nonce)
+	var checksum words
 	p := plaintext
-	for len(p) >= blockSize {
-		xorBlock(offset[:], offset[:], o.l[bits.TrailingZeros(uint(i))][:])
-		xorBlock(tmp[:], p[:blockSize], offset[:])
-		o.block.Encrypt(tmp[:], tmp[:])
-		xorBlock(out[:blockSize], tmp[:], offset[:])
-		xorBlock(checksum[:], checksum[:], p[:blockSize])
-		p = p[blockSize:]
-		out = out[blockSize:]
-		i++
+	for i := 1; len(p) >= blockSize; i++ {
+		offset = offset.xor(o.l[bits.TrailingZeros(uint(i))])
+		x := load(p)
+		checksum = checksum.xor(x)
+		o.encrypt(x.xor(offset)).xor(offset).store(out)
+		p, out = p[blockSize:], out[blockSize:]
 	}
 	if len(p) > 0 {
-		xorBlock(offset[:], offset[:], o.lstar[:])
-		pad := &o.pad
-		o.block.Encrypt(pad[:], offset[:])
-		for j := range p {
-			out[j] = p[j] ^ pad[j]
-		}
-		checksum[len(p)] ^= 0x80
-		for j := range p {
-			checksum[j] ^= p[j]
-		}
-		out = out[len(p):]
+		offset = offset.xor(o.lstar)
+		var last [blockSize]byte
+		copy(last[:], p)
+		x := load(last[:])
+		last[len(p)] = 0x80
+		checksum = checksum.xor(load(last[:]))
+		x.xor(o.encrypt(offset)).store(last[:])
+		out = out[copy(out, last[:len(p)]):]
 	}
-	tag := &o.tag
-	xorBlock(tag[:], checksum[:], offset[:])
-	xorBlock(tag[:], tag[:], o.ldollar[:])
-	o.block.Encrypt(tag[:], tag[:])
-	adHash := o.hash(additionalData)
-	xorBlock(tag[:], tag[:], adHash[:])
-	copy(out, tag[:])
+	tag := o.encrypt(checksum.xor(offset).xor(o.ldollar)).xor(o.hash(additionalData))
+	tag.store(out)
 	return ret
 }
 
 // Open authenticates and decrypts ciphertext, appending the plaintext to
-// dst. It returns ErrOpen if authentication fails.
+// dst. It returns ErrOpen if authentication fails, with the plaintext it
+// wrote zeroed. dst may be ciphertext[:0].
 func (o *ocb) Open(dst, nonce, ciphertext, additionalData []byte) ([]byte, error) {
 	if len(nonce) != NonceSize {
 		panic("ocb: incorrect nonce length")
@@ -193,45 +194,31 @@ func (o *ocb) Open(dst, nonce, ciphertext, additionalData []byte) ([]byte, error
 	body := ciphertext[:len(ciphertext)-TagSize]
 	expectedTag := ciphertext[len(ciphertext)-TagSize:]
 	ret, out := sliceForAppend(dst, len(body))
-	o.initialOffset(nonce)
-	offset, tmp := &o.off, &o.tmp
-	var checksum [blockSize]byte
-	i := 1
-	c := body
-	outp := out
-	for len(c) >= blockSize {
-		xorBlock(offset[:], offset[:], o.l[bits.TrailingZeros(uint(i))][:])
-		xorBlock(tmp[:], c[:blockSize], offset[:])
-		o.block.Decrypt(tmp[:], tmp[:])
-		xorBlock(outp[:blockSize], tmp[:], offset[:])
-		xorBlock(checksum[:], checksum[:], outp[:blockSize])
-		c = c[blockSize:]
-		outp = outp[blockSize:]
-		i++
+	offset := o.initialOffset(nonce)
+	var checksum words
+	c, p := body, out
+	for i := 1; len(c) >= blockSize; i++ {
+		offset = offset.xor(o.l[bits.TrailingZeros(uint(i))])
+		x := o.decrypt(load(c).xor(offset)).xor(offset)
+		checksum = checksum.xor(x)
+		x.store(p)
+		c, p = c[blockSize:], p[blockSize:]
 	}
 	if len(c) > 0 {
-		xorBlock(offset[:], offset[:], o.lstar[:])
-		pad := &o.pad
-		o.block.Encrypt(pad[:], offset[:])
-		for j := range c {
-			outp[j] = c[j] ^ pad[j]
-		}
-		checksum[len(c)] ^= 0x80
-		for j := range c {
-			checksum[j] ^= outp[j]
-		}
+		offset = offset.xor(o.lstar)
+		var last [blockSize]byte
+		copy(last[:], c)
+		load(last[:]).xor(o.encrypt(offset)).store(last[:])
+		copy(p, last[:len(c)])
+		clear(last[len(c):])
+		last[len(c)] = 0x80
+		checksum = checksum.xor(load(last[:]))
 	}
-	tag := &o.tag
-	xorBlock(tag[:], checksum[:], offset[:])
-	xorBlock(tag[:], tag[:], o.ldollar[:])
-	o.block.Encrypt(tag[:], tag[:])
-	adHash := o.hash(additionalData)
-	xorBlock(tag[:], tag[:], adHash[:])
+	var tag [blockSize]byte
+	o.encrypt(checksum.xor(offset).xor(o.ldollar)).xor(o.hash(additionalData)).store(tag[:])
 	if subtle.ConstantTimeCompare(tag[:], expectedTag) != 1 {
 		// Wipe any released plaintext before failing.
-		for j := range out {
-			out[j] = 0
-		}
+		clear(out)
 		return nil, ErrOpen
 	}
 	return ret, nil

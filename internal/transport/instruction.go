@@ -1,13 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"compress/zlib"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"slices"
 	"sync"
 )
 
@@ -94,12 +91,12 @@ func encodeInstruction(inst *Instruction) []byte {
 	return fr.encode(inst)
 }
 
-// Deflate and inflate state belongs to the process, not to a session: a
-// zlib.Writer is ≈ 1.2 MB, an endpoint needs one only while it encodes one
-// instruction, and Reset makes a borrowed one indistinguishable from a
-// fresh one — the bytes on the wire do not depend on who used it last. The
-// frame-sized buffers an instruction is built or rebuilt in are lent the
-// same way (scratch).
+// Deflate state belongs to the process, not to a session: a zlib.Writer is
+// ≈ 1.2 MB, an endpoint needs one only while it encodes one instruction, and
+// Reset makes a borrowed one indistinguishable from a fresh one — the bytes
+// on the wire do not depend on who used it last. The frame-sized buffers an
+// instruction is built or rebuilt in are lent the same way (scratch). The
+// receive side needs no such state: inflate decodes on its own stack.
 
 // deflater is a pooled zlib.Writer that deflates into out, which encode
 // lends it for one instruction (the writer never points into a session).
@@ -118,51 +115,6 @@ var deflaters = sync.Pool{New: func() any {
 	d.zw = zlib.NewWriter(d)
 	return d
 }}
-
-// inflater is a pooled zlib reader together with the source and limit
-// readers it is stacked between.
-type inflater struct {
-	src bytes.Reader
-	zr  io.ReadCloser // nil until the first stream: NewReader wants a header
-	lim io.LimitedReader
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// inflate decompresses z into dst's storage. A stream that inflates past
-// maxDecompressed is an error, never a truncated instruction.
-func inflate(dst, z []byte) ([]byte, error) {
-	dst = dst[:0]
-	in := inflaters.Get().(*inflater)
-	defer inflaters.Put(in)
-	in.src.Reset(z)
-	defer in.src.Reset(nil)
-	var err error
-	if in.zr == nil {
-		in.zr, err = zlib.NewReader(&in.src)
-	} else {
-		err = in.zr.(zlib.Resetter).Reset(&in.src, nil)
-	}
-	if err != nil {
-		return dst, err
-	}
-	in.lim = io.LimitedReader{R: in.zr, N: maxDecompressed + 1}
-	for {
-		dst = slices.Grow(dst, bytes.MinRead)
-		n, err := in.lim.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-	if len(dst) > maxDecompressed {
-		return dst, errors.New("inflates past the limit")
-	}
-	return dst, nil
-}
 
 // scratch is the frame-sized working memory of one instruction on its way
 // to or from the wire. It belongs to a call, not to an endpoint: a fragmenter
