@@ -7,11 +7,8 @@
 // The implementation follows the RFC's specification directly (offset
 // doubling, nonce stretching, checksum accumulation) and is validated
 // against the RFC 7253 Appendix A test vectors. A block is held as two
-// 64-bit words, so offsets, checksums and the whitening around each
-// cipher call are word XORs. Ktop, the cipher call that stretches a nonce
-// (RFC 7253 §4.2), depends only on the nonce with its low 6 bits cleared,
-// so each AEAD keeps the last one: SSP's sequence-number nonces reuse it
-// for 64 datagrams in a row.
+// 64-bit words, so offsets, checksums, the nonce stretch and the whitening
+// around each cipher call are word XORs and shifts.
 package ocb
 
 import (
@@ -64,12 +61,6 @@ type ocb struct {
 	ldollar words
 	l       [maxL]words
 
-	// ktopNonce is the nonce block, low 6 bits cleared, whose Ktop stretch
-	// holds: Ktop, then its first 64 bits XOR its bits 8–71. A real nonce
-	// block has its 1 bit set, so the zero value is an empty cache.
-	ktopNonce [blockSize]byte
-	stretch   [3]uint64
-
 	// buf is the one block that crosses the cipher.Block interface. A slice
 	// of a stack array there would escape on every packet; keeping it on the
 	// struct makes sealing and opening allocation-free. The tradeoff is that
@@ -109,9 +100,7 @@ func (o *ocb) decrypt(w words) words {
 func (o *ocb) NonceSize() int { return NonceSize }
 func (o *ocb) Overhead() int  { return TagSize }
 
-// initialOffset derives Offset_0 from the nonce per RFC 7253 §4.2,
-// enciphering Ktop only when the nonce's top 122 bits differ from the last
-// call's.
+// initialOffset derives Offset_0 from the nonce per RFC 7253 §4.2.
 func (o *ocb) initialOffset(nonce []byte) words {
 	// Nonce = num2str(TAGLEN mod 128, 7) || zeros || 1 || N.
 	// TAGLEN = 128, so the leading 7 bits are zero.
@@ -120,15 +109,12 @@ func (o *ocb) initialOffset(nonce []byte) words {
 	copy(n[blockSize-len(nonce):], nonce)
 	bottom := uint(n[blockSize-1] & 0x3F)
 	n[blockSize-1] &= 0xC0
-	if n != o.ktopNonce {
-		ktop := o.encrypt(load(n[:]))
-		o.stretch = [3]uint64{ktop.hi, ktop.lo, ktop.hi ^ (ktop.hi<<8 | ktop.lo>>56)}
-		o.ktopNonce = n
-	}
-	// Offset_0 is bits bottom to bottom+127 of the stretch; a shift by 64
-	// yields 0, so bottom 0 needs no case of its own.
-	s := &o.stretch
-	return words{s[0]<<bottom | s[1]>>(64-bottom), s[1]<<bottom | s[2]>>(64-bottom)}
+	ktop := o.encrypt(load(n[:]))
+	// Stretch = Ktop || (Ktop[1..64] xor Ktop[9..72]); Offset_0 is its bits
+	// bottom to bottom+127. A shift by 64 yields 0, so bottom 0 needs no
+	// case of its own.
+	s2 := ktop.hi ^ (ktop.hi<<8 | ktop.lo>>56)
+	return words{ktop.hi<<bottom | ktop.lo>>(64-bottom), ktop.lo<<bottom | s2>>(64-bottom)}
 }
 
 // hash computes the HASH(K, A) value over the associated data.

@@ -280,8 +280,9 @@ func aesBlock(t testing.TB, key byte) cipher.Block {
 // TestSealMatchesReference: every plaintext length 0–64 plus 1199–1201 and
 // 2400 (a fragment either side of the MTU and two), under every
 // associated-data length 0–40, seals to the reference's bytes and opens
-// back, with sequence-number nonces (the Ktop cache hitting and missing)
-// and every buffer a misaligned sub-slice of a larger one.
+// back. The nonces are rising sequence numbers in both directions, so their
+// low 6 bits take every value the stretch shift handles, and every buffer
+// is a misaligned sub-slice of a larger one.
 func TestSealMatchesReference(t *testing.T) {
 	key, _ := hex.DecodeString("000102030405060708090A0B0C0D0E0F")
 	rfcBlock, _ := aes.NewCipher(key)
@@ -304,7 +305,7 @@ func TestSealMatchesReference(t *testing.T) {
 	for _, ptLen := range lengths {
 		for adLen := 0; adLen <= 40; adLen++ {
 			seq += 1 + uint64(rng.Intn(3))
-			nonce := sspNonce(seq)
+			nonce := sspNonce(seq | uint64(adLen%2)<<63)
 			off := 1 + int(seq%7)
 			pt, ad := src[off:off+ptLen], src[2400+off%3:][:adLen]
 			want := refSeal(block, nonce, pt, ad)
@@ -380,59 +381,6 @@ func TestFlippedBitRejectedAndWiped(t *testing.T) {
 			mutated := bytes.Clone(ad)
 			mutated[bit/8] ^= 1 << (bit % 8)
 			check("associated-data", bit, ct, mutated)
-		}
-	}
-}
-
-// countingBlock counts the encipherings an AEAD asks of its block cipher.
-type countingBlock struct {
-	cipher.Block
-	encrypts int
-}
-
-func (c *countingBlock) Encrypt(dst, src []byte) {
-	c.encrypts++
-	c.Block.Encrypt(dst, src)
-}
-
-// TestKtopCache: Ktop is enciphered again exactly when the nonce's top 122
-// bits change — from sequence number 63 to 64, or when the direction bit
-// flips — and never shared between two keys. An empty message costs the
-// tag's enciphering plus Ktop's on a miss.
-func TestKtopCache(t *testing.T) {
-	blockA, blockB := &countingBlock{Block: aesBlock(t, 1)}, &countingBlock{Block: aesBlock(t, 2)}
-	a, _ := New(blockA)
-	b, _ := New(blockB)
-	const dir = 1 << 63
-	for i, step := range []struct {
-		aead    cipher.AEAD
-		block   *countingBlock
-		header  uint64
-		wantHit bool
-	}{
-		{a, blockA, 62, false},
-		{a, blockA, 63, true},
-		{a, blockA, 64, false},
-		{a, blockA, 65, true},
-		{a, blockA, dir | 65, false},
-		{a, blockA, dir | 66, true},
-		{a, blockA, 66, false},
-		{b, blockB, 66, false}, // a's cache holds this nonce; b must not use it
-		{a, blockA, 67, true},
-		{b, blockB, 67, true},
-	} {
-		nonce := sspNonce(step.header)
-		before := step.block.encrypts
-		got := step.aead.Seal(nil, nonce, nil, nil)
-		want := 2
-		if step.wantHit {
-			want = 1
-		}
-		if n := step.block.encrypts - before; n != want {
-			t.Errorf("step %d (header %#x): %d encipherings, want %d", i, step.header, n, want)
-		}
-		if ref := refSeal(step.block.Block, nonce, nil, nil); !bytes.Equal(got, ref) {
-			t.Errorf("step %d (header %#x): Seal = %x, reference %x", i, step.header, got, ref)
 		}
 	}
 }
