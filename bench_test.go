@@ -35,18 +35,21 @@ func reportComparison(b *testing.B, c bench.Comparison) {
 	b.ReportMetric(c.Mosh.Stats.FracInstant*100, "mosh-instant-%")
 }
 
-// BenchmarkFigure2EVDO regenerates Figure 2: keystroke response time over
-// the Sprint EV-DO (3G) model, Mosh vs SSH.
-// Paper: Mosh median 5 ms / mean 173 ms; SSH median 503 ms / mean 515 ms.
-func BenchmarkFigure2EVDO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportComparison(b, bench.Figure2(benchConfig(i)))
+// BenchmarkSection4 replays each of the paper's Mosh-vs-SSH comparisons
+// (bench.Rows, which holds the published figures), one sub-benchmark per
+// row.
+func BenchmarkSection4(b *testing.B) {
+	for _, r := range bench.Rows {
+		b.Run(r.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reportComparison(b, r.Run(benchConfig(i)))
+			}
+		})
 	}
 }
 
 // BenchmarkFigure3Collection regenerates Figure 3: mean protocol-induced
 // delay versus the collection interval (frame interval 250 ms).
-// Paper: minimum at 8 ms on a 30–90 ms curve.
 func BenchmarkFigure3Collection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		traces := []*trace.Trace{trace.Generate(int64(i)+5, trace.SixProfiles()[0], 300)}
@@ -63,33 +66,7 @@ func BenchmarkFigure3Collection(b *testing.B) {
 	}
 }
 
-// BenchmarkTableLTE regenerates the Verizon LTE table: one concurrent TCP
-// download fills the bottleneck buffer.
-// Paper: SSH 5.36 s / 5.03 s / 2.14 s; Mosh <5 ms / 1.70 s / 2.60 s.
-func BenchmarkTableLTE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportComparison(b, bench.TableLTE(benchConfig(i)))
-	}
-}
-
-// BenchmarkTableSingapore regenerates the MIT→Singapore wired-path table.
-// Paper: SSH 273 ms / 272 ms / 9 ms; Mosh <5 ms / 86 ms / 132 ms.
-func BenchmarkTableSingapore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportComparison(b, bench.TableSingapore(benchConfig(i)))
-	}
-}
-
-// BenchmarkTableLoss regenerates the packet-loss table: 100 ms RTT, 29%
-// i.i.d. loss per direction, Mosh predictions disabled.
-// Paper: SSH 0.416 s / 16.8 s / 52.2 s; Mosh 0.222 s / 0.329 s / 1.63 s.
-func BenchmarkTableLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		reportComparison(b, bench.TableLoss(benchConfig(i)))
-	}
-}
-
-// --- Ablations (design choices DESIGN.md calls out) ---
+// --- Ablations (the design choices cmd/mosh-bench -exp ablations sweeps) ---
 
 func ablationTrace(i int) *trace.Trace {
 	return trace.Generate(int64(i)*17+3, trace.SixProfiles()[4], 200)

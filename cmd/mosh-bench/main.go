@@ -1,13 +1,10 @@
 // Command mosh-bench regenerates the paper's evaluation (§4): every table
 // and figure, replayed in deterministic virtual time over the emulated
 // networks. Run it with no flags for the full set, or select one
-// experiment:
+// experiment: a row of bench.Rows by name (each table prints the paper's
+// figures under ours), or
 //
-//	mosh-bench -exp fig2       # Figure 2: EV-DO keystroke latency CDF
 //	mosh-bench -exp fig3       # Figure 3: collection-interval sweep
-//	mosh-bench -exp lte        # Verizon LTE + concurrent download table
-//	mosh-bench -exp singapore  # MIT–Singapore wired path table
-//	mosh-bench -exp loss       # 29%-loss netem table (predictions off)
 //	mosh-bench -exp ablations  # design-choice ablations
 //	mosh-bench -exp manysession -sessions 1000
 //	                           # sessiond scaling: N sessions, one socket
@@ -37,13 +34,15 @@
 //	                           # >= 10x flush bytes with write amp <= 2
 //
 // -keys N sets the keystrokes per user (default: the paper-scale 1664,
-// ≈10k total across six users).
+// ≈10k total across six users). An unknown -exp name is a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -53,8 +52,16 @@ import (
 	"repro/internal/transport"
 )
 
+// experiment is one -exp mode. The paper's §4 modes are inAll: "-exp all"
+// runs them in order; the rest are a different cost class and run only by
+// name.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(bench.Config)
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig2|fig3|lte|singapore|loss|ablations|manysession|chaos|journal|all")
 	keys := flag.Int("keys", 1664, "keystrokes per user (6 users)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	sessions := flag.Int("sessions", 1000, "concurrent sessions for -exp manysession")
@@ -68,124 +75,120 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")
 	virtual := flag.Bool("virtual", false, "manysession: virtual-time regime tuned so the run completes faster than the span it simulates even at 100000 sessions (sparse keystrokes, stretched heartbeat); exits nonzero if wall time exceeds virtual time")
 	flightDump := flag.String("flight-dump", "chaos-flight-dump.txt", "file to write the daemon's flight-recorder dump to when the chaos gate fails (empty disables)")
-	flag.Parse()
 
-	cfg := bench.Config{KeystrokesPerUser: *keys, Seed: *seed}
-
-	run := func(name string, f func(bench.Config)) {
-		if *exp == "all" || *exp == name {
-			start := time.Now()
-			f(cfg)
-			fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		}
+	var exps []experiment
+	for _, r := range bench.Rows {
+		exps = append(exps, experiment{r.Name, true, func(c bench.Config) {
+			res := r.Run(c)
+			fmt.Println(bench.FormatComparison(res))
+			if r.Name == "fig2" {
+				fmt.Println(bench.FormatCDF(res))
+			}
+		}})
 	}
-
-	run("fig2", func(c bench.Config) {
-		r := bench.Figure2(c)
-		fmt.Println(bench.FormatComparison(r))
-		fmt.Println(bench.FormatCDF(r))
-		fmt.Printf("paper: Mosh median 5 ms / mean 173 ms, SSH median 503 ms / mean 515 ms, ~70%% instant, 0.9%% repaired\n")
-	})
-	run("fig3", func(c bench.Config) {
+	// Figure 3 follows Figure 2, as in the paper.
+	exps = slices.Insert(exps, 1, experiment{"fig3", true, func(c bench.Config) {
 		pts := bench.Figure3(c)
 		fmt.Println(bench.FormatSweep(pts))
 		fmt.Printf("minimum at %v (paper: 8 ms)\n", bench.BestInterval(pts))
-	})
-	run("lte", func(c bench.Config) {
-		fmt.Println(bench.FormatComparison(bench.TableLTE(c)))
-		fmt.Printf("paper: SSH 5.36 s / 5.03 s / 2.14 s; Mosh <5 ms / 1.70 s / 2.60 s\n")
-	})
-	run("singapore", func(c bench.Config) {
-		fmt.Println(bench.FormatComparison(bench.TableSingapore(c)))
-		fmt.Printf("paper: SSH 273 ms / 272 ms / 9 ms; Mosh <5 ms / 86 ms / 132 ms\n")
-	})
-	run("loss", func(c bench.Config) {
-		fmt.Println(bench.FormatComparison(bench.TableLoss(c)))
-		fmt.Printf("paper: SSH 0.416 s / 16.8 s / 52.2 s; Mosh (no predictions) 0.222 s / 0.329 s / 1.63 s\n")
-	})
-	run("ablations", runAblations)
-	// The many-session scaling run is explicit-only (not part of "all"):
-	// 1000 full client stacks is a different cost class than the paper
-	// reproduction.
-	if *exp == "manysession" {
-		start := time.Now()
-		res := bench.RunManySession(bench.ManySessionOptions{
-			Sessions:     *sessions,
-			Seed:         cfg.Seed,
-			Mixed:        *mixed,
-			Restart:      *restart,
-			Roam:         *roam,
-			LossyCohorts: *lossy,
-			Unbatched:    *unbatched,
-			Trains:       *trains,
-			Chaos:        *chaos,
-			ChaosSeed:    *chaosSeed,
-			Virtual:      *virtual,
-		})
-		fmt.Println(bench.FormatManySession(res))
-		fmt.Fprintf(os.Stderr, "[manysession done in %v]\n\n", time.Since(start).Round(time.Millisecond))
-		if *virtual && res.Wall >= res.Elapsed {
-			fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual (ratio %.2fx)\n",
-				res.Wall.Round(time.Millisecond), res.Elapsed, res.Elapsed.Seconds()/res.Wall.Seconds())
-			os.Exit(1)
-		}
-	}
-	// The chaos smoke is the torture preset in one flag: mixed cohorts,
-	// restart, roam, lossy links, and the full fault schedule.
-	if *exp == "chaos" {
-		start := time.Now()
-		res := bench.RunManySession(bench.ManySessionOptions{
-			Sessions:     *sessions,
-			Seed:         cfg.Seed,
-			Mixed:        true,
-			Restart:      true,
-			Roam:         true,
-			LossyCohorts: true,
-			Chaos:        true,
-			ChaosSeed:    *chaosSeed,
-		})
-		fmt.Println(bench.FormatManySession(res))
-		fmt.Fprintf(os.Stderr, "[chaos done in %v]\n\n", time.Since(start).Round(time.Millisecond))
-		if res.NonceViolations != 0 || res.Restored != int64(res.Sessions) || res.Lost != 0 {
-			fmt.Fprintf(os.Stderr, "chaos FAILED: nonce violations=%d restored=%d/%d lost=%d\n",
-				res.NonceViolations, res.Restored, res.Sessions, res.Lost)
-			// Ship the daemon's flight recorder with the failure: the last
-			// few thousand pipeline events (drops, trips, journal faults)
-			// are the forensics a red CI run needs.
-			if *flightDump != "" && len(res.FlightDump) > 0 {
-				if err := os.WriteFile(*flightDump, res.FlightDump, 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "flight dump: %v\n", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "flight recorder dump written to %s\n", *flightDump)
-				}
+	}})
+	exps = append(exps, experiment{"ablations", true, runAblations},
+		experiment{"manysession", false, func(c bench.Config) {
+			res := bench.RunManySession(bench.ManySessionOptions{
+				Sessions:     *sessions,
+				Seed:         c.Seed,
+				Mixed:        *mixed,
+				Restart:      *restart,
+				Roam:         *roam,
+				LossyCohorts: *lossy,
+				Unbatched:    *unbatched,
+				Trains:       *trains,
+				Chaos:        *chaos,
+				ChaosSeed:    *chaosSeed,
+				Virtual:      *virtual,
+			})
+			fmt.Println(bench.FormatManySession(res))
+			if *virtual && res.Wall >= res.Elapsed {
+				fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual (ratio %.2fx)\n",
+					res.Wall.Round(time.Millisecond), res.Elapsed, res.Elapsed.Seconds()/res.Wall.Seconds())
+				os.Exit(1)
 			}
-			os.Exit(1)
-		}
+		}},
+		// The chaos smoke is the torture preset in one flag: mixed cohorts,
+		// restart, roam, lossy links, and the full fault schedule.
+		experiment{"chaos", false, func(c bench.Config) {
+			res := bench.RunManySession(bench.ManySessionOptions{
+				Sessions:     *sessions,
+				Seed:         c.Seed,
+				Mixed:        true,
+				Restart:      true,
+				Roam:         true,
+				LossyCohorts: true,
+				Chaos:        true,
+				ChaosSeed:    *chaosSeed,
+			})
+			fmt.Println(bench.FormatManySession(res))
+			if res.NonceViolations != 0 || res.Restored != int64(res.Sessions) || res.Lost != 0 {
+				fmt.Fprintf(os.Stderr, "chaos FAILED: nonce violations=%d restored=%d/%d lost=%d\n",
+					res.NonceViolations, res.Restored, res.Sessions, res.Lost)
+				// Ship the daemon's flight recorder with the failure: the last
+				// few thousand pipeline events (drops, trips, journal faults)
+				// are the forensics a red CI run needs.
+				if *flightDump != "" && len(res.FlightDump) > 0 {
+					if err := os.WriteFile(*flightDump, res.FlightDump, 0o644); err != nil {
+						fmt.Fprintf(os.Stderr, "flight dump: %v\n", err)
+					} else {
+						fmt.Fprintf(os.Stderr, "flight recorder dump written to %s\n", *flightDump)
+					}
+				}
+				os.Exit(1)
+			}
+		}},
+		// The incremental-journaling gate: steady-state flush bytes against
+		// the run's first flush, a checkpoint of every session, and write
+		// amplification.
+		experiment{"journal", false, func(c bench.Config) {
+			inc := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: c.Seed})
+			fmt.Println(bench.FormatJournalBench(inc))
+			ratio := float64(inc.WarmBytes) / inc.BytesPerFlush
+			fmt.Printf("incremental saves %.1fx flush bytes over a checkpoint; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
+				ratio, inc.WriteAmp, float64(inc.FlushP99)/float64(time.Millisecond))
+			if ratio < 10 || inc.WriteAmp > 2 {
+				fmt.Fprintf(os.Stderr, "journal FAILED: ratio=%.1fx (want >=10) write_amp=%.3f (want <=2)\n", ratio, inc.WriteAmp)
+				os.Exit(1)
+			}
+			if *virtual && inc.Wall >= inc.Elapsed {
+				fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual\n",
+					inc.Wall.Round(time.Millisecond), inc.Elapsed)
+				os.Exit(1)
+			}
+		}})
+
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
 	}
-	// The incremental-journaling gate: steady-state flush bytes against the
-	// run's first flush, a checkpoint of every session, and write
-	// amplification.
-	if *exp == "journal" {
-		start := time.Now()
-		inc := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: *seed})
-		fmt.Println(bench.FormatJournalBench(inc))
-		fmt.Fprintf(os.Stderr, "[journal done in %v]\n\n", time.Since(start).Round(time.Millisecond))
-		ratio := float64(inc.WarmBytes) / inc.BytesPerFlush
-		fmt.Printf("incremental saves %.1fx flush bytes over a checkpoint; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
-			ratio, inc.WriteAmp, float64(inc.FlushP99)/float64(time.Millisecond))
-		if ratio < 10 || inc.WriteAmp > 2 {
-			fmt.Fprintf(os.Stderr, "journal FAILED: ratio=%.1fx (want >=10) write_amp=%.3f (want <=2)\n", ratio, inc.WriteAmp)
-			os.Exit(1)
-		}
-		if *virtual && inc.Wall >= inc.Elapsed {
-			fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual\n",
-				inc.Wall.Round(time.Millisecond), inc.Elapsed)
-			os.Exit(1)
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|"))
+	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "mosh-bench: unknown -exp %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	cfg := bench.Config{KeystrokesPerUser: *keys, Seed: *seed}
+	for _, e := range exps {
+		if *exp == e.name || *exp == "all" && e.inAll {
+			start := time.Now()
+			e.run(cfg)
+			fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 }
 
-// runAblations sweeps the design choices DESIGN.md calls out.
+// runAblations sweeps the design choices the paper argues for: the
+// prediction display policy, the echo-ack timeout, SSP's RTO floor, the
+// frame-rate cap and the delayed-ack interval.
 func runAblations(cfg bench.Config) {
 	small := cfg
 	if small.KeystrokesPerUser > 400 {

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/netem"
-	"repro/internal/overlay"
 	"repro/internal/trace"
 )
 
@@ -20,13 +18,13 @@ func main() {
 	fmt.Println("with 29% packet loss in each direction (≈50% round-trip loss):")
 	fmt.Println()
 
+	row, _ := bench.RowNamed("loss")
 	tr := trace.Generate(77, trace.SixProfiles()[0], 200)
-	params := netem.LossyNetem()
 
-	ssh := bench.RunSSHTrace(tr, params, 7, bench.SSHOptions{})
+	ssh := bench.RunSSHTrace(tr, row.Link, 7, row.SSH)
 	sshStats := bench.Summarize(ssh)
 
-	mosh := bench.RunMoshTrace(tr, params, 7, bench.MoshOptions{Predictions: overlay.Never})
+	mosh := bench.RunMoshTrace(tr, row.Link, 7, row.Mosh)
 	moshStats := bench.Summarize(mosh.Samples)
 
 	fmt.Println(bench.TableHeader("keystroke response time (predictions disabled, pure SSP vs TCP)"))
@@ -39,9 +37,7 @@ func main() {
 		bench.Percentile(mosh.Samples, 100).Round(10*time.Millisecond))
 	fmt.Println()
 	fmt.Println("paper's result for this experiment:")
-	fmt.Println("  SSH    median 0.416 s   mean 16.8 s   σ 52.2 s")
-	fmt.Println("  Mosh   median 0.222 s   mean 0.329 s  σ 1.63 s")
-	fmt.Println()
+	fmt.Println(row.FormatPaper())
 	fmt.Println("the shape to check: TCP's mean and σ explode (rare multi-minute")
 	fmt.Println("backoff stalls); SSP's distribution stays tight and bounded.")
 }

@@ -9,6 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
+// row returns the §4 table's row by -exp name.
+func row(t testing.TB, name string) Row {
+	t.Helper()
+	r, ok := RowNamed(name)
+	if !ok {
+		t.Fatalf("no §4 row %q", name)
+	}
+	return r
+}
+
 func smallTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	return trace.Generate(42, trace.SixProfiles()[0], 120)
@@ -45,8 +55,7 @@ func TestRunSSHTraceProducesSamples(t *testing.T) {
 func TestFigure2Shape(t *testing.T) {
 	// The paper's headline: Mosh median < 5 ms (instant), SSH median ≈
 	// path RTT (503 ms), ~70% of keystrokes instant.
-	c := runComparison("fig2-small", Config{KeystrokesPerUser: 120, Seed: 1},
-		netem.EVDO(), MoshOptions{Predictions: overlay.Adaptive}, SSHOptions{})
+	c := row(t, "fig2").Run(Config{KeystrokesPerUser: 120, Seed: 1})
 	if c.Mosh.Stats.Median >= 50*time.Millisecond {
 		t.Fatalf("Mosh median = %v, want near-instant", c.Mosh.Stats.Median)
 	}
@@ -65,8 +74,7 @@ func TestFigure2Shape(t *testing.T) {
 func TestTableLossShape(t *testing.T) {
 	// SSP without predictions must beat TCP's RTO tail: bounded mean and
 	// σ vs SSH's loss-induced multi-second stalls.
-	c := runComparison("loss-small", Config{KeystrokesPerUser: 100, Seed: 2},
-		netem.LossyNetem(), MoshOptions{Predictions: overlay.Never}, SSHOptions{})
+	c := row(t, "loss").Run(Config{KeystrokesPerUser: 100, Seed: 2})
 	if c.Mosh.Stats.Mean > 2*time.Second {
 		t.Fatalf("Mosh mean under loss = %v, should stay bounded", c.Mosh.Stats.Mean)
 	}

@@ -39,33 +39,100 @@ type ArmResult struct {
 	Samples []Sample
 }
 
-// Comparison is a two-arm experiment result.
-type Comparison struct {
+// Published is one arm's figures as the paper reports them. A zero
+// Stddev is one the paper does not publish; a zero Median is its "< 5 ms".
+type Published struct {
+	Median, Mean, Stddev time.Duration
+}
+
+// Row is one of the paper's §4 Mosh-vs-SSH comparisons: the path both
+// arms share, each arm's options, and the figures the paper published.
+type Row struct {
+	Name  string // mosh-bench's -exp name
 	Title string
-	SSH   ArmResult
-	Mosh  ArmResult
+	Link  netem.LinkParams
+	Mosh  MoshOptions
+	SSH   SSHOptions
+	// PaperSSH and PaperMosh are the paper's median, mean and σ.
+	PaperSSH, PaperMosh Published
+	// PaperInstant and PaperRepaired are the fractions of Mosh keystrokes
+	// the paper reports displayed within 5 ms and displayed wrongly then
+	// repaired (Figure 2 only; zero where unpublished).
+	PaperInstant, PaperRepaired float64
+}
+
+// Rows is the paper's §4 comparison table, in the order it presents them.
+var Rows = []Row{{
+	Name:          "fig2",
+	Title:         "Figure 2: keystroke response time, Sprint EV-DO (3G)",
+	Link:          netem.EVDO(),
+	Mosh:          MoshOptions{Predictions: overlay.Adaptive},
+	PaperSSH:      Published{503 * time.Millisecond, 515 * time.Millisecond, 0},
+	PaperMosh:     Published{0, 173 * time.Millisecond, 0},
+	PaperInstant:  0.70,
+	PaperRepaired: 0.009,
+}, {
+	// One concurrent TCP download fills the bottleneck buffer.
+	Name:      "lte",
+	Title:     "Verizon LTE with one concurrent TCP download",
+	Link:      netem.LTE(),
+	Mosh:      MoshOptions{Predictions: overlay.Adaptive, BulkDownload: true},
+	SSH:       SSHOptions{BulkDownload: true},
+	PaperSSH:  Published{5360 * time.Millisecond, 5030 * time.Millisecond, 2140 * time.Millisecond},
+	PaperMosh: Published{0, 1700 * time.Millisecond, 2600 * time.Millisecond},
+}, {
+	Name:      "singapore",
+	Title:     "MIT–Singapore Internet path (Amazon EC2)",
+	Link:      netem.Transoceanic(),
+	Mosh:      MoshOptions{Predictions: overlay.Adaptive},
+	PaperSSH:  Published{273 * time.Millisecond, 272 * time.Millisecond, 9 * time.Millisecond},
+	PaperMosh: Published{0, 86 * time.Millisecond, 132 * time.Millisecond},
+}, {
+	// Predictions off isolates SSP.
+	Name:      "loss",
+	Title:     "netem router: 100 ms RTT, 29% loss each way (predictions off)",
+	Link:      netem.LossyNetem(),
+	Mosh:      MoshOptions{Predictions: overlay.Never},
+	PaperSSH:  Published{416 * time.Millisecond, 16800 * time.Millisecond, 52200 * time.Millisecond},
+	PaperMosh: Published{222 * time.Millisecond, 329 * time.Millisecond, 1630 * time.Millisecond},
+}}
+
+// RowNamed returns the row whose -exp name is name.
+func RowNamed(name string) (Row, bool) {
+	for _, r := range Rows {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Row{}, false
+}
+
+// Comparison is one row's two-arm result.
+type Comparison struct {
+	Row  Row
+	SSH  ArmResult
+	Mosh ArmResult
 	// Mispredicted is the fraction of Mosh keystrokes whose displayed
-	// prediction proved wrong (paper: 0.9% on EV-DO).
+	// prediction proved wrong.
 	Mispredicted float64
 }
 
-// runComparison replays all traces through both arms on the same path.
-func runComparison(title string, cfg Config, params netem.LinkParams,
-	moshOpt MoshOptions, sshOpt SSHOptions) Comparison {
+// Run replays all six traces through both arms on the row's path.
+func (r Row) Run(cfg Config) Comparison {
 	traces := cfg.traces()
 	var moshSamples, sshSamples []Sample
 	mispred, inputs := 0, 0
 	for i, tr := range traces {
-		mr := RunMoshTrace(tr, params, cfg.Seed+int64(i)*7+1, moshOpt)
+		mr := RunMoshTrace(tr, r.Link, cfg.Seed+int64(i)*7+1, r.Mosh)
 		moshSamples = append(moshSamples, mr.Samples...)
 		mispred += mr.Mispredicted
 		inputs += len(tr.Steps)
-		sshSamples = append(sshSamples, RunSSHTrace(tr, params, cfg.Seed+int64(i)*7+1, sshOpt)...)
+		sshSamples = append(sshSamples, RunSSHTrace(tr, r.Link, cfg.Seed+int64(i)*7+1, r.SSH)...)
 	}
 	c := Comparison{
-		Title: title,
-		SSH:   ArmResult{Name: "SSH", Stats: Summarize(sshSamples), Samples: sshSamples},
-		Mosh:  ArmResult{Name: "Mosh", Stats: Summarize(moshSamples), Samples: moshSamples},
+		Row:  r,
+		SSH:  ArmResult{Name: "SSH", Stats: Summarize(sshSamples), Samples: sshSamples},
+		Mosh: ArmResult{Name: "Mosh", Stats: Summarize(moshSamples), Samples: moshSamples},
 	}
 	if inputs > 0 {
 		c.Mispredicted = float64(mispred) / float64(inputs)
@@ -73,36 +140,21 @@ func runComparison(title string, cfg Config, params netem.LinkParams,
 	return c
 }
 
-// Figure2 regenerates the headline experiment: keystroke response-time
-// distribution for Mosh vs SSH over the Sprint EV-DO (3G) model.
-func Figure2(cfg Config) Comparison {
-	return runComparison("Figure 2: keystroke response time, Sprint EV-DO (3G)",
-		cfg, netem.EVDO(),
-		MoshOptions{Predictions: overlay.Adaptive}, SSHOptions{})
-}
-
-// TableLTE regenerates the Verizon LTE experiment: one concurrent TCP
-// download fills the bottleneck buffer.
-func TableLTE(cfg Config) Comparison {
-	return runComparison("Verizon LTE with one concurrent TCP download",
-		cfg, netem.LTE(),
-		MoshOptions{Predictions: overlay.Adaptive, BulkDownload: true},
-		SSHOptions{BulkDownload: true})
-}
-
-// TableSingapore regenerates the MIT→Singapore wired-path experiment.
-func TableSingapore(cfg Config) Comparison {
-	return runComparison("MIT–Singapore Internet path (Amazon EC2)",
-		cfg, netem.Transoceanic(),
-		MoshOptions{Predictions: overlay.Adaptive}, SSHOptions{})
-}
-
-// TableLoss regenerates the packet-loss experiment: 100 ms RTT, 29% i.i.d.
-// loss each direction, Mosh predictions disabled to isolate SSP.
-func TableLoss(cfg Config) Comparison {
-	return runComparison("netem router: 100 ms RTT, 29% loss each way (predictions off)",
-		cfg, netem.LossyNetem(),
-		MoshOptions{Predictions: overlay.Never}, SSHOptions{})
+// FormatPaper renders the row's published figures in TableRow's columns,
+// "—" marking a σ the paper does not publish.
+func (r Row) FormatPaper() string {
+	line := func(name string, p Published) string {
+		sd := "—"
+		if p.Stddev > 0 {
+			sd = fmtDur(p.Stddev)
+		}
+		return fmt.Sprintf("%-24s %10s %10s %10s", name, fmtDur(p.Median), fmtDur(p.Mean), sd)
+	}
+	s := line("paper SSH", r.PaperSSH) + "\n" + line("paper Mosh", r.PaperMosh)
+	if r.PaperInstant > 0 {
+		s += fmt.Sprintf("   (instant=%.0f%%, repaired=%.1f%%)", r.PaperInstant*100, r.PaperRepaired*100)
+	}
+	return s + "\n"
 }
 
 // Figure3 regenerates the collection-interval sweep.
@@ -110,10 +162,11 @@ func Figure3(cfg Config) []SweepPoint {
 	return CollectionSweep(cfg.traces(), Figure3Intervals())
 }
 
-// FormatComparison renders a comparison as a paper-style table.
+// FormatComparison renders a comparison as a paper-style table, the
+// paper's figures under the measured ones.
 func FormatComparison(c Comparison) string {
 	var b strings.Builder
-	b.WriteString(TableHeader(c.Title))
+	b.WriteString(TableHeader(c.Row.Title))
 	b.WriteString("\n")
 	b.WriteString(TableRow(c.SSH.Name, c.SSH.Stats))
 	b.WriteString("\n")
@@ -122,6 +175,7 @@ func FormatComparison(c Comparison) string {
 	if c.Mispredicted > 0 {
 		fmt.Fprintf(&b, "mosh mispredictions repaired: %.1f%% of keystrokes\n", c.Mispredicted*100)
 	}
+	b.WriteString(c.Row.FormatPaper())
 	return b.String()
 }
 

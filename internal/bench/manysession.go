@@ -82,13 +82,6 @@ type ManySessionOptions struct {
 	// output scrolls the prompt away); the measures of interest are
 	// WriteCalls and frame equivalence.
 	Trains bool
-	// DeliveryQuantum models receive-side interrupt coalescing on the
-	// daemon's ingress path (client→daemon links only): arrivals are
-	// clustered onto quantum boundaries, exactly as a NIC+epoll loop hands
-	// a busy process everything since its last wakeup. It applies to BOTH
-	// modes, so latency percentiles stay directly comparable. Zero takes
-	// the 1 ms default; negative disables coalescing.
-	DeliveryQuantum time.Duration
 	// CaptureFrames records, per session, a running hash of every server
 	// state the client accepts (in order) plus the final rendered screen —
 	// the equivalence test's evidence that batched and unbatched runs
@@ -247,9 +240,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	}
 	if opt.Params == (netem.LinkParams{}) {
 		opt.Params = netem.LinkParams{Delay: 2 * time.Millisecond, Overhead: 28}
-	}
-	if opt.DeliveryQuantum == 0 {
-		opt.DeliveryQuantum = time.Millisecond
 	}
 
 	// Wall-clock measurement is the one legitimately real-time reading in
@@ -505,6 +495,12 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		}
 		return p
 	}
+	// ingressQuantum models receive-side interrupt coalescing on the
+	// daemon's ingress path: arrivals are clustered onto quantum
+	// boundaries, exactly as a NIC+epoll loop hands a busy process
+	// everything since its last wakeup. It applies to every IO model, so
+	// latency percentiles stay directly comparable.
+	const ingressQuantum = time.Millisecond
 	// newClientPath builds one client's link pair: the uplink carries the
 	// daemon-side delivery quantum (receive coalescing at the shared
 	// socket), the downlink delivers exactly (clients are one-session
@@ -512,9 +508,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// Seed handling matches netem.NewPath, keeping runs comparable.
 	newClientPath := func(cohort int, seed int64) *netem.Path {
 		up := cohortParams(cohort)
-		if opt.DeliveryQuantum > 0 {
-			up.DeliveryQuantum = opt.DeliveryQuantum
-		}
+		up.DeliveryQuantum = ingressQuantum
 		return netem.NewAsymmetricPath(nw, up, cohortParams(cohort), seed)
 	}
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"time"
 
 	"repro/internal/core"
@@ -30,31 +29,21 @@ type MoshOptions struct {
 	// BulkDownload shares the downlink with a saturating TCP flow
 	// (the LTE bufferbloat experiment).
 	BulkDownload bool
-	// Warmup idles the session before the trace starts so RTT estimates
-	// settle (default 3 s).
-	Warmup time.Duration
-	// Diagnose, when set, receives a line per misprediction (workload
-	// calibration aid).
-	Diagnose func(format string, args ...any)
 }
 
-// MoshResult carries samples plus engine-level statistics.
+// MoshResult carries samples plus session-level counts.
 type MoshResult struct {
 	Samples []Sample
-	Overlay overlay.Stats
 	// Mispredicted counts keystrokes whose displayed prediction proved
-	// wrong (the paper reports 0.9%).
+	// wrong.
 	Mispredicted int
 	// WirePackets counts datagrams the session put on the wire.
 	WirePackets int
 }
 
 type keyInfo struct {
-	step        int
-	seq         uint64
-	at          time.Time
-	kind        trace.Kind
-	hasResponse bool
+	seq uint64
+	at  time.Time
 	// visibility via the server path
 	stateNum  uint64 // first server state containing the response
 	sent      bool
@@ -65,9 +54,6 @@ type keyInfo struct {
 // RunMoshTrace replays one trace through a full Mosh session over the
 // given path parameters, returning per-keystroke response samples.
 func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt MoshOptions) MoshResult {
-	if opt.Warmup == 0 {
-		opt.Warmup = 3 * time.Second
-	}
 	sched := simclock.NewScheduler(benchEpoch)
 	nw := netem.NewNetwork(sched)
 	path := netem.NewPath(nw, params, seed)
@@ -78,28 +64,14 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	keys := make([]*keyInfo, len(tr.Steps))
 	wire := 0
 
-	// The server-side replay process: wait for each step's expected
-	// input, then write its prerecorded response (paper §4).
 	var server *core.Server
 	var wakeServer func()
-	expected := make([]byte, 0, 1024)
-	for _, st := range tr.Steps {
-		expected = append(expected, st.Data...)
-	}
-	matched := 0 // bytes of expected input seen so far
-	stepEnd := make([]int, len(tr.Steps))
-	{
-		off := 0
-		for i, st := range tr.Steps {
-			off += len(st.Data)
-			stepEnd[i] = off
-		}
-	}
-	nextStep := 0
 	pendingSend := []int{} // steps whose response was written, awaiting a send
-	// Host responses are serialized: even when several keystrokes arrive
-	// in one instruction, the application replies in input order.
-	var lastRespAt time.Time
+	replay := newHostReplay(sched, tr, func(si int, response []byte) {
+		server.HostOutput(response)
+		pendingSend = append(pendingSend, si)
+		wakeServer()
+	})
 
 	var err error
 	server, err = core.NewServer(core.ServerConfig{
@@ -122,33 +94,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 				path.Down.Send(netem.Packet{Src: serverAddr, Dst: dst, Payload: w})
 			}
 		},
-		HostInput: func(data []byte) {
-			// Verify the input matches the trace, then fire responses
-			// for every completed step.
-			if matched+len(data) <= len(expected) && bytes.Equal(data, expected[matched:matched+len(data)]) {
-				matched += len(data)
-			} else {
-				matched += len(data) // tolerate divergence; keep counting
-			}
-			for nextStep < len(tr.Steps) && stepEnd[nextStep] <= matched {
-				si := nextStep
-				nextStep++
-				st := tr.Steps[si]
-				if len(st.Response) == 0 {
-					continue
-				}
-				at := sched.Now().Add(st.ResponseDelay)
-				if at.Before(lastRespAt) {
-					at = lastRespAt
-				}
-				lastRespAt = at
-				sched.At(at, func() {
-					server.HostOutput(st.Response)
-					pendingSend = append(pendingSend, si)
-					wakeServer()
-				})
-			}
-		},
+		HostInput: func(data []byte) { replay.Input(len(data)) },
 	})
 	if err != nil {
 		panic(err)
@@ -168,8 +114,6 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	if err != nil {
 		panic(err)
 	}
-
-	client.Predictions().Diagnose = opt.Diagnose
 
 	wakeClient := core.Pump(sched, client)
 	wakeServer = core.Pump(sched, server)
@@ -193,17 +137,15 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 		}
 	})
 
+	// Let RTT estimates settle, then write the startup output.
+	warmup := 3 * time.Second
 	if opt.BulkDownload {
 		startBulk(sched, nw, path)
 		// The paper measures with the download already in progress: give
 		// the bulk flow time to stand the bottleneck queue up.
-		if opt.Warmup < 30*time.Second {
-			opt.Warmup = 30 * time.Second
-		}
+		warmup = 30 * time.Second
 	}
-
-	// Let RTT estimates settle, then write the startup output.
-	sched.RunFor(opt.Warmup)
+	sched.RunFor(warmup)
 	if len(tr.Startup) > 0 {
 		server.HostOutput(tr.Startup)
 		wakeServer()
@@ -214,11 +156,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	for i, st := range tr.Steps {
 		i, st := i, st
 		sched.At(start.Add(st.At), func() {
-			seq := client.UserBytes(st.Data)
-			keys[i] = &keyInfo{
-				step: i, seq: seq, at: sched.Now(), kind: st.Kind,
-				hasResponse: len(st.Response) > 0,
-			}
+			keys[i] = &keyInfo{seq: client.UserBytes(st.Data), at: sched.Now()}
 			wakeClient()
 		})
 	}
@@ -226,11 +164,12 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	sched.RunUntil(start.Add(tr.Duration() + 30*time.Second))
 
 	// Collect samples.
-	res := MoshResult{Overlay: client.Predictions().Stats(), WirePackets: wire}
-	for _, ki := range keys {
+	res := MoshResult{WirePackets: wire}
+	for i, ki := range keys {
 		if ki == nil {
 			continue
 		}
+		st := tr.Steps[i]
 		rec, hasRec := client.Predictions().TakeInputRecord(ki.seq)
 		var lat time.Duration
 		have := false
@@ -240,9 +179,9 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 			have = true
 			predicted = true
 		}
-		// The paper's 0.9% counts *displayed* erroneous predictions (ones
-		// the user saw get repaired); background speculation that was
-		// disproven before display doesn't qualify.
+		// The paper's repaired fraction counts *displayed* erroneous
+		// predictions (ones the user saw get repaired); background
+		// speculation that was disproven before display doesn't qualify.
 		if hasRec && rec.Displayed && rec.Outcome == overlay.OutcomeIncorrect {
 			res.Mispredicted++
 		}
@@ -254,7 +193,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 			}
 			have = true
 		}
-		if !ki.hasResponse && !predicted {
+		if len(st.Response) == 0 && !predicted {
 			continue // no observable response (e.g. password typing)
 		}
 		if !have {
@@ -263,7 +202,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 		if lat < 0 {
 			lat = 0
 		}
-		res.Samples = append(res.Samples, Sample{Kind: ki.kind, Latency: lat, Predicted: predicted})
+		res.Samples = append(res.Samples, Sample{Kind: st.Kind, Latency: lat, Predicted: predicted})
 	}
 	return res
 }

@@ -16,13 +16,13 @@ var updateSection4 = flag.Bool("update", false, "rewrite testdata/section4.golde
 // singapore and loss rows, and Fig. 3's sweep points. Virtual time makes
 // every figure exact, so a refactor of the harness must leave the file
 // untouched; a deliberate behavior change regenerates it with
-// `go test -run TestSection4Golden -update ./internal/bench/`.
+// `go test ./internal/bench/ -run TestSection4Golden -update`.
 // The lte row stays out: its 30 s bulk warmup makes it the one slow row.
 func TestSection4Golden(t *testing.T) {
 	cfg := Config{KeystrokesPerUser: 60, Seed: 1}
 	var b strings.Builder
 	for _, name := range []string{"fig2", "singapore", "loss"} {
-		c := section4Row(name, cfg)
+		c := row(t, name).Run(cfg)
 		for _, arm := range []ArmResult{c.SSH, c.Mosh} {
 			st := arm.Stats
 			fmt.Fprintf(&b, "%s %s n=%d median=%d mean=%d stddev=%d instant=%v\n",
@@ -48,16 +48,4 @@ func TestSection4Golden(t *testing.T) {
 	if got := b.String(); got != string(want) {
 		t.Fatalf("§4 figures moved from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
-}
-
-func section4Row(name string, cfg Config) Comparison {
-	switch name {
-	case "fig2":
-		return Figure2(cfg)
-	case "singapore":
-		return TableSingapore(cfg)
-	case "loss":
-		return TableLoss(cfg)
-	}
-	panic("unknown row " + name)
 }

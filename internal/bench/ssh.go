@@ -11,9 +11,6 @@ import (
 
 // SSHOptions configures the SSH arm of an experiment.
 type SSHOptions struct {
-	// MinRTO overrides TCP's 1 s retransmission-timeout floor (ablation;
-	// 0 = standard TCP).
-	MinRTO time.Duration
 	// BulkDownload shares the downlink with a saturating TCP flow.
 	BulkDownload bool
 }
@@ -38,22 +35,11 @@ func RunSSHTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt SSHOp
 		Sched: sched, Net: nw, Path: path,
 		ClientAddr: netem.Addr{Host: 1, Port: 1002},
 		ServerAddr: netem.Addr{Host: 2, Port: 22},
-		MinRTO:     opt.MinRTO,
 	})
 	if opt.BulkDownload {
 		startBulk(sched, nw, path)
 		sched.RunFor(30 * time.Second) // download in progress before measuring
 	}
-
-	// Server-side replay process.
-	expected := make([]byte, 0, 1024)
-	stepEnd := make([]int, len(tr.Steps))
-	for i, st := range tr.Steps {
-		expected = append(expected, st.Data...)
-		stepEnd[i] = len(expected)
-	}
-	matched := 0
-	nextStep := 0
 
 	type pending struct {
 		step   int
@@ -64,27 +50,10 @@ func RunSSHTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt SSHOp
 	visibleAt := make([]time.Time, len(tr.Steps))
 	visible := make([]bool, len(tr.Steps))
 
-	var lastRespAt time.Time
-	ss.OnServerInput = func(data []byte) {
-		matched += len(data)
-		for nextStep < len(tr.Steps) && stepEnd[nextStep] <= matched {
-			si := nextStep
-			nextStep++
-			st := tr.Steps[si]
-			if len(st.Response) == 0 {
-				continue
-			}
-			at := sched.Now().Add(st.ResponseDelay)
-			if at.Before(lastRespAt) {
-				at = lastRespAt
-			}
-			lastRespAt = at
-			sched.At(at, func() {
-				off := ss.HostOutput(st.Response)
-				awaiting = append(awaiting, pending{step: si, offset: off})
-			})
-		}
-	}
+	replay := newHostReplay(sched, tr, func(si int, response []byte) {
+		awaiting = append(awaiting, pending{step: si, offset: ss.HostOutput(response)})
+	})
+	ss.OnServerInput = func(data []byte) { replay.Input(len(data)) }
 	ss.OnClientOutput = func([]byte) {
 		now := sched.Now()
 		seen := ss.DeliveredAtClient()

@@ -3,14 +3,8 @@
 // keystroke traces over emulated networks in deterministic virtual time,
 // measures per-keystroke user-interface response latency for both Mosh and
 // the SSH baseline, and formats results the way the paper reports them.
-//
-// Experiment index (see DESIGN.md):
-//
-//	Figure 2   — keystroke latency CDF, Mosh vs SSH, EV-DO (3G)
-//	Figure 3   — protocol-induced delay vs collection interval
-//	Table LTE  — Verizon LTE with a concurrent TCP download
-//	Table Sing — MIT→Singapore wired path
-//	Table Loss — 100 ms RTT with 29% loss/direction, predictions off
+// Rows is the index of the Mosh-vs-SSH comparisons; Figure3 is the
+// collection-interval sweep.
 package bench
 
 import (

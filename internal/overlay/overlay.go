@@ -154,10 +154,6 @@ type Engine struct {
 
 	records map[uint64]*InputRecord
 	stats   Stats
-
-	// Diagnose, when set, receives a line for every misprediction —
-	// useful when calibrating workloads.
-	Diagnose func(format string, args ...any)
 }
 
 // NewEngine returns an engine with the given display preference.
@@ -521,15 +517,6 @@ func (e *Engine) cull(fb *terminal.Framebuffer) {
 				e.stats.NoCredit++
 				cell.active = false
 			case judgeWrong:
-				if e.Diagnose != nil {
-					actual := "?"
-					if row.rowNum < fb.H && cell.col < fb.W {
-						actual = fb.Peek(row.rowNum, cell.col).String()
-					}
-					e.Diagnose("wrong cell prediction at (%d,%d): predicted %q, screen has %q (epoch %d vs confirmed %d)",
-						row.rowNum, cell.col, cell.replacement.String(), actual,
-						cell.tentativeUntilEpoch, e.confirmedEpoch)
-				}
 				e.stats.Incorrect++
 				e.resolve(cell, OutcomeIncorrect)
 				if cell.tentativeUntilEpoch > e.confirmedEpoch {

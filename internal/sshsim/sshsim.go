@@ -39,8 +39,6 @@ type Config struct {
 	Path       *netem.Path
 	ClientAddr netem.Addr
 	ServerAddr netem.Addr
-	// MinRTO overrides TCP's 1 s floor (ablation; 0 = standard).
-	MinRTO time.Duration
 }
 
 // New wires a session over the path: keystrokes ride Up, output rides
@@ -49,7 +47,6 @@ func New(cfg Config) *Session {
 	s := &Session{sched: cfg.Sched}
 	s.ClientConn = tcpsim.New(tcpsim.Config{
 		Sched: cfg.Sched, Link: cfg.Path.Up, Local: cfg.ClientAddr, Remote: cfg.ServerAddr,
-		MinRTO: cfg.MinRTO,
 		Deliver: func(d []byte) {
 			s.bytesSeen += int64(len(d))
 			if s.OnClientOutput != nil {
@@ -59,7 +56,6 @@ func New(cfg Config) *Session {
 	})
 	s.ServerConn = tcpsim.New(tcpsim.Config{
 		Sched: cfg.Sched, Link: cfg.Path.Down, Local: cfg.ServerAddr, Remote: cfg.ClientAddr,
-		MinRTO: cfg.MinRTO,
 		Deliver: func(d []byte) {
 			if s.OnServerInput != nil {
 				s.OnServerInput(d)

@@ -4,9 +4,8 @@
 // password prompts, with roughly 70% of keystrokes being predictable
 // "typing" and the rest "navigation" and control keys.
 //
-// The paper's actual traces are unpublished, so (per the substitution rule
-// in DESIGN.md) the generator synthesizes sessions with the same published
-// properties. Each step records the keystroke, its kind, and the host
+// The paper's actual traces are unpublished, so the generator synthesizes
+// sessions with the same published properties. Each step records the keystroke, its kind, and the host
 // application's prerecorded response — exactly the replay format the
 // paper's measurement used. Long idle periods are already "sped up" the
 // way the paper describes.
