@@ -4,8 +4,8 @@
 // experiment: a row of bench.Rows by name (each table prints the paper's
 // figures under ours), or
 //
-//	mosh-bench -exp fig3       # Figure 3: collection-interval sweep
-//	mosh-bench -exp ablations  # design-choice ablations
+//	mosh-bench -exp fig3       # bench.Figure3: collection-interval sweep
+//	mosh-bench -exp ablations  # bench.Ablations: design-choice sweeps
 //	mosh-bench -exp manysession -sessions 1000
 //	                           # sessiond scaling: N sessions, one socket
 //	mosh-bench -exp manysession -sessions 999 -mixed
@@ -16,10 +16,6 @@
 //	                           # from its journal mid-run (resumption
 //	                           # latency percentiles), a third of clients
 //	                           # roaming, lossy non-shell cohorts
-//	mosh-bench -exp manysession -sessions 1000 -unbatched
-//	                           # one-syscall-per-datagram baseline; compare
-//	                           # its "socket io" line against the default
-//	                           # batched pipeline's
 //	mosh-bench -exp chaos -sessions 200
 //	                           # hostile-world smoke: mixed cohorts under a
 //	                           # seeded fault schedule (wire drop/dup/
@@ -46,10 +42,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/netem"
-	"repro/internal/overlay"
-	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // experiment is one -exp mode. The paper's §4 modes are inAll: "-exp all"
@@ -69,7 +61,6 @@ func main() {
 	restart := flag.Bool("restart", false, "manysession: kill the daemon mid-run and restore it from its journal; report resumption latency percentiles")
 	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
 	lossy := flag.Bool("lossy", false, "manysession: per-cohort lossy links (editor 1%, log-tail 3%)")
-	unbatched := flag.Bool("unbatched", false, "manysession: one-datagram-per-syscall fallback mode (the baseline the batched pipeline is measured against)")
 	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train")
 	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire mangling, journal disk faults, nonce audit); see also -exp chaos")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")
@@ -86,13 +77,19 @@ func main() {
 			}
 		}})
 	}
-	// Figure 3 follows Figure 2, as in the paper.
-	exps = slices.Insert(exps, 1, experiment{"fig3", true, func(c bench.Config) {
-		pts := bench.Figure3(c)
-		fmt.Println(bench.FormatSweep(pts))
-		fmt.Printf("minimum at %v (paper: 8 ms)\n", bench.BestInterval(pts))
-	}})
-	exps = append(exps, experiment{"ablations", true, runAblations},
+	exps = append(exps, experiment{bench.Figure3.Name, true, func(c bench.Config) {
+		fmt.Print(bench.Figure3.Format(bench.Figure3.Run(c)))
+	}}, experiment{"ablations", true, func(c bench.Config) {
+		for i, a := range bench.Ablations {
+			if i > 0 {
+				fmt.Println()
+			}
+			fmt.Println("Ablation: " + a.Title)
+			for _, p := range a.Points {
+				fmt.Println(a.Line(a.Run(c, p)))
+			}
+		}
+	}},
 		experiment{"manysession", false, func(c bench.Config) {
 			res := bench.RunManySession(bench.ManySessionOptions{
 				Sessions:     *sessions,
@@ -101,7 +98,6 @@ func main() {
 				Restart:      *restart,
 				Roam:         *roam,
 				LossyCohorts: *lossy,
-				Unbatched:    *unbatched,
 				Trains:       *trains,
 				Chaos:        *chaos,
 				ChaosSeed:    *chaosSeed,
@@ -183,62 +179,5 @@ func main() {
 			e.run(cfg)
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 		}
-	}
-}
-
-// runAblations sweeps the design choices the paper argues for: the
-// prediction display policy, the echo-ack timeout, SSP's RTO floor, the
-// frame-rate cap and the delayed-ack interval.
-func runAblations(cfg bench.Config) {
-	small := cfg
-	if small.KeystrokesPerUser > 400 {
-		small.KeystrokesPerUser = 400
-	}
-	tr := trace.Generate(small.Seed+11, trace.SixProfiles()[4], small.KeystrokesPerUser)
-
-	fmt.Println("Ablation: prediction display policy (EV-DO)")
-	for _, p := range []struct {
-		name string
-		pref overlay.DisplayPreference
-	}{{"adaptive", overlay.Adaptive}, {"always", overlay.Always}, {"never", overlay.Never}} {
-		res := bench.RunMoshTrace(tr, netem.EVDO(), small.Seed, bench.MoshOptions{Predictions: p.pref})
-		fmt.Println(bench.TableRow("mosh/"+p.name, bench.Summarize(res.Samples)))
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation: server-side echo ack timeout (EV-DO, adaptive)")
-	for _, d := range []time.Duration{time.Millisecond, 50 * time.Millisecond, 500 * time.Millisecond} {
-		res := bench.RunMoshTrace(tr, netem.EVDO(), small.Seed,
-			bench.MoshOptions{Predictions: overlay.Adaptive, EchoAckTimeout: d})
-		st := bench.Summarize(res.Samples)
-		fmt.Printf("%s   mispredictions=%d\n", bench.TableRow(fmt.Sprintf("echo-ack %v", d), st), res.Mispredicted)
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation: SSP minimum RTO under 29% loss (predictions off)")
-	for _, rto := range []time.Duration{50 * time.Millisecond, time.Second} {
-		res := bench.RunMoshTrace(tr, netem.LossyNetem(), small.Seed,
-			bench.MoshOptions{Predictions: overlay.Never, MinRTO: rto, MaxRTO: 4 * rto})
-		fmt.Println(bench.TableRow(fmt.Sprintf("min-rto %v", rto), bench.Summarize(res.Samples)))
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation: frame-rate cap during a 10s terminal flood (LAN-fast path)")
-	for _, min := range []time.Duration{20 * time.Millisecond, time.Millisecond} {
-		timing := transport.DefaultTiming()
-		timing.SendIntervalMin = min
-		res := bench.RunFlood(10*time.Second, &timing, small.Seed)
-		fmt.Printf("%-24s frames: %5d   wire packets: %5d   converged: %v\n",
-			fmt.Sprintf("frame cap %v", min), res.Frames, res.WirePackets, res.Converged)
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation: delayed-ack interval (EV-DO, packets sent)")
-	for _, d := range []time.Duration{time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
-		timing := transport.DefaultTiming()
-		timing.AckDelay = d
-		res := bench.RunMoshTrace(tr, netem.EVDO(), small.Seed,
-			bench.MoshOptions{Predictions: overlay.Adaptive, Timing: &timing})
-		fmt.Printf("%-24s wire packets: %d\n", fmt.Sprintf("ack delay %v", d), res.WirePackets)
 	}
 }

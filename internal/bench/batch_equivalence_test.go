@@ -35,7 +35,7 @@ func TestBatchEquivalenceUnderLossAndRoam(t *testing.T) {
 	res := RunManySession(batched)
 
 	unbatched := base
-	unbatched.Unbatched = true
+	unbatched.unbatched = true
 	ref := RunManySession(unbatched)
 
 	if len(res.FrameHashes) != base.Sessions || len(ref.FrameHashes) != base.Sessions {

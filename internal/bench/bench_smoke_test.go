@@ -89,13 +89,8 @@ func TestTableLossShape(t *testing.T) {
 }
 
 func TestFigure3ShapeSmall(t *testing.T) {
-	traces := []*trace.Trace{trace.Generate(7, trace.SixProfiles()[0], 200)}
-	intervals := []time.Duration{
-		100 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond,
-		32 * time.Millisecond, 100 * time.Millisecond,
-	}
-	pts := CollectionSweep(traces, intervals)
-	if len(pts) != len(intervals) {
+	pts := Figure3.Run(Config{KeystrokesPerUser: 60, Seed: 7})
+	if len(pts) != len(Figure3.Intervals) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for _, p := range pts {
@@ -108,7 +103,7 @@ func TestFigure3ShapeSmall(t *testing.T) {
 	// The minimum should be in the single-digit-millisecond region, not
 	// at the extremes.
 	if best < time.Millisecond || best > 50*time.Millisecond {
-		t.Fatalf("best interval = %v, expected near the paper's 8 ms", best)
+		t.Fatalf("best interval = %v, expected near the paper's %v", best, Figure3.Paper)
 	}
 }
 

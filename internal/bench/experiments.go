@@ -8,6 +8,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/overlay"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Config sizes an experiment run. The full paper-scale workload is six
@@ -19,15 +20,18 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) traces() []*trace.Trace {
-	n := c.KeystrokesPerUser
-	if n == 0 {
-		n = 1664
+func (c Config) keys() int {
+	if c.KeystrokesPerUser == 0 {
+		return 1664
 	}
+	return c.KeystrokesPerUser
+}
+
+func (c Config) traces() []*trace.Trace {
 	profiles := trace.SixProfiles()
 	traces := make([]*trace.Trace, len(profiles))
 	for i, p := range profiles {
-		traces[i] = trace.Generate(c.Seed+int64(i)*1000+1, p, n)
+		traces[i] = trace.Generate(c.Seed+int64(i)*1000+1, p, c.keys())
 	}
 	return traces
 }
@@ -157,9 +161,111 @@ func (r Row) FormatPaper() string {
 	return s + "\n"
 }
 
-// Figure3 regenerates the collection-interval sweep.
-func Figure3(cfg Config) []SweepPoint {
-	return CollectionSweep(cfg.traces(), Figure3Intervals())
+// Ablation is one design choice the paper argues for, swept over a few
+// values on one path.
+type Ablation struct {
+	Title  string
+	Link   netem.LinkParams
+	Points []AblationPoint
+	// Line renders one point's measured figures.
+	Line func(AblationResult) string
+}
+
+// AblationPoint is one swept value: the MoshOptions a trace replay runs
+// with or, for the frame cap, the Timing of a terminal flood.
+type AblationPoint struct {
+	Label string
+	Mosh  MoshOptions
+	Flood *transport.Timing
+}
+
+// AblationResult is one point's measurement: Mosh and its Stats for a
+// trace replay, Flood for a flood.
+type AblationResult struct {
+	Point AblationPoint
+	Mosh  MoshResult
+	Stats Stats
+	Flood FloodResult
+}
+
+// floodSpan is how long the frame-cap ablation floods the terminal.
+const floodSpan = 10 * time.Second
+
+// Ablations are the design choices the paper argues for: the prediction
+// display policy, the echo-ack timeout, SSP's RTO floor, the frame-rate
+// cap and the delayed-ack interval.
+var Ablations = []Ablation{{
+	Title: "prediction display policy (EV-DO)",
+	Link:  netem.EVDO(),
+	Points: points("mosh/", func(p overlay.DisplayPreference) AblationPoint {
+		return AblationPoint{Mosh: MoshOptions{Predictions: p}}
+	}, overlay.Adaptive, overlay.Always, overlay.Never),
+	Line: latencyLine,
+}, {
+	Title: "server-side echo ack timeout (EV-DO, adaptive)",
+	Link:  netem.EVDO(),
+	Points: points("echo-ack ", func(d time.Duration) AblationPoint {
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, EchoAckTimeout: d}}
+	}, time.Millisecond, 50*time.Millisecond, 500*time.Millisecond),
+	Line: func(r AblationResult) string {
+		return fmt.Sprintf("%s   mispredictions=%d", latencyLine(r), r.Mosh.Mispredicted)
+	},
+}, {
+	Title: "SSP minimum RTO under 29% loss (predictions off)",
+	Link:  netem.LossyNetem(),
+	Points: points("min-rto ", func(d time.Duration) AblationPoint {
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Never, MinRTO: d, MaxRTO: 4 * d}}
+	}, 50*time.Millisecond, time.Second),
+	Line: latencyLine,
+}, {
+	Title: fmt.Sprintf("frame-rate cap during a %v terminal flood (LAN-fast path)", floodSpan),
+	Link:  netem.LinkParams{Delay: 2 * time.Millisecond},
+	Points: points("frame cap ", func(d time.Duration) AblationPoint {
+		t := transport.DefaultTiming()
+		t.SendIntervalMin = d
+		return AblationPoint{Flood: &t}
+	}, 20*time.Millisecond, time.Millisecond),
+	Line: func(r AblationResult) string {
+		return fmt.Sprintf("%-24s frames: %5d   wire packets: %5d   converged: %v",
+			r.Point.Label, r.Flood.Frames, r.Flood.WirePackets, r.Flood.Converged)
+	},
+}, {
+	Title: "delayed-ack interval (EV-DO, packets sent)",
+	Link:  netem.EVDO(),
+	Points: points("ack delay ", func(d time.Duration) AblationPoint {
+		t := transport.DefaultTiming()
+		t.AckDelay = d
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, Timing: &t}}
+	}, time.Millisecond, 100*time.Millisecond, 200*time.Millisecond),
+	Line: func(r AblationResult) string {
+		return fmt.Sprintf("%-24s wire packets: %d", r.Point.Label, r.Mosh.WirePackets)
+	},
+}}
+
+// points makes one point per value, labelled prefix+value.
+func points[V any](prefix string, point func(V) AblationPoint, values ...V) []AblationPoint {
+	ps := make([]AblationPoint, len(values))
+	for i, v := range values {
+		ps[i] = point(v)
+		ps[i].Label = prefix + fmt.Sprint(v)
+	}
+	return ps
+}
+
+func latencyLine(r AblationResult) string { return TableRow(r.Point.Label, r.Stats) }
+
+// Run measures one point at cfg: a flood over the ablation's link, or a
+// replay of one trace (the fifth profile, at most 400 keystrokes).
+func (a Ablation) Run(cfg Config, p AblationPoint) AblationResult {
+	r := AblationResult{Point: p}
+	if p.Flood != nil {
+		r.Flood = runFlood(floodSpan, a.Link, p.Flood, cfg.Seed, true)
+		return r
+	}
+	tr := trace.Generate(cfg.Seed+11, trace.SixProfiles()[4], min(cfg.keys(), 400))
+	r.Mosh = RunMoshTrace(tr, a.Link, cfg.Seed, p.Mosh)
+	r.Stats = Summarize(r.Mosh.Samples)
+	return r
 }
 
 // FormatComparison renders a comparison as a paper-style table, the
@@ -196,29 +302,4 @@ func FormatCDF(c Comparison) string {
 		fmt.Fprintf(&b, "%-12s %7.1f%% %7.1f%%\n", th, mosh[i]*100, ssh[i]*100)
 	}
 	return b.String()
-}
-
-// FormatSweep renders Figure 3 as text.
-func FormatSweep(pts []SweepPoint) string {
-	var b strings.Builder
-	b.WriteString("Figure 3: mean protocol-induced delay vs collection interval (frame interval 250 ms)\n")
-	fmt.Fprintf(&b, "%-14s %12s %8s\n", "interval", "mean delay", "writes")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-14s %12s %8d\n", p.Interval, p.MeanDelay.Round(100*time.Microsecond), p.Writes)
-	}
-	return b.String()
-}
-
-// BestInterval returns the sweep's minimum-delay collection interval.
-func BestInterval(pts []SweepPoint) time.Duration {
-	if len(pts) == 0 {
-		return 0
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.MeanDelay < best.MeanDelay {
-			best = p
-		}
-	}
-	return best.Interval
 }

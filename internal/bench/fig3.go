@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -156,17 +158,46 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 	return pt
 }
 
-// CollectionSweep regenerates Figure 3: mean protocol-induced delay as a
-// function of the collection interval. Each trace is replayed as its own
-// session (sessions are independent in the paper's corpus) and the means
-// are write-weighted across sessions.
-func CollectionSweep(traces []*trace.Trace, intervals []time.Duration) []SweepPoint {
+// Sweep is Figure 3: the collection intervals it sweeps (the frame
+// interval pinned at 250 ms) and the paper's minimum-delay interval.
+type Sweep struct {
+	Name      string // mosh-bench's -exp name
+	Title     string
+	Intervals []time.Duration
+	Paper     time.Duration
+}
+
+// Figure3 sweeps log-spaced 0.1–100 ms, as on the paper's x-axis.
+var Figure3 = Sweep{
+	Name:  "fig3",
+	Title: "Figure 3: mean protocol-induced delay vs collection interval (frame interval 250 ms)",
+	Intervals: []time.Duration{
+		100 * time.Microsecond,
+		300 * time.Microsecond,
+		time.Millisecond,
+		2 * time.Millisecond,
+		4 * time.Millisecond,
+		8 * time.Millisecond,
+		16 * time.Millisecond,
+		32 * time.Millisecond,
+		64 * time.Millisecond,
+		100 * time.Millisecond,
+	},
+	Paper: 8 * time.Millisecond,
+}
+
+// Run measures the mean protocol-induced delay at each interval. Each of
+// the six traces is replayed as its own session (sessions are independent
+// in the paper's corpus) and the means are write-weighted across sessions.
+// Trace i's write chunking is seeded cfg.Seed+i, so the seed moves it too.
+func (s Sweep) Run(cfg Config) []SweepPoint {
+	traces := cfg.traces()
 	perTrace := make([][]hostWrite, len(traces))
 	for i, tr := range traces {
-		perTrace[i] = extractWrites(tr, int64(i+1))
+		perTrace[i] = extractWrites(tr, cfg.Seed+int64(i))
 	}
-	pts := make([]SweepPoint, 0, len(intervals))
-	for _, iv := range intervals {
+	pts := make([]SweepPoint, 0, len(s.Intervals))
+	for _, iv := range s.Intervals {
 		var total time.Duration
 		n := 0
 		for _, writes := range perTrace {
@@ -183,19 +214,28 @@ func CollectionSweep(traces []*trace.Trace, intervals []time.Duration) []SweepPo
 	return pts
 }
 
-// Figure3Intervals are the sweep points (log-spaced 0.1–100 ms, as in the
-// paper's x-axis).
-func Figure3Intervals() []time.Duration {
-	return []time.Duration{
-		100 * time.Microsecond,
-		300 * time.Microsecond,
-		time.Millisecond,
-		2 * time.Millisecond,
-		4 * time.Millisecond,
-		8 * time.Millisecond,
-		16 * time.Millisecond,
-		32 * time.Millisecond,
-		64 * time.Millisecond,
-		100 * time.Millisecond,
+// Format renders the sweep, its minimum and the paper's.
+func (s Sweep) Format(pts []SweepPoint) string {
+	var b strings.Builder
+	b.WriteString(s.Title + "\n")
+	fmt.Fprintf(&b, "%-14s %12s %8s\n", "interval", "mean delay", "writes")
+	for _, p := range pts {
+		fmt.Fprintf(&b, "%-14s %12s %8d\n", p.Interval, p.MeanDelay.Round(100*time.Microsecond), p.Writes)
 	}
+	fmt.Fprintf(&b, "\nminimum at %v (paper: %s)\n", BestInterval(pts), fmtDur(s.Paper))
+	return b.String()
+}
+
+// BestInterval returns the sweep's minimum-delay collection interval.
+func BestInterval(pts []SweepPoint) time.Duration {
+	if len(pts) == 0 {
+		return 0
+	}
+	best := pts[0]
+	for _, p := range pts[1:] {
+		if p.MeanDelay < best.MeanDelay {
+			best = p
+		}
+	}
+	return best.Interval
 }

@@ -26,22 +26,17 @@ type FloodResult struct {
 	Sender transport.SenderStats
 }
 
-// RunFlood floods the server terminal with output for the given duration
-// over a fast path and reports how much traffic SSP generated. With the
-// paper's 50 Hz frame cap the traffic stays bounded no matter how fast
-// the host writes; the ablation removes the cap. The server's loop is the
-// daemon's: after every wake-up it offers to build the next frame ahead of
-// its deadline, which a flood's own traffic turns down.
-func RunFlood(d time.Duration, timing *transport.Timing, seed int64) FloodResult {
-	return runFlood(d, timing, seed, true)
-}
-
-// runFlood is RunFlood with the frame-ahead offer made or (the reference the
-// flood guard compares against) withheld.
-func runFlood(d time.Duration, timing *transport.Timing, seed int64, prepare bool) FloodResult {
+// runFlood floods the server terminal with output for the given duration
+// over link and reports how much traffic SSP generated. With the paper's
+// 50 Hz frame cap the traffic stays bounded no matter how fast the host
+// writes; the ablation removes the cap. With prepare the server's loop is
+// the daemon's: after every wake-up it offers to build the next frame
+// ahead of its deadline, which a flood's own traffic turns down; without
+// it (the reference the flood guard compares against) no offer is made.
+func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, seed int64, prepare bool) FloodResult {
 	sched := simclock.NewScheduler(benchEpoch)
 	nw := netem.NewNetwork(sched)
-	path := netem.NewPath(nw, netem.LinkParams{Delay: 2 * time.Millisecond}, seed)
+	path := netem.NewPath(nw, link, seed)
 	clientAddr := netem.Addr{Host: 1, Port: 1001}
 	serverAddr := netem.Addr{Host: 2, Port: 60001}
 	key := sspcrypto.Key{byte(seed), 0x0f}

@@ -61,14 +61,14 @@ type ManySessionOptions struct {
 	// transplanted, and reports per-session resumption latency: restore
 	// instant → first post-restart state accepted by that client.
 	Restart bool
-	// Unbatched runs the daemon on the one-datagram-per-syscall model (the
+	// unbatched runs the daemon on the one-datagram-per-syscall model (the
 	// portable fallback / pre-batching baseline): ingress is handled one
 	// packet at a time and write accounting is one syscall per datagram.
 	// The default (false) drives the batched pipeline: whole ingress
 	// batches demultiplexed at once, egress flushed through modeled
 	// sendmmsg sweeps. Packet handling instants are identical in both
 	// modes, so the comparison isolates syscall amortization.
-	Unbatched bool
+	unbatched bool
 	// IOModel selects which provider geometry the batched daemon's syscall
 	// accounting mirrors (mmsg by default; see sessiond.IOModel). Packet
 	// handling is identical in every model — per-session traffic is
@@ -370,7 +370,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		IdleTimeout: -1,
 		IOModel:     opt.IOModel,
 	}
-	if opt.Unbatched {
+	if opt.unbatched {
 		cfg.IOModel = sessiond.IOModelLoop
 	}
 	// Virtual regime: stretch the keepalive heartbeat on both ends so the
@@ -441,7 +441,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			manglePkts = out[:0]
 			pkts = out
 		}
-		if opt.Unbatched {
+		if opt.unbatched {
 			for _, p := range pkts {
 				d.HandlePacket(p.Payload, p.Src)
 			}

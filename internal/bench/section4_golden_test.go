@@ -7,12 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/netem"
-	"repro/internal/overlay"
-	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 var updateSection4 = flag.Bool("update", false, "rewrite testdata/section4.golden")
@@ -38,40 +32,25 @@ func TestSection4Golden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s repaired=%v\n", name, c.Mispredicted)
 	}
-	pts := Figure3(cfg)
+	pts := Figure3.Run(cfg)
 	for _, p := range pts {
 		fmt.Fprintf(&b, "fig3 interval=%d mean=%d writes=%d\n", p.Interval, p.MeanDelay, p.Writes)
 	}
 	fmt.Fprintf(&b, "fig3 best=%d\n", BestInterval(pts))
 
 	abl := Config{KeystrokesPerUser: 400, Seed: 1}
-	tr := trace.Generate(abl.Seed+11, trace.SixProfiles()[4], abl.KeystrokesPerUser)
-	replay := func(label string, link netem.LinkParams, opt MoshOptions) {
-		r := RunMoshTrace(tr, link, abl.Seed, opt)
-		st := Summarize(r.Samples)
-		fmt.Fprintf(&b, "ablation %q n=%d median=%d mean=%d stddev=%d instant=%v mispredicted=%d wire=%d\n",
-			label, st.N, st.Median, st.Mean, st.Stddev, st.FracInstant, r.Mispredicted, r.WirePackets)
-	}
-	replay("mosh/adaptive", netem.EVDO(), MoshOptions{Predictions: overlay.Adaptive})
-	replay("mosh/always", netem.EVDO(), MoshOptions{Predictions: overlay.Always})
-	replay("mosh/never", netem.EVDO(), MoshOptions{Predictions: overlay.Never})
-	for _, d := range []time.Duration{time.Millisecond, 50 * time.Millisecond, 500 * time.Millisecond} {
-		replay(fmt.Sprintf("echo-ack %v", d), netem.EVDO(), MoshOptions{Predictions: overlay.Adaptive, EchoAckTimeout: d})
-	}
-	for _, rto := range []time.Duration{50 * time.Millisecond, time.Second} {
-		replay(fmt.Sprintf("min-rto %v", rto), netem.LossyNetem(), MoshOptions{Predictions: overlay.Never, MinRTO: rto, MaxRTO: 4 * rto})
-	}
-	for _, min := range []time.Duration{20 * time.Millisecond, time.Millisecond} {
-		timing := transport.DefaultTiming()
-		timing.SendIntervalMin = min
-		r := RunFlood(10*time.Second, &timing, abl.Seed)
-		fmt.Fprintf(&b, "ablation %q frames=%d wire=%d converged=%v\n",
-			fmt.Sprintf("frame cap %v", min), r.Frames, r.WirePackets, r.Converged)
-	}
-	for _, d := range []time.Duration{time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
-		timing := transport.DefaultTiming()
-		timing.AckDelay = d
-		replay(fmt.Sprintf("ack delay %v", d), netem.EVDO(), MoshOptions{Predictions: overlay.Adaptive, Timing: &timing})
+	for _, a := range Ablations {
+		for _, p := range a.Points {
+			r := a.Run(abl, p)
+			if p.Flood != nil {
+				fmt.Fprintf(&b, "ablation %q frames=%d wire=%d converged=%v\n",
+					p.Label, r.Flood.Frames, r.Flood.WirePackets, r.Flood.Converged)
+				continue
+			}
+			st := r.Stats
+			fmt.Fprintf(&b, "ablation %q n=%d median=%d mean=%d stddev=%d instant=%v mispredicted=%d wire=%d\n",
+				p.Label, st.N, st.Median, st.Mean, st.Stddev, st.FracInstant, r.Mosh.Mispredicted, r.Mosh.WirePackets)
+		}
 	}
 
 	path := filepath.Join("testdata", "section4.golden")

@@ -3,8 +3,8 @@
 // keystroke traces over emulated networks in deterministic virtual time,
 // measures per-keystroke user-interface response latency for both Mosh and
 // the SSH baseline, and formats results the way the paper reports them.
-// Rows is the index of the Mosh-vs-SSH comparisons; Figure3 is the
-// collection-interval sweep.
+// Rows is the index of the Mosh-vs-SSH comparisons, Figure3 the
+// collection-interval sweep and Ablations the design-choice sweeps.
 package bench
 
 import (

@@ -39,6 +39,10 @@ const (
 	Never
 )
 
+func (p DisplayPreference) String() string {
+	return [...]string{"adaptive", "always", "never"}[p]
+}
+
 // Timing and confidence constants from the reference implementation.
 const (
 	// srttTriggerLow/High turn prediction display off/on (hysteresis) as

@@ -93,7 +93,6 @@ func BulkFlow(sched *simclock.Scheduler, nw *netem.Network, path *netem.Path,
 		// CUBIC (the paper's "Linux default TCP"): wall-clock growth
 		// that plateaus near the loss point keeps a deep drop-tail
 		// buffer standing full (bufferbloat).
-		Beta:     0.7,
 		UseCubic: true,
 	})
 	dst := tcpsim.New(tcpsim.Config{Sched: sched, Link: path.Up, Local: dstAddr, Remote: srcAddr})

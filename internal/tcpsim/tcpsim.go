@@ -36,23 +36,10 @@ type Config struct {
 	Local, Remote netem.Addr
 	// Deliver receives in-order application bytes.
 	Deliver func(data []byte)
-	// MSS is the maximum segment payload (default 1200).
-	MSS int
 	// MinRTO is the retransmission-timeout floor (default: TCP's 1 s;
 	// the ablation bench lowers it to SSP's 50 ms to isolate that design
 	// choice).
 	MinRTO time.Duration
-	// MaxRTO caps exponential backoff (default 60 s, as in Linux).
-	MaxRTO time.Duration
-	// InitialCwnd in segments (default 10, like modern Linux).
-	InitialCwnd int
-	// Beta is the multiplicative-decrease factor on loss (default 0.7,
-	// CUBIC's value; Reno would be 0.5).
-	Beta float64
-	// CAGain scales congestion-avoidance growth relative to Reno's one
-	// MSS per RTT (default 4, approximating CUBIC's faster reprobing of
-	// a previously-achieved window on long-queue paths).
-	CAGain float64
 	// UseCubic switches congestion avoidance to the CUBIC window curve
 	// (RFC 8312): wall-clock growth that plateaus near the window where
 	// loss last occurred. This is "Linux default TCP (cubic)" from the
@@ -71,6 +58,22 @@ type Stats struct {
 	FastRetransmits int
 	BytesDelivered  int64
 }
+
+const (
+	// mss is the maximum segment payload.
+	mss = 1200
+	// maxRTO caps exponential backoff, as in Linux.
+	maxRTO = 60 * time.Second
+	// initialCwnd is the initial window in segments, like modern Linux.
+	initialCwnd = 10
+	// beta is the multiplicative-decrease factor on loss (CUBIC's value;
+	// Reno would be 0.5).
+	beta = 0.7
+	// caGain scales congestion-avoidance growth relative to Reno's one
+	// MSS per RTT, approximating CUBIC's faster reprobing of a
+	// previously-achieved window on long-queue paths.
+	caGain = 4
+)
 
 // segment header layout: seq(4) ack(4) flags(1) [payload].
 const headerLen = 9
@@ -127,27 +130,12 @@ type Conn struct {
 
 // New creates a connection endpoint.
 func New(cfg Config) *Conn {
-	if cfg.MSS == 0 {
-		cfg.MSS = 1200
-	}
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = time.Second // RFC 6298 §2.4
 	}
-	if cfg.MaxRTO == 0 {
-		cfg.MaxRTO = 60 * time.Second
-	}
-	if cfg.InitialCwnd == 0 {
-		cfg.InitialCwnd = 10
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 0.7
-	}
-	if cfg.CAGain == 0 {
-		cfg.CAGain = 4
-	}
 	c := &Conn{
 		cfg:      cfg,
-		cwnd:     float64(cfg.InitialCwnd * cfg.MSS),
+		cwnd:     initialCwnd * mss,
 		ssthresh: 1 << 30,
 		ooo:      make(map[uint32][]byte),
 	}
@@ -176,8 +164,8 @@ func (c *Conn) RTO() time.Duration {
 		base = c.cfg.MinRTO
 	}
 	rto := base << c.backoff
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }
@@ -190,7 +178,7 @@ func (c *Conn) Send(data []byte) {
 
 // cwndPackets is the congestion window in whole segments.
 func (c *Conn) cwndPackets() int {
-	p := int(c.cwnd) / c.cfg.MSS
+	p := int(c.cwnd) / mss
 	if p < 1 {
 		p = 1
 	}
@@ -210,8 +198,8 @@ func (c *Conn) trySend() {
 			return
 		}
 		n := unsent
-		if n > c.cfg.MSS {
-			n = c.cfg.MSS
+		if n > mss {
+			n = mss
 		}
 		if room := int(c.cwnd) - inFlight; n > room {
 			n = room
@@ -266,11 +254,11 @@ func (c *Conn) cubicGrow() {
 			c.wMax = c.cwnd
 		}
 	}
-	mss := float64(c.cfg.MSS)
 	t := now.Sub(c.epochStart).Seconds()
 	wmaxSeg := c.wMax / mss
 	const cubicC = 0.4
-	k := math.Cbrt(wmaxSeg * (1 - c.cfg.Beta) / cubicC)
+	b := beta // 1−β in float64 arithmetic, not as an exact constant
+	k := math.Cbrt(wmaxSeg * (1 - b) / cubicC)
 	target := (cubicC*math.Pow(t-k, 3) + wmaxSeg) * mss
 	if target > c.cwnd {
 		// At most one MSS per ack keeps growth ack-clocked.
@@ -293,8 +281,8 @@ func (c *Conn) retransmitSweep(maxSegs int) {
 			return
 		}
 		n := remaining
-		if n > c.cfg.MSS {
-			n = c.cfg.MSS
+		if n > mss {
+			n = mss
 		}
 		c.transmit(c.rtxNext, c.sndBuf[off:off+n], true)
 		c.rtxNext += uint32(n)
@@ -324,10 +312,10 @@ func (c *Conn) onTimeout() {
 	c.stats.Timeouts++
 	c.backoff++
 	c.ssthresh = c.cwnd / 2
-	if min := float64(2 * c.cfg.MSS); c.ssthresh < min {
+	if min := float64(2 * mss); c.ssthresh < min {
 		c.ssthresh = min
 	}
-	c.cwnd = float64(c.cfg.MSS)
+	c.cwnd = mss
 	c.dupAcks = 0
 	// The timeout opens a fresh recovery episode; the repair sweep
 	// restarts at the ack point.
@@ -336,8 +324,8 @@ func (c *Conn) onTimeout() {
 	c.wMax = c.cwnd
 	c.epochStart = time.Time{}
 	n := c.Outstanding()
-	if n > c.cfg.MSS {
-		n = c.cfg.MSS
+	if n > mss {
+		n = mss
 	}
 	c.transmit(c.sndUna, c.sndBuf[:n], true)
 }
@@ -404,11 +392,11 @@ func (c *Conn) processAck(ack uint32) {
 		// as bulk flows.
 		switch {
 		case c.cwnd < c.ssthresh:
-			c.cwnd += float64(c.cfg.MSS)
+			c.cwnd += mss
 		case c.cfg.UseCubic:
 			c.cubicGrow()
 		default:
-			c.cwnd += c.cfg.CAGain * float64(c.cfg.MSS) * float64(c.cfg.MSS) / c.cwnd
+			c.cwnd += caGain * mss * mss / c.cwnd
 		}
 		if c.Outstanding() == 0 {
 			c.rtxTimer.Stop()
@@ -449,8 +437,8 @@ func (c *Conn) processAck(ack uint32) {
 				c.rtxNext = c.sndUna
 				c.wMax = c.cwnd
 				c.epochStart = time.Time{}
-				c.ssthresh = c.cwnd * c.cfg.Beta
-				if min := float64(2 * c.cfg.MSS); c.ssthresh < min {
+				c.ssthresh = c.cwnd * beta
+				if min := float64(2 * mss); c.ssthresh < min {
 					c.ssthresh = min
 				}
 				c.cwnd = c.ssthresh
