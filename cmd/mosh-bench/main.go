@@ -30,7 +30,8 @@
 //	                           # >= 10x flush bytes with write amp <= 2
 //
 // -keys N sets the keystrokes per user (default: the paper-scale 1664,
-// ≈10k total across six users). An unknown -exp name is a usage error.
+// ≈10k total across six users). An unknown -exp name is a usage error, and
+// so is -lossy without -mixed.
 package main
 
 import (
@@ -60,9 +61,9 @@ func main() {
 	mixed := flag.Bool("mixed", false, "mixed cohorts for -exp manysession: shell (latency-measured) / CJK-emoji editor / log tail")
 	restart := flag.Bool("restart", false, "manysession: kill the daemon mid-run and restore it from its journal; report resumption latency percentiles")
 	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
-	lossy := flag.Bool("lossy", false, "manysession: per-cohort lossy links (editor 1%, log-tail 3%)")
+	lossy := flag.Bool("lossy", false, "manysession: lossy links for the non-shell cohorts (editor 1%, log-tail 3%); needs -mixed, without which every session is a shell")
 	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train")
-	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire mangling, journal disk faults, nonce audit); see also -exp chaos")
+	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire faults on every link, journal disk faults, nonce audit); see also -exp chaos")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")
 	virtual := flag.Bool("virtual", false, "manysession: virtual-time regime tuned so the run completes faster than the span it simulates even at 100000 sessions (sparse keystrokes, stretched heartbeat); exits nonzero if wall time exceeds virtual time")
 	flightDump := flag.String("flight-dump", "chaos-flight-dump.txt", "file to write the daemon's flight-recorder dump to when the chaos gate fails (empty disables)")
@@ -168,6 +169,11 @@ func main() {
 	flag.Parse()
 	if !slices.Contains(names, *exp) {
 		fmt.Fprintf(os.Stderr, "mosh-bench: unknown -exp %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *lossy && !*mixed {
+		fmt.Fprintln(os.Stderr, "mosh-bench: -lossy needs -mixed (without it every session is a shell and no link is degraded)")
 		flag.Usage()
 		os.Exit(2)
 	}

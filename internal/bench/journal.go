@@ -15,7 +15,7 @@ import (
 // JournalBenchOptions sizes the incremental-journaling experiment: a large
 // fleet of sessions in virtual time, of which only a small fraction is
 // active in any flush interval — the steady-state shape the log-structured
-// journal is built for. Each round dirties DirtyPerRound sessions and
+// journal is built for. Each round dirties ~1% of the sessions and
 // flushes; the figure of merit is bytes written per flush versus the
 // run's first flush — a checkpoint of every session, which is what a
 // journal without the segment log would write on every flush — plus the
@@ -26,11 +26,6 @@ type JournalBenchOptions struct {
 	// Rounds is the number of steady-state flush intervals measured after
 	// the warm-up full flush (default 20).
 	Rounds int
-	// DirtyPerRound is how many sessions see output between flushes
-	// (default Sessions/100, min 1 — the ~1% activity regime).
-	DirtyPerRound int
-	// FlushInterval is the virtual time between flushes (default 3 s).
-	FlushInterval time.Duration
 	// Dir is the state directory (default: a fresh temp dir, removed
 	// after the run).
 	Dir string
@@ -65,6 +60,9 @@ type JournalBenchResult struct {
 	Wall    time.Duration
 }
 
+// journalFlushInterval is the virtual time between the bench's flushes.
+const journalFlushInterval = 3 * time.Second
+
 // RunJournalBench drives the experiment. Everything runs on a
 // virtual clock with the daemon's loops unstarted, so flushes happen
 // exactly when the harness says and the byte accounting is deterministic;
@@ -76,15 +74,9 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 	if opt.Rounds == 0 {
 		opt.Rounds = 20
 	}
-	if opt.DirtyPerRound == 0 {
-		opt.DirtyPerRound = opt.Sessions / 100
-		if opt.DirtyPerRound == 0 {
-			opt.DirtyPerRound = 1
-		}
-	}
-	if opt.FlushInterval == 0 {
-		opt.FlushInterval = 3 * time.Second
-	}
+	// The ~1% activity regime: Sessions/100 sessions (min 1) see output
+	// between flushes, which come every journalFlushInterval.
+	dirtyPerRound := max(opt.Sessions/100, 1)
 	dir := opt.Dir
 	if dir == "" {
 		var err error
@@ -111,7 +103,7 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 	res := JournalBenchResult{
 		Sessions:      opt.Sessions,
 		Rounds:        opt.Rounds,
-		DirtyPerRound: opt.DirtyPerRound,
+		DirtyPerRound: dirtyPerRound,
 	}
 	m := d.Metrics()
 	start := sched.Now()
@@ -139,12 +131,12 @@ func RunJournalBench(opt JournalBenchOptions) JournalBenchResult {
 	lats := make([]time.Duration, 0, opt.Rounds)
 	steady0 := m.JournalBytes.Value()
 	for r := 0; r < opt.Rounds; r++ {
-		for k := 0; k < opt.DirtyPerRound; k++ {
-			s := sessions[(r*opt.DirtyPerRound+k)%len(sessions)]
+		for k := 0; k < dirtyPerRound; k++ {
+			s := sessions[(r*dirtyPerRound+k)%len(sessions)]
 			line := fmt.Sprintf("round %d activity on session %d\r\n", r, k)
 			s.Do(func(srv *core.Server) { srv.HostOutput([]byte(line)) })
 		}
-		sched.RunFor(opt.FlushInterval)
+		sched.RunFor(journalFlushInterval)
 		t0 := wall.Now()
 		if err := d.FlushJournal(); err != nil {
 			panic(err)

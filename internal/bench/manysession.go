@@ -52,9 +52,9 @@ type ManySessionOptions struct {
 	// roaming under full multiplexer load.
 	Roam bool
 	// LossyCohorts degrades the non-shell cohorts' links (editor 1%,
-	// log-tail 3% i.i.d. loss; with Mixed off, every third/fifth session
-	// plays those roles). The shell cohort's links stay clean so the
-	// latency percentiles stay attributable.
+	// log-tail 3% i.i.d. loss). It needs Mixed: without it every session
+	// is a shell and nothing is degraded. The shell cohort's links stay
+	// clean so the latency percentiles stay attributable.
 	LossyCohorts bool
 	// Restart kills the daemon mid-run (journal flush on Close), restores
 	// it from the journal after a short outage with every host application
@@ -88,16 +88,18 @@ type ManySessionOptions struct {
 	// produce byte-identical per-session frame streams.
 	CaptureFrames bool
 	// Chaos runs the whole load under a seeded hostile-world schedule:
-	// windowed drop/dup/corrupt/truncate manglers on both wire directions,
-	// a fault-injecting filesystem under the journal (write/sync/rename
-	// failures, short writes, torn renames — healed just before the
-	// Restart kill so the recovery story stays testable), a periodic
-	// journal flush pump so the retry/backoff/suspension machinery
-	// actually runs in virtual time, and a nonce audit on every datagram
-	// the daemon seals. Combine with Restart/Roam/LossyCohorts for the
-	// full torture. Everything is deterministic from ChaosSeed.
+	// a window of drop/dup/corrupt/truncate faults on every client link in
+	// both directions, a fault-injecting filesystem under the journal
+	// (write/sync/rename failures, short writes, torn renames — healed
+	// just before the Restart kill so the recovery story stays testable),
+	// a periodic journal flush pump so the retry/backoff/suspension
+	// machinery actually runs in virtual time, and a nonce audit on every
+	// datagram the daemon seals. Combine with Restart/Roam/LossyCohorts for the
+	// full torture. Everything is deterministic from Seed and ChaosSeed.
 	Chaos bool
-	// ChaosSeed drives the chaos schedule (default: derived from Seed).
+	// ChaosSeed drives the disk faults and the journal's retry jitter
+	// (default: derived from Seed). The wire faults come from each path's
+	// own link seed, like its loss.
 	ChaosSeed int64
 	// Virtual tunes the run for wall-beating virtual time at very large
 	// session counts (the 10⁵-session regime): few keystrokes spread over
@@ -165,7 +167,10 @@ type ManySessionResult struct {
 	// Chaos reporting (Chaos mode). NonceViolations counts sealed
 	// datagrams whose (session, sequence) pair was ever seen before at the
 	// daemon's Send hook — ANY value other than zero is a broken crypto
-	// invariant. The mangle counters sum both wire directions; AuthDrops
+	// invariant. The wire-fault counters are summed from the link stats of
+	// every path the run built, roamed-away ones included, in both
+	// directions; ChaosDropped counts only paths that lose nothing outside
+	// the window, so a lossy cohort's own loss is not chaos. AuthDrops
 	// and JournalFlushFailures are daemon-side deltas over the run;
 	// JournalSuspendedSeen reports whether the disk-fault windows actually
 	// drove the journal into a suspension.
@@ -270,23 +275,21 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		return i % 3
 	}
 
-	// Chaos plumbing: manglers on both wire directions, a nonce audit at
-	// the daemon's Send hook (BEFORE mangling, so network duplication is
-	// not mistaken for daemon nonce reuse), and a fault-injecting
-	// filesystem under the journal. The whole simulation is single-
-	// threaded on the scheduler, so the audit map needs no lock.
+	// Chaos plumbing: a nonce audit at the daemon's Send hook (before
+	// the wire, so a link's duplicates are not mistaken for daemon nonce
+	// reuse) and a fault-injecting filesystem under the journal; the wire
+	// faults are link parameters (see chaosOn below). The whole
+	// simulation is single-threaded on the scheduler, so the audit map
+	// needs no lock.
 	var (
-		ingressMangler, egressMangler *faultinject.Mangler
-		chaosFS                       *faultinject.FaultFS
-		nonceSeen                     map[uint64]map[uint64]struct{}
+		chaosFS   *faultinject.FaultFS
+		nonceSeen map[uint64]map[uint64]struct{}
 	)
 	res := ManySessionResult{Sessions: opt.Sessions, Keystrokes: opt.Keystrokes, IOModel: opt.IOModel}
 	if opt.Chaos {
 		if opt.ChaosSeed == 0 {
 			opt.ChaosSeed = opt.Seed + 0xC4A05
 		}
-		ingressMangler = faultinject.NewMangler(opt.ChaosSeed)
-		egressMangler = faultinject.NewMangler(opt.ChaosSeed + 1)
 		nonceSeen = make(map[uint64]map[uint64]struct{})
 		res.ChaosActive = true
 	}
@@ -347,11 +350,14 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 					seen[seq] = struct{}{}
 				}
 			}
-			for _, w := range egressMangler.Mangle(wire) {
-				deliver(dst, w)
-			}
+			deliver(dst, wire)
 		},
+		// A restored session gets back the application that survived the
+		// restart.
 		NewApp: func(id uint64) host.App {
+			if a, ok := apps[id]; ok {
+				return a
+			}
 			var a host.App
 			switch cohortOf(int(id) - 1) {
 			case cohortEditor:
@@ -366,7 +372,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			apps[id] = a
 			return a
 		},
-		RestoreApp:  func(id uint64) host.App { return apps[id] },
 		IdleTimeout: -1,
 		IOModel:     opt.IOModel,
 	}
@@ -427,20 +432,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// rebound when the restart scenario swaps in the restored daemon;
 	// in-flight packets follow automatically.
 	var ingressScratch []udpbatch.Message
-	var manglePkts []netem.Packet
 	netem.NewBatchSink(nw, daemonAddr, func(pkts []netem.Packet) {
-		if ingressMangler != nil {
-			out := manglePkts[:0]
-			for _, p := range pkts {
-				for _, w := range ingressMangler.Mangle(p.Payload) {
-					q := p
-					q.Payload = w
-					out = append(out, q)
-				}
-			}
-			manglePkts = out[:0]
-			pkts = out
-		}
 		if opt.unbatched {
 			for _, p := range pkts {
 				d.HandlePacket(p.Payload, p.Src)
@@ -495,6 +487,19 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		}
 		return p
 	}
+	// The chaos window's wire faults, added to a cohort's params on every
+	// live path while chaosOn holds. Each link draws them from its own
+	// rng, so a fault lands on the nth datagram of its path whatever the
+	// other sessions send.
+	chaosOn := false
+	linkParams := func(cohort int) netem.LinkParams {
+		p := cohortParams(cohort)
+		if chaosOn {
+			p.LossProb += 0.02
+			p.DupProb, p.CorruptProb, p.TruncProb = 0.02, 0.01, 0.01
+		}
+		return p
+	}
 	// ingressQuantum models receive-side interrupt coalescing on the
 	// daemon's ingress path: arrivals are clustered onto quantum
 	// boundaries, exactly as a NIC+epoll loop hands a busy process
@@ -506,10 +511,20 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// socket), the downlink delivers exactly (clients are one-session
 	// processes; their read syscalls are not what this bench scales).
 	// Seed handling matches netem.NewPath, keeping runs comparable.
-	newClientPath := func(cohort int, seed int64) *netem.Path {
-		up := cohortParams(cohort)
+	type builtPath struct {
+		cohort int
+		path   *netem.Path
+	}
+	var built []builtPath // every path the run made, for the chaos counters
+	upParams := func(cohort int) netem.LinkParams {
+		up := linkParams(cohort)
 		up.DeliveryQuantum = ingressQuantum
-		return netem.NewAsymmetricPath(nw, up, cohortParams(cohort), seed)
+		return up
+	}
+	newClientPath := func(cohort int, seed int64) *netem.Path {
+		p := netem.NewAsymmetricPath(nw, upParams(cohort), linkParams(cohort), seed)
+		built = append(built, builtPath{cohort, p})
+		return p
 	}
 
 	for i := 0; i < opt.Sessions; i++ {
@@ -717,20 +732,20 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	}
 
 	if opt.Chaos {
-		// Network chaos window: both directions mangled from shortly after
-		// the measured window opens until typing ends, leaving the drain
-		// clean so retransmits can converge the screens.
-		mangleOn := faultinject.MangleFaults{
-			DropProb: 0.02, DupProb: 0.02, CorruptProb: 0.01, TruncProb: 0.01,
+		// Network chaos window: every live path's links fault in both
+		// directions from shortly after the measured window opens until
+		// typing ends, leaving the drain clean so retransmits can converge
+		// the screens. A path a roam builds inside the window starts with
+		// the faults.
+		setChaos := func(on bool) {
+			chaosOn = on
+			for _, lc := range clients {
+				lc.path.Up.SetParams(upParams(lc.cohort))
+				lc.path.Down.SetParams(linkParams(lc.cohort))
+			}
 		}
-		sched.At(start.Add(250*time.Millisecond), func() {
-			ingressMangler.SetFaults(mangleOn)
-			egressMangler.SetFaults(mangleOn)
-		})
-		sched.At(start.Add(typing), func() {
-			ingressMangler.SetFaults(faultinject.MangleFaults{})
-			egressMangler.SetFaults(faultinject.MangleFaults{})
-		})
+		sched.At(start.Add(250*time.Millisecond), func() { setChaos(true) })
+		sched.At(start.Add(typing), func() { setChaos(false) })
 		if chaosFS != nil {
 			// Disk chaos: high failure rates so consecutive-failure
 			// suspension actually triggers, healed just before the Restart
@@ -789,11 +804,18 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	}
 	res.ResidentBytesPerSession = d.ScreenStateStats().ResidentBytesPerSession()
 	if opt.Chaos {
-		is, es := ingressMangler.Stats(), egressMangler.Stats()
-		res.ChaosDropped = is.Dropped.Load() + es.Dropped.Load()
-		res.ChaosDuplicated = is.Duplicated.Load() + es.Duplicated.Load()
-		res.ChaosCorrupted = is.Corrupted.Load() + es.Corrupted.Load()
-		res.ChaosTruncated = is.Truncated.Load() + es.Truncated.Load()
+		for _, b := range built {
+			lossless := cohortParams(b.cohort).LossProb == 0
+			for _, l := range []*netem.Link{b.path.Up, b.path.Down} {
+				st := l.Stats()
+				if lossless {
+					res.ChaosDropped += int64(st.DroppedLoss)
+				}
+				res.ChaosDuplicated += int64(st.Duplicated)
+				res.ChaosCorrupted += int64(st.Corrupted)
+				res.ChaosTruncated += int64(st.Truncated)
+			}
+		}
 		res.FlightDump = d.FlightDump("chaos-run-end")
 	}
 

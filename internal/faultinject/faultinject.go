@@ -1,21 +1,21 @@
 // Package faultinject is the seeded, deterministic fault-injection layer
 // behind the chaos tests: it makes the failure surfaces that loss/roam/
 // restart experiments never touch — syscall errnos on the hot socket
-// path, EIO/ENOSPC/torn writes in the journal, mangled datagrams in
-// flight — reproducible inputs instead of production surprises.
+// path, EIO/ENOSPC/torn writes in the journal — reproducible inputs
+// instead of production surprises.
 //
-// Two composable providers share one seeded PRNG discipline (a third, the
-// udpbatch.Conn wrapper that injects socket errnos, truncated, duplicated
-// and corrupted datagrams and partial writes, is the faultconn
-// subpackage):
+// Two providers share one seeded PRNG discipline:
 //
 //   - FS is the filesystem seam internal/journal writes through; OSFS
 //     is the real thing and FaultFS injects EIO, ENOSPC, short writes,
 //     failed fsyncs and torn renames at every operation, with an OpHook
 //     for scripting exact failures and recording attempt times.
-//   - Mangler drops, duplicates, corrupts, or truncates individual wire
-//     datagrams for harnesses that sit on a packet path rather than a
-//     Conn (the bench chaos schedule uses one per direction).
+//   - The faultconn subpackage wraps a real udpbatch.Conn and injects
+//     socket errnos, truncated, duplicated and corrupted datagrams and
+//     partial writes.
+//
+// A simulated datagram is damaged only by the emulated link it crosses:
+// netem.LinkParams carries loss, duplication, corruption and truncation.
 //
 // Everything is driven by Rand, a splitmix64 PRNG: same seed, same fault
 // schedule, every run. All providers are safe for concurrent use.

@@ -149,43 +149,3 @@ func TestFaultFSFailAllAndHook(t *testing.T) {
 		}
 	}
 }
-
-func TestMangler(t *testing.T) {
-	m := NewMangler(21)
-	wire := []byte("datagram-payload-bytes")
-	// Zero schedule: identity, same backing array.
-	out := m.Mangle(wire)
-	if len(out) != 1 || &out[0][0] != &wire[0] {
-		t.Fatal("zero schedule did not pass through")
-	}
-	m.SetFaults(MangleFaults{DropProb: 0.25, DupProb: 0.25, CorruptProb: 0.25, TruncProb: 0.25})
-	var drops, dups, mods, passed int
-	for i := 0; i < 400; i++ {
-		out := m.Mangle(wire)
-		switch len(out) {
-		case 0:
-			drops++
-		case 2:
-			dups++
-		case 1:
-			if bytes.Equal(out[0], wire) {
-				passed++
-				continue
-			}
-			mods++
-			// A modified payload must be a fresh copy: the original is
-			// untouched.
-			if string(wire) != "datagram-payload-bytes" {
-				t.Fatal("mangling modified the caller's buffer")
-			}
-		}
-	}
-	if drops == 0 || dups == 0 || mods == 0 || passed == 0 {
-		t.Fatalf("schedule did not mix: drop=%d dup=%d mod=%d pass=%d", drops, dups, mods, passed)
-	}
-	st := m.Stats()
-	if st.Dropped.Load() == 0 || st.Duplicated.Load() == 0 ||
-		st.Corrupted.Load()+st.Truncated.Load() == 0 {
-		t.Fatal("mangle stats did not count")
-	}
-}

@@ -1,9 +1,17 @@
 // Package netem is a deterministic network emulator in the spirit of the
 // Linux netem qdisc the paper used for its packet-loss experiment. It models
-// unidirectional links with propagation delay, jitter, i.i.d. loss, a
-// bottleneck transmission rate and a drop-tail queue, delivering packets
-// through a simclock.Scheduler so that entire experiments run in virtual
-// time and are exactly reproducible from a seed.
+// unidirectional links with propagation delay, jitter, i.i.d. loss,
+// duplication, corruption and truncation, a bottleneck transmission rate
+// and a drop-tail queue, delivering packets through a simclock.Scheduler so
+// that entire experiments run in virtual time and are exactly reproducible
+// from a seed.
+//
+// A link is the only place a simulated datagram is lost or damaged, and
+// every fault is drawn from the link's own seeded rng: the fault a
+// datagram gets depends on its link's seed and that link's traffic alone,
+// never on what other links carry. Link.SetParams changes a live link's
+// parameters (netem's "tc qdisc change"), so a schedule can open and close
+// a fault window.
 //
 // The same emulator reproduces every network in the paper's evaluation:
 // Sprint EV-DO (long RTT), Verizon LTE with a deep bufferbloated bottleneck
@@ -104,6 +112,15 @@ type LinkParams struct {
 	Jitter time.Duration
 	// LossProb is the i.i.d. probability that a packet is dropped.
 	LossProb float64
+	// DupProb is the i.i.d. probability that a packet is delivered twice,
+	// both copies at the original's instant.
+	DupProb float64
+	// CorruptProb is the i.i.d. probability that a packet arrives with one
+	// bit flipped (in a copy; the sender's buffer is never written).
+	CorruptProb float64
+	// TruncProb is the i.i.d. probability that a packet arrives as a
+	// strict, non-empty prefix of itself.
+	TruncProb float64
 	// RateBitsPerSec is the bottleneck transmission rate; 0 means infinite.
 	RateBitsPerSec int64
 	// QueueBytes is the drop-tail queue capacity ahead of the bottleneck;
@@ -129,9 +146,12 @@ type LinkParams struct {
 // LinkStats counts what happened to packets offered to a link.
 type LinkStats struct {
 	Sent           int // packets accepted onto the link
-	Delivered      int
+	Delivered      int // deliveries, a duplicate's two included
 	DroppedLoss    int // random loss
 	DroppedQueue   int // drop-tail overflow
+	Duplicated     int // accepted packets delivered twice
+	Corrupted      int // accepted packets delivered with one bit flipped
+	Truncated      int // accepted packets delivered as a strict prefix
 	BytesDelivered int64
 	MaxQueueBytes  int // high-water mark of queue occupancy
 }
@@ -157,6 +177,10 @@ func NewLink(net *Network, params LinkParams, seed int64) *Link {
 
 // Params returns the link's configuration.
 func (l *Link) Params() LinkParams { return l.params }
+
+// SetParams changes the live link's configuration from the next Send on.
+// Packets already in flight keep the instants they were given.
+func (l *Link) SetParams(p LinkParams) { l.params = p }
 
 // Stats returns a snapshot of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
@@ -193,6 +217,28 @@ func (l *Link) Send(p Packet) bool {
 		l.net.sched.At(endOfTx, func() { l.queuedBytes -= size })
 		deliverAt = endOfTx
 	}
+	// Damage happens on the wire, past the bottleneck: the packet occupied
+	// the queue at its full size. Each draw is made only when its
+	// probability is set, so a link without these faults draws exactly
+	// the sequence it always has.
+	if l.params.CorruptProb > 0 && len(p.Payload) > 0 && l.rng.Float64() < l.params.CorruptProb {
+		c := append([]byte(nil), p.Payload...)
+		c[l.rng.Intn(len(c))] ^= 1 << l.rng.Intn(8)
+		p.Payload = c
+		l.stats.Corrupted++
+	}
+	if l.params.TruncProb > 0 && len(p.Payload) > 1 && l.rng.Float64() < l.params.TruncProb {
+		n := 1 + l.rng.Intn(len(p.Payload)-1)
+		p.Payload = p.Payload[:n:n]
+		l.stats.Truncated++
+	}
+	var dup []byte
+	if l.params.DupProb > 0 && l.rng.Float64() < l.params.DupProb {
+		// The copy has its own buffer: a receiver may decrypt in place.
+		dup = make([]byte, len(p.Payload))
+		copy(dup, p.Payload)
+		l.stats.Duplicated++
+	}
 	deliverAt = deliverAt.Add(l.params.Delay)
 	if l.params.Jitter > 0 {
 		deliverAt = deliverAt.Add(time.Duration(l.rng.Int63n(int64(l.params.Jitter))))
@@ -210,11 +256,19 @@ func (l *Link) Send(p Packet) bool {
 	l.lastDelivery = deliverAt
 	l.stats.Sent++
 	l.net.sched.At(deliverAt, func() {
-		l.stats.Delivered++
-		l.stats.BytesDelivered += int64(len(p.Payload))
-		l.net.deliver(p)
+		l.deliver(p)
+		if dup != nil {
+			p.Payload = dup
+			l.deliver(p)
+		}
 	})
 	return true
+}
+
+func (l *Link) deliver(p Packet) {
+	l.stats.Delivered++
+	l.stats.BytesDelivered += int64(len(p.Payload))
+	l.net.deliver(p)
 }
 
 // BatchSink is a batch-aware endpoint: it coalesces every packet

@@ -1,7 +1,11 @@
 package netem
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,5 +345,164 @@ func TestBatchSinkCoalescesInstant(t *testing.T) {
 	}
 	if len(batches[1]) != 1 || batches[1][0] != 42 {
 		t.Fatalf("second batch = %v", batches[1])
+	}
+}
+
+// faultParams sets every wire fault often enough that a short run mixes
+// them all.
+var faultParams = LinkParams{
+	Delay: 5 * time.Millisecond, LossProb: 0.15, DupProb: 0.15, CorruptProb: 0.15, TruncProb: 0.15,
+}
+
+// TestLinkFaultsPerLink: a link's faults are drawn from its own rng, so
+// link A's sequence of drops, duplicates, corruptions and truncations is
+// the same whether or not link B on the same network carries traffic in
+// between.
+func TestLinkFaultsPerLink(t *testing.T) {
+	type trace struct {
+		stats     []LinkStats // A's counters after each send
+		delivered []string    // what arrived at A's destination, in order
+	}
+	run := func(withB bool) trace {
+		s, n := testNet()
+		dstA, dstB := Addr{Host: 2, Port: 1}, Addr{Host: 2, Port: 2}
+		var tr trace
+		n.Attach(dstA, func(p Packet) { tr.delivered = append(tr.delivered, string(p.Payload)) })
+		n.Attach(dstB, func(Packet) {})
+		a := NewLink(n, faultParams, 11)
+		b := NewLink(n, faultParams, 12)
+		for i := 0; i < 300; i++ {
+			a.Send(Packet{Dst: dstA, Payload: []byte(fmt.Sprintf("datagram %03d on link A", i))})
+			tr.stats = append(tr.stats, a.Stats())
+			if withB {
+				for j := 0; j < 1+i%3; j++ {
+					b.Send(Packet{Dst: dstB, Payload: []byte("link B traffic")})
+				}
+			}
+			s.RunFor(time.Millisecond)
+		}
+		s.Drain(0)
+		st := a.Stats()
+		if st.DroppedLoss == 0 || st.Duplicated == 0 || st.Corrupted == 0 || st.Truncated == 0 {
+			t.Fatalf("faults did not mix: %+v", st)
+		}
+		return tr
+	}
+	quiet, busy := run(false), run(true)
+	for i := range quiet.stats {
+		if quiet.stats[i] != busy.stats[i] {
+			t.Fatalf("send %d: link A's counters depend on link B's traffic:\nquiet %+v\nbusy  %+v",
+				i, quiet.stats[i], busy.stats[i])
+		}
+	}
+	if !slices.Equal(quiet.delivered, busy.delivered) {
+		t.Fatal("link A delivered different datagrams when link B carried traffic")
+	}
+}
+
+// TestLinkFaultDuplicate: a duplicate arrives twice at one instant, in a
+// buffer of its own.
+func TestLinkFaultDuplicate(t *testing.T) {
+	s, n := testNet()
+	dst := Addr{Host: 2}
+	var at []time.Time
+	var got [][]byte
+	n.Attach(dst, func(p Packet) { at, got = append(at, s.Now()), append(got, p.Payload) })
+	l := NewLink(n, LinkParams{Delay: 7 * time.Millisecond, DupProb: 1}, 1)
+	l.Send(Packet{Dst: dst, Payload: []byte("twice")})
+	s.Drain(0)
+	if len(got) != 2 || !at[0].Equal(at[1]) || !at[0].Equal(t0.Add(7*time.Millisecond)) {
+		t.Fatalf("deliveries at %v, want two at %v", at, t0.Add(7*time.Millisecond))
+	}
+	if string(got[0]) != "twice" || string(got[1]) != "twice" || &got[0][0] == &got[1][0] {
+		t.Fatalf("copies %q %q must be equal and in distinct buffers", got[0], got[1])
+	}
+	if st := l.Stats(); st.Duplicated != 1 || st.Sent != 1 || st.Delivered != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestLinkFaultCorrupt: a corrupted datagram differs from the original by
+// exactly one bit, and the sender's buffer is never written.
+func TestLinkFaultCorrupt(t *testing.T) {
+	s, n := testNet()
+	dst := Addr{Host: 2}
+	var got []byte
+	n.Attach(dst, func(p Packet) { got = p.Payload })
+	l := NewLink(n, LinkParams{CorruptProb: 1}, 1)
+	const orig = "datagram-payload-bytes"
+	for i := 0; i < 50; i++ {
+		sent := []byte(orig)
+		l.Send(Packet{Dst: dst, Payload: sent})
+		s.Drain(0)
+		if string(sent) != orig {
+			t.Fatalf("corruption wrote the sender's buffer: %q", sent)
+		}
+		if len(got) != len(orig) {
+			t.Fatalf("corrupted length %d, want %d", len(got), len(orig))
+		}
+		flipped := 0
+		for j := range got {
+			flipped += bits.OnesCount8(got[j] ^ orig[j])
+		}
+		if flipped != 1 {
+			t.Fatalf("%q differs from %q by %d bits, want 1", got, orig, flipped)
+		}
+	}
+	if l.Stats().Corrupted != 50 {
+		t.Fatalf("stats = %+v", l.Stats())
+	}
+}
+
+// TestLinkFaultTruncate: a truncated datagram is a strict, non-empty
+// prefix of the original.
+func TestLinkFaultTruncate(t *testing.T) {
+	s, n := testNet()
+	dst := Addr{Host: 2}
+	var got []byte
+	n.Attach(dst, func(p Packet) { got = p.Payload })
+	l := NewLink(n, LinkParams{TruncProb: 1}, 1)
+	const orig = "datagram-payload-bytes"
+	for i := 0; i < 50; i++ {
+		l.Send(Packet{Dst: dst, Payload: []byte(orig)})
+		s.Drain(0)
+		if len(got) == 0 || len(got) >= len(orig) || !strings.HasPrefix(orig, string(got)) {
+			t.Fatalf("got %q, want a strict non-empty prefix of %q", got, orig)
+		}
+	}
+	if l.Stats().Truncated != 50 {
+		t.Fatalf("stats = %+v", l.Stats())
+	}
+}
+
+// TestLinkFaultSetParams: SetParams takes effect on the next Send, so a
+// schedule can open and close a fault window on a live link.
+func TestLinkFaultSetParams(t *testing.T) {
+	s, n := testNet()
+	dst := Addr{Host: 2}
+	delivered := 0
+	n.Attach(dst, func(Packet) { delivered++ })
+	base := LinkParams{Delay: time.Millisecond}
+	l := NewLink(n, base, 1)
+	if !l.Send(Packet{Dst: dst, Payload: []byte("a")}) {
+		t.Fatal("clean link dropped")
+	}
+	open := base
+	open.LossProb = 1
+	l.SetParams(open)
+	if l.Send(Packet{Dst: dst, Payload: []byte("b")}) {
+		t.Fatal("send after opening a 100% loss window was accepted")
+	}
+	open.LossProb, open.DupProb = 0, 1
+	l.SetParams(open)
+	l.Send(Packet{Dst: dst, Payload: []byte("c")})
+	l.SetParams(base)
+	l.Send(Packet{Dst: dst, Payload: []byte("d")})
+	s.Drain(0)
+	if delivered != 4 || l.Params() != base {
+		t.Fatalf("delivered %d (want a, c twice, d), params %+v", delivered, l.Params())
+	}
+	if st := l.Stats(); st.DroppedLoss != 1 || st.Duplicated != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

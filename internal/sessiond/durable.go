@@ -271,14 +271,12 @@ func (d *Daemon) restoreSession(sn *journal.Snapshot) error {
 	for _, po := range sn.PendingOut {
 		s.pendingOut = append(s.pendingOut, timedOutput{at: po.At, data: po.Data})
 	}
-	// Reattach the host application. RestoreApp models an application that
+	// Reattach the host application: NewApp may hand back one that
 	// survived the restart (a pty held open across a frontend restart, the
-	// torture tests' transplanted apps); falling back to NewApp gives the
-	// session a fresh application behind its restored screen. Start() is
-	// never replayed — the restored screen already reflects history.
-	if d.cfg.RestoreApp != nil {
-		s.app = d.cfg.RestoreApp(s.ID)
-	} else if d.cfg.NewApp != nil {
+	// torture tests' transplanted apps) or a fresh one behind the restored
+	// screen. Start() is never replayed — the restored screen already
+	// reflects history.
+	if d.cfg.NewApp != nil {
 		s.app = d.cfg.NewApp(s.ID)
 	}
 	d.reg.insert(s)

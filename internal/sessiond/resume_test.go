@@ -83,11 +83,13 @@ func tortureScenario(t *testing.T, restart bool) [][]string {
 			}
 		},
 		NewApp: func(id uint64) host.App {
+			if a, ok := apps[id]; ok {
+				return a
+			}
 			a := host.NewShell(int64(id))
 			apps[id] = a
 			return a
 		},
-		RestoreApp:  func(id uint64) host.App { return apps[id] },
 		IdleTimeout: -1,
 	}
 	if restart {

@@ -77,7 +77,9 @@ type Config struct {
 	Send func(dst netem.Addr, wire []byte)
 	// NewApp builds the host application behind session id (a pty stand-in:
 	// shell, editor, mail reader). Nil means sessions have no application
-	// and the embedder feeds output through Session.Do.
+	// and the embedder feeds output through Session.Do. A session restored
+	// from the journal calls it too, without replaying Start(): it may hand
+	// back an application that survived the restart.
 	NewApp func(id uint64) host.App
 	// Capacity bounds live sessions; 0 means unlimited.
 	Capacity int
@@ -115,11 +117,6 @@ type Config struct {
 	// between flushes. Larger values flush less often under load; smaller
 	// values bound how much a hard crash can suppress.
 	SeqReserve uint64
-	// RestoreApp reattaches the host application behind a restored session
-	// (an application that survived the restart). When nil, restored
-	// sessions fall back to NewApp — without replaying Start(), since the
-	// restored screen already reflects history.
-	RestoreApp func(id uint64) host.App
 
 	// FS is the filesystem the journal reads and writes through (nil =
 	// the real filesystem). Fault tests substitute a faultinject.FaultFS

@@ -219,7 +219,7 @@ func TestQuietPeerIsStillAPeer(t *testing.T) {
 	tm := DefaultTiming()
 	before := r.stats()
 	quietFrom := r.clk.Now()
-	for r.clk.Now().Sub(quietFrom) < tm.ActiveRetryTimeout+5*time.Second {
+	for r.clk.Now().Sub(quietFrom) < ActiveRetryTimeout+5*time.Second {
 		at, ok := r.server.NextDeadline()
 		if !ok {
 			t.Fatalf("no deadline +%v into the silence", r.clk.Now().Sub(quietFrom))
@@ -229,7 +229,7 @@ func TestQuietPeerIsStillAPeer(t *testing.T) {
 	}
 	r.toClient = nil // the client hears none of it
 	heartbeats := r.stats().EmptyAcks - before.EmptyAcks
-	if want := int((tm.ActiveRetryTimeout + 5*time.Second) / tm.HeartbeatInterval); heartbeats < want-1 {
+	if want := int((ActiveRetryTimeout + 5*time.Second) / tm.HeartbeatInterval); heartbeats < want-1 {
 		t.Fatalf("%d heartbeats in %v of silence, want about %d", heartbeats, r.clk.Now().Sub(quietFrom), want)
 	}
 	r.write("still here", r.clk.Now())

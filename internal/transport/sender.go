@@ -33,13 +33,13 @@ type Timing struct {
 	// HeartbeatInterval keeps NAT bindings alive and lets each side learn
 	// the other is reachable (§2.3: 3 s).
 	HeartbeatInterval time.Duration
-	// ActiveRetryTimeout stops aggressive retransmission when the peer
-	// has been silent this long (it may be disconnected; heartbeats
-	// continue).
-	ActiveRetryTimeout time.Duration
 	// MTU is the maximum fragment-contents size in bytes.
 	MTU int
 }
+
+// ActiveRetryTimeout stops aggressive retransmission when the peer has
+// been silent this long (it may be disconnected; heartbeats continue).
+const ActiveRetryTimeout = 10 * time.Second
 
 // DefaultTiming returns the paper's parameter values: what a server, whose
 // host application writes in clumps, runs with.
@@ -50,7 +50,6 @@ func DefaultTiming() Timing {
 		CollectionInterval: 8 * time.Millisecond,
 		AckDelay:           100 * time.Millisecond,
 		HeartbeatInterval:  3 * time.Second,
-		ActiveRetryTimeout: 10 * time.Second,
 		MTU:                1200,
 	}
 }
@@ -354,7 +353,7 @@ func (s *Sender[T]) calculateTimers(now time.Time) {
 	}
 
 	lastHeard, heard := s.conn.LastHeard()
-	remoteActive := heard && now.Sub(lastHeard) < s.timing.ActiveRetryTimeout
+	remoteActive := heard && now.Sub(lastHeard) < ActiveRetryTimeout
 
 	switch {
 	case !s.currentState.Equal(s.back().state):
