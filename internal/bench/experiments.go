@@ -27,14 +27,7 @@ func (c Config) keys() int {
 	return c.KeystrokesPerUser
 }
 
-func (c Config) traces() []*trace.Trace {
-	profiles := trace.SixProfiles()
-	traces := make([]*trace.Trace, len(profiles))
-	for i, p := range profiles {
-		traces[i] = trace.Generate(c.Seed+int64(i)*1000+1, p, c.keys())
-	}
-	return traces
-}
+func (c Config) traces() []*trace.Trace { return trace.SixUsers(c.Seed+1, c.keys()) }
 
 // ArmResult is one arm (Mosh or SSH) of a comparison.
 type ArmResult struct {

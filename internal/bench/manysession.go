@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/binary"
+	"expvar"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -299,12 +300,10 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		}
 	}
 
-	// Server-side telemetry shared across a daemon restart: the restored
-	// daemon inherits the same pipeline, so echo percentiles and stage
-	// latencies cover the whole run. Per-cohort echo aggregation hangs off
-	// the daemon's echo matcher (OnEcho fires under the session lock, and
-	// the simulation is single-threaded on the scheduler).
-	pipe := telemetry.NewPipeline()
+	// Per-cohort echo aggregation hangs off the daemon's echo matcher and
+	// lives here, outside the daemon, so it spans a restart (OnEcho fires
+	// under the session lock, and the simulation is single-threaded on the
+	// scheduler).
 	cohortNames := [4]string{cohortShell: "shell", cohortEditor: "cjk-editor", cohortPager: "log-tail", cohortBulk: "bulk-stream"}
 	type echoAgg struct {
 		hist           *telemetry.Hist
@@ -319,8 +318,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// them, like ptys surviving a frontend restart.
 	apps := make(map[uint64]host.App, opt.Sessions)
 	cfg := sessiond.Config{
-		Clock:    sched,
-		Pipeline: pipe,
+		Clock: sched,
 		OnEcho: func(session uint64, lat, srtt time.Duration) {
 			a := &echoAggs[cohortOf(int(session)-1)]
 			a.hist.Observe(int64(lat))
@@ -607,34 +605,36 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// Connection warmup: clients introduce themselves, RTT estimators
 	// settle, before the measured window opens.
 	sched.RunFor(2 * time.Second)
-	// Wire counters accumulate across a daemon restart: harvest folds the
-	// current daemon's deltas into the result and rebases.
-	m := d.Metrics()
-	packetsIn0, packetsOut0 := m.PacketsIn.Value(), m.PacketsOut.Value()
-	bytesIn0, bytesOut0 := m.BytesIn.Value(), m.BytesOut.Value()
-	queueDrops0, roams0 := m.DropsQueueFull.Value(), m.RoamingEvents.Value()
-	readCalls0, writeCalls0 := m.ReadBatchCalls.Value(), m.WriteBatchCalls.Value()
-	authDrops0, flushFails0 := m.DropsAuth.Value(), m.JournalFlushFailures.Value()
-	harvest := func() {
-		res.PacketsIn += m.PacketsIn.Value() - packetsIn0
-		res.PacketsOut += m.PacketsOut.Value() - packetsOut0
-		res.BytesIn += m.BytesIn.Value() - bytesIn0
-		res.BytesOut += m.BytesOut.Value() - bytesOut0
-		res.QueueDrops += m.DropsQueueFull.Value() - queueDrops0
-		res.Roams += m.RoamingEvents.Value() - roams0
-		res.ReadCalls += m.ReadBatchCalls.Value() - readCalls0
-		res.WriteCalls += m.WriteBatchCalls.Value() - writeCalls0
-		res.AuthDrops += m.DropsAuth.Value() - authDrops0
-		res.JournalFlushFailures += m.JournalFlushFailures.Value() - flushFails0
+	// Wire counters accumulate across a daemon restart: rebase notes the
+	// current daemon's counters, and harvest folds its deltas since then
+	// into the result.
+	type tally struct {
+		c   *expvar.Int
+		sum *int64
 	}
+	tallies := func() []tally {
+		m := d.Metrics()
+		return []tally{
+			{&m.PacketsIn, &res.PacketsIn}, {&m.PacketsOut, &res.PacketsOut},
+			{&m.BytesIn, &res.BytesIn}, {&m.BytesOut, &res.BytesOut},
+			{&m.DropsQueueFull, &res.QueueDrops}, {&m.RoamingEvents, &res.Roams},
+			{&m.ReadBatchCalls, &res.ReadCalls}, {&m.WriteBatchCalls, &res.WriteCalls},
+			{&m.DropsAuth, &res.AuthDrops}, {&m.JournalFlushFailures, &res.JournalFlushFailures},
+		}
+	}
+	var base []int64
 	rebase := func() {
-		m = d.Metrics()
-		packetsIn0, packetsOut0 = m.PacketsIn.Value(), m.PacketsOut.Value()
-		bytesIn0, bytesOut0 = m.BytesIn.Value(), m.BytesOut.Value()
-		queueDrops0, roams0 = m.DropsQueueFull.Value(), m.RoamingEvents.Value()
-		readCalls0, writeCalls0 = m.ReadBatchCalls.Value(), m.WriteBatchCalls.Value()
-		authDrops0, flushFails0 = m.DropsAuth.Value(), m.JournalFlushFailures.Value()
+		base = base[:0]
+		for _, t := range tallies() {
+			base = append(base, t.c.Value())
+		}
 	}
+	harvest := func() {
+		for i, t := range tallies() {
+			*t.sum += t.c.Value() - base[i]
+		}
+	}
+	rebase()
 	start := sched.Now()
 
 	// Schedule every user's typing, phase-shifted so keystrokes spread
@@ -690,6 +690,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			}
 			res.Restarted = true
 			res.Restored = nd.Metrics().SessionsRestored.Value()
+			// The restored daemon takes over the dead one's stage and echo
+			// observations, so the run's telemetry covers both.
+			nd.Pipeline().Merge(d.Pipeline())
 			d = nd
 			wakeDaemon = d.Pump(sched)
 			rebase()
@@ -789,6 +792,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	res.Elapsed = sched.Now().Sub(start)
 	res.Wall = wallClock.Since(wallStart)
 	harvest()
+	m := d.Metrics()
 	res.ReadBatchP50 = m.ReadBatchSizes.Quantile(0.50)
 	res.ReadBatchP99 = m.ReadBatchSizes.Quantile(0.99)
 	res.WriteBatchP50 = m.WriteBatchSizes.Quantile(0.50)
@@ -837,7 +841,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		})
 	}
 	for _, st := range telemetry.Stages() {
-		h := pipe.Stage(st)
+		h := d.Pipeline().Stage(st)
 		if h.Count() == 0 {
 			continue
 		}

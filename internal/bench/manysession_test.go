@@ -135,6 +135,21 @@ func TestManySessionRestartRoamLoss(t *testing.T) {
 	if res.Roams == 0 {
 		t.Fatal("no roaming events observed by the daemon")
 	}
+	// The daemon-side echo count spans both daemon incarnations: the echo
+	// stage and the per-cohort counts come from the same matches, and only
+	// the cohort counts live outside the daemon.
+	var echoes, cohortEchoes int64
+	for _, st := range res.StageStats {
+		if st.Name == "echo" {
+			echoes = st.N
+		}
+	}
+	for _, ec := range res.EchoCohorts {
+		cohortEchoes += ec.N
+	}
+	if echoes == 0 || echoes != cohortEchoes {
+		t.Fatalf("echo stage counted %d matches, the cohorts %d", echoes, cohortEchoes)
+	}
 	rs := Summarize(res.ResumeSamples)
 	// Resumption is bounded by the heartbeat/retransmission machinery, not
 	// by operator action: the whole fleet must be back within seconds.

@@ -4,21 +4,19 @@
 // path, EIO/ENOSPC/torn writes in the journal — reproducible inputs
 // instead of production surprises.
 //
-// Two providers share one seeded PRNG discipline:
-//
-//   - FS is the filesystem seam internal/journal writes through; OSFS
-//     is the real thing and FaultFS injects EIO, ENOSPC, short writes,
-//     failed fsyncs and torn renames at every operation, with an OpHook
-//     for scripting exact failures and recording attempt times.
-//   - The faultconn subpackage wraps a real udpbatch.Conn and injects
-//     socket errnos, truncated, duplicated and corrupted datagrams and
-//     partial writes.
+// It has one provider: FS is the filesystem seam internal/journal writes
+// through; OSFS is the real thing and FaultFS injects EIO, ENOSPC, short
+// writes, failed fsyncs and torn renames at every operation, with an
+// OpHook for scripting exact failures and recording attempt times.
 //
 // A simulated datagram is damaged only by the emulated link it crosses:
-// netem.LinkParams carries loss, duplication, corruption and truncation.
+// netem.LinkParams carries loss, duplication, corruption and truncation,
+// each drawn from that link's own rng. A socket errno is a test's script:
+// the test's own udpbatch.Conn returns it, spelled with this package's
+// Err* values.
 //
 // Everything is driven by Rand, a splitmix64 PRNG: same seed, same fault
-// schedule, every run. All providers are safe for concurrent use.
+// schedule, every run. FaultFS is safe for concurrent use.
 package faultinject
 
 import "sync"

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/faultinject/faultconn"
 	"repro/internal/netem"
 	"repro/internal/network"
 	"repro/internal/sessiond"
@@ -489,18 +488,17 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := newMemConn(func(netem.Addr, []byte) {})
-	fc := faultconn.NewConn(inner, 1)
-	fc.ScriptReadError(
+	conn := newMemConn(func(netem.Addr, []byte) {})
+	conn.failReads(
 		faultinject.ErrEINTR, faultinject.ErrENOBUFS,
 		faultinject.ErrETIMEDOUT, faultinject.ErrECONNREFUSED,
 	)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- d.ServeBatch(fc) }()
+	go func() { serveErr <- d.ServeBatch(conn) }()
 
 	// The four scripted errnos drain first; then a real datagram must
 	// still be read and routed — proof the reader survived them all.
-	inner.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
+	conn.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
 	deadline := time.Now().Add(10 * time.Second)
 	for d.Metrics().ReadErrorsTransient.Value() < 4 || d.Metrics().PacketsIn.Value() < 1 {
 		if time.Now().After(deadline) {
@@ -516,8 +514,8 @@ func TestServeBatchSurvivesTransientErrnos(t *testing.T) {
 
 	// A persistent EACCES (firewall rejection) is NOT transient: the
 	// reader must surface it rather than spin forever.
-	fc.ScriptReadError(faultinject.ErrEACCES)
-	inner.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
+	conn.failReads(faultinject.ErrEACCES)
+	conn.send(spoofedWire(sess.ID), netem.Addr{Host: 3, Port: 33})
 	select {
 	case err := <-serveErr:
 		if !errors.Is(err, syscall.EACCES) {

@@ -23,12 +23,17 @@ import (
 )
 
 // memConn is an in-memory served socket: datagrams sent into in are read
-// in batches like a vectorized socket's, and writes go to route.
+// in batches like a vectorized socket's, and writes go to route. Errnos
+// queued by failReads are returned by the next reads, in order, before
+// anything is read.
 type memConn struct {
 	in     chan udpbatch.Message
 	route  func(dst netem.Addr, wire []byte)
 	closed chan struct{}
 	once   sync.Once
+
+	mu       sync.Mutex
+	readErrs []error
 }
 
 func newMemConn(route func(dst netem.Addr, wire []byte)) *memConn {
@@ -46,9 +51,24 @@ func (c *memConn) send(wire []byte, src netem.Addr) {
 	}
 }
 
+// failReads queues errs for the next ReadBatch calls, one per call.
+func (c *memConn) failReads(errs ...error) {
+	c.mu.Lock()
+	c.readErrs = append(c.readErrs, errs...)
+	c.mu.Unlock()
+}
+
 func (c *memConn) BatchCap() int { return udpbatch.DefaultBatch }
 
 func (c *memConn) ReadBatch(msgs []udpbatch.Message) (int, error) {
+	c.mu.Lock()
+	if len(c.readErrs) > 0 {
+		err := c.readErrs[0]
+		c.readErrs = c.readErrs[1:]
+		c.mu.Unlock()
+		return 0, err
+	}
+	c.mu.Unlock()
 	n := 0
 	select {
 	case m := <-c.in:

@@ -146,11 +146,6 @@ type Config struct {
 	UnauthQuotaBurst int
 	UnauthQuotaRate  float64
 
-	// Pipeline receives the daemon's per-stage latency observations and
-	// keystroke→echo matches. Nil allocates a daemon-private one
-	// (exposed via Daemon.Pipeline); benches pass a shared pipeline so
-	// observations survive a mid-run daemon restart.
-	Pipeline *telemetry.Pipeline
 	// OnEcho, when non-nil, observes every matched keystroke→echo-frame
 	// completion: the session, the end-to-end latency, and the smoothed
 	// RTT at match time (0 before the first RTT sample). Called with the
@@ -326,10 +321,7 @@ func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 	}
 	// Telemetry must exist before restore: sessions revived from the
 	// journal get their probe wired at construction like fresh ones.
-	d.pipe = cfg.Pipeline
-	if d.pipe == nil {
-		d.pipe = telemetry.NewPipeline()
-	}
+	d.pipe = telemetry.NewPipeline()
 	d.rec = telemetry.NewRecorder(0)
 	d.lastDump = make(map[string]int64)
 	if cfg.StateDir != "" {

@@ -36,10 +36,6 @@ type Config struct {
 	Local, Remote netem.Addr
 	// Deliver receives in-order application bytes.
 	Deliver func(data []byte)
-	// MinRTO is the retransmission-timeout floor (default: TCP's 1 s;
-	// the ablation bench lowers it to SSP's 50 ms to isolate that design
-	// choice).
-	MinRTO time.Duration
 	// UseCubic switches congestion avoidance to the CUBIC window curve
 	// (RFC 8312): wall-clock growth that plateaus near the window where
 	// loss last occurred. This is "Linux default TCP (cubic)" from the
@@ -62,6 +58,8 @@ type Stats struct {
 const (
 	// mss is the maximum segment payload.
 	mss = 1200
+	// minRTO is the retransmission-timeout floor (RFC 6298 §2.4).
+	minRTO = time.Second
 	// maxRTO caps exponential backoff, as in Linux.
 	maxRTO = 60 * time.Second
 	// initialCwnd is the initial window in segments, like modern Linux.
@@ -130,9 +128,6 @@ type Conn struct {
 
 // New creates a connection endpoint.
 func New(cfg Config) *Conn {
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = time.Second // RFC 6298 §2.4
-	}
 	c := &Conn{
 		cfg:      cfg,
 		cwnd:     initialCwnd * mss,
@@ -160,8 +155,8 @@ func (c *Conn) RTO() time.Duration {
 	} else {
 		base = time.Duration((c.srtt + 4*c.rttvar) * float64(time.Millisecond))
 	}
-	if base < c.cfg.MinRTO {
-		base = c.cfg.MinRTO
+	if base < minRTO {
+		base = minRTO
 	}
 	rto := base << c.backoff
 	if rto > maxRTO {
@@ -481,9 +476,9 @@ func (c *Conn) deliver(data []byte) {
 // Pair wires two connection endpoints over a path, for tests and the
 // benchmark harness: a's segments travel path.Up, b's travel path.Down.
 func Pair(sched *simclock.Scheduler, net *netem.Network, path *netem.Path,
-	aAddr, bAddr netem.Addr, aDeliver, bDeliver func([]byte), minRTO time.Duration) (a, b *Conn) {
-	a = New(Config{Sched: sched, Link: path.Up, Local: aAddr, Remote: bAddr, Deliver: aDeliver, MinRTO: minRTO})
-	b = New(Config{Sched: sched, Link: path.Down, Local: bAddr, Remote: aAddr, Deliver: bDeliver, MinRTO: minRTO})
+	aAddr, bAddr netem.Addr, aDeliver, bDeliver func([]byte)) (a, b *Conn) {
+	a = New(Config{Sched: sched, Link: path.Up, Local: aAddr, Remote: bAddr, Deliver: aDeliver})
+	b = New(Config{Sched: sched, Link: path.Down, Local: bAddr, Remote: aAddr, Deliver: bDeliver})
 	net.Attach(aAddr, func(p netem.Packet) { a.Receive(p.Payload) })
 	net.Attach(bAddr, func(p netem.Packet) { b.Receive(p.Payload) })
 	return a, b

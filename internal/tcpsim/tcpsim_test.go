@@ -29,7 +29,7 @@ func newFixture(t *testing.T, params netem.LinkParams) *fixture {
 	bAddr := netem.Addr{Host: 2, Port: 22}
 	f.a, f.b = Pair(f.sched, f.net, f.path, aAddr, bAddr,
 		func(d []byte) { f.gotA = append(f.gotA, d...) },
-		func(d []byte) { f.gotB = append(f.gotB, d...) }, 0)
+		func(d []byte) { f.gotB = append(f.gotB, d...) })
 	return f
 }
 
@@ -148,18 +148,6 @@ func TestFastRetransmit(t *testing.T) {
 	}
 	if a.Stats().Timeouts > 0 {
 		t.Fatal("RTO fired despite dup-ack availability")
-	}
-}
-
-func TestCustomMinRTO(t *testing.T) {
-	sched := simclock.NewScheduler(t0)
-	nw := netem.NewNetwork(sched)
-	path := netem.NewPath(nw, netem.LinkParams{Delay: 10 * time.Millisecond}, 5)
-	a, _ := Pair(sched, nw, path, netem.Addr{Host: 1}, netem.Addr{Host: 2}, nil, nil, 50*time.Millisecond)
-	a.Send([]byte("x"))
-	sched.RunFor(time.Second)
-	if got := a.RTO(); got >= time.Second {
-		t.Fatalf("custom floor ignored: RTO = %v", got)
 	}
 }
 

@@ -4,5 +4,6 @@
 // time.After, …) directly instead of going through an injected
 // simclock.Clock. Two time regimes stitched together is how virtual-time
 // tests silently measure the wrong thing; this gate keeps the repository
-// on one.
+// on one. Beside it, TestEveryPackageImported fails on any internal package
+// that no production file outside it imports.
 package timelint

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSixUsersKeystrokeBudget(t *testing.T) {
-	traces := SixUsers(1)
+	traces := SixUsers(1, 1664)
 	if len(traces) != 6 {
 		t.Fatalf("%d traces", len(traces))
 	}
@@ -21,7 +21,7 @@ func TestSixUsersKeystrokeBudget(t *testing.T) {
 }
 
 func TestTypingFractionMatchesPaper(t *testing.T) {
-	traces := SixUsers(1)
+	traces := SixUsers(1, 1664)
 	typing, total := 0, 0
 	for _, tr := range traces {
 		for k, n := range tr.KindCounts() {
@@ -120,7 +120,7 @@ func TestNavigationStepsRepaint(t *testing.T) {
 }
 
 func TestProfilesDiffer(t *testing.T) {
-	traces := SixUsers(1)
+	traces := SixUsers(1, 1664)
 	kChat := traces[4].KindCounts() // compose-heavy
 	kMail := traces[2].KindCounts() // navigation-heavy
 	fChat := float64(kChat[Typing]) / float64(len(traces[4].Steps))
