@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateSection4 = flag.Bool("update", false, "rewrite testdata/section4.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestSection4Golden pins the measured §4 figures at a small, fixed
 // workload: each arm's Stats and the repaired fraction for the fig2,
@@ -54,7 +54,7 @@ func TestSection4Golden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "section4.golden")
-	if *updateSection4 {
+	if *update {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
