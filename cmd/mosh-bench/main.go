@@ -6,32 +6,26 @@
 //
 //	mosh-bench -exp fig3       # bench.Figure3: collection-interval sweep
 //	mosh-bench -exp ablations  # bench.Ablations: design-choice sweeps
-//	mosh-bench -exp manysession -sessions 1000
-//	                           # sessiond scaling: N sessions, one socket
-//	mosh-bench -exp manysession -sessions 999 -mixed
-//	                           # heterogeneous cohorts: shell / CJK editor /
-//	                           # log tail
-//	mosh-bench -exp manysession -sessions 500 -mixed -restart -roam -lossy
-//	                           # torture mode: daemon killed and restored
-//	                           # from its journal mid-run (resumption
-//	                           # latency percentiles), a third of clients
-//	                           # roaming, lossy non-shell cohorts
-//	mosh-bench -exp chaos -sessions 200
-//	                           # hostile-world smoke: mixed cohorts under a
-//	                           # seeded fault schedule (wire drop/dup/
-//	                           # corrupt/truncate, journal disk faults,
-//	                           # mid-run restart, roam, loss) with a nonce
-//	                           # audit; exits nonzero on a broken invariant
-//	mosh-bench -exp journal -sessions 10000 -virtual
+//	mosh-bench -exp mixed -sessions 1000
+//	                           # a row of bench.Loads: N sessions on one
+//	                           # daemon socket. manysession: shells; mixed:
+//	                           # shell / CJK editor / log tail; roam: mixed
+//	                           # on lossy links, a third roaming; torture:
+//	                           # roam plus a mid-run kill and journal
+//	                           # restore; chaos: torture under a seeded
+//	                           # fault schedule with a nonce audit; trains:
+//	                           # bulk-stream egress trains; virtual: the
+//	                           # 10⁵-session regime. chaos and virtual exit
+//	                           # nonzero when their check fails
+//	mosh-bench -exp journal -sessions 10000
 //	                           # incremental-journaling gate: N sessions,
-//	                           # ~1% dirty per flush interval, incremental
-//	                           # arm vs full-rewrite baseline; exits
-//	                           # nonzero unless the incremental arm saves
-//	                           # >= 10x flush bytes with write amp <= 2
+//	                           # ~1% dirty per flush interval; exits nonzero
+//	                           # unless the incremental arm saves >= 10x
+//	                           # flush bytes with write amp <= 2, and unless
+//	                           # the run beats real time
 //
 // -keys N sets the keystrokes per user (default: the paper-scale 1664,
-// ≈10k total across six users). An unknown -exp name is a usage error, and
-// so is -lossy without -mixed.
+// ≈10k total across six users). An unknown -exp name is a usage error.
 package main
 
 import (
@@ -57,16 +51,8 @@ type experiment struct {
 func main() {
 	keys := flag.Int("keys", 1664, "keystrokes per user (6 users)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	sessions := flag.Int("sessions", 1000, "concurrent sessions for -exp manysession")
-	mixed := flag.Bool("mixed", false, "mixed cohorts for -exp manysession: shell (latency-measured) / CJK-emoji editor / log tail")
-	restart := flag.Bool("restart", false, "manysession: kill the daemon mid-run and restore it from its journal; report resumption latency percentiles")
-	roam := flag.Bool("roam", false, "manysession: a third of the sessions change source address mid-run")
-	lossy := flag.Bool("lossy", false, "manysession: lossy links for the non-shell cohorts (editor 1%, log-tail 3%); needs -mixed, without which every session is a shell")
-	trains := flag.Bool("trains", false, "manysession: bulk-stream cohort with lockstep typing — every reply is a multi-fragment same-peer train")
-	chaos := flag.Bool("chaos", false, "manysession: seeded hostile-world schedule (wire faults on every link, journal disk faults, nonce audit); see also -exp chaos")
-	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0 = derived from -seed)")
-	virtual := flag.Bool("virtual", false, "manysession: virtual-time regime tuned so the run completes faster than the span it simulates even at 100000 sessions (sparse keystrokes, stretched heartbeat); exits nonzero if wall time exceeds virtual time")
-	flightDump := flag.String("flight-dump", "chaos-flight-dump.txt", "file to write the daemon's flight-recorder dump to when the chaos gate fails (empty disables)")
+	sessions := flag.Int("sessions", 1000, "concurrent sessions for a many-session load and -exp journal")
+	flightDump := flag.String("flight-dump", "chaos-flight-dump.txt", "file to write the daemon's flight-recorder dump to when a load's check fails (empty disables)")
 
 	var exps []experiment
 	for _, r := range bench.Rows {
@@ -90,44 +76,18 @@ func main() {
 				fmt.Println(a.Line(a.Run(c, p)))
 			}
 		}
-	}},
-		experiment{"manysession", false, func(c bench.Config) {
-			res := bench.RunManySession(bench.ManySessionOptions{
-				Sessions:     *sessions,
-				Seed:         c.Seed,
-				Mixed:        *mixed,
-				Restart:      *restart,
-				Roam:         *roam,
-				LossyCohorts: *lossy,
-				Trains:       *trains,
-				Chaos:        *chaos,
-				ChaosSeed:    *chaosSeed,
-				Virtual:      *virtual,
-			})
+	}})
+	for _, l := range bench.Loads {
+		exps = append(exps, experiment{l.Name, false, func(c bench.Config) {
+			opt := l.Options
+			opt.Sessions, opt.Seed = *sessions, c.Seed
+			res := bench.RunManySession(opt)
 			fmt.Println(bench.FormatManySession(res))
-			if *virtual && res.Wall >= res.Elapsed {
-				fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual (ratio %.2fx)\n",
-					res.Wall.Round(time.Millisecond), res.Elapsed, res.Elapsed.Seconds()/res.Wall.Seconds())
-				os.Exit(1)
+			if l.Check == nil {
+				return
 			}
-		}},
-		// The chaos smoke is the torture preset in one flag: mixed cohorts,
-		// restart, roam, lossy links, and the full fault schedule.
-		experiment{"chaos", false, func(c bench.Config) {
-			res := bench.RunManySession(bench.ManySessionOptions{
-				Sessions:     *sessions,
-				Seed:         c.Seed,
-				Mixed:        true,
-				Restart:      true,
-				Roam:         true,
-				LossyCohorts: true,
-				Chaos:        true,
-				ChaosSeed:    *chaosSeed,
-			})
-			fmt.Println(bench.FormatManySession(res))
-			if res.NonceViolations != 0 || res.Restored != int64(res.Sessions) || res.Lost != 0 {
-				fmt.Fprintf(os.Stderr, "chaos FAILED: nonce violations=%d restored=%d/%d lost=%d\n",
-					res.NonceViolations, res.Restored, res.Sessions, res.Lost)
+			if err := l.Check(res); err != nil {
+				fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", l.Name, err)
 				// Ship the daemon's flight recorder with the failure: the last
 				// few thousand pipeline events (drops, trips, journal faults)
 				// are the forensics a red CI run needs.
@@ -140,26 +100,28 @@ func main() {
 				}
 				os.Exit(1)
 			}
-		}},
-		// The incremental-journaling gate: steady-state flush bytes against
-		// the run's first flush, a checkpoint of every session, and write
-		// amplification.
-		experiment{"journal", false, func(c bench.Config) {
-			inc := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: c.Seed})
-			fmt.Println(bench.FormatJournalBench(inc))
-			ratio := float64(inc.WarmBytes) / inc.BytesPerFlush
-			fmt.Printf("incremental saves %.1fx flush bytes over a checkpoint; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
-				ratio, inc.WriteAmp, float64(inc.FlushP99)/float64(time.Millisecond))
-			if ratio < 10 || inc.WriteAmp > 2 {
-				fmt.Fprintf(os.Stderr, "journal FAILED: ratio=%.1fx (want >=10) write_amp=%.3f (want <=2)\n", ratio, inc.WriteAmp)
-				os.Exit(1)
-			}
-			if *virtual && inc.Wall >= inc.Elapsed {
-				fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual\n",
-					inc.Wall.Round(time.Millisecond), inc.Elapsed)
-				os.Exit(1)
-			}
 		}})
+	}
+
+	// The incremental-journaling gate: steady-state flush bytes against
+	// the run's first flush, a checkpoint of every session, and write
+	// amplification.
+	exps = append(exps, experiment{"journal", false, func(c bench.Config) {
+		inc := bench.RunJournalBench(bench.JournalBenchOptions{Sessions: *sessions, Seed: c.Seed})
+		fmt.Println(bench.FormatJournalBench(inc))
+		ratio := float64(inc.WarmBytes) / inc.BytesPerFlush
+		fmt.Printf("incremental saves %.1fx flush bytes over a checkpoint; journal_write_amp %.3f; journal_flush_p99_ms %.3f\n",
+			ratio, inc.WriteAmp, float64(inc.FlushP99)/float64(time.Millisecond))
+		if ratio < 10 || inc.WriteAmp > 2 {
+			fmt.Fprintf(os.Stderr, "journal FAILED: ratio=%.1fx (want >=10) write_amp=%.3f (want <=2)\n", ratio, inc.WriteAmp)
+			os.Exit(1)
+		}
+		if inc.Wall >= inc.Elapsed {
+			fmt.Fprintf(os.Stderr, "virtual-time FAILED: %v wall >= %v virtual\n",
+				inc.Wall.Round(time.Millisecond), inc.Elapsed)
+			os.Exit(1)
+		}
+	}})
 
 	names := []string{"all"}
 	for _, e := range exps {
@@ -169,11 +131,6 @@ func main() {
 	flag.Parse()
 	if !slices.Contains(names, *exp) {
 		fmt.Fprintf(os.Stderr, "mosh-bench: unknown -exp %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *lossy && !*mixed {
-		fmt.Fprintln(os.Stderr, "mosh-bench: -lossy needs -mixed (without it every session is a shell and no link is degraded)")
 		flag.Usage()
 		os.Exit(2)
 	}

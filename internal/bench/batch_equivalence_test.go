@@ -20,16 +20,9 @@ import (
 // happens. Runs mixed cohorts over lossy links with a third of the
 // clients roaming mid-run, reusing the torture harness.
 func TestBatchEquivalenceUnderLossAndRoam(t *testing.T) {
-	base := ManySessionOptions{
-		Sessions:      120,
-		Keystrokes:    10,
-		TypeInterval:  150 * time.Millisecond,
-		Seed:          23,
-		Mixed:         true,
-		Roam:          true,
-		LossyCohorts:  true,
-		CaptureFrames: true,
-	}
+	base := loadOptions(t, "roam")
+	base.Sessions, base.Keystrokes, base.TypeInterval, base.Seed = 120, 10, 150*time.Millisecond, 23
+	base.captureFrames = true
 
 	batched := base
 	res := RunManySession(batched)
@@ -60,7 +53,7 @@ func TestBatchEquivalenceUnderLossAndRoam(t *testing.T) {
 	// only changes how syscalls are accounted, never what any session sees.
 	for _, m := range []sessiond.IOModel{sessiond.IOModelLoop} {
 		mopt := base
-		mopt.IOModel = m
+		mopt.ioModel = m
 		mres := RunManySession(mopt)
 		if len(mres.FrameHashes) != base.Sessions {
 			t.Fatalf("[%v] frame capture incomplete: %d hashes", m, len(mres.FrameHashes))

@@ -24,24 +24,18 @@ import (
 // Everything is deterministic from the seeds; on failure the schedule is
 // reproducible from the logged chaos seed.
 func TestChaosTorture(t *testing.T) {
-	base := ManySessionOptions{
-		Sessions:      200,
-		Keystrokes:    20,
-		TypeInterval:  150 * time.Millisecond,
-		Seed:          77,
-		Mixed:         true,
-		CaptureFrames: true,
+	sized := func(name string) ManySessionOptions {
+		opt := loadOptions(t, name)
+		opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 200, 20, 150*time.Millisecond, 77
+		opt.captureFrames = true
+		return opt
 	}
-	clean := RunManySession(base)
+	clean := RunManySession(sized("mixed"))
 
-	chaos := base
-	chaos.Chaos = true
-	chaos.ChaosSeed = 1077
-	chaos.Restart = true
-	chaos.Roam = true
-	chaos.LossyCohorts = true
+	chaos := sized("chaos")
+	chaos.chaosSeed = 1077
 	got := RunManySession(chaos)
-	t.Logf("chaos seed %d\n%s", chaos.ChaosSeed, FormatManySession(got))
+	t.Logf("chaos seed %d\n%s", chaos.chaosSeed, FormatManySession(got))
 
 	// The schedule must have actually been hostile — a chaos run that
 	// injected nothing proves nothing.
@@ -102,6 +96,6 @@ func TestChaosTorture(t *testing.T) {
 	}
 	if diverged > 0 {
 		t.Fatalf("%d/%d sessions diverged from the baseline (chaos seed %d)",
-			diverged, len(got.FinalFrames), chaos.ChaosSeed)
+			diverged, len(got.FinalFrames), chaos.chaosSeed)
 	}
 }

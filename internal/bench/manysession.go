@@ -27,7 +27,9 @@ import (
 
 // ManySessionOptions configures the multi-session load generator: N
 // simulated Mosh clients, each behind its own emulated link, all served by
-// one sessiond daemon on one socket, in deterministic virtual time.
+// one sessiond daemon on one socket, in deterministic virtual time. What
+// the load is made of comes from its row of Loads; a run sets sizes and
+// the seed.
 type ManySessionOptions struct {
 	// Sessions is the number of concurrent sessions (default 100).
 	Sessions int
@@ -39,29 +41,40 @@ type ManySessionOptions struct {
 	TypeInterval time.Duration
 	// Params shapes every client's link (default: 2 ms LAN).
 	Params netem.LinkParams
-	// Seed drives link randomness and the per-session shell applications.
+	// Seed drives link randomness and the per-session host applications.
 	Seed int64
-	// Mixed runs heterogeneous workload cohorts instead of uniform shell
-	// typing: sessions rotate through shell (keystroke latency measured on
-	// the echo), CJK/emoji editor (unicode-heavy screens exercising the
-	// grapheme intern table), and log-tail (continuous scrolling). Latency
-	// samples come from the shell cohort; the other cohorts contribute
-	// realistic screen-state load.
-	Mixed bool
-	// Roam makes a third of the sessions change their source address
-	// mid-run (60% through the typing window), exercising per-session
-	// roaming under full multiplexer load.
-	Roam bool
-	// LossyCohorts degrades the non-shell cohorts' links (editor 1%,
-	// log-tail 3% i.i.d. loss). It needs Mixed: without it every session
-	// is a shell and nothing is degraded. The shell cohort's links stay
-	// clean so the latency percentiles stay attributable.
-	LossyCohorts bool
-	// Restart kills the daemon mid-run (journal flush on Close), restores
-	// it from the journal after a short outage with every host application
-	// transplanted, and reports per-session resumption latency: restore
-	// instant → first post-restart state accepted by that client.
-	Restart bool
+
+	// cohorts is the mix sessions rotate through (default: shells).
+	cohorts []cohort
+	// lockstep types every session at the same instants instead of
+	// phase-shifting them across the interval.
+	lockstep bool
+	// width and height set every screen (0: the daemon's default).
+	width, height int
+	// heartbeat stretches the SSP keepalive on both ends (0: the
+	// transport's default).
+	heartbeat time.Duration
+	// lossy adds each cohort's own loss to its links.
+	lossy bool
+	// roam moves a third of the clients to a new address 60% through the
+	// typing window.
+	roam bool
+	// restart kills the daemon halfway through typing (journal flush on
+	// Close), restores it from the journal after a short outage with every
+	// host application transplanted, and measures each session's
+	// resumption: restore instant → first post-restart state accepted.
+	restart bool
+	// chaos runs the load under a seeded hostile-world schedule: a window
+	// of drop/dup/corrupt/truncate faults on every client link in both
+	// directions, a fault-injecting filesystem under the journal (healed
+	// just before the restart kill so the restore stays testable), a
+	// periodic journal flush pump so retry, backoff and suspension run in
+	// virtual time, and a nonce audit on every datagram the daemon seals.
+	chaos bool
+	// chaosSeed drives the disk faults and the journal's retry jitter
+	// (default: derived from Seed). The wire faults come from each path's
+	// own link seed, like its loss.
+	chaosSeed int64
 	// unbatched runs the daemon on the one-datagram-per-syscall model (the
 	// portable fallback / pre-batching baseline): ingress is handled one
 	// packet at a time and write accounting is one syscall per datagram.
@@ -70,55 +83,118 @@ type ManySessionOptions struct {
 	// sendmmsg sweeps. Packet handling instants are identical in both
 	// modes, so the comparison isolates syscall amortization.
 	unbatched bool
-	// IOModel selects which provider geometry the batched daemon's syscall
+	// ioModel selects which provider geometry the batched daemon's syscall
 	// accounting mirrors (mmsg by default; see sessiond.IOModel). Packet
 	// handling is identical in every model — per-session traffic is
 	// byte-for-byte the same — so model runs differ in syscalls/pkt alone.
-	IOModel sessiond.IOModel
-	// Trains replaces every session's application with host.BulkStream and
-	// types in lockstep (no phase shift): one shared busy log feeding every
-	// viewer, so reply bursts are correlated across sessions and each reply
-	// diff spans several MTU-sized fragments, so the egress ring carries
-	// long same-peer trains. Echo-latency sampling is disabled (bulk
-	// output scrolls the prompt away); the measures of interest are
-	// WriteCalls and frame equivalence.
-	Trains bool
-	// CaptureFrames records, per session, a running hash of every server
+	ioModel sessiond.IOModel
+	// captureFrames records, per session, a running hash of every server
 	// state the client accepts (in order) plus the final rendered screen —
-	// the equivalence test's evidence that batched and unbatched runs
-	// produce byte-identical per-session frame streams.
-	CaptureFrames bool
-	// Chaos runs the whole load under a seeded hostile-world schedule:
-	// a window of drop/dup/corrupt/truncate faults on every client link in
-	// both directions, a fault-injecting filesystem under the journal
-	// (write/sync/rename failures, short writes, torn renames — healed
-	// just before the Restart kill so the recovery story stays testable),
-	// a periodic journal flush pump so the retry/backoff/suspension
-	// machinery actually runs in virtual time, and a nonce audit on every
-	// datagram the daemon seals. Combine with Restart/Roam/LossyCohorts for the
-	// full torture. Everything is deterministic from Seed and ChaosSeed.
-	Chaos bool
-	// ChaosSeed drives the disk faults and the journal's retry jitter
-	// (default: derived from Seed). The wire faults come from each path's
-	// own link seed, like its loss.
-	ChaosSeed int64
-	// Virtual tunes the run for wall-beating virtual time at very large
-	// session counts (the 10⁵-session regime): few keystrokes spread over
-	// a long inter-keystroke interval (defaults become 2 keystrokes every
-	// 3 min) and a stretched SSP heartbeat (150 s instead of the paper's
-	// 3 s), so the simulated span is dominated by idle virtual time —
-	// which costs nearly no wall time to skip over — instead of by
-	// per-packet work. Explicit Keystrokes/TypeInterval still win.
-	Virtual bool
+	// the equivalence tests' evidence that two runs produce byte-identical
+	// per-session frame streams.
+	captureFrames bool
 }
+
+// cohort is one kind of session in a many-session load.
+type cohort struct {
+	name string
+	app  func(seed int64) host.App
+	// loss is the i.i.d. loss its links add under a lossy load.
+	loss float64
+	// keys are the keystrokes it types, in turn.
+	keys string
+	// echoed cohorts echo each key onto the shell prompt row, where its
+	// keystroke→visible latency is sampled.
+	echoed bool
+}
+
+const letters = "abcdefghijklmnopqrstuvwxyz"
+
+// cohorts is every kind of session: the shell alone is the uniform load,
+// the first three are the mixed one, and the bulk stream is the trains
+// load.
+var cohorts = []cohort{
+	{name: "shell", app: func(seed int64) host.App { return host.NewShell(seed) }, keys: letters, echoed: true},
+	// Unicode-heavy screens exercise the grapheme intern table.
+	{name: "cjk-editor", app: func(seed int64) host.App { return host.NewUnicodeEditor(seed, 80) }, loss: 0.01, keys: letters},
+	// Continuous scrolling, held on space.
+	{name: "log-tail", app: func(seed int64) host.App { return host.NewLogTail(seed) }, loss: 0.03, keys: " "},
+	// One shared busy log feeding every viewer: each reply diff spans
+	// several MTU-sized fragments, so the egress ring carries long
+	// same-peer trains. Its output scrolls the prompt away, so no echo is
+	// sampled.
+	{name: "bulk-stream", app: func(seed int64) host.App { return host.NewBulkStream(seed, 0) }, keys: letters},
+}
+
+// Load is one many-session composition: the -exp name mosh-bench runs it
+// under, the options it runs, and the invariant mosh-bench holds its result
+// to (nil: none).
+type Load struct {
+	Name    string
+	Options ManySessionOptions
+	Check   func(ManySessionResult) error
+}
+
+// Loads is every many-session composition the tree runs.
+var Loads = []Load{{
+	Name:    "manysession",
+	Options: ManySessionOptions{},
+}, {
+	// Latency is sampled on the shells; the editors and log tails add
+	// screen-state load.
+	Name:    "mixed",
+	Options: ManySessionOptions{cohorts: cohorts[:3]},
+}, {
+	// Lossy links for the non-shell cohorts (the shells stay clean so the
+	// latency percentiles stay attributable) and a third of the clients
+	// roaming.
+	Name:    "roam",
+	Options: ManySessionOptions{cohorts: cohorts[:3], lossy: true, roam: true},
+}, {
+	// A mid-run kill and journal restore on top of roam.
+	Name:    "torture",
+	Options: ManySessionOptions{cohorts: cohorts[:3], lossy: true, roam: true, restart: true},
+}, {
+	// The torture under the fault schedule, held to the survivable-failure
+	// contract: no nonce reuse, every session restored, nothing lost.
+	Name:    "chaos",
+	Options: ManySessionOptions{cohorts: cohorts[:3], lossy: true, roam: true, restart: true, chaos: true},
+	Check: func(r ManySessionResult) error {
+		if r.NonceViolations != 0 || r.Restored != int64(r.Sessions) || r.Lost != 0 {
+			return fmt.Errorf("nonce violations=%d restored=%d/%d lost=%d",
+				r.NonceViolations, r.Restored, r.Sessions, r.Lost)
+		}
+		return nil
+	},
+}, {
+	// A wide dashboard-sized window: the reply diff is bounded by one
+	// screenful, so a large screen is what makes each burst span many
+	// fragments. Typing in lockstep makes same-instant egress sweeps carry
+	// many sessions' trains at once.
+	Name:    "trains",
+	Options: ManySessionOptions{cohorts: cohorts[3:], lockstep: true, width: 162, height: 64},
+}, {
+	// The 10⁵-session regime: few keystrokes far apart and a stretched
+	// heartbeat (the paper's is 3 s), so the simulated span is dominated by
+	// idle virtual time, which costs nearly no wall time to skip, instead
+	// of by per-packet work.
+	Name:    "virtual",
+	Options: ManySessionOptions{Keystrokes: 2, TypeInterval: 3 * time.Minute, heartbeat: 150 * time.Second},
+	Check: func(r ManySessionResult) error {
+		if r.Wall >= r.Elapsed {
+			return fmt.Errorf("%v wall >= %v virtual (ratio %.2fx)",
+				r.Wall.Round(time.Millisecond), r.Elapsed, r.Elapsed.Seconds()/r.Wall.Seconds())
+		}
+		return nil
+	},
+}}
 
 // ManySessionResult aggregates the run.
 type ManySessionResult struct {
 	Sessions   int
 	Keystrokes int // per session
-	// Shells/Editors/Pagers/Bulk are the cohort sizes (Sessions/0/0/0 for
-	// the uniform run; 0/0/0/Sessions for the Trains run).
-	Shells, Editors, Pagers, Bulk int
+	// Cohorts counts the sessions of each of the load's cohorts.
+	Cohorts []CohortSize
 	// Samples holds one keystroke→visible-echo latency per delivered
 	// keystroke, across all sessions.
 	Samples []Sample
@@ -160,12 +236,12 @@ type ManySessionResult struct {
 	// syscall; from the final daemon incarnation on restart runs).
 	ReadBatchP50, ReadBatchP99   int
 	WriteBatchP50, WriteBatchP99 int
-	// FrameHashes (with CaptureFrames) holds one order-sensitive FNV-1a
+	// FrameHashes (with captureFrames) holds one order-sensitive FNV-1a
 	// hash per session over every accepted server state; FinalFrames holds
 	// each session's converged screen render.
 	FrameHashes []uint64
 	FinalFrames [][]byte
-	// Chaos reporting (Chaos mode). NonceViolations counts sealed
+	// Chaos reporting (chaos loads). NonceViolations counts sealed
 	// datagrams whose (session, sequence) pair was ever seen before at the
 	// daemon's Send hook — ANY value other than zero is a broken crypto
 	// invariant. The wire-fault counters are summed from the link stats of
@@ -189,11 +265,17 @@ type ManySessionResult struct {
 	// from the telemetry pipeline's matcher), per-stage pipeline
 	// latencies, and the client-visible Fig. 6 fractions computed from
 	// Samples. FlightDump is the daemon's flight-recorder dump captured
-	// at run end (Chaos mode only) so a failing gate can ship forensics.
+	// at run end (chaos loads only) so a failing gate can ship forensics.
 	EchoCohorts               []EchoCohortStats
 	StageStats                []StageStat
 	ClientLe16ms, ClientLeRTT float64
 	FlightDump                []byte
+}
+
+// CohortSize is how many of a load's sessions ran one cohort.
+type CohortSize struct {
+	Name     string
+	Sessions int
 }
 
 // EchoCohortStats summarizes one cohort's server-side keystroke→echo
@@ -227,14 +309,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	if opt.Sessions <= 0 {
 		opt.Sessions = 100
 	}
-	if opt.Virtual {
-		if opt.Keystrokes <= 0 {
-			opt.Keystrokes = 2
-		}
-		if opt.TypeInterval <= 0 {
-			opt.TypeInterval = 3 * time.Minute
-		}
-	}
 	if opt.Keystrokes <= 0 {
 		opt.Keystrokes = 20
 	}
@@ -246,6 +320,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	}
 	if opt.Params == (netem.LinkParams{}) {
 		opt.Params = netem.LinkParams{Delay: 2 * time.Millisecond, Overhead: 28}
+	}
+	if len(opt.cohorts) == 0 {
+		opt.cohorts = cohorts[:1]
 	}
 
 	// Wall-clock measurement is the one legitimately real-time reading in
@@ -259,22 +336,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	paths := make(map[netem.Addr]*netem.Path, opt.Sessions)
 
 	// Cohort assignment: session IDs are issued sequentially from 1 in
-	// OpenSession order, so client i holds session ID i+1.
-	const (
-		cohortShell = iota
-		cohortEditor
-		cohortPager
-		cohortBulk
-	)
-	cohortOf := func(i int) int {
-		if opt.Trains {
-			return cohortBulk
-		}
-		if !opt.Mixed {
-			return cohortShell
-		}
-		return i % 3
-	}
+	// OpenSession order, so client i holds session ID i+1 and runs the
+	// load's cohort i mod the mix's size.
+	cohortOf := func(i int) int { return i % len(opt.cohorts) }
 
 	// Chaos plumbing: a nonce audit at the daemon's Send hook (before
 	// the wire, so a link's duplicates are not mistaken for daemon nonce
@@ -286,10 +350,10 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		chaosFS   *faultinject.FaultFS
 		nonceSeen map[uint64]map[uint64]struct{}
 	)
-	res := ManySessionResult{Sessions: opt.Sessions, Keystrokes: opt.Keystrokes, IOModel: opt.IOModel}
-	if opt.Chaos {
-		if opt.ChaosSeed == 0 {
-			opt.ChaosSeed = opt.Seed + 0xC4A05
+	res := ManySessionResult{Sessions: opt.Sessions, Keystrokes: opt.Keystrokes, IOModel: opt.ioModel}
+	if opt.chaos {
+		if opt.chaosSeed == 0 {
+			opt.chaosSeed = opt.Seed + 0xC4A05
 		}
 		nonceSeen = make(map[uint64]map[uint64]struct{})
 		res.ChaosActive = true
@@ -304,12 +368,11 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// lives here, outside the daemon, so it spans a restart (OnEcho fires
 	// under the session lock, and the simulation is single-threaded on the
 	// scheduler).
-	cohortNames := [4]string{cohortShell: "shell", cohortEditor: "cjk-editor", cohortPager: "log-tail", cohortBulk: "bulk-stream"}
 	type echoAgg struct {
 		hist           *telemetry.Hist
 		n, le16, leRTT int64
 	}
-	var echoAggs [4]echoAgg
+	echoAggs := make([]echoAgg, len(opt.cohorts))
 	for i := range echoAggs {
 		echoAggs[i].hist = telemetry.NewHist(6)
 	}
@@ -331,7 +394,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			}
 		},
 		Send: func(dst netem.Addr, wire []byte) {
-			if !opt.Chaos {
+			if !opt.chaos {
 				deliver(dst, wire)
 				return
 			}
@@ -356,59 +419,42 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			if a, ok := apps[id]; ok {
 				return a
 			}
-			var a host.App
-			switch cohortOf(int(id) - 1) {
-			case cohortEditor:
-				a = host.NewUnicodeEditor(opt.Seed+int64(id), 80)
-			case cohortPager:
-				a = host.NewLogTail(opt.Seed + int64(id))
-			case cohortBulk:
-				a = host.NewBulkStream(opt.Seed+int64(id), 0)
-			default:
-				a = host.NewShell(opt.Seed + int64(id))
-			}
+			a := opt.cohorts[cohortOf(int(id)-1)].app(opt.Seed + int64(id))
 			apps[id] = a
 			return a
 		},
 		IdleTimeout: -1,
-		IOModel:     opt.IOModel,
+		IOModel:     opt.ioModel,
+		Width:       opt.width,
+		Height:      opt.height,
 	}
 	if opt.unbatched {
 		cfg.IOModel = sessiond.IOModelLoop
 	}
-	// Virtual regime: stretch the keepalive heartbeat on both ends so the
-	// long idle stretches between keystrokes stay idle on the wire too —
-	// per-session heartbeat exchanges, not simulated idle time, are what
-	// cost wall clock at 10⁵ sessions.
-	var virtualTiming *transport.Timing
-	if opt.Virtual {
+	// A stretched heartbeat applies on both ends, so the long idle
+	// stretches between keystrokes stay idle on the wire too: per-session
+	// heartbeat exchanges, not simulated idle time, are what cost wall
+	// clock at 10⁵ sessions.
+	if opt.heartbeat > 0 {
 		t := transport.DefaultTiming()
-		t.HeartbeatInterval = 150 * time.Second
-		virtualTiming = &t
-		cfg.Timing = virtualTiming
+		t.HeartbeatInterval = opt.heartbeat
+		cfg.Timing = &t
 	}
-	// The trains workload views a wide dashboard-sized window: the reply
-	// diff is bounded by one screenful, so a large screen is what makes
-	// each burst span many MTU-sized fragments (the egress train).
-	const trainsWidth, trainsHeight = 162, 64
-	if opt.Trains {
-		cfg.Width, cfg.Height = trainsWidth, trainsHeight
-	}
-	if opt.Restart {
+	if opt.restart {
 		stateDir, err := os.MkdirTemp("", "mosh-bench-journal-")
 		if err != nil {
 			panic(err)
 		}
 		defer os.RemoveAll(stateDir)
 		cfg.StateDir = stateDir
-		if opt.Chaos {
+		if opt.chaos {
 			// A hostile disk under the journal, with a tight retry/suspend
 			// schedule so backoff, suspension, and resume all fit inside
 			// the run's fault windows. The small SeqReserve makes the
 			// two-phase reservation actually bind under disk failure.
-			chaosFS = faultinject.NewFaultFS(nil, opt.ChaosSeed+2)
+			chaosFS = faultinject.NewFaultFS(nil, opt.chaosSeed+2)
 			cfg.FS = chaosFS
-			cfg.FaultSeed = opt.ChaosSeed + 3
+			cfg.FaultSeed = opt.chaosSeed + 3
 			cfg.JournalRetryMin = 40 * time.Millisecond
 			cfg.JournalRetryMax = 400 * time.Millisecond
 			cfg.JournalSuspendAfter = 3
@@ -465,23 +511,18 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		preNum   uint64
 		resumeAt time.Time
 		receive  func(p netem.Packet)
-		// Frame-stream capture (CaptureFrames): an order-sensitive hash
+		// Frame-stream capture (captureFrames): an order-sensitive hash
 		// over every accepted server state.
 		frameNum  uint64
 		frameHash hash.Hash64
 	}
 	clients := make([]*loadClient, opt.Sessions)
 
-	// cohortParams degrades the non-shell cohorts' links when requested.
+	// cohortParams adds a cohort's own loss to its links under a lossy load.
 	cohortParams := func(cohort int) netem.LinkParams {
 		p := opt.Params
-		if opt.LossyCohorts {
-			switch cohort {
-			case cohortEditor:
-				p.LossProb += 0.01
-			case cohortPager:
-				p.LossProb += 0.03
-			}
+		if opt.lossy {
+			p.LossProb += opt.cohorts[cohort].loss
 		}
 		return p
 	}
@@ -525,23 +566,17 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		return p
 	}
 
+	for _, c := range opt.cohorts {
+		res.Cohorts = append(res.Cohorts, CohortSize{Name: c.name})
+	}
 	for i := 0; i < opt.Sessions; i++ {
-		switch cohortOf(i) {
-		case cohortEditor:
-			res.Editors++
-		case cohortPager:
-			res.Pagers++
-		case cohortBulk:
-			res.Bulk++
-		default:
-			res.Shells++
-		}
+		res.Cohorts[cohortOf(i)].Sessions++
 		sess, err := d.OpenSession()
 		if err != nil {
 			panic(err)
 		}
 		lc := &loadClient{cohort: cohortOf(i)}
-		if opt.CaptureFrames {
+		if opt.captureFrames {
 			lc.frameHash = fnv.New64a()
 		}
 		lc.addr = netem.Addr{Host: uint32(1 + i), Port: uint16(1000 + i%60000)}
@@ -550,7 +585,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		lc.cl, err = core.NewClient(core.ClientConfig{
 			Key:         sess.Key(),
 			Clock:       sched,
-			Timing:      virtualTiming,
+			Timing:      cfg.Timing,
 			Envelope:    &network.Envelope{ID: sess.ID},
 			Width:       cfg.Width,
 			Height:      cfg.Height,
@@ -580,7 +615,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 				res.ResumeSamples = append(res.ResumeSamples, Sample{Latency: now.Sub(lc.resumeAt)})
 				lc.resumeAt = time.Time{}
 			}
-			// Visibility check (shell cohort only — its echo position is
+			// Visibility check (echoed cohorts only — the echo position is
 			// exact): a keystroke's echo is the cell the shell echoes it
 			// into on the prompt row.
 			fb := lc.cl.ServerState()
@@ -638,14 +673,11 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	start := sched.Now()
 
 	// Schedule every user's typing, phase-shifted so keystrokes spread
-	// evenly across the interval instead of arriving in lockstep.
-	const letters = "abcdefghijklmnopqrstuvwxyz"
+	// evenly across the interval, unless the load types in lockstep.
 	for i, lc := range clients {
-		lc := lc
+		c := opt.cohorts[lc.cohort]
 		phase := opt.TypeInterval * time.Duration(i) / time.Duration(opt.Sessions)
-		if opt.Trains {
-			// One shared log feeds every viewer: bursts land in lockstep, so
-			// same-instant egress sweeps carry many sessions' trains at once.
+		if opt.lockstep {
 			phase = 0
 		}
 		var typeNext func()
@@ -653,11 +685,8 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			if lc.typed >= opt.Keystrokes {
 				return
 			}
-			ch := letters[lc.typed%len(letters)]
-			if lc.cohort == cohortPager {
-				ch = ' ' // hold the pager on space
-			}
-			if lc.cohort == cohortShell {
+			ch := c.keys[lc.typed%len(c.keys)]
+			if c.echoed {
 				lc.pending = append(lc.pending, pendingKey{
 					col:  shellPromptLen + lc.typed,
 					char: ch,
@@ -676,7 +705,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	const outage = 300 * time.Millisecond
 	killAt := start.Add(typing / 2)
 
-	if opt.Restart {
+	if opt.restart {
 		// Kill the daemon mid-run (on-shutdown journal flush included) and
 		// restore it after a short outage, transplanting the applications.
 		sched.At(killAt, func() {
@@ -704,13 +733,13 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		})
 	}
 
-	if opt.Roam {
+	if opt.roam {
 		// A third of the sessions change network address 60% through the
-		// typing window — floored past the restore instant when Restart is
-		// also enabled, so roaming always exercises the restored daemon
+		// typing window — floored past the restore instant on a restart
+		// load, so roaming always exercises the restored daemon
 		// (not the outage) however short the typing window is.
 		roamAt := start.Add(typing * 3 / 5)
-		if opt.Restart {
+		if opt.restart {
 			if floor := killAt.Add(outage + 200*time.Millisecond); roamAt.Before(floor) {
 				roamAt = floor
 			}
@@ -734,7 +763,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		})
 	}
 
-	if opt.Chaos {
+	if opt.chaos {
 		// Network chaos window: every live path's links fault in both
 		// directions from shortly after the measured window opens until
 		// typing ends, leaving the drain clean so retransmits can converge
@@ -751,7 +780,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		sched.At(start.Add(typing), func() { setChaos(false) })
 		if chaosFS != nil {
 			// Disk chaos: high failure rates so consecutive-failure
-			// suspension actually triggers, healed just before the Restart
+			// suspension actually triggers, healed just before the restart
 			// kill (the shutdown flush must find a working disk for the
 			// restore side of the torture to stay meaningful) and again at
 			// the end of typing so the final suspension can resume.
@@ -760,13 +789,13 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 				RenameErrProb: 0.25, TornRenameProb: 0.25,
 			}
 			sched.At(start.Add(400*time.Millisecond), func() { chaosFS.SetFaults(fsOn) })
-			if opt.Restart {
+			if opt.restart {
 				sched.At(killAt.Add(-100*time.Millisecond), func() { chaosFS.SetFaults(faultinject.FSFaults{}) })
 				sched.At(killAt.Add(outage+300*time.Millisecond), func() { chaosFS.SetFaults(fsOn) })
 			}
 			sched.At(start.Add(typing), func() { chaosFS.SetFaults(faultinject.FSFaults{}) })
 		}
-		if opt.Restart {
+		if opt.restart {
 			// Periodic flush pump: sim mode has no journal loop, so drive
 			// the flush (and observe suspensions) on a fixed cadence.
 			// Attempts self-gate on the retry backoff, so this cannot
@@ -800,14 +829,14 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	if pkts := res.PacketsIn + res.PacketsOut; pkts > 0 {
 		res.SyscallsPerPacket = float64(res.ReadCalls+res.WriteCalls) / float64(pkts)
 	}
-	if opt.CaptureFrames {
+	if opt.captureFrames {
 		for _, lc := range clients {
 			res.FrameHashes = append(res.FrameHashes, lc.frameHash.Sum64())
 			res.FinalFrames = append(res.FinalFrames, terminal.NewFrame(false, nil, lc.cl.ServerState()))
 		}
 	}
 	res.ResidentBytesPerSession = d.ScreenStateStats().ResidentBytesPerSession()
-	if opt.Chaos {
+	if opt.chaos {
 		for _, b := range built {
 			lossless := cohortParams(b.cohort).LossProb == 0
 			for _, l := range []*netem.Link{b.path.Up, b.path.Down} {
@@ -831,7 +860,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			continue
 		}
 		res.EchoCohorts = append(res.EchoCohorts, EchoCohortStats{
-			Name:   cohortNames[c],
+			Name:   opt.cohorts[c].name,
 			N:      a.n,
 			P50:    a.hist.QuantileDuration(0.50),
 			P99:    a.hist.QuantileDuration(0.99),
@@ -865,13 +894,18 @@ func FormatManySession(r ManySessionResult) string {
 	if secs <= 0 {
 		secs = 1
 	}
-	if r.Bulk > 0 {
+	switch c := r.Cohorts; {
+	case len(c) > 1:
+		mix := make([]string, len(c))
+		for i, cs := range c {
+			mix[i] = fmt.Sprintf("%d %s", cs.Sessions, cs.Name)
+		}
+		fmt.Fprintf(&b, "many-session load: %d sessions (%s) × %d keystrokes over one daemon socket\n",
+			r.Sessions, strings.Join(mix, " / "), r.Keystrokes)
+	case len(c) == 1 && c[0].Name == "bulk-stream":
 		fmt.Fprintf(&b, "many-session load: %d bulk-stream sessions × %d keystrokes (lockstep egress trains) over one daemon socket\n",
-			r.Bulk, r.Keystrokes)
-	} else if r.Editors > 0 || r.Pagers > 0 {
-		fmt.Fprintf(&b, "many-session load: %d sessions (%d shell / %d cjk-editor / %d log-tail) × %d keystrokes over one daemon socket\n",
-			r.Sessions, r.Shells, r.Editors, r.Pagers, r.Keystrokes)
-	} else {
+			r.Sessions, r.Keystrokes)
+	default:
 		fmt.Fprintf(&b, "many-session load: %d sessions × %d keystrokes over one daemon socket\n",
 			r.Sessions, r.Keystrokes)
 	}

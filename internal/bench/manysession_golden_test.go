@@ -17,32 +17,25 @@ import (
 // leave the file untouched; a deliberate behavior change regenerates it
 // with `go test ./internal/bench/ -run TestManySessionGolden -update`.
 func TestManySessionGolden(t *testing.T) {
-	loads := []struct {
-		name string
-		opt  ManySessionOptions
-	}{
-		{"manysession", ManySessionOptions{}},
-		{"mixed", ManySessionOptions{Mixed: true}},
-		{"roam", ManySessionOptions{Mixed: true, Roam: true, LossyCohorts: true}},
-		{"torture", ManySessionOptions{Mixed: true, Restart: true, Roam: true, LossyCohorts: true}},
-		{"chaos", ManySessionOptions{Mixed: true, Restart: true, Roam: true, LossyCohorts: true, Chaos: true}},
-		{"trains", ManySessionOptions{Trains: true}},
-		{"virtual", ManySessionOptions{Virtual: true}},
-	}
 	sessions := map[string]int{"trains": 30, "virtual": 200}
 	var b strings.Builder
-	for _, l := range loads {
-		opt := l.opt
+	for _, l := range Loads {
+		opt := l.Options
 		opt.Sessions = 60
-		if n, ok := sessions[l.name]; ok {
+		if n, ok := sessions[l.Name]; ok {
 			opt.Sessions = n
 		}
 		opt.Seed = 1
-		opt.CaptureFrames = true
+		opt.captureFrames = true
 		res := RunManySession(opt)
+		if l.Check != nil {
+			if err := l.Check(res); err != nil {
+				t.Errorf("%s: %v", l.Name, err)
+			}
+		}
 		report := FormatManySession(res)
 		report = report[:strings.LastIndex(report, "\n  sim: ")]
-		fmt.Fprintf(&b, "== %s\n%s\nframes %016x\n", l.name, report, frameDigest(res))
+		fmt.Fprintf(&b, "== %s\n%s\nframes %016x\n", l.Name, report, frameDigest(res))
 	}
 
 	path := filepath.Join("testdata", "manysession.golden")

@@ -8,6 +8,28 @@ import (
 	"repro/internal/netem"
 )
 
+// loadOptions returns the options of the many-session load by -exp name.
+func loadOptions(t testing.TB, name string) ManySessionOptions {
+	t.Helper()
+	for _, l := range Loads {
+		if l.Name == name {
+			return l.Options
+		}
+	}
+	t.Fatalf("no many-session load %q", name)
+	return ManySessionOptions{}
+}
+
+// cohortSize returns how many of a run's sessions ran the named cohort.
+func cohortSize(res ManySessionResult, name string) int {
+	for _, c := range res.Cohorts {
+		if c.Name == name {
+			return c.Sessions
+		}
+	}
+	return 0
+}
+
 // TestManySessionLoad1000 is the scaling demonstration from the roadmap:
 // one sessiond daemon serving 1000 concurrent sessions on one socket in
 // simulation, with the load generator's full report (aggregate throughput
@@ -16,12 +38,9 @@ func TestManySessionLoad1000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-session simulation")
 	}
-	res := RunManySession(ManySessionOptions{
-		Sessions:     1000,
-		Keystrokes:   8,
-		TypeInterval: 200 * time.Millisecond,
-		Seed:         1,
-	})
+	opt := loadOptions(t, "manysession")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 1000, 8, 200*time.Millisecond, 1
+	res := RunManySession(opt)
 	t.Logf("\n%s", FormatManySession(res))
 	if got := len(res.Samples); got != 1000*8 {
 		t.Fatalf("delivered %d keystroke samples, want %d (lost=%d)", got, 1000*8, res.Lost)
@@ -55,13 +74,10 @@ func TestManySessionLoad1000(t *testing.T) {
 func TestManySessionLossRecovery(t *testing.T) {
 	// A lossy link must not strand keystrokes: SSP retransmits until every
 	// echo lands.
-	res := RunManySession(ManySessionOptions{
-		Sessions:     50,
-		Keystrokes:   6,
-		TypeInterval: 100 * time.Millisecond,
-		Params:       netem.LinkParams{Delay: 5 * time.Millisecond, LossProb: 0.10, Overhead: 28},
-		Seed:         3,
-	})
+	opt := loadOptions(t, "manysession")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 50, 6, 100*time.Millisecond, 3
+	opt.Params = netem.LinkParams{Delay: 5 * time.Millisecond, LossProb: 0.10, Overhead: 28}
+	res := RunManySession(opt)
 	if res.Lost != 0 {
 		t.Fatalf("%d keystrokes lost despite SSP retransmission", res.Lost)
 	}
@@ -75,18 +91,15 @@ func TestManySessionLossRecovery(t *testing.T) {
 // tails (continuous scrolling) sharing one daemon socket. The shell
 // cohort's echoes must all land.
 func TestManySessionMixedCohorts(t *testing.T) {
-	res := RunManySession(ManySessionOptions{
-		Sessions:     60,
-		Keystrokes:   10,
-		TypeInterval: 150 * time.Millisecond,
-		Seed:         7,
-		Mixed:        true,
-	})
-	if res.Shells != 20 || res.Editors != 20 || res.Pagers != 20 {
-		t.Fatalf("cohorts = %d/%d/%d, want 20/20/20", res.Shells, res.Editors, res.Pagers)
+	opt := loadOptions(t, "mixed")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 60, 10, 150*time.Millisecond, 7
+	res := RunManySession(opt)
+	shells, editors, pagers := cohortSize(res, "shell"), cohortSize(res, "cjk-editor"), cohortSize(res, "log-tail")
+	if shells != 20 || editors != 20 || pagers != 20 {
+		t.Fatalf("cohorts = %d/%d/%d, want 20/20/20", shells, editors, pagers)
 	}
-	if got := len(res.Samples); got != res.Shells*10 {
-		t.Fatalf("delivered %d shell samples, want %d (lost=%d)", got, res.Shells*10, res.Lost)
+	if got := len(res.Samples); got != shells*10 {
+		t.Fatalf("delivered %d shell samples, want %d (lost=%d)", got, shells*10, res.Lost)
 	}
 	if res.Lost != 0 {
 		t.Fatalf("%d shell keystrokes never became visible on a loss-free link", res.Lost)
@@ -104,16 +117,9 @@ func TestManySessionMixedCohorts(t *testing.T) {
 // every shell keystroke must eventually echo, and roaming must actually
 // have been observed by the restored daemon.
 func TestManySessionRestartRoamLoss(t *testing.T) {
-	res := RunManySession(ManySessionOptions{
-		Sessions:     45,
-		Keystrokes:   12,
-		TypeInterval: 150 * time.Millisecond,
-		Seed:         11,
-		Mixed:        true,
-		Restart:      true,
-		Roam:         true,
-		LossyCohorts: true,
-	})
+	opt := loadOptions(t, "torture")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 45, 12, 150*time.Millisecond, 11
+	res := RunManySession(opt)
 	t.Logf("\n%s", FormatManySession(res))
 	if !res.Restarted {
 		t.Fatal("restart scenario did not run")
@@ -129,8 +135,8 @@ func TestManySessionRestartRoamLoss(t *testing.T) {
 	if res.Lost != 0 {
 		t.Fatalf("%d shell keystrokes never became visible across the restart", res.Lost)
 	}
-	if got := len(res.Samples); got != res.Shells*12 {
-		t.Fatalf("delivered %d shell samples, want %d", got, res.Shells*12)
+	if shells := cohortSize(res, "shell"); len(res.Samples) != shells*12 {
+		t.Fatalf("delivered %d shell samples, want %d", len(res.Samples), shells*12)
 	}
 	if res.Roams == 0 {
 		t.Fatal("no roaming events observed by the daemon")
@@ -165,13 +171,8 @@ func TestManySessionRestartRoamLoss(t *testing.T) {
 // probes read the same virtual clock as the pipeline, so instrumentation
 // cannot perturb (or be perturbed by) scheduling.
 func TestManySessionTelemetryDeterministic(t *testing.T) {
-	opt := ManySessionOptions{
-		Sessions:     300,
-		Keystrokes:   6,
-		TypeInterval: 150 * time.Millisecond,
-		Seed:         5,
-		Mixed:        true,
-	}
+	opt := loadOptions(t, "mixed")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval, opt.Seed = 300, 6, 150*time.Millisecond, 5
 	a := RunManySession(opt)
 	b := RunManySession(opt)
 
@@ -219,14 +220,11 @@ func reportEchoMetrics(b *testing.B, res ManySessionResult) {
 // BenchmarkManySessionMixed feeds the per-commit perf artifact with the
 // heterogeneous cohort run (unicode + scrolling screen-state load).
 func BenchmarkManySessionMixed(b *testing.B) {
+	opt := loadOptions(b, "mixed")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval = 63, 5, 100*time.Millisecond
 	for i := 0; i < b.N; i++ {
-		res := RunManySession(ManySessionOptions{
-			Sessions:     63,
-			Keystrokes:   5,
-			TypeInterval: 100 * time.Millisecond,
-			Seed:         int64(i + 1),
-			Mixed:        true,
-		})
+		opt.Seed = int64(i + 1)
+		res := RunManySession(opt)
 		if res.Lost != 0 {
 			b.Fatalf("lost %d keystrokes", res.Lost)
 		}
@@ -237,13 +235,11 @@ func BenchmarkManySessionMixed(b *testing.B) {
 // BenchmarkManySession feeds the per-commit perf artifact: virtual-time
 // cost of a 64-session daemon serving a short typing burst.
 func BenchmarkManySession(b *testing.B) {
+	opt := loadOptions(b, "manysession")
+	opt.Sessions, opt.Keystrokes, opt.TypeInterval = 64, 5, 100*time.Millisecond
 	for i := 0; i < b.N; i++ {
-		res := RunManySession(ManySessionOptions{
-			Sessions:     64,
-			Keystrokes:   5,
-			TypeInterval: 100 * time.Millisecond,
-			Seed:         int64(i + 1),
-		})
+		opt.Seed = int64(i + 1)
+		res := RunManySession(opt)
 		if res.Lost != 0 {
 			b.Fatalf("lost %d keystrokes", res.Lost)
 		}

@@ -30,11 +30,8 @@ func TestManySessionVirtualTimeDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-session simulation")
 	}
-	opt := ManySessionOptions{
-		Sessions: virtualSessions(2000),
-		Seed:     7,
-		Virtual:  true,
-	}
+	opt := loadOptions(t, "virtual")
+	opt.Sessions, opt.Seed = virtualSessions(2000), 7
 	a := RunManySession(opt)
 	b := RunManySession(opt)
 
@@ -80,12 +77,11 @@ func TestManySessionVirtualTimeDeterministic(t *testing.T) {
 // span) fails the benchmark outright.
 func BenchmarkManySessionVirtual(b *testing.B) {
 	sessions := virtualSessions(5000)
+	opt := loadOptions(b, "virtual")
+	opt.Sessions = sessions
 	for i := 0; i < b.N; i++ {
-		res := RunManySession(ManySessionOptions{
-			Sessions: sessions,
-			Seed:     int64(i + 1),
-			Virtual:  true,
-		})
+		opt.Seed = int64(i + 1)
+		res := RunManySession(opt)
 		if res.Lost != 0 {
 			b.Fatalf("lost %d keystrokes", res.Lost)
 		}
