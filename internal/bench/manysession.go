@@ -923,10 +923,14 @@ func FormatManySession(r ManySessionResult) string {
 			r.IOModel, r.ReadCalls, r.WriteCalls, r.PacketsIn+r.PacketsOut, r.SyscallsPerPacket, factor,
 			r.ReadBatchP50, r.ReadBatchP99, r.WriteBatchP50, r.WriteBatchP99)
 	}
+	// A load that samples no echo (the bulk stream) has no client-side
+	// latency to report.
 	st := Summarize(r.Samples)
-	fmt.Fprintf(&b, "  keystroke latency: n=%d p50=%v p90=%v p99=%v max=%v lost=%d\n",
-		st.N, Percentile(r.Samples, 50), Percentile(r.Samples, 90),
-		Percentile(r.Samples, 99), Percentile(r.Samples, 100), r.Lost)
+	if st.N > 0 || r.Lost > 0 {
+		fmt.Fprintf(&b, "  keystroke latency: n=%d p50=%v p90=%v p99=%v max=%v lost=%d\n",
+			st.N, Percentile(r.Samples, 50), Percentile(r.Samples, 90),
+			Percentile(r.Samples, 99), Percentile(r.Samples, 100), r.Lost)
+	}
 	if st.N > 0 {
 		fmt.Fprintf(&b, "  fig6 (client-visible): %.1f%% ≤ 16 ms, %.1f%% ≤ 1 RTT\n",
 			r.ClientLe16ms*100, r.ClientLeRTT*100)
