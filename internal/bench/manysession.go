@@ -778,7 +778,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 		}
 		sched.At(start.Add(250*time.Millisecond), func() { setChaos(true) })
 		sched.At(start.Add(typing), func() { setChaos(false) })
-		if chaosFS != nil {
+		if opt.restart {
 			// Disk chaos: high failure rates so consecutive-failure
 			// suspension actually triggers, healed just before the restart
 			// kill (the shutdown flush must find a working disk for the
@@ -789,13 +789,9 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 				RenameErrProb: 0.25, TornRenameProb: 0.25,
 			}
 			sched.At(start.Add(400*time.Millisecond), func() { chaosFS.SetFaults(fsOn) })
-			if opt.restart {
-				sched.At(killAt.Add(-100*time.Millisecond), func() { chaosFS.SetFaults(faultinject.FSFaults{}) })
-				sched.At(killAt.Add(outage+300*time.Millisecond), func() { chaosFS.SetFaults(fsOn) })
-			}
+			sched.At(killAt.Add(-100*time.Millisecond), func() { chaosFS.SetFaults(faultinject.FSFaults{}) })
+			sched.At(killAt.Add(outage+300*time.Millisecond), func() { chaosFS.SetFaults(fsOn) })
 			sched.At(start.Add(typing), func() { chaosFS.SetFaults(faultinject.FSFaults{}) })
-		}
-		if opt.restart {
 			// Periodic flush pump: sim mode has no journal loop, so drive
 			// the flush (and observe suspensions) on a fixed cadence.
 			// Attempts self-gate on the retry backoff, so this cannot
