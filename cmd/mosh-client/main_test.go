@@ -32,7 +32,7 @@ func TestDisplayFrameHidesCursorWhilePainting(t *testing.T) {
 	e := terminal.NewEmulator(20, 4)
 	step := func(s string) (before, after *terminal.Framebuffer) {
 		before = e.Framebuffer().Clone()
-		e.WriteString(s)
+		e.Write([]byte(s))
 		return before, e.Framebuffer().Clone()
 	}
 	for _, c := range []struct{ host, want string }{

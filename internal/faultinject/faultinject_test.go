@@ -70,7 +70,7 @@ func TestFaultFSShortWriteAndSync(t *testing.T) {
 		t.Fatalf("sync fault = %v, want EIO", err)
 	}
 	f.Close()
-	if ffs.Stats().ShortWrites.Load() == 0 || ffs.Stats().SyncErrs.Load() == 0 {
+	if ffs.stats.ShortWrites.Load() == 0 || ffs.stats.SyncErrs.Load() == 0 {
 		t.Fatal("fs stats did not count")
 	}
 }
@@ -102,7 +102,7 @@ func TestFaultFSTornRename(t *testing.T) {
 	if _, err := os.Stat(src); !os.IsNotExist(err) {
 		t.Fatalf("source survived the torn rename: %v", err)
 	}
-	if ffs.Stats().TornRenames.Load() != 1 {
+	if ffs.stats.TornRenames.Load() != 1 {
 		t.Fatal("torn rename not counted")
 	}
 }

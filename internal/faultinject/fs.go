@@ -168,9 +168,6 @@ func (f *FaultFS) SetOpHook(hook func(op Op, path string) error) {
 	f.mu.Unlock()
 }
 
-// Stats exposes the injected-fault counters.
-func (f *FaultFS) Stats() *FSStats { return &f.stats }
-
 // enter runs the hook and the FailAll gate for one operation.
 func (f *FaultFS) enter(op Op, path string, mutating bool) error {
 	f.mu.Lock()

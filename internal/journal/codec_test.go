@@ -18,13 +18,13 @@ import (
 func sampleSnapshot(seed int64) *Snapshot {
 	rng := rand.New(rand.NewSource(seed))
 	emu := terminal.NewEmulator(80, 24)
-	emu.WriteString("\x1b]0;resume torture\x07")
-	emu.WriteString("\x1b[1;31mbold red\x1b[0m plain \x1b[44mblue bg\x1b[0m\r\n")
-	emu.WriteString("cjk: 你好世界 emoji: 🙂 combining: ȩ́\r\n")
+	emu.Write([]byte("\x1b]0;resume torture\x07"))
+	emu.Write([]byte("\x1b[1;31mbold red\x1b[0m plain \x1b[44mblue bg\x1b[0m\r\n"))
+	emu.Write([]byte("cjk: 你好世界 emoji: 🙂 combining: ȩ́\r\n"))
 	for i := 0; i < 30; i++ {
-		emu.WriteString("scrolled line with content\r\n")
+		emu.Write([]byte("scrolled line with content\r\n"))
 	}
-	emu.WriteString("\x1b[5;10H\x1b[4mcursor parked here")
+	emu.Write([]byte("\x1b[5;10H\x1b[4mcursor parked here"))
 
 	key, _ := sspcrypto.KeyFromBytes(bytes.Repeat([]byte{byte(seed)}, sspcrypto.KeySize))
 	sn := &Snapshot{

@@ -125,7 +125,7 @@ func (h *fakeHost) open() *fakeSession {
 // write puts text on the session's screen and marks it dirty.
 func (h *fakeHost) write(s *fakeSession, text string) {
 	s.mu.Lock()
-	s.emu.WriteString(text)
+	s.emu.Write([]byte(text))
 	s.mu.Unlock()
 	h.j.MarkDirty(s.id, &s.mark)
 }

@@ -87,9 +87,6 @@ func NewNetwork(sched *simclock.Scheduler) *Network {
 	return &Network{sched: sched, nodes: make(map[Addr]Handler)}
 }
 
-// Scheduler exposes the scheduler driving the network.
-func (n *Network) Scheduler() *simclock.Scheduler { return n.sched }
-
 // Attach registers h to receive packets addressed to a. Re-attaching an
 // address replaces the previous handler; a roaming client attaches its new
 // address and detaches the old one.
@@ -175,18 +172,12 @@ func NewLink(net *Network, params LinkParams, seed int64) *Link {
 	return &Link{net: net, params: params, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Params returns the link's configuration.
-func (l *Link) Params() LinkParams { return l.params }
-
 // SetParams changes the live link's configuration from the next Send on.
 // Packets already in flight keep the instants they were given.
 func (l *Link) SetParams(p LinkParams) { l.params = p }
 
 // Stats returns a snapshot of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// QueueBytes reports current queue occupancy at the bottleneck.
-func (l *Link) QueueBytes() int { return l.queuedBytes }
 
 // Send offers a packet to the link. The payload is not copied; callers must
 // not reuse the buffer.

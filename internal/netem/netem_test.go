@@ -107,8 +107,8 @@ func TestDropTailQueue(t *testing.T) {
 		t.Fatalf("stats = %+v", l.Stats())
 	}
 	s.Drain(0)
-	if l.QueueBytes() != 0 {
-		t.Fatalf("queue did not drain: %d", l.QueueBytes())
+	if l.queuedBytes != 0 {
+		t.Fatalf("queue did not drain: %d", l.queuedBytes)
 	}
 }
 
@@ -499,8 +499,8 @@ func TestLinkFaultSetParams(t *testing.T) {
 	l.SetParams(base)
 	l.Send(Packet{Dst: dst, Payload: []byte("d")})
 	s.Drain(0)
-	if delivered != 4 || l.Params() != base {
-		t.Fatalf("delivered %d (want a, c twice, d), params %+v", delivered, l.Params())
+	if delivered != 4 || l.params != base {
+		t.Fatalf("delivered %d (want a, c twice, d), params %+v", delivered, l.params)
 	}
 	if st := l.Stats(); st.DroppedLoss != 1 || st.Duplicated != 1 {
 		t.Fatalf("stats = %+v", st)

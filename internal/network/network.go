@@ -15,7 +15,7 @@
 //     timestamps and hold-time-adjusted timestamp replies, using TCP's
 //     algorithm (RFC 6298) with a 50 ms (not 1 s) lower bound on the RTO.
 //
-// The layer is IO-free: NewPacket returns wire bytes for the caller to
+// The layer is IO-free: AppendPacket returns wire bytes for the caller to
 // transmit (over internal/netem in simulation, or a real UDP socket in
 // cmd/mosh-client and cmd/mosh-server), and Receive consumes wire bytes.
 package network
@@ -181,14 +181,14 @@ type Connection struct {
 	lastHeard time.Time
 	heardOnce bool
 
-	// remoteAddr is where to send. The client fixes it at dial time; the
-	// server learns and re-learns it from incoming packets (roaming).
+	// remoteAddr is where to send. The server learns and re-learns it from
+	// incoming packets (roaming), or is given it (SetRemoteAddr, Resume).
 	remoteAddr    netem.Addr
 	haveRemote    bool
 	remoteChanges int // times the peer's address changed (roaming events)
 
 	// ptBuf is scratch for assembling the timestamped plaintext; it is
-	// consumed by sealing before NewPacket returns, so reuse is safe.
+	// consumed by sealing before AppendPacket returns, so reuse is safe.
 	ptBuf []byte
 }
 
@@ -227,7 +227,8 @@ func NewConnection(cfg Config) (*Connection, error) {
 	return c, nil
 }
 
-// SetRemoteAddr fixes the peer address (used by the client at dial time).
+// SetRemoteAddr fixes the peer address, as an authentic datagram from it
+// would.
 func (c *Connection) SetRemoteAddr(a netem.Addr) {
 	c.remoteAddr = a
 	c.haveRemote = true
@@ -283,18 +284,13 @@ func (c *Connection) SeqRemaining() uint64 {
 
 func timestamp16(t time.Time) uint16 { return uint16(t.UnixMilli()) }
 
-// NewPacket seals payload into a wire datagram, embedding the current
-// 16-bit millisecond timestamp and, if one is pending, a timestamp reply
-// adjusted by how long we held it (so delayed acks do not inflate the
-// peer's RTT estimate — §2.2 change 2). When an Envelope is configured,
-// the datagram is prefixed with the cleartext session ID.
-func (c *Connection) NewPacket(payload []byte) ([]byte, error) {
-	return c.AppendPacket(nil, payload)
-}
-
-// AppendPacket is NewPacket appending the wire datagram to dst; the
-// transport sender passes recycled buffers through it so steady-state
-// sending does not allocate per datagram.
+// AppendPacket seals payload into a wire datagram appended to dst,
+// embedding the current 16-bit millisecond timestamp and, if one is
+// pending, a timestamp reply adjusted by how long we held it (so delayed
+// acks do not inflate the peer's RTT estimate — §2.2 change 2). When an
+// Envelope is configured, the datagram is prefixed with the cleartext
+// session ID. The transport sender passes recycled buffers through it so
+// steady-state sending does not allocate per datagram.
 func (c *Connection) AppendPacket(dst, payload []byte) ([]byte, error) {
 	if c.seqCeiling != 0 && c.nextSeq >= c.seqCeiling {
 		return nil, ErrSeqExhausted

@@ -370,3 +370,8 @@ func TestNoEnvelopeWireFormatUnchanged(t *testing.T) {
 		t.Fatal("enveloped endpoint accepted plain-format wire")
 	}
 }
+
+// NewPacket is AppendPacket into a fresh buffer.
+func (c *Connection) NewPacket(payload []byte) ([]byte, error) {
+	return c.AppendPacket(nil, payload)
+}

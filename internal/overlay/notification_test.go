@@ -15,7 +15,7 @@ func TestNoBannerWhileHealthy(t *testing.T) {
 	n.ServerHeard()
 	clk.RunFor(3 * time.Second)
 	fb := terminal.NewFramebuffer(40, 5)
-	fb.Cell(0, 0).SetContents("x")
+	fb.Cell(0, 0).SetRune('x')
 	n.Apply(fb)
 	if fb.Cell(0, 0).ContentsString() != "x" {
 		t.Fatal("banner painted while connection healthy")

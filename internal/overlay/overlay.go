@@ -226,9 +226,6 @@ func (e *Engine) showPredictions() bool {
 	}
 }
 
-// Flagging reports whether unconfirmed predictions are underlined.
-func (e *Engine) Flagging() bool { return e.flagging }
-
 func (e *Engine) becomeTentative() { e.predictionEpoch++ }
 
 // Reset abandons every outstanding prediction and starts a fresh
@@ -307,11 +304,7 @@ const (
 func classify(e *Engine, data []byte) (rune, inputKind) {
 	if len(e.u8buf) > 0 {
 		e.u8buf = append(e.u8buf, data...)
-		if !utf8.FullRune(e.u8buf) {
-			if len(e.u8buf) > 4 {
-				e.u8buf = nil
-				return 0, inputControl
-			}
+		if !utf8.FullRune(e.u8buf) { // never at utf8.UTFMax bytes or more
 			return 0, inputIncompleteUTF8
 		}
 		r, _ := utf8.DecodeRune(e.u8buf)

@@ -41,7 +41,7 @@ func (v *env) typeByte(b byte) uint64 {
 // serverEchoes makes the authoritative screen echo s and acknowledges all
 // input through seq (as the echo ack would).
 func (v *env) serverEchoes(s string, seq uint64) {
-	v.emu.WriteString(s)
+	v.emu.Write([]byte(s))
 	v.e.SetLocalFrameLateAcked(seq)
 	v.e.Cull(v.fb)
 }
@@ -230,7 +230,7 @@ func TestFlaggingUnderlinesPredictions(t *testing.T) {
 	if !d.Cell(0, 1).Rend.Has(terminal.AttrUnderline) {
 		t.Fatal("high-latency prediction not underlined")
 	}
-	if !v.e.Flagging() {
+	if !v.e.flagging {
 		t.Fatal("flagging not set")
 	}
 }
@@ -275,7 +275,7 @@ func TestEchoAckGatesJudgement(t *testing.T) {
 func TestLastColumnIsCautious(t *testing.T) {
 	v := newEnv(Adaptive)
 	// Put the real cursor at the right margin (col 39 of 40).
-	v.emu.WriteString("\x1b[1;40H")
+	v.emu.Write([]byte("\x1b[1;40H"))
 	epochBefore := v.e.predictionEpoch
 	v.typeByte('x')
 	// The echo itself is predicted, but the epoch turns tentative: the
@@ -357,7 +357,7 @@ func TestGlitchTriggerRaisesFlagging(t *testing.T) {
 	s1 := v.typeByte('a')
 	v.clk.RunFor(400 * time.Millisecond) // slow confirmation: a glitch
 	v.serverEchoes("a", s1)
-	if !v.e.Flagging() {
+	if !v.e.flagging {
 		t.Fatal("slow confirmation did not raise flagging")
 	}
 	// Ten quick confirmations spaced out repair confidence.
@@ -366,7 +366,7 @@ func TestGlitchTriggerRaisesFlagging(t *testing.T) {
 		v.clk.RunFor(200 * time.Millisecond)
 		v.serverEchoes(string(rune('b'+i)), s)
 	}
-	if v.e.Flagging() {
+	if v.e.flagging {
 		t.Fatal("flagging not repaired after quick confirmations")
 	}
 }

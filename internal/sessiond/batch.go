@@ -115,7 +115,7 @@ func (d *Daemon) groupBatch(msgs []udpbatch.Message) (groups []sessGroup, runs [
 // it instead of reading the clock per datagram. Wire buffers stay the
 // caller's: nothing below retains them past the return.
 func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
-	d.recordEv(telemetry.EvBatchIn, 0, uint64(len(msgs)), start)
+	d.rec.Record(telemetry.EvBatchIn, 0, uint64(len(msgs)), start)
 	groups, runs := d.groupBatch(msgs)
 	d.pipe.Observe(telemetry.StageDemux, d.cfg.Clock.Now().Sub(start))
 	// Under the shed policy every session's budget halves: sustained
@@ -133,7 +133,7 @@ func (d *Daemon) ingest(msgs []udpbatch.Message, start time.Time) {
 			// run: a budget below the batch size bounds a session without
 			// starving it (its coalesced retransmissions ride the prefix).
 			d.metrics.DropsQueueFull.Add(over)
-			d.recordEv(telemetry.EvDropQueue, g.s.ID, uint64(over), start)
+			d.rec.Record(telemetry.EvDropQueue, g.s.ID, uint64(over), start)
 			d.notePressureDrop(over, start)
 			run = run[:budget]
 		}

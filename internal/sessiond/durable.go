@@ -52,7 +52,7 @@ func (d *Daemon) openJournal() error {
 			if code == telemetry.EvJournalSuspend {
 				d.degrade("journal-suspend", code, 0, arg, at)
 			} else {
-				d.recordEv(code, 0, arg, at)
+				d.rec.Record(code, 0, arg, at)
 			}
 		},
 	}, (*journalHost)(d))
@@ -110,14 +110,20 @@ func (s *Session) markDirty() {
 // maybeRequestFlushLocked triggers an early flush when a session is
 // consuming its counter reservation faster than the periodic cadence
 // refreshes it. Caller holds s.mu.
+//
+// Only the sequence-number reservation is watched, because the state-number
+// one never runs lower. Each grant gives both counters the same
+// Config.SeqReserve of headroom (snapshotLocked). Every state minted after
+// it is sealed into at least one datagram, except when the seal is refused
+// because the sequence reservation is exhausted, and then SeqRemaining is
+// already 0. Empty acks and resends spend sequence numbers but no state
+// numbers. So states left <= low implies datagrams left <= low.
 func (s *Session) maybeRequestFlushLocked() {
 	j := s.d.journal
 	if j == nil {
 		return
 	}
-	low := s.d.cfg.SeqReserve / 4
-	tr := s.srv.Transport()
-	if tr.Connection().SeqRemaining() <= low || tr.Sender().NumRemaining() <= low {
+	if s.srv.Transport().Connection().SeqRemaining() <= s.d.cfg.SeqReserve/4 {
 		// A session can burn through its reservation by sending alone
 		// (retransmits, server-push output) without otherwise dirtying
 		// durable state; mark it so the incremental flush actually encodes

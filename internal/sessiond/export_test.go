@@ -29,3 +29,15 @@ func NewWithLimits(cfg Config, over ...Limit) (*Daemon, error) {
 // UnauthSources reports how many sources the unauthenticated-datagram
 // quota is tracking.
 func UnauthSources(d *Daemon) int64 { return d.quota.active.Load() }
+
+// CloseSession removes a session explicitly, as an idle eviction does
+// but credited to SessionsClosed.
+func (d *Daemon) CloseSession(id uint64) {
+	s := d.reg.lookup(id)
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.removeLocked(&d.metrics.SessionsClosed)
+	s.mu.Unlock()
+}

@@ -129,7 +129,7 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			tr := s.srv.Transport()
-			return tr.Connection().SeqRemaining(), tr.Sender().NumRemaining()
+			return tr.Connection().SeqRemaining(), tr.Sender().NumHighWater()
 		}
 		seq0, num0 := headroom()
 		if seq0 != reserve {
@@ -141,9 +141,10 @@ func TestPeerlessSessionsCostNothing(t *testing.T) {
 			s.Do(func(srv *core.Server) { srv.HostOutput(out) })
 			clk.RunFor(20 * time.Millisecond)
 			d.TickDue()
-			// maybeRequestFlushLocked's condition, which must stay false.
+			// maybeRequestFlushLocked's condition, which must stay false,
+			// and no state minted under the unchanged state ceiling.
 			if seq, num := headroom(); seq != seq0 || num != num0 {
-				t.Fatalf("round %d: headroom %d datagrams / %d states, was %d / %d: the reservation is being spent on nobody",
+				t.Fatalf("round %d: headroom %d datagrams / state high water %d, was %d / %d: the reservation is being spent on nobody",
 					round, seq, num, seq0, num0)
 			}
 		}

@@ -223,6 +223,7 @@ func (d *Daemon) OpenSession() (*Session, error) {
 		if out := s.app.Start(); len(out) > 0 {
 			s.mu.Lock()
 			srv.HostOutput(out)
+			s.answerHostLocked(now)
 			s.mu.Unlock()
 		}
 	}
@@ -275,17 +276,6 @@ func (s *Session) serverConfig(resume *core.ServerResume) core.ServerConfig {
 		HostInput:   s.hostInput,
 		Resume:      resume,
 	}
-}
-
-// CloseSession removes a session explicitly (user logout, admin action).
-func (d *Daemon) CloseSession(id uint64) {
-	s := d.reg.lookup(id)
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.removeLocked(&d.metrics.SessionsClosed)
-	s.mu.Unlock()
 }
 
 // removeLocked takes the session out of the daemon: registry and timer

@@ -341,15 +341,6 @@ func (d *Daemon) Pipeline() *telemetry.Pipeline { return d.pipe }
 // FlightRecorder exposes the event ring (never nil).
 func (d *Daemon) FlightRecorder() *telemetry.Recorder { return d.rec }
 
-// recordEv stores one flight-recorder event stamped at, the clock reading
-// of the sweep it happened in. With recording off the whole call is one
-// atomic load and a branch — cheap enough for every packet.
-func (d *Daemon) recordEv(code telemetry.Code, session, arg uint64, at time.Time) {
-	if d.rec.Enabled() {
-		d.rec.Record(code, session, arg, at)
-	}
-}
-
 // degradeDumpInterval rate-limits OnDegrade dumps: a sustained flood
 // trips its degradation state on every packet, but one dump per reason
 // per interval is what a human (or a log pipeline) can use.
@@ -360,7 +351,7 @@ const degradeDumpInterval = 10 * time.Second
 // events leading up to the trip (rate limited per reason). Callers may
 // hold session locks; OnDegrade must not call back into the daemon.
 func (d *Daemon) degrade(reason string, code telemetry.Code, session, arg uint64, at time.Time) {
-	d.recordEv(code, session, arg, at)
+	d.rec.Record(code, session, arg, at)
 	cb := d.cfg.OnDegrade
 	if cb == nil {
 		return
@@ -385,16 +376,6 @@ func (d *Daemon) FlightDump(reason string) []byte {
 	d.rec.Record(telemetry.EvDump, 0, 0, now)
 	return d.rec.AppendDump(nil, reason, now)
 }
-
-// FlightDumpJSON is FlightDump as one machine-readable JSON document.
-func (d *Daemon) FlightDumpJSON(reason string) []byte {
-	now := d.cfg.Clock.Now()
-	d.rec.Record(telemetry.EvDump, 0, 0, now)
-	return d.rec.AppendDumpJSON(nil, reason, now)
-}
-
-// SessionsLive reports the number of registered sessions.
-func (d *Daemon) SessionsLive() int { return int(d.metrics.SessionsLive.Value()) }
 
 // Lookup returns the live session with the given ID, or nil.
 func (d *Daemon) Lookup(id uint64) *Session { return d.reg.lookup(id) }
@@ -599,12 +580,12 @@ func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) (flus
 		// diff that would not apply is no forgery, and its source is not
 		// charged against the quota for unauthenticated floods.
 		s.d.metrics.DropsBadDiff.Add(1)
-		s.d.recordEv(telemetry.EvDropBadDiff, s.ID, 0, now)
+		s.d.rec.Record(telemetry.EvDropBadDiff, s.ID, 0, now)
 	} else if err != nil {
 		// Forged, replayed or stale: normal network noise at this layer;
 		// the envelope got it here but the key said no.
 		s.d.metrics.DropsAuth.Add(1)
-		s.d.recordEv(telemetry.EvDropAuth, s.ID, 0, now)
+		s.d.rec.Record(telemetry.EvDropAuth, s.ID, 0, now)
 		if q := s.d.quota; q != nil {
 			q.charge(src, now)
 		}
@@ -619,7 +600,7 @@ func (s *Session) handleLocked(wire []byte, src netem.Addr, now time.Time) (flus
 		}
 		if roams := s.srv.Transport().Connection().RemoteAddrChanges(); roams > roamsBefore {
 			s.d.metrics.RoamingEvents.Add(int64(roams - roamsBefore))
-			s.d.recordEv(telemetry.EvRoam, s.ID, uint64(roams), now)
+			s.d.rec.Record(telemetry.EvRoam, s.ID, uint64(roams), now)
 		}
 		// An accepted datagram moved durable state: the replay floor at
 		// minimum, usually also the delivered-input watermarks (and the
@@ -692,8 +673,16 @@ func (s *Session) hostInput(data []byte) {
 	if s.app == nil {
 		return
 	}
-	now := s.now
-	s.d.recordEv(telemetry.EvKeystroke, s.ID, uint64(len(data)), now)
+	s.d.rec.Record(telemetry.EvKeystroke, s.ID, uint64(len(data)), s.now)
+	// keyAt tags the response with its keystroke's arrival time so the
+	// echo tracker can match it to the first frame that conveys it.
+	s.appInputLocked(data, s.now, s.now)
+}
+
+// appInputLocked hands data to the host application at now and queues its
+// (delayed) response, tagged keyAt (zero: no keystroke waits for its echo).
+// Caller holds s.mu.
+func (s *Session) appInputLocked(data []byte, now, keyAt time.Time) {
 	out, delay := s.app.Input(data)
 	if len(out) == 0 {
 		return
@@ -703,9 +692,18 @@ func (s *Session) hostInput(data []byte) {
 	if n := len(s.pendingOut); n > 0 && at.Before(s.pendingOut[n-1].at) {
 		at = s.pendingOut[n-1].at
 	}
-	// keyAt tags this output with its keystroke's arrival time so the
-	// echo tracker can match it to the first frame that conveys it.
-	s.pendingOut = append(s.pendingOut, timedOutput{at: at, keyAt: now, data: out})
+	s.pendingOut = append(s.pendingOut, timedOutput{at: at, keyAt: keyAt, data: out})
+}
+
+// answerHostLocked hands the terminal's replies to what the host asked of it
+// (device attributes, cursor position) back to the host application as
+// input, as a pty's would. They are not keystrokes: no echo waits on the
+// application's response, and the flight recorder does not count them.
+// Caller holds s.mu, after a host write.
+func (s *Session) answerHostLocked(now time.Time) {
+	if ab := s.srv.Answerback(); ab != nil && s.app != nil {
+		s.appInputLocked(ab, now, time.Time{})
+	}
 }
 
 // flushHostOutputLocked writes every due host response to the terminal, and
@@ -730,6 +728,7 @@ func (s *Session) flushHostOutputLocked(now time.Time) bool {
 		// Delete clears the vacated tail: a slot past the new length must not
 		// keep a written response's bytes alive until a later one lands there.
 		s.pendingOut = slices.Delete(s.pendingOut, 0, n)
+		s.answerHostLocked(now)
 		// Applied host output changed the screen and the pending-output
 		// queue — both journaled state.
 		s.markDirty()
@@ -749,7 +748,7 @@ func (s *Session) noteEchoLocked(now time.Time) {
 		return
 	}
 	s.lastSentNum = sent
-	s.d.recordEv(telemetry.EvFrameSent, s.ID, sent, now)
+	s.d.rec.Record(telemetry.EvFrameSent, s.ID, sent, now)
 	// A frame left: credit the daemon's frames_prepared_sent if it (or one
 	// since the last pass) was one built ahead.
 	if n := s.srv.Transport().Sender().Stats().PreparedSent; n != s.preparedSent {
@@ -767,7 +766,7 @@ func (s *Session) noteEchoLocked(now time.Time) {
 	for i := 0; i < s.echoAwaitN; i++ {
 		lat := now.Sub(s.echoAwait[i])
 		s.d.pipe.ObserveEcho(lat, srtt)
-		s.d.recordEv(telemetry.EvEcho, s.ID, uint64(lat/time.Microsecond), now)
+		s.d.rec.Record(telemetry.EvEcho, s.ID, uint64(lat/time.Microsecond), now)
 		if cb := s.d.cfg.OnEcho; cb != nil {
 			cb(s.ID, lat, srtt)
 		}
@@ -836,10 +835,10 @@ func (s *Session) emit(wire []byte) {
 	if !ok {
 		// The sender seals nothing for an endpoint without a peer, so this
 		// is a regression in that gate; the datagram and its nonce are spent.
-		s.d.recordEv(telemetry.EvDropEgress, s.ID, 0, s.now)
+		s.d.rec.Record(telemetry.EvDropEgress, s.ID, 0, s.now)
 		return
 	}
 	if !s.d.enqueueEgress(dst, wire, s.now) {
-		s.d.recordEv(telemetry.EvDropEgress, s.ID, 1, s.now)
+		s.d.rec.Record(telemetry.EvDropEgress, s.ID, 1, s.now)
 	}
 }

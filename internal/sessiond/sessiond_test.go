@@ -1,7 +1,9 @@
 package sessiond_test
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/sessiond"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
+	"repro/internal/telemetry"
 	"repro/internal/terminal"
 )
 
@@ -179,8 +182,8 @@ func TestDaemonRunsIndependentSessions(t *testing.T) {
 			cb.cl.ServerState().Text(0) == "user@remote:~$ bravo"+spaces(80-20)
 	}, "both sessions to echo their own input")
 
-	if w.d.SessionsLive() != 2 {
-		t.Fatalf("SessionsLive = %d, want 2", w.d.SessionsLive())
+	if w.d.Metrics().SessionsLive.Value() != 2 {
+		t.Fatalf("SessionsLive = %d, want 2", w.d.Metrics().SessionsLive.Value())
 	}
 	m := w.d.Metrics()
 	if m.PacketsIn.Value() == 0 || m.PacketsOut.Value() == 0 {
@@ -284,8 +287,8 @@ func TestIdleEviction(t *testing.T) {
 	if w.d.Lookup(sc.ID) == nil {
 		t.Fatal("never-redeemed session C was evicted; pre-issued slots must wait indefinitely")
 	}
-	if w.d.SessionsLive() != 2 {
-		t.Fatalf("SessionsLive = %d, want 2 (A active, C waiting)", w.d.SessionsLive())
+	if w.d.Metrics().SessionsLive.Value() != 2 {
+		t.Fatalf("SessionsLive = %d, want 2 (A active, C waiting)", w.d.Metrics().SessionsLive.Value())
 	}
 }
 
@@ -302,11 +305,74 @@ func TestCapacityAndClose(t *testing.T) {
 		t.Fatalf("third OpenSession: err=%v, want ErrCapacity", err)
 	}
 	w.d.CloseSession(s1.ID)
-	if w.d.SessionsLive() != 1 {
-		t.Fatalf("SessionsLive = %d after close, want 1", w.d.SessionsLive())
+	if w.d.Metrics().SessionsLive.Value() != 1 {
+		t.Fatalf("SessionsLive = %d after close, want 1", w.d.Metrics().SessionsLive.Value())
 	}
 	if _, err := w.d.OpenSession(); err != nil {
 		t.Fatalf("OpenSession after close: %v", err)
+	}
+}
+
+// queryApp is a host application that asks the terminal for its device
+// attributes (DA) on start, answers a keystroke by asking for its cursor
+// position and its device attributes (DSR 6 and DA) n times, and prints
+// "done" once it has read every reply back.
+type queryApp struct {
+	n       int
+	replies int
+}
+
+func (a *queryApp) Start() []byte { return []byte("\x1b[c") }
+
+func (a *queryApp) Input(data []byte) ([]byte, time.Duration) {
+	if data[0] != 0x1b { // the keystroke
+		return bytes.Repeat([]byte("\x1b[6n\x1b[c"), a.n), time.Millisecond
+	}
+	a.replies += bytes.Count(data, []byte("\x1b["))
+	if a.replies == 2*a.n+1 {
+		return []byte("done"), time.Millisecond
+	}
+	return nil, 0
+}
+
+// TestAnswerbackReachesTheHost: the terminal's replies to a host's queries
+// go back to the host as input, as a pty's would, instead of piling up in
+// the session. They are not keystrokes: the one typed key is the only
+// keystroke recorded, and its echo the only echo.
+func TestAnswerbackReachesTheHost(t *testing.T) {
+	app := &queryApp{n: 10000}
+	w := newSimWorld(t, sessiond.Config{NewApp: func(uint64) host.App { return app }}, lan())
+	s, err := w.d.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.replies != 1 {
+		t.Fatalf("the host read %d replies to its start screen's query, want 1", app.replies)
+	}
+	c := w.addClient(s, netem.Addr{Host: 1, Port: 1001})
+	w.sched.RunFor(2 * time.Second)
+	c.typeString("q")
+	w.runUntil(5*time.Second, func() bool { return strings.HasPrefix(c.cl.ServerState().Text(0), "done") },
+		"the host to read every reply and say so")
+	if app.replies != 2*app.n+1 {
+		t.Fatalf("the host read %d replies, want %d", app.replies, 2*app.n+1)
+	}
+	var held int
+	s.Do(func(srv *core.Server) { held = len(srv.Answerback()) })
+	if held != 0 {
+		t.Fatalf("the session still holds %d bytes of replies", held)
+	}
+	keys, echoes := 0, 0
+	for _, ev := range w.d.FlightRecorder().Snapshot() {
+		switch ev.Code {
+		case telemetry.EvKeystroke:
+			keys++
+		case telemetry.EvEcho:
+			echoes++
+		}
+	}
+	if keys != 1 || echoes != 1 {
+		t.Fatalf("flight recorder has %d keystrokes and %d echoes, want 1 and 1", keys, echoes)
 	}
 }
 

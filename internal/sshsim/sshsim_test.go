@@ -72,10 +72,10 @@ func TestBulkFlowSaturatesSharedLink(t *testing.T) {
 	sched := simclock.NewScheduler(t0)
 	nw := netem.NewNetwork(sched)
 	path := netem.NewPath(nw, netem.LTE(), 4)
-	src, _ := BulkFlow(sched, nw, path, netem.Addr{Host: 2, Port: 80}, netem.Addr{Host: 1, Port: 8080})
+	BulkFlow(sched, nw, path, netem.Addr{Host: 2, Port: 80}, netem.Addr{Host: 1, Port: 8080})
 	sched.RunFor(60 * time.Second) // CUBIC takes tens of seconds to stand the queue up
-	if src.Stats().SegmentsSent < 100 {
-		t.Fatalf("bulk flow sent only %d segments", src.Stats().SegmentsSent)
+	if n := path.Down.Stats().Sent; n < 100 {
+		t.Fatalf("bulk flow put only %d segments on the link", n)
 	}
 	if path.Down.Stats().MaxQueueBytes < netem.LTE().QueueBytes/2 {
 		t.Fatalf("bulk flow did not fill the bottleneck queue: %d of %d",

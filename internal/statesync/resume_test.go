@@ -144,7 +144,7 @@ func TestUserStreamApplyUnknownBase(t *testing.T) {
 func TestCompleteRecycleFeedsClone(t *testing.T) {
 	live := NewComplete(80, 24)
 	snap := live.Clone()
-	live.Terminal().WriteString("hello")
+	live.Terminal().Write([]byte("hello"))
 	snap.Recycle()
 	again := live.Clone()
 	if again != snap {

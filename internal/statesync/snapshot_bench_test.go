@@ -11,9 +11,9 @@ import (
 func BenchmarkCompleteCloneDiffTyping(b *testing.B) {
 	cur := NewComplete(80, 24)
 	for i := 0; i < 23; i++ {
-		cur.Terminal().WriteString(fmt.Sprintf("%2d: benchmark warmup line with typical content\r\n", i))
+		cur.Terminal().Write([]byte(fmt.Sprintf("%2d: benchmark warmup line with typical content\r\n", i)))
 	}
-	cur.Terminal().WriteString("$ ")
+	cur.Terminal().Write([]byte("$ "))
 	prev := cur.Clone()
 	keys := []byte("git status && go test ./... ")
 	reset := []byte("\r$ \x1b[K")
@@ -36,7 +36,7 @@ func BenchmarkCompleteCloneDiffTyping(b *testing.B) {
 func BenchmarkCompleteClone(b *testing.B) {
 	cur := NewComplete(80, 24)
 	for i := 0; i < 23; i++ {
-		cur.Terminal().WriteString(fmt.Sprintf("%2d: benchmark warmup line with typical content\r\n", i))
+		cur.Terminal().Write([]byte(fmt.Sprintf("%2d: benchmark warmup line with typical content\r\n", i)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,14 +16,14 @@ import (
 func TestSnapshotPoolReuse(t *testing.T) {
 	live := NewComplete(40, 10)
 	for i := 0; i < 30; i++ {
-		live.Terminal().WriteString(fmt.Sprintf("line %d of session output\r\n", i))
+		live.Terminal().Write([]byte(fmt.Sprintf("line %d of session output\r\n", i)))
 	}
 
 	snap := live.Clone()
 	if !snap.Equal(live) {
 		t.Fatal("clone differs from live state")
 	}
-	live.Terminal().WriteString("more output\r\n")
+	live.Terminal().Write([]byte("more output\r\n"))
 	snap.Recycle()
 
 	snap2 := live.Clone()
@@ -75,7 +75,7 @@ func TestSnapshotPoolBounded(t *testing.T) {
 func TestSteadyStateTickZeroAllocAfterScrollFlood(t *testing.T) {
 	live := NewComplete(80, 24)
 	for i := 0; i < 1100; i++ {
-		live.Terminal().WriteString(fmt.Sprintf("scrolled line %d\r\n", i))
+		live.Terminal().Write([]byte(fmt.Sprintf("scrolled line %d\r\n", i)))
 	}
 	// Warm the pool the way the sender does: take snapshots, retire them.
 	a, b := live.Clone(), live.Clone()
@@ -107,12 +107,12 @@ func liveHeap() uint64 {
 func TestRetiredSnapshotPinsNothing(t *testing.T) {
 	const w, h = 162, 64
 	repaint := func(c *Complete, round int) {
-		c.Terminal().WriteString("\x1b[H")
+		c.Terminal().Write([]byte("\x1b[H"))
 		for y := 0; y < h; y++ {
 			line := fmt.Sprintf("round %d row %02d ", round, y)
-			c.Terminal().WriteString(strings.Repeat(line, w/len(line)+1)[:w-1])
+			c.Terminal().Write([]byte(strings.Repeat(line, w/len(line)+1)[:w-1]))
 			if y < h-1 {
-				c.Terminal().WriteString("\r\n")
+				c.Terminal().Write([]byte("\r\n"))
 			}
 		}
 	}

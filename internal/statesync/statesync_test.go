@@ -175,7 +175,7 @@ func TestUserStreamDiffApplyProperty(t *testing.T) {
 
 func TestCompleteDiffApply(t *testing.T) {
 	server := NewComplete(40, 10)
-	server.Terminal().WriteString("login$ make\r\ncompiling...")
+	server.Terminal().Write([]byte("login$ make\r\ncompiling..."))
 	client := NewComplete(40, 10)
 	if err := client.Apply(server.DiffFrom(client)); err != nil {
 		t.Fatal(err)
@@ -190,9 +190,9 @@ func TestCompleteDiffApply(t *testing.T) {
 
 func TestCompleteIncrementalDiffIsSmall(t *testing.T) {
 	server := NewComplete(80, 24)
-	server.Terminal().WriteString(strings.Repeat("some long line of text here\r\n", 20))
+	server.Terminal().Write([]byte(strings.Repeat("some long line of text here\r\n", 20)))
 	client := server.Clone()
-	server.Terminal().WriteString("x") // one echoed character
+	server.Terminal().Write([]byte("x")) // one echoed character
 	diff := server.DiffFrom(client)
 	if len(diff) > 64 {
 		t.Fatalf("one-character diff is %d bytes", len(diff))
@@ -210,7 +210,7 @@ func TestCompleteSkipsIntermediateStates(t *testing.T) {
 	old := server.Clone()
 	// A runaway process floods the screen...
 	for i := 0; i < 5000; i++ {
-		server.Terminal().WriteString("flooding the terminal with output!\r\n")
+		server.Terminal().Write([]byte("flooding the terminal with output!\r\n"))
 	}
 	// ...but the diff to the newest state stays bounded by screen size.
 	diff := server.DiffFrom(old)
@@ -227,10 +227,10 @@ func TestCompleteSkipsIntermediateStates(t *testing.T) {
 
 func TestCompleteResizePropagates(t *testing.T) {
 	server := NewComplete(80, 24)
-	server.Terminal().WriteString("content")
+	server.Terminal().Write([]byte("content"))
 	client := server.Clone()
 	server.Terminal().Resize(120, 40)
-	server.Terminal().WriteString(" more")
+	server.Terminal().Write([]byte(" more"))
 	if err := client.Apply(server.DiffFrom(client)); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestCompleteEchoAckSync(t *testing.T) {
 // the three header bytes (width, height, echo ack) and no frame.
 func TestCompleteEchoAckOnlyDiffIsHeader(t *testing.T) {
 	server := NewComplete(80, 24)
-	server.Terminal().WriteString("$ ls")
+	server.Terminal().Write([]byte("$ ls"))
 	client := server.Clone()
 	server.SetEchoAck(1)
 	diff := server.DiffFrom(client)
@@ -284,9 +284,9 @@ func TestCompleteEchoAckOnlyDiffIsHeader(t *testing.T) {
 
 func TestCompleteCloneIndependence(t *testing.T) {
 	a := NewComplete(20, 5)
-	a.Terminal().WriteString("aaa")
+	a.Terminal().Write([]byte("aaa"))
 	b := a.Clone()
-	a.Terminal().WriteString("bbb")
+	a.Terminal().Write([]byte("bbb"))
 	if b.Equal(a) {
 		t.Fatal("clone tracked later writes")
 	}
@@ -307,7 +307,7 @@ func TestCompleteDiffChainConvergence(t *testing.T) {
 		strings.Repeat("flood\r\n", 40),
 	}
 	for _, s := range scripts {
-		server.Terminal().WriteString(s)
+		server.Terminal().Write([]byte(s))
 		if err := client.Apply(server.DiffFrom(client)); err != nil {
 			t.Fatal(err)
 		}

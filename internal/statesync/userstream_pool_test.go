@@ -92,7 +92,7 @@ func TestApplyDoesNotRetainDiff(t *testing.T) {
 	}
 
 	screen := NewComplete(40, 5)
-	screen.Terminal().WriteString("café \U0001F600 \x1b]0;title\x07wide 世界")
+	screen.Terminal().Write([]byte("café \U0001F600 \x1b]0;title\x07wide 世界"))
 	sdiff := screen.DiffFrom(NewComplete(40, 5))
 	sgot := NewComplete(40, 5)
 	if err := sgot.Apply(sdiff); err != nil {

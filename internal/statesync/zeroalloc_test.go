@@ -15,10 +15,10 @@ func TestCompleteAppendDiffZeroAlloc(t *testing.T) {
 	}
 	cur := NewComplete(80, 24)
 	for i := 0; i < 23; i++ {
-		cur.Terminal().WriteString(fmt.Sprintf("line %d of steady-state screen\r\n", i))
+		cur.Terminal().Write([]byte(fmt.Sprintf("line %d of steady-state screen\r\n", i)))
 	}
 	prev := cur.Clone()
-	cur.Terminal().WriteString("$")
+	cur.Terminal().Write([]byte("$"))
 
 	var buf []byte
 	buf = cur.AppendDiff(buf[:0], prev) // warm the scratch

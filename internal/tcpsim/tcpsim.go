@@ -138,9 +138,6 @@ func New(cfg Config) *Conn {
 	return c
 }
 
-// Stats returns a snapshot of counters.
-func (c *Conn) Stats() Stats { return c.stats }
-
 // Outstanding reports bytes sent but not yet acknowledged.
 func (c *Conn) Outstanding() int { return int(c.sndNxt - c.sndUna) }
 
@@ -471,15 +468,4 @@ func (c *Conn) deliver(data []byte) {
 	if c.cfg.Deliver != nil {
 		c.cfg.Deliver(data)
 	}
-}
-
-// Pair wires two connection endpoints over a path, for tests and the
-// benchmark harness: a's segments travel path.Up, b's travel path.Down.
-func Pair(sched *simclock.Scheduler, net *netem.Network, path *netem.Path,
-	aAddr, bAddr netem.Addr, aDeliver, bDeliver func([]byte)) (a, b *Conn) {
-	a = New(Config{Sched: sched, Link: path.Up, Local: aAddr, Remote: bAddr, Deliver: aDeliver})
-	b = New(Config{Sched: sched, Link: path.Down, Local: bAddr, Remote: aAddr, Deliver: bDeliver})
-	net.Attach(aAddr, func(p netem.Packet) { a.Receive(p.Payload) })
-	net.Attach(bAddr, func(p netem.Packet) { b.Receive(p.Payload) })
-	return a, b
 }

@@ -61,8 +61,8 @@ func TestLargeTransferSegmentsAndReassembles(t *testing.T) {
 	if !bytes.Equal(f.gotB, data) {
 		t.Fatalf("delivered %d bytes, want %d", len(f.gotB), len(data))
 	}
-	if f.a.Stats().SegmentsSent < 80 {
-		t.Fatalf("only %d segments for 100kB", f.a.Stats().SegmentsSent)
+	if f.a.stats.SegmentsSent < 80 {
+		t.Fatalf("only %d segments for 100kB", f.a.stats.SegmentsSent)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestRecoversFromLoss(t *testing.T) {
 	if !bytes.Equal(f.gotB, data) {
 		t.Fatalf("delivered %d/%d bytes under loss", len(f.gotB), len(data))
 	}
-	if f.a.Stats().Retransmissions == 0 {
+	if f.a.stats.Retransmissions == 0 {
 		t.Fatal("no retransmissions under 29% loss")
 	}
 }
@@ -93,7 +93,7 @@ func TestExponentialBackoff(t *testing.T) {
 	f := newFixture(t, netem.LinkParams{Delay: 10 * time.Millisecond, LossProb: 1.0})
 	f.a.Send([]byte("doomed"))
 	f.sched.RunFor(40 * time.Second)
-	st := f.a.Stats()
+	st := f.a.stats
 	if st.Timeouts < 3 || st.Timeouts > 8 {
 		// 1s + 2s + 4s + 8s + 16s... ≈ 5 timeouts in 40s.
 		t.Fatalf("timeouts in 40s of blackhole = %d, want ~5 (exponential backoff)", st.Timeouts)
@@ -143,10 +143,10 @@ func TestFastRetransmit(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("got %d bytes want %d", len(got), len(data))
 	}
-	if a.Stats().FastRetransmits == 0 {
+	if a.stats.FastRetransmits == 0 {
 		t.Fatal("loss repaired without fast retransmit")
 	}
-	if a.Stats().Timeouts > 0 {
+	if a.stats.Timeouts > 0 {
 		t.Fatal("RTO fired despite dup-ack availability")
 	}
 }
@@ -234,4 +234,15 @@ func TestInteractiveLatencyUnderLossHasHugeTail(t *testing.T) {
 	if mean < 200*time.Millisecond {
 		t.Fatalf("mean latency %v suspiciously low for 29%% loss", mean)
 	}
+}
+
+// Pair wires two connection endpoints over a path: a's segments travel
+// path.Up, b's travel path.Down.
+func Pair(sched *simclock.Scheduler, net *netem.Network, path *netem.Path,
+	aAddr, bAddr netem.Addr, aDeliver, bDeliver func([]byte)) (a, b *Conn) {
+	a = New(Config{Sched: sched, Link: path.Up, Local: aAddr, Remote: bAddr, Deliver: aDeliver})
+	b = New(Config{Sched: sched, Link: path.Down, Local: bAddr, Remote: aAddr, Deliver: bDeliver})
+	net.Attach(aAddr, func(p netem.Packet) { a.Receive(p.Payload) })
+	net.Attach(bAddr, func(p netem.Packet) { b.Receive(p.Payload) })
+	return a, b
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -79,22 +78,17 @@ type recShard struct {
 
 // Recorder is a lock-free in-memory flight recorder: a fixed ring of
 // packed events per shard, sharded by session ID so concurrent session
-// workers do not contend on one cursor. Record is wait-free, makes no
-// allocations, and when disabled costs one atomic load. An event's four
-// words are stored non-transactionally — a reader racing a wrapping
-// writer can observe a torn event; dumps are diagnostics, not an audit
-// log, and the ~ring-period staleness window makes this vanishingly
-// rare in practice.
-//
-// A nil *Recorder is valid and permanently disabled, so callers never
-// need a nil check on the record path.
+// workers do not contend on one cursor. It is always on: Record is
+// wait-free and makes no allocations. An event's four words are stored
+// non-transactionally — a reader racing a wrapping writer can observe a
+// torn event; dumps are diagnostics, not an audit log, and the
+// ~ring-period staleness window makes this vanishingly rare in practice.
 type Recorder struct {
-	enabled atomic.Bool
-	slots   uint64 // per shard, power of two
-	shards  [recorderShards]recShard
+	slots  uint64 // per shard, power of two
+	shards [recorderShards]recShard
 }
 
-// NewRecorder returns an enabled recorder with slotsPerShard event slots
+// NewRecorder returns a recorder with slotsPerShard event slots
 // in each of its 8 shards (0 or negative = DefaultRecorderSlots; rounded
 // up to a power of two).
 func NewRecorder(slotsPerShard int) *Recorder {
@@ -109,29 +103,13 @@ func NewRecorder(slotsPerShard int) *Recorder {
 	for i := range r.shards {
 		r.shards[i].words = make([]atomic.Uint64, n*wordsPerEvent)
 	}
-	r.enabled.Store(true)
 	return r
-}
-
-// Enabled reports whether Record currently stores events. Nil-safe.
-func (r *Recorder) Enabled() bool {
-	return r != nil && r.enabled.Load()
-}
-
-// SetEnabled flips recording on or off. Nil-safe (no-op on nil).
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
 }
 
 // Record stores one event, overwriting the oldest in the session's
 // shard. The caller supplies the timestamp so simulated clocks record
 // virtual time.
 func (r *Recorder) Record(code Code, session, arg uint64, now time.Time) {
-	if r == nil || !r.enabled.Load() {
-		return
-	}
 	sh := &r.shards[session%recorderShards]
 	base := ((sh.pos.Add(1) - 1) & (r.slots - 1)) * wordsPerEvent
 	sh.words[base].Store(uint64(now.UnixNano()))
@@ -151,9 +129,6 @@ type Event struct {
 // Snapshot decodes every recorded event, oldest first. Safe against
 // concurrent recording (modulo the documented tearing window).
 func (r *Recorder) Snapshot() []Event {
-	if r == nil {
-		return nil
-	}
 	evs := make([]Event, 0, 64)
 	for s := range r.shards {
 		sh := &r.shards[s]
@@ -200,37 +175,4 @@ func (r *Recorder) AppendDump(dst []byte, reason string, now time.Time) []byte {
 			ev.At.Sub(now).Round(time.Microsecond), ev.Code, ev.Session, ev.Arg)
 	}
 	return dst
-}
-
-type dumpJSON struct {
-	Reason   string      `json:"reason"`
-	AtUnixNs int64       `json:"at_unix_ns"`
-	Events   []eventJSON `json:"events"`
-}
-
-type eventJSON struct {
-	AtUnixNs int64  `json:"at_unix_ns"`
-	Event    string `json:"event"`
-	Session  uint64 `json:"session"`
-	Arg      uint64 `json:"arg"`
-}
-
-// AppendDumpJSON renders the same dump as one JSON document for
-// machine consumption (CI artifacts, log shippers).
-func (r *Recorder) AppendDumpJSON(dst []byte, reason string, now time.Time) []byte {
-	evs := r.Snapshot()
-	doc := dumpJSON{Reason: reason, AtUnixNs: now.UnixNano(), Events: make([]eventJSON, len(evs))}
-	for i, ev := range evs {
-		doc.Events[i] = eventJSON{
-			AtUnixNs: ev.At.UnixNano(),
-			Event:    ev.Code.String(),
-			Session:  ev.Session,
-			Arg:      ev.Arg,
-		}
-	}
-	b, err := json.Marshal(doc)
-	if err != nil { // unreachable: the document is plain data
-		return dst
-	}
-	return append(dst, b...)
 }

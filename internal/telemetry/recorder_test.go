@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -52,60 +51,13 @@ func TestRecorderWrap(t *testing.T) {
 	}
 }
 
-func TestRecorderDisabledAndNil(t *testing.T) {
-	r := NewRecorder(16)
-	r.SetEnabled(false)
-	r.Record(EvRoam, 1, 0, recT0)
-	if evs := r.Snapshot(); len(evs) != 0 {
-		t.Fatalf("disabled recorder stored %d events", len(evs))
-	}
-	r.SetEnabled(true)
-	r.Record(EvRoam, 1, 0, recT0)
-	if evs := r.Snapshot(); len(evs) != 1 {
-		t.Fatalf("re-enabled recorder stored %d events, want 1", len(evs))
-	}
-
-	var nilR *Recorder
-	nilR.Record(EvRoam, 1, 0, recT0) // must not panic
-	nilR.SetEnabled(true)
-	if nilR.Enabled() || nilR.Snapshot() != nil {
-		t.Fatal("nil recorder must be permanently disabled and empty")
-	}
-	if got := nilR.AppendDump(nil, "x", recT0); !strings.Contains(string(got), "0 events") {
-		t.Fatalf("nil recorder dump = %q", got)
-	}
-}
-
-// TestRecordAllocFree is the CI alloc gate for the enabled record path:
+// TestRecordAllocFree is the CI alloc gate for the record path:
 // storing an event must never allocate.
 func TestRecordAllocFree(t *testing.T) {
 	r := NewRecorder(0)
 	ts := recT0
 	if n := testing.AllocsPerRun(1000, func() { r.Record(EvEcho, 42, 7, ts) }); n != 0 {
 		t.Fatalf("Record allocates %v per call", n)
-	}
-}
-
-// TestRecordDisabledCheap is the CI gate for the disabled path: with
-// recording off, Record must make no allocations and cost no more than
-// a few nanoseconds (one atomic load + branch). The 250 ns ceiling is
-// two orders of magnitude above the real cost, loose enough for any
-// loaded CI runner while still catching an accidental time.Now() or
-// allocation sneaking ahead of the gate.
-func TestRecordDisabledCheap(t *testing.T) {
-	r := NewRecorder(0)
-	r.SetEnabled(false)
-	ts := recT0
-	if n := testing.AllocsPerRun(1000, func() { r.Record(EvEcho, 42, 7, ts) }); n != 0 {
-		t.Fatalf("disabled Record allocates %v per call", n)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.Record(EvEcho, 42, 7, ts)
-		}
-	})
-	if ns := res.NsPerOp(); ns > 250 {
-		t.Fatalf("disabled Record costs %d ns/op, want a few ns", ns)
 	}
 }
 
@@ -120,24 +72,6 @@ func TestRecorderDumpFormats(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("text dump missing %q:\n%s", want, text)
 		}
-	}
-
-	var doc struct {
-		Reason string `json:"reason"`
-		Events []struct {
-			Event   string `json:"event"`
-			Session uint64 `json:"session"`
-			Arg     uint64 `json:"arg"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(r.AppendDumpJSON(nil, "unit-test", now), &doc); err != nil {
-		t.Fatalf("JSON dump does not parse: %v", err)
-	}
-	if doc.Reason != "unit-test" || len(doc.Events) != 2 {
-		t.Fatalf("JSON dump = %+v", doc)
-	}
-	if doc.Events[0].Event != "drop_auth" || doc.Events[1].Arg != 256 {
-		t.Fatalf("JSON events = %+v", doc.Events)
 	}
 }
 

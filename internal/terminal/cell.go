@@ -167,12 +167,6 @@ func (r *Renditions) Set(a Attr, on bool) {
 // erased cell carries.
 func (r Renditions) background() Renditions { return Renditions{bg: r.bg} }
 
-// ANSIString returns the escape sequence that establishes r starting from
-// the default rendition (always beginning with a reset).
-func (r Renditions) ANSIString() string {
-	return string(r.appendANSI(nil))
-}
-
 // sgrAttrs lists the attributes in SGR parameter order.
 var sgrAttrs = [...]struct {
 	attr  Attr
@@ -182,8 +176,9 @@ var sgrAttrs = [...]struct {
 	{AttrBlink, ";5"}, {AttrInverse, ";7"}, {AttrInvisible, ";8"},
 }
 
-// appendANSI appends the same escape sequence ANSIString returns to buf.
-// It is the allocation-free emission path the frame renderer uses.
+// appendANSI appends the escape sequence that establishes r starting from
+// the default rendition (always beginning with a reset) to buf. It is the
+// allocation-free emission path the frame renderer uses.
 func (r Renditions) appendANSI(buf []byte) []byte {
 	buf = append(buf, "\x1b[0"...)
 	if Attr(r.fg)&attrMask != 0 {
@@ -234,7 +229,7 @@ type Cell struct {
 	// double-width character (the cell to its right must be a blank
 	// continuation), wrap that the line soft-wrapped after this
 	// (last-column) cell. Read the grapheme through glyph and mutate it only
-	// through SetRune/SetContents (or the emulator's print path) so
+	// through SetRune (or the emulator's print path and the snapshot codec) so
 	// inline/interned canonicalization — which cell equality relies on — is
 	// preserved.
 	content uint32
@@ -274,10 +269,6 @@ func (c *Cell) Reset(bg Renditions) {
 // combining characters, UTF-8 encoded. Empty means blank. (This is the
 // read side of the old exported Contents field.)
 func (c *Cell) ContentsString() string { return contentString(c.glyph()) }
-
-// SetContents replaces the cell's grapheme with an arbitrary string,
-// interning multi-rune clusters. Empty means blank.
-func (c *Cell) SetContents(s string) { c.setGlyph(internContents(s)) }
 
 // SetRune replaces the cell's grapheme with a single rune — the
 // allocation-free fast path for every plain printed character.

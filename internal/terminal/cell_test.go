@@ -172,3 +172,11 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 	}
 	t.Logf("%d cells checked", cases)
 }
+
+// ANSIString returns the escape sequence that establishes r starting from
+// the default rendition (always beginning with a reset).
+func (r Renditions) ANSIString() string { return string(r.appendANSI(nil)) }
+
+// SetContents replaces the cell's grapheme with an arbitrary string,
+// interning multi-rune clusters. Empty means blank.
+func (c *Cell) SetContents(s string) { c.setGlyph(internContents(s)) }

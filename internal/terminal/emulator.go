@@ -54,9 +54,6 @@ func (e *Emulator) Write(data []byte) (int, error) {
 	return len(data), nil
 }
 
-// WriteString interprets host output given as a string.
-func (e *Emulator) WriteString(s string) { e.Write([]byte(s)) }
-
 // Resize changes the screen dimensions (user resized their window). The
 // cursor may be clamped, so the print stream is broken for emoji joining.
 func (e *Emulator) Resize(w, h int) {

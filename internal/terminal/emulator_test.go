@@ -529,3 +529,6 @@ func TestRuneWidths(t *testing.T) {
 		}
 	}
 }
+
+// WriteString interprets host output given as a string.
+func (e *Emulator) WriteString(s string) { e.Write([]byte(s)) }

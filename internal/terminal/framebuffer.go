@@ -51,9 +51,6 @@ func newBlankRow(width int) *Row {
 	return &Row{Cells: sharedBlankCells(width), gen: nextGen(), shared: true}
 }
 
-// Gen returns the row's generation number.
-func (r *Row) Gen() uint64 { return r.gen }
-
 // Touch marks the row modified, invalidating generation-based equality.
 // Overlay code uses it after writing cells directly.
 func (r *Row) Touch() { r.touch() }
@@ -316,9 +313,6 @@ func (f *Framebuffer) MoveCursor(row, col int) {
 	f.DS.CursorCol = clamp(col, 0, f.W-1)
 	f.DS.NextPrintWraps = false
 }
-
-// touchCursorRow marks the cursor's row modified.
-func (f *Framebuffer) touchCursorRow() { f.writableRow(f.DS.CursorRow).touch() }
 
 // eraseCells blanks cols [from, to) of row with the current background.
 func (f *Framebuffer) eraseCells(row, from, to int) {

@@ -38,7 +38,7 @@ const maxGraphemeBytes = 32
 // alone would still let a hostile stream intern unboundedly many
 // *distinct* short clusters. At the cap (≈4 MB worst case, process-wide)
 // new clusters degrade gracefully — combining appends drop the mark,
-// SetContents falls back to the cluster's base rune — while every
+// internContents falls back to the cluster's base rune — while every
 // already-interned cluster keeps rendering exactly.
 const maxInternedGraphemes = 1 << 16
 

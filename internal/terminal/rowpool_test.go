@@ -100,7 +100,7 @@ func TestPooledRowsAreFullyReset(t *testing.T) {
 	// with any other row.
 	seen := map[uint64]int{}
 	for i := 0; i < f.H; i++ {
-		g := f.rows[i].Gen()
+		g := f.rows[i].gen
 		if j, dup := seen[g]; dup {
 			t.Fatalf("rows %d and %d share generation %d", j, i, g)
 		}

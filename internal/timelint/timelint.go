@@ -5,5 +5,6 @@
 // simclock.Clock. Two time regimes stitched together is how virtual-time
 // tests silently measure the wrong thing; this gate keeps the repository
 // on one. Beside it, TestEveryPackageImported fails on any internal package
-// that no production file outside it imports.
+// that no production file outside it imports, and TestEveryFuncReached on
+// any production function that no production file references.
 package timelint

@@ -75,15 +75,6 @@ func (t *Trace) Duration() time.Duration {
 	return t.Steps[len(t.Steps)-1].At + 2*time.Second
 }
 
-// KindCounts tallies keystrokes by kind.
-func (t *Trace) KindCounts() map[Kind]int {
-	m := make(map[Kind]int)
-	for _, s := range t.Steps {
-		m[s.Kind]++
-	}
-	return m
-}
-
 // generator accumulates steps while driving host models.
 type generator struct {
 	rng   *rand.Rand

@@ -24,12 +24,8 @@ func TestTypingFractionMatchesPaper(t *testing.T) {
 	traces := SixUsers(1, 1664)
 	typing, total := 0, 0
 	for _, tr := range traces {
-		for k, n := range tr.KindCounts() {
-			total += n
-			if k == Typing {
-				typing += n
-			}
-		}
+		typing += typingSteps(tr)
+		total += len(tr.Steps)
 	}
 	frac := float64(typing) / float64(total)
 	// The paper bounds typing from below — "more than two-thirds of user
@@ -121,11 +117,20 @@ func TestNavigationStepsRepaint(t *testing.T) {
 
 func TestProfilesDiffer(t *testing.T) {
 	traces := SixUsers(1, 1664)
-	kChat := traces[4].KindCounts() // compose-heavy
-	kMail := traces[2].KindCounts() // navigation-heavy
-	fChat := float64(kChat[Typing]) / float64(len(traces[4].Steps))
-	fMail := float64(kMail[Typing]) / float64(len(traces[2].Steps))
+	fChat := float64(typingSteps(traces[4])) / float64(len(traces[4].Steps)) // compose-heavy
+	fMail := float64(typingSteps(traces[2])) / float64(len(traces[2].Steps)) // navigation-heavy
 	if fChat <= fMail {
 		t.Fatalf("chat user typing fraction %.2f should exceed mail user %.2f", fChat, fMail)
 	}
+}
+
+// typingSteps counts tr's keystrokes of kind Typing.
+func typingSteps(tr *Trace) int {
+	n := 0
+	for _, s := range tr.Steps {
+		if s.Kind == Typing {
+			n++
+		}
+	}
+	return n
 }

@@ -82,15 +82,6 @@ const (
 	maxDecompressed = 16 << 20
 )
 
-// encodeInstruction marshals and, when profitable, compresses, into a
-// buffer the caller keeps: the scratch it is encoded in is never given back.
-// The sender's hot path goes through a fragmenter, which returns its scratch
-// to the pool once the instruction is on the wire.
-func encodeInstruction(inst *Instruction) []byte {
-	var fr fragmenter
-	return fr.encode(inst)
-}
-
 // Deflate state belongs to the process, not to a session: a zlib.Writer is
 // ≈ 1.2 MB, an endpoint needs one only while it encodes one instruction, and
 // Reset makes a borrowed one indistinguishable from a fresh one — the bytes
@@ -169,13 +160,6 @@ func (l *lease) release() {
 		}
 		l.lent = nil
 	}
-}
-
-// decodeInstruction reverses encodeInstruction into fresh buffers. The
-// receive path goes through assembly.decode, which borrows a scratch.
-func decodeInstruction(buf []byte) (*Instruction, error) {
-	var a assembly
-	return a.decode(buf)
 }
 
 // Fragmentation. An instruction larger than the MTU is split into numbered

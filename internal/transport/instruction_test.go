@@ -284,3 +284,19 @@ func TestDecodeInstructionRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted unknown encoding")
 	}
 }
+
+// encodeInstruction marshals and, when profitable, compresses, into a
+// buffer the caller keeps: the scratch it is encoded in is never given back.
+// The sender's hot path goes through a fragmenter, which returns its scratch
+// to the pool once the instruction is on the wire.
+func encodeInstruction(inst *Instruction) []byte {
+	var fr fragmenter
+	return fr.encode(inst)
+}
+
+// decodeInstruction reverses encodeInstruction into fresh buffers. The
+// receive path goes through assembly.decode, which borrows a scratch.
+func decodeInstruction(buf []byte) (*Instruction, error) {
+	var a assembly
+	return a.decode(buf)
+}

@@ -125,8 +125,8 @@ func TestReceiverKeystrokeAllocsBounded(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, step); allocs > 1 {
 		t.Fatalf("steady-state keystroke = %.1f allocs per instruction, want <= 1 (the event payload)", allocs)
 	}
-	if held := len(r.Latest().EventsSince(0)); held > 2 || r.StateCount() > 2 {
-		t.Fatalf("after %d keystrokes the receiver retains %d events in %d states", next, held, r.StateCount())
+	if held := len(r.Latest().EventsSince(0)); held > 2 || len(r.states) > 2 {
+		t.Fatalf("after %d keystrokes the receiver retains %d events in %d states", next, held, len(r.states))
 	}
 }
 

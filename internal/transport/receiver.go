@@ -86,9 +86,6 @@ func (r *Receiver[T]) Latest() T { return r.states[len(r.states)-1].state }
 // LatestNum returns the newest remote state number.
 func (r *Receiver[T]) LatestNum() uint64 { return r.states[len(r.states)-1].num }
 
-// StateCount reports retained history length (for tests).
-func (r *Receiver[T]) StateCount() int { return len(r.states) }
-
 // processInstruction applies one instruction. It returns true when a new
 // remote state was created (which the caller must acknowledge). Unknown
 // diff sources are not an error — the instruction is simply unusable and

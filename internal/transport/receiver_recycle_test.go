@@ -55,8 +55,8 @@ func TestReceiverRecyclesRetiredStates(t *testing.T) {
 	if isNew, err := r.processInstruction(mkInst(7, 9, 1, []byte("zz"))); err != nil || isNew {
 		t.Fatalf("unknown base: isNew=%v err=%v", isNew, err)
 	}
-	if recycled != 1 || r.StateCount() != 2 {
-		t.Fatalf("after noise: recycled=%d states=%d, want 1 and 2", recycled, r.StateCount())
+	if recycled != 1 || len(r.states) != 2 {
+		t.Fatalf("after noise: recycled=%d states=%d, want 1 and 2", recycled, len(r.states))
 	}
 	// The live states (1 and 2) and the pristine fallback are alive.
 	if initial.dead {

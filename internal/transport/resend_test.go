@@ -65,18 +65,18 @@ func TestResendCarriesTheNumberedState(t *testing.T) {
 	run(300*time.Millisecond, false)
 
 	host := server.CurrentState().Terminal()
-	host.WriteString("\x1b[31mred")
+	host.Write([]byte("\x1b[31mred"))
 	server.TickChangedAt(clk.Now())
 	run(50*time.Millisecond, true)
 	if server.Sender().Stats().Instructions == 0 {
 		t.Fatal("the red state was never sent")
 	}
-	host.WriteString("\x1b[0m")
+	host.Write([]byte("\x1b[0m"))
 	run(5*time.Second, false) // long enough for the retransmission probe
 	if server.Sender().Stats().Instructions < 2 {
 		t.Fatal("the lost state was never resent")
 	}
-	host.WriteString("\x1b[31mx")
+	host.Write([]byte("\x1b[31mx"))
 	server.TickChangedAt(clk.Now())
 	run(time.Second, false)
 

@@ -216,26 +216,10 @@ func (s *Sender[T]) NumHighWater() uint64 {
 	return hw
 }
 
-// NumRemaining reports how many new states may still be minted under the
-// current reservation (unlimited when no ceiling is set).
-func (s *Sender[T]) NumRemaining() uint64 {
-	if s.numCeiling == 0 {
-		return ^uint64(0)
-	}
-	hw := s.NumHighWater()
-	if hw >= s.numCeiling {
-		return 0
-	}
-	return s.numCeiling - hw
-}
-
-// CurrentState returns the live object the sender synchronizes from.
-func (s *Sender[T]) CurrentState() T { return s.currentState }
-
 // Stats returns a snapshot of wire counters.
 func (s *Sender[T]) Stats() SenderStats { return s.stats }
 
-// SentStateCount reports the retained history length (for tests).
+// SentStateCount reports the retained history length.
 func (s *Sender[T]) SentStateCount() int { return len(s.sentStates) }
 
 // SentStates iterates the retained history, the acknowledged baseline

@@ -43,7 +43,11 @@ func TestProviderProbe(t *testing.T) {
 		t.Skipf("loopback UDP unavailable: %v", err)
 	}
 	defer c.Close()
-	if got := ProviderName(NewUDPConn(c)); got != "mmsg" {
+	bc, err := NewUDPConnProvider(c, "auto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ProviderName(bc); got != "mmsg" {
 		t.Fatalf("auto selected %q, want mmsg", got)
 	}
 }

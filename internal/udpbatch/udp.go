@@ -89,14 +89,6 @@ func (u *udpSingle) Close() error { return u.c.Close() }
 // retransmission timeout.
 const socketReadBuffer = 4 << 20
 
-// NewUDPConn wraps a UDP socket in the provider "auto" selects (see
-// NewUDPConnProvider): mmsg where the platform has it, the loop adapter —
-// which always works — elsewhere.
-func NewUDPConn(c *net.UDPConn) Conn {
-	bc, _ := NewUDPConnProvider(c, "auto")
-	return bc
-}
-
 // NewUDPConnProvider selects a provider by name: "mmsg", "loop", or "auto"
 // (also ""). An explicit name fails rather than falling back, so an
 // operator pinning a provider learns it is unavailable instead of silently
