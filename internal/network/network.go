@@ -15,6 +15,10 @@
 //     timestamps and hold-time-adjusted timestamp replies, using TCP's
 //     algorithm (RFC 6298) with a 50 ms (not 1 s) lower bound on the RTO.
 //
+// A multiplexing daemon prefixes each datagram with a cleartext session-ID
+// envelope, the ID's minimal unsigned varint (1 byte for IDs up to 127);
+// without an Envelope the datagram is the single-session SSP packet alone.
+//
 // The layer is IO-free: AppendPacket returns wire bytes for the caller to
 // transmit (over internal/netem in simulation, or a real UDP socket in
 // cmd/mosh-client and cmd/mosh-server), and Receive consumes wire bytes.
@@ -24,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/netem"
@@ -66,14 +71,18 @@ var (
 
 // Session-ID envelope. A multiplexing daemon (internal/sessiond) runs many
 // independent SSP sessions behind one socket by prepending a cleartext
-// 64-bit big-endian session ID to every datagram. The ID is routing
-// metadata only: authenticity still comes from each session's AES-OCB key,
-// so a spoofed or corrupted ID merely selects a session whose key fails to
-// open the packet. Without an Envelope the wire format is byte-identical
-// to single-session SSP.
+// session ID to every datagram, as the ID's minimal unsigned varint
+// (encoding/binary's uvarint: seven bits a byte, low bits first): 1 byte for
+// IDs 1–127, 2 bytes up to 16 383. The ID is routing metadata only:
+// authenticity still comes from each session's AES-OCB key, so a spoofed or
+// corrupted ID merely selects a session whose key fails to open the packet.
+// Without an Envelope the wire format is byte-identical to single-session
+// SSP.
 
-// EnvelopeLen is the byte length of the session-ID envelope.
-const EnvelopeLen = 8
+// EnvelopeLen is the longest session-ID envelope, binary.MaxVarintLen64
+// bytes (an ID of 2^63 or more). A session's own envelope is usually far
+// shorter: see AppendEnvelope.
+const EnvelopeLen = binary.MaxVarintLen64
 
 // Envelope configures the session-ID header on a Connection.
 type Envelope struct {
@@ -81,19 +90,26 @@ type Envelope struct {
 	ID uint64
 }
 
-// AppendEnvelope appends the 8-byte envelope for session id to dst.
+// envelopeLen is the length of id's minimal uvarint.
+func envelopeLen(id uint64) int { return (bits.Len64(id|1) + 6) / 7 }
+
+// AppendEnvelope appends the envelope for session id to dst: id's minimal
+// uvarint.
 func AppendEnvelope(dst []byte, id uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, id)
+	return binary.AppendUvarint(dst, id)
 }
 
 // ParseEnvelope splits an enveloped datagram into its session ID and the
 // inner SSP packet. The daemon uses it to demultiplex before any
-// cryptography runs.
+// cryptography runs. An envelope that is missing, longer than EnvelopeLen,
+// or not the minimal encoding of its ID is ErrEnvelope, so each session
+// has exactly one envelope.
 func ParseEnvelope(wire []byte) (id uint64, inner []byte, err error) {
-	if len(wire) < EnvelopeLen {
+	id, n := binary.Uvarint(wire)
+	if n <= 0 || n != envelopeLen(id) {
 		return 0, nil, ErrEnvelope
 	}
-	return binary.BigEndian.Uint64(wire), wire[EnvelopeLen:], nil
+	return id, wire[n:], nil
 }
 
 // Config parameterizes a Connection.
@@ -157,6 +173,7 @@ type Resume struct {
 type Connection struct {
 	cfg     Config
 	session *sspcrypto.Session
+	envLen  int // bytes of cfg.Envelope on the wire; 0 without one
 
 	nextSeq     uint64 // sequence number of the next outgoing packet
 	expectedSeq uint64 // lowest acceptable incoming sequence number
@@ -211,6 +228,9 @@ func NewConnection(cfg Config) (*Connection, error) {
 		cfg:            cfg,
 		session:        sess,
 		savedTimestamp: -1,
+	}
+	if cfg.Envelope != nil {
+		c.envLen = envelopeLen(cfg.Envelope.ID)
 	}
 	if rs := cfg.Resume; rs != nil {
 		c.nextSeq = rs.NextSeq
@@ -447,9 +467,5 @@ func (c *Connection) LastHeard() (time.Time, bool) { return c.lastHeard, c.heard
 // (sequence header, AEAD tag, timestamps, and the session envelope when
 // one is configured).
 func (c *Connection) Overhead() int {
-	n := c.session.Overhead() + 4
-	if c.cfg.Envelope != nil {
-		n += EnvelopeLen
-	}
-	return n
+	return c.session.Overhead() + 4 + c.envLen
 }

@@ -302,7 +302,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err != nil || id != env.ID {
 		t.Fatalf("ParseEnvelope: id=%#x err=%v", id, err)
 	}
-	if len(inner) != len(wire)-EnvelopeLen {
+	if len(inner) != len(wire)-len(AppendEnvelope(nil, env.ID)) {
 		t.Fatalf("inner length %d", len(inner))
 	}
 	got, err := server.Receive(wire, netem.Addr{Host: 1, Port: 2})
@@ -332,8 +332,8 @@ func TestEnvelopeMismatchRejected(t *testing.T) {
 	if _, err := server.Receive(wire, netem.Addr{}); err != ErrEnvelope {
 		t.Fatalf("mismatched envelope: err=%v, want ErrEnvelope", err)
 	}
-	if _, err := server.Receive(wire[:EnvelopeLen-1], netem.Addr{}); err != ErrEnvelope {
-		t.Fatalf("truncated envelope: err=%v, want ErrEnvelope", err)
+	if _, err := server.Receive(wire[:0], netem.Addr{}); err != ErrEnvelope {
+		t.Fatalf("empty envelope: err=%v, want ErrEnvelope", err)
 	}
 }
 
@@ -353,8 +353,8 @@ func TestNoEnvelopeWireFormatUnchanged(t *testing.T) {
 	if got, err := server.Receive(wire, netem.Addr{}); err != nil || string(got) != "keys" {
 		t.Fatalf("Receive: %q, %v", got, err)
 	}
-	// And an enveloped peer must not accept the plain format: the first 8
-	// ciphertext bytes read as a (wrong) session ID.
+	// And an enveloped peer must not accept the plain format: the sequence
+	// header's leading bytes read as a wrong or malformed session ID.
 	envServer, err := NewConnection(Config{
 		Direction: sspcrypto.ToClient, Key: sspcrypto.Key{9, 9, 9}, Clock: clk,
 		Envelope: &Envelope{ID: 1},

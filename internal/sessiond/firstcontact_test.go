@@ -196,8 +196,11 @@ func (r *deadlineRig) firstFrame() (at time.Time) {
 		r.runTo(next)
 	}
 	at = r.clk.Now()
-	hdr := binary.BigEndian.Uint64(r.toCli[0][network.EnvelopeLen:])
-	if seq := hdr & sspcrypto.MaxSeq; seq != 0 {
+	_, inner, err := network.ParseEnvelope(r.toCli[0])
+	if err != nil || len(inner) < 8 {
+		r.t.Fatalf("the first datagram written has no sequence header: %d B, %v", len(inner), err)
+	}
+	if seq := binary.BigEndian.Uint64(inner) & sspcrypto.MaxSeq; seq != 0 {
 		r.t.Fatalf("the first datagram written carries sequence %d, want 0: earlier ones went nowhere", seq)
 	}
 	for _, wire := range r.toCli {

@@ -381,9 +381,17 @@ func TestDropAccounting(t *testing.T) {
 	s, _ := w.d.OpenSession()
 	m := w.d.Metrics()
 
-	w.d.HandlePacket([]byte{1, 2, 3}, netem.Addr{Host: 5})
-	if m.DropsBadEnvelope.Value() != 1 {
-		t.Fatalf("DropsBadEnvelope = %d, want 1", m.DropsBadEnvelope.Value())
+	// Malformed envelopes: empty, overlong (more than 10 bytes) and
+	// non-minimal (session 1 as two bytes).
+	for i, wire := range [][]byte{
+		{},
+		bytes.Repeat([]byte{0xff}, 11),
+		{0x81, 0x00, 1, 2, 3},
+	} {
+		w.d.HandlePacket(wire, netem.Addr{Host: 5})
+		if m.DropsBadEnvelope.Value() != int64(i+1) {
+			t.Fatalf("DropsBadEnvelope = %d, want %d", m.DropsBadEnvelope.Value(), i+1)
+		}
 	}
 	// Valid envelope, no such session.
 	w.d.HandlePacket(network.AppendEnvelope(nil, 0xdead), netem.Addr{Host: 5})
@@ -396,11 +404,47 @@ func TestDropAccounting(t *testing.T) {
 	if m.DropsAuth.Value() != 1 {
 		t.Fatalf("DropsAuth = %d, want 1", m.DropsAuth.Value())
 	}
-	// A spoofed envelope (wrong session's ID on another key's packet) must
-	// not roam the session: reply target stays unset.
+	// An authentic client datagram whose envelope is re-encoded
+	// non-minimally is refused before any key sees it.
+	var sent [][]byte
+	cl, err := core.NewClient(core.ClientConfig{
+		Key: s.Key(), Clock: w.sched, Envelope: &network.Envelope{ID: s.ID},
+		Emit: func(wire []byte) { sent = append(sent, bytes.Clone(wire)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Pump(w.sched, cl)()
+	w.sched.RunFor(100 * time.Millisecond)
+	if len(sent) == 0 {
+		t.Fatal("the client sent nothing")
+	}
+	id, inner, err := network.ParseEnvelope(sent[0])
+	if err != nil || id != s.ID || id >= 0x80 {
+		t.Fatalf("client envelope %d, %v; want session %d in one byte", id, err, s.ID)
+	}
+	nonMinimal := append([]byte{byte(id) | 0x80, 0x00}, inner...)
+	w.d.HandlePacket(nonMinimal, netem.Addr{Host: 6})
+	if m.DropsBadEnvelope.Value() != 4 || m.DropsAuth.Value() != 1 {
+		t.Fatalf("DropsBadEnvelope = %d, DropsAuth = %d; want 4 and 1", m.DropsBadEnvelope.Value(), m.DropsAuth.Value())
+	}
+	// Neither the spoofed envelope (wrong session's ID on another key's
+	// packet) nor the non-minimal one may roam the session: the reply target
+	// stays unset, and no datagram was accepted.
 	s.Do(func(srv *core.Server) {
-		if _, ok := srv.Transport().Connection().RemoteAddr(); ok {
+		conn := srv.Transport().Connection()
+		if _, ok := conn.RemoteAddr(); ok {
 			t.Fatal("inauthentic packet set a reply target")
+		}
+		if conn.ExpectedSeq() != 0 {
+			t.Fatalf("a refused datagram was opened: replay floor %d", conn.ExpectedSeq())
+		}
+	})
+	// The same datagram under its minimal envelope is authentic.
+	w.d.HandlePacket(sent[0], netem.Addr{Host: 6})
+	s.Do(func(srv *core.Server) {
+		if a, ok := srv.Transport().Connection().RemoteAddr(); !ok || a != (netem.Addr{Host: 6}) {
+			t.Fatalf("reply target %v, %v after the authentic datagram", a, ok)
 		}
 	})
 }

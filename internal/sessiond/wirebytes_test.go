@@ -2,6 +2,7 @@ package sessiond_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,11 +16,41 @@ import (
 // costs downstream: the echo of `a` on an 80×24 shell and the §3.2
 // echo-ack frame that follows it 50 ms later. Every byte of fixed cost per
 // datagram is accounted for here, so a format change that adds one fails.
+// The session-ID envelope is the ID's minimal uvarint: 1 byte for session
+// 1, 2 bytes for session 128.
 func TestEchoDatagramBytes(t *testing.T) {
+	for _, tc := range []struct {
+		id                 uint64
+		envelope           int
+		echo, echoAckFrame int
+	}{
+		{id: 1, envelope: 1, echo: 39, echoAckFrame: 38},
+		{id: 128, envelope: 2, echo: 40, echoAckFrame: 39},
+	} {
+		t.Run(fmt.Sprintf("session-%d", tc.id), func(t *testing.T) {
+			echo, echoAckFrame := echoDatagrams(t, tc.id, tc.envelope)
+			if echo != tc.echo || echoAckFrame != tc.echoAckFrame {
+				t.Fatalf("echo %d B, echo-ack %d B; want %d and %d", echo, echoAckFrame, tc.echo, tc.echoAckFrame)
+			}
+		})
+	}
+}
+
+// echoDatagrams types `a` into session id, checks the two datagrams it costs
+// downstream field by field with an envelope of the given length, and
+// returns their lengths. The sessions opened before id stay idle.
+func echoDatagrams(t *testing.T, id uint64, envelope int) (echo, echoAckFrame int) {
+	t.Helper()
 	w := newSimWorld(t, sessiond.Config{NewApp: shellApp}, lan())
-	sess, err := w.d.OpenSession()
-	if err != nil {
-		t.Fatal(err)
+	var sess *sessiond.Session
+	for sess == nil || sess.ID < id {
+		var err error
+		if sess, err = w.d.OpenSession(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sess.ID != id {
+		t.Fatalf("opened session %d, want %d", sess.ID, id)
 	}
 	c := w.addClient(sess, netem.Addr{Host: 1, Port: 1000})
 	w.sched.RunFor(2 * time.Second) // connect: the first frame is sequence number 0
@@ -29,15 +60,15 @@ func TestEchoDatagramBytes(t *testing.T) {
 	w.sched.RunFor(300 * time.Millisecond)
 
 	const (
-		envelope   = network.EnvelopeLen // session id, cleartext
-		seqHeader  = 8                   // direction bit and sequence number, the OCB nonce
-		timestamps = 4                   // send time and timestamp reply, 16 bits each
-		tag        = 16                  // OCB authentication tag
-		fragHeader = 1                   // uvarint(num<<1 | final): fragment 0, final
-		flag       = 1                   // protocol version 4 << 1 | not compressed
-		instHeader = 4                   // NewNum, NewNum−OldNum, OldNum−ThrowawayNum, AckNum: a byte each
-		fixed      = envelope + seqHeader + timestamps + tag + fragHeader + flag + instHeader
+		seqHeader  = 8  // direction bit and sequence number, the OCB nonce
+		timestamps = 4  // send time and timestamp reply, 16 bits each
+		tag        = 16 // OCB authentication tag
+		fragHeader = 1  // uvarint(num<<1 | final): fragment 0, final
+		flag       = 1  // protocol version 4 << 1 | not compressed
+		instHeader = 4  // NewNum, NewNum−OldNum, OldNum−ThrowawayNum, AckNum: a byte each
 	)
+	// The envelope is the session id in cleartext.
+	fixed := envelope + seqHeader + timestamps + tag + fragHeader + flag + instHeader
 	want := []struct {
 		what string
 		seq  uint64
@@ -64,9 +95,9 @@ func TestEchoDatagramBytes(t *testing.T) {
 	}
 	for i, wire := range sent {
 		wt := want[i]
-		id, inner, err := network.ParseEnvelope(wire)
-		if err != nil || id != sess.ID {
-			t.Fatalf("%s: envelope %d, %v", wt.what, id, err)
+		gotID, inner, err := network.ParseEnvelope(wire)
+		if err != nil || gotID != id || len(wire)-len(inner) != envelope {
+			t.Fatalf("%s: envelope %d of %d B, %v", wt.what, gotID, len(wire)-len(inner), err)
 		}
 		dir, seq, pt, err := crypt.Decrypt(inner)
 		if err != nil || dir != sspcrypto.ToClient || seq != wt.seq {
@@ -79,9 +110,5 @@ func TestEchoDatagramBytes(t *testing.T) {
 			t.Fatalf("%s: %d bytes on the wire, want %d fixed + %d of diff", wt.what, len(wire), fixed, diff)
 		}
 	}
-	// 46 and 45 bytes; with a 10-byte fragment header and a version byte of
-	// its own before the instruction header, they were 56 and 55.
-	if len(sent[0]) != 46 || len(sent[1]) != 45 {
-		t.Fatalf("echo %d B, echo-ack %d B; want 46 and 45", len(sent[0]), len(sent[1]))
-	}
+	return len(sent[0]), len(sent[1])
 }
