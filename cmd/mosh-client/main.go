@@ -35,12 +35,29 @@ import (
 	"repro/internal/terminal"
 )
 
+// parsePredict maps a -predict value to its display preference. A name
+// that is none of them is an error, not a silent fallback to adaptive.
+func parsePredict(name string) (overlay.DisplayPreference, error) {
+	for _, p := range []overlay.DisplayPreference{overlay.Adaptive, overlay.Always, overlay.Never} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown -predict %q (want adaptive|always|never)", name)
+}
+
 func main() {
 	to := flag.String("to", "127.0.0.1:60001", "server host:port")
 	keyStr := flag.String("key", "", "session key printed by mosh-server")
 	session := flag.Uint64("session", 0, "session id printed by mosh-server (0 = plain single-session wire format)")
 	predict := flag.String("predict", "adaptive", "speculative echo: adaptive|always|never")
 	flag.Parse()
+	pref, err := parsePredict(*predict)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mosh-client: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *keyStr == "" {
 		log.Fatal("missing -key (printed by mosh-server)")
@@ -63,14 +80,6 @@ func main() {
 	conn, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	pref := overlay.Adaptive
-	switch *predict {
-	case "always":
-		pref = overlay.Always
-	case "never":
-		pref = overlay.Never
 	}
 
 	var shown *terminal.Framebuffer

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/overlay"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
 	"repro/internal/terminal"
@@ -114,5 +115,26 @@ func TestKeystrokeWakesIdleTimerLoop(t *testing.T) {
 	eventually(t, "the keystroke's datagram", func() bool { return sent() == 2 })
 	if late := sentAt[1].Sub(typed); late > 5*time.Millisecond {
 		t.Fatalf("keystroke sent %v after it was typed, want within 5ms", late)
+	}
+}
+
+// TestParsePredict: each -predict name selects its display preference, and
+// an unknown or empty name is an error instead of adaptive.
+func TestParsePredict(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want overlay.DisplayPreference
+		ok   bool
+	}{
+		{"adaptive", overlay.Adaptive, true},
+		{"always", overlay.Always, true},
+		{"never", overlay.Never, true},
+		{"alwys", 0, false},
+		{"", 0, false},
+	} {
+		got, err := parsePredict(c.name)
+		if (err == nil) != c.ok || c.ok && got != c.want {
+			t.Errorf("parsePredict(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
 	}
 }

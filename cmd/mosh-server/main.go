@@ -66,6 +66,20 @@ import (
 	"repro/internal/udpbatch"
 )
 
+// parseDemo returns the constructor of the -demo application name. A
+// name that is none of them is an error, not a silent fallback to shell.
+func parseDemo(name string) (func(seed int64) host.App, error) {
+	switch name {
+	case "shell":
+		return func(seed int64) host.App { return host.NewShell(seed) }, nil
+	case "editor":
+		return func(seed int64) host.App { return host.NewEditor(seed, 80) }, nil
+	case "mail":
+		return func(seed int64) host.App { return host.NewMailReader(seed) }, nil
+	}
+	return nil, fmt.Errorf("unknown -demo %q (want shell|editor|mail)", name)
+}
+
 func main() {
 	port := flag.Int("port", 60001, "UDP port to listen on")
 	sessions := flag.Int("sessions", 64, "session capacity (all issued at startup)")
@@ -78,6 +92,12 @@ func main() {
 	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
 	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
 	flag.Parse()
+	demoApp, err := parseDemo(*demo)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mosh-server: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{Port: *port})
 	if err != nil {
@@ -85,15 +105,7 @@ func main() {
 	}
 
 	newApp := func(id uint64) host.App {
-		seed := time.Now().UnixNano() + int64(id)
-		switch *demo {
-		case "editor":
-			return host.NewEditor(seed, 80)
-		case "mail":
-			return host.NewMailReader(seed)
-		default:
-			return host.NewShell(seed)
-		}
+		return demoApp(time.Now().UnixNano() + int64(id))
 	}
 
 	if *idle == 0 {

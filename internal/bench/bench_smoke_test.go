@@ -34,8 +34,8 @@ func TestRunMoshTraceProducesSamples(t *testing.T) {
 	if st.Median <= 0 && st.FracInstant == 0 {
 		t.Fatalf("degenerate stats: %+v", st)
 	}
-	t.Logf("mosh EV-DO: median=%v mean=%v instant=%.0f%% predicted=%.0f%%",
-		st.Median, st.Mean, st.FracInstant*100, st.FracPredicted*100)
+	t.Logf("mosh EV-DO: median=%v mean=%v instant=%.0f%%",
+		st.Median, st.Mean, st.FracInstant*100)
 }
 
 func TestRunSSHTraceProducesSamples(t *testing.T) {
@@ -110,7 +110,7 @@ func TestFigure3ShapeSmall(t *testing.T) {
 func TestStatsFunctions(t *testing.T) {
 	samples := []Sample{
 		{Latency: 1 * time.Millisecond},
-		{Latency: 2 * time.Millisecond, Predicted: true},
+		{Latency: 2 * time.Millisecond},
 		{Latency: 100 * time.Millisecond},
 		{Latency: 200 * time.Millisecond},
 		{Latency: 300 * time.Millisecond},
@@ -119,7 +119,7 @@ func TestStatsFunctions(t *testing.T) {
 	if st.N != 5 || st.Median != 100*time.Millisecond {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.FracInstant != 0.4 || st.FracPredicted != 0.2 {
+	if st.FracInstant != 0.4 {
 		t.Fatalf("fractions = %+v", st)
 	}
 	cdf := CDF(samples, []time.Duration{5 * time.Millisecond, time.Second})

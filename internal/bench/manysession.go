@@ -220,11 +220,6 @@ type ManySessionResult struct {
 	Restarted     bool
 	Restored      int64
 	ResumeSamples []Sample
-	// ResidentBytesPerSession is the end-of-run deduplicated screen-cell
-	// footprint per live session: each distinct backing array — the blank
-	// array every unwritten row aliases above all — is charged once across
-	// the whole daemon.
-	ResidentBytesPerSession int
 	// ReadCalls/WriteCalls count daemon-side socket syscalls (modeled:
 	// one per batch in batched mode, one per datagram in unbatched mode);
 	// SyscallsPerPacket = (ReadCalls+WriteCalls)/(PacketsIn+PacketsOut).
@@ -831,7 +826,6 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			res.FinalFrames = append(res.FinalFrames, terminal.NewFrame(false, nil, lc.cl.ServerState()))
 		}
 	}
-	res.ResidentBytesPerSession = d.ScreenStateStats().ResidentBytesPerSession()
 	if opt.chaos {
 		for _, b := range built {
 			lossless := cohortParams(b.cohort).LossProb == 0

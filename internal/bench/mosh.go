@@ -202,7 +202,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 		if lat < 0 {
 			lat = 0
 		}
-		res.Samples = append(res.Samples, Sample{Kind: st.Kind, Latency: lat, Predicted: predicted})
+		res.Samples = append(res.Samples, Sample{Latency: lat})
 	}
 	return res
 }

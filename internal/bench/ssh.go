@@ -96,7 +96,7 @@ func RunSSHTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt SSHOp
 		if lat < 0 {
 			lat = 0
 		}
-		samples = append(samples, Sample{Kind: st.Kind, Latency: lat})
+		samples = append(samples, Sample{Latency: lat})
 	}
 	return samples
 }

@@ -13,15 +13,11 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Sample is one measured keystroke response.
 type Sample struct {
-	Kind      trace.Kind
-	Latency   time.Duration
-	Predicted bool // displayed via speculative local echo
+	Latency time.Duration
 	// RTT is the client's smoothed RTT estimate when the sample landed
 	// (0 when unknown); the Fig. 6 "within one RTT" fraction needs it.
 	RTT time.Duration
@@ -29,12 +25,11 @@ type Sample struct {
 
 // Stats summarizes a latency distribution the way the paper's tables do.
 type Stats struct {
-	N             int
-	Median        time.Duration
-	Mean          time.Duration
-	Stddev        time.Duration
-	FracInstant   float64 // fraction displayed within 5 ms ("instant")
-	FracPredicted float64
+	N           int
+	Median      time.Duration
+	Mean        time.Duration
+	Stddev      time.Duration
+	FracInstant float64 // fraction displayed within 5 ms ("instant")
 }
 
 // Summarize computes distribution statistics.
@@ -43,16 +38,13 @@ func Summarize(samples []Sample) Stats {
 		return Stats{}
 	}
 	lat := make([]time.Duration, len(samples))
-	instant, predicted := 0, 0
+	instant := 0
 	var sum float64
 	for i, s := range samples {
 		lat[i] = s.Latency
 		sum += float64(s.Latency)
 		if s.Latency < 5*time.Millisecond {
 			instant++
-		}
-		if s.Predicted {
-			predicted++
 		}
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
@@ -63,12 +55,11 @@ func Summarize(samples []Sample) Stats {
 		varsum += d * d
 	}
 	return Stats{
-		N:             len(lat),
-		Median:        lat[len(lat)/2],
-		Mean:          time.Duration(mean),
-		Stddev:        time.Duration(math.Sqrt(varsum / float64(len(lat)))),
-		FracInstant:   float64(instant) / float64(len(lat)),
-		FracPredicted: float64(predicted) / float64(len(lat)),
+		N:           len(lat),
+		Median:      lat[len(lat)/2],
+		Mean:        time.Duration(mean),
+		Stddev:      time.Duration(math.Sqrt(varsum / float64(len(lat)))),
+		FracInstant: float64(instant) / float64(len(lat)),
 	}
 }
 

@@ -318,7 +318,6 @@ type ClientConfig struct {
 // synchronized UserStream, maintains the reconstructed server screen, and
 // overlays speculative local echo.
 type Client struct {
-	cfg           ClientConfig
 	tr            *transport.Transport[*statesync.UserStream, *statesync.Complete]
 	engine        *overlay.Engine
 	notifications *overlay.NotificationEngine
@@ -349,7 +348,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		cfg:           cfg,
 		tr:            tr,
 		engine:        overlay.NewEngine(cfg.Clock, cfg.Predictions),
 		notifications: overlay.NewNotificationEngine(cfg.Clock),

@@ -70,9 +70,6 @@ func TestFaultFSShortWriteAndSync(t *testing.T) {
 		t.Fatalf("sync fault = %v, want EIO", err)
 	}
 	f.Close()
-	if ffs.stats.ShortWrites.Load() == 0 || ffs.stats.SyncErrs.Load() == 0 {
-		t.Fatal("fs stats did not count")
-	}
 }
 
 func TestFaultFSTornRename(t *testing.T) {
@@ -101,9 +98,6 @@ func TestFaultFSTornRename(t *testing.T) {
 	}
 	if _, err := os.Stat(src); !os.IsNotExist(err) {
 		t.Fatalf("source survived the torn rename: %v", err)
-	}
-	if ffs.stats.TornRenames.Load() != 1 {
-		t.Fatal("torn rename not counted")
 	}
 }
 

@@ -108,16 +108,6 @@ type FSFaults struct {
 	FailAll error
 }
 
-// FSStats counts injected filesystem faults.
-type FSStats struct {
-	WriteErrs   atomic.Int64
-	ShortWrites atomic.Int64
-	SyncErrs    atomic.Int64
-	RenameErrs  atomic.Int64
-	TornRenames atomic.Int64
-	ReadErrs    atomic.Int64
-}
-
 // FaultFS wraps an FS and injects faults per schedule. The zero
 // schedule is transparent. An OpHook, when set, observes every
 // operation before any probabilistic fault and may inject its own
@@ -135,7 +125,9 @@ type FaultFS struct {
 	// destination. Only journal-sized staging files flow through here.
 	written map[string][]byte
 
-	stats FSStats
+	// writeErrs counts failed writes; a probabilistic write fault is
+	// ENOSPC on an even count and EIO on an odd one.
+	writeErrs atomic.Int64
 }
 
 // NewFaultFS wraps inner (nil means OSFS) with a fault injector driven
@@ -205,7 +197,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if err := f.enter(OpRename, newpath, true); err != nil {
-		f.stats.RenameErrs.Add(1)
 		return err
 	}
 	f.mu.Lock()
@@ -214,7 +205,6 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	content := f.written[oldpath]
 	f.mu.Unlock()
 	if f.chance(renameErr) {
-		f.stats.RenameErrs.Add(1)
 		return ErrEIO
 	}
 	if len(content) > 1 && f.chance(torn) {
@@ -227,7 +217,6 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 		}
 		f.inner.Remove(oldpath)
 		f.forget(oldpath)
-		f.stats.TornRenames.Add(1)
 		return nil
 	}
 	if err := f.inner.Rename(oldpath, newpath); err != nil {
@@ -272,11 +261,9 @@ func (f *FaultFS) Remove(name string) error {
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	if err := f.enter(OpRead, name, false); err != nil {
-		f.stats.ReadErrs.Add(1)
 		return nil, err
 	}
 	if f.chance(f.Faults().ReadErrProb) {
-		f.stats.ReadErrs.Add(1)
 		return nil, ErrEIO
 	}
 	return f.inner.ReadFile(name)
@@ -284,11 +271,9 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 
 func (f *FaultFS) ReadDir(dir string) ([]string, error) {
 	if err := f.enter(OpReadDir, dir, false); err != nil {
-		f.stats.ReadErrs.Add(1)
 		return nil, err
 	}
 	if f.chance(f.Faults().ReadErrProb) {
-		f.stats.ReadErrs.Add(1)
 		return nil, ErrEIO
 	}
 	return f.inner.ReadDir(dir)
@@ -319,13 +304,13 @@ type faultFile struct {
 func (ff *faultFile) Write(p []byte) (int, error) {
 	fs := ff.fs
 	if err := fs.enter(OpWrite, ff.path, true); err != nil {
-		fs.stats.WriteErrs.Add(1)
+		fs.writeErrs.Add(1)
 		return 0, err
 	}
 	fl := fs.Faults()
 	if fs.chance(fl.WriteErrProb) {
-		fs.stats.WriteErrs.Add(1)
-		if fs.stats.WriteErrs.Load()%2 == 0 {
+		fs.writeErrs.Add(1)
+		if fs.writeErrs.Load()%2 == 0 {
 			return 0, ErrENOSPC
 		}
 		return 0, ErrEIO
@@ -337,7 +322,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		if err == nil {
 			fs.record(ff.path, p[:n])
 			err = ErrENOSPC
-			fs.stats.ShortWrites.Add(1)
 		}
 		return n, err
 	}
@@ -357,11 +341,9 @@ func (fs *FaultFS) record(path string, p []byte) {
 func (ff *faultFile) Sync() error {
 	fs := ff.fs
 	if err := fs.enter(OpSync, ff.path, true); err != nil {
-		fs.stats.SyncErrs.Add(1)
 		return err
 	}
 	if fs.chance(fs.Faults().SyncErrProb) {
-		fs.stats.SyncErrs.Add(1)
 		return ErrEIO
 	}
 	return ff.f.Sync()

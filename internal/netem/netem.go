@@ -67,13 +67,6 @@ type Packet struct {
 // Handler receives packets addressed to an attached node.
 type Handler func(p Packet)
 
-// Sender is the transmit side of a link; endpoints hold a Sender for the
-// direction they talk on. Send reports whether the packet entered the link
-// (false means it was dropped at ingress by loss or a full queue).
-type Sender interface {
-	Send(p Packet) bool
-}
-
 // Network dispatches delivered packets to attached nodes by address.
 // Packets addressed to a detached node are silently dropped, exactly as on
 // a real network.
@@ -142,15 +135,14 @@ type LinkParams struct {
 
 // LinkStats counts what happened to packets offered to a link.
 type LinkStats struct {
-	Sent           int // packets accepted onto the link
-	Delivered      int // deliveries, a duplicate's two included
-	DroppedLoss    int // random loss
-	DroppedQueue   int // drop-tail overflow
-	Duplicated     int // accepted packets delivered twice
-	Corrupted      int // accepted packets delivered with one bit flipped
-	Truncated      int // accepted packets delivered as a strict prefix
-	BytesDelivered int64
-	MaxQueueBytes  int // high-water mark of queue occupancy
+	Sent          int // packets accepted onto the link
+	Delivered     int // deliveries, a duplicate's two included
+	DroppedLoss   int // random loss
+	DroppedQueue  int // drop-tail overflow
+	Duplicated    int // accepted packets delivered twice
+	Corrupted     int // accepted packets delivered with one bit flipped
+	Truncated     int // accepted packets delivered as a strict prefix
+	MaxQueueBytes int // high-water mark of queue occupancy
 }
 
 // Link is one direction of an emulated path. Multiple flows may share a
@@ -179,8 +171,9 @@ func (l *Link) SetParams(p LinkParams) { l.params = p }
 // Stats returns a snapshot of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// Send offers a packet to the link. The payload is not copied; callers must
-// not reuse the buffer.
+// Send offers a packet to the link and reports whether it entered the link
+// (false means it was dropped at ingress by loss or a full queue). The
+// payload is not copied; callers must not reuse the buffer.
 func (l *Link) Send(p Packet) bool {
 	now := l.net.sched.Now()
 	if l.params.LossProb > 0 && l.rng.Float64() < l.params.LossProb {
@@ -258,7 +251,6 @@ func (l *Link) Send(p Packet) bool {
 
 func (l *Link) deliver(p Packet) {
 	l.stats.Delivered++
-	l.stats.BytesDelivered += int64(len(p.Payload))
 	l.net.deliver(p)
 }
 

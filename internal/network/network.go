@@ -193,7 +193,6 @@ type Connection struct {
 	srtt    float64 // smoothed RTT, milliseconds
 	rttvar  float64
 	haveRTT bool
-	lastRTT time.Duration
 
 	lastHeard time.Time
 	heardOnce bool
@@ -416,7 +415,6 @@ func (c *Connection) observeRTT(ms float64) {
 	if ms < 0 || ms >= maxRTTSampleMs {
 		return
 	}
-	c.lastRTT = time.Duration(ms * float64(time.Millisecond))
 	if !c.haveRTT {
 		c.srtt = ms
 		c.rttvar = ms / 2

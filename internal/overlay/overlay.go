@@ -87,15 +87,12 @@ type Stats struct {
 	ShownImmediately int
 	Correct          int
 	Incorrect        int
-	NoCredit         int
-	EpochsKilled     int
 }
 
 // InputRecord traces one keystroke through the engine for latency
 // measurement (paper Figure 2).
 type InputRecord struct {
 	Epoch       int64
-	MadeAt      time.Time
 	DisplayedAt time.Time
 	Displayed   bool
 	Outcome     Outcome
@@ -121,7 +118,6 @@ type cursorPrediction struct {
 	active              bool
 	tentativeUntilEpoch int64
 	expirationFrame     uint64
-	predictionTime      time.Time
 	row, col            int
 }
 
@@ -153,8 +149,7 @@ type Engine struct {
 	lastW, lastH int
 
 	// UTF-8 assembly for multi-byte keystrokes.
-	u8buf  []byte
-	u8want int
+	u8buf []byte
 
 	records map[uint64]*InputRecord
 	stats   Stats
@@ -255,7 +250,7 @@ func (e *Engine) NewUserInput(seq uint64, data []byte, fb *terminal.Framebuffer)
 	}
 	now := e.clock.Now()
 	e.stats.InputEvents++
-	rec := &InputRecord{Epoch: e.predictionEpoch, MadeAt: now, Outcome: OutcomeNone}
+	rec := &InputRecord{Epoch: e.predictionEpoch, Outcome: OutcomeNone}
 	e.records[seq] = rec
 	if len(e.records) > 4096 {
 		// Forget the oldest half if the harness never drains us.
@@ -358,7 +353,7 @@ func (e *Engine) predictEcho(seq uint64, rec *InputRecord, r rune, fb *terminal.
 	// cursor moving so later predictions stay aligned.
 	if ccol+width > fb.W {
 		e.becomeTentative()
-		e.wrapCursorPrediction(crow, fb, now)
+		e.wrapCursorPrediction(crow, fb)
 		return
 	}
 
@@ -388,13 +383,12 @@ func (e *Engine) predictEcho(seq uint64, rec *InputRecord, r rune, fb *terminal.
 		// the paper's main source of mispredictions. Predict the wrap,
 		// but start a fresh tentative epoch for what follows.
 		e.becomeTentative()
-		e.wrapCursorPrediction(crow, fb, now)
+		e.wrapCursorPrediction(crow, fb)
 	} else {
 		e.cursor = cursorPrediction{
 			active:              true,
 			tentativeUntilEpoch: e.predictionEpoch,
 			expirationFrame:     e.localFrameSent + 1,
-			predictionTime:      now,
 			row:                 crow,
 			col:                 ccol + width,
 		}
@@ -409,7 +403,7 @@ func (e *Engine) predictEcho(seq uint64, rec *InputRecord, r rune, fb *terminal.
 
 // wrapCursorPrediction speculates that the cursor continues at the start
 // of the next line (tentative: it belongs to the fresh epoch).
-func (e *Engine) wrapCursorPrediction(crow int, fb *terminal.Framebuffer, now time.Time) {
+func (e *Engine) wrapCursorPrediction(crow int, fb *terminal.Framebuffer) {
 	nrow := crow
 	if nrow < fb.H-1 {
 		nrow++
@@ -418,7 +412,6 @@ func (e *Engine) wrapCursorPrediction(crow int, fb *terminal.Framebuffer, now ti
 		active:              true,
 		tentativeUntilEpoch: e.predictionEpoch,
 		expirationFrame:     e.localFrameSent + 1,
-		predictionTime:      now,
 		row:                 nrow,
 		col:                 0,
 	}
@@ -450,7 +443,6 @@ func (e *Engine) predictBackspace(rec *InputRecord, fb *terminal.Framebuffer, no
 		active:              true,
 		tentativeUntilEpoch: e.predictionEpoch,
 		expirationFrame:     e.localFrameSent + 1,
-		predictionTime:      now,
 		row:                 crow,
 		col:                 ccol,
 	}
@@ -511,7 +503,6 @@ func (e *Engine) cull(fb *terminal.Framebuffer) {
 				cell.active = false
 			case judgeNoCredit:
 				e.resolve(cell, OutcomeCorrect)
-				e.stats.NoCredit++
 				cell.active = false
 			case judgeWrong:
 				e.stats.Incorrect++
@@ -519,7 +510,6 @@ func (e *Engine) cull(fb *terminal.Framebuffer) {
 				if cell.tentativeUntilEpoch > e.confirmedEpoch {
 					// Never displayed: quietly kill its epoch.
 					e.killEpoch(cell.tentativeUntilEpoch)
-					e.stats.EpochsKilled++
 				} else {
 					// The user saw it: repair everything and lose
 					// confidence.

@@ -124,7 +124,7 @@ func TestWrongTentativePredictionKillsEpochQuietly(t *testing.T) {
 	if d.Cell(0, 0).ContentsString() == "q" {
 		t.Fatal("killed prediction still displayed")
 	}
-	if v.e.Stats().EpochsKilled == 0 {
+	if v.e.anyActive() {
 		t.Fatal("epoch not killed")
 	}
 	// Confidence was never granted, so future predictions stay hidden.
@@ -392,5 +392,48 @@ func TestInputRecordLifecycle(t *testing.T) {
 	}
 	if _, ok := v.e.TakeInputRecord(s1); ok {
 		t.Fatal("record not removed")
+	}
+}
+
+// TestGlitchThresholdBoundary pins the glitch check: a prediction the
+// server confirms just under glitchThreshold after it was made leaves
+// flagging off, and one confirmed at glitchThreshold turns it on. The send
+// interval sits between the SRTT and flagging triggers, so predictions
+// show and only a glitch can raise flagging.
+func TestGlitchThresholdBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		after time.Duration
+		flag  bool
+	}{
+		{glitchThreshold - time.Nanosecond, false},
+		{glitchThreshold, true},
+	} {
+		v := newEnv(Adaptive)
+		v.e.SetSendInterval(40 * time.Millisecond)
+		v.e.Cull(v.fb)
+		s := v.typeByte('a')
+		v.clk.RunFor(tc.after)
+		v.serverEchoes("a", s)
+		if v.e.flagging != tc.flag {
+			t.Errorf("confirmed %v after the prediction: flagging = %v, want %v", tc.after, v.e.flagging, tc.flag)
+		}
+	}
+}
+
+// TestPendingExpiryBoundary pins the pending expiry: a prediction the
+// server has not acknowledged survives a cull pendingExpiry after it was
+// made, and the engine resets on the first cull past that.
+func TestPendingExpiryBoundary(t *testing.T) {
+	v := newEnv(Adaptive)
+	v.typeByte('a')
+	v.clk.RunFor(pendingExpiry)
+	v.e.Cull(v.fb)
+	if !v.e.anyActive() {
+		t.Fatalf("prediction expired at %v, want it kept until past it", pendingExpiry)
+	}
+	v.clk.RunFor(time.Nanosecond)
+	v.e.Cull(v.fb)
+	if v.e.anyActive() {
+		t.Fatalf("prediction outlived %v", pendingExpiry)
 	}
 }

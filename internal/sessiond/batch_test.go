@@ -648,13 +648,14 @@ func (c *sizedConn) WriteBatch(msgs []udpbatch.Message) (int, error) {
 }
 
 // TestServeBatchSlotSizing is the regression test for per-provider read
-// slot sizing: a provider declaring MaxDatagram read slots must receive
+// slot sizing: a provider declaring 64 KiB read slots must receive
 // buffers that large, so an oversized-but-legitimate datagram (one larger
 // than the MTU-derived slot, a jumbo frame) arrives whole instead of
 // truncating —
 // truncation fails the AEAD, and since SSP retransmits the identical
 // datagram, every retry fails identically (a livelock, not a loss).
 func TestServeBatchSlotSizing(t *testing.T) {
+	const maxDatagram = 65535 // the UDP payload ceiling
 	d, err := New(Config{Clock: simclock.Real{}, IdleTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +663,7 @@ func TestServeBatchSlotSizing(t *testing.T) {
 	defer d.Close()
 	payload := append(envPkt(12345, 1), bytes.Repeat([]byte{0xab}, 10000)...)
 	conn := &sizedConn{
-		slotSize: udpbatch.MaxDatagram,
+		slotSize: maxDatagram,
 		payload:  payload,
 		gotCap:   make(chan int, 1),
 		closed:   make(chan struct{}),
@@ -671,8 +672,8 @@ func TestServeBatchSlotSizing(t *testing.T) {
 	go func() { serveErr <- d.ServeBatch(conn) }()
 	select {
 	case got := <-conn.gotCap:
-		if got < udpbatch.MaxDatagram {
-			t.Fatalf("read slot cap = %d, want >= %d (declared via SlotSizer)", got, udpbatch.MaxDatagram)
+		if got < maxDatagram {
+			t.Fatalf("read slot cap = %d, want >= %d (declared via SlotSizer)", got, maxDatagram)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeBatch never read")

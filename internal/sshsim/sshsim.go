@@ -17,7 +17,6 @@ import (
 
 // Session is an established SSH connection between a client and server.
 type Session struct {
-	sched      *simclock.Scheduler
 	ClientConn *tcpsim.Conn
 	ServerConn *tcpsim.Conn
 
@@ -44,7 +43,7 @@ type Config struct {
 // New wires a session over the path: keystrokes ride Up, output rides
 // Down.
 func New(cfg Config) *Session {
-	s := &Session{sched: cfg.Sched}
+	s := &Session{}
 	s.ClientConn = tcpsim.New(tcpsim.Config{
 		Sched: cfg.Sched, Link: cfg.Path.Up, Local: cfg.ClientAddr, Remote: cfg.ServerAddr,
 		Deliver: func(d []byte) {

@@ -48,11 +48,9 @@ type Config struct {
 // Stats counts connection activity.
 type Stats struct {
 	SegmentsSent    int
-	SegmentsRcvd    int
 	Retransmissions int
 	Timeouts        int
 	FastRetransmits int
-	BytesDelivered  int64
 }
 
 const (
@@ -328,7 +326,6 @@ func (c *Conn) Receive(pkt []byte) {
 	if len(pkt) < headerLen {
 		return
 	}
-	c.stats.SegmentsRcvd++
 	seq := binary.BigEndian.Uint32(pkt)
 	ack := binary.BigEndian.Uint32(pkt[4:])
 	hasData := pkt[8]&flagData != 0
@@ -464,7 +461,6 @@ func (c *Conn) processData(seq uint32, payload []byte) {
 
 func (c *Conn) deliver(data []byte) {
 	c.rcvNxt += uint32(len(data))
-	c.stats.BytesDelivered += int64(len(data))
 	if c.cfg.Deliver != nil {
 		c.cfg.Deliver(data)
 	}

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -48,18 +49,7 @@ var unreached = map[string]string{
 // main and init are entry points. CI runs this by name beside
 // TestNoNakedTime.
 func TestEveryFuncReached(t *testing.T) {
-	root, err := repoRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := modulePath(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := loadProgram(root, mod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, prog := program(t)
 
 	used := make(map[*types.Func]bool)
 	ifaceMethods := make(map[string]bool)
@@ -191,6 +181,33 @@ type progPkg struct {
 	declOf  map[*types.Func]*ast.FuncDecl // every function its files declare
 }
 
+var (
+	progOnce sync.Once
+	progRoot string
+	progPkgs []*progPkg
+	progErr  error
+)
+
+// program returns the module root and its type-checked packages, loading
+// them once for every test in the package that needs them.
+func program(t *testing.T) (string, []*progPkg) {
+	t.Helper()
+	progOnce.Do(func() {
+		var mod string
+		if progRoot, progErr = repoRoot(); progErr != nil {
+			return
+		}
+		if mod, progErr = modulePath(progRoot); progErr != nil {
+			return
+		}
+		progPkgs, progErr = loadProgram(progRoot, mod)
+	})
+	if progErr != nil {
+		t.Fatal(progErr)
+	}
+	return progRoot, progPkgs
+}
+
 // loadProgram parses the non-test files of every package under the
 // importer roots for the host's GOOS/GOARCH and type-checks them in
 // dependency order. Module packages are checked once and shared, so a use
@@ -269,9 +286,10 @@ func loadProgram(root, mod string) ([]*progPkg, error) {
 			}
 		}
 		p.info = &types.Info{
-			Types: make(map[ast.Expr]types.TypeAndValue),
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.path, fset, p.files, p.info)

@@ -5,6 +5,8 @@
 // simclock.Clock. Two time regimes stitched together is how virtual-time
 // tests silently measure the wrong thing; this gate keeps the repository
 // on one. Beside it, TestEveryPackageImported fails on any internal package
-// that no production file outside it imports, and TestEveryFuncReached on
-// any production function that no production file references.
+// that no production file outside it imports, TestEveryFuncReached on
+// any production function that no production file references, and
+// TestEveryDeclRead on any production package-level name that no
+// production file references or struct field that none reads.
 package timelint

@@ -59,7 +59,6 @@ type Step struct {
 
 // Trace is one user's session.
 type Trace struct {
-	Name   string
 	Width  int
 	Height int
 	// Startup is the host output before the first keystroke.
@@ -204,7 +203,6 @@ func (g *generator) passwordBurst(app host.App) {
 
 // Profile weights the activities a user performs.
 type Profile struct {
-	Name    string
 	Shell   int // relative weight of shell bursts
 	Editor  int
 	Compose int // long prose runs (email/chat/document writing)
@@ -218,12 +216,12 @@ type Profile struct {
 // paper's ~70% typing.
 func SixProfiles() []Profile {
 	return []Profile{
-		{Name: "user1-shell", Shell: 8, Editor: 1, Compose: 1, Mail: 3, Passwd: 1},
-		{Name: "user2-editor", Shell: 2, Editor: 4, Compose: 4, Mail: 3, Passwd: 0},
-		{Name: "user3-mail", Shell: 2, Editor: 1, Compose: 1, Mail: 8, Passwd: 0},
-		{Name: "user4-mixed", Shell: 4, Editor: 2, Compose: 2, Mail: 4, Passwd: 1},
-		{Name: "user5-chat", Shell: 2, Editor: 2, Compose: 6, Mail: 3, Passwd: 0},
-		{Name: "user6-ops", Shell: 7, Editor: 1, Compose: 1, Mail: 3, Passwd: 2},
+		{Shell: 8, Editor: 1, Compose: 1, Mail: 3, Passwd: 1}, // user1-shell
+		{Shell: 2, Editor: 4, Compose: 4, Mail: 3, Passwd: 0}, // user2-editor
+		{Shell: 2, Editor: 1, Compose: 1, Mail: 8, Passwd: 0}, // user3-mail
+		{Shell: 4, Editor: 2, Compose: 2, Mail: 4, Passwd: 1}, // user4-mixed
+		{Shell: 2, Editor: 2, Compose: 6, Mail: 3, Passwd: 0}, // user5-chat
+		{Shell: 7, Editor: 1, Compose: 1, Mail: 3, Passwd: 2}, // user6-ops
 	}
 }
 
@@ -235,7 +233,7 @@ func Generate(seed int64, p Profile, targetKeys int) *Trace {
 	editor := host.NewEditor(seed+2, 80)
 	mail := host.NewMailReader(seed + 3)
 
-	tr := &Trace{Name: p.Name, Width: 80, Height: 24, Startup: shell.Start()}
+	tr := &Trace{Width: 80, Height: 24, Startup: shell.Start()}
 
 	total := p.Shell + p.Editor + p.Compose + p.Mail + p.Passwd
 	if total == 0 {

@@ -167,8 +167,6 @@ type Sender[T State[T]] struct {
 	// ceiling (network.Connection.SetSeqCeiling). 0 means unlimited.
 	numCeiling uint64
 
-	shutdown bool
-
 	stats SenderStats
 }
 

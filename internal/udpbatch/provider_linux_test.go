@@ -83,7 +83,7 @@ func dialProviderPair(t *testing.T, provider string) (Conn, *net.UDPConn) {
 // (sessiond's TestServeBatchSlotSizing is the serve-loop half): every rung
 // reads into its slot's whole capacity, so an oversized-but-legitimate
 // datagram (bigger than the MTU-derived slot size, within a slot sized up
-// to MaxDatagram) arrives whole. A truncated one would fail the AEAD, and
+// to the 64 KiB UDP payload ceiling) arrives whole. A truncated one would fail the AEAD, and
 // every retransmission of it would fail the same way.
 func TestProviderOversizedRead(t *testing.T) {
 	for _, provider := range []string{"mmsg", "loop"} {
@@ -93,7 +93,7 @@ func TestProviderOversizedRead(t *testing.T) {
 			if _, err := cl.Write(payload); err != nil {
 				t.Fatal(err)
 			}
-			msgs := []Message{{Buf: make([]byte, 0, MaxDatagram)}}
+			msgs := []Message{{Buf: make([]byte, 0, 65535)}}
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				if time.Now().After(deadline) {

@@ -42,11 +42,6 @@ const DefaultBatch = 64
 // datagram is truncated by the kernel and then discarded by the AEAD.
 const DefaultBufSize = 2048
 
-// MaxDatagram is the read-slot capacity that can never truncate: the
-// 64 KiB UDP payload ceiling, which bounds any single oversized-but-
-// legitimate datagram.
-const MaxDatagram = 65535
-
 // Message is one datagram slot in a batch.
 //
 // For reads the caller provides Buf with free capacity (len is ignored,
@@ -86,7 +81,7 @@ type Conn interface {
 // beyond the three-call contract are discovered by interface assertion.
 
 // SlotSizer is implemented by providers whose reads can legitimately
-// exceed the transport MTU, up to MaxDatagram bytes. The serve loop sizes
+// exceed the transport MTU, up to the 64 KiB UDP payload ceiling. The serve loop sizes
 // its read slots to it, so an oversized-but-legitimate read can never be
 // truncated (a truncated datagram fails the AEAD, and the peer's
 // retransmissions of it fail forever — a livelock).
