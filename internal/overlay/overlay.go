@@ -87,6 +87,7 @@ type Stats struct {
 	ShownImmediately int
 	Correct          int
 	Incorrect        int
+	EpochsKilled     int
 }
 
 // InputRecord traces one keystroke through the engine for latency
@@ -510,6 +511,7 @@ func (e *Engine) cull(fb *terminal.Framebuffer) {
 				if cell.tentativeUntilEpoch > e.confirmedEpoch {
 					// Never displayed: quietly kill its epoch.
 					e.killEpoch(cell.tentativeUntilEpoch)
+					e.stats.EpochsKilled++
 				} else {
 					// The user saw it: repair everything and lose
 					// confidence.

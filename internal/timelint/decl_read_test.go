@@ -36,6 +36,7 @@ var unread = map[string]string{
 	"internal/netem.LinkStats.Delivered":    "TestDetachedNodeDrops, TestLossRate and TestLinkFaultDuplicate count a link's deliveries",
 	"internal/netem.LinkStats.DroppedQueue": "TestDropTailQueue checks the drop-tail overflow count",
 	"internal/trace.Step.Kind":              "trace's tests check the generated workload's typing and navigation mix (TestTypingStepsEcho, TestNavigationStepsRepaint, TestProfilesDiffer)",
+	"internal/overlay.Stats.EpochsKilled":   "TestWrongTentativePredictionKillsEpochQuietly tells a quiet epoch kill from a full reset, which clears the same predictions",
 	"internal/bench.FloodResult.Sender":     "TestFloodDiscardsOnePreparedFrame reads the flood's prepared and discarded frame counts",
 	"internal/bench.StageStat.N":            "TestManySessionRestartRoamLoss checks that the echo stage counts as many matches as the cohorts",
 	"internal/terminal.KeyNone":             "the zero SpecialKey, which EncodeSpecial encodes to nothing (TestKeyEncoding)",
