@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,44 +13,60 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestSection4Golden pins the measured §4 figures at a small, fixed
-// workload: each arm's Stats and the repaired fraction for the fig2,
-// singapore and loss rows, Fig. 3's sweep points and argmin, and every
-// ablation point's figures at 400 keys (at 60 the three display policies
-// measure the same). Virtual time makes
-// every figure exact, so a refactor of the harness must leave the file
-// untouched; a deliberate behavior change regenerates it with
+// workload, one "<experiment> <figure>=<value>" line per figure (durations
+// in seconds): each arm's statistics and the repaired fraction for the
+// fig2, singapore and loss rows, Fig. 3's sweep points and argmin, and
+// every ablation point's figures at 400 keys (at 60 the three display
+// policies measure the same). Virtual time makes every figure exact, so a
+// refactor of the harness must leave the file untouched; a deliberate
+// behavior change regenerates it with
 // `go test ./internal/bench/ -run TestSection4Golden -update`.
 // The lte row stays out: its 30 s bulk warmup makes it the one slow row.
 func TestSection4Golden(t *testing.T) {
 	cfg := Config{KeystrokesPerUser: 60, Seed: 1}
 	var b strings.Builder
+	line := func(exp, name string, v float64) {
+		fmt.Fprintf(&b, "%s %s=%s\n", exp, name, strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	stats := func(exp, prefix string, st Stats) {
+		line(exp, prefix+"n", float64(st.N))
+		line(exp, prefix+"median", st.Median.Seconds())
+		line(exp, prefix+"mean", st.Mean.Seconds())
+		line(exp, prefix+"stddev", st.Stddev.Seconds())
+		line(exp, prefix+"instant", st.FracInstant)
+	}
 	for _, name := range []string{"fig2", "singapore", "loss"} {
 		c := row(t, name).Run(cfg)
-		for _, arm := range []ArmResult{c.SSH, c.Mosh} {
-			st := arm.Stats
-			fmt.Fprintf(&b, "%s %s n=%d median=%d mean=%d stddev=%d instant=%v\n",
-				name, arm.Name, st.N, st.Median, st.Mean, st.Stddev, st.FracInstant)
-		}
-		fmt.Fprintf(&b, "%s repaired=%v\n", name, c.Mispredicted)
+		stats(name, "ssh.", c.SSH.Stats)
+		stats(name, "mosh.", c.Mosh.Stats)
+		line(name, "mosh.repaired", c.Mispredicted)
 	}
 	pts := Figure3.Run(cfg)
 	for _, p := range pts {
-		fmt.Fprintf(&b, "fig3 interval=%d mean=%d writes=%d\n", p.Interval, p.MeanDelay, p.Writes)
+		iv := strings.ReplaceAll(p.Interval.String(), "µ", "u")
+		line("fig3", "delay."+iv, p.MeanDelay.Seconds())
+		line("fig3", "writes."+iv, float64(p.Writes))
 	}
-	fmt.Fprintf(&b, "fig3 best=%d\n", BestInterval(pts))
+	line("fig3", "best", BestInterval(pts).Seconds())
 
 	abl := Config{KeystrokesPerUser: 400, Seed: 1}
 	for _, a := range Ablations {
 		for _, p := range a.Points {
 			r := a.Run(abl, p)
+			exp := fmt.Sprintf("ablation %q", p.Label)
 			if p.Flood != nil {
-				fmt.Fprintf(&b, "ablation %q frames=%d wire=%d converged=%v\n",
-					p.Label, r.Flood.Frames, r.Flood.WirePackets, r.Flood.Converged)
+				converged := 0.0
+				if r.Flood.Converged {
+					converged = 1
+				}
+				line(exp, "frames", float64(r.Flood.Frames))
+				line(exp, "wire", float64(r.Flood.WirePackets))
+				line(exp, "converged", converged)
 				continue
 			}
-			st := r.Stats
-			fmt.Fprintf(&b, "ablation %q n=%d median=%d mean=%d stddev=%d instant=%v mispredicted=%d wire=%d\n",
-				p.Label, st.N, st.Median, st.Mean, st.Stddev, st.FracInstant, r.Mosh.Mispredicted, r.Mosh.WirePackets)
+			stats(exp, "", r.Stats)
+			line(exp, "mispredicted", float64(r.Mosh.Mispredicted))
+			line(exp, "wire", float64(r.Mosh.WirePackets))
 		}
 	}
 
