@@ -5,9 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Benchmarks report custom metrics named after the paper's statistics
-// (medians and means in milliseconds), so who-wins and by-what-factor is
-// visible straight from the benchmark output.
+// Benchmarks report each experiment's figures as custom metrics named
+// after them (durations in seconds, e.g. "ssh.median"), so who-wins and
+// by-what-factor is visible straight from the benchmark output.
 package repro
 
 import (
@@ -22,34 +22,27 @@ func benchConfig(i int) bench.Config {
 	return bench.Config{KeystrokesPerUser: 120, Seed: int64(i)*31 + 1}
 }
 
-func reportComparison(b *testing.B, c bench.Comparison) {
-	b.ReportMetric(float64(c.Mosh.Stats.Median)/1e6, "mosh-median-ms")
-	b.ReportMetric(float64(c.Mosh.Stats.Mean)/1e6, "mosh-mean-ms")
-	b.ReportMetric(float64(c.SSH.Stats.Median)/1e6, "ssh-median-ms")
-	b.ReportMetric(float64(c.SSH.Stats.Mean)/1e6, "ssh-mean-ms")
-	b.ReportMetric(c.Mosh.Stats.FracInstant*100, "mosh-instant-%")
+// report reports every figure as a metric named after it.
+func report(b *testing.B, figs []bench.Figure) {
+	for _, f := range figs {
+		b.ReportMetric(f.Value, f.Name)
+	}
 }
 
 // BenchmarkSection4 replays each of the paper's Mosh-vs-SSH comparisons
-// (bench.Rows, which holds the published figures), one sub-benchmark per
-// row, then Figure 3's collection-interval sweep.
+// (bench.Rows), one sub-benchmark per row, then Figure 3's
+// collection-interval sweep.
 func BenchmarkSection4(b *testing.B) {
 	for _, r := range bench.Rows {
 		b.Run(r.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reportComparison(b, r.Run(benchConfig(i)))
+				report(b, r.Run(benchConfig(i)).Figures())
 			}
 		})
 	}
 	b.Run(bench.Figure3.Name, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts := bench.Figure3.Run(benchConfig(i))
-			b.ReportMetric(float64(bench.BestInterval(pts))/1e6, "best-interval-ms")
-			for _, p := range pts {
-				if p.Interval == bench.Figure3.Paper {
-					b.ReportMetric(float64(p.MeanDelay)/1e6, "delay-at-paper-ms")
-				}
-			}
+			report(b, bench.Figure3.Run(benchConfig(i)).Figures())
 		}
 	})
 }
@@ -61,20 +54,13 @@ func BenchmarkAblations(b *testing.B) {
 		for _, p := range a.Points {
 			b.Run(p.Label, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r := a.Run(benchConfig(i), p)
-					if p.Flood != nil {
-						if !r.Flood.Converged {
+					figs := a.Run(benchConfig(i), p)
+					for _, f := range figs {
+						if f.Name == "converged" && f.Value != 1 {
 							b.Fatal("flood session did not converge")
 						}
-						b.ReportMetric(float64(r.Flood.Frames), "frames")
-						b.ReportMetric(float64(r.Flood.WirePackets), "wire-packets")
-						continue
 					}
-					b.ReportMetric(float64(r.Stats.Median)/1e6, "median-ms")
-					b.ReportMetric(float64(r.Stats.Mean)/1e6, "mean-ms")
-					b.ReportMetric(r.Stats.FracInstant*100, "instant-%")
-					b.ReportMetric(float64(r.Mosh.Mispredicted), "displayed-mispredictions")
-					b.ReportMetric(float64(r.Mosh.WirePackets), "wire-packets")
+					report(b, figs)
 				}
 			})
 		}

@@ -2,7 +2,7 @@
 // and figure, replayed in deterministic virtual time over the emulated
 // networks. Run it with no flags for the full set, or select one
 // experiment: a row of bench.Rows by name (each table prints the paper's
-// figures under ours), or
+// figures under ours, then a fidelity line against bench.Paper's bands), or
 //
 //	mosh-bench -exp fig3       # bench.Figure3: collection-interval sweep
 //	mosh-bench -exp ablations  # bench.Ablations: design-choice sweeps
@@ -73,7 +73,11 @@ func main() {
 			}
 			fmt.Println("Ablation: " + a.Title)
 			for _, p := range a.Points {
-				fmt.Println(a.Line(a.Run(c, p)))
+				line := fmt.Sprintf("%-24s", p.Label)
+				for _, f := range a.Run(c, p) {
+					line += fmt.Sprintf(" %s=%.4g", f.Name, f.Value)
+				}
+				fmt.Println(line)
 			}
 		}
 	}})

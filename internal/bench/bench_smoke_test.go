@@ -52,42 +52,6 @@ func TestRunSSHTraceProducesSamples(t *testing.T) {
 	t.Logf("ssh EV-DO: median=%v mean=%v", st.Median, st.Mean)
 }
 
-func TestFigure2Shape(t *testing.T) {
-	// The paper's headline: Mosh median < 5 ms (instant), SSH median ≈
-	// path RTT (503 ms), ~70% of keystrokes instant.
-	c := row(t, "fig2").Run(Config{KeystrokesPerUser: 120, Seed: 1})
-	if c.Mosh.Stats.Median >= 50*time.Millisecond {
-		t.Fatalf("Mosh median = %v, want near-instant", c.Mosh.Stats.Median)
-	}
-	if c.SSH.Stats.Median < 300*time.Millisecond {
-		t.Fatalf("SSH median = %v, want ≈RTT", c.SSH.Stats.Median)
-	}
-	if c.Mosh.Stats.FracInstant < 0.45 || c.Mosh.Stats.FracInstant > 0.95 {
-		t.Fatalf("Mosh instant fraction = %.2f, want ≈0.70", c.Mosh.Stats.FracInstant)
-	}
-	if c.SSH.Stats.FracInstant > 0.05 {
-		t.Fatalf("SSH instant fraction = %.2f, should be ~0", c.SSH.Stats.FracInstant)
-	}
-	t.Logf("%s", FormatComparison(c))
-}
-
-func TestTableLossShape(t *testing.T) {
-	// SSP without predictions must beat TCP's RTO tail: bounded mean and
-	// σ vs SSH's loss-induced multi-second stalls.
-	c := row(t, "loss").Run(Config{KeystrokesPerUser: 100, Seed: 2})
-	if c.Mosh.Stats.Mean > 2*time.Second {
-		t.Fatalf("Mosh mean under loss = %v, should stay bounded", c.Mosh.Stats.Mean)
-	}
-	if c.SSH.Stats.Mean < c.Mosh.Stats.Mean*2 {
-		t.Fatalf("SSH mean %v vs Mosh %v: TCP should be far worse under 50%% loss",
-			c.SSH.Stats.Mean, c.Mosh.Stats.Mean)
-	}
-	if c.SSH.Stats.Stddev < c.SSH.Stats.Mean {
-		t.Fatalf("SSH σ=%v < mean=%v; expected heavy tail", c.SSH.Stats.Stddev, c.SSH.Stats.Mean)
-	}
-	t.Logf("%s", FormatComparison(c))
-}
-
 func TestFigure3ShapeSmall(t *testing.T) {
 	pts := Figure3.Run(Config{KeystrokesPerUser: 60, Seed: 7})
 	if len(pts) != len(Figure3.Intervals) {
@@ -99,11 +63,11 @@ func TestFigure3ShapeSmall(t *testing.T) {
 		}
 		t.Logf("C=%-10v meanDelay=%v writes=%d", p.Interval, p.MeanDelay, p.Writes)
 	}
-	best := BestInterval(pts)
+	best := pts.Best()
 	// The minimum should be in the single-digit-millisecond region, not
 	// at the extremes.
 	if best < time.Millisecond || best > 50*time.Millisecond {
-		t.Fatalf("best interval = %v, expected near the paper's %v", best, Figure3.Paper)
+		t.Fatalf("best interval = %v, expected in the single-digit milliseconds", best)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/overlay"
 	"repro/internal/trace"
@@ -36,62 +37,41 @@ type ArmResult struct {
 	Samples []Sample
 }
 
-// Published is one arm's figures as the paper reports them. A zero
-// Stddev is one the paper does not publish; a zero Median is its "< 5 ms".
-type Published struct {
-	Median, Mean, Stddev time.Duration
-}
-
 // Row is one of the paper's §4 Mosh-vs-SSH comparisons: the path both
-// arms share, each arm's options, and the figures the paper published.
+// arms share and each arm's options. The paper's figures for it are in
+// the Paper table under its Name.
 type Row struct {
 	Name  string // mosh-bench's -exp name
 	Title string
 	Link  netem.LinkParams
 	Mosh  MoshOptions
 	SSH   SSHOptions
-	// PaperSSH and PaperMosh are the paper's median, mean and σ.
-	PaperSSH, PaperMosh Published
-	// PaperInstant and PaperRepaired are the fractions of Mosh keystrokes
-	// the paper reports displayed within 5 ms and displayed wrongly then
-	// repaired (Figure 2 only; zero where unpublished).
-	PaperInstant, PaperRepaired float64
 }
 
 // Rows is the paper's §4 comparison table, in the order it presents them.
 var Rows = []Row{{
-	Name:          "fig2",
-	Title:         "Figure 2: keystroke response time, Sprint EV-DO (3G)",
-	Link:          netem.EVDO(),
-	Mosh:          MoshOptions{Predictions: overlay.Adaptive},
-	PaperSSH:      Published{503 * time.Millisecond, 515 * time.Millisecond, 0},
-	PaperMosh:     Published{0, 173 * time.Millisecond, 0},
-	PaperInstant:  0.70,
-	PaperRepaired: 0.009,
+	Name:  "fig2",
+	Title: "Figure 2: keystroke response time, Sprint EV-DO (3G)",
+	Link:  netem.EVDO(),
+	Mosh:  MoshOptions{Predictions: overlay.Adaptive},
 }, {
 	// One concurrent TCP download fills the bottleneck buffer.
-	Name:      "lte",
-	Title:     "Verizon LTE with one concurrent TCP download",
-	Link:      netem.LTE(),
-	Mosh:      MoshOptions{Predictions: overlay.Adaptive, BulkDownload: true},
-	SSH:       SSHOptions{BulkDownload: true},
-	PaperSSH:  Published{5360 * time.Millisecond, 5030 * time.Millisecond, 2140 * time.Millisecond},
-	PaperMosh: Published{0, 1700 * time.Millisecond, 2600 * time.Millisecond},
+	Name:  "lte",
+	Title: "Verizon LTE with one concurrent TCP download",
+	Link:  netem.LTE(),
+	Mosh:  MoshOptions{Predictions: overlay.Adaptive, BulkDownload: true},
+	SSH:   SSHOptions{BulkDownload: true},
 }, {
-	Name:      "singapore",
-	Title:     "MIT–Singapore Internet path (Amazon EC2)",
-	Link:      netem.Transoceanic(),
-	Mosh:      MoshOptions{Predictions: overlay.Adaptive},
-	PaperSSH:  Published{273 * time.Millisecond, 272 * time.Millisecond, 9 * time.Millisecond},
-	PaperMosh: Published{0, 86 * time.Millisecond, 132 * time.Millisecond},
+	Name:  "singapore",
+	Title: "MIT–Singapore Internet path (Amazon EC2)",
+	Link:  netem.Transoceanic(),
+	Mosh:  MoshOptions{Predictions: overlay.Adaptive},
 }, {
 	// Predictions off isolates SSP.
-	Name:      "loss",
-	Title:     "netem router: 100 ms RTT, 29% loss each way (predictions off)",
-	Link:      netem.LossyNetem(),
-	Mosh:      MoshOptions{Predictions: overlay.Never},
-	PaperSSH:  Published{416 * time.Millisecond, 16800 * time.Millisecond, 52200 * time.Millisecond},
-	PaperMosh: Published{222 * time.Millisecond, 329 * time.Millisecond, 1630 * time.Millisecond},
+	Name:  "loss",
+	Title: "netem router: 100 ms RTT, 29% loss each way (predictions off)",
+	Link:  netem.LossyNetem(),
+	Mosh:  MoshOptions{Predictions: overlay.Never},
 }}
 
 // RowNamed returns the row whose -exp name is name.
@@ -137,21 +117,36 @@ func (r Row) Run(cfg Config) Comparison {
 	return c
 }
 
-// FormatPaper renders the row's published figures in TableRow's columns,
-// "—" marking a σ the paper does not publish.
+// FormatPaper renders the row's published figures from the Paper table in
+// TableRow's columns, "—" marking one the paper does not publish.
 func (r Row) FormatPaper() string {
-	line := func(name string, p Published) string {
-		sd := "—"
-		if p.Stddev > 0 {
-			sd = fmtDur(p.Stddev)
+	line := func(name, arm string) string {
+		cols := []any{name}
+		for _, f := range []string{"median", "mean", "stddev"} {
+			if v, ok := paperValue(r.Name, arm+"."+f); ok {
+				cols = append(cols, fmtDur(seconds(v)))
+			} else {
+				cols = append(cols, "—")
+			}
 		}
-		return fmt.Sprintf("%-24s %10s %10s %10s", name, fmtDur(p.Median), fmtDur(p.Mean), sd)
+		return fmt.Sprintf("%-24s %10s %10s %10s", cols...)
 	}
-	s := line("paper SSH", r.PaperSSH) + "\n" + line("paper Mosh", r.PaperMosh)
-	if r.PaperInstant > 0 {
-		s += fmt.Sprintf("   (instant=%.0f%%, repaired=%.1f%%)", r.PaperInstant*100, r.PaperRepaired*100)
+	s := line("paper SSH", "ssh") + "\n" + line("paper Mosh", "mosh")
+	if instant, ok := paperValue(r.Name, "mosh.instant"); ok {
+		repaired, _ := paperValue(r.Name, "mosh.repaired")
+		s += fmt.Sprintf("   (instant=%.0f%%, repaired=%.1f%%)", instant*100, repaired*100)
 	}
 	return s + "\n"
+}
+
+// Figures lists the comparison's measured figures: each arm's statistics
+// under "ssh." and "mosh.", then the Mosh arm's repaired fraction.
+func (c Comparison) Figures() []Figure {
+	var fs []Figure
+	for _, arm := range []ArmResult{c.SSH, c.Mosh} {
+		fs = append(fs, arm.Stats.figures(strings.ToLower(arm.Name)+".")...)
+	}
+	return append(fs, Figure{"mosh.repaired", c.Mispredicted})
 }
 
 // Ablation is one design choice the paper argues for, swept over a few
@@ -160,8 +155,6 @@ type Ablation struct {
 	Title  string
 	Link   netem.LinkParams
 	Points []AblationPoint
-	// Line renders one point's measured figures.
-	Line func(AblationResult) string
 }
 
 // AblationPoint is one swept value: the MoshOptions a trace replay runs
@@ -170,15 +163,6 @@ type AblationPoint struct {
 	Label string
 	Mosh  MoshOptions
 	Flood *transport.Timing
-}
-
-// AblationResult is one point's measurement: Mosh and its Stats for a
-// trace replay, Flood for a flood.
-type AblationResult struct {
-	Point AblationPoint
-	Mosh  MoshResult
-	Stats Stats
-	Flood FloodResult
 }
 
 // floodSpan is how long the frame-cap ablation floods the terminal.
@@ -193,23 +177,18 @@ var Ablations = []Ablation{{
 	Points: points("mosh/", func(p overlay.DisplayPreference) AblationPoint {
 		return AblationPoint{Mosh: MoshOptions{Predictions: p}}
 	}, overlay.Adaptive, overlay.Always, overlay.Never),
-	Line: latencyLine,
 }, {
 	Title: "server-side echo ack timeout (EV-DO, adaptive)",
 	Link:  netem.EVDO(),
 	Points: points("echo-ack ", func(d time.Duration) AblationPoint {
 		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, EchoAckTimeout: d}}
 	}, time.Millisecond, 50*time.Millisecond, 500*time.Millisecond),
-	Line: func(r AblationResult) string {
-		return fmt.Sprintf("%s   mispredictions=%d", latencyLine(r), r.Mosh.Mispredicted)
-	},
 }, {
 	Title: "SSP minimum RTO under 29% loss (predictions off)",
 	Link:  netem.LossyNetem(),
 	Points: points("min-rto ", func(d time.Duration) AblationPoint {
 		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Never, MinRTO: d, MaxRTO: 4 * d}}
 	}, 50*time.Millisecond, time.Second),
-	Line: latencyLine,
 }, {
 	Title: fmt.Sprintf("frame-rate cap during a %v terminal flood (LAN-fast path)", floodSpan),
 	Link:  netem.LinkParams{Delay: 2 * time.Millisecond},
@@ -218,10 +197,6 @@ var Ablations = []Ablation{{
 		t.SendIntervalMin = d
 		return AblationPoint{Flood: &t}
 	}, 20*time.Millisecond, time.Millisecond),
-	Line: func(r AblationResult) string {
-		return fmt.Sprintf("%-24s frames: %5d   wire packets: %5d   converged: %v",
-			r.Point.Label, r.Flood.Frames, r.Flood.WirePackets, r.Flood.Converged)
-	},
 }, {
 	Title: "delayed-ack interval (EV-DO, packets sent)",
 	Link:  netem.EVDO(),
@@ -230,9 +205,6 @@ var Ablations = []Ablation{{
 		t.AckDelay = d
 		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, Timing: &t}}
 	}, time.Millisecond, 100*time.Millisecond, 200*time.Millisecond),
-	Line: func(r AblationResult) string {
-		return fmt.Sprintf("%-24s wire packets: %d", r.Point.Label, r.Mosh.WirePackets)
-	},
 }}
 
 // points makes one point per value, labelled prefix+value.
@@ -245,24 +217,22 @@ func points[V any](prefix string, point func(V) AblationPoint, values ...V) []Ab
 	return ps
 }
 
-func latencyLine(r AblationResult) string { return TableRow(r.Point.Label, r.Stats) }
-
-// Run measures one point at cfg: a flood over the ablation's link, or a
-// replay of one trace (the fifth profile, at most 400 keystrokes).
-func (a Ablation) Run(cfg Config, p AblationPoint) AblationResult {
-	r := AblationResult{Point: p}
+// Run measures one point at cfg and lists its figures: a flood over the
+// ablation's link, or a replay of one trace (the fifth profile, at most 400
+// keystrokes) with its statistics, mispredictions and wire packets.
+func (a Ablation) Run(cfg Config, p AblationPoint) []Figure {
 	if p.Flood != nil {
-		r.Flood = runFlood(floodSpan, a.Link, p.Flood, cfg.Seed, true)
-		return r
+		return runFlood(floodSpan, a.Link, p.Flood, cfg.Seed, (*core.Server).Prepare).figures()
 	}
 	tr := trace.Generate(cfg.Seed+11, trace.SixProfiles()[4], min(cfg.keys(), 400))
-	r.Mosh = RunMoshTrace(tr, a.Link, cfg.Seed, p.Mosh)
-	r.Stats = Summarize(r.Mosh.Samples)
-	return r
+	m := RunMoshTrace(tr, a.Link, cfg.Seed, p.Mosh)
+	return append(Summarize(m.Samples).figures(""),
+		Figure{"mispredicted", float64(m.Mispredicted)},
+		Figure{"wire", float64(m.WirePackets)})
 }
 
 // FormatComparison renders a comparison as a paper-style table, the
-// paper's figures under the measured ones.
+// paper's figures under the measured ones and the fidelity line under them.
 func FormatComparison(c Comparison) string {
 	var b strings.Builder
 	b.WriteString(TableHeader(c.Row.Title))
@@ -275,6 +245,7 @@ func FormatComparison(c Comparison) string {
 		fmt.Fprintf(&b, "mosh mispredictions repaired: %.1f%% of keystrokes\n", c.Mispredicted*100)
 	}
 	b.WriteString(c.Row.FormatPaper())
+	b.WriteString(fidelity(c.Row.Name, c.Figures()))
 	return b.String()
 }
 

@@ -159,13 +159,16 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 }
 
 // Sweep is Figure 3: the collection intervals it sweeps (the frame
-// interval pinned at 250 ms) and the paper's minimum-delay interval.
+// interval pinned at 250 ms). The paper's minimum-delay interval is in the
+// Paper table under its Name.
 type Sweep struct {
 	Name      string // mosh-bench's -exp name
 	Title     string
 	Intervals []time.Duration
-	Paper     time.Duration
 }
+
+// SweepResult is one point per swept interval, in the sweep's order.
+type SweepResult []SweepPoint
 
 // Figure3 sweeps log-spaced 0.1–100 ms, as on the paper's x-axis.
 var Figure3 = Sweep{
@@ -183,20 +186,19 @@ var Figure3 = Sweep{
 		64 * time.Millisecond,
 		100 * time.Millisecond,
 	},
-	Paper: 8 * time.Millisecond,
 }
 
 // Run measures the mean protocol-induced delay at each interval. Each of
 // the six traces is replayed as its own session (sessions are independent
 // in the paper's corpus) and the means are write-weighted across sessions.
 // Trace i's write chunking is seeded cfg.Seed+i, so the seed moves it too.
-func (s Sweep) Run(cfg Config) []SweepPoint {
+func (s Sweep) Run(cfg Config) SweepResult {
 	traces := cfg.traces()
 	perTrace := make([][]hostWrite, len(traces))
 	for i, tr := range traces {
 		perTrace[i] = extractWrites(tr, cfg.Seed+int64(i))
 	}
-	pts := make([]SweepPoint, 0, len(s.Intervals))
+	pts := make(SweepResult, 0, len(s.Intervals))
 	for _, iv := range s.Intervals {
 		var total time.Duration
 		n := 0
@@ -214,20 +216,23 @@ func (s Sweep) Run(cfg Config) []SweepPoint {
 	return pts
 }
 
-// Format renders the sweep, its minimum and the paper's.
-func (s Sweep) Format(pts []SweepPoint) string {
+// Format renders the sweep, its minimum and the paper's, and the fidelity
+// line.
+func (s Sweep) Format(pts SweepResult) string {
 	var b strings.Builder
 	b.WriteString(s.Title + "\n")
 	fmt.Fprintf(&b, "%-14s %12s %8s\n", "interval", "mean delay", "writes")
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-14s %12s %8d\n", p.Interval, p.MeanDelay.Round(100*time.Microsecond), p.Writes)
 	}
-	fmt.Fprintf(&b, "\nminimum at %v (paper: %s)\n", BestInterval(pts), fmtDur(s.Paper))
+	paper, _ := paperValue(s.Name, "best")
+	fmt.Fprintf(&b, "\nminimum at %v (paper: %s)\n", pts.Best(), fmtDur(seconds(paper)))
+	b.WriteString(fidelity(s.Name, pts.Figures()))
 	return b.String()
 }
 
-// BestInterval returns the sweep's minimum-delay collection interval.
-func BestInterval(pts []SweepPoint) time.Duration {
+// Best returns the sweep's minimum-delay collection interval.
+func (pts SweepResult) Best() time.Duration {
 	if len(pts) == 0 {
 		return 0
 	}
@@ -238,4 +243,15 @@ func BestInterval(pts []SweepPoint) time.Duration {
 		}
 	}
 	return best.Interval
+}
+
+// Figures lists each interval's mean delay ("delay.8ms") and write count
+// ("writes.8ms"), then the minimum-delay interval ("best").
+func (pts SweepResult) Figures() []Figure {
+	var fs []Figure
+	for _, p := range pts {
+		iv := strings.ReplaceAll(p.Interval.String(), "µ", "u")
+		fs = append(fs, Figure{"delay." + iv, p.MeanDelay.Seconds()}, Figure{"writes." + iv, float64(p.Writes)})
+	}
+	return append(fs, Figure{"best", pts.Best().Seconds()})
 }

@@ -29,11 +29,12 @@ type FloodResult struct {
 // runFlood floods the server terminal with output for the given duration
 // over link and reports how much traffic SSP generated. With the paper's
 // 50 Hz frame cap the traffic stays bounded no matter how fast the host
-// writes; the ablation removes the cap. With prepare the server's loop is
-// the daemon's: after every wake-up it offers to build the next frame
-// ahead of its deadline, which a flood's own traffic turns down; without
-// it (the reference the flood guard compares against) no offer is made.
-func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, seed int64, prepare bool) FloodResult {
+// writes; the ablation removes the cap. With a prepare func the server's
+// loop is the daemon's: after every wake-up it offers, through prepare, to
+// build the next frame ahead of its deadline, which a flood's own traffic
+// turns down; with nil (the reference the flood guard compares against) no
+// offer is made.
+func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, seed int64, prepare func(*core.Server) bool) FloodResult {
 	sched := simclock.NewScheduler(benchEpoch)
 	nw := netem.NewNetwork(sched)
 	path := netem.NewPath(nw, link, seed)
@@ -63,8 +64,8 @@ func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, 
 	pumpServer := core.Pump(sched, server)
 	wakeServer := func() {
 		pumpServer()
-		if prepare {
-			server.Prepare()
+		if prepare != nil {
+			prepare(server)
 		}
 	}
 	nw.Attach(serverAddr, func(p netem.Packet) { server.Receive(p.Payload, p.Src); wakeServer() })
@@ -96,4 +97,13 @@ func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, 
 		Converged:   client.ServerState().Equal(server.Terminal().Framebuffer()),
 		Sender:      server.Transport().Sender().Stats(),
 	}
+}
+
+// figures lists the flood's frames, wire packets and convergence (1 or 0).
+func (r FloodResult) figures() []Figure {
+	converged := 0.0
+	if r.Converged {
+		converged = 1
+	}
+	return []Figure{{"frames", float64(r.Frames)}, {"wire", float64(r.WirePackets)}, {"converged", converged}}
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestFloodDiscardsOnePreparedFrame is the flood guard: a host that writes
@@ -17,20 +19,27 @@ func TestFloodDiscardsOnePreparedFrame(t *testing.T) {
 			if p.Flood == nil {
 				continue
 			}
-			plain := runFlood(2*time.Second, a.Link, p.Flood, 3, false)
-			ahead := runFlood(2*time.Second, a.Link, p.Flood, 3, true)
+			prepared := 0
+			plain := runFlood(2*time.Second, a.Link, p.Flood, 3, nil)
+			ahead := runFlood(2*time.Second, a.Link, p.Flood, 3, func(s *core.Server) bool {
+				if s.Prepare() {
+					prepared++
+					return true
+				}
+				return false
+			})
 			if !plain.Converged || !ahead.Converged {
 				t.Fatalf("%s: converged plain=%v ahead=%v", p.Label, plain.Converged, ahead.Converged)
 			}
-			wasted := ahead.Sender.Prepared - ahead.Sender.PreparedSent
-			t.Logf("%s: %d frames, %d prepared, %d of them discarded", p.Label, ahead.Frames, ahead.Sender.Prepared, wasted)
-			if plain.Sender.Prepared != 0 {
-				t.Fatalf("the reference flood prepared %d frames", plain.Sender.Prepared)
+			wasted := prepared - ahead.Sender.PreparedSent
+			t.Logf("%s: %d frames, %d prepared, %d of them discarded", p.Label, ahead.Frames, prepared, wasted)
+			if plain.Sender.PreparedSent != 0 {
+				t.Fatalf("the reference flood sent %d prepared frames", plain.Sender.PreparedSent)
 			}
 			if wasted > 1 {
 				t.Errorf("%s: the flood discarded %d prepared frames, want at most the one at its start", p.Label, wasted)
 			}
-			ahead.Sender.Prepared, ahead.Sender.PreparedSent = 0, 0
+			ahead.Sender.PreparedSent = 0
 			if ahead != plain {
 				t.Errorf("%s: building ahead changed the flood:\n plain %+v\n ahead %+v", p.Label, plain, ahead)
 			}

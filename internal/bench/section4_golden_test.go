@@ -25,48 +25,19 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 func TestSection4Golden(t *testing.T) {
 	cfg := Config{KeystrokesPerUser: 60, Seed: 1}
 	var b strings.Builder
-	line := func(exp, name string, v float64) {
-		fmt.Fprintf(&b, "%s %s=%s\n", exp, name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	stats := func(exp, prefix string, st Stats) {
-		line(exp, prefix+"n", float64(st.N))
-		line(exp, prefix+"median", st.Median.Seconds())
-		line(exp, prefix+"mean", st.Mean.Seconds())
-		line(exp, prefix+"stddev", st.Stddev.Seconds())
-		line(exp, prefix+"instant", st.FracInstant)
+	write := func(exp string, figs []Figure) {
+		for _, f := range figs {
+			fmt.Fprintf(&b, "%s %s=%s\n", exp, f.Name, strconv.FormatFloat(f.Value, 'g', -1, 64))
+		}
 	}
 	for _, name := range []string{"fig2", "singapore", "loss"} {
-		c := row(t, name).Run(cfg)
-		stats(name, "ssh.", c.SSH.Stats)
-		stats(name, "mosh.", c.Mosh.Stats)
-		line(name, "mosh.repaired", c.Mispredicted)
+		write(name, row(t, name).Run(cfg).Figures())
 	}
-	pts := Figure3.Run(cfg)
-	for _, p := range pts {
-		iv := strings.ReplaceAll(p.Interval.String(), "µ", "u")
-		line("fig3", "delay."+iv, p.MeanDelay.Seconds())
-		line("fig3", "writes."+iv, float64(p.Writes))
-	}
-	line("fig3", "best", BestInterval(pts).Seconds())
-
+	write(Figure3.Name, Figure3.Run(cfg).Figures())
 	abl := Config{KeystrokesPerUser: 400, Seed: 1}
 	for _, a := range Ablations {
 		for _, p := range a.Points {
-			r := a.Run(abl, p)
-			exp := fmt.Sprintf("ablation %q", p.Label)
-			if p.Flood != nil {
-				converged := 0.0
-				if r.Flood.Converged {
-					converged = 1
-				}
-				line(exp, "frames", float64(r.Flood.Frames))
-				line(exp, "wire", float64(r.Flood.WirePackets))
-				line(exp, "converged", converged)
-				continue
-			}
-			stats(exp, "", r.Stats)
-			line(exp, "mispredicted", float64(r.Mosh.Mispredicted))
-			line(exp, "wire", float64(r.Mosh.WirePackets))
+			write(fmt.Sprintf("ablation %q", p.Label), a.Run(abl, p))
 		}
 	}
 

@@ -4,7 +4,8 @@
 // measures per-keystroke user-interface response latency for both Mosh and
 // the SSH baseline, and formats results the way the paper reports them.
 // Rows is the index of the Mosh-vs-SSH comparisons, Figure3 the
-// collection-interval sweep and Ablations the design-choice sweeps.
+// collection-interval sweep and Ablations the design-choice sweeps; Paper
+// holds the paper's figures and the bands ours are held to.
 package bench
 
 import (
@@ -30,6 +31,18 @@ type Stats struct {
 	Mean        time.Duration
 	Stddev      time.Duration
 	FracInstant float64 // fraction displayed within 5 ms ("instant")
+}
+
+// figures lists the statistics as figures named prefix+"n", "median",
+// "mean", "stddev" and "instant".
+func (st Stats) figures(prefix string) []Figure {
+	return []Figure{
+		{prefix + "n", float64(st.N)},
+		{prefix + "median", st.Median.Seconds()},
+		{prefix + "mean", st.Mean.Seconds()},
+		{prefix + "stddev", st.Stddev.Seconds()},
+		{prefix + "instant", st.FracInstant},
+	}
 }
 
 // Summarize computes distribution statistics.

@@ -46,9 +46,11 @@ type prepWorld struct {
 	serverTimer *simclock.EventTimer
 	wakeClient  func()
 	sent        []sentDgram
-	// stats accumulates the sender counters of every server incarnation.
-	stats transport.SenderStats
-	lines int
+	// stats accumulates the sender counters of every server incarnation,
+	// and prepared the frames its Prepare calls built.
+	stats    transport.SenderStats
+	prepared int
+	lines    int
 }
 
 // sweep is what the daemon does after anything happened to the session:
@@ -58,8 +60,8 @@ type prepWorld struct {
 func (w *prepWorld) sweep() {
 	w.server.Tick()
 	at, ok := w.server.NextDeadline()
-	if w.prepare {
-		w.server.Prepare()
+	if w.prepare && w.server.Prepare() {
+		w.prepared++
 	}
 	if !ok {
 		return // no client yet: the hello's sweep arms the timer
@@ -179,7 +181,6 @@ func (w *prepWorld) retire() {
 	w.stats.Fragments += st.Fragments
 	w.stats.DiffBytes += st.DiffBytes
 	w.stats.Suppressed += st.Suppressed
-	w.stats.Prepared += st.Prepared
 	w.stats.PreparedSent += st.PreparedSent
 }
 
@@ -204,9 +205,9 @@ func (w *prepWorld) restart() {
 	w.sweep()
 }
 
-// runPrepWorld plays the whole scenario and returns what was sent and the
-// server's counters.
-func runPrepWorld(t *testing.T, seed int64, prepare bool) ([]sentDgram, transport.SenderStats) {
+// runPrepWorld plays the whole scenario and returns what was sent, the
+// server's counters and how many frames it built ahead.
+func runPrepWorld(t *testing.T, seed int64, prepare bool) ([]sentDgram, transport.SenderStats, int) {
 	w := newPrepWorld(t, seed, prepare)
 	w.sched.RunFor(500 * time.Millisecond)
 	w.typeFor(3 * time.Second)
@@ -241,7 +242,7 @@ func runPrepWorld(t *testing.T, seed int64, prepare bool) ([]sentDgram, transpor
 	if !w.client.ServerState().Equal(w.server.Terminal().Framebuffer()) {
 		t.Fatalf("prepare=%v: the client's screen did not converge on the server's", prepare)
 	}
-	return w.sent, w.stats
+	return w.sent, w.stats, w.prepared
 }
 
 // TestPreparedFrameEquivalence: a session whose server builds its frames
@@ -254,13 +255,13 @@ func runPrepWorld(t *testing.T, seed int64, prepare bool) ([]sentDgram, transpor
 func TestPreparedFrameEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed %d", seed), func(t *testing.T) {
-			plain, plainStats := runPrepWorld(t, seed, false)
-			ahead, aheadStats := runPrepWorld(t, seed, true)
-			if plainStats.Prepared != 0 {
-				t.Fatalf("the reference run prepared %d frames", plainStats.Prepared)
+			plain, plainStats, plainPrepared := runPrepWorld(t, seed, false)
+			ahead, aheadStats, aheadPrepared := runPrepWorld(t, seed, true)
+			if plainPrepared != 0 {
+				t.Fatalf("the reference run prepared %d frames", plainPrepared)
 			}
 			t.Logf("%d datagrams, %d data instructions; %d frames prepared, %d sent as prepared",
-				len(plain), plainStats.Instructions, aheadStats.Prepared, aheadStats.PreparedSent)
+				len(plain), plainStats.Instructions, aheadPrepared, aheadStats.PreparedSent)
 			// A good share of the frames must actually have taken the
 			// prepared path (retransmissions and frames carrying only an echo
 			// acknowledgment never do), and some must have been overtaken, or
@@ -268,10 +269,10 @@ func TestPreparedFrameEquivalence(t *testing.T) {
 			if aheadStats.PreparedSent < plainStats.Instructions/6 {
 				t.Errorf("only %d of %d data instructions were sent as prepared", aheadStats.PreparedSent, plainStats.Instructions)
 			}
-			if aheadStats.Prepared-aheadStats.PreparedSent < 10 {
-				t.Errorf("only %d prepared frames were discarded", aheadStats.Prepared-aheadStats.PreparedSent)
+			if aheadPrepared-aheadStats.PreparedSent < 10 {
+				t.Errorf("only %d prepared frames were discarded", aheadPrepared-aheadStats.PreparedSent)
 			}
-			aheadStats.Prepared, aheadStats.PreparedSent = 0, 0
+			aheadStats.PreparedSent = 0
 			if aheadStats != plainStats {
 				t.Errorf("sender counters differ:\n plain %+v\n ahead %+v", plainStats, aheadStats)
 			}
@@ -353,14 +354,14 @@ func (p *prepPair) settle(d time.Duration) {
 func TestPreparedFrameDiscardedByResize(t *testing.T) {
 	p := newPrepPair(t, 80, 24)
 	p.server.HostOutputAt([]byte("before the resize"), p.clk.Now())
-	p.server.Prepare()
+	built := p.server.Prepare()
 	snd := p.server.Transport().Sender()
 	if _, ok := snd.PreparedState(); !ok {
 		t.Fatal("no frame was prepared")
 	}
 	p.client.Resize(100, 30)
 	p.settle(time.Second)
-	if st := snd.Stats(); st.Prepared < 1 || st.PreparedSent != 0 {
+	if st := snd.Stats(); !built || st.PreparedSent != 0 {
 		t.Fatalf("want the prepared frame discarded: %+v", st)
 	}
 	fb := p.client.ServerState()
@@ -378,15 +379,14 @@ func TestPreparedFrameSkipsPendingEchoAck(t *testing.T) {
 	p.client.UserBytes([]byte("k"))
 	p.settle(DefaultEchoAckTimeout - 3*time.Millisecond) // the echo timeout is 3 ms away
 	p.server.HostOutputAt([]byte("output"), p.clk.Now())
-	p.server.Prepare()
-	if got := snd.Stats().Prepared; got != 0 {
-		t.Fatalf("a frame was built %d times with an echo acknowledgment due before its deadline", got)
+	if p.server.Prepare() {
+		t.Fatal("a frame was built with an echo acknowledgment due before its deadline")
 	}
 	p.clk.RunFor(4 * time.Millisecond)
 	p.server.Tick() // the echo acknowledgment lands
-	p.server.Prepare()
+	built := p.server.Prepare()
 	p.settle(time.Second)
-	if st := snd.Stats(); st.Prepared != 1 || st.PreparedSent != 1 {
+	if st := snd.Stats(); !built || st.PreparedSent != 1 {
 		t.Fatalf("want one frame, built after the echo acknowledgment and sent: %+v", st)
 	}
 	if got := p.client.ServerState().Text(0); !strings.HasPrefix(got, "output") {

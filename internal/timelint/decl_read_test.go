@@ -37,7 +37,7 @@ var unread = map[string]string{
 	"internal/netem.LinkStats.DroppedQueue": "TestDropTailQueue checks the drop-tail overflow count",
 	"internal/trace.Step.Kind":              "trace's tests check the generated workload's typing and navigation mix (TestTypingStepsEcho, TestNavigationStepsRepaint, TestProfilesDiffer)",
 	"internal/overlay.Stats.EpochsKilled":   "TestWrongTentativePredictionKillsEpochQuietly tells a quiet epoch kill from a full reset, which clears the same predictions",
-	"internal/bench.FloodResult.Sender":     "TestFloodDiscardsOnePreparedFrame reads the flood's prepared and discarded frame counts",
+	"internal/bench.FloodResult.Sender":     "TestFloodDiscardsOnePreparedFrame compares the flood's sender counters with and without building ahead",
 	"internal/bench.StageStat.N":            "TestManySessionRestartRoamLoss checks that the echo stage counts as many matches as the cohorts",
 	"internal/terminal.KeyNone":             "the zero SpecialKey, which EncodeSpecial encodes to nothing (TestKeyEncoding)",
 	"internal/udpbatch.ProbeResult.Name":    probeStep,

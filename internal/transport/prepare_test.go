@@ -20,6 +20,7 @@ type prepRig struct {
 	toClient       [][]byte
 	toServer       [][]byte
 	clientGot      []byte
+	prepared       int // frames the server's Prepare calls built
 }
 
 // countedLog is logState counting the calls a prepared frame costs.
@@ -138,6 +139,14 @@ func (r *prepRig) serveDeadline() {
 }
 
 func (r *prepRig) stats() SenderStats { return r.server.Sender().Stats() }
+
+// prepare offers the server to build its next frame ahead, counting the
+// frames it builds.
+func (r *prepRig) prepare(quietUntil time.Time) {
+	if r.server.Prepare(quietUntil) {
+		r.prepared++
+	}
+}
 
 // TestIntervalCountsFromHostWrite pins when a collection interval starts:
 // at the instant the caller says the object changed, when it says; at the
@@ -260,9 +269,9 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 	live := r.server.CurrentState()
 	clones, diffs := *live.clones, *live.diffs
 	for i := 0; i < 5; i++ {
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 	}
-	if *live.clones != clones || *live.diffs != diffs || r.stats().Prepared != 0 {
+	if *live.clones != clones || *live.diffs != diffs || r.prepared != 0 {
 		t.Fatalf("idle Prepare cost %d clones and %d diffs", *live.clones-clones, *live.diffs-diffs)
 	}
 
@@ -270,8 +279,8 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 	// a send pending, but carries no host write: not worth building ahead.
 	live.Append([]byte("e"))
 	r.server.Tick()
-	r.server.Prepare(time.Time{})
-	if *live.clones != clones || *live.diffs != diffs || r.stats().Prepared != 0 {
+	r.prepare(time.Time{})
+	if *live.clones != clones || *live.diffs != diffs || r.prepared != 0 {
 		t.Fatalf("an unannounced change was built ahead: %+v", r.stats())
 	}
 	r.serveDeadline()
@@ -282,11 +291,11 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 
 	r.write("hello", r.clk.Now())
 	for i := 0; i < 5; i++ {
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 		r.clk.RunFor(time.Millisecond)
 		r.server.NextDeadline()
 	}
-	if got := r.stats().Prepared; got != 1 {
+	if got := r.prepared; got != 1 {
 		t.Fatalf("five Prepare calls built %d frames, want 1", got)
 	}
 	if *live.clones != clones+1 || *live.diffs != diffs+1 {
@@ -309,12 +318,12 @@ func TestPrepareIsIdempotentAndCheapWhenIdle(t *testing.T) {
 	// A change the caller knows is coming before the deadline: not built.
 	r.clk.RunFor(time.Second)
 	r.write("x", r.clk.Now())
-	r.server.Prepare(r.due())
-	if got := r.stats().Prepared; got != 1 {
+	r.prepare(r.due())
+	if got := r.prepared; got != 1 {
 		t.Fatal("a frame was built although the caller expects a change before its deadline")
 	}
-	r.server.Prepare(r.due().Add(time.Nanosecond))
-	if got := r.stats().Prepared; got != 2 {
+	r.prepare(r.due().Add(time.Nanosecond))
+	if got := r.prepared; got != 2 {
 		t.Fatal("a frame whose deadline precedes the next expected change was not built")
 	}
 }
@@ -329,8 +338,8 @@ func TestPreparedFrameDiscards(t *testing.T) {
 	prepared := func(t *testing.T) *prepRig {
 		r := newPrepRig(t)
 		r.write("a", r.clk.Now())
-		r.server.Prepare(time.Time{})
-		if _, ok := r.server.Sender().PreparedState(); !ok || r.stats().Prepared != 1 {
+		r.prepare(time.Time{})
+		if _, ok := r.server.Sender().PreparedState(); !ok || r.prepared != 1 {
 			t.Fatalf("no frame was prepared: %+v", r.stats())
 		}
 		return r
@@ -363,8 +372,8 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		if _, ok := r.server.Sender().PreparedState(); ok {
 			t.Fatal("the frame survived a second write")
 		}
-		r.server.Prepare(time.Time{})
-		if got := r.stats().Prepared; got != 1 {
+		r.prepare(time.Time{})
+		if got := r.prepared; got != 1 {
 			t.Fatalf("a second frame was built in an interval that already saw two writes (%d)", got)
 		}
 		discarded(t, r, "ab")
@@ -380,9 +389,9 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		r := prepared(t)
 		r.server.CurrentState().Append([]byte("b"))
 		r.server.Tick()
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 		r.serveDeadline()
-		if st := r.stats(); st.Prepared != 2 || st.PreparedSent != 1 || string(r.clientGot) != "ab" {
+		if st := r.stats(); r.prepared != 2 || st.PreparedSent != 1 || string(r.clientGot) != "ab" {
 			t.Fatalf("want the first frame discarded and the second sent, client at %q: %+v", r.clientGot, st)
 		}
 	})
@@ -398,8 +407,8 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		r.toClient = nil
 		r.clk.RunFor(40 * time.Millisecond)
 		r.write("b", r.clk.Now())
-		r.server.Prepare(time.Time{})
-		if r.stats().Prepared != 1 {
+		r.prepare(time.Time{})
+		if r.prepared != 1 {
 			t.Fatal("no frame was prepared")
 		}
 		r.toClient = held
@@ -446,8 +455,8 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		if s.assumedIdx != 1 {
 			t.Fatalf("assumed state index %d, want the unacknowledged frame", s.assumedIdx)
 		}
-		r.server.Prepare(time.Time{})
-		if r.stats().Prepared != 1 || s.prep.hdr.OldNum != 1 {
+		r.prepare(time.Time{})
+		if r.prepared != 1 || s.prep.hdr.OldNum != 1 {
 			t.Fatalf("want a frame diffed from state 1: %+v %+v", r.stats(), s.prep)
 		}
 		r.clk.RunUntil(r.due())
@@ -470,17 +479,17 @@ func TestPreparedFrameDiscards(t *testing.T) {
 		}
 		// Nothing is built under an exhausted reservation; once it is
 		// extended the next frame is, and goes out.
-		r.server.Prepare(time.Time{})
-		if got := r.stats().Prepared; got != 1 {
+		r.prepare(time.Time{})
+		if got := r.prepared; got != 1 {
 			t.Fatalf("a frame was built under an exhausted reservation (%d)", got)
 		}
 		snd.SetNumCeiling(0)
 		r.server.NextDeadline()
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 		r.clk.RunFor(time.Millisecond)
 		r.server.Tick()
 		r.deliver()
-		if st := r.stats(); st.Prepared != 2 || st.PreparedSent != 1 || string(r.clientGot) != "a" {
+		if st := r.stats(); r.prepared != 2 || st.PreparedSent != 1 || string(r.clientGot) != "a" {
 			t.Fatalf("after the reservation was extended: client %q, %+v", r.clientGot, st)
 		}
 	})
@@ -507,7 +516,7 @@ func TestFloodSwitchesPreparingOff(t *testing.T) {
 			b := string(seq(len(want), 1))
 			want += b
 			r.write(b, r.clk.Now())
-			r.server.Prepare(time.Time{})
+			r.prepare(time.Time{})
 			if i < writes-1 {
 				r.clk.RunFor(2 * time.Millisecond)
 			}
@@ -520,22 +529,22 @@ func TestFloodSwitchesPreparingOff(t *testing.T) {
 	}
 	interval(1)
 	interval(1)
-	if st := r.stats(); st.Prepared != 2 || st.PreparedSent != 2 {
-		t.Fatalf("two quiet intervals: %+v", st)
+	if st := r.stats(); r.prepared != 2 || st.PreparedSent != 2 {
+		t.Fatalf("two quiet intervals: %d prepared, %+v", r.prepared, st)
 	}
 	for i := 0; i < 10; i++ {
 		interval(3)
 	}
-	if st := r.stats(); st.Prepared != 3 || st.PreparedSent != 2 {
-		t.Fatalf("a ten-interval flood should cost one discarded frame: %+v", st)
+	if st := r.stats(); r.prepared != 3 || st.PreparedSent != 2 {
+		t.Fatalf("a ten-interval flood should cost one discarded frame: %d prepared, %+v", r.prepared, st)
 	}
 	interval(1) // the first quiet interval: not prepared, but it is the forecast
-	if st := r.stats(); st.Prepared != 3 {
-		t.Fatalf("the interval after a flood was speculated on: %+v", st)
+	if r.prepared != 3 {
+		t.Fatalf("the interval after a flood was speculated on: %d prepared, %+v", r.prepared, r.stats())
 	}
 	interval(1)
-	if st := r.stats(); st.Prepared != 4 || st.PreparedSent != 3 {
-		t.Fatalf("preparing did not come back after a quiet interval: %+v", st)
+	if st := r.stats(); r.prepared != 4 || st.PreparedSent != 3 {
+		t.Fatalf("preparing did not come back after a quiet interval: %d prepared, %+v", r.prepared, st)
 	}
 	if string(r.clientGot) != want {
 		t.Fatalf("client has %q, want %q", r.clientGot, want)

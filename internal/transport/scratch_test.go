@@ -109,14 +109,14 @@ func TestPreparedFrameHoldsOneScratch(t *testing.T) {
 		if r.server.sender.frag.lent != nil {
 			t.Fatal("a tick that sent nothing kept a scratch")
 		}
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 		sc := r.server.sender.frag.lent
-		if sc == nil || !r.server.sender.frag.prepared || r.stats().Prepared != 1 {
+		if sc == nil || !r.server.sender.frag.prepared || r.prepared != 1 {
 			t.Fatalf("a prepared frame holds no scratch: %+v", r.stats())
 		}
 		r.clk.RunFor(time.Millisecond)
 		r.server.Tick() // not yet due
-		r.server.Prepare(time.Time{})
+		r.prepare(time.Time{})
 		if r.server.sender.frag.lent != sc {
 			t.Fatal("the prepared frame's scratch changed hands before its deadline")
 		}

@@ -74,11 +74,10 @@ type SenderStats struct {
 	// (sequence numbers or state numbers). SSP treats each as loss; the
 	// persistence layer flushes its journal to extend the reservation.
 	Suppressed int
-	// Prepared counts frames built ahead of their deadline (Prepare) and
-	// PreparedSent those that then left as built; the rest were discarded
-	// because something moved first. Useful ÷ attempted is the waste ratio
-	// of the speculation.
-	Prepared, PreparedSent int
+	// PreparedSent counts frames built ahead of their deadline (Prepare)
+	// that then left as built; Prepare reports each frame it builds, and
+	// the rest were discarded because something moved first.
+	PreparedSent int
 }
 
 // sentState is one entry in the sender's history of states the receiver
@@ -493,7 +492,6 @@ func (s *Sender[T]) prepare() bool {
 	s.frag.prepare(&inst)
 	inst.Diff = nil
 	s.prep = preparedFrame[T]{valid: true, state: s.currentState.Clone(), hdr: inst, diffLen: len(sc.diff)}
-	s.stats.Prepared++
 	return true
 }
 
