@@ -49,8 +49,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -80,29 +82,53 @@ func parseDemo(name string) (func(seed int64) host.App, error) {
 	return nil, fmt.Errorf("unknown -demo %q (want shell|editor|mail)", name)
 }
 
-func main() {
-	port := flag.Int("port", 60001, "UDP port to listen on")
-	sessions := flag.Int("sessions", 64, "session capacity (all issued at startup)")
-	demo := flag.String("demo", "shell", "demo application: shell|editor|mail")
-	idle := flag.Duration("idle", sessiond.DefaultIdleTimeout, "evict sessions idle this long (0 or negative = never)")
-	debug := flag.String("debug", "", "serve expvar metrics on this address (e.g. 127.0.0.1:6060)")
-	stateDir := flag.String("state-dir", "", "journal sessions here and restore them on start (crash-safe resumption)")
-	journal := flag.Duration("journal", sessiond.DefaultJournalInterval, "journal flush cadence with -state-dir")
-	udpProvider := flag.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|loop; auto takes the best-measured provider the platform has (mmsg, else loop), loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
-	quotaBurst := flag.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
-	quotaRate := flag.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the command with its arguments, printing the bootstrap lines to
+// stdout. It returns the exit status: 2 for a usage error, 0 once the
+// daemon has closed cleanly; a failure to start or serve exits 1 from
+// log.Fatal.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("mosh-server", flag.ExitOnError)
+	port := fs.Int("port", 60001, "UDP port to listen on")
+	sessions := fs.Int("sessions", 64, "session capacity (all issued at startup)")
+	demo := fs.String("demo", "shell", "demo application: shell|editor|mail")
+	idle := fs.Duration("idle", sessiond.DefaultIdleTimeout, "evict sessions idle this long (0 or negative = never)")
+	debug := fs.String("debug", "", "serve expvar metrics on this address (e.g. 127.0.0.1:6060)")
+	stateDir := fs.String("state-dir", "", "journal sessions here and restore them on start (crash-safe resumption)")
+	journal := fs.Duration("journal", sessiond.DefaultJournalInterval, "journal flush cadence with -state-dir")
+	udpProvider := fs.String("udp-provider", "auto", "batch I/O provider: auto|mmsg|loop; auto takes the best-measured provider the platform has (mmsg, else loop), loop is the one-datagram-per-syscall fallback, and an explicit name fails at startup if unsupported rather than silently falling back")
+	quotaBurst := fs.Int("unauth-burst", sessiond.DefaultUnauthQuotaBurst, "auth-failing datagrams a single source may charge before being quota-dropped without AEAD cost (negative disables the quota)")
+	quotaRate := fs.Float64("unauth-rate", sessiond.DefaultUnauthQuotaRate, "per-source refill rate (auth failures/sec) for the unauth quota")
+	fs.Parse(args)
+	usage := func(err error) int {
+		fmt.Fprintf(os.Stderr, "mosh-server: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 	demoApp, err := parseDemo(*demo)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mosh-server: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		return usage(err)
 	}
 
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{Port: *port})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The batch connection handles address translation itself: netem.Addr
+	// is a bijective compression of the socket address — (IPv4, port)
+	// packed directly, native IPv6 carried by value — so replies,
+	// including post-roam replies, decompress straight back into socket
+	// addresses with no pre-authentication side table to poison. It is
+	// built before any session is restored or issued, so that a provider
+	// this platform cannot run fails with no live key printed.
+	bc, err := udpbatch.NewUDPConnProvider(conn, *udpProvider)
+	if errors.Is(err, udpbatch.ErrUnknownProvider) {
+		return usage(err)
+	} else if err != nil {
+		log.Fatalf("udp-provider %q: %v", *udpProvider, err)
+	}
+	bound := conn.LocalAddr().(*net.UDPAddr).Port
 
 	newApp := func(id uint64) host.App {
 		return demoApp(time.Now().UnixNano() + int64(id))
@@ -142,7 +168,7 @@ func main() {
 	restored := d.Metrics().SessionsRestored.Value()
 	if restored > 0 {
 		for _, s := range d.Sessions() {
-			fmt.Printf("MOSH RESUME %d %s %d\n", *port, s.Key().Base64(), s.ID)
+			fmt.Fprintf(stdout, "MOSH RESUME %d %s %d\n", bound, s.Key().Base64(), s.ID)
 		}
 	}
 	for i := int64(0); i < int64(*sessions)-restored; i++ {
@@ -150,7 +176,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("MOSH CONNECT %d %s %d\n", *port, s.Key().Base64(), s.ID)
+		fmt.Fprintf(stdout, "MOSH CONNECT %d %s %d\n", bound, s.Key().Base64(), s.ID)
 	}
 
 	// A clean shutdown flushes the journal so every session survives the
@@ -191,17 +217,9 @@ func main() {
 		}()
 	}
 
-	// The batch connection handles address translation itself: netem.Addr
-	// is a bijective compression of the socket address — (IPv4, port)
-	// packed directly, native IPv6 carried by value — so replies,
-	// including post-roam replies, decompress straight back into socket
-	// addresses with no pre-authentication side table to poison.
-	bc, err := udpbatch.NewUDPConnProvider(conn, *udpProvider)
-	if err != nil {
-		log.Fatalf("udp-provider %q: %v", *udpProvider, err)
-	}
 	log.Printf("udp batch provider: %s", udpbatch.ProviderName(bc))
 	if err := d.ServeBatch(bc); err != nil {
 		log.Fatal(err)
 	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package udpbatch
 
 import (
+	"errors"
 	"fmt"
 	"net"
 
@@ -111,8 +112,12 @@ func NewUDPConnProvider(c *net.UDPConn, provider string) (Conn, error) {
 	case "loop":
 		return NewUDPLoopConn(c), nil
 	}
-	return nil, fmt.Errorf("udpbatch: unknown provider %q", provider)
+	return nil, fmt.Errorf("%w %q", ErrUnknownProvider, provider)
 }
+
+// ErrUnknownProvider is NewUDPConnProvider's error for a name that is no
+// provider, as against one this platform cannot run.
+var ErrUnknownProvider = errors.New("udpbatch: unknown provider")
 
 // NewUDPLoopConn wraps a UDP socket in the portable one-datagram-per-
 // syscall adapter regardless of platform — the explicit fallback mode.
