@@ -67,7 +67,7 @@ func TestFigure3ShapeSmall(t *testing.T) {
 	// The minimum should be in the single-digit-millisecond region, not
 	// at the extremes.
 	if best < time.Millisecond || best > 50*time.Millisecond {
-		t.Fatalf("best interval = %v, expected in the single-digit milliseconds", best)
+		t.Fatalf("best interval = %v, expected between 1 and 50 ms, away from the sweep's ends", best)
 	}
 }
 
