@@ -4,7 +4,53 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/network"
+	"repro/internal/sspcrypto"
 )
+
+// TestNonceAudit: the chaos run's audit counts one violation for each
+// datagram sealed under a (key, direction, sequence number) already used,
+// whether it carries the same frame or another one (what a restored daemon
+// reusing a nonce would send), and none for fresh sequence numbers, the
+// other direction or another session's key. It reads the nonce through the
+// datagram's own headers, so sequence numbers whose headers differ in
+// length are told apart, and a datagram it cannot read is not vouched for.
+func TestNonceAudit(t *testing.T) {
+	seal := func(id uint64, dir sspcrypto.Direction, seq uint64, frame string) []byte {
+		t.Helper()
+		s, err := sspcrypto.NewSession(sspcrypto.Key{byte(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := s.SealAppend(network.AppendEnvelope(nil, id), dir, seq, []byte(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	var a nonceAudit
+	for _, tc := range []struct {
+		what  string
+		wire  []byte
+		reuse bool
+	}{
+		{"session 1, seq 0", seal(1, sspcrypto.ToClient, 0, "a"), false},
+		{"session 1, seq 1", seal(1, sspcrypto.ToClient, 1, "b"), false},
+		{"session 1, seq 64 (2-byte header)", seal(1, sspcrypto.ToClient, 64, "c"), false},
+		{"session 1, seq 1<<16 (3-byte header)", seal(1, sspcrypto.ToClient, 1<<16, "d"), false},
+		{"session 1, seq 1, other direction", seal(1, sspcrypto.ToServer, 1, "b"), false},
+		{"session 2, seq 1", seal(2, sspcrypto.ToClient, 1, "b"), false},
+		{"session 1, seq 1 resealed", seal(1, sspcrypto.ToClient, 1, "b"), true},
+		{"session 1, seq 64, another frame", seal(1, sspcrypto.ToClient, 64, "e"), true},
+		{"session 1, seq 2", seal(1, sspcrypto.ToClient, 2, "f"), false},
+		{"no sequence header", network.AppendEnvelope(nil, 1), true},
+	} {
+		if got := a.reused(tc.wire); got != tc.reuse {
+			t.Errorf("%s: reused = %v, want %v", tc.what, got, tc.reuse)
+		}
+	}
+}
 
 // TestChaosTorture is the capstone fault-injection run: ~200 mixed-cohort
 // sessions in virtual time under a seeded hostile-world schedule — wire
@@ -15,8 +61,8 @@ import (
 //
 //  1. Every session converges to a final screen BYTE-IDENTICAL to an
 //     undisturbed baseline run with the same seed.
-//  2. The daemon never reuses a nonce: every sealed (session, sequence)
-//     pair is unique across both daemon incarnations.
+//  2. The daemon never reuses a nonce: every sealed (session, direction,
+//     sequence) nonce is unique across both daemon incarnations.
 //  3. Every keystroke's echo becomes visible (nothing is silently lost).
 //  4. Retries stay backoff-bounded: a flush-failure count anywhere near
 //     one-per-tick would mean the backoff gate is not holding.

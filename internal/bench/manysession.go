@@ -237,15 +237,15 @@ type ManySessionResult struct {
 	FrameHashes []uint64
 	FinalFrames [][]byte
 	// Chaos reporting (chaos loads). NonceViolations counts sealed
-	// datagrams whose (session, sequence) pair was ever seen before at the
-	// daemon's Send hook — ANY value other than zero is a broken crypto
-	// invariant. The wire-fault counters are summed from the link stats of
-	// every path the run built, roamed-away ones included, in both
-	// directions; ChaosDropped counts only paths that lose nothing outside
-	// the window, so a lossy cohort's own loss is not chaos. AuthDrops
-	// and JournalFlushFailures are daemon-side deltas over the run;
-	// JournalSuspendedSeen reports whether the disk-fault windows actually
-	// drove the journal into a suspension.
+	// datagrams whose (session, direction, sequence) nonce was ever seen
+	// before at the daemon's Send hook (nonceAudit) — ANY value other than
+	// zero is a broken crypto invariant. The wire-fault counters are
+	// summed from the link stats of every path the run built, roamed-away
+	// ones included, in both directions; ChaosDropped counts only paths
+	// that lose nothing outside the window, so a lossy cohort's own loss
+	// is not chaos. AuthDrops and JournalFlushFailures are daemon-side
+	// deltas over the run; JournalSuspendedSeen reports whether the
+	// disk-fault windows actually drove the journal into a suspension.
 	ChaosActive          bool
 	NonceViolations      int
 	ChaosDropped         int64
@@ -296,6 +296,42 @@ type StageStat struct {
 // row of host.NewShell's screen.
 const shellPromptLen = len("user@remote:~$ ")
 
+// nonceAudit watches the datagrams a daemon seals for AES-OCB nonce reuse:
+// a second datagram under one session's key, direction and sequence number.
+type nonceAudit struct {
+	seen map[sealedNonce]struct{}
+}
+
+// sealedNonce is one datagram's nonce under its session's key.
+type sealedNonce struct {
+	session uint64
+	dir     sspcrypto.Direction
+	seq     uint64
+}
+
+// reused records wire's nonce and reports whether it was seen before. A
+// datagram whose envelope or sequence header does not parse counts as reuse
+// too: an audit that cannot read a nonce cannot vouch for it.
+func (a *nonceAudit) reused(wire []byte) bool {
+	id, inner, err := network.ParseEnvelope(wire)
+	if err != nil {
+		return true
+	}
+	dir, seq, _, err := sspcrypto.ParseSeqHeader(inner)
+	if err != nil {
+		return true
+	}
+	if a.seen == nil {
+		a.seen = make(map[sealedNonce]struct{})
+	}
+	n := sealedNonce{session: id, dir: dir, seq: seq}
+	if _, dup := a.seen[n]; dup {
+		return true
+	}
+	a.seen[n] = struct{}{}
+	return false
+}
+
 // RunManySession drives Sessions simulated clients through one in-process
 // sessiond daemon and measures per-keystroke visible latency plus
 // aggregate daemon throughput. Everything runs in virtual time on one
@@ -342,15 +378,14 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// simulation is single-threaded on the scheduler, so the audit map
 	// needs no lock.
 	var (
-		chaosFS   *faultinject.FaultFS
-		nonceSeen map[uint64]map[uint64]struct{}
+		chaosFS *faultinject.FaultFS
+		audit   nonceAudit
 	)
 	res := ManySessionResult{Sessions: opt.Sessions, Keystrokes: opt.Keystrokes, IOModel: opt.ioModel}
 	if opt.chaos {
 		if opt.chaosSeed == 0 {
 			opt.chaosSeed = opt.Seed + 0xC4A05
 		}
-		nonceSeen = make(map[uint64]map[uint64]struct{})
 		res.ChaosActive = true
 	}
 	deliver := func(dst netem.Addr, wire []byte) {
@@ -393,18 +428,8 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 				deliver(dst, wire)
 				return
 			}
-			if id, inner, err := network.ParseEnvelope(wire); err == nil && len(inner) >= 8 {
-				seq := binary.BigEndian.Uint64(inner[:8]) & sspcrypto.MaxSeq
-				seen := nonceSeen[id]
-				if seen == nil {
-					seen = make(map[uint64]struct{})
-					nonceSeen[id] = seen
-				}
-				if _, dup := seen[seq]; dup {
-					res.NonceViolations++
-				} else {
-					seen[seq] = struct{}{}
-				}
+			if audit.reused(wire) {
+				res.NonceViolations++
 			}
 			deliver(dst, wire)
 		},

@@ -461,9 +461,13 @@ func (c *Connection) RTO() time.Duration {
 // has. The client uses this to warn the user about lost connectivity.
 func (c *Connection) LastHeard() (time.Time, bool) { return c.lastHeard, c.heardOnce }
 
-// Overhead is the total per-packet byte overhead added by this layer
-// (sequence header, AEAD tag, timestamps, and the session envelope when
-// one is configured).
+// Overhead is the byte overhead this layer adds to the packet it seals
+// next: its sequence header, the AEAD tag, the timestamps, and the session
+// envelope when one is configured. The header grows with the sequence
+// number (sspcrypto.SeqHeaderLen), so a later packet may cost more.
 func (c *Connection) Overhead() int {
-	return c.session.Overhead() + 4 + c.envLen
+	// Session.Overhead counts the longest header; the next one is shorter
+	// by this much.
+	short := sspcrypto.MaxSeqHeaderLen - sspcrypto.SeqHeaderLen(c.nextSeq)
+	return c.session.Overhead() - short + 4 + c.envLen
 }

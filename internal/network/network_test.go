@@ -314,6 +314,36 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOverheadTracksSequenceHeader: Overhead is exact for the packet sealed
+// next, whose sequence header grows a byte at sequence numbers 64 and 8192.
+func TestOverheadTracksSequenceHeader(t *testing.T) {
+	clk := simclock.NewScheduler(t0)
+	for _, tc := range []struct {
+		next uint64
+		want int // header, tag and timestamps
+	}{
+		{0, 1 + 16 + 4},
+		{63, 1 + 16 + 4},
+		{64, 2 + 16 + 4},
+		{8191, 2 + 16 + 4},
+		{8192, 3 + 16 + 4},
+		{1 << 16, 3 + 16 + 4},
+	} {
+		c, err := NewConnection(Config{Direction: sspcrypto.ToServer, Clock: clk, Resume: &Resume{NextSeq: tc.next}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		over := c.Overhead()
+		wire, err := c.NewPacket([]byte("keys"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if over != tc.want || len(wire) != over+len("keys") {
+			t.Errorf("seq %d: Overhead %d, %d B on the wire for 4 B; want %d", tc.next, over, len(wire), tc.want)
+		}
+	}
+}
+
 func TestEnvelopeMismatchRejected(t *testing.T) {
 	clk := simclock.NewScheduler(t0)
 	key := sspcrypto.Key{9, 9, 9}

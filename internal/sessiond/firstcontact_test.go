@@ -1,7 +1,6 @@
 package sessiond
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -197,10 +196,14 @@ func (r *deadlineRig) firstFrame() (at time.Time) {
 	}
 	at = r.clk.Now()
 	_, inner, err := network.ParseEnvelope(r.toCli[0])
-	if err != nil || len(inner) < 8 {
+	if err != nil {
+		r.t.Fatalf("the first datagram written has no envelope: %v", err)
+	}
+	_, seq, _, err := sspcrypto.ParseSeqHeader(inner)
+	if err != nil {
 		r.t.Fatalf("the first datagram written has no sequence header: %d B, %v", len(inner), err)
 	}
-	if seq := binary.BigEndian.Uint64(inner) & sspcrypto.MaxSeq; seq != 0 {
+	if seq != 0 {
 		r.t.Fatalf("the first datagram written carries sequence %d, want 0: earlier ones went nowhere", seq)
 	}
 	for _, wire := range r.toCli {

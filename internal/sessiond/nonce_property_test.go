@@ -1,7 +1,6 @@
 package sessiond_test
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -48,10 +47,13 @@ func TestNoncePropertyAcrossCrashPoints(t *testing.T) {
 		Clock: sched,
 		Send: func(dst netem.Addr, wire []byte) {
 			id, inner, err := network.ParseEnvelope(wire)
-			if err != nil || len(inner) < 8 {
+			if err != nil {
 				t.Fatalf("unparseable daemon datagram: %v", err)
 			}
-			seq := binary.BigEndian.Uint64(inner[:8]) & sspcrypto.MaxSeq
+			_, seq, _, err := sspcrypto.ParseSeqHeader(inner)
+			if err != nil {
+				t.Fatalf("unparseable daemon datagram: %v", err)
+			}
 			if seq > cumMax[id] {
 				cumMax[id] = seq
 			}

@@ -1,7 +1,6 @@
 package sessiond_test
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -27,7 +26,7 @@ import (
 // nonceKey identifies one sealed datagram's nonce.
 type nonceKey struct {
 	id  uint64
-	dir byte
+	dir sspcrypto.Direction
 	seq uint64
 }
 
@@ -36,11 +35,14 @@ type nonceKey struct {
 func recordNonce(t *testing.T, seen map[nonceKey]int, wire []byte) {
 	t.Helper()
 	id, inner, err := network.ParseEnvelope(wire)
-	if err != nil || len(inner) < 8 {
+	if err != nil {
 		t.Fatalf("unparseable wire datagram: %v", err)
 	}
-	header := binary.BigEndian.Uint64(inner[:8])
-	seen[nonceKey{id: id, dir: byte(header >> 63), seq: header & sspcrypto.MaxSeq}]++
+	dir, seq, _, err := sspcrypto.ParseSeqHeader(inner)
+	if err != nil {
+		t.Fatalf("unparseable wire datagram: %v", err)
+	}
+	seen[nonceKey{id: id, dir: dir, seq: seq}]++
 }
 
 // maskedScreen serializes a framebuffer for cross-run comparison. EchoAck

@@ -35,6 +35,9 @@ type simWorld struct {
 	seed       int64
 	// tap, when set, sees every datagram the daemon sends, as sent.
 	tap func(dst netem.Addr, wire []byte)
+	// cfg and lim build each daemon incarnation (see restart).
+	cfg sessiond.Config
+	lim []sessiond.Limit
 }
 
 func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams, lim ...sessiond.Limit) *simWorld {
@@ -57,17 +60,33 @@ func newSimWorld(t *testing.T, cfg sessiond.Config, params netem.LinkParams, lim
 			p.Down.Send(netem.Packet{Src: w.daemonAddr, Dst: dst, Payload: wire})
 		}
 	}
-	var err error
-	w.d, err = sessiond.NewWithLimits(cfg, lim...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.wake = w.d.Pump(w.sched)
+	w.cfg, w.lim = cfg, lim
+	w.boot()
 	w.nw.Attach(w.daemonAddr, func(p netem.Packet) {
 		w.d.HandlePacket(p.Payload, p.Src)
 		w.wake()
 	})
 	return w
+}
+
+// boot starts a daemon incarnation on the world's socket address.
+func (w *simWorld) boot() {
+	w.t.Helper()
+	var err error
+	w.d, err = sessiond.NewWithLimits(w.cfg, w.lim...)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.wake = w.d.Pump(w.sched)
+}
+
+// restart closes the daemon, which flushes its journal to cfg.StateDir, and
+// boots the next incarnation from it on the same address, as a frontend
+// restart does. The clients stay as they are.
+func (w *simWorld) restart() {
+	w.t.Helper()
+	w.d.Close()
+	w.boot()
 }
 
 // simClient is one emulated Mosh client attached to the daemon's socket.
@@ -428,9 +447,21 @@ func TestDropAccounting(t *testing.T) {
 	if m.DropsBadEnvelope.Value() != 4 || m.DropsAuth.Value() != 1 {
 		t.Fatalf("DropsBadEnvelope = %d, DropsAuth = %d; want 4 and 1", m.DropsBadEnvelope.Value(), m.DropsAuth.Value())
 	}
+	// The same datagram under its minimal envelope but with its sequence
+	// header re-encoded non-minimally reaches the session, whose header
+	// parser refuses it: one more receive failure.
+	dir, seq, sealed, err := sspcrypto.ParseSeqHeader(inner)
+	if err != nil || dir != sspcrypto.ToServer || len(inner)-len(sealed) != 1 {
+		t.Fatalf("client sequence header %v %d of %d B, %v; want one byte", dir, seq, len(inner)-len(sealed), err)
+	}
+	paddedSeq := append(network.AppendEnvelope(nil, id), inner[0]|0x80, 0x00)
+	w.d.HandlePacket(append(paddedSeq, sealed...), netem.Addr{Host: 7})
+	if m.DropsBadEnvelope.Value() != 4 || m.DropsAuth.Value() != 2 {
+		t.Fatalf("DropsBadEnvelope = %d, DropsAuth = %d; want 4 and 2", m.DropsBadEnvelope.Value(), m.DropsAuth.Value())
+	}
 	// Neither the spoofed envelope (wrong session's ID on another key's
-	// packet) nor the non-minimal one may roam the session: the reply target
-	// stays unset, and no datagram was accepted.
+	// packet) nor the non-minimal envelope or sequence header may roam the
+	// session: the reply target stays unset, and no datagram was accepted.
 	s.Do(func(srv *core.Server) {
 		conn := srv.Transport().Connection()
 		if _, ok := conn.RemoteAddr(); ok {
