@@ -641,7 +641,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 			fb := lc.cl.ServerState()
 			for len(lc.pending) > 0 {
 				k := lc.pending[0]
-				if k.col >= fb.W || fb.Peek(0, k.col).ContentsString() != string(rune(k.char)) {
+				if k.col >= fb.W || fb.Cell(0, k.col).ContentsString() != string(rune(k.char)) {
 					break
 				}
 				var rtt time.Duration

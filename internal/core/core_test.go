@@ -376,7 +376,9 @@ func TestDisplayIsACopy(t *testing.T) {
 	ss := newSession(t, netem.LinkParams{Delay: 10 * time.Millisecond}, overlay.Never)
 	ss.run(time.Second)
 	d := ss.client.Display()
-	d.Cell(0, 0).SetRune('X')
+	c := d.Cell(0, 0)
+	c.SetRune('X')
+	d.SetCell(0, 0, c)
 	if ss.client.ServerState().Cell(0, 0).ContentsString() == "X" {
 		t.Fatal("Display returned the live state, not a copy")
 	}

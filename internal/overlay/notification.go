@@ -87,7 +87,6 @@ func (n *NotificationEngine) Apply(fb *terminal.Framebuffer) {
 	text = " " + text + " "
 	var rend terminal.Renditions
 	rend.Set(terminal.AttrInverse|terminal.AttrBold, true)
-	row := fb.Row(0)
 	for col := 0; col < fb.W; col++ {
 		c := fb.Cell(0, col)
 		if col < len(text) {
@@ -97,6 +96,6 @@ func (n *NotificationEngine) Apply(fb *terminal.Framebuffer) {
 		}
 		c.Rend = rend
 		c.SetWide(false)
+		fb.SetCell(0, col, c)
 	}
-	row.Touch()
 }

@@ -15,7 +15,9 @@ func TestNoBannerWhileHealthy(t *testing.T) {
 	n.ServerHeard()
 	clk.RunFor(3 * time.Second)
 	fb := terminal.NewFramebuffer(40, 5)
-	fb.Cell(0, 0).SetRune('x')
+	c := fb.Cell(0, 0)
+	c.SetRune('x')
+	fb.SetCell(0, 0, c)
 	n.Apply(fb)
 	if fb.Cell(0, 0).ContentsString() != "x" {
 		t.Fatal("banner painted while connection healthy")

@@ -361,7 +361,7 @@ func (e *Engine) predictEcho(seq uint64, rec *InputRecord, r rune, fb *terminal.
 	row := e.rowFor(crow, fb.W)
 	cell := &row.cells[ccol]
 	if !cell.active {
-		cell.original = *fb.Peek(crow, ccol)
+		cell.original = fb.Cell(crow, ccol)
 	}
 	cell.active = true
 	cell.col = ccol
@@ -429,7 +429,7 @@ func (e *Engine) predictBackspace(rec *InputRecord, fb *terminal.Framebuffer, no
 	row := e.rowFor(crow, fb.W)
 	cell := &row.cells[ccol]
 	if !cell.active {
-		cell.original = *fb.Peek(crow, ccol)
+		cell.original = fb.Cell(crow, ccol)
 	}
 	cell.active = true
 	cell.col = ccol
@@ -595,11 +595,11 @@ func (e *Engine) judgeCell(cell *cellPrediction, rowNum int, fb *terminal.Frameb
 	if e.localFrameLateAcked < cell.expirationFrame {
 		return judgePending
 	}
-	current := fb.Peek(rowNum, cell.col)
-	if current.Equal(&cell.replacement) {
+	current := fb.Cell(rowNum, cell.col)
+	if current.Equal(cell.replacement) {
 		// A blank predicted over a blank, or contents that were already
 		// there, earn no confidence credit.
-		if cell.replacement.IsBlank() || current.Equal(&cell.original) {
+		if cell.replacement.IsBlank() || current.Equal(cell.original) {
 			return judgeNoCredit
 		}
 		return judgeCorrect
@@ -674,12 +674,11 @@ func (e *Engine) Apply(fb *terminal.Framebuffer) {
 			if cell.col >= fb.W {
 				continue
 			}
-			target := fb.Cell(row.rowNum, cell.col)
-			*target = cell.replacement
+			target := cell.replacement
 			if e.flagging {
 				target.Rend.Set(terminal.AttrUnderline, true)
 			}
-			fb.Row(row.rowNum).Touch()
+			fb.SetCell(row.rowNum, cell.col, target)
 		}
 	}
 	if e.cursor.active && e.cursor.tentativeUntilEpoch <= e.confirmedEpoch &&

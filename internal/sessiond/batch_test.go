@@ -595,7 +595,7 @@ func sawEcho(cl *core.Client, text string) bool {
 	var b strings.Builder
 	for r := 0; r < fb.H; r++ {
 		for c := 0; c < fb.W; c++ {
-			b.WriteString(fb.Peek(r, c).String())
+			b.WriteString(fb.Cell(r, c).String())
 		}
 		b.WriteByte('\n')
 	}

@@ -102,7 +102,7 @@ func TestRestoreParentJournalFixture(t *testing.T) {
 		if got := terminal.NewFrame(false, nil, fb); !bytes.Equal(got, wantFrame) {
 			t.Errorf("restored screen repaints as\n%q\nthe writer's repainted as\n%q", got, wantFrame)
 		}
-		if fb.Title != "fixture title" || !fb.Peek(4, 0).Wide() || !fb.Peek(5, 39).Wrapped() {
+		if fb.Title != "fixture title" || !fb.Cell(4, 0).Wide() || !fb.Cell(5, 39).Wrapped() {
 			t.Errorf("restored screen lost its title (%q), a wide cell or the soft wrap", fb.Title)
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/host"
@@ -202,7 +201,7 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 		rows     = 64
 		repaints = 20
 	)
-	screen := int64(cols * rows * int(unsafe.Sizeof(terminal.Cell{})))
+	screen := int64(cols * rows * terminal.StoredCellBytes)
 	daemonAddr := netem.Addr{Host: 9999, Port: 60001}
 
 	type dgram struct {
@@ -361,7 +360,7 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 // each, and could never have acknowledged.
 func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	const cols, rows = 162, 64
-	screen := int64(cols * rows * int(unsafe.Sizeof(terminal.Cell{})))
+	screen := int64(cols * rows * terminal.StoredCellBytes)
 	clock := simclock.NewScheduler(epoch)
 	written := 0
 	d, err := sessiond.New(sessiond.Config{

@@ -287,13 +287,14 @@ type ScreenStateStats struct {
 	// PooledRows counts recycled rows waiting on per-session free lists.
 	PooledRows int
 	// ResidentBytes is the cell storage actually resident across every
-	// sampled session — reachable from its live screen, from the snapshots
-	// its sender still retains for unacknowledged states, from the snapshot
-	// of a frame prepared and waiting for its deadline, or from the retired
-	// shells on its snapshot free list — counting each distinct
-	// backing array once, so the blank array every blank row aliases (and
-	// rows structurally shared between a screen and its snapshots) are
-	// charged a single time.
+	// sampled session: stored cells at terminal.StoredCellBytes each, and
+	// the row palette entries they index. It counts what is reachable from
+	// a session's live screen, from the snapshots its sender still retains
+	// for unacknowledged states, from the snapshot of a frame prepared and
+	// waiting for its deadline, or from the retired shells on its snapshot
+	// free list, and each distinct backing array once, so the blank array
+	// every blank row aliases (and rows and palettes structurally shared
+	// between a screen and its snapshots) are charged a single time.
 	ResidentBytes int
 }
 
@@ -316,7 +317,7 @@ func (st ScreenStateStats) ResidentBytesPerSession() int {
 // for metric scrapes.
 func (d *Daemon) ScreenStateStats() ScreenStateStats {
 	var st ScreenStateStats
-	seen := make(map[*terminal.Cell]struct{}, 1024)
+	seen := make(terminal.ResidentSet, 1024)
 	d.reg.each(func(s *Session) {
 		s.mu.Lock()
 		if s.closed {

@@ -128,7 +128,7 @@ func (c *Complete) Recycle() {
 // state's free list. Recycle releases a shell before pooling it, so the
 // answer is zero; the resident gauge asks anyway, because a free list is
 // exactly where dead screens hid from it before.
-func (c *Complete) AccumulatePooledResident(seen map[*terminal.Cell]struct{}) (bytes int) {
+func (c *Complete) AccumulatePooledResident(seen terminal.ResidentSet) (bytes int) {
 	if c.pool == nil {
 		return 0
 	}

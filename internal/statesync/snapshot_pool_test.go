@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/terminal"
 )
@@ -132,14 +131,14 @@ func TestRetiredSnapshotPinsNothing(t *testing.T) {
 	}
 	clear(snaps)
 	growth := int64(liveHeap() - before)
-	screen := int64(w * h * int(unsafe.Sizeof(terminal.Cell{})))
+	screen := int64(w * h * terminal.StoredCellBytes)
 	t.Logf("heap growth %d B = %.2f screens of %d B", growth, float64(growth)/float64(screen), screen)
 	if growth > screen*5/4 {
 		t.Fatalf("live heap grew %d B with %d retired snapshots pooled: %.2f screens, want <= 1.25",
 			growth, maxPooledSnapshots, float64(growth)/float64(screen))
 	}
 	runtime.KeepAlive(live)
-	if b := live.AccumulatePooledResident(map[*terminal.Cell]struct{}{}); b != 0 {
+	if b := live.AccumulatePooledResident(terminal.ResidentSet{}); b != 0 {
 		t.Fatalf("the pooled shells reference %d B of cells, want 0", b)
 	}
 

@@ -4,7 +4,7 @@ import "testing"
 
 // blankArrayStaysBlank checks, when the calling test ends, the invariant
 // born-shared blank rows rest on: nobody has written the process-wide blank
-// array, so every cell of it is still the zero Cell. A write that slipped
+// array, so every cell of it is still the zero stored cell. A write that slipped
 // past writableRow shows on every blank line of every screen in the
 // process; this is where it fails by name.
 func blankArrayStaysBlank(t testing.TB) {
@@ -15,7 +15,7 @@ func blankArrayStaysBlank(t testing.TB) {
 			return
 		}
 		for i, c := range *p {
-			if c != (Cell{}) {
+			if c != (storedCell{}) {
 				t.Fatalf("shared blank array written: cell %d of %d is %+v", i, len(*p), c)
 			}
 		}
@@ -24,7 +24,7 @@ func blankArrayStaysBlank(t testing.TB) {
 
 // aliasesBlankArray reports whether row i of f reads the shared blank array.
 func aliasesBlankArray(f *Framebuffer, i int) bool {
-	return &f.rows[i].Cells[0] == &sharedBlankCells(f.W)[0]
+	return &f.rows[i].cells[0] == &sharedBlankCells(f.W)[0]
 }
 
 // TestBlankArrayNeverWritten drives every path that stores cells without
@@ -135,10 +135,10 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	const (
 		n        = 50
 		w, h     = 80, 24
-		rowBytes = w * cellBytes
+		rowBytes = w * StoredCellBytes
 	)
 	emus := make([]*Emulator, n)
-	seen := map[*Cell]struct{}{}
+	seen := ResidentSet{}
 	total := 0
 	for i := range emus {
 		emus[i] = NewEmulator(w, h)
@@ -152,7 +152,7 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	emus[0].WriteString("ls -l")
 	fb := emus[0].Framebuffer()
 	snap := fb.Clone()
-	seen = map[*Cell]struct{}{}
+	seen = ResidentSet{}
 	if got := fb.AccumulateResident(seen) + snap.AccumulateResident(seen); got != 2*rowBytes {
 		t.Fatalf("a session that typed one line holds %d bytes, want %d (its row and the blank array)", got, 2*rowBytes)
 	}

@@ -8,15 +8,19 @@
 // # Memory model
 //
 // The cell is the data structure every layer above iterates over millions
-// of times per second, and a session's resident memory is its cells, so it
-// is engineered as a compact pointer-free value type of 12 bytes — three
-// 32-bit words for the 81 bits it carries:
+// of times per second, and a session's resident memory is its cells, so a
+// row stores each one as a compact pointer-free value of 6 bytes — three
+// 16-bit words — and keeps the rendition, which almost every cell of a row
+// shares with its neighbours, once per row in a palette:
 //
-//	content  [31] grapheme-table index flag  [30] wide  [29] wrap  [20:0] rune, or [15:0] table index
-//	Rend.fg  [31:25] invisible inverse blink underline italic faint bold  [24] RGB  [23:0] RGB | palette+1 | 0
-//	Rend.bg  [31:25] zero                                                 [24] RGB  [23:0] RGB | palette+1 | 0
+//	stored cell  [47:32] palette index: 0 = default rendition, k = palette[k-1]
+//	             [31] grapheme-table index flag  [30] wide  [29] wrap  [20:0] rune, or [15:0] table index
+//	palette fg   [31:25] invisible inverse blink underline italic faint bold  [24] RGB  [23:0] RGB | palette+1 | 0
+//	palette bg   [31:25] zero                                                 [24] RGB  [23:0] RGB | palette+1 | 0
 //
-// What the layout and the ownership rules around it buy:
+// Cell, the value callers build and read (Framebuffer.Cell, SetCell), is the
+// content word beside its unpacked Renditions: 12 bytes, never stored in a
+// row. What the layout and the ownership rules around it buy:
 //
 //   - Cell contents are a packed word: blank, an inline single rune
 //     (ASCII, CJK, emoji — the overwhelming majority), or an index into a
@@ -26,10 +30,19 @@
 //     no pointers for the garbage collector to trace.
 //   - Renditions is the packed value itself, as in the reference
 //     implementation, read and written through methods: one representation,
-//     not an API struct and a stored twin. Go's allocator rounds a row up to
-//     a size class, and 12 bytes is where that halves: an 80-column row is
-//     960 → 1024 bytes (1920 → 2048 at 24), a 162-column row 1944 → 2048
-//     (3888 → 4096).
+//     not an API struct and a stored twin.
+//   - A row's palette holds distinct non-default renditions, never more
+//     entries than the row has columns, so a 16-bit index suffices up to
+//     MaxDim. A write in a rendition the palette lacks appends it. When the
+//     palette is full, the rendition takes the entry the written cell
+//     leaves unused, in place, if the row allocated the array; otherwise
+//     the palette is rebuilt from the renditions the row's cells still use,
+//     the written span left out (Row.compact). So a stream of fresh
+//     truecolour cells keeps a row within width × (6 + 8) bytes, and
+//     allocates nothing once the palette is full.
+//     A clone shares its source's palette capped at its length
+//     (pal[:n:n]), so neither ever appends into the other's entries, and
+//     rows sharing a palette compare stored cells directly.
 //   - Framebuffer.Clone is copy-on-write: it shares *Row pointers and
 //     marks them shared. Rows are immutable once shared — every mutation
 //     path first materializes a private copy (writableRow) — so a snapshot
@@ -40,6 +53,18 @@
 //   - A blank row with the default background owns no cells: it is born
 //     aliasing one process-wide blank array (newBlankRow) and marked shared,
 //     so a fleet's blank lines cost a row header each until they are written.
+//
+// Go's allocator rounds a row's cells up to a size class, and at 6 bytes a
+// cell the common widths land on classes that halve what 12 bytes took:
+//
+//	columns   12-byte cells    6-byte cells
+//	80         960 → 1024       480
+//	132       1584 → 1792       792 →  896
+//	162       1944 → 2048       972 → 1024
+//
+// The row header (cells, palette, generation, two flags) is 64 bytes, and a
+// row's palette costs 8 bytes an entry, nothing while every cell of the row
+// is in the default rendition.
 //
 // # Snapshot and diff performance
 //
@@ -218,10 +243,10 @@ func appendColor(buf []byte, base int, c Color) []byte {
 	return buf
 }
 
-// Cell is one character cell of the screen: a compact, pointer-free value
-// type of three 32-bit words (the diff, snapshot and prediction layers
-// compare and copy cells millions of times per second, and a session's
-// resident memory is its cells). The package comment has the bit map.
+// Cell is one character cell of the screen as callers build and read it: a
+// pointer-free value of three 32-bit words, the packed content word and the
+// cell's Renditions. Rows store it as a 6-byte storedCell over a per-row
+// rendition palette; the package comment has the bit map.
 type Cell struct {
 	// content is the packed grapheme word — blank, an inline rune, or a
 	// grapheme intern table index (see intern.go) — with the cell's two
@@ -237,12 +262,55 @@ type Cell struct {
 	Rend Renditions
 }
 
-// cellBytes is the in-memory footprint of one Cell; rows are sized and
-// accounted on it.
-const cellBytes = 12
+// storedCell is how a row keeps a cell: the content word, split into two
+// 16-bit halves so the cell packs into three 16-bit words, and the index of
+// its rendition in the row's palette (Row.pal) — 0 for the default
+// rendition, k for the palette's entry k-1. Six bytes and pointer-free, so a
+// row's backing array is allocated noscan and never traced; the package
+// comment has the bit map. Rows store cells only in this form: Cell is the
+// value callers build and read, and Row.get and Row.set translate.
+type storedCell struct {
+	lo, hi uint16
+	rend   uint16
+}
 
-var _ [cellBytes - unsafe.Sizeof(Cell{})]struct{}
-var _ [unsafe.Sizeof(Cell{}) - cellBytes]struct{}
+// StoredCellBytes is the in-memory footprint of one stored cell: what a
+// row's cells cost, and what the resident gauge charges per cell.
+const StoredCellBytes = 6
+
+var _ [StoredCellBytes - unsafe.Sizeof(storedCell{})]struct{}
+var _ [unsafe.Sizeof(storedCell{}) - StoredCellBytes]struct{}
+
+// rendBytes is the footprint of one palette entry.
+const rendBytes = int(unsafe.Sizeof(Renditions{}))
+
+// pack returns the stored form of content with palette index rend.
+func pack(content uint32, rend uint16) storedCell {
+	return storedCell{lo: uint16(content), hi: uint16(content >> 16), rend: rend}
+}
+
+// content returns the packed content word, flags included.
+func (s storedCell) content() uint32 { return uint32(s.lo) | uint32(s.hi)<<16 }
+
+// glyph returns the grapheme word without the cell flags.
+func (s storedCell) glyph() uint32 { return s.content() &^ flagBits }
+
+// wide reports whether the cell is the leading half of a double-width
+// character.
+func (s storedCell) wide() bool { return s.content()&wideBit != 0 }
+
+// isBlank is Cell.IsBlank on the stored form: index 0 is the default
+// rendition, and a palette never holds it.
+func (s storedCell) isBlank() bool {
+	w := s.content() &^ wrapBit
+	return (w == 0 || w == packedSpace) && s.rend == 0
+}
+
+// looksLike is Cell.Equal for two cells of rows that share one palette,
+// where equal renditions are equal indices.
+func (s storedCell) looksLike(o storedCell) bool {
+	return s.rend == o.rend && visible(s.content()) == visible(o.content())
+}
 
 const (
 	wideBit  uint32 = 1 << 30
@@ -255,20 +323,15 @@ const (
 const packedSpace = uint32(' ')
 
 // glyph returns the grapheme word without the cell flags.
-func (c *Cell) glyph() uint32 { return c.content &^ flagBits }
+func (c Cell) glyph() uint32 { return c.content &^ flagBits }
 
 // setGlyph replaces the grapheme word, keeping the cell flags.
 func (c *Cell) setGlyph(g uint32) { c.content = c.content&flagBits | g }
 
-// Reset clears the cell to a blank with the given background.
-func (c *Cell) Reset(bg Renditions) {
-	*c = Cell{Rend: bg.background()}
-}
-
 // ContentsString returns the cell's grapheme: a base character plus any
 // combining characters, UTF-8 encoded. Empty means blank. (This is the
 // read side of the old exported Contents field.)
-func (c *Cell) ContentsString() string { return contentString(c.glyph()) }
+func (c Cell) ContentsString() string { return contentString(c.glyph()) }
 
 // SetRune replaces the cell's grapheme with a single rune — the
 // allocation-free fast path for every plain printed character.
@@ -276,11 +339,11 @@ func (c *Cell) SetRune(r rune) { c.setGlyph(packRune(r)) }
 
 // ContentsEmpty reports whether the cell is blank (the old
 // Contents == "" test), without materializing a string.
-func (c *Cell) ContentsEmpty() bool { return c.glyph() == 0 }
+func (c Cell) ContentsEmpty() bool { return c.glyph() == 0 }
 
 // Wide reports whether the cell is the leading half of a double-width
 // character.
-func (c *Cell) Wide() bool { return c.content&wideBit != 0 }
+func (c Cell) Wide() bool { return c.content&wideBit != 0 }
 
 // SetWide marks or unmarks the cell as a double-width leader.
 func (c *Cell) SetWide(on bool) {
@@ -293,7 +356,7 @@ func (c *Cell) SetWide(on bool) {
 
 // IsBlank reports whether the cell shows nothing (empty or space, not
 // wide, in the default rendition).
-func (c *Cell) IsBlank() bool {
+func (c Cell) IsBlank() bool {
 	w := c.content &^ wrapBit
 	return (w == 0 || w == packedSpace) && c.Rend == Renditions{}
 }
@@ -312,18 +375,18 @@ func visible(w uint32) uint32 {
 // compares, thanks to canonical interning. The soft-wrap flag is
 // deliberately excluded: it is invisible, and screen diffs (which use
 // absolute cursor positioning) cannot reproduce it on the remote side.
-func (c *Cell) Equal(o *Cell) bool {
+func (c Cell) Equal(o Cell) bool {
 	return visible(c.content) == visible(o.content) && c.Rend == o.Rend
 }
 
 // Wrapped reports whether the line soft-wrapped after this cell.
-func (c *Cell) Wrapped() bool { return c.content&wrapBit != 0 }
+func (c Cell) Wrapped() bool { return c.content&wrapBit != 0 }
 
 // setWrap marks the cell as the end of a soft-wrapped line.
 func (c *Cell) setWrap() { c.content |= wrapBit }
 
 // String renders the cell's visible contents (space when blank).
-func (c *Cell) String() string {
+func (c Cell) String() string {
 	if c.glyph() == 0 {
 		return " "
 	}
@@ -332,13 +395,13 @@ func (c *Cell) String() string {
 
 // appendContents appends the cell's visible bytes to buf (space when
 // blank): the renderer's zero-allocation emission path.
-func (c *Cell) appendContents(buf []byte) []byte {
+func (c Cell) appendContents(buf []byte) []byte {
 	return appendContent(buf, c.glyph())
 }
 
 // leadRune returns the cell's base character (0 when blank); REP and the
 // prediction engine use it.
-func (c *Cell) leadRune() rune {
+func (c Cell) leadRune() rune {
 	g := c.glyph()
 	switch {
 	case g == 0:

@@ -20,9 +20,10 @@ func mkRend(fg, bg Color, a Attr) Renditions {
 }
 
 // TestCellIsPointerFree keeps the garbage collector out of the rows: a
-// cell holds no pointer of any kind, so a row's backing array is allocated
-// noscan and never traced. (Its size is asserted at compile time beside
-// the type.)
+// stored cell and a palette entry hold no pointer of any kind, so a row's
+// backing arrays are allocated noscan and never traced, and neither does
+// the Cell callers hold. (The stored cell's size is asserted at compile
+// time beside the type.)
 func TestCellIsPointerFree(t *testing.T) {
 	var walk func(reflect.Type, string)
 	walk = func(ty reflect.Type, path string) {
@@ -36,10 +37,12 @@ func TestCellIsPointerFree(t *testing.T) {
 		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
 			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
 		default:
-			t.Errorf("%s is a %s: a Cell must hold no pointers", path, ty.Kind())
+			t.Errorf("%s is a %s: a cell must hold no pointers", path, ty.Kind())
 		}
 	}
 	walk(reflect.TypeOf(Cell{}), "Cell")
+	walk(reflect.TypeOf(storedCell{}), "storedCell")
+	walk(reflect.TypeOf(Renditions{}), "Renditions")
 }
 
 // oracleANSI is the rendition escape sequence spelled out attribute by
@@ -74,7 +77,8 @@ func oracleANSI(attrs [7]bool, fg, bg Color) string {
 // TestCellPackUnpackExhaustive walks every attribute subset × a foreground
 // and a background from each colour class × wide × wrap, and checks that
 // the packed cell gives back exactly what went in through every door:
-// accessors, the SGR string, the snapshot codec, equality and the hash.
+// accessors, the SGR string, the snapshot codec, equality, and a row's
+// stored form — set then get, across palette compactions.
 func TestCellPackUnpackExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	colors := []Color{
@@ -85,6 +89,7 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 	attrList := []Attr{AttrBold, AttrFaint, AttrItalic, AttrUnderline, AttrBlink, AttrInverse, AttrInvisible}
 	glyphs := []string{"", " ", "x", "日", "é"}
 	cases := 0
+	var all []Cell
 	for subset := 0; subset < 1<<len(attrList); subset++ {
 		var attrs Attr
 		var bools [7]bool
@@ -138,21 +143,22 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 						t.Fatalf("SetRune disturbed the flags of %+v", c)
 					}
 					// The codec carries all of it.
-					enc := appendCell(nil, &c)
+					enc := appendCell(nil, c)
 					rd := binio.NewReader(append([]byte{1}, enc...))
-					back := make([]Cell, 1)
-					if !decodeRow(&rd, back) || back[0] != c {
-						t.Fatalf("cell %+v does not survive the snapshot codec: %+v", c, back[0])
+					back := &Row{cells: make([]storedCell, 1)}
+					if !decodeRow(&rd, back) || back.get(0) != c {
+						t.Fatalf("cell %+v does not survive the snapshot codec: %+v", c, back.get(0))
 					}
+					all = append(all, c)
 					// wrap is invisible to Equal; everything else is not.
 					e := c
 					e.content ^= wrapBit
-					if !c.Equal(&e) || c == e {
+					if !c.Equal(e) || c == e {
 						t.Fatalf("soft-wrap flag must be ignored by Equal and seen by ==: %+v", c)
 					}
 					e = c
 					e.SetWide(!wide)
-					if c.Equal(&e) {
+					if c.Equal(e) {
 						t.Fatalf("Equal ignored the wide flag of %+v", c)
 					}
 					blank := g == "" || g == " "
@@ -167,10 +173,58 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 	sp, bl := Cell{Rend: mkRend(colors[3], colors[7], AttrBlink)}, Cell{Rend: mkRend(colors[3], colors[7], AttrBlink)}
 	sp.SetRune(' ')
 	sp.setWrap()
-	if !sp.Equal(&bl) || !bl.Equal(&sp) {
+	if !sp.Equal(bl) || !bl.Equal(sp) {
 		t.Fatal("printed space and blank compare unequal")
 	}
 	t.Logf("%d cells checked", cases)
+	checkRowStorage(t, all)
+}
+
+// checkRowStorage stores cells, in order, round a row narrow enough that
+// its palette fills and is rebuilt every few dozen writes, and checks after
+// each write that every cell of the row reads back as stored and that the
+// palette keeps its rules; every 97th write also forces a compaction.
+func checkRowStorage(t *testing.T, cells []Cell) {
+	t.Helper()
+	const w = 64
+	row := &Row{cells: make([]storedCell, w)}
+	shadow := make([]Cell, w)
+	for i, c := range cells {
+		x := i % w
+		row.set(x, c)
+		shadow[x] = c
+		if i%97 == 0 {
+			row.compact()
+		}
+		for y := range shadow {
+			if got := row.get(y); got != shadow[y] {
+				t.Fatalf("write %d: stored cell %d reads back %+v, want %+v", i, y, got, shadow[y])
+			}
+		}
+		checkPalette(t, row)
+	}
+}
+
+// checkPalette fails unless row's palette holds distinct non-default
+// renditions, no more than the row has columns, and every cell's index
+// falls inside it.
+func checkPalette(t *testing.T, row *Row) {
+	t.Helper()
+	if len(row.pal) > len(row.cells) || cap(row.pal) > len(row.cells) {
+		t.Fatalf("palette of %d entries (capacity %d) in a %d-column row", len(row.pal), cap(row.pal), len(row.cells))
+	}
+	seen := map[Renditions]bool{}
+	for _, r := range row.pal {
+		if r == (Renditions{}) || seen[r] {
+			t.Fatalf("palette entry %+v is the default rendition or a duplicate", r)
+		}
+		seen[r] = true
+	}
+	for x, s := range row.cells {
+		if int(s.rend) > len(row.pal) {
+			t.Fatalf("cell %d indexes entry %d of a %d-entry palette", x, s.rend, len(row.pal))
+		}
+	}
 }
 
 // ANSIString returns the escape sequence that establishes r starting from
@@ -180,3 +234,11 @@ func (r Renditions) ANSIString() string { return string(r.appendANSI(nil)) }
 // SetContents replaces the cell's grapheme with an arbitrary string,
 // interning multi-rune clusters. Empty means blank.
 func (c *Cell) SetContents(s string) { c.setGlyph(internContents(s)) }
+
+// setContents replaces the grapheme of cell (row, col) of f through
+// SetCell, keeping its flags and rendition.
+func setContents(f *Framebuffer, row, col int, s string) {
+	c := f.Cell(row, col)
+	c.SetContents(s)
+	f.SetCell(row, col, c)
+}

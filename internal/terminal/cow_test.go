@@ -25,7 +25,7 @@ func takeOracle(f *Framebuffer) *oracleSnapshot {
 	for r := 0; r < f.H; r++ {
 		o.cells[r] = make([]Cell, f.W)
 		for c := 0; c < f.W; c++ {
-			o.cells[r][c] = *f.Peek(r, c)
+			o.cells[r][c] = f.Cell(r, c)
 		}
 	}
 	return o
@@ -44,8 +44,8 @@ func (o *oracleSnapshot) verify(t *testing.T, f *Framebuffer, label string) {
 	}
 	for r := 0; r < o.h; r++ {
 		for c := 0; c < o.w; c++ {
-			if *f.Peek(r, c) != o.cells[r][c] {
-				t.Fatalf("%s: cell (%d,%d) changed: %+v != %+v", label, r, c, *f.Peek(r, c), o.cells[r][c])
+			if f.Cell(r, c) != o.cells[r][c] {
+				t.Fatalf("%s: cell (%d,%d) changed: %+v != %+v", label, r, c, f.Cell(r, c), o.cells[r][c])
 			}
 		}
 	}
@@ -77,8 +77,7 @@ func randomOps(rng *rand.Rand, emu *Emulator, n int) {
 		case 12:
 			emu.WriteString(fmt.Sprintf("\x1b[%d;%dr", rng.Intn(10)+1, rng.Intn(14)+11))
 		case 13:
-			fb.Cell(rng.Intn(fb.H), rng.Intn(fb.W)).SetContents("Z")
-			fb.Row(rng.Intn(fb.H)).Touch()
+			setContents(fb, rng.Intn(fb.H), rng.Intn(fb.W), "Z")
 		}
 	}
 }
@@ -127,9 +126,8 @@ func TestCloneIndependenceBothWays(t *testing.T) {
 	cloneOracle := takeOracle(clone)
 
 	// Write through every public mutation surface of the clone.
-	clone.Cell(0, 0).SetContents("X")
-	clone.Row(1).Cells[0].SetContents("Y")
-	clone.Row(1).Touch()
+	setContents(clone, 0, 0, "X")
+	setContents(clone, 1, 0, "Y")
 	clone.EraseInLine(2)
 	clone.Scroll(1)
 	origOracle.verify(t, emu.Framebuffer(), "original after clone writes")
@@ -139,7 +137,7 @@ func TestCloneIndependenceBothWays(t *testing.T) {
 	clone2Oracle := takeOracle(clone2)
 	emu.WriteString("\x1b[2;1Hoverwritten entirely")
 	emu.Framebuffer().Scroll(2)
-	emu.Framebuffer().Cell(3, 3).SetContents("Q")
+	setContents(emu.Framebuffer(), 3, 3, "Q")
 	clone2Oracle.verify(t, clone2, "clone after original writes")
 	_ = cloneOracle
 }

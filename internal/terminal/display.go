@@ -50,13 +50,13 @@ type FrameWriter struct {
 // widest screen seen so far. Nobody writes to it; a racing pair of growers
 // both publish all-blank arrays, and the loser's lives only as long as the
 // rows and writers that took it.
-var blankCells atomic.Pointer[[]Cell]
+var blankCells atomic.Pointer[[]storedCell]
 
-func sharedBlankCells(width int) []Cell {
+func sharedBlankCells(width int) []storedCell {
 	if p := blankCells.Load(); p != nil && len(*p) >= width {
 		return (*p)[:width:width]
 	}
-	cells := make([]Cell, max(width, 256))
+	cells := make([]storedCell, max(width, 256))
 	blankCells.Store(&cells)
 	return cells[:width:width]
 }
@@ -77,8 +77,8 @@ type frameState struct {
 
 // blankRow returns the width-w blank baseline row.
 func (w *FrameWriter) blankRow(width int) *Row {
-	if len(w.blank.Cells) != width {
-		w.blank.Cells = sharedBlankCells(width)
+	if len(w.blank.cells) != width {
+		w.blank.cells = sharedBlankCells(width)
 	}
 	return &w.blank
 }
@@ -251,19 +251,21 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 	}
 	// Find the extent of trailing blankness for the erase optimization.
 	blankFrom := width
-	for blankFrom > 0 {
-		c := &row.Cells[blankFrom-1]
-		if !c.IsBlank() {
-			break
-		}
+	for blankFrom > 0 && row.cells[blankFrom-1].isBlank() {
 		blankFrom--
 	}
 
+	// Rows sharing a palette (a row and the snapshot it was cloned from,
+	// two rows with no renditions) compare stored cells; others unpack.
+	samePal := row.samePalette(lastRow)
 	x := 0
 	for x < width {
-		cell := &row.Cells[x]
-		lastCell := &lastRow.Cells[x]
-		if cell.Equal(lastCell) {
+		if samePal {
+			if row.cells[x].looksLike(lastRow.cells[x]) {
+				x++
+				continue
+			}
+		} else if row.get(x).Equal(lastRow.get(x)) {
 			x++
 			continue
 		}
@@ -276,17 +278,17 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		}
 		// A differing continuation cell of a wide character cannot be
 		// painted directly; repaint its leader, which regenerates it.
-		if cell.ContentsEmpty() && x > 0 && row.Cells[x-1].Wide() {
+		if row.cells[x].glyph() == 0 && x > 0 && row.cells[x-1].wide() {
 			x--
-			cell = &row.Cells[x]
 		}
+		cell := row.get(x)
 		// Printed straight after its neighbour, the cell could join that
 		// neighbour's emoji sequence; a move breaks the stream. Only a
 		// blank (a wide cell's continuation) or multi-rune neighbour can
 		// end in a joiner, and that test is inline: it runs for every cell
 		// a frame paints.
 		if x > 0 {
-			if g := row.Cells[x-1].glyph(); (g == 0 || g&graphemeBit != 0) && joinsLeft(row, x) {
+			if g := row.cells[x-1].glyph(); (g == 0 || g&graphemeBit != 0) && joinsLeft(row, x) {
 				cur.colInvalid = true
 			}
 		}
@@ -322,12 +324,12 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 // print stream between them.
 func joinsLeft(row *Row, x int) bool {
 	p := x - 1
-	if p > 0 && row.Cells[p].ContentsEmpty() && row.Cells[p-1].Wide() {
+	if p > 0 && row.cells[p].glyph() == 0 && row.cells[p-1].wide() {
 		p--
 	}
-	prev := &row.Cells[p]
+	prev := row.get(p)
 	return endsWithZWJ(prev.glyph()) && isPictographic(prev.leadRune()) &&
-		isPictographic(row.Cells[x].leadRune())
+		isPictographic(row.get(x).leadRune())
 }
 
 // appendKeepingNarrow appends the grapheme s of a narrow cell, not in the
@@ -401,7 +403,7 @@ func seek(buf []byte, cur *frameState, row, col int, lastRow, next *Row) []byte 
 		n := cufLen(col - from)
 		if next != nil && col-from < min(n, cup) && reprints(lastRow, next, from, col, cur.rend) {
 			for x := from; x < col; x++ {
-				buf = append(buf, byte(next.Cells[x].content))
+				buf = append(buf, byte(next.cells[x].lo))
 			}
 			return buf
 		}
@@ -438,8 +440,8 @@ func seek(buf []byte, cur *frameState, row, col int, lastRow, next *Row) []byte 
 // a reprint, which would destroy the character.
 func reprints(lastRow, row *Row, from, to int, rend Renditions) bool {
 	for x := from; x < to; x++ {
-		c := &row.Cells[x]
-		if c.content != lastRow.Cells[x].content || c.content-'!' > '~'-'!' || c.Rend != rend {
+		c := row.cells[x].content()
+		if c != lastRow.cells[x].content() || c-'!' > '~'-'!' || row.rendOf(row.cells[x].rend) != rend {
 			return false
 		}
 	}

@@ -306,15 +306,15 @@ func BenchmarkEmulatorBulk162x64(b *testing.B) {
 func TestFrameWriterBlankRowShared(t *testing.T) {
 	var a, b FrameWriter
 	wide, narrow := a.blankRow(132), b.blankRow(80)
-	if &wide.Cells[0] != &narrow.Cells[0] {
+	if &wide.cells[0] != &narrow.cells[0] {
 		t.Fatal("two writers' blank baseline rows do not share storage")
 	}
-	if len(narrow.Cells) != 80 || cap(narrow.Cells) != 80 || narrow.gen != 0 {
-		t.Fatalf("blank row is len %d cap %d gen %d, want 80/80/0", len(narrow.Cells), cap(narrow.Cells), narrow.gen)
+	if len(narrow.cells) != 80 || cap(narrow.cells) != 80 || narrow.gen != 0 {
+		t.Fatalf("blank row is len %d cap %d gen %d, want 80/80/0", len(narrow.cells), cap(narrow.cells), narrow.gen)
 	}
-	for i := range wide.Cells {
-		if wide.Cells[i] != (Cell{}) {
-			t.Fatalf("shared blank cell %d is %+v", i, wide.Cells[i])
+	for i := range wide.cells {
+		if wide.cells[i] != (storedCell{}) {
+			t.Fatalf("shared blank cell %d is %+v", i, wide.cells[i])
 		}
 	}
 }
@@ -395,10 +395,10 @@ func TestGapReprintKeepsClientCells(t *testing.T) {
 				t.Fatalf("client diverged:\n%s\nvs\n%s", dump(got), dump(e.Framebuffer()))
 			}
 			for x := 0; x < 20; x++ {
-				if !e.Framebuffer().Peek(0, x).Equal(last.Peek(0, x)) {
+				if !e.Framebuffer().Cell(0, x).Equal(last.Cell(0, x)) {
 					continue // a changed cell
 				}
-				if g, w := got.Peek(0, x).content, client.Peek(0, x).content; g != w {
+				if g, w := got.Cell(0, x).content, client.Cell(0, x).content; g != w {
 					t.Errorf("client cell %d went %#x → %#x", x, w, g)
 				}
 			}

@@ -10,14 +10,14 @@ import "testing"
 func TestVS16WidensNarrowCell(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("✈️") // AIRPLANE (narrow) + VS16 → emoji presentation, wide
-	c := e.Framebuffer().Peek(0, 0)
+	c := e.Framebuffer().Cell(0, 0)
 	if got := c.ContentsString(); got != "✈️" {
 		t.Fatalf("cell contents = %q, want the full VS16 cluster", got)
 	}
 	if !c.Wide() {
 		t.Fatal("VS16 cluster must render wide")
 	}
-	if next := e.Framebuffer().Peek(0, 1); !next.ContentsEmpty() {
+	if next := e.Framebuffer().Cell(0, 1); !next.ContentsEmpty() {
 		t.Fatalf("continuation cell holds %q, want blank", next.ContentsString())
 	}
 	if ds := e.Framebuffer().DS; ds.CursorCol != 2 {
@@ -25,7 +25,7 @@ func TestVS16WidensNarrowCell(t *testing.T) {
 	}
 	// The next printed character must land after the continuation.
 	e.WriteString("x")
-	if got := e.Framebuffer().Peek(0, 2).ContentsString(); got != "x" {
+	if got := e.Framebuffer().Cell(0, 2).ContentsString(); got != "x" {
 		t.Fatalf("following char at col 2 = %q, want x", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestVS16WidensNarrowCell(t *testing.T) {
 func TestVS16OnAlreadyWideCellKeepsWidth(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("\U0001f642️") // 🙂 (already wide) + VS16
-	c := e.Framebuffer().Peek(0, 0)
+	c := e.Framebuffer().Cell(0, 0)
 	if !c.Wide() || c.ContentsString() != "\U0001f642️" {
 		t.Fatalf("wide base + VS16: wide=%v contents=%q", c.Wide(), c.ContentsString())
 	}
@@ -46,7 +46,7 @@ func TestZWJSequenceJoinsIntoOneCell(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("\U0001f469‍\U0001f4bb") // 👩‍💻 woman + ZWJ + laptop
 	fb := e.Framebuffer()
-	c := fb.Peek(0, 0)
+	c := fb.Cell(0, 0)
 	if got := c.ContentsString(); got != "\U0001f469‍\U0001f4bb" {
 		t.Fatalf("cell contents = %q, want the joined sequence in one cell", got)
 	}
@@ -54,7 +54,7 @@ func TestZWJSequenceJoinsIntoOneCell(t *testing.T) {
 		t.Fatal("joined emoji sequence must be wide")
 	}
 	// The laptop must NOT occupy its own cell.
-	if got := fb.Peek(0, 2).ContentsString(); got != "" {
+	if got := fb.Cell(0, 2).ContentsString(); got != "" {
 		t.Fatalf("col 2 holds %q; the joined rune leaked into a second cell", got)
 	}
 	if ds := fb.DS; ds.CursorCol != 2 {
@@ -67,7 +67,7 @@ func TestZWJWidestMemberSetsWidth(t *testing.T) {
 	// widest joined rune (2), not the lead's (1).
 	e := NewEmulator(20, 4)
 	e.WriteString("☁‍\U0001f327") // ☁ (narrow) + ZWJ + 🌧 (wide)
-	c := e.Framebuffer().Peek(0, 0)
+	c := e.Framebuffer().Cell(0, 0)
 	if got := c.ContentsString(); got != "☁‍\U0001f327" {
 		t.Fatalf("cell contents = %q", got)
 	}
@@ -81,7 +81,7 @@ func TestZWJWidestMemberSetsWidth(t *testing.T) {
 	// And the converse: wide lead + ZWJ + narrow member stays wide.
 	e2 := NewEmulator(20, 4)
 	e2.WriteString("\U0001f469‍⚕") // 👩 + ZWJ + ⚕ (narrow staff of aesculapius)
-	c2 := e2.Framebuffer().Peek(0, 0)
+	c2 := e2.Framebuffer().Cell(0, 0)
 	if !c2.Wide() || c2.ContentsString() != "\U0001f469‍⚕" {
 		t.Fatalf("wide-lead join: wide=%v contents=%q", c2.Wide(), c2.ContentsString())
 	}
@@ -92,13 +92,13 @@ func TestMultiZWJSequenceStaysOneCell(t *testing.T) {
 	seq := "\U0001f3f3️‍\U0001f308" // 🏳️‍🌈 flag + VS16 + ZWJ + rainbow
 	e.WriteString(seq + "x")
 	fb := e.Framebuffer()
-	if got := fb.Peek(0, 0).ContentsString(); got != seq {
+	if got := fb.Cell(0, 0).ContentsString(); got != seq {
 		t.Fatalf("cell 0 = %q, want the whole flag sequence", got)
 	}
-	if !fb.Peek(0, 0).Wide() {
+	if !fb.Cell(0, 0).Wide() {
 		t.Fatal("flag sequence must be wide")
 	}
-	if got := fb.Peek(0, 2).ContentsString(); got != "x" {
+	if got := fb.Cell(0, 2).ContentsString(); got != "x" {
 		t.Fatalf("col 2 = %q, want the trailing x", got)
 	}
 }
@@ -111,13 +111,13 @@ func TestZWJBetweenLettersDoesNotJoinCells(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("A\u200dB")
 	fb := e.Framebuffer()
-	if got := fb.Peek(0, 0).ContentsString(); got != "A\u200d" {
+	if got := fb.Cell(0, 0).ContentsString(); got != "A\u200d" {
 		t.Fatalf("cell 0 = %q, want A with trailing (invisible) ZWJ", got)
 	}
-	if fb.Peek(0, 0).Wide() {
+	if fb.Cell(0, 0).Wide() {
 		t.Fatal("letter cell must stay narrow")
 	}
-	if got := fb.Peek(0, 1).ContentsString(); got != "B" {
+	if got := fb.Cell(0, 1).ContentsString(); got != "B" {
 		t.Fatalf("cell 1 = %q, want B in its own cell", got)
 	}
 	if ds := fb.DS; ds.CursorCol != 2 {
@@ -132,16 +132,16 @@ func TestZWJAfterLetterDoesNotSwallowEmoji(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("A\u200d\U0001f642")
 	fb := e.Framebuffer()
-	if got := fb.Peek(0, 0).ContentsString(); got != "A\u200d" {
+	if got := fb.Cell(0, 0).ContentsString(); got != "A\u200d" {
 		t.Fatalf("cell 0 = %q, want the letter (with its invisible ZWJ) alone", got)
 	}
-	if fb.Peek(0, 0).Wide() {
+	if fb.Cell(0, 0).Wide() {
 		t.Fatal("letter cell must stay narrow")
 	}
-	if got := fb.Peek(0, 1).ContentsString(); got != "\U0001f642" {
+	if got := fb.Cell(0, 1).ContentsString(); got != "\U0001f642" {
 		t.Fatalf("cell 1 = %q, want the emoji in its own cell", got)
 	}
-	if !fb.Peek(0, 1).Wide() {
+	if !fb.Cell(0, 1).Wide() {
 		t.Fatal("emoji cell must be wide")
 	}
 	if ds := fb.DS; ds.CursorCol != 3 {
@@ -158,17 +158,17 @@ func TestStaleZWJDoesNotSwallowAfterCursorMove(t *testing.T) {
 	e.WriteString("\x1b[1;2H")   // reposition just after it
 	e.WriteString("\U0001f642x") // a NEW emoji cell, then x
 	fb := e.Framebuffer()
-	if got := fb.Peek(0, 0).ContentsString(); got != "☁\u200d" {
+	if got := fb.Cell(0, 0).ContentsString(); got != "☁\u200d" {
 		t.Fatalf("cell 0 = %q, want the stale cluster untouched", got)
 	}
-	if fb.Peek(0, 0).Wide() {
+	if fb.Cell(0, 0).Wide() {
 		t.Fatal("stale cell must stay narrow")
 	}
-	if got := fb.Peek(0, 1).ContentsString(); got != "\U0001f642" || !fb.Peek(0, 1).Wide() {
+	if got := fb.Cell(0, 1).ContentsString(); got != "\U0001f642" || !fb.Cell(0, 1).Wide() {
 		t.Fatalf("cell 1 = %q (wide=%v), want the emoji as its own wide cell",
-			got, fb.Peek(0, 1).Wide())
+			got, fb.Cell(0, 1).Wide())
 	}
-	if got := fb.Peek(0, 3).ContentsString(); got != "x" {
+	if got := fb.Cell(0, 3).ContentsString(); got != "x" {
 		t.Fatalf("col 3 = %q, want x after the wide emoji", got)
 	}
 }
@@ -180,10 +180,10 @@ func TestVS16OnPlainLetterStaysNarrow(t *testing.T) {
 	e := NewEmulator(20, 4)
 	e.WriteString("a\ufe0fb")
 	fb := e.Framebuffer()
-	if fb.Peek(0, 0).Wide() {
+	if fb.Cell(0, 0).Wide() {
 		t.Fatal("plain letter with VS16 must stay narrow")
 	}
-	if got := fb.Peek(0, 1).ContentsString(); got != "b" {
+	if got := fb.Cell(0, 1).ContentsString(); got != "b" {
 		t.Fatalf("col 1 = %q, want b immediately after the narrow cell", got)
 	}
 	if ds := fb.DS; ds.CursorCol != 2 {
@@ -198,7 +198,7 @@ func TestVS16AtLastColumnStaysNarrow(t *testing.T) {
 	e := NewEmulator(10, 4)
 	e.WriteString("\x1b[1;10H✈️")
 	fb := e.Framebuffer()
-	c := fb.Peek(0, 9)
+	c := fb.Cell(0, 9)
 	if c.Wide() {
 		t.Fatal("last-column cell must not become a wide leader")
 	}
@@ -223,10 +223,10 @@ func TestEmojiWidthDiffRoundTrip(t *testing.T) {
 	a, b := src.Framebuffer(), dst.Framebuffer()
 	for r := 0; r < a.H; r++ {
 		for c := 0; c < a.W; c++ {
-			if !a.Peek(r, c).Equal(b.Peek(r, c)) {
+			if !a.Cell(r, c).Equal(b.Cell(r, c)) {
 				t.Fatalf("cell (%d,%d) differs after round trip: %q/wide=%v vs %q/wide=%v",
-					r, c, a.Peek(r, c).ContentsString(), a.Peek(r, c).Wide(),
-					b.Peek(r, c).ContentsString(), b.Peek(r, c).Wide())
+					r, c, a.Cell(r, c).ContentsString(), a.Cell(r, c).Wide(),
+					b.Cell(r, c).ContentsString(), b.Cell(r, c).Wide())
 			}
 		}
 	}

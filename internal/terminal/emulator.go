@@ -85,10 +85,11 @@ func (e *Emulator) print(r rune) {
 		// append goes through the grapheme intern table's combine cache, so
 		// the steady state allocates nothing.
 		row, col := e.prevGraphicCell()
-		if !fb.Peek(row, col).ContentsEmpty() {
-			c := fb.Cell(row, col)
+		if c := fb.Cell(row, col); !c.ContentsEmpty() {
 			c.setGlyph(graphemes.appendRune(c.glyph(), r))
-			fb.writableRow(row).touch()
+			wr := fb.writableRow(row)
+			wr.setContent(col, c.content)
+			wr.touch()
 			// VS16 requests emoji presentation: the cell renders at double
 			// width even when its base character alone is narrow (✈ vs ✈️).
 			// Only emoji-capable bases widen, and only in an uninterrupted
@@ -112,21 +113,23 @@ func (e *Emulator) print(r rune) {
 	// half-forms) followed by an emoji is two cells — and clusters break
 	// on cursor motion, so a stale dangling joiner on the screen never
 	// swallows a rune printed after the application repositions.
-	if row, col := e.prevGraphicCell(); joinable && isPictographic(r) &&
-		endsWithZWJ(fb.Peek(row, col).glyph()) && isPictographic(fb.Peek(row, col).leadRune()) {
-		c := fb.Cell(row, col)
-		c.setGlyph(graphemes.appendRune(c.glyph(), r))
-		fb.writableRow(row).touch()
-		if width == 2 && !c.Wide() {
-			e.widenCell(row, col)
+	if row, col := e.prevGraphicCell(); joinable && isPictographic(r) {
+		if c := fb.Cell(row, col); endsWithZWJ(c.glyph()) && isPictographic(c.leadRune()) {
+			c.setGlyph(graphemes.appendRune(c.glyph(), r))
+			wr := fb.writableRow(row)
+			wr.setContent(col, c.content)
+			wr.touch()
+			if width == 2 && !c.Wide() {
+				e.widenCell(row, col)
+			}
+			return
 		}
-		return
 	}
 
 	// Deferred autowrap.
 	if ds.NextPrintWraps && ds.AutoWrapMode {
 		wr := fb.writableRow(ds.CursorRow)
-		wr.Cells[fb.W-1].setWrap()
+		wr.setContent(fb.W-1, wr.cells[fb.W-1].content()|wrapBit)
 		wr.touch()
 		ds.CursorCol = 0
 		ds.NextPrintWraps = false
@@ -137,7 +140,7 @@ func (e *Emulator) print(r rune) {
 	if width == 2 && ds.CursorCol == fb.W-1 {
 		if ds.AutoWrapMode {
 			wr := fb.writableRow(ds.CursorRow)
-			wr.Cells[fb.W-1].setWrap()
+			wr.setContent(fb.W-1, wr.cells[fb.W-1].content()|wrapBit)
 			wr.touch()
 			ds.CursorCol = 0
 			e.lineFeed()
@@ -154,23 +157,23 @@ func (e *Emulator) print(r rune) {
 	}
 
 	row, col := ds.CursorRow, ds.CursorCol
+	wr := fb.writableRow(row)
 	// Overwriting the continuation half of a wide character destroys the
 	// leader too.
-	if col > 0 && fb.Peek(row, col-1).Wide() {
-		lead := fb.Cell(row, col-1)
-		lead.Reset(lead.Rend)
+	if col > 0 && wr.cells[col-1].wide() {
+		wr.set(col-1, Cell{Rend: wr.rendOf(wr.cells[col-1].rend).background()})
 	}
-	c := fb.Cell(row, col)
-	*c = Cell{content: packRune(r), Rend: ds.Rend}
+	c := Cell{content: packRune(r), Rend: ds.Rend}
 	c.SetWide(width == 2)
+	wr.set(col, c)
 	if width == 2 && col+1 < fb.W {
-		fb.Cell(row, col+1).Reset(ds.Rend)
+		wr.set(col+1, Cell{Rend: ds.Rend.background()})
 	}
 	// One print perturbs at most cols col-1..col+1; normalizing that
 	// window (instead of the whole row, per character) keeps bulk text
 	// output linear in the row width.
 	fb.normalizeWideRange(row, col-2, col+3)
-	fb.writableRow(row).touch()
+	wr.touch()
 
 	if col+width >= fb.W {
 		ds.CursorCol = fb.W - 1
@@ -201,9 +204,11 @@ func (e *Emulator) printRun(run []byte) {
 			continue
 		}
 		row := fb.writableRow(ds.CursorRow)
-		cells := row.Cells[ds.CursorCol : ds.CursorCol+n]
+		col := ds.CursorCol
+		k := row.index(ds.Rend, col, col+n)
+		cells := row.cells[col : col+n]
 		for i := range cells {
-			cells[i] = Cell{content: uint32(run[i]), Rend: ds.Rend}
+			cells[i] = storedCell{lo: uint16(run[i]), rend: k}
 		}
 		row.touch()
 		if ds.CursorCol+n >= fb.W {
@@ -233,7 +238,7 @@ func (e *Emulator) plainSegment(max int) int {
 	if max < n {
 		n = max
 	}
-	cells := fb.rows[ds.CursorRow].Cells
+	cells := fb.rows[ds.CursorRow].cells
 	lo, hi := col-1, col+n // inclusive: one cell either side of the span
 	if lo < 0 {
 		lo = 0
@@ -242,7 +247,7 @@ func (e *Emulator) plainSegment(max int) int {
 		hi = fb.W - 1
 	}
 	for i := lo; i <= hi; i++ {
-		if cells[i].Wide() {
+		if cells[i].wide() {
 			if n = i - col - 1; n < 0 {
 				n = 0
 			}
@@ -263,7 +268,7 @@ func (e *Emulator) prevGraphicCell() (row, col int) {
 	if !ds.NextPrintWraps && col > 0 {
 		col--
 	}
-	if col > 0 && fb.Peek(row, col).ContentsEmpty() && fb.Peek(row, col-1).Wide() {
+	if cells := fb.rows[row].cells; col > 0 && cells[col].glyph() == 0 && cells[col-1].wide() {
 		col--
 	}
 	return row, col
@@ -281,11 +286,11 @@ func (e *Emulator) widenCell(row, col int) {
 	if col >= fb.W-1 {
 		return
 	}
-	c := fb.Cell(row, col)
-	c.SetWide(true)
-	fb.Cell(row, col+1).Reset(c.Rend)
+	wr := fb.writableRow(row)
+	wr.setContent(col, wr.cells[col].content()|wideBit)
+	wr.set(col+1, Cell{Rend: wr.rendOf(wr.cells[col].rend).background()})
 	fb.normalizeWideRange(row, col-2, col+3)
-	fb.writableRow(row).touch()
+	wr.touch()
 	ds := &fb.DS
 	if ds.CursorRow == row && ds.CursorCol == col+1 && !ds.NextPrintWraps {
 		if col+2 >= fb.W {
@@ -347,10 +352,8 @@ func (e *Emulator) escDispatch(inter []byte, final byte) {
 			for r := 0; r < fb.H; r++ {
 				row := fb.writableRow(r)
 				for c := 0; c < fb.W; c++ {
-					cell := &row.Cells[c]
-					cell.SetRune('E')
-					cell.Rend = SGRReset
-					cell.SetWide(false)
+					// The soft-wrap flag survives: it is line metadata.
+					row.set(c, Cell{content: row.cells[c].content()&wrapBit | 'E'})
 				}
 				row.touch()
 			}
@@ -523,7 +526,7 @@ func (e *Emulator) repeatLast(n int) {
 	} else {
 		return
 	}
-	r := fb.Peek(fb.DS.CursorRow, col).leadRune()
+	r := fb.Cell(fb.DS.CursorRow, col).leadRune()
 	if r == 0 {
 		return
 	}

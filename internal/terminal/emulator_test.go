@@ -52,7 +52,7 @@ func TestAutoWrap(t *testing.T) {
 	rowText(t, e, 0, "0123456789")
 	rowText(t, e, 1, "AB")
 	cursor(t, e, 1, 2)
-	if !e.Framebuffer().Row(0).Cells[9].Wrapped() {
+	if !e.Framebuffer().Cell(0, 9).Wrapped() {
 		t.Fatal("soft-wrap flag not set on wrapped line")
 	}
 }

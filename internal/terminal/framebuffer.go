@@ -1,6 +1,9 @@
 package terminal
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Row is one screen line. Its generation number changes on every
 // modification and is preserved across clones, so two rows with equal gen
@@ -13,15 +16,37 @@ import "sync/atomic"
 // private copy via Framebuffer.writableRow — so snapshots are O(height)
 // pointer copies instead of O(width×height) cell copies, which is what
 // makes the SSP sender's per-send state history cheap.
+//
+// A row stores its cells as 6-byte storedCells indexing its rendition
+// palette (see the package comment); get and set translate to and from
+// Cell.
 type Row struct {
-	Cells []Cell
-	gen   uint64
+	cells []storedCell
+	// pal holds the distinct non-default renditions the cells index, never
+	// more entries than there are cells. Only the one private row that
+	// allocated the array writes to it (ownPal): a clone takes it capped at
+	// its length, so its first append copies, and compact always starts a
+	// new array.
+	pal []Renditions
+	gen uint64
 	// shared marks a row reachable from more than one framebuffer, or one
-	// whose Cells alias the process-wide blank array (newBlankRow). Once
+	// whose cells alias the process-wide blank array (newBlankRow). Once
 	// set it is never cleared on this Row: a framebuffer that wants to
 	// write replaces its pointer with a private copy instead.
 	shared bool
+	// ownPal marks pal as an array this row allocated. No other row reads
+	// such an array while this one is private (a row is cloned only once
+	// shared, and a shared row is never written), so index may overwrite
+	// an entry nothing uses and newRowPooled may reuse the array.
+	ownPal bool
 }
+
+// rowHeaderBytes is the footprint of a Row: its two slice headers, the
+// generation and the two flags.
+const rowHeaderBytes = 64
+
+var _ [rowHeaderBytes - unsafe.Sizeof(Row{})]struct{}
+var _ [unsafe.Sizeof(Row{}) - rowHeaderBytes]struct{}
 
 // rowGenCounter is global so generations stay unique across every
 // framebuffer in the process; atomic because independent sessions (and
@@ -34,10 +59,8 @@ func nextGen() uint64 {
 
 // newRow returns a private row of blanks with background bg.
 func newRow(width int, bg Renditions) *Row {
-	r := &Row{Cells: make([]Cell, width), gen: nextGen()}
-	for i := range r.Cells {
-		r.Cells[i].Reset(bg)
-	}
+	r := &Row{cells: make([]storedCell, width), gen: nextGen()}
+	r.fill(0, width, Cell{Rend: bg.background()})
 	return r
 }
 
@@ -48,36 +71,157 @@ func newRow(width int, bg Renditions) *Row {
 // Nobody ever writes the blank array; code that fills a fresh row's cells
 // directly takes newRow.
 func newBlankRow(width int) *Row {
-	return &Row{Cells: sharedBlankCells(width), gen: nextGen(), shared: true}
+	return &Row{cells: sharedBlankCells(width), gen: nextGen(), shared: true}
 }
-
-// Touch marks the row modified, invalidating generation-based equality.
-// Overlay code uses it after writing cells directly.
-func (r *Row) Touch() { r.touch() }
 
 // touch marks the row modified.
 func (r *Row) touch() { r.gen = nextGen() }
 
-// clone deep-copies the row; the copy is private (not shared).
+// clone deep-copies the row's cells; the copy is private (not shared) and
+// shares the palette, capped so that its appends never reach the source's.
 func (r *Row) clone() *Row {
-	nr := &Row{Cells: make([]Cell, len(r.Cells)), gen: r.gen}
-	copy(nr.Cells, r.Cells)
+	nr := &Row{cells: make([]storedCell, len(r.cells)), pal: r.pal[:len(r.pal):len(r.pal)], gen: r.gen}
+	copy(nr.cells, r.cells)
 	return nr
+}
+
+// rendOf returns the rendition palette index k stands for.
+func (r *Row) rendOf(k uint16) Renditions {
+	if k == 0 {
+		return Renditions{}
+	}
+	return r.pal[k-1]
+}
+
+// get returns cell i.
+func (r *Row) get(i int) Cell {
+	s := r.cells[i]
+	return Cell{content: s.content(), Rend: r.rendOf(s.rend)}
+}
+
+// set stores c as cell i.
+func (r *Row) set(i int, c Cell) {
+	r.cells[i] = pack(c.content, r.index(c.Rend, i, i+1))
+}
+
+// fill stores c in cells [from, to).
+func (r *Row) fill(from, to int, c Cell) {
+	s := pack(c.content, r.index(c.Rend, from, to))
+	for i := from; i < to; i++ {
+		r.cells[i] = s
+	}
+}
+
+// setContent replaces cell i's content word, keeping its rendition.
+func (r *Row) setContent(i int, content uint32) {
+	r.cells[i] = pack(content, r.cells[i].rend)
+}
+
+// index returns rend's palette index, for storing into cells [from, to):
+// the caller overwrites them next, so the renditions they hold now do not
+// count as in use. A rendition the palette lacks is appended. A full
+// palette takes it in place of the entry the span's first cell leaves
+// unused, when the row owns the array (nothing else reads it); otherwise
+// it is first rebuilt from the renditions still in use, which with the span
+// left out number fewer than the row's columns.
+func (r *Row) index(rend Renditions, from, to int) uint16 {
+	if rend == (Renditions{}) {
+		return 0
+	}
+	for i, p := range r.pal {
+		if p == rend {
+			return uint16(i + 1)
+		}
+	}
+	if len(r.pal) == len(r.cells) {
+		if k := r.cells[from].rend; k != 0 && r.ownPal && r.unusedOutside(k, from, to) {
+			r.pal[k-1] = rend
+			return k
+		}
+		for i := from; i < to; i++ {
+			r.cells[i].rend = 0
+		}
+		r.compact()
+	}
+	if len(r.pal) == cap(r.pal) {
+		// Grown by hand, never past the row's width.
+		pal := make([]Renditions, len(r.pal), min(len(r.cells), max(4, 2*len(r.pal))))
+		copy(pal, r.pal)
+		r.pal, r.ownPal = pal, true
+	}
+	r.pal = append(r.pal, rend)
+	return uint16(len(r.pal))
+}
+
+// unusedOutside reports whether no cell outside [from, to) indexes k.
+func (r *Row) unusedOutside(k uint16, from, to int) bool {
+	for i, c := range r.cells {
+		if c.rend == k && (i < from || i >= to) {
+			return false
+		}
+	}
+	return true
+}
+
+// compact rebuilds the palette from the renditions the cells use, in the
+// order the row first uses them, into a new array: the old one may be
+// shared with a clone.
+func (r *Row) compact() {
+	remap := make([]uint16, len(r.pal)+1)
+	pal := make([]Renditions, 0, len(r.cells))
+	for i := range r.cells {
+		k := r.cells[i].rend
+		if k == 0 {
+			continue
+		}
+		if remap[k] == 0 {
+			pal = append(pal, r.pal[k-1])
+			remap[k] = uint16(len(pal))
+		}
+		r.cells[i].rend = remap[k]
+	}
+	r.pal, r.ownPal = pal, true
+}
+
+// samePalette reports whether r and o index one palette array, so that
+// equal renditions are equal indices.
+func (r *Row) samePalette(o *Row) bool {
+	return unsafe.SliceData(r.pal) == unsafe.SliceData(o.pal)
 }
 
 func (r *Row) equal(o *Row) bool {
 	if r == o || r.gen == o.gen {
 		return true
 	}
-	if len(r.Cells) != len(o.Cells) {
+	if len(r.cells) != len(o.cells) {
 		return false
 	}
-	for i := range r.Cells {
-		if !r.Cells[i].Equal(&o.Cells[i]) {
+	if r.samePalette(o) {
+		for i := range r.cells {
+			if !r.cells[i].looksLike(o.cells[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range r.cells {
+		if !r.get(i).Equal(o.get(i)) {
 			return false
 		}
 	}
 	return true
+}
+
+// residentBytes charges r's cell array, and its palette's entries in use,
+// unless seen already holds them.
+func (r *Row) residentBytes(seen ResidentSet) (bytes int) {
+	if len(r.cells) > 0 && seen.add(unsafe.Pointer(unsafe.SliceData(r.cells))) {
+		bytes += len(r.cells) * StoredCellBytes
+	}
+	if len(r.pal) > 0 && seen.add(unsafe.Pointer(unsafe.SliceData(r.pal))) {
+		bytes += len(r.pal) * rendBytes
+	}
+	return bytes
 }
 
 // DrawState is the non-grid portion of terminal state: cursor, modes,
@@ -143,14 +287,10 @@ type Framebuffer struct {
 	freeRows []*Row
 }
 
-// NewFramebuffer returns a blank w×h screen.
+// NewFramebuffer returns a blank w×h screen, each dimension clamped to
+// [1, MaxDim].
 func NewFramebuffer(w, h int) *Framebuffer {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
+	w, h = clamp(w, 1, MaxDim), clamp(h, 1, MaxDim)
 	f := &Framebuffer{W: w, H: h}
 	f.rows = make([]*Row, h)
 	for i := range f.rows {
@@ -257,7 +397,7 @@ func (f *Framebuffer) Identical(o *Framebuffer) bool {
 
 // writableRow returns row i, first materializing a private copy if the
 // row is shared with a snapshot or aliases the blank array. Every mutation
-// of row contents must go through it (directly or via Row/Cell) to preserve
+// of row contents must go through it (directly or via SetCell) to preserve
 // the copy-on-write invariant that shared rows are immutable.
 func (f *Framebuffer) writableRow(i int) *Row {
 	r := f.rows[i]
@@ -268,29 +408,26 @@ func (f *Framebuffer) writableRow(i int) *Row {
 	return r
 }
 
-// Row returns row i (0-based), materialized for writing: callers (the
-// overlay engine, for instance) mutate cells through it and then Touch it.
-// Read-only callers use Peek instead to avoid the copy.
-func (f *Framebuffer) Row(i int) *Row { return f.writableRow(i) }
+// Cell returns the cell at (row, col). It only reads: a row shared with a
+// snapshot stays shared.
+func (f *Framebuffer) Cell(row, col int) Cell { return f.rows[row].get(col) }
 
-// Cell returns the cell at (row, col), materialized for writing.
-func (f *Framebuffer) Cell(row, col int) *Cell {
-	return &f.writableRow(row).Cells[col]
-}
-
-// Peek returns the cell at (row, col) for reading only: it never
-// materializes a shared row, so it is cheap and must not be written
-// through.
-func (f *Framebuffer) Peek(row, col int) *Cell {
-	return &f.rows[row].Cells[col]
+// SetCell stores c at (row, col), first materializing a private copy of a
+// shared row, and marks the row modified. The overlay engines paint
+// through it; it repairs nothing, so what they store must keep the
+// wide-character invariant themselves.
+func (f *Framebuffer) SetCell(row, col int, c Cell) {
+	r := f.writableRow(row)
+	r.set(col, c)
+	r.touch()
 }
 
 // Text returns the visible contents of row i as a string (for tests and
 // examples).
 func (f *Framebuffer) Text(i int) string {
 	var s []byte
-	for c := range f.rows[i].Cells {
-		s = f.rows[i].Cells[c].appendContents(s)
+	for _, c := range f.rows[i].cells {
+		s = appendContent(s, c.glyph())
 	}
 	return string(s)
 }
@@ -322,9 +459,7 @@ func (f *Framebuffer) eraseCells(row, from, to int) {
 		return
 	}
 	r := f.writableRow(row)
-	for i := from; i < to; i++ {
-		r.Cells[i].Reset(f.DS.Rend)
-	}
+	r.fill(from, to, Cell{Rend: f.DS.Rend.background()})
 	// A leader just left of the blanked span may have lost its
 	// continuation; nothing further out can have changed.
 	f.normalizeWideRange(row, from-1, to+1)
@@ -355,19 +490,19 @@ func (f *Framebuffer) normalizeWideRange(row, from, to int) {
 		to = f.W
 	}
 	for col := from; col < to; col++ {
-		c := &r.Cells[col]
-		if !c.Wide() {
+		if !r.cells[col].wide() {
 			continue
 		}
+		bg := r.rendOf(r.cells[col].rend).background()
 		if col == f.W-1 {
-			c.Reset(c.Rend)
+			r.set(col, Cell{Rend: bg})
 			continue
 		}
 		// The continuation keeps the row's soft-wrap flag: it is line
 		// metadata, not content the leader dictates.
-		want := Cell{content: r.Cells[col+1].content & wrapBit, Rend: c.Rend.background()}
-		if r.Cells[col+1] != want {
-			r.Cells[col+1] = want
+		want := Cell{content: r.cells[col+1].content() & wrapBit, Rend: bg}
+		if r.get(col+1) != want {
+			r.set(col+1, want)
 		}
 		col++ // skip the continuation we just fixed
 	}
@@ -447,7 +582,7 @@ func (f *Framebuffer) Scroll(n int) {
 // refused (a snapshot still reads them), as are rows of the wrong width;
 // the list is bounded by the screen height.
 func (f *Framebuffer) recycleRow(r *Row) {
-	if r.shared || len(r.Cells) != f.W || len(f.freeRows) >= f.H {
+	if r.shared || len(r.cells) != f.W || len(f.freeRows) >= f.H {
 		return
 	}
 	f.freeRows = append(f.freeRows, r)
@@ -467,9 +602,12 @@ func (f *Framebuffer) newRowPooled(bg Renditions) *Row {
 	r := f.freeRows[n-1]
 	f.freeRows[n-1] = nil
 	f.freeRows = f.freeRows[:n-1]
-	for i := range r.Cells {
-		r.Cells[i].Reset(bg)
+	if r.ownPal {
+		r.pal = r.pal[:0]
+	} else {
+		r.pal = nil // a snapshot's row may read it
 	}
+	r.fill(0, len(r.cells), Cell{Rend: bg.background()})
 	r.gen = nextGen()
 	return r
 }
@@ -509,10 +647,8 @@ func (f *Framebuffer) InsertCells(n int) {
 		return
 	}
 	r := f.writableRow(row)
-	copy(r.Cells[col+n:], r.Cells[col:f.W-n])
-	for i := col; i < col+n; i++ {
-		r.Cells[i].Reset(f.DS.Rend)
-	}
+	copy(r.cells[col+n:], r.cells[col:f.W-n])
+	r.fill(col, col+n, Cell{Rend: f.DS.Rend.background()})
 	f.normalizeWide(row)
 	r.touch()
 }
@@ -528,23 +664,17 @@ func (f *Framebuffer) DeleteCells(n int) {
 		return
 	}
 	r := f.writableRow(row)
-	copy(r.Cells[col:], r.Cells[col+n:])
-	for i := f.W - n; i < f.W; i++ {
-		r.Cells[i].Reset(f.DS.Rend)
-	}
+	copy(r.cells[col:], r.cells[col+n:])
+	r.fill(f.W-n, f.W, Cell{Rend: f.DS.Rend.background()})
 	f.normalizeWide(row)
 	r.touch()
 }
 
 // Resize changes the screen size, preserving as much content as possible
-// (top-left anchored, like the reference implementation).
+// (top-left anchored, like the reference implementation). Each dimension
+// is clamped to [1, MaxDim], which keeps a row's palette index in 16 bits.
 func (f *Framebuffer) Resize(w, h int) {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
+	w, h = clamp(w, 1, MaxDim), clamp(h, 1, MaxDim)
 	if w == f.W && h == f.H {
 		return
 	}
@@ -555,12 +685,16 @@ func (f *Framebuffer) Resize(w, h int) {
 			continue
 		}
 		// Copied into, so a private row: a blank one aliases the array
-		// every other blank row reads.
+		// every other blank row reads. Its palette is built afresh, so it
+		// holds no more entries than the new width.
 		r := newRow(w, SGRReset)
-		n := copy(r.Cells, f.rows[i].Cells)
+		n := min(w, f.W)
+		for x := 0; x < n; x++ {
+			r.set(x, f.rows[i].get(x))
+		}
 		// A surviving wide cell split at the boundary becomes blank.
-		if n > 0 && r.Cells[n-1].Wide() && n == w {
-			r.Cells[n-1].Reset(SGRReset)
+		if n > 0 && r.cells[n-1].wide() && n == w {
+			r.set(n-1, Cell{})
 		}
 		rows[i] = r
 	}
@@ -682,33 +816,37 @@ func (f *Framebuffer) MemStats() MemStats {
 	return m
 }
 
-// AccumulateResident tallies the cell storage this framebuffer keeps
-// resident, deduplicated against every backing array already counted in
-// seen — so storage shared copy-on-write, and the blank array every blank
-// row aliases, is charged once fleet-wide, no matter how many screens
-// reference it. sessiond drives it across every screen of every session
-// (the live one, the sender's unacknowledged snapshots, released shells) to
-// compute resident_bytes_per_session.
-func (f *Framebuffer) AccumulateResident(seen map[*Cell]struct{}) (bytes int) {
-	count := func(cells []Cell) {
-		if len(cells) == 0 {
-			return
-		}
-		key := &cells[0]
-		if _, ok := seen[key]; ok {
-			return
-		}
-		seen[key] = struct{}{}
-		bytes += len(cells) * cellBytes
+// ResidentSet holds the backing arrays AccumulateResident has counted.
+// Make one per tally with make(ResidentSet).
+type ResidentSet map[unsafe.Pointer]struct{}
+
+// add records the array at p, reporting whether it was new.
+func (s ResidentSet) add(p unsafe.Pointer) bool {
+	if _, ok := s[p]; ok {
+		return false
 	}
+	s[p] = struct{}{}
+	return true
+}
+
+// AccumulateResident tallies the cell storage this framebuffer keeps
+// resident — stored cells at StoredCellBytes each, and the palette entries
+// they index at 8 bytes each — deduplicated against every backing array
+// already counted in seen. So storage shared copy-on-write (a row and its
+// snapshot, a clone and the palette it took from its source), and the blank
+// array every blank row aliases, is charged once fleet-wide, no matter how
+// many screens reference it. sessiond drives it across every screen of
+// every session (the live one, the sender's unacknowledged snapshots,
+// released shells) to compute resident_bytes_per_session.
+func (f *Framebuffer) AccumulateResident(seen ResidentSet) (bytes int) {
 	for _, r := range f.rows {
 		if r == nil {
 			continue // a released shell (see Release)
 		}
-		count(r.Cells)
+		bytes += r.residentBytes(seen)
 	}
 	for _, r := range f.freeRows {
-		count(r.Cells)
+		bytes += r.residentBytes(seen)
 	}
 	return bytes
 }

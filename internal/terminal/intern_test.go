@@ -149,7 +149,7 @@ func (s *stringScreen) verifyAgainst(t *testing.T, fb *Framebuffer, label string
 	}
 	for r := 0; r < s.h; r++ {
 		for c := 0; c < s.w; c++ {
-			got := fb.Peek(r, c)
+			got := fb.Cell(r, c)
 			want := s.cells[r][c]
 			if got.ContentsString() != want.contents || got.Rend != want.rend || got.Wide() != want.wide {
 				t.Fatalf("%s: cell (%d,%d) = {%q %v wide=%v}, oracle {%q %v wide=%v}", label, r, c,
@@ -264,7 +264,7 @@ func TestInternTableConcurrentEmulators(t *testing.T) {
 				emu.WriteString(string(m1))
 				emu.WriteString(string(m2))
 				want := string([]rune{base, m1, m2})
-				got := emu.Framebuffer().Peek(emu.Framebuffer().DS.CursorRow, 0).ContentsString()
+				got := emu.Framebuffer().Cell(emu.Framebuffer().DS.CursorRow, 0).ContentsString()
 				if got != want {
 					errs <- fmt.Errorf("goroutine %d round %d: cluster %q, want %q", g, i, got, want)
 					return
@@ -291,25 +291,25 @@ func TestInternedEqualityCanonical(t *testing.T) {
 	var a, b Cell
 	a.SetContents("é") // single precomposed rune: inline
 	b.SetRune('é')
-	if !a.Equal(&b) {
+	if !a.Equal(b) {
 		t.Fatal("inline rune cells not equal")
 	}
 
 	emu := NewEmulator(10, 2)
 	emu.WriteString("é̈") // built by combining appends
-	printed := emu.Framebuffer().Peek(0, 0)
+	printed := emu.Framebuffer().Cell(0, 0)
 
 	var direct Cell
 	direct.SetContents("é̈") // built by direct interning
 	direct.Rend = printed.Rend
-	if !printed.Equal(&direct) {
+	if !printed.Equal(direct) {
 		t.Fatalf("combining-built %q != interned %q", printed.ContentsString(), direct.ContentsString())
 	}
 
 	// Blank and explicit space render identically and compare equal.
 	var blank, space Cell
 	space.SetRune(' ')
-	if !blank.Equal(&space) || !space.Equal(&blank) {
+	if !blank.Equal(space) || !space.Equal(blank) {
 		t.Fatal("space/blank equality broken")
 	}
 	if space.IsBlank() != true || blank.IsBlank() != true {
@@ -330,7 +330,7 @@ func TestCombiningFloodBoundedIntern(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		emu.WriteString(string(marks[i%len(marks)]))
 	}
-	got := emu.Framebuffer().Peek(0, 0).ContentsString()
+	got := emu.Framebuffer().Cell(0, 0).ContentsString()
 	if len(got) > maxGraphemeBytes {
 		t.Fatalf("cluster grew to %d bytes, cap is %d", len(got), maxGraphemeBytes)
 	}

@@ -50,7 +50,7 @@ func (f *Framebuffer) RowGen(i int) uint64 { return f.rows[i].gen }
 // AppendRowSnapshot appends the RLE serialization of grid row i — the
 // same layout AppendSnapshot uses for each row of the grid.
 func (f *Framebuffer) AppendRowSnapshot(buf []byte, i int) []byte {
-	return appendRow(buf, f.rows[i].Cells)
+	return appendRow(buf, f.rows[i])
 }
 
 // ApplyRowSnapshot decodes one RLE row into grid row i, replacing it with

@@ -8,12 +8,11 @@ import (
 // fillRow writes distinguishable junk into row i so reuse bugs surface as
 // visible content.
 func fillRow(f *Framebuffer, i int, tag byte) {
-	r := f.Row(i)
-	for c := range r.Cells {
-		r.Cells[c] = Cell{Rend: mkRend(0, 0, AttrBold)}
-		r.Cells[c].SetRune(rune('A' + tag%26))
-	}
-	r.Touch()
+	c := Cell{Rend: mkRend(0, 0, AttrBold)}
+	c.SetRune(rune('A' + tag%26))
+	r := f.writableRow(i)
+	r.fill(0, f.W, c)
+	r.touch()
 }
 
 func TestScrollFloodAllocationFreeWithPooledRows(t *testing.T) {
@@ -91,7 +90,7 @@ func TestPooledRowsAreFullyReset(t *testing.T) {
 	want := newRow(f.W, mkRend(0, Color(42), 0))
 	for i := 3; i < f.H; i++ {
 		for c := 0; c < f.W; c++ {
-			if got := *f.Peek(i, c); got != want.Cells[c] {
+			if got := f.Cell(i, c); got != want.get(c) {
 				t.Fatalf("row %d cell %d = %+v, want blank bg=42", i, c, got)
 			}
 		}
@@ -142,7 +141,7 @@ func TestPoolClearedOnResize(t *testing.T) {
 	f.Resize(50, 8)
 	f.Scroll(2)
 	for i := 0; i < f.H; i++ {
-		if got := len(f.rows[i].Cells); got != 50 {
+		if got := len(f.rows[i].cells); got != 50 {
 			t.Fatalf("row %d has %d cells after resize, want 50", i, got)
 		}
 	}

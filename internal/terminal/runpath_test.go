@@ -39,8 +39,8 @@ func diffScreens(got, want *Framebuffer) string {
 	}
 	for r := 0; r < want.H; r++ {
 		for c := 0; c < want.W; c++ {
-			if *got.Peek(r, c) != *want.Peek(r, c) {
-				return fmt.Sprintf("cell (%d,%d) = %+v, want %+v", r, c, *got.Peek(r, c), *want.Peek(r, c))
+			if got.Cell(r, c) != want.Cell(r, c) {
+				return fmt.Sprintf("cell (%d,%d) = %+v, want %+v", r, c, got.Cell(r, c), want.Cell(r, c))
 			}
 		}
 	}
@@ -193,7 +193,7 @@ func TestWideContinuationKeepsWrap(t *testing.T) {
 	e := NewEmulator(4, 15)
 	e.Write(data)
 	for path, fb := range map[string]*Framebuffer{"rune": oracle.Framebuffer(), "run": e.Framebuffer()} {
-		if lead, cont := fb.Peek(0, 2), fb.Peek(0, 3); !lead.Wide() || !cont.ContentsEmpty() || !cont.Wrapped() {
+		if lead, cont := fb.Cell(0, 2), fb.Cell(0, 3); !lead.Wide() || !cont.ContentsEmpty() || !cont.Wrapped() {
 			t.Errorf("%s path: row 0 = %q, cell (0,3) wrapped %v; want 字 in column 2 and its continuation wrapped", path, fb.Text(0), cont.Wrapped())
 		}
 	}

@@ -104,7 +104,7 @@ func appendContentBytes(buf []byte, content uint32) []byte {
 	}
 }
 
-func appendCell(buf []byte, c *Cell) []byte {
+func appendCell(buf []byte, c Cell) []byte {
 	var fl byte
 	if c.Wide() {
 		fl |= snapCellWide
@@ -118,15 +118,18 @@ func appendCell(buf []byte, c *Cell) []byte {
 	return appendRenditions(buf, c.Rend)
 }
 
-// appendRow run-length encodes one row of cells.
-func appendRow(buf []byte, cells []Cell) []byte {
+// appendRow run-length encodes one row of cells. A run is cells identical
+// in every bit, wrap flag included; within one row that is identical
+// stored cells, its palette's entries being distinct.
+func appendRow(buf []byte, r *Row) []byte {
+	cells := r.cells
 	for i := 0; i < len(cells); {
 		j := i + 1
 		for j < len(cells) && cells[j] == cells[i] {
 			j++
 		}
 		buf = binary.AppendUvarint(buf, uint64(j-i))
-		buf = appendCell(buf, &cells[i])
+		buf = appendCell(buf, r.get(i))
 		i = j
 	}
 	return buf
@@ -142,7 +145,7 @@ func (f *Framebuffer) AppendSnapshot(buf []byte) []byte {
 	buf = f.appendSnapshotMeta(buf)
 
 	for _, r := range f.rows {
-		buf = appendRow(buf, r.Cells)
+		buf = appendRow(buf, r)
 	}
 
 	// The format's history window, always empty: a screen keeps no history.
@@ -252,10 +255,12 @@ func decodeRenditions(r *binio.Reader) (Renditions, bool) {
 	return rd, true
 }
 
-// decodeRow fills cells from RLE runs, re-interning grapheme contents.
-func decodeRow(r *binio.Reader, cells []Cell) bool {
-	for filled := 0; filled < len(cells); {
-		run, ok := r.BoundedUvarint(uint64(len(cells) - filled))
+// decodeRow fills row's cells from RLE runs, re-interning grapheme
+// contents.
+func decodeRow(r *binio.Reader, row *Row) bool {
+	width := len(row.cells)
+	for filled := 0; filled < width; {
+		run, ok := r.BoundedUvarint(uint64(width - filled))
 		if !ok || run == 0 {
 			return false
 		}
@@ -283,10 +288,8 @@ func decodeRow(r *binio.Reader, cells []Cell) bool {
 		if fl&snapCellWrap != 0 {
 			c.setWrap()
 		}
-		for i := 0; i < int(run); i++ {
-			cells[filled] = c
-			filled++
-		}
+		row.fill(filled, filled+int(run), c)
+		filled += int(run)
 	}
 	return true
 }
@@ -295,8 +298,8 @@ func decodeRow(r *binio.Reader, cells []Cell) bool {
 // generation. Decoding fills cells in place, so it never takes a blank row:
 // that one aliases the array every other blank row reads.
 func decodeNewRow(r *binio.Reader, width int) (*Row, bool) {
-	row := &Row{Cells: make([]Cell, width), gen: nextGen()}
-	return row, decodeRow(r, row.Cells)
+	row := &Row{cells: make([]storedCell, width), gen: nextGen()}
+	return row, decodeRow(r, row)
 }
 
 // DecodeSnapshot decodes a serialization produced by AppendSnapshot,

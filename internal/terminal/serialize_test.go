@@ -49,7 +49,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// live table).
 	for r := 0; r < fb.H; r++ {
 		for c := 0; c < fb.W; c++ {
-			if fb.Peek(r, c).ContentsString() != got.Peek(r, c).ContentsString() {
+			if fb.Cell(r, c).ContentsString() != got.Cell(r, c).ContentsString() {
 				t.Fatalf("cell (%d,%d) contents differ", r, c)
 			}
 		}

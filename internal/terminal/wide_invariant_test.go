@@ -17,9 +17,9 @@ import (
 func checkWideInvariant(t *testing.T, f *Framebuffer, step int, op string) {
 	t.Helper()
 	for row := 0; row < f.H; row++ {
-		r := f.Row(row)
+		r := f.rows[row]
 		for col := 0; col < f.W; col++ {
-			c := r.Cells[col]
+			c := r.get(col)
 			if !c.Wide() {
 				continue
 			}
@@ -27,11 +27,11 @@ func checkWideInvariant(t *testing.T, f *Framebuffer, step int, op string) {
 				t.Fatalf("step %d (%s): row %d col %d: wide leader in last column", step, op, row, col)
 			}
 			want := Cell{Rend: c.Rend.background()}
-			got := r.Cells[col+1]
+			got := r.get(col + 1)
 			got.content &^= wrapBit // soft-wrap is line metadata, not content (see Cell.Equal)
 			if got != want {
 				t.Fatalf("step %d (%s): row %d col %d: wide leader without blank continuation (next=%+v)",
-					step, op, row, col+1, r.Cells[col+1])
+					step, op, row, col+1, r.get(col+1))
 			}
 			col++
 		}
