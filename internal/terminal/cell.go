@@ -37,12 +37,16 @@
 //     palette is full, the rendition takes the entry the written cell
 //     leaves unused, in place, if the row allocated the array; otherwise
 //     the palette is rebuilt from the renditions the row's cells still use,
-//     the written span left out (Row.compact). So a stream of fresh
-//     truecolour cells keeps a row within width × (6 + 8) bytes, and
-//     allocates nothing once the palette is full.
+//     the written span left out, into an array with room for one more
+//     (Row.compact). So a stream of fresh truecolour cells keeps a row
+//     within width × (6 + 8) bytes, and allocates nothing once the palette
+//     is full; each such write scans the palette, and the row for the
+//     entry's other users.
 //     A clone shares its source's palette capped at its length
-//     (pal[:n:n]), so neither ever appends into the other's entries, and
-//     rows sharing a palette compare stored cells directly.
+//     (pal[:n:n]), so neither ever appends into the other's entries. Rows
+//     whose palettes agree on their common length (one is a prefix of the
+//     other: a row and its clone, a line repainted in the same colours, a
+//     row against the blank baseline) compare stored cells directly.
 //   - Framebuffer.Clone is copy-on-write: it shares *Row pointers and
 //     marks them shared. Rows are immutable once shared — every mutation
 //     path first materializes a private copy (writableRow) — so a snapshot
@@ -63,8 +67,8 @@
 //	162       1944 → 2048       972 → 1024
 //
 // The row header (cells, palette, generation, two flags) is 64 bytes, and a
-// row's palette costs 8 bytes an entry, nothing while every cell of the row
-// is in the default rendition.
+// row's palette costs 8 bytes an entry of its capacity, nothing while every
+// cell of the row is in the default rendition.
 //
 // # Snapshot and diff performance
 //

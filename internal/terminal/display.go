@@ -255,8 +255,8 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		blankFrom--
 	}
 
-	// Rows sharing a palette (a row and the snapshot it was cloned from,
-	// two rows with no renditions) compare stored cells; others unpack.
+	// Rows whose palettes agree (see samePalette) compare stored cells;
+	// others unpack.
 	samePal := row.samePalette(lastRow)
 	x := 0
 	for x < width {

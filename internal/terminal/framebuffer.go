@@ -164,29 +164,48 @@ func (r *Row) unusedOutside(k uint16, from, to int) bool {
 }
 
 // compact rebuilds the palette from the renditions the cells use, in the
-// order the row first uses them, into a new array: the old one may be
-// shared with a clone.
+// order the row first uses them, into a new array with room for the one
+// entry the caller appends next: the old array may be shared with a clone.
 func (r *Row) compact() {
 	remap := make([]uint16, len(r.pal)+1)
-	pal := make([]Renditions, 0, len(r.cells))
+	n := uint16(0)
 	for i := range r.cells {
 		k := r.cells[i].rend
-		if k == 0 {
-			continue
-		}
-		if remap[k] == 0 {
-			pal = append(pal, r.pal[k-1])
-			remap[k] = uint16(len(pal))
+		if k != 0 && remap[k] == 0 {
+			n++
+			remap[k] = n
 		}
 		r.cells[i].rend = remap[k]
+	}
+	pal := make([]Renditions, n, min(int(n)+1, len(r.cells)))
+	for k, to := range remap[1:] {
+		if to != 0 {
+			pal[to-1] = r.pal[k]
+		}
 	}
 	r.pal, r.ownPal = pal, true
 }
 
-// samePalette reports whether r and o index one palette array, so that
-// equal renditions are equal indices.
+// samePalette reports whether equal indices in r and o stand for equal
+// renditions: one palette is a prefix of the other. A row and its clone
+// share one array; rows that first used the same renditions in the same
+// order (a repainted line, a row against the blank baseline) list them
+// alike. Both palettes hold distinct entries, so an index past the shorter
+// one's end names a rendition the other row has nowhere.
 func (r *Row) samePalette(o *Row) bool {
-	return unsafe.SliceData(r.pal) == unsafe.SliceData(o.pal)
+	a, b := r.pal, o.pal
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 || unsafe.SliceData(a) == unsafe.SliceData(b) {
+		return true
+	}
+	for i, p := range a {
+		if b[i] != p {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *Row) equal(o *Row) bool {
@@ -212,14 +231,15 @@ func (r *Row) equal(o *Row) bool {
 	return true
 }
 
-// residentBytes charges r's cell array, and its palette's entries in use,
-// unless seen already holds them.
+// residentBytes charges r's cell array and its palette's capacity, less
+// what seen already holds of them. A clone sees its source's palette capped
+// at the length it took, so the largest view of an array is what counts.
 func (r *Row) residentBytes(seen ResidentSet) (bytes int) {
-	if len(r.cells) > 0 && seen.add(unsafe.Pointer(unsafe.SliceData(r.cells))) {
-		bytes += len(r.cells) * StoredCellBytes
+	if len(r.cells) > 0 {
+		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.cells)), len(r.cells)*StoredCellBytes)
 	}
-	if len(r.pal) > 0 && seen.add(unsafe.Pointer(unsafe.SliceData(r.pal))) {
-		bytes += len(r.pal) * rendBytes
+	if cap(r.pal) > 0 {
+		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.pal)), cap(r.pal)*rendBytes)
 	}
 	return bytes
 }
@@ -816,22 +836,24 @@ func (f *Framebuffer) MemStats() MemStats {
 	return m
 }
 
-// ResidentSet holds the backing arrays AccumulateResident has counted.
-// Make one per tally with make(ResidentSet).
-type ResidentSet map[unsafe.Pointer]struct{}
+// ResidentSet holds the backing arrays AccumulateResident has counted and
+// the bytes charged for each. Make one per tally with make(ResidentSet).
+type ResidentSet map[unsafe.Pointer]int
 
-// add records the array at p, reporting whether it was new.
-func (s ResidentSet) add(p unsafe.Pointer) bool {
-	if _, ok := s[p]; ok {
-		return false
+// add records that the array at p holds at least n bytes and returns how
+// many of them were not yet charged.
+func (s ResidentSet) add(p unsafe.Pointer, n int) int {
+	prev := s[p]
+	if n <= prev {
+		return 0
 	}
-	s[p] = struct{}{}
-	return true
+	s[p] = n
+	return n - prev
 }
 
 // AccumulateResident tallies the cell storage this framebuffer keeps
-// resident — stored cells at StoredCellBytes each, and the palette entries
-// they index at 8 bytes each — deduplicated against every backing array
+// resident — stored cells at StoredCellBytes each, and each palette's
+// capacity at 8 bytes an entry — deduplicated against every backing array
 // already counted in seen. So storage shared copy-on-write (a row and its
 // snapshot, a clone and the palette it took from its source), and the blank
 // array every blank row aliases, is charged once fleet-wide, no matter how

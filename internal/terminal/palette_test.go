@@ -127,3 +127,114 @@ func BenchmarkTruecolourGradient(b *testing.B) {
 		e.Write(data)
 	}
 }
+
+// TestFullPaletteAllocatesNothing pins that a private row whose palette is
+// full takes fresh renditions without allocating: each takes, in place, the
+// entry the cell it overwrites leaves unused.
+func TestFullPaletteAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the code measured")
+	}
+	const w = 80
+	e := NewEmulator(w, 1)
+	colour := 0
+	fresh := func(x int) []byte {
+		colour++
+		return fmt.Appendf(nil, "\x1b[1;%dH\x1b[38;2;%d;%d;%dm#", x+1, colour>>16&0xff, colour>>8&0xff, colour&0xff)
+	}
+	for x := 0; x < w; x++ {
+		e.Write(fresh(x))
+	}
+	row := e.Framebuffer().rows[0]
+	if len(row.pal) != w {
+		t.Fatalf("%d distinct colours left a %d-entry palette", w, len(row.pal))
+	}
+	writes := make([][]byte, 4*w)
+	for i := range writes {
+		writes[i] = fresh(i * 7 % w)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(len(writes)-1, func() { e.Write(writes[i]); i++ }); allocs != 0 {
+		t.Errorf("a fresh colour written to a full palette allocates %.2f times", allocs)
+	}
+	if e.Framebuffer().rows[0] != row {
+		t.Fatal("the row was replaced")
+	}
+	checkPalette(t, row)
+}
+
+// TestResidentChargesPaletteCapacity pins that the gauge charges the
+// palette arrays rows really hold: a compacted palette has room for one
+// entry more than it keeps, and a palette shared with a clone is charged
+// once at the owner's capacity, whichever screen is tallied first.
+func TestResidentChargesPaletteCapacity(t *testing.T) {
+	const w = 80
+	cells := w * StoredCellBytes
+	e := NewEmulator(w, 1)
+	for x := 0; x < w; x++ {
+		fmt.Fprintf(e, "\x1b[38;5;%dm#", x+1)
+	}
+	snap := e.Framebuffer().Clone()
+	e.WriteString("\x1b[1;1H\x1b[38;5;200m" + strings.Repeat("x", w-3))
+	row := e.Framebuffer().rows[0]
+	checkPalette(t, row)
+	if len(row.pal) != 4 || cap(row.pal) != 4 {
+		t.Fatalf("compacting to 3 renditions and adding one left a palette of %d entries, capacity %d; want 4 and 4", len(row.pal), cap(row.pal))
+	}
+	if got, want := e.Framebuffer().AccumulateResident(ResidentSet{}), cells+4*rendBytes; got != want {
+		t.Errorf("the compacted row is charged %d B, want %d", got, want)
+	}
+	if got, want := snap.AccumulateResident(ResidentSet{}), cells+w*rendBytes; got != want {
+		t.Errorf("its full source is charged %d B, want %d", got, want)
+	}
+
+	e = NewEmulator(w, 1)
+	e.WriteString("\x1b[31ma\x1b[32mb\x1b[33mc\x1b[34md\x1b[35me")
+	owner := e.Framebuffer().rows[0]
+	if len(owner.pal) != 5 || cap(owner.pal) != 8 {
+		t.Fatalf("five renditions grew a palette of %d entries, capacity %d; want 5 and 8", len(owner.pal), cap(owner.pal))
+	}
+	snap = e.Framebuffer().Clone()
+	e.WriteString("\x1b[31mf")
+	live := e.Framebuffer()
+	if live.rows[0] == owner || !live.rows[0].samePalette(owner) || cap(live.rows[0].pal) != 5 {
+		t.Fatal("the write did not make a clone sharing the source's palette")
+	}
+	want := 2*cells + 8*rendBytes
+	seen := ResidentSet{}
+	if got := live.AccumulateResident(seen) + snap.AccumulateResident(seen); got != want {
+		t.Errorf("live then snapshot: %d B, want %d", got, want)
+	}
+	seen = ResidentSet{}
+	if got := snap.AccumulateResident(seen) + live.AccumulateResident(seen); got != want {
+		t.Errorf("snapshot then live: %d B, want %d", got, want)
+	}
+}
+
+// TestSamePalette pins when rows compare stored cells directly: when one
+// palette is a prefix of the other, whether or not they share an array.
+func TestSamePalette(t *testing.T) {
+	row := func(host string) *Row {
+		e := NewEmulator(20, 1)
+		e.WriteString(host)
+		return e.Framebuffer().rows[0]
+	}
+	blank := NewFramebuffer(20, 1).rows[0]
+	red, redGreen := row("\x1b[31ma"), row("\x1b[31mb\x1b[32mc")
+	greenRed := row("\x1b[32md\x1b[31me")
+	for _, c := range []struct {
+		name string
+		a, b *Row
+		want bool
+	}{
+		{"blank baseline", redGreen, blank, true},
+		{"prefix", red, redGreen, true},
+		{"prefix, other way round", redGreen, red, true},
+		{"same renditions, other order", redGreen, greenRed, false},
+		{"different first entry", red, greenRed, false},
+	} {
+		if got := c.a.samePalette(c.b); got != c.want {
+			t.Errorf("%s: samePalette = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
