@@ -288,7 +288,7 @@ type ScreenStateStats struct {
 	PooledRows int
 	// ResidentBytes is the cell storage actually resident across every
 	// sampled session: stored cells at terminal.StoredCellBytes each, and
-	// the row palette entries they index. It counts what is reachable from
+	// each row palette's capacity. It counts what is reachable from
 	// a session's live screen, from the snapshots its sender still retains
 	// for unacknowledged states, from the snapshot of a frame prepared and
 	// waiting for its deadline, or from the retired shells on its snapshot
