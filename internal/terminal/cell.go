@@ -310,8 +310,8 @@ func (s storedCell) isBlank() bool {
 	return (w == 0 || w == packedSpace) && s.rend == 0
 }
 
-// looksLike is Cell.Equal for two cells of rows that share one palette,
-// where equal renditions are equal indices.
+// looksLike is Cell.Equal for two cells of rows whose palettes agree (see
+// Row.samePalette), where equal renditions are equal indices.
 func (s storedCell) looksLike(o storedCell) bool {
 	return s.rend == o.rend && visible(s.content()) == visible(o.content())
 }

@@ -17,7 +17,9 @@ import (
 //   - listing: `ls --color -l` output scrolling through a 162×64 screen, six
 //     entries per keystroke, over a freshly recycled row each line;
 //   - prompt: typing at a coloured shell prompt on an 80×24 screen, a
-//     command of 30 keys answered by two coloured output lines.
+//     command of 30 keys answered by two coloured output lines;
+//   - log: a follower of a coloured log releasing 96 lines a keystroke, so
+//     each frame repaints all 162×64 cells, four renditions a row.
 //
 // Each reports write (Emulator.Write of one keystroke's output, then the
 // snapshot the sender takes, so every row written is a copy-on-write clone)
@@ -137,5 +139,22 @@ func colouredScreens() []colouredScreen {
 	}
 	shell.keys = append(shell.keys, []byte("\r\n\x1b[01;34mbuild\x1b[0m  \x1b[01;32mrun.sh\x1b[0m  notes.txt  \x1b[01;36mlatest\x1b[0m\r\n"+
 		"\x1b[31merror:\x1b[0m 2 files \x1b[1mchanged\x1b[0m\r\n"+prompt))
-	return []colouredScreen{editor, listing, shell}
+	// A coloured log follower: 96 lines of 160 characters a key in four
+	// colour spans each, so every frame repaints the whole 162×64 screen.
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!@#$%^&*()-_[]{};:,.<>?|~"
+	log := colouredScreen{name: "log", w: 162, h: 64, start: "\x1b[2J"}
+	for k := 0; k < 16; k++ {
+		var b []byte
+		for i := 0; i < 96; i++ {
+			for j := 0; j < 160; j++ {
+				if j%40 == 0 {
+					b = fmt.Appendf(b, "\x1b[3%dm", 1+(k*96+i+j/40)%7)
+				}
+				b = append(b, alphabet[rng.Intn(len(alphabet))])
+			}
+			b = append(b, "\x1b[0m\r\n"...)
+		}
+		log.keys = append(log.keys, b)
+	}
+	return []colouredScreen{editor, listing, shell, log}
 }

@@ -255,8 +255,9 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		blankFrom--
 	}
 
-	// Rows whose palettes agree (see samePalette) compare stored cells;
-	// others unpack.
+	// Rows whose palettes agree (see samePalette) compare stored cells.
+	// Others compare contents first, since a cell that changed has almost
+	// always changed its character, and only then look renditions up.
 	samePal := row.samePalette(lastRow)
 	x := 0
 	for x < width {
@@ -265,7 +266,8 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 				x++
 				continue
 			}
-		} else if row.get(x).Equal(lastRow.get(x)) {
+		} else if a, b := row.cells[x], lastRow.cells[x]; visible(a.content()) == visible(b.content()) &&
+			row.rendOf(a.rend) == lastRow.rendOf(b.rend) {
 			x++
 			continue
 		}
