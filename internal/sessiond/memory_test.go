@@ -405,3 +405,46 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 }
+
+// TestErasedPagerRowsHoldNoCells pins, exactly and on any host, what a
+// paging session at the repaint workload's 132x43 holds once each page is
+// acknowledged: the 21 rows the pager printed (20 lines of text and the
+// --More-- line, whose inverse video takes a palette of the minimum four
+// entries) and a share of the blank array all four sessions alias. The other
+// 22 rows were erased by the page's ED 2 and point at that array. Were an
+// erased row to fill private blanks again, a session would hold every one
+// of its 43 rows: 34 088 B a session where this pins 16 862 B.
+func TestErasedPagerRowsHoldNoCells(t *testing.T) {
+	const (
+		sessions   = 4
+		cols, rows = 132, 43
+		printed    = 21 // host.Pager's 20 lines and its status line
+		pages      = 6
+	)
+	w := newPumpedWorld(t, sessiond.Config{Width: cols, Height: rows,
+		NewApp: func(id uint64) host.App { return host.NewPager(int64(id)) }}, sessions)
+	retained := func(i int) (n int) {
+		w.sess[i].Do(func(srv *core.Server) { n = srv.Transport().Sender().SentStateCount() })
+		return n
+	}
+	row := cols * terminal.StoredCellBytes
+	want := printed*row + 4*8 + row/sessions // the status line's palette, a share of the blank array
+	for page := 1; page <= pages; page++ {
+		for _, cl := range w.clients {
+			cl.UserBytes([]byte(" "))
+		}
+		shown := fmt.Sprintf("MANUAL(%d)", page)
+		w.await("acknowledged page "+shown, func() bool {
+			for i := range w.clients {
+				if retained(i) != 1 || !w.shows(i, shown) {
+					return false
+				}
+			}
+			return true
+		})
+		if got := w.d.ScreenStateStats().ResidentBytesPerSession(); got != want {
+			t.Fatalf("page %d: resident_bytes_per_session reads %d B, want %d (%d printed rows, a palette, a share of the blank array)",
+				page, got, want, printed)
+		}
+	}
+}

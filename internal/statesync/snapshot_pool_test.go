@@ -115,6 +115,12 @@ func TestRetiredSnapshotPinsNothing(t *testing.T) {
 			}
 		}
 	}
+	// One P for the measured window: with two, a collection can wake a P
+	// while every thread is busy, and the runtime starts an OS thread whose
+	// m struct, g0 and profiling stacks (~5.2 KB of heap, never freed) land
+	// in the growth. With one, the collector's workers share the test's
+	// thread and the window starts none.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	before := liveHeap()
 	live := NewComplete(w, h)
 	repaint(live, 0)

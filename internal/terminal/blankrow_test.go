@@ -1,6 +1,12 @@
 package terminal
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // blankArrayStaysBlank checks, when the calling test ends, the invariant
 // born-shared blank rows rest on: nobody has written the process-wide blank
@@ -171,4 +177,147 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	if aliasesBlankArray(fb, h-1) {
 		t.Fatal("a coloured line scrolled in reads the blank array")
 	}
+}
+
+// TestErasedRowsShareOneArray pins that an erase gives cells back: every
+// erase form that blanks a whole row to the default background points the
+// row at the shared blank array, over rows a snapshot shares and rows the
+// screen owns alike, while a partial erase or one to a coloured background
+// keeps cells of its own. So a repaint's ED 2 costs a session nothing but
+// the lines it then prints.
+func TestErasedRowsShareOneArray(t *testing.T) {
+	blankArrayStaysBlank(t)
+	const w, h = 20, 5
+	cases := []struct {
+		name, seq string
+		whole     []int // rows erased whole; the others keep their own cells
+	}{
+		{"ED2", "\x1b[3;5H\x1b[2J", []int{0, 1, 2, 3, 4}},
+		{"ED2ForegroundOnly", "\x1b[31;1m\x1b[2J", []int{0, 1, 2, 3, 4}},
+		{"ED0FromColumn0", "\x1b[3;1H\x1b[J", []int{2, 3, 4}},
+		{"ED0MidRow", "\x1b[3;5H\x1b[J", []int{3, 4}},
+		{"ED1MidRow", "\x1b[3;5H\x1b[1J", []int{0, 1}},
+		{"ED1LastColumn", "\x1b[3;20H\x1b[1J", []int{0, 1, 2}},
+		{"EL2", "\x1b[2;7H\x1b[2K", []int{1}},
+		{"EL0FromColumn0", "\x1b[2;1H\x1b[K", []int{1}},
+		{"EL0MidRow", "\x1b[2;7H\x1b[K", nil},
+		{"EL1LastColumn", "\x1b[2;20H\x1b[1K", []int{1}},
+		{"EL1MidRow", "\x1b[2;7H\x1b[1K", nil},
+		{"ECHAcrossRow", "\x1b[2;1H\x1b[20X\x1b[4;1H\x1b[99X", []int{1, 3}},
+		{"ECHPartial", "\x1b[2;2H\x1b[19X", nil},
+		{"ED2Blue", "\x1b[44m\x1b[2J", nil},
+		{"EL2Blue", "\x1b[44m\x1b[2;1H\x1b[2K", nil},
+	}
+	for _, c := range cases {
+		for _, snapshotted := range []bool{true, false} {
+			name := c.name + "/private"
+			if snapshotted {
+				name = c.name + "/snapshotted"
+			}
+			t.Run(name, func(t *testing.T) {
+				e := NewEmulator(w, h)
+				for y := 0; y < h; y++ {
+					e.WriteString(fmt.Sprintf("\x1b[%d;1H%s", y+1, strings.Repeat(string(rune('a'+y)), w)))
+				}
+				fb := e.Framebuffer()
+				var snap *Framebuffer
+				if snapshotted {
+					snap = fb.Clone()
+				}
+				e.WriteString(c.seq)
+				for y := 0; y < h; y++ {
+					whole := slices.Contains(c.whole, y)
+					if got := aliasesBlankArray(fb, y); got != whole {
+						t.Errorf("row %d aliases the blank array: %v, want %v", y, got, whole)
+					}
+					if whole {
+						for x := 0; x < w; x++ {
+							if fb.Cell(y, x) != (Cell{}) {
+								t.Fatalf("erased row %d cell %d is %+v", y, x, fb.Cell(y, x))
+							}
+						}
+					}
+					if snap != nil && snap.Text(y) != strings.Repeat(string(rune('a'+y)), w) {
+						t.Fatalf("the erase reached the snapshot's row %d: %q", y, snap.Text(y))
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("BlankRowKeepsItsGeneration", func(t *testing.T) {
+		f := NewFramebuffer(w, h)
+		gens := make([]uint64, h)
+		for y := range gens {
+			gens[y] = f.RowGen(y)
+		}
+		f.EraseInDisplay(2)
+		for y, g := range gens {
+			if f.RowGen(y) != g {
+				t.Fatalf("erasing blank row %d moved its generation", y)
+			}
+		}
+	})
+
+	t.Run("ClearedScreenResident", func(t *testing.T) {
+		const w, h = 80, 24
+		e := NewEmulator(w, h)
+		for y := 0; y < h; y++ {
+			e.WriteString(fmt.Sprintf("\x1b[%d;1H%s", y+1, strings.Repeat("x", w)))
+		}
+		snap := e.Framebuffer().Clone()
+		e.WriteString("\x1b[H\x1b[2J")
+		row := w * StoredCellBytes
+		seen := ResidentSet{}
+		if got := e.Framebuffer().AccumulateResident(seen); got != row {
+			t.Fatalf("a cleared %dx%d screen holds %d B, want the blank array's %d", w, h, got, row)
+		}
+		// The snapshot it was cleared from still holds its 24 printed rows.
+		if got := snap.AccumulateResident(seen); got != h*row {
+			t.Fatalf("the snapshot adds %d B, want %d", got, h*row)
+		}
+	})
+
+	if raceEnabled {
+		t.Log("alloc guards skipped under -race")
+		return
+	}
+	const aw, ah, runs = 80, 24, 20
+	t.Run("BlankScreenAllocatesNothing", func(t *testing.T) {
+		f := NewFramebuffer(aw, ah)
+		if avg := testing.AllocsPerRun(runs, func() { f.EraseInDisplay(2) }); avg != 0 {
+			t.Fatalf("ED 2 over a blank screen allocates %v times, want 0", avg)
+		}
+	})
+	// printed returns runs+1 fully printed screens (AllocsPerRun makes one
+	// warm-up call), each snapshotted or not.
+	printed := func(snapshotted bool) (screens, snaps []*Framebuffer) {
+		for i := 0; i <= runs; i++ {
+			e := NewEmulator(aw, ah)
+			for y := 0; y < ah; y++ {
+				e.WriteString(fmt.Sprintf("\x1b[%d;1H%s", y+1, strings.Repeat("x", aw)))
+			}
+			screens = append(screens, e.Framebuffer())
+			if snapshotted {
+				snaps = append(snaps, e.Framebuffer().Clone())
+			}
+		}
+		return screens, snaps
+	}
+	t.Run("SnapshottedScreenAllocatesHeaders", func(t *testing.T) {
+		screens, snaps := printed(true)
+		i := 0
+		avg := testing.AllocsPerRun(runs, func() { screens[i].EraseInDisplay(2); i++ })
+		if avg > ah {
+			t.Fatalf("ED 2 over a snapshotted %d-row screen allocates %v times, want at most one row header a row", ah, avg)
+		}
+		runtime.KeepAlive(snaps)
+	})
+	t.Run("PrivateScreenReusesHeaders", func(t *testing.T) {
+		screens, _ := printed(false)
+		i := 0
+		if avg := testing.AllocsPerRun(runs, func() { screens[i].EraseInDisplay(2); i++ }); avg != 0 {
+			t.Fatalf("ED 2 over a screen whose rows are private allocates %v times, want 0", avg)
+		}
+	})
 }

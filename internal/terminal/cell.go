@@ -57,6 +57,9 @@
 //   - A blank row with the default background owns no cells: it is born
 //     aliasing one process-wide blank array (newBlankRow) and marked shared,
 //     so a fleet's blank lines cost a row header each until they are written.
+//     An erase that blanks a whole row to the default background (ED, EL,
+//     ECH) returns the row to that array (eraseRow) instead of filling
+//     private blanks, so the lines a repaint's ED 2 clears cost no cells.
 //
 // Go's allocator rounds a row's cells up to a size class, and at 6 bytes a
 // cell the common widths land on classes that halve what 12 bytes took:

@@ -30,9 +30,9 @@ type Row struct {
 	pal []Renditions
 	gen uint64
 	// shared marks a row reachable from more than one framebuffer, or one
-	// whose cells alias the process-wide blank array (newBlankRow). Once
-	// set it is never cleared on this Row: a framebuffer that wants to
-	// write replaces its pointer with a private copy instead.
+	// whose cells alias the process-wide blank array (newBlankRow,
+	// eraseRow). Once set it is never cleared on this Row: a framebuffer
+	// that wants to write replaces its pointer with a private copy instead.
 	shared bool
 	// ownPal marks pal as an array this row allocated. No other row reads
 	// such an array while this one is private (a row is cloned only once
@@ -472,10 +472,16 @@ func (f *Framebuffer) MoveCursor(row, col int) {
 }
 
 // eraseCells blanks cols [from, to) of row with the current background.
+// A whole row erased to the default background goes back to the shared
+// blank array (eraseRow) instead of filling cells of its own.
 func (f *Framebuffer) eraseCells(row, from, to int) {
 	from = clamp(from, 0, f.W)
 	to = clamp(to, 0, f.W)
 	if from >= to {
+		return
+	}
+	if from == 0 && to == f.W && f.DS.Rend.bg == 0 {
+		f.eraseRow(row)
 		return
 	}
 	r := f.writableRow(row)
@@ -484,6 +490,26 @@ func (f *Framebuffer) eraseCells(row, from, to int) {
 	// continuation; nothing further out can have changed.
 	f.normalizeWideRange(row, from-1, to+1)
 	r.touch()
+}
+
+// eraseRow blanks row i to the default background by pointing it at the
+// shared blank array, so an erased line owns no cells. A row already on the
+// array is left as it is, generation and all: its contents do not change. A
+// private row keeps its header, now aliasing the array and marked shared
+// like any newBlankRow; a shared one is replaced, since a snapshot still
+// reads it. The cells and palette a private row drops go to the collector,
+// not the free list, which would keep them resident.
+func (f *Framebuffer) eraseRow(i int) {
+	r := f.rows[i]
+	blank := sharedBlankCells(f.W)
+	if unsafe.SliceData(r.cells) == unsafe.SliceData(blank) {
+		return
+	}
+	if r.shared {
+		f.rows[i] = newBlankRow(f.W)
+		return
+	}
+	*r = Row{cells: blank, gen: nextGen(), shared: true}
 }
 
 // normalizeWide repairs the wide-character invariant on a row after any
