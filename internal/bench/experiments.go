@@ -74,16 +74,6 @@ var Rows = []Row{{
 	Mosh:  MoshOptions{Predictions: overlay.Never},
 }}
 
-// RowNamed returns the row whose -exp name is name.
-func RowNamed(name string) (Row, bool) {
-	for _, r := range Rows {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Row{}, false
-}
-
 // Comparison is one row's two-arm result.
 type Comparison struct {
 	Row  Row

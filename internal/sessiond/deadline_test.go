@@ -285,7 +285,7 @@ func TestPreparedFrameIsCountedAndChargedOnce(t *testing.T) {
 	// The echo rewrote one row of the live screen; the acknowledged baseline
 	// still holds the old one. The waiting snapshot shares every row with
 	// the live screen and adds nothing.
-	row := 80 * terminal.StoredCellBytes
+	row := 80 * terminal.NarrowCellBytes
 	waitingBytes := r.d.ScreenStateStats().ResidentBytes
 	if waitingBytes != resident+row {
 		t.Fatalf("resident bytes %d with a frame waiting, want the %d before the keystroke plus one %d B row", waitingBytes, resident, row)

@@ -185,8 +185,9 @@ func fullRepaint(session, round, cols, rows int) []byte {
 // largest frame was built in. 32 sessions at 162x64 each repaint their whole
 // screen 20 times, every repaint acknowledged by a real client. Then five
 // more go unacknowledged, and the
-// resident gauge must grow by what the heap grows by: the snapshots a
-// sender retains are exactly what it used not to see. Finally everything
+// resident gauge, with the row headers it leaves out, must grow by what the
+// heap grows by: the snapshots a sender retains are exactly what it used
+// not to see. Finally everything
 // is acknowledged again and the clients are dropped: what the heap has
 // grown by since before the first session was opened is what the sessions
 // hold, and it is one screen each.
@@ -201,7 +202,11 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 		rows     = 64
 		repaints = 20
 	)
-	screen := int64(cols * rows * terminal.StoredCellBytes)
+	// A screen of ASCII is one narrow content plane a row: what the gauge
+	// charges. Its heap rounds each plane up to its size class (162 B to
+	// 176 B) and adds each row's header.
+	screen := int64(cols * rows * terminal.NarrowCellBytes)
+	screenHeap := int64(rows * (176 + terminal.RowHeaderBytes))
 	daemonAddr := netem.Addr{Host: 9999, Port: 60001}
 
 	type dgram struct {
@@ -312,14 +317,17 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 	}
 	gaugeGrowth := int64(d.ScreenStateStats().ResidentBytesPerSession()) - gauge
 	heapGrowth := (liveHeap() - held) / sessions
-	t.Logf("%d unacknowledged repaints: heap +%d B per session, resident gauge +%d B (%.0f%%)",
-		unacked, heapGrowth, gaugeGrowth, 100*float64(gaugeGrowth)/float64(heapGrowth))
+	// Each retained screen is rows fresh rows, each with a header the
+	// gauge does not charge.
+	seen := gaugeGrowth + unacked*rows*terminal.RowHeaderBytes
+	t.Logf("%d unacknowledged repaints: heap +%d B per session, resident gauge +%d B, with row headers +%d B (%.0f%%)",
+		unacked, heapGrowth, gaugeGrowth, seen, 100*float64(seen)/float64(heapGrowth))
 	if heapGrowth < unacked*screen*9/10 {
 		t.Fatalf("heap grew %d B per session for %d retained screens of %d B: the measurement is broken", heapGrowth, unacked, screen)
 	}
-	if gaugeGrowth < heapGrowth*3/4 || gaugeGrowth > heapGrowth*5/4 {
-		t.Errorf("the sender retains %d more screens: heap +%d B per session, resident_bytes_per_session +%d B — off by more than 25%%",
-			unacked, heapGrowth, gaugeGrowth)
+	if seen < heapGrowth*3/4 || seen > heapGrowth*5/4 {
+		t.Errorf("the sender retains %d more screens: heap +%d B per session, resident_bytes_per_session +%d B and %d B of row headers — off by more than 25%%",
+			unacked, heapGrowth, gaugeGrowth, unacked*rows*terminal.RowHeaderBytes)
 	}
 
 	// Quiescent again: the downlink returns, everything is acknowledged,
@@ -330,20 +338,20 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 	step, await = nil, nil
 	gauge = int64(d.ScreenStateStats().ResidentBytesPerSession())
 	perSession := (liveHeap() - before) / sessions
-	t.Logf("quiescent: a session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
-		perSession, float64(perSession)/float64(screen), screen, gauge)
-	// One screen, its rows rounded up to their size class, and what is not
-	// cells: the session itself (its transport, emulator, journal slot and
-	// the acknowledged snapshot's shell) and a 32nd of the process-wide
-	// bookkeeping, about 30 KiB in all. Nothing is sized by a frame: the
-	// diff, instruction, fragment and scroll-detection scratch of a
-	// full-screen frame is lent per call and went back to the pool, where a
-	// collection frees it (held per session, it was another 65 KiB). A second
-	// screen (a dead snapshot, a fatter cell) is another 120 KiB and does not
-	// fit.
-	if limit := screen*13/10 + 32<<10; perSession > limit {
-		t.Errorf("a quiescent session holds %d B of heap = %.2f screens, want <= 1.3 screens + 32 KiB = %d B",
-			perSession, float64(perSession)/float64(screen), limit)
+	t.Logf("quiescent: a session holds %d B of heap = %.2f screens of %d B of heap; the resident gauge reads %d B",
+		perSession, float64(perSession)/float64(screenHeap), screenHeap, gauge)
+	// One screen, its planes rounded up to their size class and its row
+	// headers (18 432 B), and what is not rows: the session itself (its
+	// transport, emulator, journal slot and the acknowledged snapshot's
+	// shell) and a 32nd of the process-wide bookkeeping, about 16 KiB in
+	// all. Nothing is sized by a frame: the diff, instruction, fragment and
+	// scroll-detection scratch of a full-screen frame is lent per call and
+	// went back to the pool, where a collection frees it (held per session,
+	// it was another 65 KiB). A second screen (a dead snapshot, a wider
+	// plane) is another 18 KiB or more and does not fit.
+	if limit := screenHeap + 24<<10; perSession > limit {
+		t.Errorf("a quiescent session holds %d B of heap = %.2f screens, want <= 1 screen + 24 KiB = %d B",
+			perSession, float64(perSession)/float64(screenHeap), limit)
 	}
 	if gauge < screen*9/10 || gauge > screen*11/10 {
 		t.Errorf("resident_bytes_per_session reads %d B for sessions holding one %d B screen of unique rows", gauge, screen)
@@ -360,7 +368,8 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 // each, and could never have acknowledged.
 func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	const cols, rows = 162, 64
-	screen := int64(cols * rows * terminal.StoredCellBytes)
+	screen := int64(cols * rows * terminal.NarrowCellBytes)
+	screenHeap := int64(rows * (176 + terminal.RowHeaderBytes)) // as in TestSessionHoldsOneScreen
 	clock := simclock.NewScheduler(epoch)
 	written := 0
 	d, err := sessiond.New(sessiond.Config{
@@ -393,12 +402,12 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	}
 	held := liveHeap() - before
 	gauge := int64(d.ScreenStateStats().ResidentBytesPerSession())
-	t.Logf("an unconnected session holds %d B of heap = %.2f screens of %d B; the resident gauge reads %d B",
-		held, float64(held)/float64(screen), screen, gauge)
+	t.Logf("an unconnected session holds %d B of heap = %.2f screens of %d B of heap; the resident gauge reads %d B",
+		held, float64(held)/float64(screenHeap), screenHeap, gauge)
 	// TestSessionHoldsOneScreen's bound for a quiescent connected session.
-	if limit := screen*13/10 + 32<<10; held > limit {
-		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1.3 screens + 32 KiB = %d B",
-			held, float64(held)/float64(screen), limit)
+	if limit := screenHeap + 24<<10; held > limit {
+		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1 screen + 24 KiB = %d B",
+			held, float64(held)/float64(screenHeap), limit)
 	}
 	if gauge < screen*9/10 || gauge > screen*11/10 {
 		t.Errorf("resident_bytes_per_session reads %d B for a session holding one %d B screen", gauge, screen)
@@ -408,12 +417,13 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 
 // TestErasedPagerRowsHoldNoCells pins, exactly and on any host, what a
 // paging session at the repaint workload's 132x43 holds once each page is
-// acknowledged: the 21 rows the pager printed (20 lines of text and the
-// --More-- line, whose inverse video takes a palette of the minimum four
-// entries) and a share of the blank array all four sessions alias. The other
-// 22 rows were erased by the page's ED 2 and point at that array. Were an
-// erased row to fill private blanks again, a session would hold every one
-// of its 43 rows: 34 088 B a session where this pins 16 862 B.
+// acknowledged: the 21 rows the pager printed, one byte a cell (20 lines of
+// text and the --More-- line, whose inverse video adds a rendition-index
+// plane and a palette of the minimum four entries) and a share of the blank
+// array all four sessions alias. The other 22 rows were erased by the page's
+// ED 2 and point at that array. Were an erased row to fill private blanks
+// again, a session would hold every one of its 43 rows: 5 972 B a session
+// where this pins 3 101 B.
 func TestErasedPagerRowsHoldNoCells(t *testing.T) {
 	const (
 		sessions   = 4
@@ -427,8 +437,9 @@ func TestErasedPagerRowsHoldNoCells(t *testing.T) {
 		w.sess[i].Do(func(srv *core.Server) { n = srv.Transport().Sender().SentStateCount() })
 		return n
 	}
-	row := cols * terminal.StoredCellBytes
-	want := printed*row + 4*8 + row/sessions // the status line's palette, a share of the blank array
+	row := cols * terminal.NarrowCellBytes
+	// The status line's rendition plane and palette, a share of the blank array.
+	want := printed*row + cols*terminal.RendIndexBytes + 4*8 + row/sessions
 	for page := 1; page <= pages; page++ {
 		for _, cl := range w.clients {
 			cl.UserBytes([]byte(" "))

@@ -287,8 +287,10 @@ type ScreenStateStats struct {
 	// PooledRows counts recycled rows waiting on per-session free lists.
 	PooledRows int
 	// ResidentBytes is the cell storage actually resident across every
-	// sampled session: stored cells at terminal.StoredCellBytes each, and
-	// each row palette's capacity. It counts what is reachable from
+	// sampled session: each row's planes at what their cells take
+	// (terminal.NarrowCellBytes or WideCellBytes of content a cell, and
+	// RendIndexBytes a cell for a row with a rendition plane), and each row
+	// palette's capacity. It counts what is reachable from
 	// a session's live screen, from the snapshots its sender still retains
 	// for unacknowledged states, from the snapshot of a frame prepared and
 	// waiting for its deadline, or from the retired shells on its snapshot

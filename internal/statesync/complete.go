@@ -92,8 +92,9 @@ func (c *Complete) SetEchoAck(n uint64) bool {
 func (c *Complete) EchoAck() uint64 { return c.emu.Framebuffer().EchoAck }
 
 // Clone implements transport.State. The screen snapshot is copy-on-write
-// (terminal.Framebuffer.Clone), so cloning costs O(height) regardless of
-// how much of the screen is populated — and when a recycled snapshot is
+// (terminal.Framebuffer.Clone): it shares every row, with its content and
+// rendition planes, until one side writes it, so cloning costs O(height)
+// regardless of how much of the screen is populated — and when a recycled snapshot is
 // available its storage is reused outright (Framebuffer.CloneInto), so the
 // steady state costs no allocations either. Parser state is not cloned:
 // every diff is a self-contained byte string, so a fresh parser is

@@ -137,11 +137,16 @@ func TestRetiredSnapshotPinsNothing(t *testing.T) {
 	}
 	clear(snaps)
 	growth := int64(liveHeap() - before)
-	screen := int64(w * h * terminal.StoredCellBytes)
+	// A screen of ASCII costs the heap a row header and a narrow content
+	// plane a row, 162 B rounded up to the 176-byte size class.
+	screen := int64(h * (176 + terminal.RowHeaderBytes))
 	t.Logf("heap growth %d B = %.2f screens of %d B", growth, float64(growth)/float64(screen), screen)
-	if growth > screen*5/4 {
-		t.Fatalf("live heap grew %d B with %d retired snapshots pooled: %.2f screens, want <= 1.25",
-			growth, maxPooledSnapshots, float64(growth)/float64(screen))
+	// The live screen, and 8 KiB for what is not rows (the Complete, its
+	// emulator and the pooled shells' row and tab slices): one more
+	// screen does not fit.
+	if limit := screen + 8<<10; growth > limit {
+		t.Fatalf("live heap grew %d B with %d retired snapshots pooled: %.2f screens, want <= 1 screen + 8 KiB = %d B",
+			growth, maxPooledSnapshots, float64(growth)/float64(screen), limit)
 	}
 	runtime.KeepAlive(live)
 	if b := live.AccumulatePooledResident(terminal.ResidentSet{}); b != 0 {

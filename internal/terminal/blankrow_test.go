@@ -9,20 +9,21 @@ import (
 )
 
 // blankArrayStaysBlank checks, when the calling test ends, the invariant
-// born-shared blank rows rest on: nobody has written the process-wide blank
-// array, so every cell of it is still the zero stored cell. A write that slipped
-// past writableRow shows on every blank line of every screen in the
-// process; this is where it fails by name.
+// blank rows rest on: nobody has written the process-wide blank array, so
+// every byte of that narrow content plane is still the zero (blank) cell. A
+// write that slipped past writableRow or a Row store's ownText shows on
+// every blank line of every screen in the process; this is where it fails
+// by name.
 func blankArrayStaysBlank(t testing.TB) {
 	t.Helper()
 	t.Cleanup(func() {
-		p := blankCells.Load()
+		p := blankText.Load()
 		if p == nil {
 			return
 		}
 		for i, c := range *p {
-			if c != (storedCell{}) {
-				t.Fatalf("shared blank array written: cell %d of %d is %+v", i, len(*p), c)
+			if c != 0 {
+				t.Fatalf("shared blank array written: cell %d of %d is %#x", i, len(*p), c)
 			}
 		}
 	})
@@ -30,7 +31,8 @@ func blankArrayStaysBlank(t testing.TB) {
 
 // aliasesBlankArray reports whether row i of f reads the shared blank array.
 func aliasesBlankArray(f *Framebuffer, i int) bool {
-	return &f.rows[i].cells[0] == &sharedBlankCells(f.W)[0]
+	r := f.rows[i]
+	return len(r.text) > 0 && &r.text[0] == &sharedBlankText(f.W)[0]
 }
 
 // TestBlankArrayNeverWritten drives every path that stores cells without
@@ -141,7 +143,7 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	const (
 		n        = 50
 		w, h     = 80, 24
-		rowBytes = w * StoredCellBytes
+		rowBytes = w * NarrowCellBytes
 	)
 	emus := make([]*Emulator, n)
 	seen := ResidentSet{}
@@ -267,7 +269,7 @@ func TestErasedRowsShareOneArray(t *testing.T) {
 		}
 		snap := e.Framebuffer().Clone()
 		e.WriteString("\x1b[H\x1b[2J")
-		row := w * StoredCellBytes
+		row := w * NarrowCellBytes
 		seen := ResidentSet{}
 		if got := e.Framebuffer().AccumulateResident(seen); got != row {
 			t.Fatalf("a cleared %dx%d screen holds %d B, want the blank array's %d", w, h, got, row)

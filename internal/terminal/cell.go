@@ -9,18 +9,27 @@
 //
 // The cell is the data structure every layer above iterates over millions
 // of times per second, and a session's resident memory is its cells, so a
-// row stores each one as a compact pointer-free value of 6 bytes — three
-// 16-bit words — and keeps the rendition, which almost every cell of a row
+// row keeps them in two pointer-free planes, each only as wide as the row's
+// cells need, and keeps the rendition, which almost every cell of a row
 // shares with its neighbours, once per row in a palette:
 //
-//	stored cell  [47:32] palette index: 0 = default rendition, k = palette[k-1]
-//	             [31] grapheme-table index flag  [30] wide  [29] wrap  [20:0] rune, or [15:0] table index
-//	palette fg   [31:25] invisible inverse blink underline italic faint bold  [24] RGB  [23:0] RGB | palette+1 | 0
-//	palette bg   [31:25] zero                                                 [24] RGB  [23:0] RGB | palette+1 | 0
+//	narrow content  [7:0]  0 = blank, or a rune below U+0100 (ASCII, Latin-1)
+//	wide content    [31] grapheme-table index flag  [30] wide  [20:0] rune, or [15:0] table index
+//	rendition index [15:0] 0 = default rendition, k = palette[k-1]
+//	palette fg      [31:25] invisible inverse blink underline italic faint bold  [24] RGB  [23:0] RGB | palette+1 | 0
+//	palette bg      [31:25] zero                                                 [24] RGB  [23:0] RGB | palette+1 | 0
 //
-// Cell, the value callers build and read (Framebuffer.Cell, SetCell), is the
-// content word beside its unpacked Renditions: 12 bytes, never stored in a
-// row. What the layout and the ownership rules around it buy:
+// A row's content plane is narrow, one byte a cell, until a cell needs the
+// full word (a wide character, a cluster, a rune at or above U+0100); its
+// rendition-index plane is absent until a cell needs a rendition other
+// than the default. A store that does not fit a plane widens it once, in
+// place, and only a whole-row erase to the default background narrows a
+// row, by pointing it back at the shared blank array. Soft wrap can only
+// follow a row's last cell, so it is a row flag. Cell, the value callers
+// build and read (Framebuffer.Cell, SetCell), is the content word, wide
+// and wrap flags included (bit 29 is wrap), beside its unpacked
+// Renditions: 12 bytes, never stored in a row. What the layout and the
+// ownership rules around it buy:
 //
 //   - Cell contents are a packed word: blank, an inline single rune
 //     (ASCII, CJK, emoji — the overwhelming majority), or an index into a
@@ -39,39 +48,45 @@
 //     the palette is rebuilt from the renditions the row's cells still use,
 //     the written span left out, into an array with room for one more
 //     (Row.compact). So a stream of fresh truecolour cells keeps a row
-//     within width × (6 + 8) bytes, and allocates nothing once the palette
-//     is full; each such write scans the palette, and the row for the
-//     entry's other users.
+//     within width × (4 + 2 + 8) bytes, and allocates nothing once the
+//     palette is full; each such write scans the palette, and the row for
+//     the entry's other users.
 //     A clone shares its source's palette capped at its length
 //     (pal[:n:n]), so neither ever appends into the other's entries. Rows
 //     whose palettes agree on their common length (one is a prefix of the
 //     other: a row and its clone, a line repainted in the same colours, a
-//     row against the blank baseline) compare stored cells directly.
-//   - Framebuffer.Clone is copy-on-write: it shares *Row pointers and
-//     marks them shared. Rows are immutable once shared — every mutation
-//     path first materializes a private copy (writableRow) — so a snapshot
-//     costs O(height), not O(width×height). CloneInto additionally reuses
-//     a retired snapshot's shell, making the sender's steady-state snapshot
-//     fully allocation-free; the shell waits on its free list Released,
-//     referencing no row.
+//     row against the blank baseline) compare indices directly.
+//   - Two narrow content planes compare, and diff, byte by byte: the
+//     renderer, the emulator's ASCII print path and the snapshot codec each
+//     work on the bytes, with no content word to assemble.
+//   - Framebuffer.Clone is copy-on-write: it shares *Row pointers, planes
+//     and all, and marks them shared. Rows are immutable once shared —
+//     every mutation path first materializes a private copy (writableRow)
+//     — so a snapshot costs O(height), not O(width×height). CloneInto
+//     additionally reuses a retired snapshot's shell, making the sender's
+//     steady-state snapshot fully allocation-free; the shell waits on its
+//     free list Released, referencing no row.
 //   - A blank row with the default background owns no cells: it is born
-//     aliasing one process-wide blank array (newBlankRow) and marked shared,
-//     so a fleet's blank lines cost a row header each until they are written.
-//     An erase that blanks a whole row to the default background (ED, EL,
-//     ECH) returns the row to that array (eraseRow) instead of filling
-//     private blanks, so the lines a repaint's ED 2 clears cost no cells.
+//     aliasing one process-wide blank array of zero bytes (newBlankRow),
+//     so a fleet's blank lines cost a row header each until they are
+//     written, and the first store gives the row a plane of its own. An
+//     erase that blanks a whole row to the default background (ED, EL, ECH)
+//     returns the row to that array (eraseRow) instead of filling private
+//     blanks, so the lines a repaint's ED 2 clears cost no cells.
 //
-// Go's allocator rounds a row's cells up to a size class, and at 6 bytes a
-// cell the common widths land on classes that halve what 12 bytes took:
+// Go's allocator rounds each plane up to a size class. At the common
+// widths an uncoloured line of ASCII costs a sixth of what 6-byte cells
+// took, and a coloured line of wide characters about the same:
 //
-//	columns   12-byte cells    6-byte cells
-//	80         960 → 1024       480
-//	132       1584 → 1792       792 →  896
-//	162       1944 → 2048       972 → 1024
+//	columns   6-byte cells   narrow content   rendition indices   wide content
+//	80          480             80               160                 320
+//	132         792 →  896      132 → 144        264 → 288           528 → 576
+//	162         972 → 1024      162 → 176        324 → 352           648 → 704
 //
-// The row header (cells, palette, generation, two flags) is 64 bytes, and a
-// row's palette costs 8 bytes an entry of its capacity, nothing while every
-// cell of the row is in the default rendition.
+// The row header (four plane and palette slices, generation, four flags) is
+// RowHeaderBytes, 112, and a row's palette costs 8 bytes an entry of its
+// capacity, nothing while every cell of the row is in the default
+// rendition.
 //
 // # Snapshot and diff performance
 //
@@ -252,8 +267,9 @@ func appendColor(buf []byte, base int, c Color) []byte {
 
 // Cell is one character cell of the screen as callers build and read it: a
 // pointer-free value of three 32-bit words, the packed content word and the
-// cell's Renditions. Rows store it as a 6-byte storedCell over a per-row
-// rendition palette; the package comment has the bit map.
+// cell's Renditions. Rows store it in a content plane and a rendition-index
+// plane over a per-row rendition palette; the package comment has the bit
+// maps.
 type Cell struct {
 	// content is the packed grapheme word — blank, an inline rune, or a
 	// grapheme intern table index (see intern.go) — with the cell's two
@@ -269,55 +285,21 @@ type Cell struct {
 	Rend Renditions
 }
 
-// storedCell is how a row keeps a cell: the content word, split into two
-// 16-bit halves so the cell packs into three 16-bit words, and the index of
-// its rendition in the row's palette (Row.pal) — 0 for the default
-// rendition, k for the palette's entry k-1. Six bytes and pointer-free, so a
-// row's backing array is allocated noscan and never traced; the package
-// comment has the bit map. Rows store cells only in this form: Cell is the
-// value callers build and read, and Row.get and Row.set translate.
-type storedCell struct {
-	lo, hi uint16
-	rend   uint16
-}
-
-// StoredCellBytes is the in-memory footprint of one stored cell: what a
-// row's cells cost, and what the resident gauge charges per cell.
-const StoredCellBytes = 6
-
-var _ [StoredCellBytes - unsafe.Sizeof(storedCell{})]struct{}
-var _ [unsafe.Sizeof(storedCell{}) - StoredCellBytes]struct{}
+// The bytes a cell takes in each plane of a row (see Row and the package
+// comment): a narrow content plane, a wide one, and a rendition-index plane.
+const (
+	NarrowCellBytes = 1
+	WideCellBytes   = 4
+	RendIndexBytes  = 2
+)
 
 // rendBytes is the footprint of one palette entry.
 const rendBytes = int(unsafe.Sizeof(Renditions{}))
 
-// pack returns the stored form of content with palette index rend.
-func pack(content uint32, rend uint16) storedCell {
-	return storedCell{lo: uint16(content), hi: uint16(content >> 16), rend: rend}
-}
-
-// content returns the packed content word, flags included.
-func (s storedCell) content() uint32 { return uint32(s.lo) | uint32(s.hi)<<16 }
-
-// glyph returns the grapheme word without the cell flags.
-func (s storedCell) glyph() uint32 { return s.content() &^ flagBits }
-
-// wide reports whether the cell is the leading half of a double-width
-// character.
-func (s storedCell) wide() bool { return s.content()&wideBit != 0 }
-
-// isBlank is Cell.IsBlank on the stored form: index 0 is the default
-// rendition, and a palette never holds it.
-func (s storedCell) isBlank() bool {
-	w := s.content() &^ wrapBit
-	return (w == 0 || w == packedSpace) && s.rend == 0
-}
-
-// looksLike is Cell.Equal for two cells of rows whose palettes agree (see
-// Row.samePalette), where equal renditions are equal indices.
-func (s storedCell) looksLike(o storedCell) bool {
-	return s.rend == o.rend && visible(s.content()) == visible(o.content())
-}
+// narrowLimit bounds the content words a narrow content plane holds: a
+// blank (0) or a rune below U+0100, with neither the wide nor the grapheme
+// flag, each stored as the byte that is the word itself.
+const narrowLimit = 0x100
 
 const (
 	wideBit  uint32 = 1 << 30

@@ -19,11 +19,10 @@ func mkRend(fg, bg Color, a Attr) Renditions {
 	return r
 }
 
-// TestCellIsPointerFree keeps the garbage collector out of the rows: a
-// stored cell and a palette entry hold no pointer of any kind, so a row's
-// backing arrays are allocated noscan and never traced, and neither does
-// the Cell callers hold. (The stored cell's size is asserted at compile
-// time beside the type.)
+// TestCellIsPointerFree keeps the garbage collector out of the rows: an
+// element of each of a row's planes and a palette entry hold no pointer of
+// any kind, so a row's backing arrays are allocated noscan and never
+// traced, and neither does the Cell callers hold.
 func TestCellIsPointerFree(t *testing.T) {
 	var walk func(reflect.Type, string)
 	walk = func(ty reflect.Type, path string) {
@@ -41,7 +40,9 @@ func TestCellIsPointerFree(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Cell{}), "Cell")
-	walk(reflect.TypeOf(storedCell{}), "storedCell")
+	walk(reflect.TypeOf(Row{}.text).Elem(), "Row.text[]")
+	walk(reflect.TypeOf(Row{}.wide).Elem(), "Row.wide[]")
+	walk(reflect.TypeOf(Row{}.rends).Elem(), "Row.rends[]")
 	walk(reflect.TypeOf(Renditions{}), "Renditions")
 }
 
@@ -145,7 +146,7 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 					// The codec carries all of it.
 					enc := appendCell(nil, c)
 					rd := binio.NewReader(append([]byte{1}, enc...))
-					back := &Row{cells: make([]storedCell, 1)}
+					back := &Row{text: make([]byte, 1)}
 					if !decodeRow(&rd, back) || back.get(0) != c {
 						t.Fatalf("cell %+v does not survive the snapshot codec: %+v", c, back.get(0))
 					}
@@ -183,15 +184,19 @@ func TestCellPackUnpackExhaustive(t *testing.T) {
 // checkRowStorage stores cells, in order, round a row narrow enough that
 // its palette fills and is rebuilt every few dozen writes, and checks after
 // each write that every cell of the row reads back as stored and that the
-// palette keeps its rules; every 97th write also forces a compaction.
+// palette keeps its rules; every 97th write also forces a compaction. Only
+// the last cell keeps a soft-wrap flag: the row carries it for that cell.
 func checkRowStorage(t *testing.T, cells []Cell) {
 	t.Helper()
 	const w = 64
-	row := &Row{cells: make([]storedCell, w)}
+	row := &Row{text: make([]byte, w)}
 	shadow := make([]Cell, w)
 	for i, c := range cells {
 		x := i % w
 		row.set(x, c)
+		if x != w-1 {
+			c.content &^= wrapBit
+		}
 		shadow[x] = c
 		if i%97 == 0 {
 			row.compact()
@@ -210,8 +215,11 @@ func checkRowStorage(t *testing.T, cells []Cell) {
 // falls inside it.
 func checkPalette(t *testing.T, row *Row) {
 	t.Helper()
-	if len(row.pal) > len(row.cells) || cap(row.pal) > len(row.cells) {
-		t.Fatalf("palette of %d entries (capacity %d) in a %d-column row", len(row.pal), cap(row.pal), len(row.cells))
+	if len(row.pal) > row.width() || cap(row.pal) > row.width() {
+		t.Fatalf("palette of %d entries (capacity %d) in a %d-column row", len(row.pal), cap(row.pal), row.width())
+	}
+	if row.rends == nil && len(row.pal) > 0 {
+		t.Fatalf("a %d-entry palette on a row with no rendition plane", len(row.pal))
 	}
 	seen := map[Renditions]bool{}
 	for _, r := range row.pal {
@@ -220,9 +228,9 @@ func checkPalette(t *testing.T, row *Row) {
 		}
 		seen[r] = true
 	}
-	for x, s := range row.cells {
-		if int(s.rend) > len(row.pal) {
-			t.Fatalf("cell %d indexes entry %d of a %d-entry palette", x, s.rend, len(row.pal))
+	for x, k := range row.rends {
+		if int(k) > len(row.pal) {
+			t.Fatalf("cell %d indexes entry %d of a %d-entry palette", x, k, len(row.pal))
 		}
 	}
 }

@@ -40,25 +40,26 @@ type FrameWriter struct {
 	// blank is the all-blank baseline row used for full repaints and for
 	// lines a scroll brought on screen. Its generation is 0, which no
 	// real row ever carries (the generation counter starts at 1), so it
-	// never falsely matches. It is read-only by construction, so its cells
-	// are the process-wide blankCells, not a private array per writer.
+	// never falsely matches. It is read-only by construction, so its
+	// content plane is the process-wide blankText, not a private array per
+	// writer.
 	blank Row
 }
 
-// blankCells is the one run of zero-value cells behind every writer's
-// baseline row and every blank screen row (newBlankRow), as long as the
-// widest screen seen so far. Nobody writes to it; a racing pair of growers
-// both publish all-blank arrays, and the loser's lives only as long as the
-// rows and writers that took it.
-var blankCells atomic.Pointer[[]storedCell]
+// blankText is the one run of zero bytes — blank cells of a narrow content
+// plane — behind every writer's baseline row and every blank screen row
+// (newBlankRow, eraseRow), as long as the widest screen seen so far. Nobody
+// writes to it; a racing pair of growers both publish all-blank arrays, and
+// the loser's lives only as long as the rows and writers that took it.
+var blankText atomic.Pointer[[]byte]
 
-func sharedBlankCells(width int) []storedCell {
-	if p := blankCells.Load(); p != nil && len(*p) >= width {
+func sharedBlankText(width int) []byte {
+	if p := blankText.Load(); p != nil && len(*p) >= width {
 		return (*p)[:width:width]
 	}
-	cells := make([]storedCell, max(width, 256))
-	blankCells.Store(&cells)
-	return cells[:width:width]
+	text := make([]byte, max(width, 256))
+	blankText.Store(&text)
+	return text[:width:width]
 }
 
 // frameState tracks the remote terminal's cursor and rendition as our
@@ -77,8 +78,8 @@ type frameState struct {
 
 // blankRow returns the width-w blank baseline row.
 func (w *FrameWriter) blankRow(width int) *Row {
-	if len(w.blank.cells) != width {
-		w.blank.cells = sharedBlankCells(width)
+	if len(w.blank.text) != width {
+		w.blank.text = sharedBlankText(width)
 	}
 	return &w.blank
 }
@@ -249,28 +250,13 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 	if row == lastRow || row.gen == lastRow.gen {
 		return buf
 	}
-	// Find the extent of trailing blankness for the erase optimization.
-	blankFrom := width
-	for blankFrom > 0 && row.cells[blankFrom-1].isBlank() {
-		blankFrom--
+	if row.text != nil && lastRow.text != nil {
+		return paintText(buf, cur, y, lastRow, row, width)
 	}
-
-	// Rows whose palettes agree (see samePalette) compare stored cells.
-	// Others compare contents first, since a cell that changed has almost
-	// always changed its character, and only then look renditions up.
+	// Find the extent of trailing blankness for the erase optimization.
+	blankFrom := row.blankFrom()
 	samePal := row.samePalette(lastRow)
-	x := 0
-	for x < width {
-		if samePal {
-			if row.cells[x].looksLike(lastRow.cells[x]) {
-				x++
-				continue
-			}
-		} else if a, b := row.cells[x], lastRow.cells[x]; visible(a.content()) == visible(b.content()) &&
-			row.rendOf(a.rend) == lastRow.rendOf(b.rend) {
-			x++
-			continue
-		}
+	for x := row.nextChange(lastRow, 0, samePal); x < width; x = row.nextChange(lastRow, x, samePal) {
 		// Erase-to-end shortcut: everything from here on is blank in the
 		// target row.
 		if x >= blankFrom {
@@ -280,7 +266,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		}
 		// A differing continuation cell of a wide character cannot be
 		// painted directly; repaint its leader, which regenerates it.
-		if row.cells[x].glyph() == 0 && x > 0 && row.cells[x-1].wide() {
+		if row.glyph(x) == 0 && x > 0 && row.isWide(x-1) {
 			x--
 		}
 		cell := row.get(x)
@@ -290,7 +276,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 		// end in a joiner, and that test is inline: it runs for every cell
 		// a frame paints.
 		if x > 0 {
-			if g := row.cells[x-1].glyph(); (g == 0 || g&graphemeBit != 0) && joinsLeft(row, x) {
+			if g := row.glyph(x - 1); (g == 0 || g&graphemeBit != 0) && joinsLeft(row, x) {
 				cur.colInvalid = true
 			}
 		}
@@ -318,6 +304,51 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 	return buf
 }
 
+// paintText is paintRow for two rows that each hold one byte a cell: it
+// compares the bytes themselves, one at a time where neither row has a
+// rendition plane (a changed line is usually changed throughout) and
+// otherwise a run at a time (nextChange). Such a row holds no wide cell and
+// no cluster, so each changed cell is a move, its rendition and its byte,
+// as paintRow's general loop would emit them.
+func paintText(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) []byte {
+	t, lt := row.text, lastRow.text[:len(row.text)]
+	plain := row.rends == nil && lastRow.rends == nil
+	samePal := plain || row.samePalette(lastRow)
+	blankFrom := row.blankFrom()
+	for x := 0; x < len(t); x++ {
+		if !plain {
+			if x = row.nextChange(lastRow, x, samePal); x == len(t) {
+				break
+			}
+		} else if a, b := t[x], lt[x]; a == b || foldSpace(a) == foldSpace(b) {
+			continue
+		}
+		if cur.colInvalid || cur.row != y || cur.col != x {
+			buf = seek(buf, cur, y, x, lastRow, row)
+		}
+		if x >= blankFrom {
+			buf = setRend(buf, cur, SGRReset)
+			return append(buf, "\x1b[K"...)
+		}
+		if !plain {
+			buf = setRend(buf, cur, row.rendAt(x))
+		} else if cur.rend != SGRReset {
+			buf = setRend(buf, cur, SGRReset)
+		}
+		if a := t[x]; a != 0 && a < utf8.RuneSelf {
+			buf = append(buf, a)
+		} else {
+			buf = appendContent(buf, uint32(a))
+		}
+		if x+1 >= width {
+			cur.colInvalid = true
+		} else {
+			cur.col = x + 1
+		}
+	}
+	return buf
+}
+
 // joinsLeft reports whether the cell at x > 0, printed right after the cell to
 // its left, would be absorbed into it rather than start a cell of its own:
 // the emulator, like a real terminal, joins a pictographic rune printed
@@ -326,7 +357,7 @@ func paintRow(buf []byte, cur *frameState, y int, lastRow, row *Row, width int) 
 // print stream between them.
 func joinsLeft(row *Row, x int) bool {
 	p := x - 1
-	if p > 0 && row.cells[p].glyph() == 0 && row.cells[p-1].wide() {
+	if p > 0 && row.glyph(p) == 0 && row.isWide(p-1) {
 		p--
 	}
 	prev := row.get(p)
@@ -405,7 +436,7 @@ func seek(buf []byte, cur *frameState, row, col int, lastRow, next *Row) []byte 
 		n := cufLen(col - from)
 		if next != nil && col-from < min(n, cup) && reprints(lastRow, next, from, col, cur.rend) {
 			for x := from; x < col; x++ {
-				buf = append(buf, byte(next.cells[x].lo))
+				buf = append(buf, byte(next.word(x)))
 			}
 			return buf
 		}
@@ -442,8 +473,8 @@ func seek(buf []byte, cur *frameState, row, col int, lastRow, next *Row) []byte 
 // a reprint, which would destroy the character.
 func reprints(lastRow, row *Row, from, to int, rend Renditions) bool {
 	for x := from; x < to; x++ {
-		c := row.cells[x].content()
-		if c != lastRow.cells[x].content() || c-'!' > '~'-'!' || row.rendOf(row.cells[x].rend) != rend {
+		c := row.word(x)
+		if c != lastRow.word(x) || c-'!' > '~'-'!' || row.rendAt(x) != rend {
 			return false
 		}
 	}

@@ -306,15 +306,15 @@ func BenchmarkEmulatorBulk162x64(b *testing.B) {
 func TestFrameWriterBlankRowShared(t *testing.T) {
 	var a, b FrameWriter
 	wide, narrow := a.blankRow(132), b.blankRow(80)
-	if &wide.cells[0] != &narrow.cells[0] {
+	if &wide.text[0] != &narrow.text[0] {
 		t.Fatal("two writers' blank baseline rows do not share storage")
 	}
-	if len(narrow.cells) != 80 || cap(narrow.cells) != 80 || narrow.gen != 0 {
-		t.Fatalf("blank row is len %d cap %d gen %d, want 80/80/0", len(narrow.cells), cap(narrow.cells), narrow.gen)
+	if len(narrow.text) != 80 || cap(narrow.text) != 80 || narrow.gen != 0 || narrow.wide != nil || narrow.rends != nil {
+		t.Fatalf("blank row is len %d cap %d gen %d, want a narrow 80/80/0 with no rendition plane", len(narrow.text), cap(narrow.text), narrow.gen)
 	}
-	for i := range wide.cells {
-		if wide.cells[i] != (storedCell{}) {
-			t.Fatalf("shared blank cell %d is %+v", i, wide.cells[i])
+	for i, c := range wide.text {
+		if c != 0 {
+			t.Fatalf("shared blank cell %d is %#x", i, c)
 		}
 	}
 }

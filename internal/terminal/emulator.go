@@ -129,7 +129,7 @@ func (e *Emulator) print(r rune) {
 	// Deferred autowrap.
 	if ds.NextPrintWraps && ds.AutoWrapMode {
 		wr := fb.writableRow(ds.CursorRow)
-		wr.setContent(fb.W-1, wr.cells[fb.W-1].content()|wrapBit)
+		wr.wrapped = true
 		wr.touch()
 		ds.CursorCol = 0
 		ds.NextPrintWraps = false
@@ -140,7 +140,7 @@ func (e *Emulator) print(r rune) {
 	if width == 2 && ds.CursorCol == fb.W-1 {
 		if ds.AutoWrapMode {
 			wr := fb.writableRow(ds.CursorRow)
-			wr.setContent(fb.W-1, wr.cells[fb.W-1].content()|wrapBit)
+			wr.wrapped = true
 			wr.touch()
 			ds.CursorCol = 0
 			e.lineFeed()
@@ -160,8 +160,8 @@ func (e *Emulator) print(r rune) {
 	wr := fb.writableRow(row)
 	// Overwriting the continuation half of a wide character destroys the
 	// leader too.
-	if col > 0 && wr.cells[col-1].wide() {
-		wr.set(col-1, Cell{Rend: wr.rendOf(wr.cells[col-1].rend).background()})
+	if col > 0 && wr.isWide(col-1) {
+		wr.set(col-1, Cell{Rend: wr.rendAt(col - 1).background()})
 	}
 	c := Cell{content: packRune(r), Rend: ds.Rend}
 	c.SetWide(width == 2)
@@ -185,7 +185,7 @@ func (e *Emulator) print(r rune) {
 }
 
 // printRun draws a run of printable ASCII a row segment at a time: one
-// writableRow, one touch and a plain cell-store loop per segment, where
+// writableRow, one touch and one Row.putASCII per segment, where
 // print pays a width lookup, the ZWJ test, a window normalization and a
 // generation bump per character. A segment qualifies (plainSegment) only
 // when none of print's special cases can arise in it; everything else goes
@@ -204,12 +204,7 @@ func (e *Emulator) printRun(run []byte) {
 			continue
 		}
 		row := fb.writableRow(ds.CursorRow)
-		col := ds.CursorCol
-		k := row.index(ds.Rend, col, col+n)
-		cells := row.cells[col : col+n]
-		for i := range cells {
-			cells[i] = storedCell{lo: uint16(run[i]), rend: k}
-		}
+		row.putASCII(ds.CursorCol, run[:n], ds.Rend)
 		row.touch()
 		if ds.CursorCol+n >= fb.W {
 			ds.CursorCol = fb.W - 1
@@ -238,7 +233,10 @@ func (e *Emulator) plainSegment(max int) int {
 	if max < n {
 		n = max
 	}
-	cells := fb.rows[ds.CursorRow].cells
+	row := fb.rows[ds.CursorRow]
+	if row.text != nil {
+		return n // a narrow row holds no wide cell
+	}
 	lo, hi := col-1, col+n // inclusive: one cell either side of the span
 	if lo < 0 {
 		lo = 0
@@ -247,7 +245,7 @@ func (e *Emulator) plainSegment(max int) int {
 		hi = fb.W - 1
 	}
 	for i := lo; i <= hi; i++ {
-		if cells[i].wide() {
+		if row.isWide(i) {
 			if n = i - col - 1; n < 0 {
 				n = 0
 			}
@@ -268,7 +266,7 @@ func (e *Emulator) prevGraphicCell() (row, col int) {
 	if !ds.NextPrintWraps && col > 0 {
 		col--
 	}
-	if cells := fb.rows[row].cells; col > 0 && cells[col].glyph() == 0 && cells[col-1].wide() {
+	if r := fb.rows[row]; col > 0 && r.glyph(col) == 0 && r.isWide(col-1) {
 		col--
 	}
 	return row, col
@@ -287,8 +285,8 @@ func (e *Emulator) widenCell(row, col int) {
 		return
 	}
 	wr := fb.writableRow(row)
-	wr.setContent(col, wr.cells[col].content()|wideBit)
-	wr.set(col+1, Cell{Rend: wr.rendOf(wr.cells[col].rend).background()})
+	wr.setContent(col, wr.get(col).content|wideBit)
+	wr.set(col+1, Cell{Rend: wr.rendAt(col).background()})
 	fb.normalizeWideRange(row, col-2, col+3)
 	wr.touch()
 	ds := &fb.DS
@@ -351,10 +349,12 @@ func (e *Emulator) escDispatch(inter []byte, final byte) {
 		if final == '8' { // DECALN
 			for r := 0; r < fb.H; r++ {
 				row := fb.writableRow(r)
-				for c := 0; c < fb.W; c++ {
-					// The soft-wrap flag survives: it is line metadata.
-					row.set(c, Cell{content: row.cells[c].content()&wrapBit | 'E'})
+				// The soft-wrap flag survives: it is line metadata.
+				e := Cell{content: 'E'}
+				if row.wrapped {
+					e.setWrap()
 				}
+				row.fill(0, fb.W, e)
 				row.touch()
 			}
 			fb.MoveCursor(0, 0)

@@ -17,11 +17,24 @@ import (
 // pointer copies instead of O(width×height) cell copies, which is what
 // makes the SSP sender's per-send state history cheap.
 //
-// A row stores its cells as 6-byte storedCells indexing its rendition
-// palette (see the package comment); get and set translate to and from
-// Cell.
+// A row stores its cells in two planes, each as narrow as its cells allow
+// (see the package comment): the content plane holds one byte a cell
+// (text) until a cell needs the full content word (wide), and the
+// rendition-index plane (rends) is absent until a cell needs a rendition
+// other than the default. A write that does not fit a plane widens it once,
+// in place; only eraseRow narrows a row, by pointing it back at the shared
+// blank array. Every decision about a plane's width is made by Row's
+// methods; get and set translate to and from Cell.
 type Row struct {
-	cells []storedCell
+	// text is the narrow content plane: a cell's content word as one byte
+	// (see narrowLimit). nil once the row is wide.
+	text []byte
+	// wide is the wide content plane: a cell's content word, its wide flag
+	// included. nil while the row is narrow.
+	wide []uint32
+	// rends holds each cell's palette index, 0 for the default rendition;
+	// nil while no cell has needed another.
+	rends []uint16
 	// pal holds the distinct non-default renditions the cells index, never
 	// more entries than there are cells. Only the one private row that
 	// allocated the array writes to it (ownPal): a clone takes it capped at
@@ -29,11 +42,17 @@ type Row struct {
 	// new array.
 	pal []Renditions
 	gen uint64
-	// shared marks a row reachable from more than one framebuffer, or one
-	// whose cells alias the process-wide blank array (newBlankRow,
-	// eraseRow). Once set it is never cleared on this Row: a framebuffer
-	// that wants to write replaces its pointer with a private copy instead.
+	// wrapped marks that the line soft-wrapped after its last cell: the one
+	// cell that can carry the flag, so the row carries it for that cell.
+	wrapped bool
+	// shared marks a row reachable from more than one framebuffer. Once set
+	// it is never cleared on this Row: a framebuffer that wants to write
+	// replaces its pointer with a private copy instead.
 	shared bool
+	// blank marks text as a view of the process-wide blank array
+	// (newBlankRow, eraseRow), which nobody writes: the first store gives
+	// the row a content plane of its own, narrow or wide as it needs.
+	blank bool
 	// ownPal marks pal as an array this row allocated. No other row reads
 	// such an array while this one is private (a row is cloned only once
 	// shared, and a shared row is never written), so index may overwrite
@@ -41,12 +60,14 @@ type Row struct {
 	ownPal bool
 }
 
-// rowHeaderBytes is the footprint of a Row: its two slice headers, the
-// generation and the two flags.
-const rowHeaderBytes = 64
+// RowHeaderBytes is the footprint of a Row header: its four slice headers,
+// the generation and the four flags. The resident gauge charges planes and
+// palettes only (AccumulateResident), so a row costs the heap this much
+// more.
+const RowHeaderBytes = 112
 
-var _ [rowHeaderBytes - unsafe.Sizeof(Row{})]struct{}
-var _ [unsafe.Sizeof(Row{}) - rowHeaderBytes]struct{}
+var _ [RowHeaderBytes - unsafe.Sizeof(Row{})]struct{}
+var _ [unsafe.Sizeof(Row{}) - RowHeaderBytes]struct{}
 
 // rowGenCounter is global so generations stay unique across every
 // framebuffer in the process; atomic because independent sessions (and
@@ -59,30 +80,85 @@ func nextGen() uint64 {
 
 // newRow returns a private row of blanks with background bg.
 func newRow(width int, bg Renditions) *Row {
-	r := &Row{cells: make([]storedCell, width), gen: nextGen()}
+	r := &Row{text: make([]byte, width), gen: nextGen()}
 	r.fill(0, width, Cell{Rend: bg.background()})
 	return r
 }
 
 // newBlankRow returns a blank row with the default background that owns no
 // cells: it aliases the process-wide blank array every session's blank lines
-// share and is born shared, so the first write to it materializes a private
-// row through writableRow exactly as a write to a snapshotted row does.
-// Nobody ever writes the blank array; code that fills a fresh row's cells
-// directly takes newRow.
+// share, so the first store to it gives it a content plane of its own.
+// Nobody ever writes the blank array.
 func newBlankRow(width int) *Row {
-	return &Row{cells: sharedBlankCells(width), gen: nextGen(), shared: true}
+	return &Row{text: sharedBlankText(width), gen: nextGen(), blank: true}
 }
 
 // touch marks the row modified.
 func (r *Row) touch() { r.gen = nextGen() }
 
-// clone deep-copies the row's cells; the copy is private (not shared) and
+// width returns the number of cells: exactly one content plane is set.
+func (r *Row) width() int { return len(r.text) + len(r.wide) }
+
+// clone deep-copies the row's planes; the copy is private (not shared) and
 // shares the palette, capped so that its appends never reach the source's.
+// A row on the blank array has nothing to copy: the clone aliases it too.
 func (r *Row) clone() *Row {
-	nr := &Row{cells: make([]storedCell, len(r.cells)), pal: r.pal[:len(r.pal):len(r.pal)], gen: r.gen}
-	copy(nr.cells, r.cells)
+	nr := &Row{pal: r.pal[:len(r.pal):len(r.pal)], gen: r.gen, wrapped: r.wrapped}
+	switch {
+	case r.blank:
+		nr.text, nr.blank = r.text, true
+	case r.wide != nil:
+		nr.wide = make([]uint32, len(r.wide))
+		copy(nr.wide, r.wide)
+	default:
+		nr.text = make([]byte, len(r.text))
+		copy(nr.text, r.text)
+	}
+	if r.rends != nil {
+		nr.rends = make([]uint16, len(r.rends))
+		copy(nr.rends, r.rends)
+	}
 	return nr
+}
+
+// widen moves the content plane from one byte a cell to the full word.
+func (r *Row) widen() {
+	w := make([]uint32, len(r.text))
+	for i, b := range r.text {
+		w[i] = uint32(b)
+	}
+	r.text, r.wide, r.blank = nil, w, false
+}
+
+// ownText gives a row on the blank array a narrow content plane of its
+// own; every store to the narrow plane calls it first.
+func (r *Row) ownText() {
+	if r.blank {
+		r.text, r.blank = make([]byte, len(r.text)), false
+	}
+}
+
+// word returns cell i's content word without the soft-wrap flag.
+func (r *Row) word(i int) uint32 {
+	if r.text != nil {
+		return uint32(r.text[i])
+	}
+	return r.wide[i]
+}
+
+// glyph returns cell i's grapheme word, without the cell flags.
+func (r *Row) glyph(i int) uint32 { return r.word(i) &^ flagBits }
+
+// isWide reports whether cell i is the leading half of a double-width
+// character; a narrow row holds none.
+func (r *Row) isWide(i int) bool { return r.text == nil && r.wide[i]&wideBit != 0 }
+
+// rendIndex returns cell i's palette index.
+func (r *Row) rendIndex(i int) uint16 {
+	if r.rends == nil {
+		return 0
+	}
+	return r.rends[i]
 }
 
 // rendOf returns the rendition palette index k stands for.
@@ -93,33 +169,130 @@ func (r *Row) rendOf(k uint16) Renditions {
 	return r.pal[k-1]
 }
 
+// rendAt returns cell i's rendition.
+func (r *Row) rendAt(i int) Renditions { return r.rendOf(r.rendIndex(i)) }
+
+// isBlank is Cell.IsBlank for cell i: index 0 is the default rendition,
+// and a palette never holds it.
+func (r *Row) isBlank(i int) bool {
+	w := r.word(i)
+	return (w == 0 || w == packedSpace) && r.rendIndex(i) == 0
+}
+
 // get returns cell i.
 func (r *Row) get(i int) Cell {
-	s := r.cells[i]
-	return Cell{content: s.content(), Rend: r.rendOf(s.rend)}
+	c := Cell{content: r.word(i), Rend: r.rendAt(i)}
+	if r.wrapped && i == r.width()-1 {
+		c.content |= wrapBit
+	}
+	return c
 }
 
 // set stores c as cell i.
 func (r *Row) set(i int, c Cell) {
-	r.cells[i] = pack(c.content, r.index(c.Rend, i, i+1))
+	r.setContent(i, c.content)
+	if k := r.index(c.Rend, i, i+1); r.rends != nil {
+		r.rends[i] = k
+	}
 }
 
-// fill stores c in cells [from, to).
+// fill stores c in cells [from, to). Only the last cell keeps c's soft-wrap
+// flag.
 func (r *Row) fill(from, to int, c Cell) {
-	s := pack(c.content, r.index(c.Rend, from, to))
-	for i := from; i < to; i++ {
-		r.cells[i] = s
+	w := r.storeWrap(to-1, c.content)
+	if r.text != nil && w < narrowLimit {
+		r.ownText()
+		t := r.text[from:to]
+		for i := range t {
+			t[i] = byte(w)
+		}
+	} else {
+		if r.text != nil {
+			r.widen()
+		}
+		t := r.wide[from:to]
+		for i := range t {
+			t[i] = w
+		}
+	}
+	if k := r.index(c.Rend, from, to); r.rends != nil {
+		t := r.rends[from:to]
+		for i := range t {
+			t[i] = k
+		}
 	}
 }
 
 // setContent replaces cell i's content word, keeping its rendition.
 func (r *Row) setContent(i int, content uint32) {
-	r.cells[i] = pack(content, r.cells[i].rend)
+	w := r.storeWrap(i, content)
+	if r.text != nil {
+		if w < narrowLimit {
+			r.ownText()
+			r.text[i] = byte(w)
+			return
+		}
+		r.widen()
+	}
+	r.wide[i] = w
+}
+
+// storeWrap takes the soft-wrap flag of content stored as cell i: the row's
+// flag when i is the last cell, dropped anywhere else. It returns content
+// without it.
+func (r *Row) storeWrap(i int, content uint32) uint32 {
+	if i == r.width()-1 {
+		r.wrapped = content&wrapBit != 0
+	}
+	return content &^ wrapBit
+}
+
+// putASCII stores run, printable ASCII, as cells [col, col+len(run)) in
+// rendition rend: the emulator's bulk print path.
+func (r *Row) putASCII(col int, run []byte, rend Renditions) {
+	end := col + len(run)
+	if r.text != nil {
+		r.ownText()
+		copy(r.text[col:end], run)
+	} else {
+		t := r.wide[col:end]
+		for i := range t {
+			t[i] = uint32(run[i])
+		}
+	}
+	if k := r.index(rend, col, end); r.rends != nil {
+		t := r.rends[col:end]
+		for i := range t {
+			t[i] = k
+		}
+	}
+	if end == r.width() {
+		r.wrapped = false
+	}
+}
+
+// move copies the n cells from src to dst, as ICH and DCH shift a row's
+// tail. The last cell then holds a cell that was not last, so a move that
+// reaches it clears the soft-wrap flag.
+func (r *Row) move(dst, src, n int) {
+	if r.text != nil {
+		r.ownText()
+		copy(r.text[dst:dst+n], r.text[src:])
+	} else {
+		copy(r.wide[dst:dst+n], r.wide[src:])
+	}
+	if r.rends != nil {
+		copy(r.rends[dst:dst+n], r.rends[src:])
+	}
+	if dst+n == r.width() {
+		r.wrapped = false
+	}
 }
 
 // index returns rend's palette index, for storing into cells [from, to):
 // the caller overwrites them next, so the renditions they hold now do not
-// count as in use. A rendition the palette lacks is appended. A full
+// count as in use. The first non-default rendition gives the row its
+// rendition-index plane. A rendition the palette lacks is appended. A full
 // palette takes it in place of the entry the span's first cell leaves
 // unused, when the row owns the array (nothing else reads it); otherwise
 // it is first rebuilt from the renditions still in use, which with the span
@@ -133,19 +306,20 @@ func (r *Row) index(rend Renditions, from, to int) uint16 {
 			return uint16(i + 1)
 		}
 	}
-	if len(r.pal) == len(r.cells) {
-		if k := r.cells[from].rend; k != 0 && r.ownPal && r.unusedOutside(k, from, to) {
+	width := r.width()
+	if r.rends == nil {
+		r.rends = make([]uint16, width)
+	} else if len(r.pal) == width {
+		if k := r.rends[from]; k != 0 && r.ownPal && r.unusedOutside(k, from, to) {
 			r.pal[k-1] = rend
 			return k
 		}
-		for i := from; i < to; i++ {
-			r.cells[i].rend = 0
-		}
+		clear(r.rends[from:to])
 		r.compact()
 	}
 	if len(r.pal) == cap(r.pal) {
 		// Grown by hand, never past the row's width.
-		pal := make([]Renditions, len(r.pal), min(len(r.cells), max(4, 2*len(r.pal))))
+		pal := make([]Renditions, len(r.pal), min(width, max(4, 2*len(r.pal))))
 		copy(pal, r.pal)
 		r.pal, r.ownPal = pal, true
 	}
@@ -155,8 +329,8 @@ func (r *Row) index(rend Renditions, from, to int) uint16 {
 
 // unusedOutside reports whether no cell outside [from, to) indexes k.
 func (r *Row) unusedOutside(k uint16, from, to int) bool {
-	for i, c := range r.cells {
-		if c.rend == k && (i < from || i >= to) {
+	for i, c := range r.rends {
+		if c == k && (i < from || i >= to) {
 			return false
 		}
 	}
@@ -169,15 +343,14 @@ func (r *Row) unusedOutside(k uint16, from, to int) bool {
 func (r *Row) compact() {
 	remap := make([]uint16, len(r.pal)+1)
 	n := uint16(0)
-	for i := range r.cells {
-		k := r.cells[i].rend
+	for i, k := range r.rends {
 		if k != 0 && remap[k] == 0 {
 			n++
 			remap[k] = n
 		}
-		r.cells[i].rend = remap[k]
+		r.rends[i] = remap[k]
 	}
-	pal := make([]Renditions, n, min(int(n)+1, len(r.cells)))
+	pal := make([]Renditions, n, min(int(n)+1, r.width()))
 	for k, to := range remap[1:] {
 		if to != 0 {
 			pal[to-1] = r.pal[k]
@@ -208,35 +381,132 @@ func (r *Row) samePalette(o *Row) bool {
 	return true
 }
 
+// equal reports whether r and o render identically (Cell.Equal, cell by
+// cell).
 func (r *Row) equal(o *Row) bool {
 	if r == o || r.gen == o.gen {
 		return true
 	}
-	if len(r.cells) != len(o.cells) {
-		return false
-	}
-	if r.samePalette(o) {
-		for i := range r.cells {
-			if !r.cells[i].looksLike(o.cells[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range r.cells {
-		if !r.get(i).Equal(o.get(i)) {
-			return false
-		}
-	}
-	return true
+	n := r.width()
+	return n == o.width() && r.nextChange(o, 0, r.samePalette(o)) == n
 }
 
-// residentBytes charges r's cell array and its palette's capacity, less
-// what seen already holds of them. A clone sees its source's palette capped
-// at the length it took, so the largest view of an array is what counts.
+// nextChange returns the first cell at or after x that does not look alike
+// in r and o (Cell.Equal), or r's width; samePal is r.samePalette(o), under
+// which equal indices are equal renditions. Otherwise renditions are looked
+// up cell by cell.
+func (r *Row) nextChange(o *Row, x int, samePal bool) int {
+	if !samePal {
+		n := r.width()
+		for ; x < n; x++ {
+			if visible(r.word(x)) != visible(o.word(x)) || r.rendAt(x) != o.rendAt(x) {
+				return x
+			}
+		}
+		return n
+	}
+	return indexChange(r.rends, o.rends, x, r.contentChange(o, x))
+}
+
+// contentChange returns the first cell at or after x whose content does not
+// look alike in r and o, or r's width. Two content planes of one width
+// compare their elements.
+func (r *Row) contentChange(o *Row, x int) int {
+	switch {
+	case r.text != nil && o.text != nil:
+		a, b := r.text, o.text[:len(r.text)]
+		for ; x < len(a); x++ {
+			if a[x] != b[x] && foldSpace(a[x]) != foldSpace(b[x]) {
+				return x
+			}
+		}
+		return len(a)
+	case r.wide != nil && o.wide != nil:
+		a, b := r.wide, o.wide[:len(r.wide)]
+		for ; x < len(a); x++ {
+			if visible(a[x]) != visible(b[x]) {
+				return x
+			}
+		}
+		return len(a)
+	}
+	n := r.width()
+	for ; x < n; x++ {
+		if visible(r.word(x)) != visible(o.word(x)) {
+			return x
+		}
+	}
+	return n
+}
+
+// indexChange returns the first cell in [x, end) whose rendition index
+// differs between the planes a and b, either of which may be absent (every
+// index 0), or end.
+func indexChange(a, b []uint16, x, end int) int {
+	switch {
+	case a == nil && b == nil:
+		return end
+	case a == nil:
+		a, b = b, a
+		fallthrough
+	case b == nil:
+		for a := a[:end]; x < end; x++ {
+			if a[x] != 0 {
+				return x
+			}
+		}
+		return end
+	}
+	a, b = a[:end], b[:end]
+	for ; x < end; x++ {
+		if a[x] != b[x] {
+			return x
+		}
+	}
+	return end
+}
+
+// blankFrom returns where the run of blank cells that ends the row starts.
+func (r *Row) blankFrom() int {
+	n := r.width()
+	if t := r.text; t != nil {
+		if rs := r.rends; rs != nil {
+			for n > 0 && foldSpace(t[n-1]) == 0 && rs[n-1] == 0 {
+				n--
+			}
+			return n
+		}
+		for n > 0 && foldSpace(t[n-1]) == 0 {
+			n--
+		}
+		return n
+	}
+	for n > 0 && r.isBlank(n-1) {
+		n--
+	}
+	return n
+}
+
+// foldSpace is visible for a narrow cell: a printed space looks blank.
+func foldSpace(b byte) byte {
+	if b == ' ' {
+		return 0
+	}
+	return b
+}
+
+// residentBytes charges r's planes and its palette's capacity, less what
+// seen already holds of them. A clone sees its source's palette capped at
+// the length it took, so the largest view of an array is what counts.
 func (r *Row) residentBytes(seen ResidentSet) (bytes int) {
-	if len(r.cells) > 0 {
-		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.cells)), len(r.cells)*StoredCellBytes)
+	if len(r.text) > 0 {
+		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.text)), len(r.text)*NarrowCellBytes)
+	}
+	if len(r.wide) > 0 {
+		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.wide)), len(r.wide)*WideCellBytes)
+	}
+	if len(r.rends) > 0 {
+		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.rends)), len(r.rends)*RendIndexBytes)
 	}
 	if cap(r.pal) > 0 {
 		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.pal)), cap(r.pal)*rendBytes)
@@ -416,9 +686,10 @@ func (f *Framebuffer) Identical(o *Framebuffer) bool {
 }
 
 // writableRow returns row i, first materializing a private copy if the
-// row is shared with a snapshot or aliases the blank array. Every mutation
-// of row contents must go through it (directly or via SetCell) to preserve
-// the copy-on-write invariant that shared rows are immutable.
+// row is shared with a snapshot. Every mutation of row contents must go
+// through it (directly or via SetCell) to preserve the copy-on-write
+// invariant that shared rows are immutable. A row on the blank array needs
+// no copy: its stores give it planes of its own (Row.ownText, Row.widen).
 func (f *Framebuffer) writableRow(i int) *Row {
 	r := f.rows[i]
 	if r.shared {
@@ -446,8 +717,9 @@ func (f *Framebuffer) SetCell(row, col int, c Cell) {
 // examples).
 func (f *Framebuffer) Text(i int) string {
 	var s []byte
-	for _, c := range f.rows[i].cells {
-		s = appendContent(s, c.glyph())
+	r := f.rows[i]
+	for x := 0; x < f.W; x++ {
+		s = appendContent(s, r.glyph(x))
 	}
 	return string(s)
 }
@@ -493,23 +765,22 @@ func (f *Framebuffer) eraseCells(row, from, to int) {
 }
 
 // eraseRow blanks row i to the default background by pointing it at the
-// shared blank array, so an erased line owns no cells. A row already on the
-// array is left as it is, generation and all: its contents do not change. A
-// private row keeps its header, now aliasing the array and marked shared
-// like any newBlankRow; a shared one is replaced, since a snapshot still
-// reads it. The cells and palette a private row drops go to the collector,
-// not the free list, which would keep them resident.
+// shared blank array, so an erased line owns no cells: the one way a row's
+// planes narrow. A row already on the array is left as it is, generation
+// and all: its contents do not change. A private row keeps its header, now
+// aliasing the array like any newBlankRow, so writing it again costs a
+// content plane and no header; a shared one is replaced, since a snapshot
+// still reads it. The planes and palette a private row drops go to the
+// collector, not the free list, which would keep them resident.
 func (f *Framebuffer) eraseRow(i int) {
 	r := f.rows[i]
-	blank := sharedBlankCells(f.W)
-	if unsafe.SliceData(r.cells) == unsafe.SliceData(blank) {
-		return
-	}
-	if r.shared {
+	switch {
+	case r.blank && !r.wrapped:
+	case r.shared:
 		f.rows[i] = newBlankRow(f.W)
-		return
+	default:
+		*r = Row{text: sharedBlankText(f.W), gen: nextGen(), blank: true}
 	}
-	*r = Row{cells: blank, gen: nextGen(), shared: true}
 }
 
 // normalizeWide repairs the wide-character invariant on a row after any
@@ -529,26 +800,24 @@ func (f *Framebuffer) normalizeWide(row int) { f.normalizeWideRange(row, 0, f.W)
 // shift whole row tails (insert/delete/scroll/resize) still scan the row.
 func (f *Framebuffer) normalizeWideRange(row, from, to int) {
 	r := f.writableRow(row)
-	if from < 0 {
-		from = 0
+	words := r.wide
+	if words == nil {
+		return // a narrow row holds no wide cell
 	}
-	if to > f.W {
-		to = f.W
-	}
-	for col := from; col < to; col++ {
-		if !r.cells[col].wide() {
+	to = min(to, f.W)
+	for col := max(from, 0); col < to; col++ {
+		if words[col]&wideBit == 0 {
 			continue
 		}
-		bg := r.rendOf(r.cells[col].rend).background()
+		bg := r.rendAt(col).background()
 		if col == f.W-1 {
 			r.set(col, Cell{Rend: bg})
 			continue
 		}
-		// The continuation keeps the row's soft-wrap flag: it is line
-		// metadata, not content the leader dictates.
-		want := Cell{content: r.cells[col+1].content() & wrapBit, Rend: bg}
-		if r.get(col+1) != want {
-			r.set(col+1, want)
+		if words[col+1] != 0 || r.rendAt(col+1) != bg {
+			// The continuation keeps the row's soft-wrap flag: it is line
+			// metadata, not content the leader dictates.
+			r.set(col+1, Cell{content: r.get(col+1).content & wrapBit, Rend: bg})
 		}
 		col++ // skip the continuation we just fixed
 	}
@@ -625,10 +894,11 @@ func (f *Framebuffer) Scroll(n int) {
 }
 
 // recycleRow offers a discarded row to the free list. Shared rows are
-// refused (a snapshot still reads them), as are rows of the wrong width;
-// the list is bounded by the screen height.
+// refused (a snapshot still reads them), as are rows on the blank array
+// (nobody writes it) and rows of the wrong width; the list is bounded by
+// the screen height. A recycled row keeps its planes as wide as they grew.
 func (f *Framebuffer) recycleRow(r *Row) {
-	if r.shared || len(r.cells) != f.W || len(f.freeRows) >= f.H {
+	if r.shared || r.blank || r.width() != f.W || len(f.freeRows) >= f.H {
 		return
 	}
 	f.freeRows = append(f.freeRows, r)
@@ -653,7 +923,7 @@ func (f *Framebuffer) newRowPooled(bg Renditions) *Row {
 	} else {
 		r.pal = nil // a snapshot's row may read it
 	}
-	r.fill(0, len(r.cells), Cell{Rend: bg.background()})
+	r.fill(0, f.W, Cell{Rend: bg.background()})
 	r.gen = nextGen()
 	return r
 }
@@ -693,7 +963,7 @@ func (f *Framebuffer) InsertCells(n int) {
 		return
 	}
 	r := f.writableRow(row)
-	copy(r.cells[col+n:], r.cells[col:f.W-n])
+	r.move(col+n, col, f.W-n-col)
 	r.fill(col, col+n, Cell{Rend: f.DS.Rend.background()})
 	f.normalizeWide(row)
 	r.touch()
@@ -710,7 +980,7 @@ func (f *Framebuffer) DeleteCells(n int) {
 		return
 	}
 	r := f.writableRow(row)
-	copy(r.cells[col:], r.cells[col+n:])
+	r.move(col, col+n, f.W-n-col)
 	r.fill(f.W-n, f.W, Cell{Rend: f.DS.Rend.background()})
 	f.normalizeWide(row)
 	r.touch()
@@ -739,7 +1009,7 @@ func (f *Framebuffer) Resize(w, h int) {
 			r.set(x, f.rows[i].get(x))
 		}
 		// A surviving wide cell split at the boundary becomes blank.
-		if n > 0 && r.cells[n-1].wide() && n == w {
+		if n > 0 && r.isWide(n-1) && n == w {
 			r.set(n-1, Cell{})
 		}
 		rows[i] = r
@@ -842,7 +1112,8 @@ func (f *Framebuffer) SetScrollbackLimit(int) {}
 // observability (sessiond exports the aggregate over all sessions).
 type MemStats struct {
 	// ScreenRows is the grid height; SharedScreenRows counts grid rows
-	// currently shared copy-on-write with a snapshot.
+	// currently shared copy-on-write with a snapshot or with the blank
+	// array.
 	ScreenRows, SharedScreenRows int
 	// PooledRows counts recycled rows waiting on the free list.
 	PooledRows int
@@ -855,7 +1126,7 @@ func (f *Framebuffer) MemStats() MemStats {
 		PooledRows: len(f.freeRows),
 	}
 	for _, r := range f.rows {
-		if r.shared {
+		if r.shared || r.blank {
 			m.SharedScreenRows++
 		}
 	}
@@ -878,8 +1149,10 @@ func (s ResidentSet) add(p unsafe.Pointer, n int) int {
 }
 
 // AccumulateResident tallies the cell storage this framebuffer keeps
-// resident — stored cells at StoredCellBytes each, and each palette's
-// capacity at 8 bytes an entry — deduplicated against every backing array
+// resident — each row's planes at their cells' width (NarrowCellBytes or
+// WideCellBytes a cell of content, RendIndexBytes a cell of rendition
+// indices when the row has that plane), and each palette's capacity at 8
+// bytes an entry — deduplicated against every backing array
 // already counted in seen. So storage shared copy-on-write (a row and its
 // snapshot, a clone and the palette it took from its source), and the blank
 // array every blank row aliases, is charged once fleet-wide, no matter how

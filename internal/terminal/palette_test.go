@@ -8,10 +8,11 @@ import (
 	"testing"
 )
 
-// rowBytes is what row r keeps allocated: its cells, its palette's
+// rowBytes is what row r keeps allocated: its planes, its palette's
 // capacity and its header.
 func rowBytes(r *Row) int {
-	return len(r.cells)*StoredCellBytes + cap(r.pal)*rendBytes + rowHeaderBytes
+	return len(r.text)*NarrowCellBytes + len(r.wide)*WideCellBytes + len(r.rends)*RendIndexBytes +
+		cap(r.pal)*rendBytes + RowHeaderBytes
 }
 
 // TestHostilePalette writes a MaxDim-wide row in which every cell has a
@@ -39,7 +40,7 @@ func TestHostilePalette(t *testing.T) {
 		fb := server.Framebuffer()
 		for y, r := range fb.rows {
 			checkPalette(t, r)
-			if got, limit := rowBytes(r), w*(StoredCellBytes+rendBytes)+rowHeaderBytes; got > limit {
+			if got, limit := rowBytes(r), w*(WideCellBytes+RendIndexBytes+rendBytes)+RowHeaderBytes; got > limit {
 				t.Fatalf("%s: row %d holds %d B, over the %d B bound", what, y, got, limit)
 			}
 		}
@@ -74,18 +75,36 @@ func TestHostilePalette(t *testing.T) {
 }
 
 // TestRowCloneBytes pins what copy-on-write costs per written row: each
-// clone allocates the cells at 6 bytes a cell, rounded to the size class
-// — 480, 896 and 1 024 B at 80, 132 and 162 columns — and the 64-byte
-// header, and nothing for the palette it shares with its source. A layout
-// that loses the halving (12-byte cells are 1 024, 1 792 and 2 048 B)
+// clone allocates its planes, each rounded to its size class, and the
+// 112-byte header, and nothing for the palette it shares with its source.
+// An uncoloured ASCII line is one byte a cell (80, 144 and 176 B at 80,
+// 132 and 162 columns, where 6-byte cells took 480, 896 and 1 024 B); a
+// coloured prompt adds two bytes a cell of rendition indices (160, 288 and
+// 352 B); a line holding a CJK character takes four bytes a cell of
+// content (320, 576 and 704 B). A layout that loses a plane's narrowing
 // fails on every host.
 func TestRowCloneBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates beside the code measured")
 	}
-	for _, c := range []struct{ cols, cells int }{{80, 480}, {132, 896}, {162, 1024}} {
+	const prompt = "\x1b[1;32muser@host\x1b[0m:\x1b[34m~/src\x1b[0m$ "
+	for _, c := range []struct {
+		name, host   string
+		cols, planes int
+	}{
+		{"ascii", "", 80, 80},
+		{"ascii", "", 132, 144},
+		{"ascii", "", 162, 176},
+		{"coloured", prompt, 80, 80 + 160},
+		{"coloured", prompt, 132, 144 + 288},
+		{"coloured", prompt, 162, 176 + 352},
+		{"cjk", "字", 80, 320},
+		{"cjk", "字", 132, 576},
+		{"cjk", "字", 162, 704},
+		{"coloured cjk", prompt + "字", 162, 704 + 352},
+	} {
 		e := NewEmulator(c.cols, 1)
-		e.WriteString("\x1b[1;32muser@host\x1b[0m:\x1b[34m~/src\x1b[0m$ ")
+		e.WriteString(c.host)
 		e.WriteString(strings.Repeat("x", c.cols))
 		row := e.Framebuffer().rows[0]
 		row.shared = true
@@ -99,8 +118,8 @@ func TestRowCloneBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(clones)
 		per := int(after.TotalAlloc-before.TotalAlloc) / n
-		if want := c.cells + rowHeaderBytes; per != want {
-			t.Errorf("%d columns: a clone allocates %d B, want %d (cells) + %d (header)", c.cols, per, c.cells, rowHeaderBytes)
+		if want := c.planes + RowHeaderBytes; per != want {
+			t.Errorf("%s, %d columns: a clone allocates %d B, want %d (planes) + %d (header)", c.name, c.cols, per, c.planes, RowHeaderBytes)
 		}
 	}
 }
@@ -169,7 +188,9 @@ func TestFullPaletteAllocatesNothing(t *testing.T) {
 // once at the owner's capacity, whichever screen is tallied first.
 func TestResidentChargesPaletteCapacity(t *testing.T) {
 	const w = 80
-	cells := w * StoredCellBytes
+	// Every row here is ASCII in colour: a narrow content plane and a
+	// rendition-index plane.
+	cells := w * (NarrowCellBytes + RendIndexBytes)
 	e := NewEmulator(w, 1)
 	for x := 0; x < w; x++ {
 		fmt.Fprintf(e, "\x1b[38;5;%dm#", x+1)

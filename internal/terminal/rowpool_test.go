@@ -141,7 +141,7 @@ func TestPoolClearedOnResize(t *testing.T) {
 	f.Resize(50, 8)
 	f.Scroll(2)
 	for i := 0; i < f.H; i++ {
-		if got := len(f.rows[i].cells); got != 50 {
+		if got := f.rows[i].width(); got != 50 {
 			t.Fatalf("row %d has %d cells after resize, want 50", i, got)
 		}
 	}

@@ -119,14 +119,26 @@ func appendCell(buf []byte, c Cell) []byte {
 }
 
 // appendRow run-length encodes one row of cells. A run is cells identical
-// in every bit, wrap flag included; within one row that is identical
-// stored cells, its palette's entries being distinct.
+// in every bit, wrap flag included; within one row that is equal content
+// words and equal palette indices, its palette's entries being distinct,
+// and a soft-wrapped last cell is a run of its own. A narrow row without a
+// rendition plane finds its runs in its bytes.
 func appendRow(buf []byte, r *Row) []byte {
-	cells := r.cells
-	for i := 0; i < len(cells); {
+	n := r.width()
+	end := n // runs extend through cells [0, end)
+	if r.wrapped {
+		end--
+	}
+	for i := 0; i < n; {
 		j := i + 1
-		for j < len(cells) && cells[j] == cells[i] {
-			j++
+		if r.text != nil && r.rends == nil {
+			for j < end && r.text[j] == r.text[i] {
+				j++
+			}
+		} else {
+			for j < end && r.word(j) == r.word(i) && r.rendIndex(j) == r.rendIndex(i) {
+				j++
+			}
 		}
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		buf = appendCell(buf, r.get(i))
@@ -258,7 +270,7 @@ func decodeRenditions(r *binio.Reader) (Renditions, bool) {
 // decodeRow fills row's cells from RLE runs, re-interning grapheme
 // contents.
 func decodeRow(r *binio.Reader, row *Row) bool {
-	width := len(row.cells)
+	width := row.width()
 	for filled := 0; filled < width; {
 		run, ok := r.BoundedUvarint(uint64(width - filled))
 		if !ok || run == 0 {
@@ -298,7 +310,7 @@ func decodeRow(r *binio.Reader, row *Row) bool {
 // generation. Decoding fills cells in place, so it never takes a blank row:
 // that one aliases the array every other blank row reads.
 func decodeNewRow(r *binio.Reader, width int) (*Row, bool) {
-	row := &Row{cells: make([]storedCell, width), gen: nextGen()}
+	row := &Row{text: make([]byte, width), gen: nextGen()}
 	return row, decodeRow(r, row)
 }
 
