@@ -403,7 +403,7 @@ func TestPreparedFrameSkipsPendingEchoAck(t *testing.T) {
 // neither is inside the measurement.)
 func TestPreparedRepaintAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector allocates on its own account; CI's alloc-guard step runs without it")
+		t.Skip("the race detector allocates on its own account; CI's non-race full run runs it")
 	}
 	const cols, rows = 162, 64
 	// One P, as testing.AllocsPerRun arranges: the pooled deflate state

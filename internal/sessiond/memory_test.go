@@ -185,8 +185,7 @@ func fullRepaint(session, round, cols, rows int) []byte {
 // largest frame was built in. 32 sessions at 162x64 each repaint their whole
 // screen 20 times, every repaint acknowledged by a real client. Then five
 // more go unacknowledged, and the
-// resident gauge, with the row headers it leaves out, must grow by what the
-// heap grows by: the snapshots a sender retains are exactly what it used
+// resident gauge must grow by what the heap grows by: the snapshots a sender retains are exactly what it used
 // not to see. Finally everything
 // is acknowledged again and the clients are dropped: what the heap has
 // grown by since before the first session was opened is what the sessions
@@ -202,10 +201,10 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 		rows     = 64
 		repaints = 20
 	)
-	// A screen of ASCII is one narrow content plane a row: what the gauge
-	// charges. Its heap rounds each plane up to its size class (162 B to
-	// 176 B) and adds each row's header.
-	screen := int64(cols * rows * terminal.NarrowCellBytes)
+	// A screen of ASCII is a header and one narrow content plane a row: what
+	// the gauge charges. Its heap rounds each plane up to its size class
+	// (162 B to 176 B).
+	screen := int64(rows * (terminal.RowHeaderBytes + cols*terminal.NarrowCellBytes))
 	screenHeap := int64(rows * (176 + terminal.RowHeaderBytes))
 	daemonAddr := netem.Addr{Host: 9999, Port: 60001}
 
@@ -317,17 +316,14 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 	}
 	gaugeGrowth := int64(d.ScreenStateStats().ResidentBytesPerSession()) - gauge
 	heapGrowth := (liveHeap() - held) / sessions
-	// Each retained screen is rows fresh rows, each with a header the
-	// gauge does not charge.
-	seen := gaugeGrowth + unacked*rows*terminal.RowHeaderBytes
-	t.Logf("%d unacknowledged repaints: heap +%d B per session, resident gauge +%d B, with row headers +%d B (%.0f%%)",
-		unacked, heapGrowth, gaugeGrowth, seen, 100*float64(seen)/float64(heapGrowth))
+	t.Logf("%d unacknowledged repaints: heap +%d B per session, resident gauge +%d B (%.0f%%)",
+		unacked, heapGrowth, gaugeGrowth, 100*float64(gaugeGrowth)/float64(heapGrowth))
 	if heapGrowth < unacked*screen*9/10 {
 		t.Fatalf("heap grew %d B per session for %d retained screens of %d B: the measurement is broken", heapGrowth, unacked, screen)
 	}
-	if seen < heapGrowth*3/4 || seen > heapGrowth*5/4 {
-		t.Errorf("the sender retains %d more screens: heap +%d B per session, resident_bytes_per_session +%d B and %d B of row headers — off by more than 25%%",
-			unacked, heapGrowth, gaugeGrowth, unacked*rows*terminal.RowHeaderBytes)
+	if gaugeGrowth < heapGrowth*3/4 || gaugeGrowth > heapGrowth*5/4 {
+		t.Errorf("the sender retains %d more screens: heap +%d B per session, resident_bytes_per_session +%d B — off by more than 25%%",
+			unacked, heapGrowth, gaugeGrowth)
 	}
 
 	// Quiescent again: the downlink returns, everything is acknowledged,
@@ -368,8 +364,11 @@ func TestSessionHoldsOneScreen(t *testing.T) {
 // each, and could never have acknowledged.
 func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 	const cols, rows = 162, 64
-	screen := int64(cols * rows * terminal.NarrowCellBytes)
-	screenHeap := int64(rows * (176 + terminal.RowHeaderBytes)) // as in TestSessionHoldsOneScreen
+	// As in TestSessionHoldsOneScreen.
+	screen := int64(rows * (terminal.RowHeaderBytes + cols*terminal.NarrowCellBytes))
+	screenHeap := int64(rows * (176 + terminal.RowHeaderBytes))
+	// State 0's rows are a header each over the blank array.
+	state0 := int64(rows*terminal.RowHeaderBytes + cols*terminal.NarrowCellBytes)
 	clock := simclock.NewScheduler(epoch)
 	written := 0
 	d, err := sessiond.New(sessiond.Config{
@@ -409,8 +408,8 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 		t.Errorf("an unconnected session holds %d B of heap = %.2f screens, want <= 1 screen + 24 KiB = %d B",
 			held, float64(held)/float64(screenHeap), limit)
 	}
-	if gauge < screen*9/10 || gauge > screen*11/10 {
-		t.Errorf("resident_bytes_per_session reads %d B for a session holding one %d B screen", gauge, screen)
+	if want := screen + state0; gauge < want*9/10 || gauge > want*11/10 {
+		t.Errorf("resident_bytes_per_session reads %d B for a session holding one %d B screen and a %d B state 0", gauge, screen, state0)
 	}
 	runtime.KeepAlive(s)
 }
@@ -420,10 +419,10 @@ func TestUnconnectedSessionHoldsOneScreen(t *testing.T) {
 // acknowledged: the 21 rows the pager printed, one byte a cell (20 lines of
 // text and the --More-- line, whose inverse video adds a rendition-index
 // plane and a palette of the minimum four entries) and a share of the blank
-// array all four sessions alias. The other 22 rows were erased by the page's
-// ED 2 and point at that array. Were an erased row to fill private blanks
-// again, a session would hold every one of its 43 rows: 5 972 B a session
-// where this pins 3 101 B.
+// array all four sessions alias, and a header for each of its 43 rows. The
+// other 22 rows were erased by the page's ED 2 and point at that array. Were
+// an erased row to fill private blanks again, a session would hold every one
+// of its 43 rows: 10 788 B a session where this pins 7 917 B.
 func TestErasedPagerRowsHoldNoCells(t *testing.T) {
 	const (
 		sessions   = 4
@@ -438,8 +437,9 @@ func TestErasedPagerRowsHoldNoCells(t *testing.T) {
 		return n
 	}
 	row := cols * terminal.NarrowCellBytes
-	// The status line's rendition plane and palette, a share of the blank array.
-	want := printed*row + cols*terminal.RendIndexBytes + 4*8 + row/sessions
+	// The status line's rendition plane and palette, a share of the blank
+	// array, and a header a row.
+	want := printed*row + cols*terminal.RendIndexBytes + 4*8 + row/sessions + rows*terminal.RowHeaderBytes
 	for page := 1; page <= pages; page++ {
 		for _, cl := range w.clients {
 			cl.UserBytes([]byte(" "))
@@ -454,7 +454,7 @@ func TestErasedPagerRowsHoldNoCells(t *testing.T) {
 			return true
 		})
 		if got := w.d.ScreenStateStats().ResidentBytesPerSession(); got != want {
-			t.Fatalf("page %d: resident_bytes_per_session reads %d B, want %d (%d printed rows, a palette, a share of the blank array)",
+			t.Fatalf("page %d: resident_bytes_per_session reads %d B, want %d (%d printed rows, a palette, a share of the blank array, row headers)",
 				page, got, want, printed)
 		}
 	}

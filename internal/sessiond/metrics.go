@@ -286,26 +286,27 @@ type ScreenStateStats struct {
 	ScreenRows, SharedScreenRows int
 	// PooledRows counts recycled rows waiting on per-session free lists.
 	PooledRows int
-	// ResidentBytes is the cell storage actually resident across every
-	// sampled session: each row's planes at what their cells take
-	// (terminal.NarrowCellBytes or WideCellBytes of content a cell, and
-	// RendIndexBytes a cell for a row with a rendition plane), and each row
-	// palette's capacity. It counts what is reachable from
-	// a session's live screen, from the snapshots its sender still retains
-	// for unacknowledged states, from the snapshot of a frame prepared and
-	// waiting for its deadline, or from the retired shells on its snapshot
-	// free list, and each distinct backing array once, so the blank array
-	// every blank row aliases (and rows and palettes structurally shared
-	// between a screen and its snapshots) are charged a single time.
+	// ResidentBytes is the row storage actually resident across every
+	// sampled session: each row's header (terminal.RowHeaderBytes), its
+	// planes at what their cells take (terminal.NarrowCellBytes or
+	// WideCellBytes of content a cell, and RendIndexBytes a cell for a row
+	// with a rendition plane), and its palette's capacity. It counts what
+	// is reachable from a session's live screen, from the snapshots its
+	// sender still retains for unacknowledged states, from the snapshot of
+	// a frame prepared and waiting for its deadline, or from the retired
+	// shells on its snapshot free list, and each distinct row and backing
+	// array once, so the blank array every blank row aliases (and rows and
+	// palettes structurally shared between a screen and its snapshots) are
+	// charged a single time.
 	ResidentBytes int
 }
 
-// ResidentBytesPerSession reports the deduplicated cell bytes every screen
-// a session keeps reachable adds up to, divided by the sampled session
-// count (0 with no sessions): what the cells of a session cost the heap,
-// and the gauge the screen-memory work is measured by. It counts cells
-// only — row headers, transport buffers and cipher state are the rest of a
-// session's heap.
+// ResidentBytesPerSession reports the deduplicated row bytes (headers,
+// planes and palettes) every screen a session keeps reachable adds up to,
+// divided by the sampled session count (0 with no sessions): what the rows
+// of a session cost the heap, and the gauge the screen-memory work is
+// measured by. It counts rows only — transport buffers and cipher state are
+// the rest of a session's heap.
 func (st ScreenStateStats) ResidentBytesPerSession() int {
 	if st.Sessions == 0 {
 		return 0

@@ -4,5 +4,5 @@ package sessiond
 
 // raceEnabled lets allocation guards skip under the race detector, whose
 // instrumentation makes sync.Pool allocate bookkeeping per operation.
-// CI runs the guards in a dedicated non-race step (see ci.yml).
+// CI runs the guards in its non-race full run (see ci.yml).
 const raceEnabled = true

@@ -395,6 +395,12 @@ func TestAnswerbackReachesTheHost(t *testing.T) {
 	}
 }
 
+// TestDropAccounting: every datagram the daemon refuses is counted under the
+// reason it was refused. A malformed session-ID envelope (empty, overlong,
+// or non-minimal, an authentic datagram's included) is dropped before any
+// key opens it, and a non-minimal sequence header is refused by the
+// session's header parser, so a datagram has one wire form, and no refused
+// one moves the session's reply target or replay floor.
 func TestDropAccounting(t *testing.T) {
 	w := newSimWorld(t, sessiond.Config{NewApp: shellApp}, lan())
 	s, _ := w.d.OpenSession()

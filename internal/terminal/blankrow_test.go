@@ -137,7 +137,7 @@ func TestBlankArrayNeverWritten(t *testing.T) {
 
 // TestBlankRowsShareOneArray pins that the sharing is real: a fleet of
 // fresh screens holds one blank array between them, and a session costs
-// cells only for the lines it has written.
+// cells only for the lines it has written (and a row header a row).
 func TestBlankRowsShareOneArray(t *testing.T) {
 	blankArrayStaysBlank(t)
 	const (
@@ -152,8 +152,8 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 		emus[i] = NewEmulator(w, h)
 		total += emus[i].Framebuffer().AccumulateResident(seen)
 	}
-	if total != rowBytes {
-		t.Fatalf("%d fresh %dx%d screens hold %d bytes of cells, want the one blank row's %d", n, w, h, total, rowBytes)
+	if want := n*h*RowHeaderBytes + rowBytes; total != want {
+		t.Fatalf("%d fresh %dx%d screens hold %d bytes, want %d: a header a row and the one blank row's %d", n, w, h, total, want, rowBytes)
 	}
 	// One typed line is one private row; the other 23 stay on the array. A
 	// snapshot of the screen shares that row and adds nothing.
@@ -161,8 +161,8 @@ func TestBlankRowsShareOneArray(t *testing.T) {
 	fb := emus[0].Framebuffer()
 	snap := fb.Clone()
 	seen = ResidentSet{}
-	if got := fb.AccumulateResident(seen) + snap.AccumulateResident(seen); got != 2*rowBytes {
-		t.Fatalf("a session that typed one line holds %d bytes, want %d (its row and the blank array)", got, 2*rowBytes)
+	if got, want := fb.AccumulateResident(seen)+snap.AccumulateResident(seen), h*RowHeaderBytes+2*rowBytes; got != want {
+		t.Fatalf("a session that typed one line holds %d bytes, want %d (its row headers, its row and the blank array)", got, want)
 	}
 	for i := 1; i < h; i++ {
 		if !aliasesBlankArray(fb, i) {
@@ -271,12 +271,12 @@ func TestErasedRowsShareOneArray(t *testing.T) {
 		e.WriteString("\x1b[H\x1b[2J")
 		row := w * NarrowCellBytes
 		seen := ResidentSet{}
-		if got := e.Framebuffer().AccumulateResident(seen); got != row {
-			t.Fatalf("a cleared %dx%d screen holds %d B, want the blank array's %d", w, h, got, row)
+		if got, want := e.Framebuffer().AccumulateResident(seen), h*RowHeaderBytes+row; got != want {
+			t.Fatalf("a cleared %dx%d screen holds %d B, want its row headers and the blank array's %d: %d", w, h, got, row, want)
 		}
 		// The snapshot it was cleared from still holds its 24 printed rows.
-		if got := snap.AccumulateResident(seen); got != h*row {
-			t.Fatalf("the snapshot adds %d B, want %d", got, h*row)
+		if got, want := snap.AccumulateResident(seen), h*(RowHeaderBytes+row); got != want {
+			t.Fatalf("the snapshot adds %d B, want %d", got, want)
 		}
 	})
 

@@ -61,9 +61,8 @@ type Row struct {
 }
 
 // RowHeaderBytes is the footprint of a Row header: its four slice headers,
-// the generation and the four flags. The resident gauge charges planes and
-// palettes only (AccumulateResident), so a row costs the heap this much
-// more.
+// the generation and the four flags. The resident gauge charges it once a
+// distinct row (AccumulateResident).
 const RowHeaderBytes = 112
 
 var _ [RowHeaderBytes - unsafe.Sizeof(Row{})]struct{}
@@ -495,10 +494,12 @@ func foldSpace(b byte) byte {
 	return b
 }
 
-// residentBytes charges r's planes and its palette's capacity, less what
-// seen already holds of them. A clone sees its source's palette capped at
-// the length it took, so the largest view of an array is what counts.
+// residentBytes charges r's header, its planes and its palette's capacity,
+// less what seen already holds of them. A clone sees its source's palette
+// capped at the length it took, so the largest view of an array is what
+// counts.
 func (r *Row) residentBytes(seen ResidentSet) (bytes int) {
+	bytes = seen.add(unsafe.Pointer(r), RowHeaderBytes)
 	if len(r.text) > 0 {
 		bytes += seen.add(unsafe.Pointer(unsafe.SliceData(r.text)), len(r.text)*NarrowCellBytes)
 	}
@@ -1133,11 +1134,12 @@ func (f *Framebuffer) MemStats() MemStats {
 	return m
 }
 
-// ResidentSet holds the backing arrays AccumulateResident has counted and
-// the bytes charged for each. Make one per tally with make(ResidentSet).
+// ResidentSet holds the rows and backing arrays AccumulateResident has
+// counted and the bytes charged for each. Make one per tally with
+// make(ResidentSet).
 type ResidentSet map[unsafe.Pointer]int
 
-// add records that the array at p holds at least n bytes and returns how
+// add records that the object at p holds at least n bytes and returns how
 // many of them were not yet charged.
 func (s ResidentSet) add(p unsafe.Pointer, n int) int {
 	prev := s[p]
@@ -1148,17 +1150,18 @@ func (s ResidentSet) add(p unsafe.Pointer, n int) int {
 	return n - prev
 }
 
-// AccumulateResident tallies the cell storage this framebuffer keeps
-// resident — each row's planes at their cells' width (NarrowCellBytes or
-// WideCellBytes a cell of content, RendIndexBytes a cell of rendition
-// indices when the row has that plane), and each palette's capacity at 8
-// bytes an entry — deduplicated against every backing array
-// already counted in seen. So storage shared copy-on-write (a row and its
-// snapshot, a clone and the palette it took from its source), and the blank
-// array every blank row aliases, is charged once fleet-wide, no matter how
-// many screens reference it. sessiond drives it across every screen of
-// every session (the live one, the sender's unacknowledged snapshots,
-// released shells) to compute resident_bytes_per_session.
+// AccumulateResident tallies the row storage this framebuffer keeps
+// resident — each row's header (RowHeaderBytes), its planes at their cells'
+// width (NarrowCellBytes or WideCellBytes a cell of content, RendIndexBytes
+// a cell of rendition indices when the row has that plane), and its
+// palette's capacity at 8 bytes an entry — deduplicated against every row
+// and backing array already counted in seen. So storage shared
+// copy-on-write (a row and its snapshot, a clone and the palette it took
+// from its source), and the blank array every blank row aliases, is charged
+// once fleet-wide, no matter how many screens reference it. sessiond drives
+// it across every screen of every session (the live one, the sender's
+// unacknowledged snapshots, released shells) to compute
+// resident_bytes_per_session.
 func (f *Framebuffer) AccumulateResident(seen ResidentSet) (bytes int) {
 	for _, r := range f.rows {
 		if r == nil {

@@ -202,10 +202,10 @@ func TestResidentChargesPaletteCapacity(t *testing.T) {
 	if len(row.pal) != 4 || cap(row.pal) != 4 {
 		t.Fatalf("compacting to 3 renditions and adding one left a palette of %d entries, capacity %d; want 4 and 4", len(row.pal), cap(row.pal))
 	}
-	if got, want := e.Framebuffer().AccumulateResident(ResidentSet{}), cells+4*rendBytes; got != want {
+	if got, want := e.Framebuffer().AccumulateResident(ResidentSet{}), RowHeaderBytes+cells+4*rendBytes; got != want {
 		t.Errorf("the compacted row is charged %d B, want %d", got, want)
 	}
-	if got, want := snap.AccumulateResident(ResidentSet{}), cells+w*rendBytes; got != want {
+	if got, want := snap.AccumulateResident(ResidentSet{}), RowHeaderBytes+cells+w*rendBytes; got != want {
 		t.Errorf("its full source is charged %d B, want %d", got, want)
 	}
 
@@ -221,7 +221,7 @@ func TestResidentChargesPaletteCapacity(t *testing.T) {
 	if live.rows[0] == owner || !live.rows[0].samePalette(owner) || cap(live.rows[0].pal) != 5 {
 		t.Fatal("the write did not make a clone sharing the source's palette")
 	}
-	want := 2*cells + 8*rendBytes
+	want := 2*(RowHeaderBytes+cells) + 8*rendBytes
 	seen := ResidentSet{}
 	if got := live.AccumulateResident(seen) + snap.AccumulateResident(seen); got != want {
 		t.Errorf("live then snapshot: %d B, want %d", got, want)

@@ -386,11 +386,12 @@ func abs(n int) int {
 // default rendition, four once a cell holds a wide or clustered character,
 // two more a cell once any cell has a rendition other than the default,
 // plus the palette's capacity. The screen's two blank rows add the blank
-// array, once.
+// array, once, and every row its header.
 func TestResidentChargesPlanes(t *testing.T) {
 	const w = 132
-	if got := NewFramebuffer(w, 3).AccumulateResident(ResidentSet{}); got != w {
-		t.Errorf("a blank screen is charged %d B, want the blank array's %d", got, w)
+	headers := func(rows int) int { return rows * RowHeaderBytes }
+	if got, want := NewFramebuffer(w, 3).AccumulateResident(ResidentSet{}), headers(3)+w; got != want {
+		t.Errorf("a blank screen is charged %d B, want %d: three row headers and the blank array's %d", got, want, w)
 	}
 	for _, c := range []struct {
 		name, host string
@@ -405,9 +406,9 @@ func TestResidentChargesPlanes(t *testing.T) {
 	} {
 		e := NewEmulator(w, 3)
 		e.WriteString(c.host)
-		if got := e.Framebuffer().AccumulateResident(ResidentSet{}); got != c.row+w {
-			t.Errorf("%s: a screen holding one written row is charged %d B, want %d for the row and %d for the blank array",
-				c.name, got, c.row, w)
+		if got := e.Framebuffer().AccumulateResident(ResidentSet{}); got != headers(3)+c.row+w {
+			t.Errorf("%s: a screen holding one written row is charged %d B, want %d for the row, %d for the blank array and %d for three row headers",
+				c.name, got, c.row, w, headers(3))
 		}
 	}
 	// A clone shares every plane; the first write to it copies the row's.
@@ -416,14 +417,14 @@ func TestResidentChargesPlanes(t *testing.T) {
 	snap := e.Framebuffer().Clone()
 	seen := ResidentSet{}
 	row := w*(NarrowCellBytes+RendIndexBytes) + 4*rendBytes
-	if got := e.Framebuffer().AccumulateResident(seen) + snap.AccumulateResident(seen); got != row+w {
-		t.Fatalf("a screen and its clone are charged %d B, want %d", got, row+w)
+	if got, want := e.Framebuffer().AccumulateResident(seen)+snap.AccumulateResident(seen), headers(2)+row+w; got != want {
+		t.Fatalf("a screen and its clone are charged %d B, want %d", got, want)
 	}
 	e.WriteString("y")
 	seen = ResidentSet{}
-	// The palette stays shared; the two planes are copied.
-	if got := e.Framebuffer().AccumulateResident(seen) + snap.AccumulateResident(seen); got != 2*row-4*rendBytes+w {
-		t.Fatalf("after a write the screen and its clone are charged %d B, want %d", got, 2*row-4*rendBytes+w)
+	// The palette stays shared; the two planes and the header are copied.
+	if got, want := e.Framebuffer().AccumulateResident(seen)+snap.AccumulateResident(seen), headers(3)+2*row-4*rendBytes+w; got != want {
+		t.Fatalf("after a write the screen and its clone are charged %d B, want %d", got, want)
 	}
 }
 

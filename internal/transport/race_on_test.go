@@ -4,5 +4,5 @@ package transport
 
 // raceEnabled lets allocation guards skip under the race detector, which
 // makes sync.Pool drop a quarter of what is Put into it. CI runs the guards
-// in a dedicated non-race step (see ci.yml).
+// in its non-race full run (see ci.yml).
 const raceEnabled = true
