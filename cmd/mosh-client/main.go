@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -46,13 +47,27 @@ func parsePredict(name string) (overlay.DisplayPreference, error) {
 	return 0, fmt.Errorf("unknown -predict %q (want adaptive|always|never)", name)
 }
 
+// parseSession maps a -session id to the envelope that names it. The
+// bundled mosh-server runs every session behind one port and drops a
+// datagram that names none, so a missing or zero id is an error.
+func parseSession(id uint64) (*network.Envelope, error) {
+	if id == 0 {
+		return nil, errors.New("missing -session (printed by mosh-server)")
+	}
+	return &network.Envelope{ID: id}, nil
+}
+
 func main() {
 	to := flag.String("to", "127.0.0.1:60001", "server host:port")
 	keyStr := flag.String("key", "", "session key printed by mosh-server")
-	session := flag.Uint64("session", 0, "session id printed by mosh-server (0 = plain single-session wire format)")
+	session := flag.Uint64("session", 0, "session id printed by mosh-server")
 	predict := flag.String("predict", "adaptive", "speculative echo: adaptive|always|never")
 	flag.Parse()
 	pref, err := parsePredict(*predict)
+	var env *network.Envelope
+	if err == nil {
+		env, err = parseSession(*session)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mosh-client: %v\n", err)
 		flag.Usage()
@@ -61,13 +76,6 @@ func main() {
 
 	if *keyStr == "" {
 		log.Fatal("missing -key (printed by mosh-server)")
-	}
-	if *session == 0 {
-		// The bundled mosh-server always multiplexes; plain-format packets
-		// are dropped by its envelope demux with no diagnostic, so make
-		// the likely mistake loud.
-		fmt.Fprintln(os.Stderr, "warning: -session 0 speaks the plain single-session wire format; "+
-			"the bundled mosh-server requires the session id from its MOSH CONNECT line")
 	}
 	key, err := sspcrypto.KeyFromBase64(*keyStr)
 	if err != nil {
@@ -83,10 +91,6 @@ func main() {
 	}
 
 	var shown *terminal.Framebuffer
-	var env *network.Envelope
-	if *session != 0 {
-		env = &network.Envelope{ID: *session}
-	}
 	client, err := core.NewClient(core.ClientConfig{
 		Key:         key,
 		Clock:       simclock.Real{},

@@ -138,3 +138,15 @@ func TestParsePredict(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSession: a -session id selects its envelope, and a missing or
+// zero id is a usage error. It used to start the client on the plain wire
+// format with a warning, and the bundled mosh-server dropped every datagram.
+func TestParseSession(t *testing.T) {
+	if env, err := parseSession(7); err != nil || env == nil || env.ID != 7 {
+		t.Errorf("parseSession(7) = %+v, %v; want envelope 7", env, err)
+	}
+	if env, err := parseSession(0); err == nil {
+		t.Errorf("parseSession(0) = %+v, want a usage error", env)
+	}
+}

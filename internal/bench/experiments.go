@@ -152,7 +152,8 @@ type Ablation struct {
 type AblationPoint struct {
 	Label string
 	Mosh  MoshOptions
-	Flood *transport.Timing
+	// Flood, when true, runs the point as a terminal flood with Mosh.Timing.
+	Flood bool
 }
 
 // floodSpan is how long the frame-cap ablation floods the terminal.
@@ -171,29 +172,25 @@ var Ablations = []Ablation{{
 	Title: "server-side echo ack timeout (EV-DO, adaptive)",
 	Link:  netem.EVDO(),
 	Points: points("echo-ack ", func(d time.Duration) AblationPoint {
-		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, EchoAckTimeout: d}}
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, Timing: transport.Timing{EchoAckTimeout: d}}}
 	}, time.Millisecond, 50*time.Millisecond, 500*time.Millisecond),
 }, {
 	Title: "SSP minimum RTO under 29% loss (predictions off)",
 	Link:  netem.LossyNetem(),
 	Points: points("min-rto ", func(d time.Duration) AblationPoint {
-		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Never, MinRTO: d, MaxRTO: 4 * d}}
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Never, Timing: transport.Timing{MinRTO: d, MaxRTO: 4 * d}}}
 	}, 50*time.Millisecond, time.Second),
 }, {
 	Title: fmt.Sprintf("frame-rate cap during a %v terminal flood (LAN-fast path)", floodSpan),
 	Link:  netem.LinkParams{Delay: 2 * time.Millisecond},
 	Points: points("frame cap ", func(d time.Duration) AblationPoint {
-		t := transport.DefaultTiming()
-		t.SendIntervalMin = d
-		return AblationPoint{Flood: &t}
+		return AblationPoint{Mosh: MoshOptions{Timing: transport.Timing{SendIntervalMin: d}}, Flood: true}
 	}, 20*time.Millisecond, time.Millisecond),
 }, {
 	Title: "delayed-ack interval (EV-DO, packets sent)",
 	Link:  netem.EVDO(),
 	Points: points("ack delay ", func(d time.Duration) AblationPoint {
-		t := transport.DefaultTiming()
-		t.AckDelay = d
-		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, Timing: &t}}
+		return AblationPoint{Mosh: MoshOptions{Predictions: overlay.Adaptive, Timing: transport.Timing{AckDelay: d}}}
 	}, time.Millisecond, 100*time.Millisecond, 200*time.Millisecond),
 }}
 
@@ -211,8 +208,8 @@ func points[V any](prefix string, point func(V) AblationPoint, values ...V) []Ab
 // ablation's link, or a replay of one trace (the fifth profile, at most 400
 // keystrokes) with its statistics, mispredictions and wire packets.
 func (a Ablation) Run(cfg Config, p AblationPoint) []Figure {
-	if p.Flood != nil {
-		return runFlood(floodSpan, a.Link, p.Flood, cfg.Seed, (*core.Server).Prepare).figures()
+	if p.Flood {
+		return runFlood(floodSpan, a.Link, p.Mosh.Timing, cfg.Seed, (*core.Server).Prepare).figures()
 	}
 	tr := trace.Generate(cfg.Seed+11, trace.SixProfiles()[4], min(cfg.keys(), 400))
 	m := RunMoshTrace(tr, a.Link, cfg.Seed, p.Mosh)

@@ -73,10 +73,11 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 	path := netem.NewPath(nw, netem.LinkParams{Delay: time.Millisecond}, 1)
 	key := sspcrypto.Key{3}
 
-	timing := transport.DefaultTiming()
-	timing.SendIntervalMin = 250 * time.Millisecond // paper: frame interval 250 ms
-	timing.SendIntervalMax = 250 * time.Millisecond
-	timing.CollectionInterval = collection
+	timing := transport.Timing{
+		SendIntervalMin:    250 * time.Millisecond, // paper: frame interval 250 ms
+		SendIntervalMax:    250 * time.Millisecond,
+		CollectionInterval: collection,
+	}
 
 	srvAddr := netem.Addr{Host: 2, Port: 1}
 	cliAddr := netem.Addr{Host: 1, Port: 1}
@@ -92,7 +93,7 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 	lastNum := uint64(0)
 	var err error
 	srv, err = transport.New(transport.Config[*statesync.UserStream, *statesync.UserStream]{
-		Direction: sspcrypto.ToClient, Key: key, Clock: sched, Timing: &timing,
+		Direction: sspcrypto.ToClient, Key: key, Clock: sched, Timing: timing,
 		LocalInitial: statesync.NewUserStream(), RemoteInitial: statesync.NewUserStream(),
 		Emit: func(w []byte) {
 			if num := srv.Sender().LastSentNum(); num > lastNum {
@@ -113,7 +114,7 @@ func runCollection(writes []hostWrite, collection time.Duration) SweepPoint {
 		panic(err)
 	}
 	cli, err := transport.New(transport.Config[*statesync.UserStream, *statesync.UserStream]{
-		Direction: sspcrypto.ToServer, Key: key, Clock: sched, Timing: &timing,
+		Direction: sspcrypto.ToServer, Key: key, Clock: sched, Timing: timing,
 		LocalInitial: statesync.NewUserStream(), RemoteInitial: statesync.NewUserStream(),
 		Emit: func(w []byte) {
 			path.Up.Send(netem.Packet{Src: cliAddr, Dst: srvAddr, Payload: w})

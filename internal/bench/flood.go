@@ -34,7 +34,7 @@ type FloodResult struct {
 // build the next frame ahead of its deadline, which a flood's own traffic
 // turns down; with nil (the reference the flood guard compares against) no
 // offer is made.
-func runFlood(d time.Duration, link netem.LinkParams, timing *transport.Timing, seed int64, prepare func(*core.Server) bool) FloodResult {
+func runFlood(d time.Duration, link netem.LinkParams, timing transport.Timing, seed int64, prepare func(*core.Server) bool) FloodResult {
 	sched := simclock.NewScheduler(benchEpoch)
 	nw := netem.NewNetwork(sched)
 	path := netem.NewPath(nw, link, seed)

@@ -16,12 +16,12 @@ import (
 func TestFloodDiscardsOnePreparedFrame(t *testing.T) {
 	for _, a := range Ablations {
 		for _, p := range a.Points {
-			if p.Flood == nil {
+			if !p.Flood {
 				continue
 			}
 			prepared := 0
-			plain := runFlood(2*time.Second, a.Link, p.Flood, 3, nil)
-			ahead := runFlood(2*time.Second, a.Link, p.Flood, 3, func(s *core.Server) bool {
+			plain := runFlood(2*time.Second, a.Link, p.Mosh.Timing, 3, nil)
+			ahead := runFlood(2*time.Second, a.Link, p.Mosh.Timing, 3, func(s *core.Server) bool {
 				if s.Prepare() {
 					prepared++
 					return true

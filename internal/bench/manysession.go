@@ -21,7 +21,6 @@ import (
 	"repro/internal/sspcrypto"
 	"repro/internal/telemetry"
 	"repro/internal/terminal"
-	"repro/internal/transport"
 	"repro/internal/udpbatch"
 )
 
@@ -455,11 +454,7 @@ func RunManySession(opt ManySessionOptions) ManySessionResult {
 	// stretches between keystrokes stay idle on the wire too: per-session
 	// heartbeat exchanges, not simulated idle time, are what cost wall
 	// clock at 10⁵ sessions.
-	if opt.heartbeat > 0 {
-		t := transport.DefaultTiming()
-		t.HeartbeatInterval = opt.heartbeat
-		cfg.Timing = &t
-	}
+	cfg.Timing.HeartbeatInterval = opt.heartbeat
 	if opt.restart {
 		stateDir, err := os.MkdirTemp("", "mosh-bench-journal-")
 		if err != nil {

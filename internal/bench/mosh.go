@@ -19,13 +19,9 @@ type MoshOptions struct {
 	// Predictions selects the speculative-echo policy (Never for the
 	// loss experiment, Adaptive elsewhere).
 	Predictions overlay.DisplayPreference
-	// Timing overrides transport timing (Figure 3 and ablations).
-	Timing *transport.Timing
-	// MinRTO/MaxRTO override the datagram layer's RTO bounds (ablation;
-	// the paper argues for a 50 ms floor against TCP's 1 s).
-	MinRTO, MaxRTO time.Duration
-	// EchoAckTimeout overrides the 50 ms server echo timeout (ablation).
-	EchoAckTimeout time.Duration
+	// Timing overrides SSP timing on both ends, field by field (the
+	// ablations).
+	Timing transport.Timing
 	// BulkDownload shares the downlink with a saturating TCP flow
 	// (the LTE bufferbloat experiment).
 	BulkDownload bool
@@ -77,7 +73,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	server, err = core.NewServer(core.ServerConfig{
 		Key: key, Clock: sched,
 		Width: tr.Width, Height: tr.Height,
-		Timing: opt.Timing, MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, EchoAckTimeout: opt.EchoAckTimeout,
+		Timing: opt.Timing,
 		Emit: func(w []byte) {
 			wire++
 			// Any data send after a response write carries it: record
@@ -104,7 +100,7 @@ func RunMoshTrace(tr *trace.Trace, params netem.LinkParams, seed int64, opt Mosh
 	client, err = core.NewClient(core.ClientConfig{
 		Key: key, Clock: sched,
 		Width: tr.Width, Height: tr.Height,
-		Timing: opt.Timing, MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO,
+		Timing:      opt.Timing,
 		Predictions: opt.Predictions,
 		Emit: func(w []byte) {
 			wire++

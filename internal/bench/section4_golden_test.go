@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,5 +55,32 @@ func TestSection4Golden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Fatalf("§4 figures moved from %s:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// TestAblationPaperPointsMatchControl: an ablation point at the paper's
+// value is the control, mosh/adaptive on the same link, and measures the
+// same figures. Each point overrides only the field it sweeps, so nothing
+// else may differ; when an override was a whole DefaultTiming, the client
+// of "ack delay 100ms" ran the server's 8 ms send delay instead of its own
+// 1 ms, and the point read 1 ms more mean latency and 29 fewer datagrams.
+func TestAblationPaperPointsMatchControl(t *testing.T) {
+	cfg := Config{KeystrokesPerUser: 400, Seed: 1}
+	run := func(label string) []Figure {
+		for _, a := range Ablations {
+			for _, p := range a.Points {
+				if p.Label == label {
+					return a.Run(cfg, p)
+				}
+			}
+		}
+		t.Fatalf("no ablation point %q", label)
+		return nil
+	}
+	control := run("mosh/adaptive")
+	for _, label := range []string{"echo-ack 50ms", "ack delay 100ms"} {
+		if got := run(label); !slices.Equal(got, control) {
+			t.Errorf("%s measured %v, want the control's %v", label, got, control)
+		}
 	}
 }

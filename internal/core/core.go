@@ -42,16 +42,12 @@ type ServerConfig struct {
 	Clock simclock.Clock
 	// Width, Height size the initial terminal.
 	Width, Height int
-	// Timing overrides SSP transport timing (nil = paper defaults).
-	Timing *transport.Timing
-	// MinRTO/MaxRTO pass through to the datagram layer.
-	MinRTO, MaxRTO time.Duration
+	// Timing overrides SSP timing field by field (zero fields: the paper's
+	// defaults, and DefaultEchoAckTimeout).
+	Timing transport.Timing
 	// Envelope enables the sessiond session-ID envelope (nil = plain
 	// single-session wire format).
 	Envelope *network.Envelope
-	// EchoAckTimeout overrides the 50 ms echo timeout (0 = default).
-	// The ablation benches sweep it.
-	EchoAckTimeout time.Duration
 	// Emit transmits one sealed datagram toward the client.
 	Emit func(wire []byte)
 	// RecycleWire declares Emit non-retaining so wire buffers are reused
@@ -83,18 +79,10 @@ type ServerResume struct {
 	// Stream is the restored user-input stream, positioned at the persisted
 	// event count; its events were already delivered to the application.
 	Stream *statesync.UserStream
-	// SendNumFloor is the reserved state number for the first post-restore
-	// screen state.
-	SendNumFloor uint64
-	// RecvNum is the newest client state number the dead process received.
-	RecvNum uint64
-	// NextSeq and ExpectedSeq restore the datagram-layer counters.
-	NextSeq, ExpectedSeq uint64
-	// RemoteAddr optionally seeds the reply target so heartbeats and the
-	// resume repaint flow before the client next speaks.
-	RemoteAddr *netem.Addr
-	// Heard marks that the dead process had heard authentic client traffic.
-	Heard bool
+	// Resume holds the counters. Its RemoteAddr optionally seeds the reply
+	// target so heartbeats and the resume repaint flow before the client
+	// next speaks.
+	transport.Resume
 }
 
 type echoEntry struct {
@@ -117,8 +105,8 @@ type Server struct {
 
 // NewServer builds a server endpoint.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.EchoAckTimeout == 0 {
-		cfg.EchoAckTimeout = DefaultEchoAckTimeout
+	if cfg.Timing.EchoAckTimeout == 0 {
+		cfg.Timing.EchoAckTimeout = DefaultEchoAckTimeout
 	}
 	if cfg.Width == 0 {
 		cfg.Width = 80
@@ -131,8 +119,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Key:           cfg.Key,
 		Clock:         cfg.Clock,
 		Timing:        cfg.Timing,
-		MinRTO:        cfg.MinRTO,
-		MaxRTO:        cfg.MaxRTO,
 		Envelope:      cfg.Envelope,
 		LocalInitial:  statesync.NewComplete(cfg.Width, cfg.Height),
 		RemoteInitial: statesync.NewUserStream(),
@@ -144,14 +130,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		trCfg.LocalInitial = rs.Current
 		trCfg.LocalBaseline = rs.Baseline
 		trCfg.RemoteInitial = rs.Stream
-		trCfg.Resume = &transport.Resume{
-			SendNumFloor: rs.SendNumFloor,
-			RecvNum:      rs.RecvNum,
-			NextSeq:      rs.NextSeq,
-			ExpectedSeq:  rs.ExpectedSeq,
-			RemoteAddr:   rs.RemoteAddr,
-			Heard:        rs.Heard,
-		}
+		trCfg.Resume = &rs.Resume
 	}
 	tr, err := transport.New(trCfg)
 	if err != nil {
@@ -226,7 +205,7 @@ func (s *Server) HostOutputAt(data []byte, at time.Time) {
 func (s *Server) Prepare() bool {
 	var quietUntil time.Time
 	if len(s.echoQueue) > 0 {
-		quietUntil = s.echoQueue[0].at.Add(s.cfg.EchoAckTimeout)
+		quietUntil = s.echoQueue[0].at.Add(s.cfg.Timing.EchoAckTimeout)
 	}
 	return s.tr.Prepare(quietUntil)
 }
@@ -239,7 +218,7 @@ func (s *Server) Answerback() []byte { return s.Terminal().TakeAnswerback() }
 func (s *Server) Tick() {
 	now := s.cfg.Clock.Now()
 	due := 0
-	for due < len(s.echoQueue) && now.Sub(s.echoQueue[due].at) >= s.cfg.EchoAckTimeout {
+	for due < len(s.echoQueue) && now.Sub(s.echoQueue[due].at) >= s.cfg.Timing.EchoAckTimeout {
 		s.pendingEchoAck = s.echoQueue[due].num
 		s.haveEchoUpdate = true
 		due++
@@ -268,7 +247,7 @@ func (s *Server) NextDeadline() (at time.Time, ok bool) {
 		return at, false // and no keystroke is queued: none has been heard
 	}
 	if len(s.echoQueue) > 0 {
-		if echo := s.echoQueue[0].at.Add(s.cfg.EchoAckTimeout); echo.Before(at) {
+		if echo := s.echoQueue[0].at.Add(s.cfg.Timing.EchoAckTimeout); echo.Before(at) {
 			at = echo
 		}
 	}
@@ -297,11 +276,10 @@ type ClientConfig struct {
 	Clock simclock.Clock
 	// Width, Height must match the server's initial terminal size.
 	Width, Height int
-	// Timing overrides SSP transport timing (nil = transport.ClientTiming:
-	// the paper defaults with the reference client's 1 ms send delay).
-	Timing *transport.Timing
-	// MinRTO/MaxRTO pass through to the datagram layer.
-	MinRTO, MaxRTO time.Duration
+	// Timing overrides SSP timing field by field (zero fields:
+	// transport.ClientTiming, the paper defaults with the reference
+	// client's 1 ms send delay).
+	Timing transport.Timing
 	// Envelope enables the sessiond session-ID envelope (nil = plain
 	// single-session wire format).
 	Envelope *network.Envelope
@@ -336,8 +314,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		Key:           cfg.Key,
 		Clock:         cfg.Clock,
 		Timing:        cfg.Timing,
-		MinRTO:        cfg.MinRTO,
-		MaxRTO:        cfg.MaxRTO,
 		Envelope:      cfg.Envelope,
 		LocalInitial:  statesync.NewUserStream(),
 		RemoteInitial: statesync.NewComplete(cfg.Width, cfg.Height),

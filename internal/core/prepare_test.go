@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/network"
 	"repro/internal/overlay"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
@@ -192,15 +193,19 @@ func (w *prepWorld) restart() {
 	tr, conn := old.Transport(), old.Transport().Connection()
 	addr, _ := conn.RemoteAddr()
 	w.newServer(&ServerResume{
-		Current:      statesync.NewCompleteWithFramebuffer(old.Terminal().Framebuffer().Clone()),
-		Baseline:     statesync.NewComplete(80, 24),
-		Stream:       statesync.RestoreUserStream(tr.RemoteState().Size()),
-		SendNumFloor: tr.Sender().NumHighWater() + 16,
-		RecvNum:      tr.RemoteStateNum(),
-		NextSeq:      conn.NextSeq() + 64,
-		ExpectedSeq:  conn.ExpectedSeq(),
-		RemoteAddr:   &addr,
-		Heard:        true,
+		Current:  statesync.NewCompleteWithFramebuffer(old.Terminal().Framebuffer().Clone()),
+		Baseline: statesync.NewComplete(80, 24),
+		Stream:   statesync.RestoreUserStream(tr.RemoteState().Size()),
+		Resume: transport.Resume{
+			Resume: network.Resume{
+				NextSeq:     conn.NextSeq() + 64,
+				ExpectedSeq: conn.ExpectedSeq(),
+				RemoteAddr:  &addr,
+				Heard:       true,
+			},
+			SendNumFloor: tr.Sender().NumHighWater() + 16,
+			RecvNum:      tr.RemoteStateNum(),
+		},
 	})
 	w.sweep()
 }

@@ -24,10 +24,10 @@ type timedPair struct {
 
 const timedWire = 5 * time.Millisecond
 
-// newTimedPair builds the pair with the given timings (nil = each
-// endpoint's default), lets them exchange enough traffic to have an RTT,
+// newTimedPair builds the pair with the given timings (zero fields: each
+// endpoint's defaults), lets them exchange enough traffic to have an RTT,
 // and returns them idle: nothing unacknowledged, frame intervals elapsed.
-func newTimedPair(t *testing.T, clientTiming, serverTiming *transport.Timing) *timedPair {
+func newTimedPair(t *testing.T, clientTiming, serverTiming transport.Timing) *timedPair {
 	t.Helper()
 	p := &timedPair{sched: simclock.NewScheduler(t0)}
 	key := sspcrypto.Key{7}
@@ -84,25 +84,25 @@ func newTimedPair(t *testing.T, clientTiming, serverTiming *transport.Timing) *t
 }
 
 // TestDefaultSendDelays pins the two collection intervals on the
-// keystroke's path, in virtual time. A client built with Timing == nil is
-// the reference client: an idle one puts a keystroke on the wire 1 ms after
-// UserBytes. A server built with Timing == nil keeps the paper's Figure 3
-// optimum: it mints the frame carrying host output 8 ms after the write.
-// An explicit Timing wins on either side.
+// keystroke's path, in virtual time. A client whose Timing leaves
+// CollectionInterval zero is the reference client: an idle one puts a
+// keystroke on the wire 1 ms after UserBytes. A server that leaves it zero
+// keeps the paper's Figure 3 optimum: it mints the frame carrying host
+// output 8 ms after the write. An explicit CollectionInterval wins on either
+// side, and an override of another field, handed to both ends, changes
+// neither. It used to: a caller that changed one field built a whole
+// DefaultTiming, and its client ran the server's 8 ms.
 func TestDefaultSendDelays(t *testing.T) {
-	custom := func(collect time.Duration) *transport.Timing {
-		timing := transport.DefaultTiming()
-		timing.CollectionInterval = collect
-		return &timing
-	}
 	for _, tc := range []struct {
 		name                       string
-		clientTiming, serverTiming *transport.Timing
+		clientTiming, serverTiming transport.Timing
 		wantClient, wantServer     time.Duration
 	}{
-		{"defaults", nil, nil, time.Millisecond, 8 * time.Millisecond},
-		{"explicit client timing wins", custom(8 * time.Millisecond), nil, 8 * time.Millisecond, 8 * time.Millisecond},
-		{"explicit server timing wins", nil, custom(3 * time.Millisecond), time.Millisecond, 3 * time.Millisecond},
+		{"defaults", transport.Timing{}, transport.Timing{}, time.Millisecond, 8 * time.Millisecond},
+		{"explicit client timing wins", transport.Timing{CollectionInterval: 8 * time.Millisecond}, transport.Timing{}, 8 * time.Millisecond, 8 * time.Millisecond},
+		{"explicit server timing wins", transport.Timing{}, transport.Timing{CollectionInterval: 3 * time.Millisecond}, time.Millisecond, 3 * time.Millisecond},
+		{"ack delay override keeps both send delays", transport.Timing{AckDelay: 200 * time.Millisecond}, transport.Timing{AckDelay: 200 * time.Millisecond}, time.Millisecond, 8 * time.Millisecond},
+		{"heartbeat override keeps both send delays", transport.Timing{HeartbeatInterval: time.Minute}, transport.Timing{HeartbeatInterval: time.Minute}, time.Millisecond, 8 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newTimedPair(t, tc.clientTiming, tc.serverTiming)

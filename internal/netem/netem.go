@@ -19,8 +19,8 @@
 package netem
 
 import (
-	"fmt"
 	"math/rand"
+	"net/netip"
 	"time"
 
 	"repro/internal/simclock"
@@ -45,17 +45,17 @@ type Addr struct {
 	Pfx  [12]byte
 }
 
-// String renders the address in a dotted-quad-like form for logs (and
-// bracketed hex for native IPv6).
+// String renders the address as Go's net package renders the socket
+// address it stands for: a.b.c.d:port, or [v6]:port for a native IPv6 peer.
 func (a Addr) String() string {
+	ip := netip.AddrFrom4([4]byte{byte(a.Host >> 24), byte(a.Host >> 16), byte(a.Host >> 8), byte(a.Host)})
 	if a.V6 {
-		return fmt.Sprintf("[%x:%x:%x:%x:%x:%x:%x:%x]:%d",
-			uint16(a.Pfx[0])<<8|uint16(a.Pfx[1]), uint16(a.Pfx[2])<<8|uint16(a.Pfx[3]),
-			uint16(a.Pfx[4])<<8|uint16(a.Pfx[5]), uint16(a.Pfx[6])<<8|uint16(a.Pfx[7]),
-			uint16(a.Pfx[8])<<8|uint16(a.Pfx[9]), uint16(a.Pfx[10])<<8|uint16(a.Pfx[11]),
-			uint16(a.Host>>16), uint16(a.Host), a.Port)
+		var v6 [16]byte
+		copy(v6[:], a.Pfx[:])
+		copy(v6[12:], ip.AsSlice())
+		ip = netip.AddrFrom16(v6)
 	}
-	return fmt.Sprintf("10.%d.%d.%d:%d", byte(a.Host>>16), byte(a.Host>>8), byte(a.Host), a.Port)
+	return netip.AddrPortFrom(ip, a.Port).String()
 }
 
 // Packet is a datagram in flight on the emulated network.

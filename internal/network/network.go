@@ -121,8 +121,7 @@ type Config struct {
 	// Clock supplies time; required.
 	Clock simclock.Clock
 	// MinRTO/MaxRTO bound the retransmission timeout. Zero values take
-	// the defaults. MinRTO is an ablation knob (the paper argues 50 ms
-	// against TCP's 1 s floor).
+	// the defaults. transport.New sets them from transport.Timing.
 	MinRTO, MaxRTO time.Duration
 	// Envelope, when non-nil, prepends the cleartext session-ID header to
 	// outgoing packets and requires (and strips) a matching one on

@@ -9,9 +9,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/netem"
+	"repro/internal/network"
 	"repro/internal/sspcrypto"
 	"repro/internal/statesync"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // This file is the session side of crash-safe persistence: what a session's
@@ -254,15 +256,19 @@ func (d *Daemon) restoreSession(sn *journal.Snapshot) error {
 		raddr = &sn.Remote
 	}
 	srv, err := core.NewServer(s.serverConfig(&core.ServerResume{
-		Current:      statesync.NewCompleteWithFramebuffer(sn.FB),
-		Baseline:     statesync.NewComplete(sn.OrigW, sn.OrigH),
-		Stream:       statesync.RestoreUserStream(sn.StreamSize),
-		SendNumFloor: sn.NextStateNum,
-		RecvNum:      sn.RecvNum,
-		NextSeq:      sn.NextSeq,
-		ExpectedSeq:  sn.ExpectedSeq,
-		RemoteAddr:   raddr,
-		Heard:        sn.Heard,
+		Current:  statesync.NewCompleteWithFramebuffer(sn.FB),
+		Baseline: statesync.NewComplete(sn.OrigW, sn.OrigH),
+		Stream:   statesync.RestoreUserStream(sn.StreamSize),
+		Resume: transport.Resume{
+			Resume: network.Resume{
+				NextSeq:     sn.NextSeq,
+				ExpectedSeq: sn.ExpectedSeq,
+				RemoteAddr:  raddr,
+				Heard:       sn.Heard,
+			},
+			SendNumFloor: sn.NextStateNum,
+			RecvNum:      sn.RecvNum,
+		},
 	}))
 	if err != nil {
 		return err

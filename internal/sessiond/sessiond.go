@@ -88,8 +88,9 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Width, Height size each session's terminal (default 80×24).
 	Width, Height int
-	// Timing overrides SSP transport timing (nil = paper defaults).
-	Timing *transport.Timing
+	// Timing overrides SSP timing field by field (zero fields: the paper's
+	// defaults).
+	Timing transport.Timing
 	// RecycleWire declares Send non-retaining (synchronous socket write),
 	// enabling per-session wire-buffer reuse. Must stay false when Send
 	// hands buffers to something that holds them (netem links in flight).
@@ -297,10 +298,8 @@ func newDaemon(cfg Config, lim limits) (*Daemon, error) {
 	// fail authentication and, because SSP retransmits the identical
 	// datagram, stall its session forever.
 	bufSize := udpbatch.DefaultBufSize
-	if cfg.Timing != nil && cfg.Timing.MTU > 0 {
-		if need := cfg.Timing.MTU + 512; need > bufSize {
-			bufSize = need
-		}
+	if need := cfg.Timing.MTU + 512; need > bufSize {
+		bufSize = need
 	}
 	d := &Daemon{
 		cfg:      cfg,

@@ -88,13 +88,15 @@ func TestFragmentIDFollowsSequence(t *testing.T) {
 
 	t.Run("fresh id after a suppressed fragment", func(t *testing.T) {
 		r := newBareRig(t)
-		timing := ClientTiming()
-		timing.MTU = mtu
-		timing.HeartbeatInterval = time.Hour // nothing but frames is sealed
 		var err error
 		r.client, err = New(Config[*countedLog, *countedLog]{
-			Direction: sspcrypto.ToServer, Key: prepKey, Clock: r.clk, Timing: &timing,
-			MinRTO: 100 * time.Millisecond, MaxRTO: 100 * time.Millisecond,
+			Direction: sspcrypto.ToServer, Key: prepKey, Clock: r.clk,
+			Timing: Timing{
+				MTU:               mtu,
+				HeartbeatInterval: time.Hour, // nothing but frames is sealed
+				MinRTO:            100 * time.Millisecond,
+				MaxRTO:            100 * time.Millisecond,
+			},
 			LocalInitial: newCountedLog(), RemoteInitial: newCountedLog(),
 			Emit: func(wire []byte) { r.toServer = append(r.toServer, bytes.Clone(wire)) },
 		})
@@ -158,7 +160,7 @@ func TestFragmentIDFollowsSequence(t *testing.T) {
 		restored, err := New(Config[*countedLog, *countedLog]{
 			Direction: sspcrypto.ToClient, Key: prepKey, Clock: r.clk,
 			LocalInitial: newCountedLog(), LocalBaseline: newCountedLog(), RemoteInitial: newCountedLog(),
-			Resume: &Resume{SendNumFloor: 10, NextSeq: 100, ExpectedSeq: floor, Heard: true, RemoteAddr: &prepClientAddr},
+			Resume: &Resume{SendNumFloor: 10, Resume: network.Resume{NextSeq: 100, ExpectedSeq: floor, Heard: true, RemoteAddr: &prepClientAddr}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/network"
 	"repro/internal/simclock"
 	"repro/internal/sspcrypto"
 )
@@ -190,7 +191,7 @@ func TestResumedServerSpeaksOnlyWithAddressHint(t *testing.T) {
 		return tr, sent
 	}
 
-	tr, sent := build(Resume{RemoteAddr: &prepClientAddr})
+	tr, sent := build(Resume{Resume: network.Resume{RemoteAddr: &prepClientAddr}})
 	if len(*sent) == 0 {
 		t.Fatal("a server restored with its client's address never repainted")
 	}
@@ -202,7 +203,7 @@ func TestResumedServerSpeaksOnlyWithAddressHint(t *testing.T) {
 		t.Fatal("an address hint is not a peer")
 	}
 
-	tr, sent = build(Resume{Heard: true})
+	tr, sent = build(Resume{Resume: network.Resume{Heard: true}})
 	if len(*sent) != 0 || tr.Connection().NextSeq() != 100 {
 		t.Fatalf("a server restored with no address sealed %d datagrams (next sequence number %d)", len(*sent), tr.Connection().NextSeq())
 	}

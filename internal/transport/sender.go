@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"iter"
 	"math"
 	"slices"
@@ -10,10 +11,12 @@ import (
 	"repro/internal/simclock"
 )
 
-// Timing collects the transport sender's timing parameters. The defaults
-// are the paper's published values; each is exposed so the benchmark
-// harness can sweep them (Figure 3 sweeps CollectionInterval; the ablation
-// benches sweep the others).
+// Timing declares every SSP timer value. The defaults are the paper's
+// published values; each is exposed so the benchmark harness can sweep them
+// (Figure 3 sweeps CollectionInterval; each ablation sweeps one other). A
+// zero field takes this end's default: DefaultTiming on the server,
+// ClientTiming on the client. So an override names only what it changes,
+// and the same Timing can go to both ends.
 type Timing struct {
 	// SendIntervalMin caps the frame rate at 50 Hz (paper footnote 1).
 	SendIntervalMin time.Duration
@@ -35,6 +38,29 @@ type Timing struct {
 	HeartbeatInterval time.Duration
 	// MTU is the maximum fragment-contents size in bytes.
 	MTU int
+	// MinRTO and MaxRTO bound the datagram layer's retransmission timeout
+	// (zero: network.DefaultMinRTO and DefaultMaxRTO). The paper argues
+	// for a 50 ms floor against TCP's 1 s.
+	MinRTO, MaxRTO time.Duration
+	// EchoAckTimeout is how long the server presents a keystroke to the
+	// host application before echo-acknowledging it (§3.2). Only
+	// core.Server reads it (zero: core.DefaultEchoAckTimeout).
+	EchoAckTimeout time.Duration
+}
+
+// or returns t with each zero field taken from def.
+func (t Timing) or(def Timing) Timing {
+	return Timing{
+		SendIntervalMin:    cmp.Or(t.SendIntervalMin, def.SendIntervalMin),
+		SendIntervalMax:    cmp.Or(t.SendIntervalMax, def.SendIntervalMax),
+		CollectionInterval: cmp.Or(t.CollectionInterval, def.CollectionInterval),
+		AckDelay:           cmp.Or(t.AckDelay, def.AckDelay),
+		HeartbeatInterval:  cmp.Or(t.HeartbeatInterval, def.HeartbeatInterval),
+		MTU:                cmp.Or(t.MTU, def.MTU),
+		MinRTO:             cmp.Or(t.MinRTO, def.MinRTO),
+		MaxRTO:             cmp.Or(t.MaxRTO, def.MaxRTO),
+		EchoAckTimeout:     cmp.Or(t.EchoAckTimeout, def.EchoAckTimeout),
+	}
 }
 
 // ActiveRetryTimeout stops aggressive retransmission when the peer has
@@ -42,7 +68,8 @@ type Timing struct {
 const ActiveRetryTimeout = 10 * time.Second
 
 // DefaultTiming returns the paper's parameter values: what a server, whose
-// host application writes in clumps, runs with.
+// host application writes in clumps, runs with. It leaves the RTO bounds and
+// the echo-ack timeout zero, for the layers that read them to default.
 func DefaultTiming() Timing {
 	return Timing{
 		SendIntervalMin:    20 * time.Millisecond,

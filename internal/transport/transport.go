@@ -45,11 +45,10 @@ type Config[L State[L], R State[R]] struct {
 	Key sspcrypto.Key
 	// Clock drives all timing.
 	Clock simclock.Clock
-	// Timing overrides transport timing. Nil takes the endpoint's default:
-	// DefaultTiming on the server (ToClient), ClientTiming on the client.
-	Timing *Timing
-	// MinRTO/MaxRTO pass through to the datagram layer (ablation knobs).
-	MinRTO, MaxRTO time.Duration
+	// Timing overrides SSP timing field by field; a zero field takes the
+	// endpoint's default (DefaultTiming on the server, ClientTiming on the
+	// client).
+	Timing Timing
 	// Envelope enables the sessiond session-ID envelope on every datagram
 	// (nil = single-session wire format).
 	Envelope *network.Envelope
@@ -89,55 +88,44 @@ type Config[L State[L], R State[R]] struct {
 	Probe *telemetry.Pipeline
 }
 
-// Resume restores a Transport endpoint across a process restart. Every
-// counter in it must come from a durable journal whose reservation rules
-// guarantee it exceeds anything the dead process sent (see
+// Resume restores a Transport endpoint across a process restart: the
+// datagram layer's counters and the two state numbers. Every counter in it
+// must come from a durable journal whose reservation rules guarantee it
+// exceeds anything the dead process sent (see
 // network.Connection.SetSeqCeiling and Sender.SetNumCeiling).
 type Resume struct {
+	network.Resume
 	// SendNumFloor is the state-number reservation: the first state minted
 	// after restore takes at least this number.
 	SendNumFloor uint64
 	// RecvNum is the state number the restored remote object is installed
 	// as (the newest remote state the dead process had received).
 	RecvNum uint64
-	// NextSeq and ExpectedSeq restore the datagram layer's counters.
-	NextSeq, ExpectedSeq uint64
-	// RemoteAddr optionally seeds the reply target (see network.Resume).
-	RemoteAddr *netem.Addr
-	// Heard marks that the dead process had heard authentic traffic.
-	Heard bool
 }
 
 // New builds a Transport endpoint.
 func New[L State[L], R State[R]](cfg Config[L, R]) (*Transport[L, R], error) {
+	def := DefaultTiming()
+	if cfg.Direction == sspcrypto.ToServer {
+		def = ClientTiming()
+	}
+	timing := cfg.Timing.or(def)
 	var netResume *network.Resume
 	if rs := cfg.Resume; rs != nil {
-		netResume = &network.Resume{
-			NextSeq:     rs.NextSeq,
-			ExpectedSeq: rs.ExpectedSeq,
-			RemoteAddr:  rs.RemoteAddr,
-			Heard:       rs.Heard,
-		}
+		netResume = &rs.Resume
 	}
 	conn, err := network.NewConnection(network.Config{
 		Direction: cfg.Direction,
 		Key:       cfg.Key,
 		Clock:     cfg.Clock,
-		MinRTO:    cfg.MinRTO,
-		MaxRTO:    cfg.MaxRTO,
+		MinRTO:    timing.MinRTO,
+		MaxRTO:    timing.MaxRTO,
 		Envelope:  cfg.Envelope,
 		Resume:    netResume,
 		Probe:     cfg.Probe,
 	})
 	if err != nil {
 		return nil, err
-	}
-	timing := DefaultTiming()
-	switch {
-	case cfg.Timing != nil:
-		timing = *cfg.Timing
-	case cfg.Direction == sspcrypto.ToServer:
-		timing = ClientTiming()
 	}
 	var s *Sender[L]
 	var r *Receiver[R]

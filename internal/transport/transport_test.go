@@ -89,7 +89,7 @@ type harness struct {
 	wakeClient, wakeServer func()
 }
 
-func newHarness(t *testing.T, params netem.LinkParams, timing *Timing) *harness {
+func newHarness(t *testing.T, params netem.LinkParams, timing Timing) *harness {
 	t.Helper()
 	h := &harness{
 		sched:      simclock.NewScheduler(t0),
@@ -184,7 +184,7 @@ func clampWait(d time.Duration) time.Duration {
 func (h *harness) run(d time.Duration) { h.sched.RunFor(d) }
 
 func TestBasicSynchronizationClientToServer(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 40 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 40 * time.Millisecond}, Timing{})
 	h.run(time.Second)
 	h.client.CurrentState().Append([]byte("hello"))
 	h.wakeClient()
@@ -195,7 +195,7 @@ func TestBasicSynchronizationClientToServer(t *testing.T) {
 }
 
 func TestBasicSynchronizationServerToClient(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 40 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 40 * time.Millisecond}, Timing{})
 	h.run(time.Second) // let the client introduce itself first
 	h.server.CurrentState().Append([]byte("screen-update"))
 	h.wakeServer()
@@ -206,7 +206,7 @@ func TestBasicSynchronizationServerToClient(t *testing.T) {
 }
 
 func TestBidirectionalConcurrentSync(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 30 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 30 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	for i := 0; i < 20; i++ {
 		h.client.CurrentState().Append(seq(i, 1))
@@ -228,7 +228,7 @@ func TestBidirectionalConcurrentSync(t *testing.T) {
 }
 
 func TestConvergenceUnderHeavyLoss(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 50 * time.Millisecond, LossProb: 0.29}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 50 * time.Millisecond, LossProb: 0.29}, Timing{})
 	h.run(time.Second)
 	want := string(seq(0, 50))
 	for i := 0; i < 50; i++ {
@@ -246,7 +246,7 @@ func TestSkipsIntermediateStates(t *testing.T) {
 	// On a long-RTT path the sender must coalesce many quick changes into
 	// few instructions — the receiver should see far fewer distinct
 	// states than there were changes.
-	h := newHarness(t, netem.LinkParams{Delay: 250 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 250 * time.Millisecond}, Timing{})
 	h.run(time.Second)
 	for i := 0; i < 100; i++ {
 		h.server.CurrentState().Append(seq(5*i, 5))
@@ -270,7 +270,7 @@ func TestSkipsIntermediateStates(t *testing.T) {
 func TestFrameRateRespectsRTT(t *testing.T) {
 	// RTT 500ms → send interval clamped to 250ms; 10 changes in 2.5s
 	// should produce at most ~2.5s/250ms + slack instructions.
-	h := newHarness(t, netem.LinkParams{Delay: 250 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 250 * time.Millisecond}, Timing{})
 	h.run(2 * time.Second) // settle RTT estimate via heartbeats
 	base := h.server.Sender().Stats().Instructions
 	for i := 0; i < 25; i++ {
@@ -292,7 +292,7 @@ func TestFrameRateRespectsRTT(t *testing.T) {
 }
 
 func TestCollectionIntervalCoalescesClumpedWrites(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 10 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 10 * time.Millisecond}, Timing{})
 	h.run(5 * time.Second) // settle: short RTT → send interval at floor
 	base := h.server.Sender().Stats().Instructions
 	// Three writes 2ms apart land inside one 8ms collection window.
@@ -311,7 +311,7 @@ func TestCollectionIntervalCoalescesClumpedWrites(t *testing.T) {
 }
 
 func TestAcksPruneSenderHistory(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	for i := 0; i < 30; i++ {
 		h.client.CurrentState().Append([]byte("z"))
@@ -329,7 +329,7 @@ func TestAcksPruneSenderHistory(t *testing.T) {
 }
 
 func TestHeartbeatsWhenIdle(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	before := h.client.Sender().Stats().EmptyAcks
 	h.run(10 * time.Second)
@@ -341,7 +341,7 @@ func TestHeartbeatsWhenIdle(t *testing.T) {
 }
 
 func TestLargeDiffFragmentsAndReassembles(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	big := bytes.Repeat([]byte("0123456789"), 1000) // 10 kB > MTU
 	h.server.CurrentState().Append(big)
@@ -353,7 +353,7 @@ func TestLargeDiffFragmentsAndReassembles(t *testing.T) {
 }
 
 func TestReconnectAfterSilence(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	// Client goes dark (e.g. suspended laptop) while the server's state
 	// keeps changing.
@@ -372,7 +372,7 @@ func TestReconnectAfterSilence(t *testing.T) {
 }
 
 func TestRoamingMidSession(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(500 * time.Millisecond)
 	h.client.CurrentState().Append([]byte("before"))
 	h.wakeClient()
@@ -403,7 +403,7 @@ func TestRoamingMidSession(t *testing.T) {
 }
 
 func TestWaitTimeBounded(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, nil)
+	h := newHarness(t, netem.LinkParams{Delay: 20 * time.Millisecond}, Timing{})
 	h.run(time.Second)
 	if w := h.client.WaitTime(); w > DefaultTiming().HeartbeatInterval {
 		t.Fatalf("idle wait time %v exceeds heartbeat interval", w)
@@ -415,16 +415,14 @@ func TestWaitTimeBounded(t *testing.T) {
 }
 
 func TestReceiveRejectsGarbage(t *testing.T) {
-	h := newHarness(t, netem.LinkParams{}, nil)
+	h := newHarness(t, netem.LinkParams{}, Timing{})
 	if _, err := h.client.Receive([]byte("garbage-payload-here-x"), h.serverAddr); !errors.Is(err, sspcrypto.ErrAuth) && !errors.Is(err, sspcrypto.ErrTooShort) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestCustomCollectionInterval(t *testing.T) {
-	timing := DefaultTiming()
-	timing.CollectionInterval = 100 * time.Millisecond
-	h := newHarness(t, netem.LinkParams{Delay: 5 * time.Millisecond}, &timing)
+	h := newHarness(t, netem.LinkParams{Delay: 5 * time.Millisecond}, Timing{CollectionInterval: 100 * time.Millisecond})
 	h.run(5 * time.Second)
 	start := h.sched.Now()
 	h.server.CurrentState().Append([]byte("q"))

@@ -10,7 +10,8 @@ import (
 
 // TestCompressUDPAddrRoundTrip pins the bijective netem.Addr mapping for
 // IPv4, IPv4-mapped and native IPv6 addresses, and the refusal of zoned
-// (scoped) sources.
+// (scoped) sources. A decoded address prints as Go prints the socket
+// address; an IPv4 one used to print as 10. and its low three bytes.
 func TestCompressUDPAddrRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -20,6 +21,7 @@ func TestCompressUDPAddrRoundTrip(t *testing.T) {
 		out  string // expected decompressed IP (String form); "" = same as in
 	}{
 		{"v4", &net.UDPAddr{IP: net.IPv4(203, 0, 113, 9), Port: 60001}, true, false, ""},
+		{"v4 private", &net.UDPAddr{IP: net.IPv4(192, 168, 1, 5), Port: 9999}, true, false, ""},
 		{"v4-mapped", &net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.7"), Port: 443}, true, false, "192.0.2.7"},
 		{"v6", &net.UDPAddr{IP: net.ParseIP("2001:db8::1234:5678"), Port: 60002}, true, true, ""},
 		{"v6 loopback", &net.UDPAddr{IP: net.ParseIP("::1"), Port: 7}, true, true, ""},
@@ -37,6 +39,9 @@ func TestCompressUDPAddrRoundTrip(t *testing.T) {
 		}
 		if a.V6 != tc.v6 {
 			t.Errorf("%s: V6 = %v, want %v", tc.name, a.V6, tc.v6)
+		}
+		if a.String() != tc.in.String() {
+			t.Errorf("%s: decoded address prints %s, want %s", tc.name, a, tc.in)
 		}
 		back := DecompressUDPAddr(a)
 		wantIP := tc.out
